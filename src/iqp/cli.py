@@ -187,17 +187,20 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     events = [parse_event(expr, space) for expr in exprs]
 
     start = time.perf_counter()
+    shared = lp.feasible_start(*cs.lp_rows())  # read-only, so threads may share it
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda a: lower_upper(cs, a), events))
+            results = list(pool.map(lambda a: lower_upper(cs, a, shared), events))
     else:
-        results = [lower_upper(cs, a) for a in events]
+        results = [lower_upper(cs, a, shared) for a in events]
     report.timings["solve"] = time.perf_counter() - start
 
     rows = []
     for expr, res in zip(exprs, results):
         if res.status == "infeasible":
             print("infeasible", file=sys.stderr)
+            report.feasible = False
+            _finish(args, report)
             return EXIT_INFEASIBLE
         print(f"{_fmt6(res.lower)}, {_fmt6(res.upper)}")
         rows.append((expr, res))

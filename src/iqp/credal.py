@@ -398,19 +398,27 @@ class BoundsResult:
             raise ValueError(f"upper bound {self.upper} exceeds 1")
 
 
-def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
-    """LP min/max of the event's probability over the credal polytope."""
+def lower_upper(
+    cs: ConstraintSet, a: Event, start: lp.FeasibleStart | None = None
+) -> BoundsResult:
+    """LP min/max of the event's probability over the credal polytope.
+
+    Both solves share one phase 1; pass ``start`` (``lp.feasible_start`` on
+    ``cs.lp_rows()``) to share it across events as well.
+    """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
     rows, rhs, senses = cs.lp_rows()
+    if start is None:
+        start = lp.feasible_start(rows, rhs, senses)
     objective = a.bits.astype(float)
 
-    low = lp.solve_lp(objective, rows, rhs, senses)
+    low = lp.solve_lp(objective, rows, rhs, senses, start=start)
     if low.status == lp.INFEASIBLE:
         return BoundsResult(status="infeasible")
     if low.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {low.status!r}")
-    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True)
+    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True, start=start)
     if high.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {high.status!r}")
 
@@ -466,13 +474,17 @@ def huber_check(cs: ConstraintSet) -> float:
 def sample_vertex_measures(
     cs: ConstraintSet, count: int, seed: int
 ) -> list[TrajectoryMeasure]:
-    """Polytope vertices from seeded random linear objectives (reproducible)."""
+    """Polytope vertices from seeded random linear objectives (reproducible).
+
+    Every sample is re-optimized from one shared phase 1.
+    """
     rows, rhs, senses = cs.lp_rows()
+    start = lp.feasible_start(rows, rhs, senses) if count > 0 else None
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):
         objective = rng.standard_normal(cs.space.size)
-        result = lp.solve_lp(objective, rows, rhs, senses)
+        result = lp.solve_lp(objective, rows, rhs, senses, start=start)
         if result.status == lp.INFEASIBLE:
             raise ValueError("constraint set is infeasible")
         if result.status != lp.OPTIMAL:

@@ -10,6 +10,15 @@ with senses '==', '>=' or '<='.  When the system is infeasible the solver
 returns row multipliers ``y`` (the phase-1 duals) satisfying, up to pivot
 tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
+
+Phase 1 depends only on the constraints, so it runs once per constraint set:
+``feasible_start`` returns the post-phase-1 tableau and basis, and every
+objective over the same rows is re-optimized from it by
+``solve_lp(..., start=start)``.  Pricing and the ratio test are numpy scans
+that pick the same entering column and leaving row as the scalar Bland loop
+(smallest eligible column; ties in the ratio test within ``PIVOT_TOL`` go to
+the smallest basic index, applied row by row in order), so a solve makes the
+same pivots whether or not its start is shared.
 """
 
 from __future__ import annotations
@@ -36,6 +45,188 @@ class LPResult:
     x: np.ndarray | None = None
     objective: float | None = None
     farkas_duals: np.ndarray | None = None
+    phase1_pivots: int = 0  # including pivots that drive artificials out
+    phase2_pivots: int = 0
+    dropped_rows: int = 0  # redundant equality rows removed after phase 1
+
+
+@dataclass(frozen=True)
+class FeasibleStart:
+    """Outcome of phase 1 for one constraint set; read-only, so shareable.
+
+    ``tab`` holds the constraint rows after phase 1 followed by one spare cost
+    row, and ``basis`` the basic column of each kept row.  Both are ``None``
+    for an infeasible set, which carries ``farkas_duals`` instead.
+    """
+
+    shape: tuple[int, int]  # (rows, variables) of the constraints it was built from
+    n_cols: int  # tableau columns before the right-hand side
+    first_art: int  # first artificial column; phase 2 prices columns below it
+    phase1_pivots: int
+    dropped_rows: int
+    tab: np.ndarray | None = None
+    basis: tuple[int, ...] | None = None
+    farkas_duals: np.ndarray | None = None
+
+
+class _Tableau:
+    """Pivoting state of one solve; ``buf`` is the rank-1 update's scratch."""
+
+    def __init__(self, tab: np.ndarray, basis: list[int], pivots: int, budget: int) -> None:
+        self.tab = tab
+        self.basis = basis
+        self.pivots = pivots
+        self.budget = budget
+        self.buf = np.empty_like(tab)
+
+    def pivot(self, row: int, col: int) -> None:
+        self.pivots += 1
+        if self.pivots > self.budget:
+            raise SimplexFailure(f"pivot limit {self.budget} exceeded")
+        tab = self.tab
+        tab[row] /= tab[row, col]
+        factors = tab[:, col].copy()
+        factors[row] = 0.0
+        # same products and differences as tab -= np.outer(factors, tab[row])
+        np.multiply(factors[:, None], tab[row], out=self.buf)
+        tab -= self.buf
+        tab[:, col] = 0.0
+        tab[row, col] = 1.0
+        self.basis[row] = col
+
+    def run_phase(self, allowed_upto: int) -> str:
+        """Bland pivots on the last row's reduced costs until none is negative."""
+        tab, basis = self.tab, self.basis
+        n_rows = tab.shape[0] - 1
+        while True:
+            negative = tab[-1, :allowed_upto] < -PIVOT_TOL
+            if not negative.any():
+                return OPTIMAL
+            entering = int(negative.argmax())
+            col_vals = tab[:n_rows, entering]
+            eligible = np.flatnonzero(col_vals > PIVOT_TOL)
+            if not eligible.size:
+                return UNBOUNDED
+            ratios = np.maximum(tab[eligible, -1], 0.0) / col_vals[eligible]
+            # the tie rule is not transitive, so apply it in row order
+            best_ratio = np.inf
+            leaving = -1
+            for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+            self.pivot(leaving, entering)
+
+
+def _budget(pivot_cap: int | None, n_rows: int, n_cols: int) -> int:
+    return pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
+
+
+def _as_rows(rows: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(rows, dtype=float))
+
+
+def _phase1(
+    a: np.ndarray, rhs: np.ndarray, senses: list[str], pivot_cap: int | None
+) -> FeasibleStart:
+    b = np.asarray(rhs, dtype=float).copy()
+    n_rows, n_vars = a.shape
+    if b.shape != (n_rows,) or len(senses) != n_rows:
+        raise ValueError("rows, rhs and senses must have matching lengths")
+    for sense in senses:
+        if sense not in ("==", ">=", "<="):
+            raise ValueError(f"unknown sense {sense!r}")
+
+    # standard form: flip rows with negative rhs, then add slack/surplus and
+    # artificial columns; record each row's sign and initial identity column
+    sign = np.where(b < 0, -1.0, 1.0)
+    flip = {"==": "==", ">=": "<=", "<=": ">="}
+    std_senses = [flip[s] if b[i] < 0 else s for i, s in enumerate(senses)]
+    b *= sign
+    slack_cols: dict[int, int] = {}
+    art_cols: dict[int, int] = {}
+    extra: list[tuple[int, float]] = []  # (row, entry) of each added column
+    col = n_vars
+    for i, sense in enumerate(std_senses):
+        if sense == "<=":
+            extra.append((i, 1.0))
+            slack_cols[i] = col
+            col += 1
+        elif sense == ">=":
+            extra.append((i, -1.0))
+            col += 1
+    first_art = col
+    for i, sense in enumerate(std_senses):
+        if sense != "<=":
+            extra.append((i, 1.0))
+            art_cols[i] = col
+            col += 1
+    n_cols = col
+
+    # tableau: constraint rows, then the phase-1 reduced-cost row
+    tab = np.zeros((n_rows + 1, n_cols + 1))
+    tab[:n_rows, :n_vars] = a
+    tab[:n_rows, :n_vars] *= sign[:, None]
+    for j, (i, entry) in enumerate(extra, start=n_vars):
+        tab[i, j] = entry
+    tab[:n_rows, -1] = b
+
+    basis = [art_cols.get(i, slack_cols.get(i, -1)) for i in range(n_rows)]
+    z1 = n_rows
+    for j in art_cols.values():
+        tab[z1, j] = 1.0
+    for i in art_cols:
+        tab[z1] -= tab[i]
+
+    layout = dict(shape=(n_rows, n_vars), n_cols=n_cols, first_art=first_art)
+    if not art_cols:
+        return FeasibleStart(**layout, phase1_pivots=0, dropped_rows=0, tab=tab,
+                             basis=tuple(basis))
+
+    state = _Tableau(tab, basis, 0, _budget(pivot_cap, n_rows, n_cols))
+    if state.run_phase(n_cols) == UNBOUNDED:
+        raise SimplexFailure("phase-1 objective reported unbounded")
+    if -tab[z1, -1] > FEASIBILITY_TOL:
+        duals = np.zeros(n_rows)
+        for i in range(n_rows):
+            if i in art_cols:
+                duals[i] = 1.0 - tab[z1, art_cols[i]]
+            else:
+                duals[i] = -tab[z1, slack_cols[i]]
+        return FeasibleStart(**layout, phase1_pivots=state.pivots, dropped_rows=0,
+                             farkas_duals=sign * duals)
+
+    # drive leftover basic artificials out (or drop redundant rows)
+    drop: list[int] = []
+    for i in range(n_rows):
+        if basis[i] >= first_art:
+            nonzero = np.abs(tab[i, :first_art]) > PIVOT_TOL
+            if nonzero.any():
+                state.pivot(i, int(nonzero.argmax()))
+            else:
+                drop.append(i)
+    if drop:
+        keep = [i for i in range(n_rows) if i not in drop]
+        tab = np.vstack([tab[keep], tab[n_rows:]])
+        basis = [basis[i] for i in keep]
+    return FeasibleStart(**layout, phase1_pivots=state.pivots, dropped_rows=len(drop),
+                         tab=tab, basis=tuple(basis))
+
+
+def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
+    """Run phase 1 once; pass the result to ``solve_lp`` for each objective.
+
+    The start is read-only: every solve from it works on its own copy, so
+    threads may share one start.
+    """
+    start = _phase1(_as_rows(rows), rhs, senses, None)
+    for arr in (start.tab, start.farkas_duals):
+        if arr is not None:
+            arr.flags.writeable = False
+    return start
 
 
 def solve_lp(
@@ -46,159 +237,53 @@ def solve_lp(
     *,
     maximize: bool = False,
     pivot_cap: int | None = None,
+    start: FeasibleStart | None = None,
 ) -> LPResult:
+    """Optimize ``objective`` over the rows, from ``start`` when one is given.
+
+    A start must come from ``feasible_start`` on these same rows; without one,
+    phase 1 runs here and the solve works in place on its tableau.  The pivot
+    cap counts the start's phase-1 pivots as well.
+    """
     c_orig = np.asarray(objective, dtype=float)
-    a = np.array(rows, dtype=float, ndmin=2)
-    b = np.asarray(rhs, dtype=float).copy()
-    n_rows, n_vars = a.shape
+    a = _as_rows(rows)
+    n_vars = a.shape[1]
     if c_orig.shape != (n_vars,):
         raise ValueError(f"objective length {c_orig.shape} != variable count {n_vars}")
-    if b.shape != (n_rows,) or len(senses) != n_rows:
-        raise ValueError("rows, rhs and senses must have matching lengths")
-    for sense in senses:
-        if sense not in ("==", ">=", "<="):
-            raise ValueError(f"unknown sense {sense!r}")
+    own_start = start is None
+    if own_start:
+        start = _phase1(a, rhs, senses, pivot_cap)
+    elif start.shape != (len(senses), n_vars):
+        raise ValueError(
+            f"start was built for {start.shape} constraints, not {(len(senses), n_vars)}"
+        )
+    budget = _budget(pivot_cap, start.shape[0], start.n_cols)
+    if start.phase1_pivots > budget:
+        raise SimplexFailure(f"pivot limit {budget} exceeded")
+    counters = dict(phase1_pivots=start.phase1_pivots, dropped_rows=start.dropped_rows)
+    if start.farkas_duals is not None:
+        return LPResult(status=INFEASIBLE, farkas_duals=start.farkas_duals.copy(), **counters)
 
-    c = -c_orig if maximize else c_orig.copy()
+    # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero; a
+    # start of this call's own is solved in place, a shared one on a copy
+    tab = start.tab if own_start else start.tab.copy()
+    c = -c_orig if maximize else c_orig
+    basis = list(start.basis)
+    tab[-1] = 0.0
+    tab[-1, :n_vars] = c
+    for i, j in enumerate(basis):
+        if j < n_vars and c[j] != 0.0:
+            tab[-1] -= c[j] * tab[i]
+    tab[-1, basis] = 0.0
 
-    # standard form: flip rows with negative rhs, then add slack/surplus and
-    # artificial columns; record each row's sign and initial identity column
-    sign = np.ones(n_rows)
-    std_senses = list(senses)
-    for i in range(n_rows):
-        if b[i] < 0:
-            sign[i] = -1.0
-            a[i] *= -1.0
-            b[i] *= -1.0
-            if std_senses[i] == ">=":
-                std_senses[i] = "<="
-            elif std_senses[i] == "<=":
-                std_senses[i] = ">="
-
-    slack_cols: dict[int, int] = {}
-    art_cols: dict[int, int] = {}
-    extra: list[np.ndarray] = []
-    col = n_vars
-    for i, sense in enumerate(std_senses):
-        if sense == "<=":
-            e = np.zeros(n_rows)
-            e[i] = 1.0
-            extra.append(e)
-            slack_cols[i] = col
-            col += 1
-        elif sense == ">=":
-            e = np.zeros(n_rows)
-            e[i] = -1.0
-            extra.append(e)
-            col += 1
-    first_art = col
-    for i, sense in enumerate(std_senses):
-        if sense != "<=":
-            e = np.zeros(n_rows)
-            e[i] = 1.0
-            extra.append(e)
-            art_cols[i] = col
-            col += 1
-    n_cols = col
-
-    # tableau: constraint rows, then phase-2 and phase-1 reduced-cost rows
-    tab = np.zeros((n_rows + 2, n_cols + 1))
-    tab[:n_rows, :n_vars] = a
-    if extra:
-        tab[:n_rows, n_vars:n_cols] = np.column_stack(extra)
-    tab[:n_rows, -1] = b
-    tab[n_rows, :n_vars] = c
-
-    basis = np.empty(n_rows, dtype=int)
-    for i in range(n_rows):
-        basis[i] = art_cols.get(i, slack_cols.get(i, -1))
-    z1 = n_rows + 1
-    for i, j in art_cols.items():
-        tab[z1, j] = 1.0
-    for i in art_cols:
-        tab[z1] -= tab[i]
-
-    budget = pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
-    pivots = 0
-
-    def pivot(row: int, col_: int) -> None:
-        nonlocal pivots, tab
-        pivots += 1
-        if pivots > budget:
-            raise SimplexFailure(f"pivot limit {budget} exceeded")
-        tab[row] /= tab[row, col_]
-        factors = tab[:, col_].copy()
-        factors[row] = 0.0
-        tab -= np.outer(factors, tab[row])
-        tab[:, col_] = 0.0
-        tab[row, col_] = 1.0
-        basis[row] = col_
-
-    def run_phase(cost_row: int, allowed_upto: int) -> str:
-        while True:
-            entering = -1
-            for j in range(allowed_upto):  # Bland: smallest eligible index
-                if tab[cost_row, j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return OPTIMAL
-            col_vals = tab[:n_rows, entering]
-            best_ratio = np.inf
-            leaving = -1
-            for i in range(n_rows):
-                if col_vals[i] > PIVOT_TOL:
-                    ratio = max(tab[i, -1], 0.0) / col_vals[i]
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
-            if leaving < 0:
-                return UNBOUNDED
-            pivot(leaving, entering)
-
-    if art_cols:
-        if run_phase(z1, n_cols) == UNBOUNDED:
-            raise SimplexFailure("phase-1 objective reported unbounded")
-        phase1_obj = -tab[z1, -1]
-        if phase1_obj > FEASIBILITY_TOL:
-            duals = np.zeros(n_rows)
-            for i in range(n_rows):
-                if i in art_cols:
-                    duals[i] = 1.0 - tab[z1, art_cols[i]]
-                else:
-                    duals[i] = -tab[z1, slack_cols[i]]
-            return LPResult(status=INFEASIBLE, farkas_duals=sign * duals)
-
-        # drive leftover basic artificials out (or drop redundant rows)
-        drop: list[int] = []
-        for i in range(n_rows):
-            if basis[i] >= first_art:
-                target = -1
-                for j in range(first_art):
-                    if abs(tab[i, j]) > PIVOT_TOL:
-                        target = j
-                        break
-                if target >= 0:
-                    pivot(i, target)
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(n_rows) if i not in drop]
-            tab = np.vstack([tab[keep], tab[n_rows:]])
-            basis = basis[keep]
-            n_rows = len(keep)
-            z1 = n_rows + 1
-
-    status = run_phase(n_rows, first_art)
+    state = _Tableau(tab, basis, start.phase1_pivots, budget)
+    status = state.run_phase(start.first_art)
+    counters["phase2_pivots"] = state.pivots - start.phase1_pivots
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
+        return LPResult(status=UNBOUNDED, **counters)
 
-    x = np.zeros(n_cols)
-    for i in range(n_rows):
-        x[basis[i]] = tab[i, -1]
+    x = np.zeros(start.n_cols)
+    x[basis] = tab[:-1, -1]
     solution = x[:n_vars]
     value = float(c_orig @ solution)
-    return LPResult(status=OPTIMAL, x=solution, objective=value)
+    return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

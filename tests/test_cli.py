@@ -100,17 +100,33 @@ class TestBounds:
         args = [
             "bounds", "--config", scenario_file("beam-splitter"),
             "--event", "(t=1,{0})", "--event", "(t=0,{0})",
-            "--outdir", str(tmp_path),
         ]
         def bound_lines(text: str) -> list[str]:
             return [line for line in text.splitlines() if ", " in line]
 
-        assert main(args + ["--jobs", "2"]) == 0
+        assert main(args + ["--jobs", "2", "--outdir", str(tmp_path / "two")]) == 0
         parallel = bound_lines(capsys.readouterr().out)
-        assert main(args) == 0
+        assert main(args + ["--jobs", "1", "--outdir", str(tmp_path / "one")]) == 0
         sequential = bound_lines(capsys.readouterr().out)
         assert len(parallel) == 2
         assert parallel == sequential
+        assert (tmp_path / "two" / "bounds.csv").read_bytes() == (
+            tmp_path / "one" / "bounds.csv"
+        ).read_bytes()
+
+    def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "bounds", "--config", scenario_file("adversarial-demo"),
+            "--event", "(t=0,{0})", "--outdir", str(tmp_path / "out"),
+            "--report", str(report_path),
+        ])
+        assert code == 2
+        assert "infeasible" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert report["command"] == "bounds"
+        assert report["feasible"] is False
+        assert "solve" in report["timings"]
 
 
 class TestTypicality:

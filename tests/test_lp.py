@@ -1,8 +1,24 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from iqp.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexFailure, solve_lp
+from _seed_simplex import solve_lp as seed_solve_lp
+from conftest import random_state, random_unitary
+from iqp.credal import sample_vertex_measures
+from iqp.events import TrajectorySpace, parse_event
+from iqp.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    SimplexFailure,
+    feasible_start,
+    solve_lp,
+)
+from iqp.scenarios import BUILTIN_SCENARIOS, ScenarioConfig, build_constraints, build_system
+from iqp.system import dft_matrix
 
 
 def scipy_reference(c, rows, rhs, senses, maximize=False):
@@ -27,6 +43,29 @@ def scipy_reference(c, rows, rhs, senses, maximize=False):
         method="highs",
         options={"presolve": False},  # presolve mislabels some unbounded LPs
     )
+
+
+def assert_identical(new, old):
+    """Same status, bit-identical answers and equal per-phase pivot counts."""
+    assert new.status == old.status
+    for name in ("x", "farkas_duals"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+    assert new.objective == old.objective
+    counters = ("phase1_pivots", "phase2_pivots", "dropped_rows")
+    assert [getattr(new, k) for k in counters] == [getattr(old, k) for k in counters]
+
+
+def assert_matches_seed(objectives, rows, rhs, senses):
+    """Every objective, minimized and maximized from one start, against the scalar oracle."""
+    start = feasible_start(rows, rhs, senses)
+    for c in objectives:
+        for maximize in (False, True):
+            old = seed_solve_lp(c, rows, rhs, senses, maximize=maximize)
+            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
+            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize), old)
 
 
 class TestKnownCases:
@@ -132,6 +171,7 @@ class TestAgainstScipy:
             senses = [["==", ">=", "<="][int(rng.integers(3))] for _ in range(m)]
             c = rng.normal(size=n)
             mine = solve_lp(c, rows, rhs, senses)
+            assert_matches_seed([c], rows, rhs, senses)
             ref = scipy_reference(c, rows, rhs, senses)
             if ref.status == 0:
                 assert mine.status == OPTIMAL
@@ -167,3 +207,136 @@ class TestAgainstScipy:
             else:
                 assert ref.status == 2
                 assert mine.status == INFEASIBLE
+
+
+def seeded_config(m, n, kind, ruleset, chain, seed):
+    """A seeded DFT or random-unitary system with region-size-1 typicality rows."""
+    rng = np.random.default_rng(seed)
+    psi = random_state(rng, m)
+    steps = [dft_matrix(m) if kind == "dft" else random_unitary(rng, m) for _ in range(n - 1)]
+    return ScenarioConfig(
+        labels=tuple(f"x{i}" for i in range(m)),
+        steps=tuple(steps),
+        psi0=tuple(psi),
+        ruleset=tuple(ruleset.split("+")),
+        tau_norm=1e-9,
+        time_pairs=tuple((t, t + 1) for t in range(n - 1)) if chain else None,
+    )
+
+
+def realize(cfg):
+    system = build_system(cfg)
+    space = TrajectorySpace.for_system(system)
+    return space, build_constraints(cfg, system, space)
+
+
+class TestSeedEquivalence:
+    """The vectorized, start-sharing solver makes the scalar solver's pivots."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_scenarios(self, name):
+        cfg = BUILTIN_SCENARIOS[name]()
+        space, cs = realize(cfg)
+        rng = np.random.default_rng(7)
+        objectives = [np.zeros(space.size)]
+        objectives += [parse_event(e, space).bits.astype(float) for e in cfg.events]
+        objectives += [rng.standard_normal(space.size) for _ in range(3)]
+        assert_matches_seed(objectives, *cs.lp_rows())
+
+    @pytest.mark.parametrize("m, n, kind, ruleset, chain", [
+        (2, 8, "random", "born+qtr-min", True),
+        (4, 4, "dft", "born+qtr", False),
+    ])
+    def test_seeded_n256(self, m, n, kind, ruleset, chain):
+        space, cs = realize(seeded_config(m, n, kind, ruleset, chain, seed=[11, m, n]))
+        assert space.size == 256
+        rng = np.random.default_rng(5)
+        event = (rng.random(space.size) < 0.3).astype(float)
+        assert_matches_seed([np.zeros(space.size), event, rng.standard_normal(space.size)],
+                            *cs.lp_rows())
+
+
+class TestStartReuse:
+    ROWS = np.array([[1, 1, 1, 1.0], [1, 1, 0, 0.0], [0, 0, 1, 1.0], [1, 0, 1, 0.0]])
+    RHS = np.array([1.0, 0.4, 0.3, 0.5])
+    SENSES = ["==", ">=", ">=", "<="]
+
+    def test_started_equals_unstarted(self):
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        for c in np.random.default_rng(3).normal(size=(6, 4)):
+            for maximize in (False, True):
+                assert_identical(
+                    solve_lp(c, self.ROWS, self.RHS, self.SENSES, maximize=maximize, start=start),
+                    solve_lp(c, self.ROWS, self.RHS, self.SENSES, maximize=maximize),
+                )
+
+    def test_start_not_mutated(self):
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        tab, basis = start.tab.tobytes(), start.basis
+        c = np.array([0.3, -1.0, 0.5, 2.0])
+        first = solve_lp(c, self.ROWS, self.RHS, self.SENSES, start=start)
+        second = solve_lp(c, self.ROWS, self.RHS, self.SENSES, start=start)
+        assert first.phase2_pivots > 0
+        assert_identical(first, second)
+        assert start.tab.tobytes() == tab and start.basis == basis
+
+    def test_infeasible_start(self):
+        rows, rhs = self.ROWS[:3], np.array([1.0, 0.8, 0.8])
+        start = feasible_start(rows, rhs, self.SENSES[:3])
+        first = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3], start=start)
+        second = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3], maximize=True, start=start)
+        assert first.status == second.status == INFEASIBLE
+        assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
+        first.farkas_duals[:] = 0.0
+        assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
+
+    def test_pivot_cap_counts_phase1(self):
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        assert start.phase1_pivots >= 2
+        with pytest.raises(SimplexFailure, match="pivot limit"):
+            solve_lp(np.zeros(4), self.ROWS, self.RHS, self.SENSES, start=start, pivot_cap=1)
+        res = solve_lp(np.zeros(4), self.ROWS, self.RHS, self.SENSES, start=start,
+                       pivot_cap=start.phase1_pivots)
+        assert res.status == OPTIMAL and res.phase2_pivots == 0
+
+    def test_redundant_rows_dropped_once(self):
+        rows, rhs = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
+        start = feasible_start(rows, rhs, ["==", "=="])
+        assert start.dropped_rows == 1
+        low = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], start=start)
+        high = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], maximize=True, start=start)
+        assert (low.objective, high.objective) == (0.0, 1.0)
+        assert low.dropped_rows == high.dropped_rows == 1
+
+    def test_start_from_other_rows_rejected(self):
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        with pytest.raises(ValueError, match="start"):
+            solve_lp(np.zeros(3), self.ROWS[:, :3], self.RHS, self.SENSES, start=start)
+        with pytest.raises(ValueError, match="start"):
+            solve_lp(np.zeros(4), self.ROWS[:3], self.RHS[:3], self.SENSES[:3], start=start)
+
+    def test_threads_share_one_start(self):
+        _, cs = realize(BUILTIN_SCENARIOS["drifting-branch"]())
+        rows, rhs, senses = cs.lp_rows()
+        start = feasible_start(rows, rhs, senses)
+        objectives = np.random.default_rng(4).standard_normal((32, rows.shape[1]))
+
+        def solve(c):
+            return solve_lp(c, rows, rhs, senses, start=start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(solve, objectives, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for c, res in zip(objectives, parallel):
+            assert_identical(res, solve(c))
+
+    def test_vertex_samples_share_one_phase1(self, monkeypatch):
+        space, cs = realize(BUILTIN_SCENARIOS["spreading-packet"]())
+        calls = []
+        monkeypatch.setattr("iqp.lp.feasible_start", lambda *a: calls.append(a) or feasible_start(*a))
+        measures = sample_vertex_measures(cs, 4, seed=9)
+        assert len(calls) == 1 and len(measures) == 4
