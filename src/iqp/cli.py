@@ -187,12 +187,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     events = [parse_event(expr, space) for expr in exprs]
 
     start = time.perf_counter()
-    shared = lp.feasible_start(*cs.lp_rows())  # read-only, so threads may share it
     if args.jobs > 1:
+        # fill the phase-1 memo first, so the workers share its start instead
+        # of each running phase 1 on the same rows
+        lp.feasible_start(*cs.lp_rows())
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda a: lower_upper(cs, a, shared), events))
+            results = list(pool.map(lambda a: lower_upper(cs, a), events))
     else:
-        results = [lower_upper(cs, a, shared) for a in events]
+        results = [lower_upper(cs, a) for a in events]
     report.timings["solve"] = time.perf_counter() - start
 
     rows = []
@@ -242,9 +244,13 @@ def _cmd_typicality(args: argparse.Namespace) -> int:
         cfg.epsilon if cfg.epsilon is not None else 1e-6
     )
 
+    start = time.perf_counter()
     cert = feasibility(cs)
+    report.timings["solve"] = time.perf_counter() - start
+    report.feasible = cert.feasible
     if not cert.feasible:
         print("infeasible constraint set; no measure to evaluate", file=sys.stderr)
+        _finish(args, report)
         return EXIT_INFEASIBLE
     probs = cert.witness.probs
 
@@ -290,13 +296,16 @@ def _cmd_branch(args: argparse.Namespace) -> int:
     writer.writerow(["branch", "weight", "epsilon", "expectation", "tail", "delta",
                      "expectation_bound", "tail_bound", "verdict"])
     exit_code = EXIT_OK
+    report.timings["solve"] = 0.0
     for decl in decls:
         ssets = [SSet(t, Region.from_labels(labels, system.m)) for t, labels in decl.ssets]
         branch = make_branch(system, ssets, cfg.tau_norm)
         delta = args.delta if args.delta is not None else (
             decl.delta if decl.delta is not None else cfg.delta
         )
+        start = time.perf_counter()
         w11 = verify_w11(system, space, cs, branch, delta, cfg.samples, seed)
+        report.timings["solve"] += time.perf_counter() - start
         if w11.passes is None:
             verdict = "vacuous"
         elif w11.passes:

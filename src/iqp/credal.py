@@ -337,9 +337,13 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
-    """Phase-1 feasibility with a self-verified witness or Farkas certificate."""
+    """Phase-1 feasibility with a self-verified witness or Farkas certificate.
+
+    The phase 1 is the one later bounds and vertex samples of ``cs`` start from.
+    """
     rows, rhs, senses = cs.lp_rows()
-    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses)
+    start = lp.feasible_start(rows, rhs, senses)
+    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses, start=start)
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
         worst = verify_witness(cs, witness.probs)
@@ -398,19 +402,16 @@ class BoundsResult:
             raise ValueError(f"upper bound {self.upper} exceeds 1")
 
 
-def lower_upper(
-    cs: ConstraintSet, a: Event, start: lp.FeasibleStart | None = None
-) -> BoundsResult:
+def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """LP min/max of the event's probability over the credal polytope.
 
-    Both solves share one phase 1; pass ``start`` (``lp.feasible_start`` on
-    ``cs.lp_rows()``) to share it across events as well.
+    Both solves start from the phase 1 of ``cs`` (shared with other queries on
+    the same rows through ``lp.feasible_start``).
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
     rows, rhs, senses = cs.lp_rows()
-    if start is None:
-        start = lp.feasible_start(rows, rhs, senses)
+    start = lp.feasible_start(rows, rhs, senses)
     objective = a.bits.astype(float)
 
     low = lp.solve_lp(objective, rows, rhs, senses, start=start)
@@ -476,7 +477,7 @@ def sample_vertex_measures(
 ) -> list[TrajectoryMeasure]:
     """Polytope vertices from seeded random linear objectives (reproducible).
 
-    Every sample is re-optimized from one shared phase 1.
+    Every sample is re-optimized from the phase 1 of ``cs``.
     """
     rows, rhs, senses = cs.lp_rows()
     start = lp.feasible_start(rows, rhs, senses) if count > 0 else None

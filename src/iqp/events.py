@@ -352,8 +352,3 @@ def parse_expr(src: str, space: TrajectorySpace) -> EventExpr:
 def parse_event(src: str, space: TrajectorySpace) -> Event:
     """Parse an event expression and evaluate it to a trajectory bitset."""
     return evaluate_expr(parse_expr(src, space), space)
-
-
-def sset_expr_text(s: SSet) -> str:
-    """Canonical expression text of an sset, parseable by the grammar."""
-    return s.text()

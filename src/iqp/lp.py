@@ -12,9 +12,13 @@ tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
 Phase 1 depends only on the constraints, so it runs once per constraint set:
-``feasible_start`` returns the post-phase-1 tableau and basis, and every
-objective over the same rows is re-optimized from it by
-``solve_lp(..., start=start)``.  Pricing and the ratio test are numpy scans
+``feasible_start`` returns the post-phase-1 tableau and basis, with the
+artificial columns trimmed, and every objective over the same rows is
+re-optimized from it by ``solve_lp(..., start=start)``.  ``feasible_start``
+keeps its last result in a one-entry memo keyed on the content of the rows,
+right-hand sides and senses, so feasibility, bounds and vertex samples asked
+one after another about one constraint set share a single phase 1, while at
+most one start stays alive.  Pricing and the ratio test are numpy scans
 that pick the same entering column and leaving row as the scalar Bland loop
 (smallest eligible column; ties in the ratio test within ``PIVOT_TOL`` go to
 the smallest basic index, applied row by row in order), so a solve makes the
@@ -23,6 +27,8 @@ same pivots whether or not its start is shared.
 
 from __future__ import annotations
 
+import hashlib
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +61,14 @@ class FeasibleStart:
     """Outcome of phase 1 for one constraint set; read-only, so shareable.
 
     ``tab`` holds the constraint rows after phase 1 followed by one spare cost
-    row, and ``basis`` the basic column of each kept row.  Both are ``None``
-    for an infeasible set, which carries ``farkas_duals`` instead.
+    row, over the structural and slack columns and the right-hand side (the
+    artificial columns are never read again and are trimmed), and ``basis``
+    the basic column of each kept row.  Both are ``None`` for an infeasible
+    set, which carries ``farkas_duals`` instead.
     """
 
     shape: tuple[int, int]  # (rows, variables) of the constraints it was built from
-    n_cols: int  # tableau columns before the right-hand side
-    first_art: int  # first artificial column; phase 2 prices columns below it
+    n_cols: int  # phase-1 tableau columns before the right-hand side; sets the pivot budget
     phase1_pivots: int
     dropped_rows: int
     tab: np.ndarray | None = None
@@ -72,12 +79,13 @@ class FeasibleStart:
 class _Tableau:
     """Pivoting state of one solve; ``buf`` is the rank-1 update's scratch."""
 
-    def __init__(self, tab: np.ndarray, basis: list[int], pivots: int, budget: int) -> None:
+    def __init__(self, tab: np.ndarray, basis: list[int], pivots: int, budget: int,
+                 buf: np.ndarray) -> None:
         self.tab = tab
         self.basis = basis
         self.pivots = pivots
         self.budget = budget
-        self.buf = np.empty_like(tab)
+        self.buf = buf
 
     def pivot(self, row: int, col: int) -> None:
         self.pivots += 1
@@ -94,12 +102,12 @@ class _Tableau:
         tab[row, col] = 1.0
         self.basis[row] = col
 
-    def run_phase(self, allowed_upto: int) -> str:
+    def run_phase(self) -> str:
         """Bland pivots on the last row's reduced costs until none is negative."""
         tab, basis = self.tab, self.basis
         n_rows = tab.shape[0] - 1
         while True:
-            negative = tab[-1, :allowed_upto] < -PIVOT_TOL
+            negative = tab[-1, :-1] < -PIVOT_TOL
             if not negative.any():
                 return OPTIMAL
             entering = int(negative.argmax())
@@ -123,6 +131,11 @@ class _Tableau:
 
 def _budget(pivot_cap: int | None, n_rows: int, n_cols: int) -> int:
     return pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
+
+
+def _mapped(n_floats: int) -> np.ndarray:
+    """Float storage in its own anonymous memory map, outside the malloc heap."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n_floats), count=n_floats)
 
 
 def _as_rows(rows: np.ndarray) -> np.ndarray:
@@ -181,13 +194,19 @@ def _phase1(
     for i in art_cols:
         tab[z1] -= tab[i]
 
-    layout = dict(shape=(n_rows, n_vars), n_cols=n_cols, first_art=first_art)
+    layout = dict(shape=(n_rows, n_vars), n_cols=n_cols)
     if not art_cols:
         return FeasibleStart(**layout, phase1_pivots=0, dropped_rows=0, tab=tab,
                              basis=tuple(basis))
 
-    state = _Tableau(tab, basis, 0, _budget(pivot_cap, n_rows, n_cols))
-    if state.run_phase(n_cols) == UNBOUNDED:
+    # The update scratch gets its own map, which then holds the trimmed start.
+    # A start can outlive its query in the memo of feasible_start; on the
+    # malloc heap it would sit above the tableaux freed after it, so that the
+    # heap could neither reuse their memory for the next one nor return it.
+    scratch = _mapped(tab.size)
+    state = _Tableau(tab, basis, 0, _budget(pivot_cap, n_rows, n_cols),
+                     scratch.reshape(tab.shape))
+    if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
     if -tab[z1, -1] > FEASIBILITY_TOL:
         duals = np.zeros(n_rows)
@@ -208,24 +227,55 @@ def _phase1(
                 state.pivot(i, int(nonzero.argmax()))
             else:
                 drop.append(i)
+    # no artificial is basic now, so its column is never read again; a pivot
+    # updates each column from itself and the pivot column only, so the kept
+    # columns hold the same bits as in the untrimmed tableau
+    keep = [i for i in range(n_rows + 1) if i not in drop]
     if drop:
-        keep = [i for i in range(n_rows) if i not in drop]
-        tab = np.vstack([tab[keep], tab[n_rows:]])
-        basis = [basis[i] for i in keep]
+        tab = tab[keep]
+    start_tab = scratch[: len(keep) * (first_art + 1)].reshape(len(keep), first_art + 1)
+    start_tab[:, :first_art] = tab[:, :first_art]
+    start_tab[:, -1] = tab[:, -1]
+    basis = [basis[i] for i in keep[:-1]]
     return FeasibleStart(**layout, phase1_pivots=state.pivots, dropped_rows=len(drop),
-                         tab=tab, basis=tuple(basis))
+                         tab=start_tab, basis=tuple(basis))
+
+
+# (content digest, start) of the last ``feasible_start`` call.  One entry keeps
+# at most one tableau alive; the slot is replaced as a whole tuple, so a thread
+# that loses a race to fill it only repeats a phase 1 and never sees a start
+# built from other rows.
+_last: tuple[bytes, FeasibleStart] | None = None
+
+
+def _digest(a: np.ndarray, b: np.ndarray, senses: list[str]) -> bytes:
+    h = hashlib.blake2b(repr((a.shape, b.shape, list(senses))).encode())
+    h.update(a)  # float64 and C-contiguous: hashed in place, not copied
+    h.update(b)
+    return h.digest()
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     """Run phase 1 once; pass the result to ``solve_lp`` for each objective.
 
-    The start is read-only: every solve from it works on its own copy, so
-    threads may share one start.
+    The last start is remembered by the content of its inputs, so another
+    call on equal rows, right-hand sides and senses returns it without a
+    phase 1.  The start is read-only: every solve from it that must pivot
+    works on its own copy, so threads may share one start.
     """
-    start = _phase1(_as_rows(rows), rhs, senses, None)
+    global _last
+    a = np.ascontiguousarray(_as_rows(rows))
+    b = np.ascontiguousarray(rhs, dtype=float)
+    key = _digest(a, b, senses)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    _last = None  # release the previous start before this phase 1 allocates
+    start = _phase1(a, b, senses, None)
     for arr in (start.tab, start.farkas_duals):
         if arr is not None:
             arr.flags.writeable = False
+    _last = (key, start)
     return start
 
 
@@ -242,8 +292,9 @@ def solve_lp(
     """Optimize ``objective`` over the rows, from ``start`` when one is given.
 
     A start must come from ``feasible_start`` on these same rows; without one,
-    phase 1 runs here and the solve works in place on its tableau.  The pivot
-    cap counts the start's phase-1 pivots as well.
+    phase 1 runs here, bypassing the memo, and the solve works in place on its
+    tableau.  A shared start is copied only when the objective needs a pivot.
+    The pivot cap counts the start's phase-1 pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
@@ -264,25 +315,29 @@ def solve_lp(
     if start.farkas_duals is not None:
         return LPResult(status=INFEASIBLE, farkas_duals=start.farkas_duals.copy(), **counters)
 
-    # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero; a
-    # start of this call's own is solved in place, a shared one on a copy
-    tab = start.tab if own_start else start.tab.copy()
+    # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
+    tab = start.tab
     c = -c_orig if maximize else c_orig
     basis = list(start.basis)
-    tab[-1] = 0.0
-    tab[-1, :n_vars] = c
+    cost = np.zeros(tab.shape[1])
+    cost[:n_vars] = c
     for i, j in enumerate(basis):
         if j < n_vars and c[j] != 0.0:
-            tab[-1] -= c[j] * tab[i]
-    tab[-1, basis] = 0.0
+            cost -= c[j] * tab[i]
+    cost[basis] = 0.0
 
-    state = _Tableau(tab, basis, start.phase1_pivots, budget)
-    status = state.run_phase(start.first_art)
-    counters["phase2_pivots"] = state.pivots - start.phase1_pivots
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, **counters)
+    if (cost[:-1] < -PIVOT_TOL).any():
+        # a start of this call's own is solved in place, a shared one on a copy
+        if not own_start:
+            tab = tab.copy()
+        tab[-1] = cost
+        state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
+        status = state.run_phase()
+        counters["phase2_pivots"] = state.pivots - start.phase1_pivots
+        if status == UNBOUNDED:
+            return LPResult(status=UNBOUNDED, **counters)
 
-    x = np.zeros(start.n_cols)
+    x = np.zeros(tab.shape[1] - 1)
     x[basis] = tab[:-1, -1]
     solution = x[:n_vars]
     value = float(c_orig @ solution)

@@ -12,9 +12,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from iqp import lp
 from iqp.credal import ConstraintSet, LinearConstraint, born_constraints
 from iqp.events import Event, TrajectorySpace, sset_event
-from iqp.system import QuantumSystem, Region, SSet, hadamard_matrix, identity_matrix
+from iqp.scenarios import ScenarioConfig, build_constraints, build_system
+from iqp.system import (
+    QuantumSystem,
+    Region,
+    SSet,
+    dft_matrix,
+    hadamard_matrix,
+    identity_matrix,
+)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -83,6 +92,37 @@ def random_system(
 
 def random_event(rng: np.random.Generator, space: TrajectorySpace) -> Event:
     return Event(rng.random(space.size) < rng.random())
+
+
+def seeded_config(m, n, kind, ruleset, chain, seed):
+    """A seeded DFT or random-unitary system with region-size-1 typicality rows."""
+    rng = np.random.default_rng(seed)
+    psi = random_state(rng, m)
+    steps = [dft_matrix(m) if kind == "dft" else random_unitary(rng, m) for _ in range(n - 1)]
+    return ScenarioConfig(
+        labels=tuple(f"x{i}" for i in range(m)),
+        steps=tuple(steps),
+        psi0=tuple(psi),
+        ruleset=tuple(ruleset.split("+")),
+        tau_norm=1e-9,
+        time_pairs=tuple((t, t + 1) for t in range(n - 1)) if chain else None,
+    )
+
+
+def realize(cfg):
+    system = build_system(cfg)
+    space = TrajectorySpace.for_system(system)
+    return space, build_constraints(cfg, system, space)
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch):
+    """Empties the phase-1 memo and records the shape of every phase 1 run after."""
+    calls = []
+    run = lp._phase1
+    monkeypatch.setattr(lp, "_last", None)
+    monkeypatch.setattr(lp, "_phase1", lambda a, *rest: calls.append(a.shape) or run(a, *rest))
+    return calls
 
 
 # --- brute-force vertex enumeration -------------------------------------------

@@ -148,6 +148,21 @@ class TestTypicality:
         assert code == 1
         assert "atom & atom" in capsys.readouterr().err
 
+    def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "typicality", "--config", scenario_file("adversarial-demo"),
+            "--pair", "(t=0,{0}) & (t=1,{0})", "--outdir", str(tmp_path / "out"),
+            "--report", str(report_path),
+        ])
+        assert code == 2
+        assert "infeasible" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert report["command"] == "typicality"
+        assert report["feasible"] is False
+        assert "solve" in report["timings"]
+        assert not (tmp_path / "out" / "typicality.csv").exists()
+
     def test_default_pairs_from_ruleset(self, scenario_file, tmp_path):
         code = main([
             "typicality", "--config", scenario_file("beam-splitter"),
@@ -176,6 +191,17 @@ class TestBranch:
         ])
         assert code == 0
         assert (tmp_path / "branch.csv").read_text().count("\n") == 3
+
+    def test_report_times_solve(self, scenario_file, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "branch", "--config", scenario_file("beam-splitter"),
+            "--outdir", str(tmp_path), "--report", str(report_path),
+        ])
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["branch_rows"] == 2
+        assert set(report["timings"]) == {"constraints", "solve"}
 
     def test_unknown_branch_name(self, scenario_file, tmp_path, capsys):
         code = main([

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,10 @@ from conftest import (
     random_feasible_cs,
     random_lower_bound_cs,
     random_system,
+    realize,
     scipy_bounds,
     scipy_feasible,
+    seeded_config,
     sset,
     vertex_bounds,
 )
@@ -37,7 +43,7 @@ from iqp.credal import (
     verify_witness,
 )
 from iqp.events import Event, TrajectorySpace, parse_event, sset_event
-from iqp.scenarios import enumerate_pairs, singleton_family
+from iqp.scenarios import BUILTIN_SCENARIOS, enumerate_pairs, singleton_family
 from iqp.system import QuantumSystem, Region, SSet, identity_matrix
 
 
@@ -477,6 +483,78 @@ class TestVertexSampling:
         _, space = balanced
         with pytest.raises(ValueError, match="infeasible"):
             sample_vertex_measures(adversarial_cs(space), 2, seed=1)
+
+
+class TestPhase1Memo:
+    """Queries on one constraint set start from the phase 1 that ``lp`` remembers."""
+
+    @pytest.fixture
+    def n256(self):
+        space, cs = realize(seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4]))
+        rng = np.random.default_rng(5)
+        return cs, [Event(rng.random(space.size) < 0.3) for _ in range(4)]
+
+    @staticmethod
+    def fingerprint(res):
+        return (res.lower, res.upper, res.argmin.probs.tobytes(), res.argmax.probs.tobytes())
+
+    def test_queries_share_one_phase1(self, n256, phase1_calls):
+        cs, events = n256
+        assert feasibility(cs).feasible
+        lower_upper(cs, events[0])
+        lower_upper(cs, events[1])
+        assert len(sample_vertex_measures(cs, 3, seed=2)) == 3
+        assert phase1_calls == [(len(cs) + 1, cs.space.size)]
+
+    def test_huber_check_bypasses_the_memo(self, balanced, phase1_calls):
+        system, space = balanced
+        cs = born_constraints(system, space, singleton_family(system))
+        feasibility(cs)
+        huber_check(cs)
+        lower_upper(cs, parse_event("(t=0,{0})", space))
+        assert phase1_calls == [(len(cs) + 1, space.size), (space.size, len(cs))]
+
+    def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
+        cs, events = n256
+        a = events[0]
+        before = lower_upper(cs, a)
+        cs.constraints.append(LinearConstraint(
+            event=a, relation=">=", rhs=(before.lower + before.upper) / 2, tag="demand",
+            label="a"))
+        for expected_calls in (2, 3):
+            res = lower_upper(cs, a)
+            assert len(phase1_calls) == expected_calls
+            assert (res.lower, res.upper) == pytest.approx(scipy_bounds(cs, a), abs=1e-7)
+            cs.constraints[-1] = dataclasses.replace(cs.constraints[-1], rhs=before.upper)
+        assert res.lower == pytest.approx(before.upper, abs=1e-9)
+
+    def test_memoized_infeasible_farkas_independent(self, balanced, phase1_calls):
+        _, space = balanced
+        cs = adversarial_cs(space)
+        first, second = feasibility(cs), feasibility(cs)
+        assert lower_upper(cs, parse_event("(t=1,{0})", space)).status == "infeasible"
+        assert len(phase1_calls) == 1
+        assert first.farkas.multipliers.tobytes() == second.farkas.multipliers.tobytes()
+        first.farkas.multipliers[:] = 0.0
+        assert verify_farkas(cs, second.farkas)[1] == pytest.approx(second.farkas.margin)
+        assert second.farkas.margin > 0.5
+
+    def test_threads_share_the_memo(self, n256, phase1_calls):
+        cs, events = n256
+        _, other = realize(BUILTIN_SCENARIOS["drifting-branch"]())
+        other_event = Event.all(other.space)
+        # one set alone, then two sets taking turns in the one-entry memo
+        jobs = [(cs, a) for a in events] + [(cs, events[0]), (other, other_event)] * 3
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(lambda job: lower_upper(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for job, res in zip(jobs, parallel):
+            assert self.fingerprint(res) == self.fingerprint(lower_upper(*job))
 
 
 class TestCsvExport:

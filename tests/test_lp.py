@@ -6,9 +6,9 @@ import pytest
 from scipy.optimize import linprog
 
 from _seed_simplex import solve_lp as seed_solve_lp
-from conftest import random_state, random_unitary
+from conftest import realize, seeded_config
 from iqp.credal import sample_vertex_measures
-from iqp.events import TrajectorySpace, parse_event
+from iqp.events import parse_event
 from iqp.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -17,8 +17,7 @@ from iqp.lp import (
     feasible_start,
     solve_lp,
 )
-from iqp.scenarios import BUILTIN_SCENARIOS, ScenarioConfig, build_constraints, build_system
-from iqp.system import dft_matrix
+from iqp.scenarios import BUILTIN_SCENARIOS
 
 
 def scipy_reference(c, rows, rhs, senses, maximize=False):
@@ -209,27 +208,6 @@ class TestAgainstScipy:
                 assert mine.status == INFEASIBLE
 
 
-def seeded_config(m, n, kind, ruleset, chain, seed):
-    """A seeded DFT or random-unitary system with region-size-1 typicality rows."""
-    rng = np.random.default_rng(seed)
-    psi = random_state(rng, m)
-    steps = [dft_matrix(m) if kind == "dft" else random_unitary(rng, m) for _ in range(n - 1)]
-    return ScenarioConfig(
-        labels=tuple(f"x{i}" for i in range(m)),
-        steps=tuple(steps),
-        psi0=tuple(psi),
-        ruleset=tuple(ruleset.split("+")),
-        tau_norm=1e-9,
-        time_pairs=tuple((t, t + 1) for t in range(n - 1)) if chain else None,
-    )
-
-
-def realize(cfg):
-    system = build_system(cfg)
-    space = TrajectorySpace.for_system(system)
-    return space, build_constraints(cfg, system, space)
-
-
 class TestSeedEquivalence:
     """The vectorized, start-sharing solver makes the scalar solver's pivots."""
 
@@ -340,3 +318,43 @@ class TestStartReuse:
         monkeypatch.setattr("iqp.lp.feasible_start", lambda *a: calls.append(a) or feasible_start(*a))
         measures = sample_vertex_measures(cs, 4, seed=9)
         assert len(calls) == 1 and len(measures) == 4
+
+
+class TestStartMemo:
+    ROWS = TestStartReuse.ROWS
+    RHS = TestStartReuse.RHS
+    SENSES = TestStartReuse.SENSES
+
+    def test_equal_content_shares_one_phase1(self, phase1_calls):
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        assert feasible_start(self.ROWS.copy(), list(self.RHS), list(self.SENSES)) is start
+        solve_lp(np.ones(4), self.ROWS, self.RHS, self.SENSES)  # unstarted: bypasses the memo
+        assert feasible_start(self.ROWS, self.RHS, self.SENSES) is start
+        assert len(phase1_calls) == 2
+
+    def test_changed_input_runs_phase1_again(self, phase1_calls):
+        rows, rhs = self.ROWS.copy(), self.RHS.copy()
+        start = feasible_start(rows, rhs, self.SENSES)
+        rows[1, 3] = 1.0
+        rhs[2] = 0.35
+        for changed in [(rows, self.RHS, self.SENSES), (self.ROWS, rhs, self.SENSES),
+                        (self.ROWS, self.RHS, ["==", ">=", ">=", ">="])]:
+            assert feasible_start(*changed) is not start
+        assert len(phase1_calls) == 4
+
+    def test_artificial_columns_trimmed(self):
+        # 4 variables, 3 surplus/slack and 3 artificial columns, then the rhs
+        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        assert start.n_cols == 10
+        assert start.tab.shape == (len(self.SENSES) + 1, 7 + 1)
+        assert max(start.basis) < 7
+
+    def test_memoized_infeasible_farkas_independent(self, phase1_calls):
+        rows, rhs, senses = self.ROWS[:3], np.array([1.0, 0.8, 0.8]), self.SENSES[:3]
+        first = solve_lp(np.zeros(4), rows, rhs, senses, start=feasible_start(rows, rhs, senses))
+        second = solve_lp(np.zeros(4), rows, rhs, senses, start=feasible_start(rows, rhs, senses))
+        assert len(phase1_calls) == 1
+        assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
+        first.farkas_duals[:] = 0.0
+        assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
+
