@@ -30,7 +30,6 @@ from .events import (
     Event,
     ParseError,
     TrajectorySpace,
-    combine,
     event_probability,
     parse_event,
     parse_expr,

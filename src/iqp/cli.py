@@ -16,6 +16,7 @@ from pathlib import Path
 from . import lp
 from .credal import (
     ConstraintSet,
+    FeasibilityCertificate,
     constraints_csv,
     farkas_csv,
     feasibility,
@@ -147,6 +148,15 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     return cs
 
 
+def _feasibility(cs: ConstraintSet, report: RunReport) -> FeasibilityCertificate:
+    """Decide the set, timing the solve and recording the verdict in the report."""
+    start = time.perf_counter()
+    cert = feasibility(cs)
+    report.timings["solve"] = time.perf_counter() - start
+    report.feasible = cert.feasible
+    return cert
+
+
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     cfg, system, space = _load(args)
     report = RunReport(command="feasibility", config_hash=config_hash(cfg))
@@ -154,10 +164,7 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
     cs = _constraints(cfg, system, space, report)
     _write(outdir / "constraints.csv", constraints_csv(cs))
 
-    start = time.perf_counter()
-    cert = feasibility(cs)
-    report.timings["solve"] = time.perf_counter() - start
-    report.feasible = cert.feasible
+    cert = _feasibility(cs, report)
     print(f"constraints: {cs.emitted} emitted, {cs.skipped} vacuous, "
           f"{cs.filtered} filtered")
     if cert.feasible:
@@ -244,10 +251,7 @@ def _cmd_typicality(args: argparse.Namespace) -> int:
         cfg.epsilon if cfg.epsilon is not None else 1e-6
     )
 
-    start = time.perf_counter()
-    cert = feasibility(cs)
-    report.timings["solve"] = time.perf_counter() - start
-    report.feasible = cert.feasible
+    cert = _feasibility(cs, report)
     if not cert.feasible:
         print("infeasible constraint set; no measure to evaluate", file=sys.stderr)
         _finish(args, report)
@@ -290,13 +294,17 @@ def _cmd_branch(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     cs = _constraints(cfg, system, space, report)
     seed = _seed(args, cfg)
+    # the vertex samples of every branch start from this phase 1
+    if not _feasibility(cs, report).feasible:
+        print("infeasible constraint set; no measure to sample", file=sys.stderr)
+        _finish(args, report)
+        return EXIT_INFEASIBLE
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["branch", "weight", "epsilon", "expectation", "tail", "delta",
                      "expectation_bound", "tail_bound", "verdict"])
     exit_code = EXIT_OK
-    report.timings["solve"] = 0.0
     for decl in decls:
         ssets = [SSet(t, Region.from_labels(labels, system.m)) for t, labels in decl.ssets]
         branch = make_branch(system, ssets, cfg.tau_norm)

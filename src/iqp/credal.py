@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,22 +155,48 @@ def born_constraints(
     return cs
 
 
-def _pair_constraint(
+def _pair_rows(
     system: QuantumSystem,
     space: TrajectorySpace,
-    s1: SSet,
-    s2: SSet,
-    rhs: float,
+    pairs: list[tuple[SSet, SSet]],
+    tau_norm: float,
     tag: str,
-) -> LinearConstraint:
-    return LinearConstraint(
-        event=sset_event(space, s1) & sset_event(space, s2),
-        relation=">=",
-        rhs=rhs,
-        tag=tag,
-        label=f"({s1.text()} & {s2.text()})",
-        origin=(s1, s2),
-    )
+    family: str,
+    equal_weights: bool,
+    bound: Callable[[float, float, float], float | None],
+) -> ConstraintSet:
+    """One row P(S1 and S2) >= bound(w1, w2, dist) per accepted cross-time pair.
+
+    Same-time pairs, pairs whose weights differ by more than ``tau_norm``
+    (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
+    rows with non-positive right side are skipped as vacuous.
+    """
+    cs = ConstraintSet(space=space, family=family, tau_norm=tau_norm)
+    for s1, s2 in pairs:
+        w1 = system.weight(s1)
+        w2 = system.weight(s2)
+        if s1.time == s2.time or (equal_weights and abs(w1 - w2) > tau_norm):
+            cs.filtered += 1
+            continue
+        rhs = bound(w1, w2, system.sset_distance(s1, s2))
+        if rhs is None:
+            cs.filtered += 1
+            continue
+        if rhs <= VACUOUS_RHS:
+            cs.skipped += 1
+            continue
+        cs.constraints.append(
+            LinearConstraint(
+                event=sset_event(space, s1) & sset_event(space, s2),
+                relation=">=",
+                rhs=rhs,
+                tag=tag,
+                label=f"({s1.text()} & {s2.text()})",
+                origin=(s1, s2),
+            )
+        )
+        cs.emitted += 1
+    return cs
 
 
 def qtr_constraints(
@@ -186,20 +213,8 @@ def qtr_constraints(
     _check_space(system, space)
     if tau_norm < 0:
         raise ValueError("tau_norm must be >= 0")
-    cs = ConstraintSet(space=space, family="qtr", tau_norm=tau_norm)
-    for s1, s2 in pairs:
-        w1 = system.weight(s1)
-        w2 = system.weight(s2)
-        if s1.time == s2.time or abs(w1 - w2) > tau_norm:
-            cs.filtered += 1
-            continue
-        rhs = w1 - system.sset_distance(s1, s2)
-        if rhs <= VACUOUS_RHS:
-            cs.skipped += 1
-            continue
-        cs.constraints.append(_pair_constraint(system, space, s1, s2, rhs, "qtr"))
-        cs.emitted += 1
-    return cs
+    return _pair_rows(system, space, pairs, tau_norm, "qtr", "qtr", True,
+                      lambda w1, w2, dist: w1 - dist)
 
 
 def qtr_variant_constraints(
@@ -229,34 +244,16 @@ def qtr_variant_constraints(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    def bound(w1: float, w2: float, dist: float) -> float | None:
+        if variant == "min":
+            return min(w1, w2) - dist
+        if variant == "eps":
+            return None if w1 <= 0.0 or dist > value * w1 else w1 - dist
+        return w1 - value * dist
+
     tag = f"qtr-{variant}"
     family = tag if value is None else f"{tag}({value:g})"
-    cs = ConstraintSet(space=space, family=family, tau_norm=tau_norm)
-    for s1, s2 in pairs:
-        w1 = system.weight(s1)
-        w2 = system.weight(s2)
-        if s1.time == s2.time:
-            cs.filtered += 1
-            continue
-        if variant != "min" and abs(w1 - w2) > tau_norm:
-            cs.filtered += 1
-            continue
-        dist = system.sset_distance(s1, s2)
-        if variant == "min":
-            rhs = min(w1, w2) - dist
-        elif variant == "eps":
-            if w1 <= 0.0 or dist > value * w1:
-                cs.filtered += 1
-                continue
-            rhs = w1 - dist
-        else:
-            rhs = w1 - value * dist
-        if rhs <= VACUOUS_RHS:
-            cs.skipped += 1
-            continue
-        cs.constraints.append(_pair_constraint(system, space, s1, s2, rhs, tag))
-        cs.emitted += 1
-    return cs
+    return _pair_rows(system, space, pairs, tau_norm, tag, family, variant != "min", bound)
 
 
 def lower_bound_constraints(
@@ -341,9 +338,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
 
     The phase 1 is the one later bounds and vertex samples of ``cs`` start from.
     """
-    rows, rhs, senses = cs.lp_rows()
-    start = lp.feasible_start(rows, rhs, senses)
-    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses, start=start)
+    result = lp.solve_lp(np.zeros(cs.space.size), *cs.lp_rows())
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
         worst = verify_witness(cs, witness.probs)
@@ -405,21 +400,20 @@ class BoundsResult:
 def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """LP min/max of the event's probability over the credal polytope.
 
-    Both solves start from the phase 1 of ``cs`` (shared with other queries on
-    the same rows through ``lp.feasible_start``).
+    Both solves start from the phase 1 of ``cs``, which the solver shares with
+    other queries on the same rows.
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
     rows, rhs, senses = cs.lp_rows()
-    start = lp.feasible_start(rows, rhs, senses)
     objective = a.bits.astype(float)
 
-    low = lp.solve_lp(objective, rows, rhs, senses, start=start)
+    low = lp.solve_lp(objective, rows, rhs, senses)
     if low.status == lp.INFEASIBLE:
         return BoundsResult(status="infeasible")
     if low.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {low.status!r}")
-    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True, start=start)
+    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True)
     if high.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {high.status!r}")
 
@@ -445,11 +439,14 @@ def born_product_witness(
 
 
 def huber_check(cs: ConstraintSet) -> float:
-    """Non-emptiness criterion for lower-bound rows.
+    """Huber-Strassen non-emptiness criterion for lower-bound rows.
 
-    Maximizes ``sum_i a_i * rhs_i`` over non-negative ``a`` with
-    ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``; the
-    credal set is non-empty exactly when the optimum is <= 1.
+    Minimizes the total mass ``sum_w mu(w)`` of a non-negative ``mu`` that
+    meets every row, ``sum_w indicator_i(w) * mu(w) >= rhs_i``; the credal set
+    is non-empty exactly when the optimum is <= 1.  By LP duality the optimum
+    equals the maximum of ``sum_i a_i * rhs_i`` over non-negative ``a`` with
+    ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
+    form has one row per constraint rather than one per trajectory.
     """
     for con in cs.constraints:
         if con.relation != ">=":
@@ -460,13 +457,9 @@ def huber_check(cs: ConstraintSet) -> float:
             )
     if not cs.constraints:
         return 0.0
-    k = len(cs.constraints)
-    rows = np.zeros((cs.space.size, k))
-    for i, con in enumerate(cs.constraints):
-        rows[:, i] = con.event.bits
-    rhs = np.ones(cs.space.size)
-    objective = np.array([con.rhs for con in cs.constraints])
-    result = lp.solve_lp(objective, rows, rhs, ["<="] * cs.space.size, maximize=True)
+    rows, rhs, senses = cs.lp_rows()
+    # without the normalization row: the total mass is what is minimized
+    result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], senses[1:])
     if result.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
     return float(result.objective)
@@ -480,12 +473,11 @@ def sample_vertex_measures(
     Every sample is re-optimized from the phase 1 of ``cs``.
     """
     rows, rhs, senses = cs.lp_rows()
-    start = lp.feasible_start(rows, rhs, senses) if count > 0 else None
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):
         objective = rng.standard_normal(cs.space.size)
-        result = lp.solve_lp(objective, rows, rhs, senses, start=start)
+        result = lp.solve_lp(objective, rows, rhs, senses)
         if result.status == lp.INFEASIBLE:
             raise ValueError("constraint set is infeasible")
         if result.status != lp.OPTIMAL:

@@ -153,19 +153,6 @@ def sset_event(space: TrajectorySpace, s: SSet) -> Event:
     return Event(member[space.digits(s.time)])
 
 
-def combine(a: Event, b: Event | None, op: str) -> Event:
-    """Bitwise combination; ``op`` is one of 'and', 'or', 'not' ('not' ignores b)."""
-    if op == "not":
-        return ~a
-    if b is None:
-        raise ValueError(f"operator {op!r} needs two events")
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def event_probability(probs: np.ndarray, a: Event) -> float:
     """Total measure of the event under an explicit probability vector."""
     vec = np.asarray(probs, dtype=float)

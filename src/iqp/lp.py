@@ -13,16 +13,16 @@ sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
 Phase 1 depends only on the constraints, so it runs once per constraint set:
 ``feasible_start`` returns the post-phase-1 tableau and basis, with the
-artificial columns trimmed, and every objective over the same rows is
-re-optimized from it by ``solve_lp(..., start=start)``.  ``feasible_start``
-keeps its last result in a one-entry memo keyed on the content of the rows,
-right-hand sides and senses, so feasibility, bounds and vertex samples asked
-one after another about one constraint set share a single phase 1, while at
-most one start stays alive.  Pricing and the ratio test are numpy scans
-that pick the same entering column and leaving row as the scalar Bland loop
-(smallest eligible column; ties in the ratio test within ``PIVOT_TOL`` go to
-the smallest basic index, applied row by row in order), so a solve makes the
-same pivots whether or not its start is shared.
+artificial columns trimmed, and keeps its last result in a one-entry memo
+keyed on the content of the rows, right-hand sides and senses.  Every
+``solve_lp`` call starts from that memo, so feasibility, bounds and vertex
+samples asked one after another about one constraint set share a single
+phase 1, while at most one start stays alive.  Pricing and the ratio test are
+numpy scans that pick the same entering column and leaving row as the scalar
+Bland loop (smallest eligible column; ties in the ratio test within
+``PIVOT_TOL`` go to the smallest basic index, applied row by row in order),
+so a solve makes the same pivots whether its phase 1 ran fresh or was
+remembered.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class FeasibleStart:
     set, which carries ``farkas_duals`` instead.
     """
 
-    shape: tuple[int, int]  # (rows, variables) of the constraints it was built from
     n_cols: int  # phase-1 tableau columns before the right-hand side; sets the pivot budget
     phase1_pivots: int
     dropped_rows: int
@@ -142,9 +141,7 @@ def _as_rows(rows: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(rows, dtype=float))
 
 
-def _phase1(
-    a: np.ndarray, rhs: np.ndarray, senses: list[str], pivot_cap: int | None
-) -> FeasibleStart:
+def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     b = np.asarray(rhs, dtype=float).copy()
     n_rows, n_vars = a.shape
     if b.shape != (n_rows,) or len(senses) != n_rows:
@@ -194,9 +191,8 @@ def _phase1(
     for i in art_cols:
         tab[z1] -= tab[i]
 
-    layout = dict(shape=(n_rows, n_vars), n_cols=n_cols)
     if not art_cols:
-        return FeasibleStart(**layout, phase1_pivots=0, dropped_rows=0, tab=tab,
+        return FeasibleStart(n_cols=n_cols, phase1_pivots=0, dropped_rows=0, tab=tab,
                              basis=tuple(basis))
 
     # The update scratch gets its own map, which then holds the trimmed start.
@@ -204,7 +200,7 @@ def _phase1(
     # malloc heap it would sit above the tableaux freed after it, so that the
     # heap could neither reuse their memory for the next one nor return it.
     scratch = _mapped(tab.size)
-    state = _Tableau(tab, basis, 0, _budget(pivot_cap, n_rows, n_cols),
+    state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols),
                      scratch.reshape(tab.shape))
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
@@ -215,7 +211,7 @@ def _phase1(
                 duals[i] = 1.0 - tab[z1, art_cols[i]]
             else:
                 duals[i] = -tab[z1, slack_cols[i]]
-        return FeasibleStart(**layout, phase1_pivots=state.pivots, dropped_rows=0,
+        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots, dropped_rows=0,
                              farkas_duals=sign * duals)
 
     # drive leftover basic artificials out (or drop redundant rows)
@@ -237,7 +233,7 @@ def _phase1(
     start_tab[:, :first_art] = tab[:, :first_art]
     start_tab[:, -1] = tab[:, -1]
     basis = [basis[i] for i in keep[:-1]]
-    return FeasibleStart(**layout, phase1_pivots=state.pivots, dropped_rows=len(drop),
+    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots, dropped_rows=len(drop),
                          tab=start_tab, basis=tuple(basis))
 
 
@@ -256,7 +252,7 @@ def _digest(a: np.ndarray, b: np.ndarray, senses: list[str]) -> bytes:
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
-    """Run phase 1 once; pass the result to ``solve_lp`` for each objective.
+    """Phase 1 of the rows, or the remembered start of equal inputs.
 
     The last start is remembered by the content of its inputs, so another
     call on equal rows, right-hand sides and senses returns it without a
@@ -271,7 +267,7 @@ def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> Feas
     if last is not None and last[0] == key:
         return last[1]
     _last = None  # release the previous start before this phase 1 allocates
-    start = _phase1(a, b, senses, None)
+    start = _phase1(a, b, senses)
     for arr in (start.tab, start.farkas_duals):
         if arr is not None:
             arr.flags.writeable = False
@@ -287,28 +283,19 @@ def solve_lp(
     *,
     maximize: bool = False,
     pivot_cap: int | None = None,
-    start: FeasibleStart | None = None,
 ) -> LPResult:
-    """Optimize ``objective`` over the rows, from ``start`` when one is given.
+    """Optimize ``objective`` over the rows, from their ``feasible_start``.
 
-    A start must come from ``feasible_start`` on these same rows; without one,
-    phase 1 runs here, bypassing the memo, and the solve works in place on its
-    tableau.  A shared start is copied only when the objective needs a pivot.
-    The pivot cap counts the start's phase-1 pivots as well.
+    The start is shared through the memo and copied only when the objective
+    needs a pivot.  The pivot cap counts the start's phase-1 pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
     n_vars = a.shape[1]
     if c_orig.shape != (n_vars,):
         raise ValueError(f"objective length {c_orig.shape} != variable count {n_vars}")
-    own_start = start is None
-    if own_start:
-        start = _phase1(a, rhs, senses, pivot_cap)
-    elif start.shape != (len(senses), n_vars):
-        raise ValueError(
-            f"start was built for {start.shape} constraints, not {(len(senses), n_vars)}"
-        )
-    budget = _budget(pivot_cap, start.shape[0], start.n_cols)
+    start = feasible_start(a, rhs, senses)
+    budget = _budget(pivot_cap, len(senses), start.n_cols)
     if start.phase1_pivots > budget:
         raise SimplexFailure(f"pivot limit {budget} exceeded")
     counters = dict(phase1_pivots=start.phase1_pivots, dropped_rows=start.dropped_rows)
@@ -327,9 +314,7 @@ def solve_lp(
     cost[basis] = 0.0
 
     if (cost[:-1] < -PIVOT_TOL).any():
-        # a start of this call's own is solved in place, a shared one on a copy
-        if not own_start:
-            tab = tab.copy()
+        tab = tab.copy()
         tab[-1] = cost
         state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
         status = state.run_phase()

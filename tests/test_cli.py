@@ -201,7 +201,28 @@ class TestBranch:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["branch_rows"] == 2
+        assert report["feasible"] is True
         assert set(report["timings"]) == {"constraints", "solve"}
+
+    def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
+        config = json.loads(Path(scenario_file("beam-splitter")).read_text())
+        demo = json.loads(Path(scenario_file("adversarial-demo")).read_text())
+        config["rules"]["extra_lower_bounds"] = demo["rules"]["extra_lower_bounds"]
+        config_path = tmp_path / "contradictory.json"
+        config_path.write_text(json.dumps(config))
+        report_path = tmp_path / "report.json"
+        code = main([
+            "branch", "--config", str(config_path), "--outdir", str(tmp_path / "out"),
+            "--report", str(report_path),
+        ])
+        assert code == 2
+        assert "infeasible" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert report["command"] == "branch"
+        assert report["feasible"] is False
+        assert report["branch_rows"] == 0
+        assert set(report["timings"]) == {"constraints", "solve"}
+        assert not (tmp_path / "out" / "branch.csv").exists()
 
     def test_unknown_branch_name(self, scenario_file, tmp_path, capsys):
         code = main([

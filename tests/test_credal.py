@@ -370,6 +370,42 @@ class TestHuberCheck:
         with pytest.raises(ValueError, match="malformed"):
             huber_check(cs)
 
+    @staticmethod
+    def primal_highs(cs):
+        """The tall form: max sum_i a_i rhs_i s.t. sum_i a_i 1_i(w) <= 1 for every w."""
+        from scipy.optimize import linprog
+
+        ind = np.array([con.event.bits for con in cs.constraints], dtype=float)
+        res = linprog(-np.array([con.rhs for con in cs.constraints]), A_ub=ind.T,
+                      b_ub=np.ones(cs.space.size), bounds=[(0, None)] * len(cs),
+                      method="highs")
+        assert res.status == 0
+        return -float(res.fun)
+
+    @pytest.mark.parametrize("m, n, kind, ruleset, chain", [
+        (2, 6, "random", "born+qtr-min", True),
+        (3, 4, "dft", "born+qtr", False),
+        (4, 4, "dft", "born+qtr", False),
+        (4, 4, "random", "born+qtr-min", False),
+    ])
+    def test_dual_matches_primal_highs(self, m, n, kind, ruleset, chain):
+        space, cs = realize(seeded_config(m, n, kind, ruleset, chain, seed=[17, m, n]))
+        rng = np.random.default_rng([19, m, n])
+        # the seeded set, then the same set with a demand just above an upper bound
+        sets = [cs]
+        while len(sets) < 2:
+            a = Event(rng.random(space.size) < 0.4)
+            upper = lower_upper(cs, a).upper
+            if upper < 0.95:
+                sets.append(cs.merged(lower_bound_constraints(space, [(a, upper + 0.01, "a")])))
+        verdicts = []
+        for case in sets:
+            value = huber_check(case)
+            assert value == pytest.approx(self.primal_highs(case), abs=1e-9)
+            verdicts.append(feasibility(case).feasible)
+            assert (value <= 1.0 + 1e-9) == verdicts[-1]
+        assert verdicts == [True, False]
+
 
 class TestImprecisionAxioms:
     def test_conjugacy_superadd_subadd_monotone(self):
@@ -506,13 +542,15 @@ class TestPhase1Memo:
         assert len(sample_vertex_measures(cs, 3, seed=2)) == 3
         assert phase1_calls == [(len(cs) + 1, cs.space.size)]
 
-    def test_huber_check_bypasses_the_memo(self, balanced, phase1_calls):
-        system, space = balanced
-        cs = born_constraints(system, space, singleton_family(system))
-        feasibility(cs)
-        huber_check(cs)
-        lower_upper(cs, parse_event("(t=0,{0})", space))
-        assert phase1_calls == [(len(cs) + 1, space.size), (space.size, len(cs))]
+    def test_huber_check_leaves_bounds_bit_identical(self, n256, phase1_calls):
+        cs, events = n256
+        alone = self.fingerprint(lower_upper(cs, events[0]))
+        assert feasibility(cs).feasible
+        assert huber_check(cs) == pytest.approx(1.0, abs=1e-9)
+        assert self.fingerprint(lower_upper(cs, events[0])) == alone
+        # the Huber LP has one row per constraint and takes the memo's one slot
+        rows = (len(cs) + 1, cs.space.size)
+        assert phase1_calls == [rows, (len(cs), cs.space.size), rows]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
         cs, events = n256

@@ -10,7 +10,6 @@ from iqp.events import (
     Or,
     ParseError,
     TrajectorySpace,
-    combine,
     evaluate_expr,
     event_probability,
     parse_event,
@@ -80,11 +79,11 @@ class TestSSetEvent:
 class TestCombine:
     def test_idempotent_and(self, space22):
         a = sset_event(space22, sset(0, [0]))
-        assert combine(a, a, "and") == a
+        assert a & a == a
 
     def test_complement_law(self, space22):
         a = sset_event(space22, sset(0, [0]))
-        assert combine(a, combine(a, None, "not"), "or") == Event.all(space22)
+        assert a | ~a == Event.all(space22)
 
     def test_intersection_single_trajectory(self, space22):
         a = sset_event(space22, sset(0, [0]))
@@ -95,7 +94,7 @@ class TestCombine:
         a = sset_event(space22, sset(0, [0]))
         b = Event(np.zeros(8, dtype=bool))
         with pytest.raises(ValueError, match="length mismatch"):
-            combine(a, b, "and")
+            a & b
 
     def test_de_morgan_randomized(self, space22):
         rng = np.random.default_rng(5)

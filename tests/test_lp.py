@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 from _seed_simplex import solve_lp as seed_solve_lp
 from conftest import realize, seeded_config
+from iqp import lp
 from iqp.credal import sample_vertex_measures
 from iqp.events import parse_event
 from iqp.lp import (
@@ -59,11 +60,9 @@ def assert_identical(new, old):
 
 def assert_matches_seed(objectives, rows, rhs, senses):
     """Every objective, minimized and maximized from one start, against the scalar oracle."""
-    start = feasible_start(rows, rhs, senses)
     for c in objectives:
         for maximize in (False, True):
             old = seed_solve_lp(c, rows, rhs, senses, maximize=maximize)
-            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
             assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize), old)
 
 
@@ -239,59 +238,61 @@ class TestStartReuse:
     RHS = np.array([1.0, 0.4, 0.3, 0.5])
     SENSES = ["==", ">=", ">=", "<="]
 
-    def test_started_equals_unstarted(self):
-        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+    def solve(self, c, **kwargs):
+        return solve_lp(c, self.ROWS, self.RHS, self.SENSES, **kwargs)
+
+    def test_started_equals_unstarted(self, monkeypatch):
+        """A solve from the remembered start equals one whose phase 1 runs fresh."""
         for c in np.random.default_rng(3).normal(size=(6, 4)):
             for maximize in (False, True):
-                assert_identical(
-                    solve_lp(c, self.ROWS, self.RHS, self.SENSES, maximize=maximize, start=start),
-                    solve_lp(c, self.ROWS, self.RHS, self.SENSES, maximize=maximize),
-                )
+                monkeypatch.setattr(lp, "_last", None)
+                fresh = self.solve(c, maximize=maximize)
+                assert lp._last is not None
+                assert_identical(self.solve(c, maximize=maximize), fresh)
 
     def test_start_not_mutated(self):
         start = feasible_start(self.ROWS, self.RHS, self.SENSES)
         tab, basis = start.tab.tobytes(), start.basis
         c = np.array([0.3, -1.0, 0.5, 2.0])
-        first = solve_lp(c, self.ROWS, self.RHS, self.SENSES, start=start)
-        second = solve_lp(c, self.ROWS, self.RHS, self.SENSES, start=start)
+        first = self.solve(c)
+        second = self.solve(c)
         assert first.phase2_pivots > 0
         assert_identical(first, second)
+        assert feasible_start(self.ROWS, self.RHS, self.SENSES) is start
         assert start.tab.tobytes() == tab and start.basis == basis
 
     def test_infeasible_start(self):
         rows, rhs = self.ROWS[:3], np.array([1.0, 0.8, 0.8])
-        start = feasible_start(rows, rhs, self.SENSES[:3])
-        first = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3], start=start)
-        second = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3], maximize=True, start=start)
+        first = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3])
+        second = solve_lp(np.ones(4), rows, rhs, self.SENSES[:3], maximize=True)
         assert first.status == second.status == INFEASIBLE
         assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
         first.farkas_duals[:] = 0.0
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
 
-    def test_pivot_cap_counts_phase1(self):
+    def test_pivot_cap_counts_phase1(self, phase1_calls):
         start = feasible_start(self.ROWS, self.RHS, self.SENSES)
         assert start.phase1_pivots >= 2
         with pytest.raises(SimplexFailure, match="pivot limit"):
-            solve_lp(np.zeros(4), self.ROWS, self.RHS, self.SENSES, start=start, pivot_cap=1)
-        res = solve_lp(np.zeros(4), self.ROWS, self.RHS, self.SENSES, start=start,
-                       pivot_cap=start.phase1_pivots)
+            self.solve(np.zeros(4), pivot_cap=1)
+        res = self.solve(np.zeros(4), pivot_cap=start.phase1_pivots)
         assert res.status == OPTIMAL and res.phase2_pivots == 0
+        c = np.array([0.3, -1.0, 0.5, 2.0])
+        needed = self.solve(c).phase2_pivots
+        assert needed > 0
+        with pytest.raises(SimplexFailure, match="pivot limit"):
+            self.solve(c, pivot_cap=start.phase1_pivots + needed - 1)
+        assert self.solve(c, pivot_cap=start.phase1_pivots + needed).status == OPTIMAL
+        assert len(phase1_calls) == 1
 
-    def test_redundant_rows_dropped_once(self):
+    def test_redundant_rows_dropped_once(self, phase1_calls):
         rows, rhs = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
-        start = feasible_start(rows, rhs, ["==", "=="])
-        assert start.dropped_rows == 1
-        low = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], start=start)
-        high = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], maximize=True, start=start)
+        assert feasible_start(rows, rhs, ["==", "=="]).dropped_rows == 1
+        low = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="])
+        high = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], maximize=True)
         assert (low.objective, high.objective) == (0.0, 1.0)
         assert low.dropped_rows == high.dropped_rows == 1
-
-    def test_start_from_other_rows_rejected(self):
-        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
-        with pytest.raises(ValueError, match="start"):
-            solve_lp(np.zeros(3), self.ROWS[:, :3], self.RHS, self.SENSES, start=start)
-        with pytest.raises(ValueError, match="start"):
-            solve_lp(np.zeros(4), self.ROWS[:3], self.RHS[:3], self.SENSES[:3], start=start)
+        assert len(phase1_calls) == 1
 
     def test_threads_share_one_start(self):
         _, cs = realize(BUILTIN_SCENARIOS["drifting-branch"]())
@@ -300,7 +301,7 @@ class TestStartReuse:
         objectives = np.random.default_rng(4).standard_normal((32, rows.shape[1]))
 
         def solve(c):
-            return solve_lp(c, rows, rhs, senses, start=start)
+            return solve_lp(c, rows, rhs, senses)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -309,15 +310,14 @@ class TestStartReuse:
                 parallel = list(pool.map(solve, objectives, timeout=60))
         finally:
             sys.setswitchinterval(interval)
+        assert feasible_start(rows, rhs, senses) is start
         for c, res in zip(objectives, parallel):
             assert_identical(res, solve(c))
 
-    def test_vertex_samples_share_one_phase1(self, monkeypatch):
+    def test_vertex_samples_share_one_phase1(self, phase1_calls):
         space, cs = realize(BUILTIN_SCENARIOS["spreading-packet"]())
-        calls = []
-        monkeypatch.setattr("iqp.lp.feasible_start", lambda *a: calls.append(a) or feasible_start(*a))
         measures = sample_vertex_measures(cs, 4, seed=9)
-        assert len(calls) == 1 and len(measures) == 4
+        assert phase1_calls == [(len(cs) + 1, space.size)] and len(measures) == 4
 
 
 class TestStartMemo:
@@ -328,9 +328,9 @@ class TestStartMemo:
     def test_equal_content_shares_one_phase1(self, phase1_calls):
         start = feasible_start(self.ROWS, self.RHS, self.SENSES)
         assert feasible_start(self.ROWS.copy(), list(self.RHS), list(self.SENSES)) is start
-        solve_lp(np.ones(4), self.ROWS, self.RHS, self.SENSES)  # unstarted: bypasses the memo
+        solve_lp(np.ones(4), self.ROWS.copy(), list(self.RHS), list(self.SENSES))
         assert feasible_start(self.ROWS, self.RHS, self.SENSES) is start
-        assert len(phase1_calls) == 2
+        assert len(phase1_calls) == 1
 
     def test_changed_input_runs_phase1_again(self, phase1_calls):
         rows, rhs = self.ROWS.copy(), self.RHS.copy()
@@ -351,10 +351,9 @@ class TestStartMemo:
 
     def test_memoized_infeasible_farkas_independent(self, phase1_calls):
         rows, rhs, senses = self.ROWS[:3], np.array([1.0, 0.8, 0.8]), self.SENSES[:3]
-        first = solve_lp(np.zeros(4), rows, rhs, senses, start=feasible_start(rows, rhs, senses))
-        second = solve_lp(np.zeros(4), rows, rhs, senses, start=feasible_start(rows, rhs, senses))
+        first = solve_lp(np.zeros(4), rows, rhs, senses)
+        second = solve_lp(np.zeros(4), rows, rhs, senses)
         assert len(phase1_calls) == 1
         assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
         first.farkas_duals[:] = 0.0
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
-
