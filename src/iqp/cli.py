@@ -56,6 +56,8 @@ class RunReport:
     typicality_rows: int = 0
     branch_rows: int = 0
     timings: dict[str, float] = field(default_factory=dict)
+    exit_code: int = EXIT_OK
+    error: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -72,6 +74,8 @@ class RunReport:
             "typicality_rows": self.typicality_rows,
             "branch_rows": self.branch_rows,
             "timings": self.timings,
+            "exit_code": self.exit_code,
+            "error": self.error,
         }
 
 
@@ -91,8 +95,10 @@ def _fmt6(x: float) -> str:
     return f"{0.0 if abs(x) < 5e-10 else x:.6f}"
 
 
-def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, QuantumSystem, TrajectorySpace]:
+def _load(args: argparse.Namespace,
+          report: RunReport) -> tuple[ScenarioConfig, QuantumSystem, TrajectorySpace]:
     cfg = load_config(args.config)
+    report.config_hash = config_hash(cfg)
     system = build_system(cfg)
     return cfg, system, TrajectorySpace.for_system(system)
 
@@ -101,17 +107,11 @@ def _seed(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
-def _finish(args: argparse.Namespace, report: RunReport) -> None:
-    if getattr(args, "report", None):
-        _write(Path(args.report), json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace, report: RunReport) -> int:
     builder = BUILTIN_SCENARIOS.get(args.name)
     if builder is None:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
-        print(f"unknown scenario {args.name!r}; built-ins: {known}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"unknown scenario {args.name!r}; built-ins: {known}")
     text = config_json(builder())
     if args.out:
         _write(Path(args.out), text)
@@ -121,9 +121,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, system, space = _load(args)
-    print(f"config {config_hash(cfg)[:12]}  m={system.m}  n={system.n}  "
+def _cmd_simulate(args: argparse.Namespace, report: RunReport) -> int:
+    _, system, space = _load(args, report)
+    print(f"config {report.config_hash[:12]}  m={system.m}  n={system.n}  "
           f"trajectories={space.size}")
     print("time  state amplitudes" + " " * max(0, 22 * system.m - 18) + "singleton weights")
     for t in range(system.n):
@@ -157,9 +157,8 @@ def _feasibility(cs: ConstraintSet, report: RunReport) -> FeasibilityCertificate
     return cert
 
 
-def _cmd_feasibility(args: argparse.Namespace) -> int:
-    cfg, system, space = _load(args)
-    report = RunReport(command="feasibility", config_hash=config_hash(cfg))
+def _cmd_feasibility(args: argparse.Namespace, report: RunReport) -> int:
+    cfg, system, space = _load(args, report)
     outdir = Path(args.outdir)
     cs = _constraints(cfg, system, space, report)
     _write(outdir / "constraints.csv", constraints_csv(cs))
@@ -172,25 +171,21 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
         _write(path, measure_csv(cert.witness))
         report.certificate_path = str(path)
         print(f"feasible: witness written to {path}")
-        _finish(args, report)
         return EXIT_OK
     path = outdir / "farkas.csv"
     _write(path, farkas_csv(cert.farkas, cs))
     report.certificate_path = str(path)
     print(f"infeasible: margin {format_number(cert.farkas.margin)}, "
           f"certificate written to {path}")
-    _finish(args, report)
     return EXIT_INFEASIBLE
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    cfg, system, space = _load(args)
-    report = RunReport(command="bounds", config_hash=config_hash(cfg))
+def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
+    cfg, system, space = _load(args, report)
     cs = _constraints(cfg, system, space, report)
     exprs = args.event if args.event else list(cfg.events)
     if not exprs:
-        print("no events: give --event or declare queries.events", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("no events: give --event or declare queries.events")
     events = [parse_event(expr, space) for expr in exprs]
 
     start = time.perf_counter()
@@ -209,7 +204,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if res.status == "infeasible":
             print("infeasible", file=sys.stderr)
             report.feasible = False
-            _finish(args, report)
             return EXIT_INFEASIBLE
         print(f"{_fmt6(res.lower)}, {_fmt6(res.upper)}")
         rows.append((expr, res))
@@ -220,7 +214,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for expr, res in rows:
         writer.writerow([expr, format_number(res.lower), format_number(res.upper)])
     _write(Path(args.outdir) / "bounds.csv", buf.getvalue())
-    _finish(args, report)
     return EXIT_OK
 
 
@@ -236,17 +229,15 @@ def _parse_pair(expr: str, space: TrajectorySpace) -> tuple[SSet, SSet]:
     return to_sset(tree.left), to_sset(tree.right)
 
 
-def _cmd_typicality(args: argparse.Namespace) -> int:
-    cfg, system, space = _load(args)
-    report = RunReport(command="typicality", config_hash=config_hash(cfg))
+def _cmd_typicality(args: argparse.Namespace, report: RunReport) -> int:
+    cfg, system, space = _load(args, report)
     cs = _constraints(cfg, system, space, report)
     if args.pair:
         pairs = [_parse_pair(expr, space) for expr in args.pair]
     else:
         pairs = [con.origin for con in cs.constraints if len(con.origin) == 2]
     if not pairs:
-        print("no pairs: give --pair or a ruleset that generates pairs", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("no pairs: give --pair or a ruleset that generates pairs")
     eps = args.epsilon if args.epsilon is not None else (
         cfg.epsilon if cfg.epsilon is not None else 1e-6
     )
@@ -254,7 +245,6 @@ def _cmd_typicality(args: argparse.Namespace) -> int:
     cert = _feasibility(cs, report)
     if not cert.feasible:
         print("infeasible constraint set; no measure to evaluate", file=sys.stderr)
-        _finish(args, report)
         return EXIT_INFEASIBLE
     probs = cert.witness.probs
 
@@ -280,24 +270,20 @@ def _cmd_typicality(args: argparse.Namespace) -> int:
               f"rel_dist={rep.relative_distance:.3e}  fires={rep.qtr_fires}  {verdict}")
         report.typicality_rows += 1
     _write(Path(args.outdir) / "typicality.csv", buf.getvalue())
-    _finish(args, report)
     return EXIT_OK
 
 
-def _cmd_branch(args: argparse.Namespace) -> int:
-    cfg, system, space = _load(args)
-    report = RunReport(command="branch", config_hash=config_hash(cfg))
+def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
+    cfg, system, space = _load(args, report)
     decls = [br for br in cfg.branches if args.name is None or br.name == args.name]
     if not decls:
         declared = ", ".join(br.name for br in cfg.branches) or "none"
-        print(f"no matching branch (declared: {declared})", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"no matching branch (declared: {declared})")
     cs = _constraints(cfg, system, space, report)
     seed = _seed(args, cfg)
     # the vertex samples of every branch start from this phase 1
     if not _feasibility(cs, report).feasible:
         print("infeasible constraint set; no measure to sample", file=sys.stderr)
-        _finish(args, report)
         return EXIT_INFEASIBLE
 
     buf = io.StringIO()
@@ -340,7 +326,6 @@ def _cmd_branch(args: argparse.Namespace) -> int:
               f"samples={w11.n_samples}  {verdict}")
         report.branch_rows += 1
     _write(Path(args.outdir) / "branch.csv", buf.getvalue())
-    _finish(args, report)
     return exit_code
 
 
@@ -398,7 +383,9 @@ def _provenance(exc: BaseException) -> str:
     origin = "iqp"
     tb = exc.__traceback__
     while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
+        scope = tb.tb_frame.f_globals
+        # under `python -m iqp.cli` the module runs as __main__; its spec keeps the name
+        module = getattr(scope.get("__spec__"), "name", None) or scope.get("__name__", "")
         if module.startswith("iqp."):
             origin = module.split(".", 1)[1]
         tb = tb.tb_next
@@ -406,20 +393,28 @@ def _provenance(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; print any error, then write its report on every exit."""
+    args = build_parser().parse_args(argv)
+    report = RunReport(command=args.command)
     try:
-        return args.func(args)
+        report.exit_code = args.func(args, report)
     except ConfigError as exc:
-        for line in exc.errors:
-            print(f"error [scenarios]: {line}", file=sys.stderr)
-        return EXIT_ERROR
+        report.error = "\n".join(f"error [scenarios]: {line}" for line in exc.errors)
     except lp.SimplexFailure as exc:
-        print(f"error [lp]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        report.error = f"error [lp]: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error [{_provenance(exc)}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        report.error = f"error [{_provenance(exc)}]: {exc}"
+    if report.error is not None:
+        print(report.error, file=sys.stderr)
+        report.exit_code = EXIT_ERROR
+    if getattr(args, "report", None):
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            _write(Path(args.report), text)
+        except OSError as exc:
+            print(f"error [cli]: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+    return report.exit_code
 
 
 def entrypoint() -> None:

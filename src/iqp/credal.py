@@ -79,28 +79,15 @@ class ConstraintSet:
 
     space: TrajectorySpace
     constraints: list[LinearConstraint] = field(default_factory=list)
-    family: str = ""
-    tau_norm: float = DEFAULT_TAU_NORM
-    emitted: int = 0
     skipped: int = 0
     filtered: int = 0
 
     def __len__(self) -> int:
         return len(self.constraints)
 
-    def merged(self, other: "ConstraintSet") -> "ConstraintSet":
-        if other.space != self.space:
-            raise ValueError("cannot merge constraint sets over different spaces")
-        family = "+".join(x for x in (self.family, other.family) if x)
-        return ConstraintSet(
-            space=self.space,
-            constraints=self.constraints + other.constraints,
-            family=family,
-            tau_norm=self.tau_norm,
-            emitted=self.emitted + other.emitted,
-            skipped=self.skipped + other.skipped,
-            filtered=self.filtered + other.filtered,
-        )
+    @property
+    def emitted(self) -> int:
+        return len(self.constraints)
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Normalization row followed by one row per constraint."""
@@ -133,7 +120,7 @@ def born_constraints(
     _check_space(system, space)
     if not family:
         raise ValueError("born family must be non-empty")
-    cs = ConstraintSet(space=space, family="born")
+    cs = ConstraintSet(space=space)
     for s in family:
         weight = system.weight(s)
         comp = s.complement()
@@ -151,7 +138,6 @@ def born_constraints(
                     origin=(s,),
                 )
             )
-            cs.emitted += 1
     return cs
 
 
@@ -161,7 +147,6 @@ def _pair_rows(
     pairs: list[tuple[SSet, SSet]],
     tau_norm: float,
     tag: str,
-    family: str,
     equal_weights: bool,
     bound: Callable[[float, float, float], float | None],
 ) -> ConstraintSet:
@@ -171,7 +156,7 @@ def _pair_rows(
     (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
     rows with non-positive right side are skipped as vacuous.
     """
-    cs = ConstraintSet(space=space, family=family, tau_norm=tau_norm)
+    cs = ConstraintSet(space=space)
     for s1, s2 in pairs:
         w1 = system.weight(s1)
         w2 = system.weight(s2)
@@ -195,7 +180,6 @@ def _pair_rows(
                 origin=(s1, s2),
             )
         )
-        cs.emitted += 1
     return cs
 
 
@@ -213,7 +197,7 @@ def qtr_constraints(
     _check_space(system, space)
     if tau_norm < 0:
         raise ValueError("tau_norm must be >= 0")
-    return _pair_rows(system, space, pairs, tau_norm, "qtr", "qtr", True,
+    return _pair_rows(system, space, pairs, tau_norm, "qtr", True,
                       lambda w1, w2, dist: w1 - dist)
 
 
@@ -251,16 +235,14 @@ def qtr_variant_constraints(
             return None if w1 <= 0.0 or dist > value * w1 else w1 - dist
         return w1 - value * dist
 
-    tag = f"qtr-{variant}"
-    family = tag if value is None else f"{tag}({value:g})"
-    return _pair_rows(system, space, pairs, tau_norm, tag, family, variant != "min", bound)
+    return _pair_rows(system, space, pairs, tau_norm, f"qtr-{variant}", variant != "min", bound)
 
 
 def lower_bound_constraints(
     space: TrajectorySpace, demands: list[tuple[Event, float, str]]
 ) -> ConstraintSet:
     """Raw event lower bounds, e.g. user-declared demands from a scenario."""
-    cs = ConstraintSet(space=space, family="demand")
+    cs = ConstraintSet(space=space)
     for event, rhs, label in demands:
         if len(event) != space.size:
             raise ValueError("event length does not match space")
@@ -270,17 +252,22 @@ def lower_bound_constraints(
         cs.constraints.append(
             LinearConstraint(event=event, relation=">=", rhs=rhs, tag="demand", label=label)
         )
-        cs.emitted += 1
     return cs
 
 
 def merge_constraint_sets(sets: list[ConstraintSet]) -> ConstraintSet:
+    """One set holding every row of ``sets`` in order, with summed counters."""
     if not sets:
         raise ValueError("nothing to merge")
-    merged = sets[0]
-    for other in sets[1:]:
-        merged = merged.merged(other)
-    return merged
+    space = sets[0].space
+    if any(cs.space != space for cs in sets):
+        raise ValueError("cannot merge constraint sets over different spaces")
+    return ConstraintSet(
+        space=space,
+        constraints=[con for cs in sets for con in cs.constraints],
+        skipped=sum(cs.skipped for cs in sets),
+        filtered=sum(cs.filtered for cs in sets),
+    )
 
 
 # --- certificates ---------------------------------------------------------

@@ -22,10 +22,8 @@ DEFAULT_TRAJECTORY_CAP = 100_000
 CAP_ENV_VAR = "IQP_TRAJECTORY_CAP"
 
 
-def resolve_trajectory_cap(cap: int | None = None) -> int:
-    """Explicit cap if given, else the IQP_TRAJECTORY_CAP env var, else the default."""
-    if cap is not None:
-        return int(cap)
+def resolve_trajectory_cap() -> int:
+    """The IQP_TRAJECTORY_CAP env var if set, else the default."""
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is not None:
         try:

@@ -25,7 +25,7 @@ from .credal import (
     qtr_constraints,
     qtr_variant_constraints,
 )
-from .events import TrajectorySpace, parse_event, resolve_trajectory_cap
+from .events import TrajectorySpace, parse_event
 from .system import (
     DEFAULT_TAU_NORM,
     QuantumSystem,
@@ -192,12 +192,6 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
         psi0 = tuple(
             _complex_pair(v, f"{source}.system.initial_state[{i}]", errors)
             for i, v in enumerate(raw_psi)
-        )
-
-    if m and m**n > resolve_trajectory_cap():
-        errors.append(
-            f"{source}.system: trajectory count m^n = {m ** n} exceeds cap "
-            f"{resolve_trajectory_cap()}"
         )
 
     # rules block
@@ -412,12 +406,14 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
         seed=seed,
     )
 
-    # deep validation: the system must construct and all expressions parse
+    # deep validation: the trajectory space (under the cap) and the system must
+    # construct, and all expressions parse; the space goes first, so an over-cap
+    # config never allocates its n propagators of m x m
     try:
-        system = build_system(cfg)
+        space = TrajectorySpace(cfg.m, cfg.n)
+        build_system(cfg)
     except ValueError as exc:
         raise ConfigError([f"{source}.system: {exc}"]) from exc
-    space = TrajectorySpace.for_system(system)
     expr_errors = []
     for i, expr in enumerate(cfg.events):
         try:

@@ -135,8 +135,6 @@ class QuantumSystem:
         labels: Sequence[str],
         steps: Sequence[object],
         psi0: Sequence[complex],
-        *,
-        trajectory_cap: int | None = None,
     ) -> None:
         if len(labels) < 1:
             raise ValueError("need at least one configuration label")
@@ -167,14 +165,6 @@ class QuantumSystem:
             mats.append(mat)
         self.steps = tuple(mats)
         self.times = tuple(range(len(mats) + 1))
-
-        from .events import resolve_trajectory_cap  # local import, no cycle at module load
-
-        cap = resolve_trajectory_cap(trajectory_cap)
-        if m ** self.n > cap:
-            raise ValueError(
-                f"trajectory count m^n = {m ** self.n} exceeds cap {cap}"
-            )
 
         # cumulative propagators: _u[t] maps time 0 to time t
         cum = [eye.astype(complex)]

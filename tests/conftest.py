@@ -239,7 +239,7 @@ def random_feasible_cs(
     rng: np.random.Generator, system: QuantumSystem, space: TrajectorySpace
 ) -> ConstraintSet:
     """Born pins plus random event bounds kept below a known member measure."""
-    from iqp.credal import born_product_witness, lower_bound_constraints
+    from iqp.credal import born_product_witness, lower_bound_constraints, merge_constraint_sets
     from iqp.scenarios import singleton_family
 
     cs = born_constraints(system, space, singleton_family(system))
@@ -252,7 +252,7 @@ def random_feasible_cs(
             continue
         demands.append((event, float(value * rng.random()), f"demand{i}"))
     if demands:
-        cs = cs.merged(lower_bound_constraints(space, demands))
+        cs = merge_constraint_sets([cs, lower_bound_constraints(space, demands)])
     return cs
 
 
@@ -260,7 +260,7 @@ def random_lower_bound_cs(
     rng: np.random.Generator, space: TrajectorySpace
 ) -> ConstraintSet:
     """Lower-bound rows with random levels; infeasible roughly half the time."""
-    cs = ConstraintSet(space=space, family="random")
+    cs = ConstraintSet(space=space)
     n_rows = int(rng.integers(2, 7))
     for i in range(n_rows):
         event = random_event(rng, space)
@@ -274,5 +274,4 @@ def random_lower_bound_cs(
             LinearConstraint(event=event, relation=">=", rhs=rhs, tag="demand",
                              label=f"random{i}")
         )
-        cs.emitted += 1
     return cs

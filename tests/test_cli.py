@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import iqp
 from iqp.cli import main
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
 
@@ -261,6 +265,55 @@ class TestReport:
         assert report["constraints"]["emitted"] == 12
         assert report["config_hash"]
         assert "solve" in report["timings"]
+
+
+    @pytest.mark.parametrize("scenario, argv, code, error", [
+        ("beam-splitter", ["simulate"], 0, None),
+        ("beam-splitter", ["feasibility"], 0, None),
+        ("adversarial-demo", ["feasibility"], 2, None),
+        ("beam-splitter", ["bounds", "--event", "(t=7,{0})"], 1, "error [events]: "),
+        ("spreading-packet", ["typicality"], 1, "error [cli]: no pairs"),
+        ("beam-splitter", ["branch", "--name", "nope"], 1, "error [cli]: no matching branch"),
+        (None, ["simulate"], 1, "error [scenarios]: "),
+    ])
+    def test_written_on_every_exit(self, scenario_file, tmp_path, capsys,
+                                   scenario, argv, code, error):
+        config = scenario_file(scenario) if scenario else str(tmp_path / "missing.json")
+        report_path = tmp_path / "report.json"
+        got = main(argv + ["--config", config, "--outdir", str(tmp_path / "out"),
+                           "--report", str(report_path)])
+        assert got == code
+        report = json.loads(report_path.read_text())
+        assert report["command"] == argv[0]
+        assert report["exit_code"] == got
+        if error is None:
+            assert report["error"] is None
+        else:
+            assert report["error"].startswith(error)
+            assert capsys.readouterr().err == report["error"] + "\n"
+        assert bool(report["config_hash"]) == (scenario is not None)
+
+    def test_unwritable_report_is_one(self, scenario_file, tmp_path, capsys):
+        code = main(["simulate", "--config", scenario_file("beam-splitter"),
+                     "--report", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: ") and "Traceback" not in err
+
+
+class TestProvenance:
+    def test_cli_errors_under_dash_m(self, scenario_file, tmp_path):
+        # `python -m iqp.cli` runs the module as __main__; errors raised in it
+        # must still be attributed to cli
+        env = dict(os.environ, PYTHONPATH=str(Path(iqp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqp.cli", "typicality", "--config",
+             scenario_file("beam-splitter"), "--pair", "(t=1,{0})",
+             "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error [cli]: pair must be 'atom & atom'")
 
 
 class TestDeterminism:

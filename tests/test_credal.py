@@ -210,6 +210,22 @@ class TestQtrVariants:
             qtr_variant_constraints(system, space, [], "min", 0.5)
 
 
+class TestMerge:
+    def test_rows_in_order_counters_summed(self, hti):
+        system, space = hti
+        parts = [
+            born_constraints(system, space, [SSet(1, Region.full(2))]),
+            qtr_constraints(system, space, enumerate_pairs(system, 1)),
+        ]
+        cs = merge_constraint_sets(parts)
+        assert cs.constraints == parts[0].constraints + parts[1].constraints
+        assert cs.emitted == len(cs) == parts[0].emitted + parts[1].emitted
+        assert cs.skipped == parts[0].skipped + parts[1].skipped
+        assert cs.filtered == parts[0].filtered + parts[1].filtered
+        with pytest.raises(ValueError, match="different spaces"):
+            merge_constraint_sets([cs, adversarial_cs(TrajectorySpace(2, 2))])
+
+
 class TestFeasibility:
     def test_born_only_always_feasible(self):
         rng = np.random.default_rng(41)
@@ -397,7 +413,8 @@ class TestHuberCheck:
             a = Event(rng.random(space.size) < 0.4)
             upper = lower_upper(cs, a).upper
             if upper < 0.95:
-                sets.append(cs.merged(lower_bound_constraints(space, [(a, upper + 0.01, "a")])))
+                sets.append(merge_constraint_sets(
+                    [cs, lower_bound_constraints(space, [(a, upper + 0.01, "a")])]))
         verdicts = []
         for case in sets:
             value = huber_check(case)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_system, sset, SQRT_HALF
+from iqp.events import TrajectorySpace
+from iqp.scenarios import BUILTIN_SCENARIOS, ConfigError, config_to_dict, parse_config
 from iqp.system import (
     QuantumSystem,
     Region,
@@ -57,13 +59,21 @@ class TestConstruction:
             QuantumSystem(["a", "a"], [identity_matrix(2)], [1.0, 0.0])
 
     def test_trajectory_cap(self, monkeypatch):
+        # the cap bounds trajectory spaces, not systems: a system above it still
+        # answers weight queries, and configs are rejected where the space is built
+        data = config_to_dict(BUILTIN_SCENARIOS["beam-splitter"]())
         monkeypatch.setenv("IQP_TRAJECTORY_CAP", "7")
+        system = QuantumSystem(
+            ["a", "b"], [hadamard_matrix(), identity_matrix(2)], [1.0, 0.0]
+        )
+        assert system.weight(sset(2, [0])) == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError, match="m\\^n = 8 exceeds cap 7"):
-            QuantumSystem(
-                ["a", "b"],
-                [identity_matrix(2), identity_matrix(2)],
-                [1.0, 0.0],
-            )
+            TrajectorySpace.for_system(system)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.errors == [
+            "config.system: trajectory count m^n = 8 exceeds cap 7"
+        ]
 
     def test_no_silent_renormalization(self):
         psi = [1.0 + 5e-10, 0.0]  # inside tolerance: accepted as given
