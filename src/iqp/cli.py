@@ -9,7 +9,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,14 +188,7 @@ def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
     events = [parse_event(expr, space) for expr in exprs]
 
     start = time.perf_counter()
-    if args.jobs > 1:
-        # fill the phase-1 memo first, so the workers share its start instead
-        # of each running phase 1 on the same rows
-        lp.feasible_start(*cs.lp_rows())
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda a: lower_upper(cs, a), events))
-    else:
-        results = [lower_upper(cs, a) for a in events]
+    results = [lower_upper(cs, a) for a in events]
     report.timings["solve"] = time.perf_counter() - start
 
     rows = []
@@ -358,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bo)
     bo.add_argument("--event", action="append", default=None,
                     help="event expression (repeatable; default: config events)")
-    bo.add_argument("--jobs", type=int, default=1,
-                    help="parallel LP queries; output order stays fixed")
     bo.set_defaults(func=_cmd_bounds)
 
     ty = subs.add_parser("typicality", help="mutual-typicality reports for sset pairs")

@@ -1,8 +1,15 @@
-"""Dense two-phase simplex solver with Bland's rule.
+"""Dense two-phase simplex solver with Dantzig pricing and a Bland fallback.
+
+Each pivot enters the column of most negative reduced cost (Dantzig; ties go
+to the smallest column).  After ``STALL_CAP`` consecutive degenerate pivots a
+phase enters the smallest column of negative reduced cost (Bland's rule)
+until a pivot moves the vertex, then returns to Dantzig; staying on Bland
+until the objective strictly improves is what keeps every phase finite.
 
 Small, self-contained and deterministic: identical inputs produce identical
-pivot sequences, so witnesses and infeasibility certificates are reproducible
-across runs and platforms.  Problems are given in row form::
+pivot sequences, so witnesses, infeasibility certificates and every output
+written from them are reproducible byte for byte across runs and platforms.
+Problems are given in row form::
 
     minimize (or maximize) c.x  subject to  A[i].x (sense[i]) b[i],  x >= 0
 
@@ -18,11 +25,10 @@ keyed on the content of the rows, right-hand sides and senses.  Every
 ``solve_lp`` call starts from that memo, so feasibility, bounds and vertex
 samples asked one after another about one constraint set share a single
 phase 1, while at most one start stays alive.  Pricing and the ratio test are
-numpy scans that pick the same entering column and leaving row as the scalar
-Bland loop (smallest eligible column; ties in the ratio test within
-``PIVOT_TOL`` go to the smallest basic index, applied row by row in order),
-so a solve makes the same pivots whether its phase 1 ran fresh or was
-remembered.
+numpy scans that pick the same entering column and leaving row as a scalar
+loop with the same rule (ties in the ratio test within ``PIVOT_TOL`` go to the
+smallest basic index, applied row by row in order), so a solve makes the same
+pivots whether its phase 1 ran fresh or was remembered.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
+# Consecutive degenerate pivots after which pricing falls back to Bland's rule,
+# chosen by measurement (the table is in CHANGES.md).  It stays below the
+# smallest default pivot budget (1000), so a cycling LP reaches the fallback.
+STALL_CAP = 500
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -53,6 +63,7 @@ class LPResult:
     farkas_duals: np.ndarray | None = None
     phase1_pivots: int = 0  # including pivots that drive artificials out
     phase2_pivots: int = 0
+    degenerate_pivots: int = 0  # both phases; see _Tableau.degenerate
     dropped_rows: int = 0  # redundant equality rows removed after phase 1
 
 
@@ -69,6 +80,7 @@ class FeasibleStart:
 
     n_cols: int  # phase-1 tableau columns before the right-hand side; sets the pivot budget
     phase1_pivots: int
+    degenerate_pivots: int
     dropped_rows: int
     tab: np.ndarray | None = None
     basis: tuple[int, ...] | None = None
@@ -83,6 +95,7 @@ class _Tableau:
         self.tab = tab
         self.basis = basis
         self.pivots = pivots
+        self.degenerate = 0  # ratio-test pivots of step length at most PIVOT_TOL
         self.budget = budget
         self.buf = buf
 
@@ -102,14 +115,25 @@ class _Tableau:
         self.basis[row] = col
 
     def run_phase(self) -> str:
-        """Bland pivots on the last row's reduced costs until none is negative."""
+        """Pivot on the last row's reduced costs until none is negative.
+
+        Dantzig pricing enters the most negative reduced cost, ties going to
+        the smallest column.  After ``STALL_CAP`` consecutive degenerate
+        pivots (step length at most ``PIVOT_TOL``) it enters the smallest
+        negative column instead (Bland's rule) until a pivot moves the vertex,
+        so that no basis repeats and the phase ends.
+        """
         tab, basis = self.tab, self.basis
         n_rows = tab.shape[0] - 1
+        stalled = 0
         while True:
-            negative = tab[-1, :-1] < -PIVOT_TOL
-            if not negative.any():
+            costs = tab[-1, :-1]
+            if stalled < STALL_CAP:
+                entering = int(costs.argmin())
+            else:
+                entering = int((costs < -PIVOT_TOL).argmax())
+            if not costs[entering] < -PIVOT_TOL:
                 return OPTIMAL
-            entering = int(negative.argmax())
             col_vals = tab[:n_rows, entering]
             eligible = np.flatnonzero(col_vals > PIVOT_TOL)
             if not eligible.size:
@@ -125,6 +149,11 @@ class _Tableau:
                 ):
                     best_ratio = ratio
                     leaving = i
+            if best_ratio <= PIVOT_TOL:
+                self.degenerate += 1
+                stalled += 1
+            else:
+                stalled = 0
             self.pivot(leaving, entering)
 
 
@@ -192,8 +221,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
         tab[z1] -= tab[i]
 
     if not art_cols:
-        return FeasibleStart(n_cols=n_cols, phase1_pivots=0, dropped_rows=0, tab=tab,
-                             basis=tuple(basis))
+        return FeasibleStart(n_cols=n_cols, phase1_pivots=0, degenerate_pivots=0,
+                             dropped_rows=0, tab=tab, basis=tuple(basis))
 
     # The update scratch gets its own map, which then holds the trimmed start.
     # A start can outlive its query in the memo of feasible_start; on the
@@ -211,7 +240,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                 duals[i] = 1.0 - tab[z1, art_cols[i]]
             else:
                 duals[i] = -tab[z1, slack_cols[i]]
-        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots, dropped_rows=0,
+        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+                             degenerate_pivots=state.degenerate, dropped_rows=0,
                              farkas_duals=sign * duals)
 
     # drive leftover basic artificials out (or drop redundant rows)
@@ -233,7 +263,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     start_tab[:, :first_art] = tab[:, :first_art]
     start_tab[:, -1] = tab[:, -1]
     basis = [basis[i] for i in keep[:-1]]
-    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots, dropped_rows=len(drop),
+    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+                         degenerate_pivots=state.degenerate, dropped_rows=len(drop),
                          tab=start_tab, basis=tuple(basis))
 
 
@@ -298,7 +329,8 @@ def solve_lp(
     budget = _budget(pivot_cap, len(senses), start.n_cols)
     if start.phase1_pivots > budget:
         raise SimplexFailure(f"pivot limit {budget} exceeded")
-    counters = dict(phase1_pivots=start.phase1_pivots, dropped_rows=start.dropped_rows)
+    counters = dict(phase1_pivots=start.phase1_pivots,
+                    degenerate_pivots=start.degenerate_pivots, dropped_rows=start.dropped_rows)
     if start.farkas_duals is not None:
         return LPResult(status=INFEASIBLE, farkas_duals=start.farkas_duals.copy(), **counters)
 
@@ -319,6 +351,7 @@ def solve_lp(
         state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
         status = state.run_phase()
         counters["phase2_pivots"] = state.pivots - start.phase1_pivots
+        counters["degenerate_pivots"] += state.degenerate
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, **counters)
 

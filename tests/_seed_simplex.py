@@ -1,14 +1,17 @@
-"""The scalar two-phase Bland simplex, kept as a test oracle.
+"""The scalar two-phase simplex, kept as a test oracle.
 
-This is the loop-by-loop solver that ``iqp.lp`` replaced, plus the per-phase
-counters of ``LPResult``.  Tests require the vectorized solver to reproduce
-its answers bit for bit and its pivot counts exactly.
+This is the loop-by-loop solver that ``iqp.lp`` replaced, with its pricing
+rule (Dantzig, falling back to Bland after ``iqp.lp.STALL_CAP`` consecutive
+degenerate pivots) and the counters of ``LPResult``.  Tests require the
+vectorized solver to reproduce its answers bit for bit and its pivot counts
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from iqp import lp
 from iqp.lp import (
     FEASIBILITY_TOL,
     INFEASIBLE,
@@ -84,12 +87,12 @@ def solve_lp(
     n_cols = col
 
     # tableau: constraint rows, then phase-2 and phase-1 reduced-cost rows
+    # (the phase-2 row is filled in after phase 1)
     tab = np.zeros((n_rows + 2, n_cols + 1))
     tab[:n_rows, :n_vars] = a
     if extra:
         tab[:n_rows, n_vars:n_cols] = np.column_stack(extra)
     tab[:n_rows, -1] = b
-    tab[n_rows, :n_vars] = c
 
     basis = np.empty(n_rows, dtype=int)
     for i in range(n_rows):
@@ -102,6 +105,7 @@ def solve_lp(
 
     budget = pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
     pivots = 0
+    degenerate = 0
 
     def pivot(row: int, col_: int) -> None:
         nonlocal pivots, tab
@@ -117,12 +121,21 @@ def solve_lp(
         basis[row] = col_
 
     def run_phase(cost_row: int, allowed_upto: int) -> str:
+        nonlocal degenerate
+        stalled = 0
         while True:
             entering = -1
-            for j in range(allowed_upto):  # Bland: smallest eligible index
-                if tab[cost_row, j] < -PIVOT_TOL:
-                    entering = j
-                    break
+            if stalled < lp.STALL_CAP:  # Dantzig: most negative, smallest index on ties
+                best_cost = -PIVOT_TOL
+                for j in range(allowed_upto):
+                    if tab[cost_row, j] < best_cost:
+                        best_cost = tab[cost_row, j]
+                        entering = j
+            else:
+                for j in range(allowed_upto):  # Bland: smallest eligible index
+                    if tab[cost_row, j] < -PIVOT_TOL:
+                        entering = j
+                        break
             if entering < 0:
                 return OPTIMAL
             col_vals = tab[:n_rows, entering]
@@ -139,6 +152,11 @@ def solve_lp(
                         leaving = i
             if leaving < 0:
                 return UNBOUNDED
+            if best_ratio <= PIVOT_TOL:
+                degenerate += 1
+                stalled += 1
+            else:
+                stalled = 0
             pivot(leaving, entering)
 
     if art_cols:
@@ -153,7 +171,7 @@ def solve_lp(
                 else:
                     duals[i] = -tab[z1, slack_cols[i]]
             return LPResult(status=INFEASIBLE, farkas_duals=sign * duals,
-                            phase1_pivots=pivots)
+                            phase1_pivots=pivots, degenerate_pivots=degenerate)
 
         # drive leftover basic artificials out (or drop redundant rows)
         drop: list[int] = []
@@ -175,10 +193,23 @@ def solve_lp(
             n_rows = len(keep)
             z1 = n_rows + 1
 
+    # phase-2 reduced costs recomputed from the post-phase-1 rows, in the
+    # order and with the skips of iqp.lp.solve_lp, so that equal costs compare
+    # equal under Dantzig pricing
+    cost = np.zeros(n_cols + 1)
+    cost[:n_vars] = c
+    for i in range(n_rows):
+        j = basis[i]
+        if j < n_vars and c[j] != 0.0:
+            cost -= c[j] * tab[i]
+    cost[basis] = 0.0
+    tab[n_rows] = cost
+
     phase1 = pivots
     dropped = len(sign) - n_rows
     status = run_phase(n_rows, first_art)
-    counters = dict(phase1_pivots=phase1, phase2_pivots=pivots - phase1, dropped_rows=dropped)
+    counters = dict(phase1_pivots=phase1, phase2_pivots=pivots - phase1,
+                    degenerate_pivots=degenerate, dropped_rows=dropped)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, **counters)
 

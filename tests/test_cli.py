@@ -100,24 +100,6 @@ class TestBounds:
         assert code == 0
         assert "0.500000, 0.500000" in capsys.readouterr().out
 
-    def test_jobs_flag_keeps_order(self, scenario_file, tmp_path, capsys):
-        args = [
-            "bounds", "--config", scenario_file("beam-splitter"),
-            "--event", "(t=1,{0})", "--event", "(t=0,{0})",
-        ]
-        def bound_lines(text: str) -> list[str]:
-            return [line for line in text.splitlines() if ", " in line]
-
-        assert main(args + ["--jobs", "2", "--outdir", str(tmp_path / "two")]) == 0
-        parallel = bound_lines(capsys.readouterr().out)
-        assert main(args + ["--jobs", "1", "--outdir", str(tmp_path / "one")]) == 0
-        sequential = bound_lines(capsys.readouterr().out)
-        assert len(parallel) == 2
-        assert parallel == sequential
-        assert (tmp_path / "two" / "bounds.csv").read_bytes() == (
-            tmp_path / "one" / "bounds.csv"
-        ).read_bytes()
-
     def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main([

@@ -54,7 +54,7 @@ def assert_identical(new, old):
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
     assert new.objective == old.objective
-    counters = ("phase1_pivots", "phase2_pivots", "dropped_rows")
+    counters = ("phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows")
     assert [getattr(new, k) for k in counters] == [getattr(old, k) for k in counters]
 
 
@@ -231,6 +231,48 @@ class TestSeedEquivalence:
         event = (rng.random(space.size) < 0.3).astype(float)
         assert_matches_seed([np.zeros(space.size), event, rng.standard_normal(space.size)],
                             *cs.lp_rows())
+
+
+class TestAntiCycling:
+    """Beale's (1955) LP, which cycles under Dantzig pricing with this ratio tie rule."""
+
+    C = np.array([-0.75, 20.0, -0.5, 6.0])
+    ROWS = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    RHS = np.array([0.0, 0.0, 1.0])
+    SENSES = ["<=", "<=", "<="]
+
+    def test_pure_dantzig_cycles(self, monkeypatch):
+        monkeypatch.setattr(lp, "STALL_CAP", 10**9)
+        with pytest.raises(SimplexFailure, match="pivot limit"):
+            solve_lp(self.C, self.ROWS, self.RHS, self.SENSES, pivot_cap=200)
+
+    @pytest.mark.parametrize("cap", [lp.STALL_CAP, 2])
+    def test_bland_fallback_terminates(self, monkeypatch, cap):
+        monkeypatch.setattr(lp, "STALL_CAP", cap)
+        res = solve_lp(self.C, self.ROWS, self.RHS, self.SENSES)
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(-1.25, abs=1e-12)
+        assert res.degenerate_pivots >= cap
+
+    def test_fallback_matches_seed(self, monkeypatch):
+        """Under cap 2 both phases take the Bland branch, pivot for pivot with the oracle."""
+        monkeypatch.setattr(lp, "STALL_CAP", 2)
+        monkeypatch.setattr(lp, "_last", None)  # no start built under the shipped cap
+        assert_matches_seed([self.C], self.ROWS, self.RHS, self.SENSES)
+        # phase 2 of the minimum runs through 86 degenerate pivots
+        space, cs = realize(seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4]))
+        event = (np.random.default_rng(5).random(space.size) < 0.3).astype(float)
+        assert_matches_seed([event], *cs.lp_rows())
+        # mostly zero right-hand sides make phase 1 degenerate
+        rng = np.random.default_rng(6)
+        phase1_degenerate = 0
+        for _ in range(30):
+            rows = rng.integers(-2, 3, size=(6, 8)).astype(float)
+            rhs = np.where(rng.random(6) < 0.6, 0.0, 1.0)
+            senses = [["==", ">="][int(rng.integers(2))] for _ in range(6)]
+            assert_matches_seed([rng.standard_normal(8)], rows, rhs, senses)
+            phase1_degenerate += feasible_start(rows, rhs, senses).degenerate_pivots
+        assert phase1_degenerate > 2 * 30
 
 
 class TestStartReuse:
