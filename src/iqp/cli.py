@@ -96,10 +96,14 @@ def _fmt6(x: float) -> str:
 
 def _load(args: argparse.Namespace,
           report: RunReport) -> tuple[ScenarioConfig, QuantumSystem, TrajectorySpace]:
+    """Parse the config and take the system its validation built, timed as ``load``."""
+    start = time.perf_counter()
     cfg = load_config(args.config)
     report.config_hash = config_hash(cfg)
     system = build_system(cfg)
-    return cfg, system, TrajectorySpace.for_system(system)
+    space = TrajectorySpace.for_system(system)
+    report.timings["load"] = time.perf_counter() - start
+    return cfg, system, space
 
 
 def _seed(args: argparse.Namespace, cfg: ScenarioConfig) -> int:

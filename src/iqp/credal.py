@@ -157,9 +157,12 @@ def _pair_rows(
     rows with non-positive right side are skipped as vacuous.
     """
     cs = ConstraintSet(space=space)
+    # each sset's weight once, in first-use order, however many pairs share it
+    ssets = dict.fromkeys(s for pair in pairs for s in pair)
+    weights = {s: system.weight(s) for s in ssets}
     for s1, s2 in pairs:
-        w1 = system.weight(s1)
-        w2 = system.weight(s2)
+        w1 = weights[s1]
+        w2 = weights[s2]
         if s1.time == s2.time or (equal_weights and abs(w1 - w2) > tau_norm):
             cs.filtered += 1
             continue

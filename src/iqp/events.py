@@ -12,7 +12,7 @@ number trajectories this way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,17 @@ def resolve_trajectory_cap() -> int:
 
 @dataclass(frozen=True)
 class TrajectorySpace:
-    """The set of all label sequences over the time grid."""
+    """The set of all label sequences over the time grid.
+
+    Each atom event built by ``sset_event`` is kept on the space, keyed on
+    ``(time, region mask)``; equal spaces compare equal but never share atoms.
+    """
 
     m: int
     n: int
+    _atoms: dict[tuple[int, int], Event] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -144,11 +151,19 @@ class Event:
 
 
 def sset_event(space: TrajectorySpace, s: SSet) -> Event:
-    """Trajectories whose label at ``s.time`` lies in ``s.region``."""
+    """Trajectories whose label at ``s.time`` lies in ``s.region``.
+
+    Built once per ``(time, region mask)`` and kept on ``space``; the event's
+    bits are read-only, so every caller can hold the same one.
+    """
     if s.region.m != space.m:
         raise ValueError(f"region defined over {s.region.m} labels, space has {space.m}")
-    member = np.array([bool(s.region.mask >> x & 1) for x in range(space.m)])
-    return Event(member[space.digits(s.time)])
+    key = (s.time, s.region.mask)  # an out-of-range time raises in digits, never cached
+    event = space._atoms.get(key)
+    if event is None:
+        member = np.array([bool(s.region.mask >> x & 1) for x in range(space.m)])
+        event = space._atoms[key] = Event(member[space.digits(s.time)])
+    return event
 
 
 def event_probability(probs: np.ndarray, a: Event) -> float:

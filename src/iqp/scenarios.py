@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class ScenarioConfig:
     delta: float = 1e-3
     samples: int = 20
     seed: int = 42
+    # the system parse_config built while validating; build_system hands it out
+    _system: QuantumSystem | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
@@ -408,10 +412,11 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
 
     # deep validation: the trajectory space (under the cap) and the system must
     # construct, and all expressions parse; the space goes first, so an over-cap
-    # config never allocates its n propagators of m x m
+    # config never allocates its n propagators of m x m; the config keeps the
+    # system, so build_system never builds it twice
     try:
         space = TrajectorySpace(cfg.m, cfg.n)
-        build_system(cfg)
+        object.__setattr__(cfg, "_system", build_system(cfg))
     except ValueError as exc:
         raise ConfigError([f"{source}.system: {exc}"]) from exc
     expr_errors = []
@@ -527,6 +532,13 @@ def _step_matrix(step: object, m: int) -> np.ndarray:
 
 
 def build_system(cfg: ScenarioConfig) -> QuantumSystem:
+    """The config's system: the one ``parse_config`` kept, else a new one.
+
+    A config constructed directly, or copied with ``dataclasses.replace``,
+    keeps none and gets a new system on every call.
+    """
+    if cfg._system is not None:
+        return cfg._system
     steps = [_step_matrix(step, cfg.m) for step in cfg.steps]
     return QuantumSystem(cfg.labels, steps, np.array(cfg.psi0, dtype=complex))
 

@@ -126,8 +126,12 @@ def _as_complex_matrix(value: object, m: int, what: str) -> np.ndarray:
 class QuantumSystem:
     """Immutable system definition: labels, time grid, step unitaries, initial state.
 
-    Cumulative propagators are cached at construction; all query methods are
-    pure and safe for concurrent readers.
+    Cumulative propagators are cached at construction, and each sset's pullback
+    state is computed on first use and kept, keyed on ``(time, region mask)``.
+    Query methods are pure and safe for concurrent readers: a memo entry is
+    only ever added, whole, by one dict assignment, so two threads that miss
+    the same key each compute an equal state and the later write replaces an
+    equal one.
     """
 
     def __init__(
@@ -173,6 +177,7 @@ class QuantumSystem:
         for u in cum:
             u.setflags(write=False)
         self._u = tuple(cum)
+        self._states: dict[tuple[int, int], SSetState] = {}
 
     @property
     def m(self) -> int:
@@ -202,14 +207,21 @@ class QuantumSystem:
         return self._u[t] @ self.psi0
 
     def sset_state(self, s: SSet) -> SSetState:
-        """Pullback state of an sset and its weight (the Born probability)."""
+        """Pullback state of an sset and its weight (the Born probability).
+
+        Computed once per ``(time, region mask)`` and kept on the system.
+        """
         self._check_sset(s)
-        u = self._u[s.time]
-        projected = s.region.indicator() * (u @ self.psi0)
-        amplitudes = u.conj().T @ projected
-        weight = float(np.vdot(amplitudes, amplitudes).real)
-        amplitudes.setflags(write=False)
-        return SSetState(amplitudes, weight)
+        key = (s.time, s.region.mask)
+        state = self._states.get(key)
+        if state is None:
+            u = self._u[s.time]
+            projected = s.region.indicator() * (u @ self.psi0)
+            amplitudes = u.conj().T @ projected
+            weight = float(np.vdot(amplitudes, amplitudes).real)
+            amplitudes.setflags(write=False)
+            state = self._states[key] = SSetState(amplitudes, weight)
+        return state
 
     def weight(self, s: SSet) -> float:
         return self.sset_state(s).weight

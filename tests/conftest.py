@@ -116,13 +116,33 @@ def realize(cfg):
 
 
 @pytest.fixture
-def phase1_calls(monkeypatch):
+def count_calls(monkeypatch):
+    """``count_calls(owner, name, record=...)`` wraps ``owner.name`` for one test.
+
+    Returns the list that gets ``record(*args)`` (by default the positional
+    arguments) for every call; the wrapped callable still runs.  A class
+    attribute (a method, ``__init__``) or a module global both work, since
+    the wrapper replaces the attribute the caller resolves.
+    """
+    def install(owner, name, record=lambda *args: args):
+        calls = []
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(record(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def phase1_calls(monkeypatch, count_calls):
     """Empties the phase-1 memo and records the shape of every phase 1 run after."""
-    calls = []
-    run = lp._phase1
     monkeypatch.setattr(lp, "_last", None)
-    monkeypatch.setattr(lp, "_phase1", lambda a, *rest: calls.append(a.shape) or run(a, *rest))
-    return calls
+    return count_calls(lp, "_phase1", lambda a, *rest: a.shape)
 
 
 # --- brute-force vertex enumeration -------------------------------------------

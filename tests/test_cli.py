@@ -9,6 +9,7 @@ import pytest
 import iqp
 from iqp.cli import main
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
+from iqp.system import QuantumSystem
 
 
 @pytest.fixture
@@ -188,7 +189,7 @@ class TestBranch:
         report = json.loads(report_path.read_text())
         assert report["branch_rows"] == 2
         assert report["feasible"] is True
-        assert set(report["timings"]) == {"constraints", "solve"}
+        assert set(report["timings"]) == {"load", "constraints", "solve"}
 
     def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
         config = json.loads(Path(scenario_file("beam-splitter")).read_text())
@@ -207,7 +208,7 @@ class TestBranch:
         assert report["command"] == "branch"
         assert report["feasible"] is False
         assert report["branch_rows"] == 0
-        assert set(report["timings"]) == {"constraints", "solve"}
+        assert set(report["timings"]) == {"load", "constraints", "solve"}
         assert not (tmp_path / "out" / "branch.csv").exists()
 
     def test_unknown_branch_name(self, scenario_file, tmp_path, capsys):
@@ -247,6 +248,18 @@ class TestReport:
         assert report["constraints"]["emitted"] == 12
         assert report["config_hash"]
         assert "solve" in report["timings"]
+
+    def test_feasibility_builds_one_system(self, scenario_file, tmp_path, count_calls):
+        config = scenario_file("drifting-branch")
+        report_path = tmp_path / "report.json"
+        built = count_calls(QuantumSystem, "__init__")
+        code = main(["feasibility", "--config", config, "--outdir", str(tmp_path / "out"),
+                     "--report", str(report_path)])
+        assert code == 0
+        assert len(built) == 1
+        timings = json.loads(report_path.read_text())["timings"]
+        assert set(timings) == {"load", "constraints", "solve"}
+        assert all(seconds >= 0.0 for seconds in timings.values())
 
 
     @pytest.mark.parametrize("scenario, argv, code, error", [

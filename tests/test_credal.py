@@ -42,8 +42,24 @@ from iqp.credal import (
     verify_farkas,
     verify_witness,
 )
-from iqp.events import Event, TrajectorySpace, parse_event, sset_event
-from iqp.scenarios import BUILTIN_SCENARIOS, enumerate_pairs, singleton_family
+from iqp.credal import VACUOUS_RHS
+from iqp.events import (
+    And,
+    Atom,
+    Event,
+    Not,
+    TrajectorySpace,
+    parse_event,
+    parse_expr,
+    sset_event,
+)
+from iqp.scenarios import (
+    BUILTIN_SCENARIOS,
+    build_constraints,
+    build_system,
+    enumerate_pairs,
+    singleton_family,
+)
 from iqp.system import QuantumSystem, Region, SSet, identity_matrix
 
 
@@ -638,3 +654,121 @@ class TestCsvExport:
 
     def test_format_number_no_negative_zero(self):
         assert format_number(-0.0) == "0.000000000"
+
+
+def reference_rows(cfg):
+    """``build_constraints`` of ``cfg`` recomputed with no memo at all.
+
+    Every use of a pullback state or an atom event computes it afresh, from the
+    propagator and the trajectory digits; returns ``(rows, skipped, filtered)``
+    with one ``(bits, rhs, tag, label, origin)`` tuple per emitted row.
+    """
+    system = build_system(cfg)
+    space = TrajectorySpace(cfg.m, cfg.n)
+
+    def pullback(s):
+        u = system.propagator(s.time)
+        return u.conj().T @ (s.region.indicator() * (u @ system.psi0))
+
+    def weight(s):
+        a = pullback(s)
+        return float(np.vdot(a, a).real)
+
+    def distance(s1, s2):
+        diff = pullback(s1) - pullback(s2)
+        return float(np.vdot(diff, diff).real)
+
+    def atom(s):
+        member = np.array([bool(s.region.mask >> x & 1) for x in range(cfg.m)])
+        return member[space.digits(s.time)]
+
+    def evaluate(expr):
+        if isinstance(expr, Atom):
+            return atom(SSet(expr.time, Region.from_labels(expr.labels, cfg.m)))
+        if isinstance(expr, Not):
+            return ~evaluate(expr.child)
+        if isinstance(expr, And):
+            return evaluate(expr.left) & evaluate(expr.right)
+        return evaluate(expr.left) | evaluate(expr.right)
+
+    rows, skipped, filtered = [], 0, 0
+
+    def emit(bits, rhs, tag, label, origin):
+        nonlocal skipped
+        if rhs <= VACUOUS_RHS:
+            skipped += 1
+        else:
+            rows.append((bits, rhs, tag, label, origin))
+
+    pairs = enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
+    for token in cfg.ruleset:
+        if token == "born":
+            for s in singleton_family(system):
+                w = weight(s)
+                for target, rhs in ((s, w), (s.complement(), 1.0 - w)):
+                    emit(atom(target), rhs, token, target.text(), (s,))
+            continue
+        for s1, s2 in pairs:
+            w1, w2 = weight(s1), weight(s2)
+            if s1.time == s2.time or (token != "qtr-min" and abs(w1 - w2) > cfg.tau_norm):
+                filtered += 1
+                continue
+            dist = distance(s1, s2)
+            if token == "qtr-eps" and (w1 <= 0.0 or dist > cfg.epsilon * w1):
+                filtered += 1
+                continue
+            if token == "qtr-min":
+                rhs = min(w1, w2) - dist
+            elif token == "qtr-alpha":
+                rhs = w1 - cfg.alpha * dist
+            else:
+                rhs = w1 - dist
+            emit(atom(s1) & atom(s2), rhs, token, f"({s1.text()} & {s2.text()})", (s1, s2))
+    for expr, bound in cfg.extra_lower_bounds:
+        emit(evaluate(parse_expr(expr, space)), bound, "demand", expr, ())
+    return rows, skipped, filtered
+
+
+RULESETS = ("born", "born+qtr", "born+qtr-min", "born+qtr-eps", "born+qtr-alpha",
+            "qtr+qtr-min+qtr-eps+qtr-alpha")
+
+
+def seeded_family(i):
+    """Config ``i`` of 24: every ruleset at m = 2, 3 and 4, region sizes 1..m."""
+    m = 2 + i % 3
+    cfg = seeded_config(m, {2: 6, 3: 4, 4: 3}[m], "dft" if i // 6 % 2 else "random",
+                        RULESETS[i // 3 % len(RULESETS)], i // 2 % 2 == 0, seed=[29, i])
+    return dataclasses.replace(cfg, max_region_size=1 + i // 3 % m,
+                               tau_norm=(1e-9, 0.1, 1.0)[i // 4 % 3],
+                               epsilon=0.3, alpha=(2.0, 0.5)[i % 2])
+
+
+class TestGenerationEquivalence:
+    """Memoized states and atoms give the rows a memo-free generator gives, bit for bit."""
+
+    CONFIGS = [builder() for builder in BUILTIN_SCENARIOS.values()] + [
+        seeded_family(i) for i in range(24)
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=list(BUILTIN_SCENARIOS) + [
+        f"seeded-{i}" for i in range(24)])
+    def test_rows_bit_equal(self, cfg):
+        rows, skipped, filtered = reference_rows(cfg)
+        system = build_system(cfg)
+        space = TrajectorySpace.for_system(system)
+        # the second build finds every state and atom in the memos of the first
+        for _ in range(2):
+            cs = build_constraints(cfg, system, space)
+            assert (cs.skipped, cs.filtered) == (skipped, filtered)
+            assert [(c.event.bits.tobytes(), c.rhs.hex(), c.relation, c.tag, c.label, c.origin)
+                    for c in cs.constraints] == [
+                (bits.tobytes(), float(rhs).hex(), ">=", tag, label, origin)
+                for bits, rhs, tag, label, origin in rows]
+
+    def test_family_spans_rules_pairs_and_region_sizes(self):
+        seeded = self.CONFIGS[len(BUILTIN_SCENARIOS):]
+        assert {t for cfg in seeded for t in cfg.ruleset} == {
+            "born", "qtr", "qtr-min", "qtr-eps", "qtr-alpha"}
+        assert {cfg.time_pairs is None for cfg in seeded} == {True, False}
+        assert {(cfg.m, cfg.max_region_size) for cfg in seeded} == {
+            (m, k) for m in (2, 3, 4) for k in range(1, m + 1)}

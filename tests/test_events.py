@@ -76,6 +76,49 @@ class TestSSetEvent:
             sset_event(space22, SSet(0, Region.full(3)))
 
 
+class TestAtomCache:
+    """Each atom event is built once per space and kept on it."""
+
+    def test_each_key_built_once(self, count_calls):
+        built = count_calls(TrajectorySpace, "digits")
+        space = TrajectorySpace(3, 3)
+        ssets = [SSet(t, Region(mask, 3)) for t in range(3) for mask in range(8)]
+        first = [sset_event(space, s) for s in ssets]
+        again = [sset_event(space, SSet(s.time, Region(s.region.mask, 3))) for s in ssets]
+        parse_event("(t=0,{0}) | !(t=2,{1,2})", space)
+        assert len(built) == len(ssets)
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_cached_key_still_checked(self, space22):
+        sset_event(space22, sset(0, [0]))  # key (0, 0b1)
+        with pytest.raises(ValueError, match="region defined over 3 labels"):
+            sset_event(space22, SSet(0, Region(0b1, 3)))
+        for t in (-1, 2):
+            with pytest.raises(ValueError, match=f"time index {t} out of range"):
+                sset_event(space22, SSet(t, Region(0b1, 2)))
+
+    def test_spaces_do_not_share(self, space22, count_calls):
+        built = count_calls(TrajectorySpace, "digits")
+        twin = TrajectorySpace(2, 2)
+        longer = TrajectorySpace(2, 3)
+        s = sset(0, [0])
+        assert twin == space22
+        assert sset_event(twin, s) is not sset_event(space22, s)
+        assert sset_event(twin, s) == sset_event(space22, s)
+        assert list(sset_event(longer, s).indices()) == [0, 1, 2, 3]
+        assert len(built) == 3
+
+    def test_kept_events_read_only(self, space22):
+        event = sset_event(space22, sset(1, [0]))
+        before = event.bits.tobytes()
+        assert not event.bits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            event.bits[0] = False
+        combined = (~event | event) & sset_event(space22, sset(0, [1]))
+        assert combined.cardinality == 2
+        assert sset_event(space22, sset(1, [0])).bits.tobytes() == before
+
+
 class TestCombine:
     def test_idempotent_and(self, space22):
         a = sset_event(space22, sset(0, [0]))

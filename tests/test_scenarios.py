@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import sset
+from conftest import seeded_config, sset
 from iqp.credal import feasibility, lower_upper
 from iqp.events import TrajectorySpace, parse_event
 from iqp.scenarios import (
@@ -23,7 +24,7 @@ from iqp.scenarios import (
     load_config,
     parse_config,
 )
-from iqp.system import SSet
+from iqp.system import QuantumSystem, SSet
 
 
 def minimal_config() -> dict:
@@ -274,3 +275,31 @@ class TestBuilders:
         data = config_to_dict(build_beam_splitter())
         assert data["schema"] == "iqp-config/1"
         parse_config(data)
+
+
+class TestKeptSystem:
+    """``parse_config`` keeps the system its validation builds."""
+
+    def test_build_system_returns_the_kept_system(self, count_calls):
+        built = count_calls(QuantumSystem, "__init__")
+        cfg = build_beam_splitter()
+        assert build_system(cfg) is build_system(cfg)
+        assert len(built) == 1
+        assert parse_config(config_to_dict(cfg)) == cfg  # the kept system is not content
+
+    def test_other_configs_build_each_call(self):
+        direct = seeded_config(2, 3, "random", "born", True, seed=3)
+        assert build_system(direct) is not build_system(direct)
+        parsed = build_beam_splitter()
+        moved = dataclasses.replace(parsed, psi0=(0j, 1 + 0j))
+        assert build_system(moved) is not build_system(parsed)
+        assert build_system(moved).psi0.tolist() == [0j, 1 + 0j]
+
+    def test_over_cap_fails_before_any_system(self, monkeypatch, count_calls):
+        data = config_to_dict(build_beam_splitter())
+        monkeypatch.setenv("IQP_TRAJECTORY_CAP", "7")
+        built = count_calls(QuantumSystem, "__init__")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert exc.value.errors == ["config.system: trajectory count m^n = 8 exceeds cap 7"]
+        assert built == []

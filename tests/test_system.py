@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from conftest import random_system, sset, SQRT_HALF
+import iqp.system
+from conftest import random_state, random_system, random_unitary, sset, SQRT_HALF
 from iqp.events import TrajectorySpace
 from iqp.scenarios import BUILTIN_SCENARIOS, ConfigError, config_to_dict, parse_config
 from iqp.system import (
@@ -144,6 +148,80 @@ class TestSSetState:
     def test_weight_consistency_validated(self):
         with pytest.raises(ValueError, match="does not match"):
             SSetState(np.array([1.0, 0.0]), 0.5)
+
+
+class TestSSetStateMemo:
+    """Each pullback state is computed once per system and kept on it."""
+
+    @staticmethod
+    def every_sset(system):
+        return [SSet(t, Region(mask, system.m))
+                for t in range(system.n) for mask in range(1 << system.m)]
+
+    def test_each_key_computed_once(self, count_calls):
+        computed = count_calls(iqp.system, "SSetState")
+        system = random_system(np.random.default_rng(21), m=3, n=3)
+        ssets = self.every_sset(system)
+        first = [system.sset_state(s) for s in ssets]
+        for s1 in ssets:
+            for s2 in ssets[::5]:
+                system.sset_distance(s1, s2)
+                system.weight(s2)
+        # equal but distinct ssets hit the same entries
+        again = [system.sset_state(SSet(s.time, Region(s.region.mask, s.region.m)))
+                 for s in ssets]
+        assert len(computed) == len(ssets) == 3 * 8
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_cached_key_still_checked(self, hti_system):
+        hti_system.sset_state(sset(0, [0]))  # key (0, 0b1)
+        with pytest.raises(ValueError, match="region defined over 3 labels"):
+            hti_system.sset_state(SSet(0, Region(0b1, 3)))
+        for t in (-1, 3):
+            with pytest.raises(ValueError, match=f"time index {t} out of range"):
+                hti_system.sset_state(SSet(t, Region(0b1, 2)))
+
+    def test_systems_do_not_share(self, count_calls):
+        computed = count_calls(iqp.system, "SSetState")
+        splitter = QuantumSystem(["a", "b"], [hadamard_matrix()], [1.0, 0.0])
+        twin = QuantumSystem(["a", "b"], [hadamard_matrix()], [1.0, 0.0])
+        still = QuantumSystem(["a", "b"], [identity_matrix(2)], [1.0, 0.0])
+        s = sset(1, [0])
+        assert splitter.weight(s) == pytest.approx(0.5, abs=1e-12)
+        assert twin.sset_state(s) is not splitter.sset_state(s)
+        assert still.weight(s) == 1.0
+        assert len(computed) == 3
+
+    def test_concurrent_readers_bit_identical(self):
+        rng = np.random.default_rng(23)
+        steps = [random_unitary(rng, 4) for _ in range(3)]
+        psi = random_state(rng, 4)
+
+        def fresh():
+            return QuantumSystem(["a", "b", "c", "d"], steps, psi)
+
+        def read(system, ssets):
+            return {s: (st.amplitudes.tobytes(), st.weight.hex())
+                    for s in ssets for st in [system.sset_state(s)]}
+
+        shared = fresh()
+        ssets = self.every_sset(shared)
+        expected = read(fresh(), ssets)
+        orders = [ssets, ssets[::-1], ssets[1::2] + ssets[::2], ssets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = list(pool.map(lambda order: read(shared, order), orders, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == expected for got in seen)
+
+    def test_kept_states_read_only(self, hti_system):
+        state = hti_system.sset_state(sset(1, [0]))
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+        assert hti_system.sset_state(sset(1, [0])) is state
 
 
 class TestSSetDistance:
