@@ -4,8 +4,6 @@ into reproducible runs with CSV artifacts."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -17,6 +15,7 @@ from .credal import (
     ConstraintSet,
     FeasibilityCertificate,
     constraints_csv,
+    csv_text,
     farkas_csv,
     feasibility,
     format_number,
@@ -202,14 +201,9 @@ def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
             report.feasible = False
             return EXIT_INFEASIBLE
         print(f"{_fmt6(res.lower)}, {_fmt6(res.upper)}")
-        rows.append((expr, res))
+        rows.append([expr, format_number(res.lower), format_number(res.upper)])
         report.bounds.append({"event": expr, "lower": res.lower, "upper": res.upper})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["event", "lower", "upper"])
-    for expr, res in rows:
-        writer.writerow([expr, format_number(res.lower), format_number(res.upper)])
-    _write(Path(args.outdir) / "bounds.csv", buf.getvalue())
+    _write(Path(args.outdir) / "bounds.csv", csv_text(["event", "lower", "upper"], rows))
     return EXIT_OK
 
 
@@ -244,15 +238,12 @@ def _cmd_typicality(args: argparse.Namespace, report: RunReport) -> int:
         return EXIT_INFEASIBLE
     probs = cert.witness.probs
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair", "weight", "distance", "relative_distance", "ratio",
-                     "epsilon", "fires", "verdict"])
+    rows = []
     for s1, s2 in pairs:
         rep = typicality_report(system, space, probs, s1, s2, eps, cfg.tau_norm)
         pair_text = f"({s1.text()} & {s2.text()})"
         verdict = "pass" if rep.passes else "fail"
-        writer.writerow([
+        rows.append([
             pair_text,
             format_number(rep.weight),
             format_number(rep.distance),
@@ -265,7 +256,9 @@ def _cmd_typicality(args: argparse.Namespace, report: RunReport) -> int:
         print(f"{pair_text}  ratio={_fmt6(rep.measured_ratio)}  "
               f"rel_dist={rep.relative_distance:.3e}  fires={rep.qtr_fires}  {verdict}")
         report.typicality_rows += 1
-    _write(Path(args.outdir) / "typicality.csv", buf.getvalue())
+    header = ["pair", "weight", "distance", "relative_distance", "ratio",
+              "epsilon", "fires", "verdict"]
+    _write(Path(args.outdir) / "typicality.csv", csv_text(header, rows))
     return EXIT_OK
 
 
@@ -282,10 +275,7 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
         print("infeasible constraint set; no measure to sample", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["branch", "weight", "epsilon", "expectation", "tail", "delta",
-                     "expectation_bound", "tail_bound", "verdict"])
+    rows = []
     exit_code = EXIT_OK
     for decl in decls:
         ssets = [SSet(t, Region.from_labels(labels, system.m)) for t, labels in decl.ssets]
@@ -303,7 +293,7 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
         else:
             verdict = "fail"
             exit_code = EXIT_ERROR
-        writer.writerow([
+        rows.append([
             decl.name,
             format_number(system.weight(branch.base)),
             format_number(branch.epsilon),
@@ -321,7 +311,9 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
               f"(bound {format_number(w11.tail_bound)})  "
               f"samples={w11.n_samples}  {verdict}")
         report.branch_rows += 1
-    _write(Path(args.outdir) / "branch.csv", buf.getvalue())
+    header = ["branch", "weight", "epsilon", "expectation", "tail", "delta",
+              "expectation_bound", "tail_bound", "verdict"]
+    _write(Path(args.outdir) / "branch.csv", csv_text(header, rows))
     return exit_code
 
 
@@ -329,7 +321,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario config JSON")
     sub.add_argument("--outdir", default=".", help="directory for CSV artifacts")
     sub.add_argument("--seed", type=int, default=None,
-                     help="override the config's sampling seed (default 42)")
+                     help="override the config's sampling seed (default 42); "
+                          "only branch samples")
     sub.add_argument("--report", default=None, help="write a run-report JSON here")
 
 

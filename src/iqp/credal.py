@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,25 +52,17 @@ class TrajectoryMeasure:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Indicator-event lower bound (or pin) on the trajectory measure."""
+    """Lower probability of an indicator event: the row ``P(event) >= rhs``."""
 
     event: Event
-    relation: str  # ">=" or "=="
     rhs: float
     tag: str  # born | qtr | qtr-min | qtr-eps | qtr-alpha | demand
     label: str  # expression text of the generating event / pair
     origin: tuple[SSet, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.relation not in (">=", "=="):
-            raise ValueError(f"unknown relation {self.relation!r}")
-
     def satisfied_by(self, probs: np.ndarray) -> float:
         """Violation of this row under the given vector (0 when satisfied)."""
-        value = event_probability(probs, self.event)
-        if self.relation == ">=":
-            return max(self.rhs - value, 0.0)
-        return abs(value - self.rhs)
+        return max(self.rhs - event_probability(probs, self.event), 0.0)
 
 
 @dataclass
@@ -89,17 +81,24 @@ class ConstraintSet:
     def emitted(self) -> int:
         return len(self.constraints)
 
+    def add(self, event: Event, rhs: float, tag: str, label: str,
+            origin: tuple[SSet, ...] = ()) -> None:
+        """Append the row ``P(event) >= rhs``, or count it as vacuous (implied by
+        non-negativity) when ``rhs <= VACUOUS_RHS``."""
+        if rhs <= VACUOUS_RHS:
+            self.skipped += 1
+        else:
+            self.constraints.append(LinearConstraint(event, rhs, tag, label, origin))
+
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Normalization row followed by one row per constraint."""
         size = self.space.size
         rows = np.ones((1 + len(self.constraints), size))
         rhs = np.ones(1 + len(self.constraints))
-        senses = ["=="]
         for i, con in enumerate(self.constraints):
             rows[1 + i] = con.event.bits.astype(float)
             rhs[1 + i] = con.rhs
-            senses.append(con.relation)
-        return rows, rhs, senses
+        return rows, rhs, ["=="] + [">="] * len(self.constraints)
 
 
 def _check_space(system: QuantumSystem, space: TrajectorySpace) -> None:
@@ -123,21 +122,8 @@ def born_constraints(
     cs = ConstraintSet(space=space)
     for s in family:
         weight = system.weight(s)
-        comp = s.complement()
-        for target, rhs in ((s, weight), (comp, 1.0 - weight)):
-            if rhs <= VACUOUS_RHS:
-                cs.skipped += 1
-                continue
-            cs.constraints.append(
-                LinearConstraint(
-                    event=sset_event(space, target),
-                    relation=">=",
-                    rhs=rhs,
-                    tag="born",
-                    label=target.text(),
-                    origin=(s,),
-                )
-            )
+        for target, rhs in ((s, weight), (s.complement(), 1.0 - weight)):
+            cs.add(sset_event(space, target), rhs, "born", target.text(), (s,))
     return cs
 
 
@@ -170,19 +156,8 @@ def _pair_rows(
         if rhs is None:
             cs.filtered += 1
             continue
-        if rhs <= VACUOUS_RHS:
-            cs.skipped += 1
-            continue
-        cs.constraints.append(
-            LinearConstraint(
-                event=sset_event(space, s1) & sset_event(space, s2),
-                relation=">=",
-                rhs=rhs,
-                tag=tag,
-                label=f"({s1.text()} & {s2.text()})",
-                origin=(s1, s2),
-            )
-        )
+        cs.add(sset_event(space, s1) & sset_event(space, s2), rhs, tag,
+               f"({s1.text()} & {s2.text()})", (s1, s2))
     return cs
 
 
@@ -249,12 +224,7 @@ def lower_bound_constraints(
     for event, rhs, label in demands:
         if len(event) != space.size:
             raise ValueError("event length does not match space")
-        if rhs <= VACUOUS_RHS:
-            cs.skipped += 1
-            continue
-        cs.constraints.append(
-            LinearConstraint(event=event, relation=">=", rhs=rhs, tag="demand", label=label)
-        )
+        cs.add(event, rhs, "demand", label)
     return cs
 
 
@@ -342,13 +312,13 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
 
     duals = result.farkas_duals.copy()
     mult = duals[1:]
-    for i, con in enumerate(cs.constraints):
-        if con.relation == ">=":
-            if mult[i] < -1e-8:
-                raise lp.SimplexFailure(
-                    f"negative multiplier {mult[i]:.3e} on inequality row {i}"
-                )
-            mult[i] = max(mult[i], 0.0)
+    negative = np.flatnonzero(mult < -1e-8)
+    if negative.size:
+        i = negative[0]
+        raise lp.SimplexFailure(
+            f"negative multiplier {mult[i]:.3e} on inequality row {i}"
+        )
+    mult[mult < 0.0] = 0.0  # -0.0 is not below zero and keeps its sign bit
     cert = FarkasCertificate(
         multipliers=mult, normalization=float(duals[0]), margin=0.0
     )
@@ -439,8 +409,6 @@ def huber_check(cs: ConstraintSet) -> float:
     form has one row per constraint rather than one per trajectory.
     """
     for con in cs.constraints:
-        if con.relation != ">=":
-            raise ValueError("criterion applies to lower-bound rows only")
         if con.event.is_empty and con.rhs > 0:
             raise ValueError(
                 f"malformed row: empty event with positive bound {con.rhs!r}"
@@ -486,30 +454,32 @@ def format_number(x: float) -> str:
     return f"{x:.9f}"
 
 
-def constraints_csv(cs: ConstraintSet) -> str:
+def csv_text(header: list[str], rows: Iterable[list[object]]) -> str:
+    """The header line and one line per row, CSV-quoted, each ended by a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tag", "relation", "rhs", "expression"])
-    for con in cs.constraints:
-        writer.writerow([con.tag, con.relation, format_number(con.rhs), con.label])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def constraints_csv(cs: ConstraintSet) -> str:
+    return csv_text(
+        ["tag", "relation", "rhs", "expression"],
+        ([con.tag, ">=", format_number(con.rhs), con.label] for con in cs.constraints),
+    )
 
 
 def measure_csv(measure: TrajectoryMeasure) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trajectory_index", "probability"])
-    for i, p in enumerate(measure.probs):
-        writer.writerow([i, format_number(float(p))])
-    return buf.getvalue()
+    return csv_text(
+        ["trajectory_index", "probability"],
+        ([i, format_number(float(p))] for i, p in enumerate(measure.probs)),
+    )
 
 
 def farkas_csv(cert: FarkasCertificate, cs: ConstraintSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "kind", "tag", "expression", "multiplier"])
-    writer.writerow(["-1", "normalization", "", "", format_number(cert.normalization)])
+    rows: list[list[object]] = [["-1", "normalization", "", "", format_number(cert.normalization)]]
     for i, (mult, con) in enumerate(zip(cert.multipliers, cs.constraints)):
-        writer.writerow([i, "constraint", con.tag, con.label, format_number(float(mult))])
-    writer.writerow(["", "margin", "", "", format_number(cert.margin)])
-    return buf.getvalue()
+        rows.append([i, "constraint", con.tag, con.label, format_number(float(mult))])
+    rows.append(["", "margin", "", "", format_number(cert.margin)])
+    return csv_text(["row", "kind", "tag", "expression", "multiplier"], rows)

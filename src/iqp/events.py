@@ -182,7 +182,13 @@ def event_probability(probs: np.ndarray, a: Event) -> float:
 # term  := '!' term | '(' expr ')' | atom
 # atom  := '(' 't=' INT ',' '{' INT (',' INT)* '}' ')'
 #
-# '&' binds tighter than '|'; whitespace is insignificant.
+# '&' binds tighter than '|'; whitespace is insignificant.  Evaluation and
+# text() recurse once per level of the syntax tree; the parser recurses once
+# per '!' and three frames per group.  The parser bounds both the tree height
+# and that nesting by MAX_EXPR_DEPTH, well inside Python's default recursion
+# limit of 1000 frames.
+
+MAX_EXPR_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -245,6 +251,8 @@ def evaluate_expr(expr: EventExpr, space: TrajectorySpace) -> Event:
 
 
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's height."""
+
     def __init__(self, src: str, space: TrajectorySpace) -> None:
         self.src = src
         self.space = space
@@ -274,42 +282,56 @@ class _Parser:
             raise ParseError(f"expected integer, found {got!r}", start)
         return int(self.src[start : self.pos]), start
 
+    def _bounded(self, depth: int, position: int) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", position)
+        return depth
+
     def parse(self) -> EventExpr:
-        expr = self._orexpr()
+        expr, _ = self._orexpr(0)
         self._skip_ws()
         if self.pos != len(self.src):
             raise ParseError(f"unexpected trailing input {self.src[self.pos]!r}", self.pos)
         return expr
 
-    def _orexpr(self) -> EventExpr:
-        node = self._andexpr()
+    # ``nesting`` counts the enclosing '!' and groups, checked before recursing
+    def _orexpr(self, nesting: int) -> tuple[EventExpr, int]:
+        node, height = self._andexpr(nesting)
         while self._peek() == "|":
+            position = self.pos
             self.pos += 1
-            node = Or(node, self._andexpr())
-        return node
+            right, right_height = self._andexpr(nesting)
+            node = Or(node, right)
+            height = self._bounded(max(height, right_height) + 1, position)
+        return node, height
 
-    def _andexpr(self) -> EventExpr:
-        node = self._term()
+    def _andexpr(self, nesting: int) -> tuple[EventExpr, int]:
+        node, height = self._term(nesting)
         while self._peek() == "&":
+            position = self.pos
             self.pos += 1
-            node = And(node, self._term())
-        return node
+            right, right_height = self._term(nesting)
+            node = And(node, right)
+            height = self._bounded(max(height, right_height) + 1, position)
+        return node, height
 
-    def _term(self) -> EventExpr:
+    def _term(self, nesting: int) -> tuple[EventExpr, int]:
         ch = self._peek()
         if ch == "!":
+            position = self.pos
             self.pos += 1
-            return Not(self._term())
+            child, height = self._term(self._bounded(nesting + 1, position))
+            return Not(child), self._bounded(height + 1, position)
         if ch == "(":
             # lookahead: '(' 't' '=' starts an atom, anything else a grouped expr
             save = self.pos
             self.pos += 1
             if self._peek() == "t":
                 self.pos = save
-                return self._atom()
-            node = self._orexpr()
+                return self._atom(), 1
+            node, height = self._orexpr(self._bounded(nesting + 1, save))
             self._expect(")")
-            return node
+            return node, height
         got = ch or "end of input"
         raise ParseError(f"expected '!', '(' or atom, found {got!r}", self.pos)
 

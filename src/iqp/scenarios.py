@@ -25,7 +25,7 @@ from .credal import (
     qtr_constraints,
     qtr_variant_constraints,
 )
-from .events import TrajectorySpace, parse_event
+from .events import TrajectorySpace, parse_event, parse_expr
 from .system import (
     DEFAULT_TAU_NORM,
     QuantumSystem,
@@ -238,7 +238,6 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     tau_norm = rules_block.get("tau_norm", DEFAULT_TAU_NORM)
     if not _is_number(tau_norm) or tau_norm < 0:
         errors.append(f"{source}.rules.tau_norm: expected number >= 0")
-        tau_norm = DEFAULT_TAU_NORM
 
     pairs_block = rules_block.get("pairs", {})
     max_region_size = 1
@@ -370,7 +369,6 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
                 not _is_number(branch_delta) or not 0 < branch_delta < 1
             ):
                 errors.append(f"{path}.delta: expected number in (0, 1)")
-                branch_delta = None
             branches.append(BranchDecl(name, tuple(decl_ssets), branch_delta))
     names = [br.name for br in branches]
     if len(set(names)) != len(names):
@@ -379,15 +377,12 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     delta = queries_block.get("delta", 1e-3)
     if not _is_number(delta) or not 0 < delta < 1:
         errors.append(f"{source}.queries.delta: expected number in (0, 1)")
-        delta = 1e-3
     samples = queries_block.get("samples", 20)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         errors.append(f"{source}.queries.samples: expected integer >= 1")
-        samples = 20
     seed = queries_block.get("seed", 42)
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append(f"{source}.queries.seed: expected integer")
-        seed = 42
 
     if errors:
         raise ConfigError(errors)
@@ -413,7 +408,8 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     # deep validation: the trajectory space (under the cap) and the system must
     # construct, and all expressions parse; the space goes first, so an over-cap
     # config never allocates its n propagators of m x m; the config keeps the
-    # system, so build_system never builds it twice
+    # system, so build_system never builds it twice; parse_expr checks syntax and
+    # ranges without building any atom on this validation-only space
     try:
         space = TrajectorySpace(cfg.m, cfg.n)
         object.__setattr__(cfg, "_system", build_system(cfg))
@@ -422,12 +418,12 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     expr_errors = []
     for i, expr in enumerate(cfg.events):
         try:
-            parse_event(expr, space)
+            parse_expr(expr, space)
         except ValueError as exc:
             expr_errors.append(f"{source}.queries.events[{i}]: {exc}")
     for i, (expr, _) in enumerate(cfg.extra_lower_bounds):
         try:
-            parse_event(expr, space)
+            parse_expr(expr, space)
         except ValueError as exc:
             expr_errors.append(f"{source}.rules.extra_lower_bounds[{i}].event: {exc}")
     if cfg.max_region_size > cfg.m:
@@ -594,24 +590,11 @@ def build_constraints(
             parts.append(born_constraints(system, space, singleton_family(system)))
         elif token == "qtr":
             parts.append(qtr_constraints(system, space, pair_family(), cfg.tau_norm))
-        elif token == "qtr-min":
-            parts.append(
-                qtr_variant_constraints(
-                    system, space, pair_family(), "min", tau_norm=cfg.tau_norm
-                )
-            )
-        elif token == "qtr-eps":
-            parts.append(
-                qtr_variant_constraints(
-                    system, space, pair_family(), "eps", cfg.epsilon, cfg.tau_norm
-                )
-            )
-        elif token == "qtr-alpha":
-            parts.append(
-                qtr_variant_constraints(
-                    system, space, pair_family(), "alpha", cfg.alpha, cfg.tau_norm
-                )
-            )
+        else:  # qtr-min, qtr-eps or qtr-alpha; qtr_variant_constraints rejects others
+            variant = token.removeprefix("qtr-")
+            value = {"eps": cfg.epsilon, "alpha": cfg.alpha}.get(variant)
+            parts.append(qtr_variant_constraints(system, space, pair_family(), variant,
+                                                 value, cfg.tau_norm))
     if cfg.extra_lower_bounds:
         demands = [
             (parse_event(expr, space), bound, expr)

@@ -154,16 +154,12 @@ def polytope_vertices(
     """All vertices of the credal polytope by active-set enumeration.
 
     Rows considered: the normalization equality (always active), every
-    constraint row and every non-negativity row.  Usable only at desk scale.
+    lower-bound constraint row and every non-negativity row.  Usable only at
+    desk scale.
     """
     dim = cs.space.size
     eq_rows = [(np.ones(dim), 1.0)]
-    cand_rows: list[tuple[np.ndarray, float]] = []
-    for con in cs.constraints:
-        if con.relation == "==":
-            eq_rows.append((con.event.bits.astype(float), con.rhs))
-        else:
-            cand_rows.append((con.event.bits.astype(float), con.rhs))
+    cand_rows = [(con.event.bits.astype(float), con.rhs) for con in cs.constraints]
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
@@ -210,18 +206,11 @@ def scipy_bounds(cs: ConstraintSet, event: Event) -> tuple[float, float]:
     from scipy.optimize import linprog
 
     dim = cs.space.size
-    a_eq, b_eq = [np.ones(dim)], [1.0]
-    a_ub, b_ub = [], []
-    for con in cs.constraints:
-        if con.relation == "==":
-            a_eq.append(con.event.bits.astype(float))
-            b_eq.append(con.rhs)
-        else:
-            a_ub.append(-con.event.bits.astype(float))
-            b_ub.append(-con.rhs)
+    a_ub = [-con.event.bits.astype(float) for con in cs.constraints]
+    b_ub = [-con.rhs for con in cs.constraints]
     kw = dict(
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
+        A_eq=np.ones((1, dim)),
+        b_eq=[1.0],
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         bounds=[(0, None)] * dim,
@@ -291,7 +280,6 @@ def random_lower_bound_cs(
         if rhs <= 0.0:
             continue
         cs.constraints.append(
-            LinearConstraint(event=event, relation=">=", rhs=rhs, tag="demand",
-                             label=f"random{i}")
+            LinearConstraint(event=event, rhs=rhs, tag="demand", label=f"random{i}")
         )
     return cs

@@ -270,6 +270,8 @@ class TestReport:
         ("spreading-packet", ["typicality"], 1, "error [cli]: no pairs"),
         ("beam-splitter", ["branch", "--name", "nope"], 1, "error [cli]: no matching branch"),
         (None, ["simulate"], 1, "error [scenarios]: "),
+        ("beam-splitter", ["bounds", "--event", "!" * 5000 + "(t=0,{0})"], 1,
+         "error [events]: expression nested deeper than"),
     ])
     def test_written_on_every_exit(self, scenario_file, tmp_path, capsys,
                                    scenario, argv, code, error):

@@ -19,6 +19,7 @@ from conftest import (
     sset,
     vertex_bounds,
 )
+from iqp import lp
 from iqp.credal import (
     ConstraintSet,
     FarkasCertificate,
@@ -242,6 +243,38 @@ class TestMerge:
             merge_constraint_sets([cs, adversarial_cs(TrajectorySpace(2, 2))])
 
 
+ABOVE_VACUOUS = float(np.nextafter(VACUOUS_RHS, 1.0))
+
+
+class TestVacuousRule:
+    """Every generator skips and counts rows with rhs <= VACUOUS_RHS, and only those."""
+
+    @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])
+    def test_born_rows(self, hti, monkeypatch, rhs, kept):
+        system, space = hti
+        monkeypatch.setattr(system, "weight", lambda s: rhs)
+        cs = born_constraints(system, space, [sset(1, [0])])
+        # the complement row, 1 - rhs, is always kept
+        assert (cs.emitted, cs.skipped) == (1 + kept, 1 - kept)
+        assert [c.rhs for c in cs.constraints] == [rhs, 1.0 - rhs][1 - kept:]
+
+    @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])
+    def test_pair_rows(self, hti, monkeypatch, rhs, kept):
+        system, space = hti
+        monkeypatch.setattr(system, "weight", lambda s: rhs)
+        monkeypatch.setattr(system, "sset_distance", lambda s1, s2: 0.0)
+        cs = qtr_constraints(system, space, [(sset(1, [0]), sset(2, [0]))])
+        assert (cs.emitted, cs.skipped, cs.filtered) == (kept, 1 - kept, 0)
+        assert [c.rhs for c in cs.constraints] == [rhs] * kept
+
+    @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])
+    def test_demand_rows(self, hti, rhs, kept):
+        _, space = hti
+        cs = lower_bound_constraints(space, [(Event.all(space), rhs, "all")])
+        assert (cs.emitted, cs.skipped) == (kept, 1 - kept)
+        assert [(c.rhs, c.tag, c.label) for c in cs.constraints] == [(rhs, "demand", "all")] * kept
+
+
 class TestFeasibility:
     def test_born_only_always_feasible(self):
         rng = np.random.default_rng(41)
@@ -279,6 +312,34 @@ class TestFeasibility:
         _, space = balanced
         cert = feasibility(adversarial_cs(space))
         assert np.all(cert.farkas.multipliers >= 0.0)
+
+    @staticmethod
+    def farkas_reporting(space, monkeypatch, tail):
+        """Feasibility of the adversarial rows plus one row on the full event per
+        entry of ``tail``, with the solver reporting ``tail`` as their multipliers."""
+        cs = adversarial_cs(space)
+        for i in range(len(tail)):
+            cs.add(Event.all(space), 0.1, "demand", f"all{i}")
+        solve = lp.solve_lp
+
+        def perturbed(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            duals = result.farkas_duals.copy()
+            duals[-len(tail):] = tail
+            return dataclasses.replace(result, farkas_duals=duals)
+
+        monkeypatch.setattr(lp, "solve_lp", perturbed)
+        return feasibility(cs)
+
+    def test_clamp_keeps_negative_zero(self, balanced, monkeypatch):
+        cert = self.farkas_reporting(balanced[1], monkeypatch, [-0.0, -5e-9, 0.0])
+        assert [float(m).hex() for m in cert.farkas.multipliers[2:]] == [
+            "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+
+    def test_first_negative_multiplier_reported(self, balanced, monkeypatch):
+        with pytest.raises(lp.SimplexFailure,
+                           match=r"negative multiplier -2\.000e-07 on inequality row 3"):
+            self.farkas_reporting(balanced[1], monkeypatch, [-5e-9, -2e-7, -3e-7])
 
     def test_certificate_exactly_one_branch(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -384,20 +445,11 @@ class TestHuberCheck:
         _, space = balanced
         assert huber_check(adversarial_cs(space)) == pytest.approx(1.6, abs=1e-9)
 
-    def test_equality_rows_rejected(self, balanced):
-        _, space = balanced
-        cs = ConstraintSet(space=space)
-        cs.constraints.append(
-            LinearConstraint(Event.all(space), "==", 1.0, "demand", "full")
-        )
-        with pytest.raises(ValueError, match="lower-bound"):
-            huber_check(cs)
-
     def test_empty_event_with_positive_bound_malformed(self, balanced):
         _, space = balanced
         cs = ConstraintSet(space=space)
         cs.constraints.append(
-            LinearConstraint(Event.none(space), ">=", 0.1, "demand", "empty")
+            LinearConstraint(Event.none(space), 0.1, "demand", "empty")
         )
         with pytest.raises(ValueError, match="malformed"):
             huber_check(cs)
@@ -590,7 +642,7 @@ class TestPhase1Memo:
         a = events[0]
         before = lower_upper(cs, a)
         cs.constraints.append(LinearConstraint(
-            event=a, relation=">=", rhs=(before.lower + before.upper) / 2, tag="demand",
+            event=a, rhs=(before.lower + before.upper) / 2, tag="demand",
             label="a"))
         for expected_calls in (2, 3):
             res = lower_upper(cs, a)
@@ -760,9 +812,9 @@ class TestGenerationEquivalence:
         for _ in range(2):
             cs = build_constraints(cfg, system, space)
             assert (cs.skipped, cs.filtered) == (skipped, filtered)
-            assert [(c.event.bits.tobytes(), c.rhs.hex(), c.relation, c.tag, c.label, c.origin)
+            assert [(c.event.bits.tobytes(), c.rhs.hex(), c.tag, c.label, c.origin)
                     for c in cs.constraints] == [
-                (bits.tobytes(), float(rhs).hex(), ">=", tag, label, origin)
+                (bits.tobytes(), float(rhs).hex(), tag, label, origin)
                 for bits, rhs, tag, label, origin in rows]
 
     def test_family_spans_rules_pairs_and_region_sizes(self):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_event, sset
 from iqp.events import (
+    MAX_EXPR_DEPTH,
     And,
     Atom,
     Event,
@@ -195,6 +196,50 @@ class TestParser:
     def test_implicit_conjunction_disallowed(self, space22):
         with pytest.raises(ParseError):
             parse_event("(t=0,{0})(t=1,{0})", space22)
+
+
+ATOM = "(t=0,{0})"
+
+
+def nested(shape: str, depth: int) -> str:
+    """An expression whose tree height (or, for a group, nesting) is ``depth``."""
+    if shape == "not":
+        return "!" * (depth - 1) + ATOM
+    if shape == "group":
+        return "(" * depth + ATOM + ")" * depth
+    return f" {shape} ".join([ATOM] * depth)
+
+
+def in_deeper_stack(frames: int, fn):
+    return fn() if frames == 0 else in_deeper_stack(frames - 1, fn)
+
+
+class TestDepthBound:
+    """Parsing stops at MAX_EXPR_DEPTH, so no input recurses past the interpreter's limit."""
+
+    @pytest.mark.parametrize("shape", ["not", "group", "&", "|"])
+    def test_at_bound_evaluates(self, space22, shape):
+        src = nested(shape, MAX_EXPR_DEPTH)
+        odd_nots = shape == "not" and MAX_EXPR_DEPTH % 2 == 0
+        expected = ~parse_event(ATOM, space22) if odd_nots else parse_event(ATOM, space22)
+        # with room to spare below the caller's own frames
+        assert in_deeper_stack(100, lambda: parse_event(src, space22)) == expected
+        assert parse_expr(src, space22).text()
+
+    @pytest.mark.parametrize("shape", ["not", "group", "&", "|"])
+    def test_over_bound_rejected(self, space22, shape):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_EXPR_DEPTH} levels"):
+            parse_event(nested(shape, MAX_EXPR_DEPTH + 1), space22)
+
+    @pytest.mark.parametrize("src", [
+        "!" * 5000 + ATOM,
+        " & ".join([ATOM] * 3000),
+        "(" * 2000 + ATOM + ")" * 2000,
+    ], ids=["5000-nots", "3000-atom-chain", "2000-groups"])
+    def test_deep_inputs_give_parse_error(self, space22, src):
+        with pytest.raises(ParseError) as err:
+            parse_event(src, space22)
+        assert 0 <= err.value.position < len(src)
 
 
 def random_ast(rng: np.random.Generator, space: TrajectorySpace, depth: int = 0):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import seeded_config, sset
 from iqp.credal import feasibility, lower_upper
+from iqp import events
 from iqp.events import TrajectorySpace, parse_event
 from iqp.scenarios import (
     BUILTIN_SCENARIOS,
@@ -134,6 +135,20 @@ class TestParseConfig:
         data = minimal_config()
         data["queries"]["events"] = ["(t=9,{0})"]
         assert any("queries.events[0]" in msg for msg in errors_of(data))
+
+    def test_deep_event_expression_is_config_error(self):
+        data = minimal_config()
+        data["queries"]["events"] = ["(" * 2000 + "(t=0,{0})" + ")" * 2000]
+        [msg] = errors_of(data)
+        assert msg.startswith("config.queries.events[0]: expression nested deeper than")
+
+    def test_validation_builds_no_atoms(self, count_calls):
+        data = minimal_config()
+        data["queries"]["events"] = ["(t=0,{0}) & !(t=1,{1})"]
+        data["rules"]["extra_lower_bounds"] = [{"event": "(t=1,{0})", "min_probability": 0.5}]
+        built = count_calls(events, "sset_event")
+        parse_config(data)
+        assert built == []
 
     def test_bad_extra_bound_event(self):
         data = minimal_config()
