@@ -4,10 +4,11 @@ into reproducible runs with CSV artifacts."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import lp
@@ -45,9 +46,9 @@ EXIT_INFEASIBLE = 2
 class RunReport:
     command: str
     config_hash: str = ""
-    constraints_emitted: int = 0
-    constraints_skipped: int = 0
-    constraints_filtered: int = 0
+    constraints: dict[str, int] = field(
+        default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0}
+    )
     feasible: bool | None = None
     certificate_path: str | None = None
     bounds: list[dict] = field(default_factory=list)
@@ -58,23 +59,7 @@ class RunReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "constraints": {
-                "emitted": self.constraints_emitted,
-                "skipped": self.constraints_skipped,
-                "filtered": self.constraints_filtered,
-            },
-            "feasible": self.feasible,
-            "certificate_path": self.certificate_path,
-            "bounds": self.bounds,
-            "typicality_rows": self.typicality_rows,
-            "branch_rows": self.branch_rows,
-            "timings": self.timings,
-            "exit_code": self.exit_code,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,9 +129,8 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     start = time.perf_counter()
     cs = build_constraints(cfg, system, space)
     report.timings["constraints"] = time.perf_counter() - start
-    report.constraints_emitted = cs.emitted
-    report.constraints_skipped = cs.skipped
-    report.constraints_filtered = cs.filtered
+    report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
+                          "filtered": cs.filtered}
     return cs
 
 
@@ -326,6 +310,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--report", default=None, help="write a run-report JSON here")
 
 
+@functools.cache  # parse_args leaves the tree as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iqp", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

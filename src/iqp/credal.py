@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -84,7 +85,10 @@ class ConstraintSet:
     def add(self, event: Event, rhs: float, tag: str, label: str,
             origin: tuple[SSet, ...] = ()) -> None:
         """Append the row ``P(event) >= rhs``, or count it as vacuous (implied by
-        non-negativity) when ``rhs <= VACUOUS_RHS``."""
+        non-negativity) when ``rhs <= VACUOUS_RHS``; a NaN or ``+inf`` right
+        side is an error (``-inf`` is vacuous)."""
+        if math.isnan(rhs) or rhs == math.inf:
+            raise ValueError(f"row {label}: right side {rhs} is NaN or +inf")
         if rhs <= VACUOUS_RHS:
             self.skipped += 1
         else:
@@ -173,7 +177,7 @@ def qtr_constraints(
     row; rows with non-positive right side are skipped as vacuous.
     """
     _check_space(system, space)
-    if tau_norm < 0:
+    if not tau_norm >= 0:  # NaN fails too
         raise ValueError("tau_norm must be >= 0")
     return _pair_rows(system, space, pairs, tau_norm, "qtr", True,
                       lambda w1, w2, dist: w1 - dist)
@@ -198,10 +202,10 @@ def qtr_variant_constraints(
         if value is not None:
             raise ValueError("min variant takes no parameter")
     elif variant == "eps":
-        if value is None or value < 0:
+        if value is None or not value >= 0:
             raise ValueError("eps variant needs a threshold >= 0")
     elif variant == "alpha":
-        if value is None or value <= 0:
+        if value is None or not value > 0:
             raise ValueError("alpha variant needs a scale > 0")
     else:
         raise ValueError(f"unknown variant {variant!r}")

@@ -10,10 +10,11 @@ declarations, sampling controls).  Complex numbers are serialized as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +74,6 @@ class ScenarioConfig:
     delta: float = 1e-3
     samples: int = 20
     seed: int = 42
-    # the system parse_config built while validating; build_system hands it out
-    _system: QuantumSystem | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def m(self) -> int:
@@ -86,12 +83,26 @@ class ScenarioConfig:
     def n(self) -> int:
         return len(self.steps) + 1
 
+    @functools.cached_property
+    def system(self) -> QuantumSystem:
+        """The config's system, built on first use and kept; not a field, so
+        a copy made with ``dataclasses.replace`` builds its own."""
+        steps = [_step_matrix(step, self.m) for step in self.steps]
+        return QuantumSystem(self.labels, steps, np.array(self.psi0, dtype=complex))
+
 
 # --- parsing / validation ---------------------------------------------------
 
 
 def _is_number(x: object) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float: bools, NaN, infinities and ints past the float
+    range are not numbers here."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _complex_pair(value: object, path: str, errors: list[str]) -> complex:
@@ -412,7 +423,7 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     # ranges without building any atom on this validation-only space
     try:
         space = TrajectorySpace(cfg.m, cfg.n)
-        object.__setattr__(cfg, "_system", build_system(cfg))
+        build_system(cfg)
     except ValueError as exc:
         raise ConfigError([f"{source}.system: {exc}"]) from exc
     expr_errors = []
@@ -444,6 +455,8 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError(
                 [f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
             ) from exc
+        except RecursionError as exc:
+            raise ConfigError([f"{path}: JSON nested too deeply to parse"]) from exc
     return parse_config(data, source=path)
 
 
@@ -528,15 +541,8 @@ def _step_matrix(step: object, m: int) -> np.ndarray:
 
 
 def build_system(cfg: ScenarioConfig) -> QuantumSystem:
-    """The config's system: the one ``parse_config`` kept, else a new one.
-
-    A config constructed directly, or copied with ``dataclasses.replace``,
-    keeps none and gets a new system on every call.
-    """
-    if cfg._system is not None:
-        return cfg._system
-    steps = [_step_matrix(step, cfg.m) for step in cfg.steps]
-    return QuantumSystem(cfg.labels, steps, np.array(cfg.psi0, dtype=complex))
+    """The config's system, built once per config (see ``ScenarioConfig.system``)."""
+    return cfg.system
 
 
 def enumerate_pairs(
@@ -615,27 +621,16 @@ def build_beam_splitter() -> ScenarioConfig:
     Each output path keeps its identity afterwards, so the per-path ssets at
     the two later times form zero-distance branches with weight one half.
     """
-    return parse_config(
-        {
-            "schema": SCHEMA_VERSION,
-            "system": {
-                "labels": ["reflected", "transmitted"],
-                "steps": ["hadamard", "identity"],
-                "initial_state": [[1.0, 0.0], [0.0, 0.0]],
-            },
-            "rules": {"ruleset": "born+qtr", "tau_norm": 1e-9, "pairs": {"max_region_size": 1}},
-            "queries": {
-                "events": ["(t=1,{0}) & (t=2,{0})"],
-                "branches": [
-                    {"name": "reflected-arm", "ssets": [[1, [0]], [2, [0]]]},
-                    {"name": "transmitted-arm", "ssets": [[1, [1]], [2, [1]]]},
-                ],
-                "delta": 1e-3,
-                "samples": 20,
-                "seed": 42,
-            },
-        },
-        source="beam-splitter",
+    return ScenarioConfig(
+        labels=("reflected", "transmitted"),
+        steps=("hadamard", "identity"),
+        psi0=(1 + 0j, 0j),
+        ruleset=("born", "qtr"),
+        events=("(t=1,{0}) & (t=2,{0})",),
+        branches=(
+            BranchDecl("reflected-arm", ((1, (0,)), (2, (0,)))),
+            BranchDecl("transmitted-arm", ((1, (1,)), (2, (1,)))),
+        ),
     )
 
 
@@ -645,24 +640,12 @@ def build_mach_zehnder() -> ScenarioConfig:
     Sequential projection probabilities for the two arms are 1/4 each while
     their union gives 1, so no additive measure reproduces them.
     """
-    return parse_config(
-        {
-            "schema": SCHEMA_VERSION,
-            "system": {
-                "labels": ["upper", "lower"],
-                "steps": ["hadamard", "hadamard"],
-                "initial_state": [[1.0, 0.0], [0.0, 0.0]],
-            },
-            "rules": {"ruleset": "born+qtr", "tau_norm": 1e-9, "pairs": {"max_region_size": 1}},
-            "queries": {
-                "events": ["(t=1,{0}) & (t=2,{0})"],
-                "branches": [],
-                "delta": 1e-3,
-                "samples": 20,
-                "seed": 42,
-            },
-        },
-        source="mach-zehnder",
+    return ScenarioConfig(
+        labels=("upper", "lower"),
+        steps=("hadamard", "hadamard"),
+        psi0=(1 + 0j, 0j),
+        ruleset=("born", "qtr"),
+        events=("(t=1,{0}) & (t=2,{0})",),
     )
 
 
@@ -673,24 +656,12 @@ def build_spreading_packet() -> ScenarioConfig:
     typicality row vacuous, so the designated cross-time event keeps the full
     interval allowed by the marginals, [0, 1/2].
     """
-    return parse_config(
-        {
-            "schema": SCHEMA_VERSION,
-            "system": {
-                "labels": ["here", "there"],
-                "steps": ["hadamard"],
-                "initial_state": [[_SQRT_HALF, 0.0], [0.0, _SQRT_HALF]],
-            },
-            "rules": {"ruleset": "born+qtr", "tau_norm": 1e-9, "pairs": {"max_region_size": 1}},
-            "queries": {
-                "events": ["(t=0,{0}) & (t=1,{0})"],
-                "branches": [],
-                "delta": 1e-3,
-                "samples": 20,
-                "seed": 42,
-            },
-        },
-        source="spreading-packet",
+    return ScenarioConfig(
+        labels=("here", "there"),
+        steps=("hadamard",),
+        psi0=(_SQRT_HALF + 0j, 1j * _SQRT_HALF),
+        ruleset=("born", "qtr"),
+        events=("(t=0,{0}) & (t=1,{0})",),
     )
 
 
@@ -703,58 +674,28 @@ def build_drifting_branch() -> ScenarioConfig:
     """
     theta = 3.5e-4
     c, s = math.cos(theta), math.sin(theta)
-    step = [[[c, 0.0], [0.0, s]], [[0.0, s], [c, 0.0]]]
-    return parse_config(
-        {
-            "schema": SCHEMA_VERSION,
-            "system": {
-                "labels": ["inside", "outside"],
-                "steps": [step, step],
-                "initial_state": [[_SQRT_HALF, 0.0], [_SQRT_HALF, 0.0]],
-            },
-            "rules": {"ruleset": "born+qtr", "tau_norm": 1e-7, "pairs": {"max_region_size": 1}},
-            "queries": {
-                "events": ["(t=0,{0}) & (t=2,{0})"],
-                "branches": [
-                    {"name": "carried-packet", "ssets": [[0, [0]], [1, [0]], [2, [0]]]}
-                ],
-                "delta": 1e-3,
-                "samples": 24,
-                "seed": 42,
-            },
-        },
-        source="drifting-branch",
+    step = np.array([[c, 1j * s], [1j * s, c]])
+    return ScenarioConfig(
+        labels=("inside", "outside"),
+        steps=(step, step),
+        psi0=(_SQRT_HALF + 0j, _SQRT_HALF + 0j),
+        ruleset=("born", "qtr"),
+        tau_norm=1e-7,
+        events=("(t=0,{0}) & (t=2,{0})",),
+        branches=(BranchDecl("carried-packet", ((0, (0,)), (1, (0,)), (2, (0,)))),),
+        samples=24,
     )
 
 
 def build_adversarial_demo() -> ScenarioConfig:
     """Deliberately contradictory demands on an event and its complement."""
-    return parse_config(
-        {
-            "schema": SCHEMA_VERSION,
-            "system": {
-                "labels": ["x0", "x1"],
-                "steps": ["identity"],
-                "initial_state": [[_SQRT_HALF, 0.0], [_SQRT_HALF, 0.0]],
-            },
-            "rules": {
-                "ruleset": "born",
-                "tau_norm": 1e-9,
-                "pairs": {"max_region_size": 1},
-                "extra_lower_bounds": [
-                    {"event": "(t=1,{0})", "min_probability": 0.8},
-                    {"event": "!(t=1,{0})", "min_probability": 0.8},
-                ],
-            },
-            "queries": {
-                "events": ["(t=1,{0})"],
-                "branches": [],
-                "delta": 1e-3,
-                "samples": 20,
-                "seed": 42,
-            },
-        },
-        source="adversarial-demo",
+    return ScenarioConfig(
+        labels=("x0", "x1"),
+        steps=("identity",),
+        psi0=(_SQRT_HALF + 0j, _SQRT_HALF + 0j),
+        ruleset=("born",),
+        extra_lower_bounds=(("(t=1,{0})", 0.8), ("!(t=1,{0})", 0.8)),
+        events=("(t=1,{0})",),
     )
 
 

@@ -151,7 +151,7 @@ class QuantumSystem:
         if psi.shape != (m,):
             raise ValueError(f"initial state must have length {m}, got shape {psi.shape}")
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"initial state norm {norm!r} differs from 1 beyond {NORM_TOL}")
         self.psi0 = psi
         self.psi0.setflags(write=False)
@@ -161,7 +161,7 @@ class QuantumSystem:
         for k, step in enumerate(steps):
             mat = _as_complex_matrix(step, m, f"step matrix {k}")
             defect = float(np.max(np.abs(mat @ mat.conj().T - eye)))
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:  # NaN fails too
                 raise ValueError(
                     f"step matrix {k} is not unitary (max defect {defect:.3e} > {UNITARITY_TOL})"
                 )

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import iqp
-from iqp.cli import main
+from iqp.cli import build_parser, main
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
 from iqp.system import QuantumSystem
 
@@ -80,6 +80,29 @@ class TestExitCodes:
         assert code == 1
         assert "error [events]" in capsys.readouterr().err
 
+    def test_deep_json_is_one_with_report(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        report_path = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(config), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [scenarios]: {config}: JSON nested too deeply to parse\n"
+        report = json.loads(report_path.read_text())
+        assert (report["exit_code"], report["error"]) == (1, err[:-1])
+
+    @pytest.mark.parametrize("command", ["feasibility", "bounds"])
+    def test_nan_alpha_is_one(self, scenario_file, tmp_path, capsys, command):
+        data = json.loads(Path(scenario_file("beam-splitter")).read_text())
+        data["rules"].update(ruleset="born+qtr-alpha", alpha=float("nan"))
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(data))  # Python's json writes and reads NaN
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(config), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [scenarios]: {config}.rules.alpha: expected number > 0\n"
+        )
+        assert not outdir.exists()
+
 
 class TestBounds:
     def test_spreading_packet_output(self, scenario_file, tmp_path, capsys):
@@ -100,6 +123,16 @@ class TestBounds:
         ])
         assert code == 0
         assert "0.500000, 0.500000" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, scenario_file, tmp_path, capsys):
+        # --event of the first call must not carry over into the second
+        config = scenario_file("beam-splitter")
+        assert build_parser() is build_parser()
+        assert main(["bounds", "--config", config, "--event", "(t=1,{1})",
+                     "--outdir", str(tmp_path / "a")]) == 0
+        assert main(["bounds", "--config", config, "--outdir", str(tmp_path / "b")]) == 0
+        assert "(t=1,{0}) & (t=2,{0})" in (tmp_path / "b" / "bounds.csv").read_text()
+        assert "(t=1,{1})" not in (tmp_path / "b" / "bounds.csv").read_text()
 
     def test_infeasible_writes_report(self, scenario_file, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -273,6 +274,36 @@ class TestVacuousRule:
         cs = lower_bound_constraints(space, [(Event.all(space), rhs, "all")])
         assert (cs.emitted, cs.skipped) == (kept, 1 - kept)
         assert [(c.rhs, c.tag, c.label) for c in cs.constraints] == [(rhs, "demand", "all")] * kept
+
+
+class TestNonFiniteRows:
+    """A NaN or +inf right side is an error; -inf is vacuous."""
+
+    @pytest.mark.parametrize("rhs", [math.nan, math.inf])
+    def test_demand_rejected(self, hti, rhs):
+        _, space = hti
+        with pytest.raises(ValueError, match=r"right side .* is NaN or \+inf"):
+            lower_bound_constraints(space, [(Event.all(space), rhs, "all")])
+
+    def test_minus_inf_is_vacuous(self, hti):
+        _, space = hti
+        cs = lower_bound_constraints(space, [(Event.all(space), -math.inf, "all")])
+        assert (cs.emitted, cs.skipped) == (0, 1)
+
+    def test_infinite_alpha_rejected(self, hti):
+        system, space = hti
+        # a zero-distance pair gives w1 - inf * 0 = NaN
+        with pytest.raises(ValueError, match="NaN or"):
+            qtr_variant_constraints(system, space, enumerate_pairs(system, 1), "alpha", math.inf)
+
+    def test_nan_parameters_rejected(self, hti):
+        system, space = hti
+        with pytest.raises(ValueError, match="tau_norm"):
+            qtr_constraints(system, space, [], tau_norm=math.nan)
+        with pytest.raises(ValueError, match="threshold"):
+            qtr_variant_constraints(system, space, [], "eps", math.nan)
+        with pytest.raises(ValueError, match="scale"):
+            qtr_variant_constraints(system, space, [], "alpha", math.nan)
 
 
 class TestFeasibility:

@@ -182,6 +182,29 @@ class TestParseConfig:
         data["rules"]["pairs"] = {"max_region_size": 1, "time_pairs": [[0, 0]]}
         assert any("times must differ" in msg for msg in errors_of(data))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_numbers_rejected(self, value):
+        data = minimal_config()
+        data["system"]["steps"] = [[[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+        data["system"]["initial_state"] = [[1.0, 0.0], [0.0, value]]
+        data["rules"].update(
+            ruleset="born+qtr-eps+qtr-alpha", epsilon=value, alpha=value, tau_norm=value,
+            extra_lower_bounds=[{"event": "(t=0,{0})", "min_probability": value}],
+        )
+        data["queries"].update(
+            delta=value, branches=[{"name": "x", "ssets": [[0, [0]]], "delta": value}]
+        )
+        assert [msg.split(": ")[0] for msg in errors_of(data)] == [
+            "config.system.steps[0][0][0]",
+            "config.system.initial_state[1]",
+            "config.rules.epsilon",
+            "config.rules.alpha",
+            "config.rules.tau_norm",
+            "config.rules.extra_lower_bounds[0].min_probability",
+            "config.queries.branches[0].delta",
+            "config.queries.delta",
+        ]
+
 
 class TestLoadConfig:
     def test_json_error_has_location(self, tmp_path):
@@ -189,6 +212,13 @@ class TestLoadConfig:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
+
+    def test_deep_json_is_config_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.errors == [f"{path}: JSON nested too deeply to parse"]
 
     def test_round_trip_file(self, tmp_path):
         cfg = build_beam_splitter()
@@ -223,6 +253,11 @@ class TestBuilders:
             cfg = builder()
             reparsed = parse_config(json.loads(config_json(cfg)), source=name)
             assert config_hash(reparsed) == config_hash(cfg), name
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_passes_validation(self, name):
+        cfg = BUILTIN_SCENARIOS[name]()
+        assert config_json(parse_config(config_to_dict(cfg), source=name)) == config_json(cfg)
 
     def test_beam_splitter_weights_and_rhs(self):
         cfg = build_beam_splitter()
@@ -293,7 +328,7 @@ class TestBuilders:
 
 
 class TestKeptSystem:
-    """``parse_config`` keeps the system its validation builds."""
+    """Every config builds its system once, on first use, and keeps it."""
 
     def test_build_system_returns_the_kept_system(self, count_calls):
         built = count_calls(QuantumSystem, "__init__")
@@ -304,7 +339,7 @@ class TestKeptSystem:
 
     def test_other_configs_build_each_call(self):
         direct = seeded_config(2, 3, "random", "born", True, seed=3)
-        assert build_system(direct) is not build_system(direct)
+        assert build_system(direct) is build_system(direct)
         parsed = build_beam_splitter()
         moved = dataclasses.replace(parsed, psi0=(0j, 1 + 0j))
         assert build_system(moved) is not build_system(parsed)

@@ -50,6 +50,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="step matrix 0 is not unitary"):
             QuantumSystem(["a", "b"], [np.array([[1.0, 0.0], [0.0, 2.0]])], [1.0, 0.0])
 
+    def test_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="step matrix 0 is not unitary"):
+            QuantumSystem(["a", "b"], [np.array([[np.nan, 0.0], [0.0, 1.0]])], [1.0, 0.0])
+
+    def test_rejects_nan_state(self):
+        with pytest.raises(ValueError, match="norm"):
+            QuantumSystem(["a", "b"], [identity_matrix(2)], [np.nan, 0.0])
+
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="norm"):
             QuantumSystem(["a", "b"], [identity_matrix(2)], [1.0, 1.0])
