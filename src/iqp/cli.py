@@ -47,7 +47,7 @@ class RunReport:
     command: str
     config_hash: str = ""
     constraints: dict[str, int] = field(
-        default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0}
+        default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0, "lp_rows": 0}
     )
     feasible: bool | None = None
     certificate_path: str | None = None
@@ -129,8 +129,9 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     start = time.perf_counter()
     cs = build_constraints(cfg, system, space)
     report.timings["constraints"] = time.perf_counter() - start
+    # lp_rows: the presolved rows the queries solve, normalization included
     report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
-                          "filtered": cs.filtered}
+                          "filtered": cs.filtered, "lp_rows": len(cs.presolved().senses)}
     return cs
 
 

@@ -4,7 +4,8 @@ A credal set is the polytope of probability vectors over the trajectory space
 cut out by event lower bounds.  Generators produce the Born family (marginal
 pins via inequality pairs) and the wave-packet typicality family (cross-time
 intersection lower bounds), plus relaxed/scaled variants.  Queries run on the
-embedded simplex solver and return self-verified witnesses, Farkas
+embedded simplex solver over the presolved rows (one per distinct event, one
+'==' row per complementary pin) and return self-verified witnesses, Farkas
 certificates and attained lower/upper probabilities.
 """
 
@@ -15,6 +16,7 @@ import io
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +68,16 @@ class LinearConstraint:
         return max(self.rhs - event_probability(probs, self.event), 0.0)
 
 
+class Presolved(NamedTuple):
+    """A presolved LP: normalization row first, then one row per kept event."""
+
+    rows: np.ndarray
+    rhs: np.ndarray
+    senses: list[str]
+    owners: list[int]  # per row after normalization: the constraint it keeps
+    partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
+
+
 @dataclass
 class ConstraintSet:
     """Linear rows over the trajectory simplex (simplex rows are implicit)."""
@@ -82,16 +94,21 @@ class ConstraintSet:
     def emitted(self) -> int:
         return len(self.constraints)
 
-    def add(self, event: Event, rhs: float, tag: str, label: str,
-            origin: tuple[SSet, ...] = ()) -> None:
-        """Append the row ``P(event) >= rhs``, or count it as vacuous (implied by
-        non-negativity) when ``rhs <= VACUOUS_RHS``; a NaN or ``+inf`` right
-        side is an error (``-inf`` is vacuous)."""
+    def admits(self, rhs: float, label: str) -> bool:
+        """Whether ``P(A) >= rhs`` is a row; a vacuous one (implied by
+        non-negativity, ``rhs <= VACUOUS_RHS``) is counted as skipped instead.
+        A NaN or ``+inf`` right side is an error (``-inf`` is vacuous)."""
         if math.isnan(rhs) or rhs == math.inf:
             raise ValueError(f"row {label}: right side {rhs} is NaN or +inf")
         if rhs <= VACUOUS_RHS:
             self.skipped += 1
-        else:
+            return False
+        return True
+
+    def add(self, event: Event, rhs: float, tag: str, label: str,
+            origin: tuple[SSet, ...] = ()) -> None:
+        """Append the row ``P(event) >= rhs`` unless ``admits`` skips it."""
+        if self.admits(rhs, label):
             self.constraints.append(LinearConstraint(event, rhs, tag, label, origin))
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -103,6 +120,42 @@ class ConstraintSet:
             rows[1 + i] = con.event.bits.astype(float)
             rhs[1 + i] = con.rhs
         return rows, rhs, ["=="] + [">="] * len(self.constraints)
+
+    def presolved(self) -> Presolved:
+        """The rows of ``lp_rows`` that the polytope queries solve.
+
+        Rows on one event collapse to the one with the largest bound (the
+        first on ties).  A kept pair ``P(A) >= l``, ``P(A^c) >= l'`` with
+        ``l + l'`` within ``VACUOUS_RHS`` of 1 becomes the one row
+        ``P(A) = l``, owned by whichever event comes first: with
+        normalization the pair pins ``P(A)`` to ``l`` up to that dust.  Pairs
+        further from 1 stay two '>=' rows, so an over-pinned set stays
+        infeasible and a band stays a band.  Kept rows follow the first
+        appearance of their events.
+        """
+        rows, rhs, _ = self.lp_rows()
+        bounds = rhs[1:].tolist()
+        kept: dict[bytes, int] = {}  # event bits -> constraint of its row
+        for i, con in enumerate(self.constraints):
+            key = con.event.bits.tobytes()
+            if bounds[i] > bounds[kept.setdefault(key, i)]:
+                kept[key] = i
+        owners: list[int] = []
+        partners: list[int] = []
+        paired: set[int] = set()
+        for i in kept.values():
+            if i in paired:  # the complement's row already pins this event
+                continue
+            j = kept.get((~self.constraints[i].event.bits).tobytes(), -1)
+            if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
+                paired.add(j)
+            else:
+                j = -1
+            owners.append(i)
+            partners.append(j)
+        keep = [0] + [1 + i for i in owners]
+        senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
+        return Presolved(rows[keep], rhs[keep], senses, owners, partners)
 
 
 def _check_space(system: QuantumSystem, space: TrajectorySpace) -> None:
@@ -160,8 +213,10 @@ def _pair_rows(
         if rhs is None:
             cs.filtered += 1
             continue
-        cs.add(sset_event(space, s1) & sset_event(space, s2), rhs, tag,
-               f"({s1.text()} & {s2.text()})", (s1, s2))
+        label = f"({s1.text()} & {s2.text()})"
+        if cs.admits(rhs, label):  # before the intersection is built
+            event = sset_event(space, s1) & sset_event(space, s2)
+            cs.constraints.append(LinearConstraint(event, rhs, tag, label, (s1, s2)))
     return cs
 
 
@@ -297,12 +352,43 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
     return float(combo.max()), float(total)
 
 
+def _lift_farkas(duals: np.ndarray, owners: list[int], partners: list[int],
+                 count: int) -> tuple[np.ndarray, float]:
+    """Multipliers of the ``count`` constraints and the normalization's, from
+    the Farkas duals of presolved rows.
+
+    A '>=' row's dual goes to its owner.  An '==' row ``P(A) = l`` with dual
+    ``y >= 0`` does too; with ``y < 0``, ``y * 1_A = y - y * 1_{A^c}``, so
+    ``-y`` goes to the complement's constraint and ``y`` to normalization.
+    Every other constraint gets 0.  Values are assigned, not added, so a
+    -0.0 keeps its sign bit.
+    """
+    for y, owner, partner in zip(duals[1:], owners, partners):
+        if partner < 0 and y < -1e-8:
+            raise lp.SimplexFailure(
+                f"negative multiplier {y:.3e} on inequality row {owner}"
+            )
+    mult = np.zeros(count)
+    normalization = float(duals[0])
+    for y, owner, partner in zip(duals[1:].tolist(), owners, partners):
+        if partner < 0 or y >= 0.0:
+            mult[owner] = y
+        else:
+            mult[partner] = -y
+            normalization += y
+    mult[mult < 0.0] = 0.0  # -0.0 is not below zero and keeps its sign bit
+    return mult, normalization
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Phase-1 feasibility with a self-verified witness or Farkas certificate.
 
-    The phase 1 is the one later bounds and vertex samples of ``cs`` start from.
+    The phase 1 is the one later bounds and vertex samples of ``cs`` start
+    from.  It runs on the presolved rows, whose Farkas duals
+    ``_lift_farkas`` maps back to one multiplier per constraint.
     """
-    result = lp.solve_lp(np.zeros(cs.space.size), *cs.lp_rows())
+    rows, rhs, senses, owners, partners = cs.presolved()
+    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses)
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
         worst = verify_witness(cs, witness.probs)
@@ -314,22 +400,10 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     if result.status != lp.INFEASIBLE:
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
 
-    duals = result.farkas_duals.copy()
-    mult = duals[1:]
-    negative = np.flatnonzero(mult < -1e-8)
-    if negative.size:
-        i = negative[0]
-        raise lp.SimplexFailure(
-            f"negative multiplier {mult[i]:.3e} on inequality row {i}"
-        )
-    mult[mult < 0.0] = 0.0  # -0.0 is not below zero and keeps its sign bit
-    cert = FarkasCertificate(
-        multipliers=mult, normalization=float(duals[0]), margin=0.0
-    )
+    mult, normalization = _lift_farkas(result.farkas_duals, owners, partners, len(cs))
+    cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=0.0)
     slack, margin = verify_farkas(cs, cert)
-    cert = FarkasCertificate(
-        multipliers=mult, normalization=float(duals[0]), margin=margin
-    )
+    cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)
     if slack > CERTIFICATE_TOL or margin < FARKAS_MARGIN:
         raise lp.SimplexFailure(
             f"Farkas verification failed: slack {slack:.3e}, margin {margin:.3e}"
@@ -369,7 +443,7 @@ def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
-    rows, rhs, senses = cs.lp_rows()
+    rows, rhs, senses, _, _ = cs.presolved()
     objective = a.bits.astype(float)
 
     low = lp.solve_lp(objective, rows, rhs, senses)
@@ -410,7 +484,9 @@ def huber_check(cs: ConstraintSet) -> float:
     is non-empty exactly when the optimum is <= 1.  By LP duality the optimum
     equals the maximum of ``sum_i a_i * rhs_i`` over non-negative ``a`` with
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
-    form has one row per constraint rather than one per trajectory.
+    form has one row per constraint rather than one per trajectory.  The
+    rows are not presolved: without normalization a complementary pair does
+    not collapse to one row.
     """
     for con in cs.constraints:
         if con.event.is_empty and con.rhs > 0:
@@ -434,7 +510,7 @@ def sample_vertex_measures(
 
     Every sample is re-optimized from the phase 1 of ``cs``.
     """
-    rows, rhs, senses = cs.lp_rows()
+    rows, rhs, senses, _, _ = cs.presolved()
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):

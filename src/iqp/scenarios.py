@@ -60,7 +60,7 @@ class BranchDecl:
 @dataclass(frozen=True)
 class ScenarioConfig:
     labels: tuple[str, ...]
-    steps: tuple[object, ...]  # generator name or complex matrix
+    steps: tuple[object, ...]  # generator name or matrix, a tuple of complex rows
     psi0: tuple[complex, ...]
     ruleset: tuple[str, ...]
     epsilon: float | None = None
@@ -74,6 +74,16 @@ class ScenarioConfig:
     delta: float = 1e-3
     samples: int = 20
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        # a matrix given as an array becomes rows of Python complex numbers,
+        # so the generated __eq__ and __hash__ compare configs by content
+        steps = tuple(
+            step if isinstance(step, str)
+            else tuple(tuple(complex(z) for z in row) for row in step)
+            for step in self.steps
+        )
+        object.__setattr__(self, "steps", steps)
 
     @property
     def m(self) -> int:

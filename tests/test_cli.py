@@ -282,6 +282,15 @@ class TestReport:
         assert report["config_hash"]
         assert "solve" in report["timings"]
 
+    def test_report_counts_presolved_rows(self, scenario_file, tmp_path):
+        report_path = tmp_path / "report.json"
+        main(["bounds", "--config", scenario_file("beam-splitter"),
+              "--outdir", str(tmp_path / "out"), "--report", str(report_path)])
+        # 12 rows presolve to normalization, the basis-state pin at t=0,
+        # one '==' pin at each of t=1 and t=2, and the two typicality rows
+        assert json.loads(report_path.read_text())["constraints"] == {
+            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 6}
+
     def test_feasibility_builds_one_system(self, scenario_file, tmp_path, count_calls):
         config = scenario_file("drifting-branch")
         report_path = tmp_path / "report.json"

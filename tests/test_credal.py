@@ -346,11 +346,16 @@ class TestFeasibility:
 
     @staticmethod
     def farkas_reporting(space, monkeypatch, tail):
-        """Feasibility of the adversarial rows plus one row on the full event per
-        entry of ``tail``, with the solver reporting ``tail`` as their multipliers."""
+        """Feasibility of the adversarial rows plus one row per entry of ``tail``,
+        with the solver reporting ``tail`` as the duals of those rows.
+
+        The extra events are distinct and no two are complements, so each
+        keeps its own '>=' row, in order, at the end of the presolved rows.
+        """
         cs = adversarial_cs(space)
-        for i in range(len(tail)):
-            cs.add(Event.all(space), 0.1, "demand", f"all{i}")
+        a, b = parse_event("(t=1,{0})", space), parse_event("(t=0,{0})", space)
+        for i, event in enumerate([Event.all(space), a | b, ~a | b][:len(tail)]):
+            cs.add(event, 0.1, "demand", f"extra{i}")
         solve = lp.solve_lp
 
         def perturbed(*args, **kwargs):
@@ -371,6 +376,38 @@ class TestFeasibility:
         with pytest.raises(lp.SimplexFailure,
                            match=r"negative multiplier -2\.000e-07 on inequality row 3"):
             self.farkas_reporting(balanced[1], monkeypatch, [-5e-9, -2e-7, -3e-7])
+
+    @pytest.mark.parametrize("third, bound, duals, normalization, multipliers, margin", [
+        # P(A) = 0.3 from the pair, yet P(A & B) >= 0.5: a negative dual on the pin
+        ("a&b", 0.5, [0.0, -1.0, 1.0], -1.0, [0.0, 1.0, 1.0], 0.2),
+        # P(A) >= 0.3 and P(!A & B) >= 0.8: a positive dual on the pin
+        ("!a&b", 0.8, [-1.0, 1.0, 1.0], -1.0, [1.0, 0.0, 1.0], 0.1),
+    ])
+    def test_pin_duals_lift(self, balanced, monkeypatch, third, bound, duals,
+                            normalization, multipliers, margin):
+        """A dual ``y >= 0`` on an '==' row goes to its owner; ``y < 0`` is ``-y``
+        on the complement's constraint plus ``y`` on normalization."""
+        _, space = balanced
+        a, b = parse_event("(t=1,{0})", space), parse_event("(t=0,{0})", space)
+        event = a & b if third == "a&b" else ~a & b
+        cs = lower_bound_constraints(space, [(a, 0.3, "a"), (~a, 0.7, "!a"),
+                                             (event, bound, third)])
+        _, _, senses, owners, partners = cs.presolved()
+        assert (senses, owners, partners) == (["==", "==", ">="], [0, 2], [1, -1])
+        solved = feasibility(cs).farkas
+        assert solved.margin == pytest.approx(margin, abs=1e-9)
+        assert np.all(solved.multipliers >= 0.0)
+
+        solve = lp.solve_lp
+
+        def reporting(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), farkas_duals=np.array(duals))
+
+        monkeypatch.setattr(lp, "solve_lp", reporting)
+        lifted = feasibility(cs).farkas
+        assert lifted.normalization == normalization
+        assert lifted.multipliers.tolist() == multipliers
+        assert lifted.margin == pytest.approx(margin, abs=1e-12)
 
     def test_certificate_exactly_one_branch(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -656,7 +693,7 @@ class TestPhase1Memo:
         lower_upper(cs, events[0])
         lower_upper(cs, events[1])
         assert len(sample_vertex_measures(cs, 3, seed=2)) == 3
-        assert phase1_calls == [(len(cs) + 1, cs.space.size)]
+        assert phase1_calls == [cs.presolved().rows.shape]
 
     def test_huber_check_leaves_bounds_bit_identical(self, n256, phase1_calls):
         cs, events = n256
@@ -665,7 +702,7 @@ class TestPhase1Memo:
         assert huber_check(cs) == pytest.approx(1.0, abs=1e-9)
         assert self.fingerprint(lower_upper(cs, events[0])) == alone
         # the Huber LP has one row per constraint and takes the memo's one slot
-        rows = (len(cs) + 1, cs.space.size)
+        rows = cs.presolved().rows.shape
         assert phase1_calls == [rows, (len(cs), cs.space.size), rows]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):

@@ -219,6 +219,7 @@ class TestSeedEquivalence:
         objectives += [parse_event(e, space).bits.astype(float) for e in cfg.events]
         objectives += [rng.standard_normal(space.size) for _ in range(3)]
         assert_matches_seed(objectives, *cs.lp_rows())
+        assert_matches_seed(objectives, *cs.presolved()[:3])  # '==' pins
 
     @pytest.mark.parametrize("m, n, kind, ruleset, chain", [
         (2, 8, "random", "born+qtr-min", True),
@@ -229,8 +230,12 @@ class TestSeedEquivalence:
         assert space.size == 256
         rng = np.random.default_rng(5)
         event = (rng.random(space.size) < 0.3).astype(float)
-        assert_matches_seed([np.zeros(space.size), event, rng.standard_normal(space.size)],
-                            *cs.lp_rows())
+        objectives = [np.zeros(space.size), event, rng.standard_normal(space.size)]
+        assert_matches_seed(objectives, *cs.lp_rows())
+        presolved = cs.presolved()[:3]
+        # m=4: the four pins of each time sum to normalization, so rows drop
+        assert (feasible_start(*presolved).dropped_rows > 0) == (m == 4)
+        assert_matches_seed(objectives, *presolved)
 
 
 class TestAntiCycling:
@@ -359,7 +364,7 @@ class TestStartReuse:
     def test_vertex_samples_share_one_phase1(self, phase1_calls):
         space, cs = realize(BUILTIN_SCENARIOS["spreading-packet"]())
         measures = sample_vertex_measures(cs, 4, seed=9)
-        assert phase1_calls == [(len(cs) + 1, space.size)] and len(measures) == 4
+        assert phase1_calls == [cs.presolved().rows.shape] and len(measures) == 4
 
 
 class TestStartMemo:

@@ -326,6 +326,30 @@ class TestBuilders:
         assert data["schema"] == "iqp-config/1"
         parse_config(data)
 
+    # canonical JSON of each built-in, pinned so that a change of how a config
+    # holds its steps cannot change what it writes
+    HASHES = {
+        "adversarial-demo": "ff3d66ec1489722cffdcafb1676eaaa70165c3aa10f4a82fe116e435c36283d9",
+        "beam-splitter": "e09e7597e87a46cdcd16756d448988858cd84e6974b0b798eb973fff18602bfb",
+        "drifting-branch": "d43541477c292366d792e25846ea048ccf50729ea0cf636a54402825a0c6e896",
+        "mach-zehnder": "cf530b8ecda1c6098bb68b8be21334479a27cc9fc6c53796ecca6468ce1ae430",
+        "spreading-packet": "2a12715e21469ae761413410b90d3414f2c2bb7ed44982784c084c322804686c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_equal_builtins_compare_and_hash_equal(self, name):
+        cfg, again = BUILTIN_SCENARIOS[name](), BUILTIN_SCENARIOS[name]()
+        assert cfg == again and hash(cfg) == hash(again)
+        assert parse_config(config_to_dict(cfg), source=name) == cfg
+        assert config_hash(cfg) == self.HASHES[name]
+
+    def test_matrix_steps_are_tuples_of_complex_rows(self):
+        cfg = build_drifting_branch()
+        assert all(type(z) is complex for row in cfg.steps[0] for z in row)
+        as_array = dataclasses.replace(cfg, steps=tuple(np.array(s) for s in cfg.steps))
+        assert as_array == cfg and hash(as_array) == hash(cfg)
+        assert as_array != dataclasses.replace(cfg, steps=("identity", "identity"))
+
 
 class TestKeptSystem:
     """Every config builds its system once, on first use, and keeps it."""
