@@ -12,10 +12,11 @@ certificates and attained lower/upper probabilities.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,14 +79,30 @@ class Presolved(NamedTuple):
     partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
 
 
-@dataclass
+def admits(rhs: float, label: str) -> bool:
+    """Whether ``P(A) >= rhs`` is a row; a vacuous one (implied by
+    non-negativity, ``rhs <= VACUOUS_RHS``) is skipped instead.  A NaN or
+    ``+inf`` right side is an error (``-inf`` is vacuous)."""
+    if math.isnan(rhs) or rhs == math.inf:
+        raise ValueError(f"row {label}: right side {rhs} is NaN or +inf")
+    return rhs > VACUOUS_RHS
+
+
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Linear rows over the trajectory simplex (simplex rows are implicit)."""
+    """Linear rows over the trajectory simplex (simplex rows are implicit).
+
+    Frozen once built (``constraints`` is held as a tuple) and equal only to
+    itself, so the queries key its presolve and phase 1 on its identity.
+    """
 
     space: TrajectorySpace
-    constraints: list[LinearConstraint] = field(default_factory=list)
+    constraints: tuple[LinearConstraint, ...] = ()
     skipped: int = 0
     filtered: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constraints", tuple(self.constraints))
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -93,23 +110,6 @@ class ConstraintSet:
     @property
     def emitted(self) -> int:
         return len(self.constraints)
-
-    def admits(self, rhs: float, label: str) -> bool:
-        """Whether ``P(A) >= rhs`` is a row; a vacuous one (implied by
-        non-negativity, ``rhs <= VACUOUS_RHS``) is counted as skipped instead.
-        A NaN or ``+inf`` right side is an error (``-inf`` is vacuous)."""
-        if math.isnan(rhs) or rhs == math.inf:
-            raise ValueError(f"row {label}: right side {rhs} is NaN or +inf")
-        if rhs <= VACUOUS_RHS:
-            self.skipped += 1
-            return False
-        return True
-
-    def add(self, event: Event, rhs: float, tag: str, label: str,
-            origin: tuple[SSet, ...] = ()) -> None:
-        """Append the row ``P(event) >= rhs`` unless ``admits`` skips it."""
-        if self.admits(rhs, label):
-            self.constraints.append(LinearConstraint(event, rhs, tag, label, origin))
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Normalization row followed by one row per constraint."""
@@ -176,12 +176,14 @@ def born_constraints(
     _check_space(system, space)
     if not family:
         raise ValueError("born family must be non-empty")
-    cs = ConstraintSet(space=space)
+    rows: list[LinearConstraint] = []
     for s in family:
         weight = system.weight(s)
         for target, rhs in ((s, weight), (s.complement(), 1.0 - weight)):
-            cs.add(sset_event(space, target), rhs, "born", target.text(), (s,))
-    return cs
+            label = target.text()
+            if admits(rhs, label):
+                rows.append(LinearConstraint(sset_event(space, target), rhs, "born", label, (s,)))
+    return ConstraintSet(space, rows, skipped=2 * len(family) - len(rows))
 
 
 def _pair_rows(
@@ -199,7 +201,8 @@ def _pair_rows(
     (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
     rows with non-positive right side are skipped as vacuous.
     """
-    cs = ConstraintSet(space=space)
+    rows: list[LinearConstraint] = []
+    filtered = 0
     # each sset's weight once, in first-use order, however many pairs share it
     ssets = dict.fromkeys(s for pair in pairs for s in pair)
     weights = {s: system.weight(s) for s in ssets}
@@ -207,17 +210,17 @@ def _pair_rows(
         w1 = weights[s1]
         w2 = weights[s2]
         if s1.time == s2.time or (equal_weights and abs(w1 - w2) > tau_norm):
-            cs.filtered += 1
+            filtered += 1
             continue
         rhs = bound(w1, w2, system.sset_distance(s1, s2))
         if rhs is None:
-            cs.filtered += 1
+            filtered += 1
             continue
         label = f"({s1.text()} & {s2.text()})"
-        if cs.admits(rhs, label):  # before the intersection is built
+        if admits(rhs, label):  # before the intersection is built
             event = sset_event(space, s1) & sset_event(space, s2)
-            cs.constraints.append(LinearConstraint(event, rhs, tag, label, (s1, s2)))
-    return cs
+            rows.append(LinearConstraint(event, rhs, tag, label, (s1, s2)))
+    return ConstraintSet(space, rows, len(pairs) - filtered - len(rows), filtered)
 
 
 def qtr_constraints(
@@ -279,12 +282,13 @@ def lower_bound_constraints(
     space: TrajectorySpace, demands: list[tuple[Event, float, str]]
 ) -> ConstraintSet:
     """Raw event lower bounds, e.g. user-declared demands from a scenario."""
-    cs = ConstraintSet(space=space)
+    rows: list[LinearConstraint] = []
     for event, rhs, label in demands:
         if len(event) != space.size:
             raise ValueError("event length does not match space")
-        cs.add(event, rhs, "demand", label)
-    return cs
+        if admits(rhs, label):
+            rows.append(LinearConstraint(event, rhs, "demand", label))
+    return ConstraintSet(space, rows, skipped=len(demands) - len(rows))
 
 
 def merge_constraint_sets(sets: list[ConstraintSet]) -> ConstraintSet:
@@ -380,6 +384,20 @@ def _lift_farkas(duals: np.ndarray, owners: list[int], partners: list[int],
     return mult, normalization
 
 
+@functools.lru_cache(maxsize=1)
+def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
+    """The presolved rows of ``cs`` and their phase 1, for the polytope queries.
+
+    Keyed on the set's identity, which is sound because a set is frozen and
+    the cache's reference to it keeps its id from being reused.  One entry,
+    so queries asked one after another about one set share a single presolve
+    and phase 1, while one start at most stays alive however many sets the
+    caller keeps.
+    """
+    pre = cs.presolved()
+    return pre, lp.feasible_start(pre.rows, pre.rhs, pre.senses)
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Phase-1 feasibility with a self-verified witness or Farkas certificate.
 
@@ -387,8 +405,8 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     from.  It runs on the presolved rows, whose Farkas duals
     ``_lift_farkas`` maps back to one multiplier per constraint.
     """
-    rows, rhs, senses, owners, partners = cs.presolved()
-    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses)
+    (rows, rhs, senses, owners, partners), start = _prepared(cs)
+    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses, start=start)
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
         worst = verify_witness(cs, witness.probs)
@@ -438,20 +456,19 @@ class BoundsResult:
 def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """LP min/max of the event's probability over the credal polytope.
 
-    Both solves start from the phase 1 of ``cs``, which the solver shares with
-    other queries on the same rows.
+    Both solves start from the phase 1 of ``cs`` (``_prepared``).
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
-    rows, rhs, senses, _, _ = cs.presolved()
+    (rows, rhs, senses, _, _), start = _prepared(cs)
     objective = a.bits.astype(float)
 
-    low = lp.solve_lp(objective, rows, rhs, senses)
+    low = lp.solve_lp(objective, rows, rhs, senses, start=start)
     if low.status == lp.INFEASIBLE:
         return BoundsResult(status="infeasible")
     if low.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {low.status!r}")
-    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True)
+    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True, start=start)
     if high.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {high.status!r}")
 
@@ -486,7 +503,8 @@ def huber_check(cs: ConstraintSet) -> float:
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
     form has one row per constraint rather than one per trajectory.  The
     rows are not presolved: without normalization a complementary pair does
-    not collapse to one row.
+    not collapse to one row.  Its phase 1 is its own and leaves the set's
+    (``_prepared``) in place.
     """
     for con in cs.constraints:
         if con.event.is_empty and con.rhs > 0:
@@ -508,14 +526,14 @@ def sample_vertex_measures(
 ) -> list[TrajectoryMeasure]:
     """Polytope vertices from seeded random linear objectives (reproducible).
 
-    Every sample is re-optimized from the phase 1 of ``cs``.
+    Every sample is re-optimized from the phase 1 of ``cs`` (``_prepared``).
     """
-    rows, rhs, senses, _, _ = cs.presolved()
+    (rows, rhs, senses, _, _), start = _prepared(cs)
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):
         objective = rng.standard_normal(cs.space.size)
-        result = lp.solve_lp(objective, rows, rhs, senses)
+        result = lp.solve_lp(objective, rows, rhs, senses, start=start)
         if result.status == lp.INFEASIBLE:
             raise ValueError("constraint set is infeasible")
         if result.status != lp.OPTIMAL:

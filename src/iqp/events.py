@@ -137,10 +137,6 @@ class Event:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
 
-    def contains(self, other: "Event") -> bool:
-        self._check_same_space(other)
-        return bool(np.all(self.bits | ~other.bits))
-
     @classmethod
     def none(cls, space: TrajectorySpace) -> "Event":
         return cls(np.zeros(space.size, dtype=bool))

@@ -20,20 +20,18 @@ sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
 Phase 1 depends only on the constraints, so it runs once per constraint set:
 ``feasible_start`` returns the post-phase-1 tableau and basis, with the
-artificial columns trimmed, and keeps its last result in a one-entry memo
-keyed on the content of the rows, right-hand sides and senses.  Every
-``solve_lp`` call starts from that memo, so feasibility, bounds and vertex
-samples asked one after another about one constraint set share a single
-phase 1, while at most one start stays alive.  Pricing and the ratio test are
-numpy scans that pick the same entering column and leaving row as a scalar
-loop with the same rule (ties in the ratio test within ``PIVOT_TOL`` go to the
-smallest basic index, applied row by row in order), so a solve makes the same
-pivots whether its phase 1 ran fresh or was remembered.
+artificial columns trimmed, and a caller that asks several questions about
+one set passes that start to every ``solve_lp`` call; without one,
+``solve_lp`` runs its own phase 1.  The solver keeps no state between calls.
+Pricing and the ratio test are numpy scans that pick the same entering column
+and leaving row as a scalar loop with the same rule (ties in the ratio test
+within ``PIVOT_TOL`` go to the smallest basic index, applied row by row in
+order), so a solve makes the same pivots whether its phase 1 ran fresh or
+was passed in.
 """
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 from dataclasses import dataclass
 
@@ -225,9 +223,10 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                              dropped_rows=0, tab=tab, basis=tuple(basis))
 
     # The update scratch gets its own map, which then holds the trimmed start.
-    # A start can outlive its query in the memo of feasible_start; on the
-    # malloc heap it would sit above the tableaux freed after it, so that the
-    # heap could neither reuse their memory for the next one nor return it.
+    # A start can outlive its query in its caller's keeping (credal keeps the
+    # last set's); on the malloc heap it would sit above the tableaux freed
+    # after it, so that the heap could neither reuse their memory for the
+    # next one nor return it.
     scratch = _mapped(tab.size)
     state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols),
                      scratch.reshape(tab.shape))
@@ -268,41 +267,17 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                          tab=start_tab, basis=tuple(basis))
 
 
-# (content digest, start) of the last ``feasible_start`` call.  One entry keeps
-# at most one tableau alive; the slot is replaced as a whole tuple, so a thread
-# that loses a race to fill it only repeats a phase 1 and never sees a start
-# built from other rows.
-_last: tuple[bytes, FeasibleStart] | None = None
-
-
-def _digest(a: np.ndarray, b: np.ndarray, senses: list[str]) -> bytes:
-    h = hashlib.blake2b(repr((a.shape, b.shape, list(senses))).encode())
-    h.update(a)  # float64 and C-contiguous: hashed in place, not copied
-    h.update(b)
-    return h.digest()
-
-
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
-    """Phase 1 of the rows, or the remembered start of equal inputs.
+    """Phase 1 of the rows, as a start for any number of ``solve_lp`` calls.
 
-    The last start is remembered by the content of its inputs, so another
-    call on equal rows, right-hand sides and senses returns it without a
-    phase 1.  The start is read-only: every solve from it that must pivot
-    works on its own copy, so threads may share one start.
+    The start is read-only: every solve from it that must pivot works on its
+    own copy, so threads may share one start.
     """
-    global _last
-    a = np.ascontiguousarray(_as_rows(rows))
-    b = np.ascontiguousarray(rhs, dtype=float)
-    key = _digest(a, b, senses)
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1]
-    _last = None  # release the previous start before this phase 1 allocates
-    start = _phase1(a, b, senses)
+    start = _phase1(np.ascontiguousarray(_as_rows(rows)),
+                    np.ascontiguousarray(rhs, dtype=float), senses)
     for arr in (start.tab, start.farkas_duals):
         if arr is not None:
             arr.flags.writeable = False
-    _last = (key, start)
     return start
 
 
@@ -314,18 +289,22 @@ def solve_lp(
     *,
     maximize: bool = False,
     pivot_cap: int | None = None,
+    start: FeasibleStart | None = None,
 ) -> LPResult:
     """Optimize ``objective`` over the rows, from their ``feasible_start``.
 
-    The start is shared through the memo and copied only when the objective
-    needs a pivot.  The pivot cap counts the start's phase-1 pivots as well.
+    ``start`` must be ``feasible_start`` of these rows, right-hand sides and
+    senses; without it the phase 1 runs here.  The start is copied only when
+    the objective needs a pivot.  The pivot cap counts the start's phase-1
+    pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
     n_vars = a.shape[1]
     if c_orig.shape != (n_vars,):
         raise ValueError(f"objective length {c_orig.shape} != variable count {n_vars}")
-    start = feasible_start(a, rhs, senses)
+    if start is None:
+        start = feasible_start(a, rhs, senses)
     budget = _budget(pivot_cap, len(senses), start.n_cols)
     if start.phase1_pivots > budget:
         raise SimplexFailure(f"pivot limit {budget} exceeded")

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from iqp import lp
+from iqp import credal, lp
 from iqp.credal import ConstraintSet, LinearConstraint, born_constraints
 from iqp.events import Event, TrajectorySpace, sset_event
 from iqp.scenarios import ScenarioConfig, build_constraints, build_system
@@ -139,9 +139,9 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
-def phase1_calls(monkeypatch, count_calls):
-    """Empties the phase-1 memo and records the shape of every phase 1 run after."""
-    monkeypatch.setattr(lp, "_last", None)
+def phase1_calls(count_calls):
+    """Empties the queries' phase-1 slot and records the shape of every phase 1 run after."""
+    credal._prepared.cache_clear()
     return count_calls(lp, "_phase1", lambda a, *rest: a.shape)
 
 
@@ -269,7 +269,7 @@ def random_lower_bound_cs(
     rng: np.random.Generator, space: TrajectorySpace
 ) -> ConstraintSet:
     """Lower-bound rows with random levels; infeasible roughly half the time."""
-    cs = ConstraintSet(space=space)
+    rows = []
     n_rows = int(rng.integers(2, 7))
     for i in range(n_rows):
         event = random_event(rng, space)
@@ -279,7 +279,5 @@ def random_lower_bound_cs(
         rhs = float(min(1.0, fraction * rng.uniform(0.2, 2.2)))
         if rhs <= 0.0:
             continue
-        cs.constraints.append(
-            LinearConstraint(event=event, rhs=rhs, tag="demand", label=f"random{i}")
-        )
-    return cs
+        rows.append(LinearConstraint(event=event, rhs=rhs, tag="demand", label=f"random{i}"))
+    return ConstraintSet(space, tuple(rows))

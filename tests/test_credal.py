@@ -352,10 +352,10 @@ class TestFeasibility:
         The extra events are distinct and no two are complements, so each
         keeps its own '>=' row, in order, at the end of the presolved rows.
         """
-        cs = adversarial_cs(space)
         a, b = parse_event("(t=1,{0})", space), parse_event("(t=0,{0})", space)
-        for i, event in enumerate([Event.all(space), a | b, ~a | b][:len(tail)]):
-            cs.add(event, 0.1, "demand", f"extra{i}")
+        extra = [(event, 0.1, f"extra{i}")
+                 for i, event in enumerate([Event.all(space), a | b, ~a | b][:len(tail)])]
+        cs = merge_constraint_sets([adversarial_cs(space), lower_bound_constraints(space, extra)])
         solve = lp.solve_lp
 
         def perturbed(*args, **kwargs):
@@ -515,10 +515,7 @@ class TestHuberCheck:
 
     def test_empty_event_with_positive_bound_malformed(self, balanced):
         _, space = balanced
-        cs = ConstraintSet(space=space)
-        cs.constraints.append(
-            LinearConstraint(Event.none(space), 0.1, "demand", "empty")
-        )
+        cs = ConstraintSet(space, (LinearConstraint(Event.none(space), 0.1, "demand", "empty"),))
         with pytest.raises(ValueError, match="malformed"):
             huber_check(cs)
 
@@ -675,7 +672,7 @@ class TestVertexSampling:
 
 
 class TestPhase1Memo:
-    """Queries on one constraint set start from the phase 1 that ``lp`` remembers."""
+    """Queries on one constraint set start from the phase 1 in ``credal``'s slot."""
 
     @pytest.fixture
     def n256(self):
@@ -701,23 +698,32 @@ class TestPhase1Memo:
         assert feasibility(cs).feasible
         assert huber_check(cs) == pytest.approx(1.0, abs=1e-9)
         assert self.fingerprint(lower_upper(cs, events[0])) == alone
-        # the Huber LP has one row per constraint and takes the memo's one slot
-        rows = cs.presolved().rows.shape
-        assert phase1_calls == [rows, (len(cs), cs.space.size), rows]
+        # the Huber LP (one row per constraint) runs its own phase 1 and
+        # leaves the set's start in the slot
+        assert phase1_calls == [cs.presolved().rows.shape, (len(cs), cs.space.size)]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
         cs, events = n256
         a = events[0]
         before = lower_upper(cs, a)
-        cs.constraints.append(LinearConstraint(
-            event=a, rhs=(before.lower + before.upper) / 2, tag="demand",
-            label="a"))
-        for expected_calls in (2, 3):
-            res = lower_upper(cs, a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.constraints = ()
+        # a change is a new set, which runs its own phase 1
+        for expected_calls, rhs in ((2, (before.lower + before.upper) / 2), (3, before.upper)):
+            changed = merge_constraint_sets([cs, lower_bound_constraints(
+                cs.space, [(a, rhs, "a")])])
+            res = lower_upper(changed, a)
             assert len(phase1_calls) == expected_calls
-            assert (res.lower, res.upper) == pytest.approx(scipy_bounds(cs, a), abs=1e-7)
-            cs.constraints[-1] = dataclasses.replace(cs.constraints[-1], rhs=before.upper)
+            assert (res.lower, res.upper) == pytest.approx(scipy_bounds(changed, a), abs=1e-7)
         assert res.lower == pytest.approx(before.upper, abs=1e-9)
+
+    def test_equal_rebuilt_set_runs_own_phase1(self, n256, phase1_calls):
+        cs, events = n256
+        rebuilt = merge_constraint_sets([cs])
+        assert rebuilt.constraints == cs.constraints and rebuilt is not cs
+        first, second = lower_upper(cs, events[0]), lower_upper(rebuilt, events[0])
+        assert self.fingerprint(first) == self.fingerprint(second)
+        assert phase1_calls == [cs.presolved().rows.shape] * 2
 
     def test_memoized_infeasible_farkas_independent(self, balanced, phase1_calls):
         _, space = balanced
@@ -734,7 +740,7 @@ class TestPhase1Memo:
         cs, events = n256
         _, other = realize(BUILTIN_SCENARIOS["drifting-branch"]())
         other_event = Event.all(other.space)
-        # one set alone, then two sets taking turns in the one-entry memo
+        # one set alone, then two sets taking turns in the one-entry slot
         jobs = [(cs, a) for a in events] + [(cs, events[0]), (other, other_event)] * 3
 
         interval = sys.getswitchinterval()

@@ -60,10 +60,11 @@ def assert_identical(new, old):
 
 def assert_matches_seed(objectives, rows, rhs, senses):
     """Every objective, minimized and maximized from one start, against the scalar oracle."""
+    start = feasible_start(rows, rhs, senses)
     for c in objectives:
         for maximize in (False, True):
             old = seed_solve_lp(c, rows, rhs, senses, maximize=maximize)
-            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize), old)
+            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
 
 
 class TestKnownCases:
@@ -262,7 +263,6 @@ class TestAntiCycling:
     def test_fallback_matches_seed(self, monkeypatch):
         """Under cap 2 both phases take the Bland branch, pivot for pivot with the oracle."""
         monkeypatch.setattr(lp, "STALL_CAP", 2)
-        monkeypatch.setattr(lp, "_last", None)  # no start built under the shipped cap
         assert_matches_seed([self.C], self.ROWS, self.RHS, self.SENSES)
         # phase 2 of the minimum runs through 86 degenerate pivots
         space, cs = realize(seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4]))
@@ -288,24 +288,25 @@ class TestStartReuse:
     def solve(self, c, **kwargs):
         return solve_lp(c, self.ROWS, self.RHS, self.SENSES, **kwargs)
 
-    def test_started_equals_unstarted(self, monkeypatch):
-        """A solve from the remembered start equals one whose phase 1 runs fresh."""
+    def start(self):
+        return feasible_start(self.ROWS, self.RHS, self.SENSES)
+
+    def test_started_equals_unstarted(self):
+        """A solve from a passed start equals one whose phase 1 runs fresh."""
+        start = self.start()
         for c in np.random.default_rng(3).normal(size=(6, 4)):
             for maximize in (False, True):
-                monkeypatch.setattr(lp, "_last", None)
                 fresh = self.solve(c, maximize=maximize)
-                assert lp._last is not None
-                assert_identical(self.solve(c, maximize=maximize), fresh)
+                assert_identical(self.solve(c, maximize=maximize, start=start), fresh)
 
     def test_start_not_mutated(self):
-        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        start = self.start()
         tab, basis = start.tab.tobytes(), start.basis
         c = np.array([0.3, -1.0, 0.5, 2.0])
-        first = self.solve(c)
-        second = self.solve(c)
+        first = self.solve(c, start=start)
+        second = self.solve(c, start=start)
         assert first.phase2_pivots > 0
         assert_identical(first, second)
-        assert feasible_start(self.ROWS, self.RHS, self.SENSES) is start
         assert start.tab.tobytes() == tab and start.basis == basis
 
     def test_infeasible_start(self):
@@ -318,25 +319,27 @@ class TestStartReuse:
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
 
     def test_pivot_cap_counts_phase1(self, phase1_calls):
-        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
+        start = self.start()
         assert start.phase1_pivots >= 2
         with pytest.raises(SimplexFailure, match="pivot limit"):
-            self.solve(np.zeros(4), pivot_cap=1)
-        res = self.solve(np.zeros(4), pivot_cap=start.phase1_pivots)
+            self.solve(np.zeros(4), pivot_cap=1, start=start)
+        res = self.solve(np.zeros(4), pivot_cap=start.phase1_pivots, start=start)
         assert res.status == OPTIMAL and res.phase2_pivots == 0
         c = np.array([0.3, -1.0, 0.5, 2.0])
-        needed = self.solve(c).phase2_pivots
+        needed = self.solve(c, start=start).phase2_pivots
         assert needed > 0
         with pytest.raises(SimplexFailure, match="pivot limit"):
-            self.solve(c, pivot_cap=start.phase1_pivots + needed - 1)
-        assert self.solve(c, pivot_cap=start.phase1_pivots + needed).status == OPTIMAL
+            self.solve(c, pivot_cap=start.phase1_pivots + needed - 1, start=start)
+        assert self.solve(c, pivot_cap=start.phase1_pivots + needed, start=start).status == OPTIMAL
         assert len(phase1_calls) == 1
 
     def test_redundant_rows_dropped_once(self, phase1_calls):
         rows, rhs = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
-        assert feasible_start(rows, rhs, ["==", "=="]).dropped_rows == 1
-        low = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="])
-        high = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], maximize=True)
+        start = feasible_start(rows, rhs, ["==", "=="])
+        assert start.dropped_rows == 1
+        low = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], start=start)
+        high = solve_lp(np.array([1.0, 0.0]), rows, rhs, ["==", "=="], maximize=True,
+                        start=start)
         assert (low.objective, high.objective) == (0.0, 1.0)
         assert low.dropped_rows == high.dropped_rows == 1
         assert len(phase1_calls) == 1
@@ -348,7 +351,7 @@ class TestStartReuse:
         objectives = np.random.default_rng(4).standard_normal((32, rows.shape[1]))
 
         def solve(c):
-            return solve_lp(c, rows, rhs, senses)
+            return solve_lp(c, rows, rhs, senses, start=start)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -357,9 +360,8 @@ class TestStartReuse:
                 parallel = list(pool.map(solve, objectives, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert feasible_start(rows, rhs, senses) is start
         for c, res in zip(objectives, parallel):
-            assert_identical(res, solve(c))
+            assert_identical(res, solve_lp(c, rows, rhs, senses))
 
     def test_vertex_samples_share_one_phase1(self, phase1_calls):
         space, cs = realize(BUILTIN_SCENARIOS["spreading-packet"]())
@@ -368,26 +370,11 @@ class TestStartReuse:
 
 
 class TestStartMemo:
+    """The shape of a start, and solves from one shared start."""
+
     ROWS = TestStartReuse.ROWS
     RHS = TestStartReuse.RHS
     SENSES = TestStartReuse.SENSES
-
-    def test_equal_content_shares_one_phase1(self, phase1_calls):
-        start = feasible_start(self.ROWS, self.RHS, self.SENSES)
-        assert feasible_start(self.ROWS.copy(), list(self.RHS), list(self.SENSES)) is start
-        solve_lp(np.ones(4), self.ROWS.copy(), list(self.RHS), list(self.SENSES))
-        assert feasible_start(self.ROWS, self.RHS, self.SENSES) is start
-        assert len(phase1_calls) == 1
-
-    def test_changed_input_runs_phase1_again(self, phase1_calls):
-        rows, rhs = self.ROWS.copy(), self.RHS.copy()
-        start = feasible_start(rows, rhs, self.SENSES)
-        rows[1, 3] = 1.0
-        rhs[2] = 0.35
-        for changed in [(rows, self.RHS, self.SENSES), (self.ROWS, rhs, self.SENSES),
-                        (self.ROWS, self.RHS, ["==", ">=", ">=", ">="])]:
-            assert feasible_start(*changed) is not start
-        assert len(phase1_calls) == 4
 
     def test_artificial_columns_trimmed(self):
         # 4 variables, 3 surplus/slack and 3 artificial columns, then the rhs
@@ -398,8 +385,9 @@ class TestStartMemo:
 
     def test_memoized_infeasible_farkas_independent(self, phase1_calls):
         rows, rhs, senses = self.ROWS[:3], np.array([1.0, 0.8, 0.8]), self.SENSES[:3]
-        first = solve_lp(np.zeros(4), rows, rhs, senses)
-        second = solve_lp(np.zeros(4), rows, rhs, senses)
+        start = feasible_start(rows, rhs, senses)
+        first = solve_lp(np.zeros(4), rows, rhs, senses, start=start)
+        second = solve_lp(np.zeros(4), rows, rhs, senses, start=start)
         assert len(phase1_calls) == 1
         assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
         first.farkas_duals[:] = 0.0

@@ -1,23 +1,34 @@
-"""Every name the benchmark tracer wraps still resolves in the package.
+"""The benchmark tracer still fits the package.
 
 ``perfbench/tracing.py`` wraps functions in the modules that call them by
-name, so a refactor that stops importing one of those names would only fail
-under ``perfbench/run.py --trace 1``.  This test loads the tracer's table by
-path and resolves every entry without installing a wrapper.
+name, and wraps ``lp.solve_lp`` with its positional signature, so a refactor
+that stops importing one of those names or changes that signature would only
+fail under ``perfbench/run.py --trace 1``.  These tests load the tracer by
+path, resolve every entry of its table without installing a wrapper, and run
+a few traced queries.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import realize
+from iqp import credal
+from iqp.events import parse_event
+from iqp.scenarios import BUILTIN_SCENARIOS
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def wrapped_names() -> dict:
+def tracing_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
+
+
+def wrapped_names() -> dict:
+    return tracing_module().WRAPPED
 
 
 def resolve(module_name: str, attr: str) -> object:
@@ -37,3 +48,19 @@ def test_every_wrapped_name_resolves():
     assert ("iqp.system", "QuantumSystem.sset_state") in names  # a Class.method entry
     missing = [key for key in names if not callable(resolve(*key))]
     assert missing == []
+
+
+def test_traced_queries_count_every_lp():
+    cfg = BUILTIN_SCENARIOS["beam-splitter"]()
+    space, cs = realize(cfg)
+    event = parse_event(cfg.events[0], space)
+    tracer = tracing_module().Tracer()
+    tracer.install()
+    try:
+        assert credal.feasibility(cs).feasible
+        assert credal.lower_upper(cs, event).status == "both-solved"
+        credal.huber_check(cs)
+    finally:
+        tracer.uninstall()
+    assert tracer.lp_callers == {"feasibility": 1, "lower_upper": 2, "huber": 1, "vertex": 0}
+    assert tracer.names.count("lp.solve_lp") == 4
