@@ -271,12 +271,16 @@ class _Parser:
     def _int(self) -> tuple[int, int]:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as superscripts
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             got = self.src[start] if start < len(self.src) else "end of input"
             raise ParseError(f"expected integer, found {got!r}", start)
-        return int(self.src[start : self.pos]), start
+        try:
+            return int(self.src[start : self.pos]), start
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
     def _bounded(self, depth: int, position: int) -> int:
         if depth > MAX_EXPR_DEPTH:

@@ -1,7 +1,13 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_event, sset
+from conftest import random_event, realize, sset
+from iqp.cli import main
 from iqp.events import (
     MAX_EXPR_DEPTH,
     And,
@@ -17,6 +23,7 @@ from iqp.events import (
     parse_expr,
     sset_event,
 )
+from iqp.scenarios import BUILTIN_SCENARIOS
 from iqp.system import Region, SSet
 
 
@@ -293,3 +300,69 @@ class TestEventProbability:
         a = sset_event(space22, sset(0, [0]))
         with pytest.raises(ValueError, match="length"):
             event_probability(np.ones(8) / 8.0, a)
+
+
+# grammar pieces and near misses: Unicode digits int() rejects ('²') or reads
+# ('٣'), digit strings past the interpreter's integer limit, Unicode spaces, NUL
+NEAR_INTS = ["0", "1", "7", "-1", "", "²", "٣", "9" * 4400]
+PIECES = ["(", ")", "t", "=", ",", "{", "}", "!", "&", "|", " ", "\u00a0", "\x00", "(t=0,{0})"]
+INTS = st.one_of(st.sampled_from(NEAR_INTS), st.integers(0, 10**6).map(str), st.text(max_size=2))
+ATOMS = st.builds("(t={},{{{}}})".format, INTS, st.lists(INTS, min_size=1, max_size=3).map(",".join))
+EXPRS = st.recursive(ATOMS, lambda inner: st.one_of(
+    inner.map("!{}".format),
+    inner.map("({})".format),
+    st.tuples(inner, st.sampled_from([" & ", "|", "&&", " ", ""]), inner).map("".join),
+), max_leaves=4)
+SOURCES = st.one_of(
+    EXPRS,
+    st.text(max_size=30),
+    st.lists(st.sampled_from(PIECES + NEAR_INTS), max_size=16).map("".join),
+)
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def parsed_or_error(src: str, space: TrajectorySpace) -> Event | ParseError:
+    try:
+        return parse_event(src, space)
+    except ParseError as exc:
+        return exc
+
+
+class TestParseFuzz:
+    """Every input parses to an event or raises ParseError; never anything else."""
+
+    @FUZZ
+    @given(SOURCES)
+    def test_parses_or_raises_parse_error(self, src):
+        space = TrajectorySpace(2, 2)
+        result = parsed_or_error(src, space)
+        if isinstance(result, Event):
+            assert len(result) == space.size
+            assert parse_event(parse_expr(src, space).text(), space) == result
+        else:
+            assert 0 <= result.position <= len(src)
+
+    @settings(FUZZ, max_examples=60)
+    @given(SOURCES)
+    def test_cli_ends_in_exit_one_with_a_message(self, beam_splitter_file, src):
+        config, outdir = beam_splitter_file
+        space, _ = realize(BUILTIN_SCENARIOS["beam-splitter"]())
+        expected = parsed_or_error(src, space)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bounds", "--config", config, f"--event={src}", "--outdir", outdir])
+        if isinstance(expected, Event):
+            assert code == 0
+        else:
+            assert code == 1
+            assert err.getvalue() == f"error [events]: {expected}\n"
+
+
+@pytest.fixture(scope="module")
+def beam_splitter_file(tmp_path_factory):
+    """The beam-splitter config as a file, and an output directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "beam-splitter.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scenario", "beam-splitter", "--out", str(path)]) == 0
+    return str(path), str(root / "out")

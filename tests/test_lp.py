@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _seed_simplex import solve_lp as seed_solve_lp
@@ -54,7 +56,8 @@ def assert_identical(new, old):
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
     assert new.objective == old.objective
-    counters = ("phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows")
+    counters = ("phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows",
+                "fixed_cols")
     assert [getattr(new, k) for k in counters] == [getattr(old, k) for k in counters]
 
 
@@ -264,10 +267,8 @@ class TestAntiCycling:
         """Under cap 2 both phases take the Bland branch, pivot for pivot with the oracle."""
         monkeypatch.setattr(lp, "STALL_CAP", 2)
         assert_matches_seed([self.C], self.ROWS, self.RHS, self.SENSES)
-        # phase 2 of the minimum runs through 86 degenerate pivots
-        space, cs = realize(seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4]))
-        event = (np.random.default_rng(5).random(space.size) < 0.3).astype(float)
-        assert_matches_seed([event], *cs.lp_rows())
+        # only '<=' rows: no phase 1, so every degenerate pivot is phase 2's
+        assert solve_lp(self.C, self.ROWS, self.RHS, self.SENSES).degenerate_pivots > 2
         # mostly zero right-hand sides make phase 1 degenerate
         rng = np.random.default_rng(6)
         phase1_degenerate = 0
@@ -392,3 +393,105 @@ class TestStartMemo:
         assert first.farkas_duals.tobytes() == second.farkas_duals.tobytes()
         first.farkas_duals[:] = 0.0
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
+
+
+def assert_sound_against_highs(rows, rhs, senses, objectives):
+    """Fixed columns are zero at HiGHS's maximum; optima agree with HiGHS within 1e-9.
+
+    Each fixed column is a trajectory ``x_j`` or the surplus ``A_i.x - b_i`` of
+    a ``>=`` row ``i`` (no right side is negative, so no row is flipped).  Every
+    one is non-negative on the polytope, so a zero maximum of their sum fixes
+    each.  Returns the fixed columns' original indices.
+    """
+    n_vars = rows.shape[1]
+    surplus_rows = [i for i, sense in enumerate(senses) if sense != "=="]
+    assert all(senses[i] == ">=" for i in surplus_rows) and (rhs >= 0).all()
+    start = feasible_start(rows, rhs, senses)
+    fixed = np.setdiff1d(np.arange(n_vars + len(surplus_rows)), start.cols)
+    assert fixed.size == start.fixed_cols
+    if fixed.size:
+        c, offset = np.zeros(n_vars), 0.0
+        for j in fixed.tolist():
+            if j < n_vars:
+                c[j] += 1.0
+            else:
+                c += rows[surplus_rows[j - n_vars]]
+                offset += rhs[surplus_rows[j - n_vars]]
+        ref = scipy_reference(c, rows, rhs, senses, maximize=True)
+        assert ref.status == 0 and -ref.fun - offset <= 1e-9
+    for obj in objectives:
+        for maximize in (False, True):
+            mine = solve_lp(obj, rows, rhs, senses, maximize=maximize, start=start)
+            ref = scipy_reference(obj, rows, rhs, senses, maximize=maximize)
+            assert mine.status == OPTIMAL and ref.status == 0
+            assert mine.objective == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-9)
+    return fixed
+
+
+class TestFixedColumns:
+    """Phase 1 drops the columns it proves zero, and phase 2 never prices them."""
+
+    DFT = seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4])
+    CHAIN = seeded_config(2, 8, "random", "born+qtr-min", True, seed=[11, 2, 8])
+
+    @staticmethod
+    def untrimmed(monkeypatch, rows, rhs, senses):
+        """The start of a feasible set when no column counts as fixed."""
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "FEASIBILITY_TOL", np.inf)
+            return feasible_start(rows, rhs, senses)
+
+    def test_nothing_fixed_keeps_the_untrimmed_start(self, monkeypatch):
+        _, cs = realize(self.CHAIN)
+        rows, rhs, senses = cs.presolved()[:3]
+        start = feasible_start(rows, rhs, senses)
+        full = self.untrimmed(monkeypatch, rows, rhs, senses)
+        assert start.fixed_cols == 0
+        assert start.tab.tobytes() == full.tab.tobytes()
+        assert start.basis == full.basis
+        assert start.cols.tolist() == list(range(start.tab.shape[1] - 1))
+
+    def test_kept_columns_keep_their_bits(self, monkeypatch):
+        _, cs = realize(self.DFT)
+        for rows, rhs, senses in (cs.presolved()[:3], cs.lp_rows()):
+            start = feasible_start(rows, rhs, senses)
+            full = self.untrimmed(monkeypatch, rows, rhs, senses)
+            assert start.fixed_cols > 0 and full.fixed_cols == 0
+            assert start.tab[:, :-1].tobytes() == full.tab[:, start.cols].tobytes()
+            assert start.tab[:, -1].tobytes() == full.tab[:, -1].tobytes()
+            assert start.cols[list(start.basis)].tolist() == list(full.basis)
+
+    def test_sound_against_highs(self):
+        space, cs = realize(self.DFT)
+        rng = np.random.default_rng(8)
+        events = [(rng.random(space.size) < rng.uniform(0.1, 0.6)).astype(float)
+                  for _ in range(10)]
+        presolved = assert_sound_against_highs(*cs.presolved()[:3], events)
+        full = assert_sound_against_highs(*cs.lp_rows(), events)
+        # both fix the trajectories that jump between packets; the full rows
+        # also fix the surplus of each Born pin pair, P(A) >= w and P(A^c) >= 1 - w
+        n_vars = space.size
+        assert (presolved < n_vars).sum() == (full < n_vars).sum() > 0
+        assert (full >= n_vars).sum() > (presolved >= n_vars).sum()
+
+
+MAX_N = {2: 5, 3: 4, 4: 3}  # at most 81 trajectories
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(m=st.sampled_from(sorted(MAX_N)), data=st.data(),
+       ruleset=st.sampled_from(["born", "born+qtr", "born+qtr-min"]), chain=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
+    """DFT steps make many weights equal: degenerate vertices with many ties.
+
+    The oracle must make the same pivots, the columns phase 1 fixes must be
+    zero at HiGHS's maximum, and the bounds must match HiGHS within 1e-9.
+    """
+    n = data.draw(st.integers(2, MAX_N[m]), label="n")
+    space, cs = realize(seeded_config(m, n, "dft", ruleset, chain, seed))
+    rng = np.random.default_rng(seed)
+    events = [(rng.random(space.size) < 0.4).astype(float) for _ in range(2)]
+    for rows, rhs, senses in (cs.presolved()[:3], cs.lp_rows()):
+        assert_matches_seed(events, rows, rhs, senses)
+        assert_sound_against_highs(rows, rhs, senses, events)
