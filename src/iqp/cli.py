@@ -8,6 +8,7 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,10 @@ from .credal import (
 from .events import And, Atom, TrajectorySpace, parse_event, parse_expr
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    FRACTION,
+    NONNEGATIVE,
     ConfigError,
+    Kind,
     ScenarioConfig,
     build_constraints,
     build_system,
@@ -302,6 +306,21 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
     return exit_code
 
 
+def _number(kind: Kind) -> Callable[[str], float]:
+    """An argparse type for a flag that overrides a config number: the flag
+    accepts what the config key accepts."""
+
+    def read(text: str) -> float:
+        try:
+            if kind.admits(value := float(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {kind.text}, got {text!r}")
+
+    return read
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario config JSON")
     sub.add_argument("--outdir", default=".", help="directory for CSV artifacts")
@@ -339,14 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ty)
     ty.add_argument("--pair", action="append", default=None,
                     help="pair as 'atom & atom' (repeatable; default: generated pairs)")
-    ty.add_argument("--epsilon", type=float, default=None,
-                    help="typicality threshold (default: config epsilon or 1e-6)")
+    ty.add_argument("--epsilon", type=_number(NONNEGATIVE), default=None,
+                    help="typicality threshold >= 0 (default: config epsilon or 1e-6)")
     ty.set_defaults(func=_cmd_typicality)
 
     br = subs.add_parser("branch", help="branch-following statistics and bound checks")
     _add_common(br)
     br.add_argument("--name", default=None, help="branch to run (default: all declared)")
-    br.add_argument("--delta", type=float, default=None, help="tail threshold override")
+    br.add_argument("--delta", type=_number(FRACTION), default=None,
+                    help="tail threshold override, in (0, 1)")
     br.set_defaults(func=_cmd_branch)
     return parser
 

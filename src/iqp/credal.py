@@ -272,7 +272,7 @@ def qtr_variant_constraints(
         if variant == "min":
             return min(w1, w2) - dist
         if variant == "eps":
-            return None if w1 <= 0.0 or dist > value * w1 else w1 - dist
+            return None if w1 <= 0.0 or dist / w1 > value else w1 - dist
         return w1 - value * dist
 
     return _pair_rows(system, space, pairs, tau_norm, f"qtr-{variant}", variant != "min", bound)

@@ -14,7 +14,9 @@ import functools
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,12 @@ from .system import (
 
 SCHEMA_VERSION = "iqp-config/1"
 RULE_TOKENS = ("born", "qtr", "qtr-min", "qtr-eps", "qtr-alpha")
-GENERATOR_NAMES = ("identity", "hadamard", "dft")
+# named steps: each generator gives the step matrix for m labels
+GENERATORS = {
+    "identity": identity_matrix,
+    "hadamard": lambda m: hadamard_matrix(),
+    "dft": dft_matrix,
+}
 
 
 class ConfigError(ValueError):
@@ -115,301 +122,242 @@ def _is_number(x: object) -> bool:
         return False
 
 
-def _complex_pair(value: object, path: str, errors: list[str]) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(_is_number(v) for v in value)
-    ):
-        errors.append(f"{path}: expected [re, im] number pair, got {value!r}")
+def _is_integer(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Kind(NamedTuple):
+    """The values a config key accepts, named as its message names them."""
+
+    text: str
+    admits: Callable[[object], bool]
+
+
+NUMBER = Kind("a number", _is_number)
+NONNEGATIVE = Kind("number >= 0", lambda x: _is_number(x) and x >= 0)
+POSITIVE = Kind("number > 0", lambda x: _is_number(x) and x > 0)
+FRACTION = Kind("number in (0, 1)", lambda x: _is_number(x) and 0 < x < 1)
+INTEGER = Kind("integer", _is_integer)
+COUNT = Kind("integer >= 1", lambda x: _is_integer(x) and x >= 1)
+
+
+class _Reader:
+    """Checks the values of one config document, collecting every problem,
+    each after its path, instead of stopping at the first."""
+
+    def __init__(self) -> None:
+        self.errors: list[str] = []
+
+    def fail(self, path: str, message: str) -> None:
+        self.errors.append(f"{path}: {message}")
+
+    def obj(self, value: object, path: str, keys: tuple[str, ...],
+            message: str = "expected an object") -> dict | None:
+        """``value`` if it is an object, each key outside ``keys`` reported."""
+        if not isinstance(value, dict):
+            self.fail(path, message)
+            return None
+        for key in value:
+            if key not in keys:
+                self.fail(f"{path}.{key}", "unknown key")
+        return value
+
+    def array(self, value: object, path: str) -> list | None:
+        if isinstance(value, list):
+            return value
+        self.fail(path, "expected a list")
+        return None
+
+    def number(self, value: object, path: str, kind: Kind, optional: bool = False) -> object:
+        """``value``, reported unless ``kind`` admits it (or it is an
+        ``optional`` None)."""
+        if not (kind.admits(value) or (optional and value is None)):
+            self.fail(path, f"expected {kind.text}")
+        return value
+
+    def pair(self, value: object, path: str) -> complex:
+        """An ``[re, im]`` pair as a complex number, 0 when reported."""
+        if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+            return complex(value[0], value[1])
+        self.fail(path, f"expected [re, im] number pair, got {value!r}")
         return 0j
-    return complex(value[0], value[1])
 
 
-def _check_keys(block: dict, allowed: set[str], path: str, errors: list[str]) -> None:
-    for key in block:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
+def _matrix(r: _Reader, raw: list, path: str, m: int) -> list[list[complex]] | None:
+    """A step matrix given as rows of ``[re, im]`` pairs; None when its shape
+    is reported (a bad entry is reported and read as 0)."""
+    if m and len(raw) != m:
+        r.fail(path, f"expected {m} rows")
+        return None
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != len(raw):
+            r.fail(f"{path}[{i}]", f"expected {len(raw)} entries")
+            return None
+        rows.append([r.pair(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
+    return rows
+
+
+def _branch(r: _Reader, item: object, path: str, m: int, n: int) -> BranchDecl | None:
+    """One ``queries.branches`` entry; None when a problem stops the read."""
+    item = r.obj(item, path, ("name", "ssets", "delta"))
+    if item is None:
+        return None
+    name, raw_ssets = item.get("name"), item.get("ssets")
+    if not isinstance(name, str) or not name:
+        r.fail(f"{path}.name", "expected non-empty string")
+        return None
+    if not isinstance(raw_ssets, list) or not raw_ssets:
+        r.fail(f"{path}.ssets", "expected non-empty list of [t, [labels]]")
+        return None
+    ssets = []
+    for j, entry in enumerate(raw_ssets):
+        spath = f"{path}.ssets[{j}]"
+        if not (isinstance(entry, list) and len(entry) == 2 and _is_integer(entry[0])
+                and isinstance(entry[1], list)):
+            r.fail(spath, "expected [time, [labels]]")
+            return None
+        t, region = entry
+        if not 0 <= t < n:
+            r.fail(spath, f"time {t} out of range 0..{n - 1}")
+            return None
+        for x in region:
+            if not (_is_integer(x) and 0 <= x < max(m, 1)):
+                r.fail(spath, f"label {x!r} out of range 0..{m - 1}")
+                return None
+        ssets.append((t, tuple(sorted(set(region)))))
+    delta = r.number(item.get("delta"), f"{path}.delta", FRACTION, optional=True)
+    return BranchDecl(name, tuple(ssets), delta)
 
 
 def parse_config(data: object, source: str = "config") -> ScenarioConfig:
-    errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError([f"{source}: top level must be an object"])
-    _check_keys(data, {"schema", "system", "rules", "queries"}, source, errors)
-
+    r = _Reader()
+    r.obj(data, source, ("schema", "system", "rules", "queries"))
     if data.get("schema") != SCHEMA_VERSION:
-        errors.append(
-            f"{source}.schema: expected {SCHEMA_VERSION!r}, got {data.get('schema')!r}"
-        )
+        r.fail(f"{source}.schema", f"expected {SCHEMA_VERSION!r}, got {data.get('schema')!r}")
 
-    # system block
-    system_block = data.get("system")
-    labels: tuple[str, ...] = ()
-    steps: list[object] = []
-    psi0: tuple[complex, ...] = ()
-    if not isinstance(system_block, dict):
-        errors.append(f"{source}.system: missing or not an object")
-        system_block = {}
-    _check_keys(
-        system_block,
-        {"labels", "times", "steps", "initial_state"},
-        f"{source}.system",
-        errors,
-    )
-    raw_labels = system_block.get("labels")
-    if (
-        not isinstance(raw_labels, list)
-        or not raw_labels
-        or not all(isinstance(x, str) for x in raw_labels)
-    ):
-        errors.append(f"{source}.system.labels: expected non-empty list of strings")
-    elif len(set(raw_labels)) != len(raw_labels):
-        errors.append(f"{source}.system.labels: labels must be distinct")
-    else:
-        labels = tuple(raw_labels)
+    path = f"{source}.system"
+    system = r.obj(data.get("system"), path, ("labels", "times", "steps", "initial_state"),
+                   "missing or not an object") or {}
+    labels = system.get("labels")
+    if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
+        r.fail(f"{path}.labels", "expected non-empty list of strings")
+        labels = []
+    elif len(set(labels)) != len(labels):
+        r.fail(f"{path}.labels", "labels must be distinct")
+        labels = []
     m = len(labels)
 
-    raw_steps = system_block.get("steps")
-    if not isinstance(raw_steps, list):
-        errors.append(f"{source}.system.steps: expected a list")
-        raw_steps = []
+    steps: list[object] = []
+    raw_steps = r.array(system.get("steps"), f"{path}.steps") or []
     for k, raw in enumerate(raw_steps):
-        path = f"{source}.system.steps[{k}]"
-        if isinstance(raw, str):
-            if raw not in GENERATOR_NAMES:
-                errors.append(f"{path}: unknown generator {raw!r}")
-            elif raw == "hadamard" and m not in (0, 2):
-                errors.append(f"{path}: hadamard needs exactly 2 labels, have {m}")
-            else:
-                steps.append(raw)
-        elif isinstance(raw, list):
-            if m and len(raw) != m:
-                errors.append(f"{path}: expected {m} rows")
-                continue
-            mat = np.zeros((len(raw), len(raw)), dtype=complex)
-            ok = True
-            for i, row in enumerate(raw):
-                if not isinstance(row, list) or len(row) != len(raw):
-                    errors.append(f"{path}[{i}]: expected {len(raw)} entries")
-                    ok = False
-                    break
-                for j, entry in enumerate(row):
-                    mat[i, j] = _complex_pair(entry, f"{path}[{i}][{j}]", errors)
-            if ok:
-                steps.append(mat)
+        step_path = f"{path}.steps[{k}]"
+        if isinstance(raw, list):
+            if (rows := _matrix(r, raw, step_path, m)) is not None:
+                steps.append(rows)
+        elif not isinstance(raw, str):
+            r.fail(step_path, "expected generator name or matrix")
+        elif raw not in GENERATORS:
+            r.fail(step_path, f"unknown generator {raw!r}")
+        elif raw == "hadamard" and m not in (0, 2):
+            r.fail(step_path, f"hadamard needs exactly 2 labels, have {m}")
         else:
-            errors.append(f"{path}: expected generator name or matrix")
+            steps.append(raw)
     n = len(raw_steps) + 1
 
-    raw_times = system_block.get("times")
-    if raw_times is not None and raw_times != list(range(n)):
-        errors.append(
-            f"{source}.system.times: must equal {list(range(n))} for {n - 1} steps"
-        )
+    times = system.get("times")
+    if times is not None and times != list(range(n)):
+        r.fail(f"{path}.times", f"must equal {list(range(n))} for {n - 1} steps")
+    psi = system.get("initial_state")
+    if not isinstance(psi, list) or (m and len(psi) != m):
+        r.fail(f"{path}.initial_state", f"expected list of {m or 'm'} [re, im] pairs")
+        psi = []
+    psi0 = tuple(r.pair(z, f"{path}.initial_state[{i}]") for i, z in enumerate(psi))
 
-    raw_psi = system_block.get("initial_state")
-    if not isinstance(raw_psi, list) or (m and len(raw_psi) != m):
-        errors.append(
-            f"{source}.system.initial_state: expected list of {m or 'm'} [re, im] pairs"
-        )
-    else:
-        psi0 = tuple(
-            _complex_pair(v, f"{source}.system.initial_state[{i}]", errors)
-            for i, v in enumerate(raw_psi)
-        )
-
-    # rules block
-    rules_block = data.get("rules")
-    if not isinstance(rules_block, dict):
-        errors.append(f"{source}.rules: missing or not an object")
-        rules_block = {}
-    _check_keys(
-        rules_block,
-        {"ruleset", "epsilon", "alpha", "tau_norm", "pairs", "extra_lower_bounds"},
-        f"{source}.rules",
-        errors,
-    )
-    raw_ruleset = rules_block.get("ruleset")
+    path = f"{source}.rules"
+    rules = r.obj(
+        data.get("rules"), path,
+        ("ruleset", "epsilon", "alpha", "tau_norm", "pairs", "extra_lower_bounds"),
+        "missing or not an object",
+    ) or {}
+    raw_ruleset = rules.get("ruleset")
+    tokens = raw_ruleset.split("+") if isinstance(raw_ruleset, str) and raw_ruleset else None
     ruleset: tuple[str, ...] = ()
-    if not isinstance(raw_ruleset, str) or not raw_ruleset:
-        errors.append(f"{source}.rules.ruleset: expected '+'-joined rule names")
+    if tokens is None:
+        r.fail(f"{path}.ruleset", "expected '+'-joined rule names")
+    elif bad := [t for t in tokens if t not in RULE_TOKENS]:
+        r.fail(f"{path}.ruleset", f"unknown rules {bad}, valid: {list(RULE_TOKENS)}")
+    elif len(set(tokens)) != len(tokens):
+        r.fail(f"{path}.ruleset", f"duplicate rules in {raw_ruleset!r}")
     else:
-        tokens = tuple(raw_ruleset.split("+"))
-        bad = [t for t in tokens if t not in RULE_TOKENS]
-        if bad:
-            errors.append(
-                f"{source}.rules.ruleset: unknown rules {bad}, valid: {list(RULE_TOKENS)}"
-            )
-        elif len(set(tokens)) != len(tokens):
-            errors.append(f"{source}.rules.ruleset: duplicate rules in {raw_ruleset!r}")
-        else:
-            ruleset = tokens
+        ruleset = tuple(tokens)
 
-    epsilon = rules_block.get("epsilon")
-    if epsilon is not None and (not _is_number(epsilon) or epsilon < 0):
-        errors.append(f"{source}.rules.epsilon: expected number >= 0")
+    epsilon = r.number(rules.get("epsilon"), f"{path}.epsilon", NONNEGATIVE, optional=True)
     if "qtr-eps" in ruleset and epsilon is None:
-        errors.append(f"{source}.rules.epsilon: required by qtr-eps")
-    alpha = rules_block.get("alpha")
-    if alpha is not None and (not _is_number(alpha) or alpha <= 0):
-        errors.append(f"{source}.rules.alpha: expected number > 0")
+        r.fail(f"{path}.epsilon", "required by qtr-eps")
+    alpha = r.number(rules.get("alpha"), f"{path}.alpha", POSITIVE, optional=True)
     if "qtr-alpha" in ruleset and alpha is None:
-        errors.append(f"{source}.rules.alpha: required by qtr-alpha")
-    tau_norm = rules_block.get("tau_norm", DEFAULT_TAU_NORM)
-    if not _is_number(tau_norm) or tau_norm < 0:
-        errors.append(f"{source}.rules.tau_norm: expected number >= 0")
+        r.fail(f"{path}.alpha", "required by qtr-alpha")
+    tau_norm = r.number(rules.get("tau_norm", ScenarioConfig.tau_norm), f"{path}.tau_norm",
+                        NONNEGATIVE)
 
-    pairs_block = rules_block.get("pairs", {})
-    max_region_size = 1
-    time_pairs: tuple[tuple[int, int], ...] | None = None
-    if not isinstance(pairs_block, dict):
-        errors.append(f"{source}.rules.pairs: expected an object")
-        pairs_block = {}
-    _check_keys(
-        pairs_block, {"max_region_size", "time_pairs"}, f"{source}.rules.pairs", errors
-    )
-    raw_k = pairs_block.get("max_region_size", 1)
-    if not isinstance(raw_k, int) or isinstance(raw_k, bool) or raw_k < 1:
-        errors.append(f"{source}.rules.pairs.max_region_size: expected integer >= 1")
-    else:
-        max_region_size = raw_k
-    raw_tp = pairs_block.get("time_pairs")
-    if raw_tp is not None:
-        if not isinstance(raw_tp, list):
-            errors.append(f"{source}.rules.pairs.time_pairs: expected a list")
-        else:
-            collected = []
-            for i, tp in enumerate(raw_tp):
-                path = f"{source}.rules.pairs.time_pairs[{i}]"
-                if (
-                    not isinstance(tp, list)
-                    or len(tp) != 2
-                    or not all(isinstance(t, int) and not isinstance(t, bool) for t in tp)
-                ):
-                    errors.append(f"{path}: expected [t1, t2]")
-                    continue
-                t1, t2 = tp
-                if not (0 <= t1 < n and 0 <= t2 < n):
-                    errors.append(f"{path}: time out of range 0..{n - 1}")
-                elif t1 == t2:
-                    errors.append(f"{path}: times must differ")
-                else:
-                    collected.append((t1, t2))
-            time_pairs = tuple(collected)
+    pairs_path = f"{path}.pairs"
+    pairs = r.obj(rules.get("pairs", {}), pairs_path, ("max_region_size", "time_pairs")) or {}
+    max_region_size = r.number(pairs.get("max_region_size", ScenarioConfig.max_region_size),
+                               f"{pairs_path}.max_region_size", COUNT)
+    time_pairs = pairs.get("time_pairs")
+    if time_pairs is not None and r.array(time_pairs, f"{pairs_path}.time_pairs") is not None:
+        kept = []
+        for i, tp in enumerate(time_pairs):
+            tp_path = f"{pairs_path}.time_pairs[{i}]"
+            if not (isinstance(tp, list) and len(tp) == 2 and all(map(_is_integer, tp))):
+                r.fail(tp_path, "expected [t1, t2]")
+            elif not all(0 <= t < n for t in tp):
+                r.fail(tp_path, f"time out of range 0..{n - 1}")
+            elif tp[0] == tp[1]:
+                r.fail(tp_path, "times must differ")
+            else:
+                kept.append(tuple(tp))
+        time_pairs = tuple(kept)
 
-    extra_bounds: list[tuple[str, float]] = []
-    raw_extra = rules_block.get("extra_lower_bounds", [])
-    if not isinstance(raw_extra, list):
-        errors.append(f"{source}.rules.extra_lower_bounds: expected a list")
-        raw_extra = []
-    for i, item in enumerate(raw_extra):
-        path = f"{source}.rules.extra_lower_bounds[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected an object")
+    extra_bounds = []
+    raw_extra = r.array(rules.get("extra_lower_bounds", []), f"{path}.extra_lower_bounds")
+    for i, item in enumerate(raw_extra or []):
+        item_path = f"{path}.extra_lower_bounds[{i}]"
+        item = r.obj(item, item_path, ("event", "min_probability"))
+        if item is None:
             continue
-        _check_keys(item, {"event", "min_probability"}, path, errors)
-        expr = item.get("event")
-        bound = item.get("min_probability")
-        if not isinstance(expr, str):
-            errors.append(f"{path}.event: expected expression string")
+        if not isinstance(item.get("event"), str):
+            r.fail(f"{item_path}.event", "expected expression string")
             continue
-        if not _is_number(bound):
-            errors.append(f"{path}.min_probability: expected a number")
-            continue
-        extra_bounds.append((expr, float(bound)))
+        bound = r.number(item.get("min_probability"), f"{item_path}.min_probability", NUMBER)
+        extra_bounds.append((item["event"], bound))
 
-    # queries block
-    queries_block = data.get("queries", {})
-    if not isinstance(queries_block, dict):
-        errors.append(f"{source}.queries: expected an object")
-        queries_block = {}
-    _check_keys(
-        queries_block,
-        {"events", "branches", "delta", "samples", "seed"},
-        f"{source}.queries",
-        errors,
-    )
-    raw_events = queries_block.get("events", [])
-    if not isinstance(raw_events, list) or not all(
-        isinstance(x, str) for x in raw_events
-    ):
-        errors.append(f"{source}.queries.events: expected list of expression strings")
-        raw_events = []
-    branches: list[BranchDecl] = []
-    raw_branches = queries_block.get("branches", [])
-    if not isinstance(raw_branches, list):
-        errors.append(f"{source}.queries.branches: expected a list")
-        raw_branches = []
-    for i, item in enumerate(raw_branches):
-        path = f"{source}.queries.branches[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        _check_keys(item, {"name", "ssets", "delta"}, path, errors)
-        name = item.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append(f"{path}.name: expected non-empty string")
-            continue
-        raw_ssets = item.get("ssets")
-        if not isinstance(raw_ssets, list) or not raw_ssets:
-            errors.append(f"{path}.ssets: expected non-empty list of [t, [labels]]")
-            continue
-        decl_ssets = []
-        ok = True
-        for j, entry in enumerate(raw_ssets):
-            spath = f"{path}.ssets[{j}]"
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], int)
-                or isinstance(entry[0], bool)
-                or not isinstance(entry[1], list)
-            ):
-                errors.append(f"{spath}: expected [time, [labels]]")
-                ok = False
-                break
-            t, raw_region = entry
-            if not 0 <= t < n:
-                errors.append(f"{spath}: time {t} out of range 0..{n - 1}")
-                ok = False
-                break
-            label_ids = []
-            for x in raw_region:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < max(m, 1):
-                    errors.append(f"{spath}: label {x!r} out of range 0..{m - 1}")
-                    ok = False
-                    break
-                label_ids.append(x)
-            if not ok:
-                break
-            decl_ssets.append((t, tuple(sorted(set(label_ids)))))
-        if ok:
-            branch_delta = item.get("delta")
-            if branch_delta is not None and (
-                not _is_number(branch_delta) or not 0 < branch_delta < 1
-            ):
-                errors.append(f"{path}.delta: expected number in (0, 1)")
-            branches.append(BranchDecl(name, tuple(decl_ssets), branch_delta))
+    path = f"{source}.queries"
+    queries = r.obj(data.get("queries", {}), path,
+                    ("events", "branches", "delta", "samples", "seed")) or {}
+    events = queries.get("events", [])
+    if not isinstance(events, list) or not all(isinstance(x, str) for x in events):
+        r.fail(f"{path}.events", "expected list of expression strings")
+        events = []
+    raw_branches = r.array(queries.get("branches", []), f"{path}.branches") or []
+    branches = [_branch(r, item, f"{path}.branches[{i}]", m, n)
+                for i, item in enumerate(raw_branches)]
+    branches = [br for br in branches if br is not None]
     names = [br.name for br in branches]
     if len(set(names)) != len(names):
-        errors.append(f"{source}.queries.branches: duplicate branch names")
+        r.fail(f"{path}.branches", "duplicate branch names")
+    delta = r.number(queries.get("delta", ScenarioConfig.delta), f"{path}.delta", FRACTION)
+    samples = r.number(queries.get("samples", ScenarioConfig.samples), f"{path}.samples", COUNT)
+    seed = r.number(queries.get("seed", ScenarioConfig.seed), f"{path}.seed", INTEGER)
 
-    delta = queries_block.get("delta", 1e-3)
-    if not _is_number(delta) or not 0 < delta < 1:
-        errors.append(f"{source}.queries.delta: expected number in (0, 1)")
-    samples = queries_block.get("samples", 20)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        errors.append(f"{source}.queries.samples: expected integer >= 1")
-    seed = queries_block.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(f"{source}.queries.seed: expected integer")
-
-    if errors:
-        raise ConfigError(errors)
+    if r.errors:
+        raise ConfigError(r.errors)
 
     cfg = ScenarioConfig(
-        labels=labels,
+        labels=tuple(labels),
         steps=tuple(steps),
         psi0=psi0,
         ruleset=ruleset,
@@ -418,8 +366,8 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
         tau_norm=float(tau_norm),
         max_region_size=max_region_size,
         time_pairs=time_pairs,
-        extra_lower_bounds=tuple(extra_bounds),
-        events=tuple(raw_events),
+        extra_lower_bounds=tuple((expr, float(bound)) for expr, bound in extra_bounds),
+        events=tuple(events),
         branches=tuple(branches),
         delta=float(delta),
         samples=samples,
@@ -436,24 +384,19 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
         build_system(cfg)
     except ValueError as exc:
         raise ConfigError([f"{source}.system: {exc}"]) from exc
-    expr_errors = []
-    for i, expr in enumerate(cfg.events):
+    exprs = [(f"{source}.queries.events[{i}]", expr) for i, expr in enumerate(cfg.events)]
+    exprs += [(f"{source}.rules.extra_lower_bounds[{i}].event", expr)
+              for i, (expr, _) in enumerate(cfg.extra_lower_bounds)]
+    for expr_path, expr in exprs:
         try:
             parse_expr(expr, space)
         except ValueError as exc:
-            expr_errors.append(f"{source}.queries.events[{i}]: {exc}")
-    for i, (expr, _) in enumerate(cfg.extra_lower_bounds):
-        try:
-            parse_expr(expr, space)
-        except ValueError as exc:
-            expr_errors.append(f"{source}.rules.extra_lower_bounds[{i}].event: {exc}")
+            r.fail(expr_path, str(exc))
     if cfg.max_region_size > cfg.m:
-        expr_errors.append(
-            f"{source}.rules.pairs.max_region_size: {cfg.max_region_size} exceeds "
-            f"label count {cfg.m}"
-        )
-    if expr_errors:
-        raise ConfigError(expr_errors)
+        r.fail(f"{source}.rules.pairs.max_region_size",
+               f"{cfg.max_region_size} exceeds label count {cfg.m}")
+    if r.errors:
+        raise ConfigError(r.errors)
     return cfg
 
 
@@ -539,15 +482,11 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 
 def _step_matrix(step: object, m: int) -> np.ndarray:
-    if isinstance(step, str):
-        if step == "identity":
-            return identity_matrix(m)
-        if step == "hadamard":
-            return hadamard_matrix()
-        if step == "dft":
-            return dft_matrix(m)
+    if not isinstance(step, str):
+        return np.asarray(step, dtype=complex)
+    if step not in GENERATORS:
         raise ValueError(f"unknown generator {step!r}")
-    return np.asarray(step, dtype=complex)
+    return GENERATORS[step](m)
 
 
 def build_system(cfg: ScenarioConfig) -> QuantumSystem:

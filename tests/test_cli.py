@@ -103,6 +103,31 @@ class TestExitCodes:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command, flag, value, expected", [
+        *[("branch", "--delta", v, "number in (0, 1)") for v in ("nan", "inf", "0", "1", "1.5")],
+        *[("typicality", "--epsilon", v, "number >= 0") for v in ("nan", "-1")],
+    ])
+    def test_override_outside_config_range_is_one(self, scenario_file, tmp_path, capsys,
+                                                   command, flag, value, expected):
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", scenario_file("beam-splitter"), flag, value,
+                  "--outdir", str(outdir)])
+        assert exc.value.code == 1
+        assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, flag, value, csv", [
+        ("branch", "--delta", "0.5", "branch.csv"),
+        ("typicality", "--epsilon", "0", "typicality.csv"),
+    ])
+    def test_override_inside_config_range_runs(self, scenario_file, tmp_path,
+                                               command, flag, value, csv):
+        outdir = tmp_path / "out"
+        assert main([command, "--config", scenario_file("beam-splitter"), flag, value,
+                     "--outdir", str(outdir)]) == 0
+        assert (outdir / csv).exists()
+
 
 class TestBounds:
     def test_spreading_packet_output(self, scenario_file, tmp_path, capsys):

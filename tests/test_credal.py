@@ -63,6 +63,7 @@ from iqp.scenarios import (
     singleton_family,
 )
 from iqp.system import QuantumSystem, Region, SSet, identity_matrix
+from iqp.typicality import qtr_predicate
 
 
 @pytest.fixture
@@ -215,6 +216,22 @@ class TestQtrVariants:
         pairs = [(sset(1, [0]), sset(2, [0]))]
         scaled = qtr_variant_constraints(system, space, pairs, "alpha", 2.0)
         assert scaled.constraints[0].rhs == pytest.approx(0.5)  # zero distance
+
+    def test_eps_gate_agrees_with_predicate_at_boundary(self):
+        """With eps set to a pair's own relative distance the rule fires, so
+        the qtr-eps gate must keep the pair (emit or skip it, never filter)."""
+        filtered = []
+        for seed in range(6):
+            system = random_system(np.random.default_rng(seed), m=3, n=4)
+            space = TrajectorySpace.for_system(system)
+            for s1, s2 in enumerate_pairs(system, 2):
+                eps = system.sset_distance(s1, s2) / system.weight(s1)
+                assert qtr_predicate(system, s1, s2, eps, tau_norm=10.0)
+                cs = qtr_variant_constraints(system, space, [(s1, s2)], "eps", eps,
+                                             tau_norm=10.0)
+                if cs.filtered:
+                    filtered.append((seed, s1.text(), s2.text()))
+        assert filtered == []
 
     def test_invalid_parameters(self, hti):
         system, space = hti

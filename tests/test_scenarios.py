@@ -206,6 +206,64 @@ class TestParseConfig:
         ]
 
 
+    @pytest.mark.parametrize("ruleset", ["born+qtr-eps", "born+astrology"])
+    def test_whole_error_list(self, ruleset):
+        """Every block broken at once: each message, in document order."""
+        data = minimal_config()
+        data["extra"] = 1
+        data["schema"] = "iqp-config/0"
+        data["system"].update(
+            labels=["a", "a"],
+            steps=["identity", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]],
+            times=[0, 2],
+            initial_state="psi",
+        )
+        data["rules"].update(
+            ruleset=ruleset,
+            frobnicate=True,
+            pairs={"max_region_size": 0, "time_pairs": [[0, 0], [0, 9], "x"], "spare": 1},
+            extra_lower_bounds=[{"event": "(t=0,{0})", "min_probability": "high", "note": ""}],
+        )
+        data["queries"].update(
+            branches=[
+                {"name": "b", "ssets": [[0, [0]], [7, [0]]], "weight": 1},
+                {"name": "c", "ssets": [[0, [0]]], "delta": 1},
+            ],
+            delta=0,
+            samples=0,
+            seed=1.5,
+        )
+        # an unknown rule empties the ruleset, so qtr-eps cannot ask for epsilon
+        ruleset_error = {
+            "born+qtr-eps": "config.rules.epsilon: required by qtr-eps",
+            "born+astrology": "config.rules.ruleset: unknown rules ['astrology'], "
+                              "valid: ['born', 'qtr', 'qtr-min', 'qtr-eps', 'qtr-alpha']",
+        }[ruleset]
+        assert errors_of(data) == [
+            "config.extra: unknown key",
+            "config.schema: expected 'iqp-config/1', got 'iqp-config/0'",
+            "config.system.labels: labels must be distinct",
+            "config.system.steps[1][1]: expected 2 entries",
+            "config.system.times: must equal [0, 1, 2] for 2 steps",
+            "config.system.initial_state: expected list of m [re, im] pairs",
+            "config.rules.frobnicate: unknown key",
+            ruleset_error,
+            "config.rules.pairs.spare: unknown key",
+            "config.rules.pairs.max_region_size: expected integer >= 1",
+            "config.rules.pairs.time_pairs[0]: times must differ",
+            "config.rules.pairs.time_pairs[1]: time out of range 0..2",
+            "config.rules.pairs.time_pairs[2]: expected [t1, t2]",
+            "config.rules.extra_lower_bounds[0].note: unknown key",
+            "config.rules.extra_lower_bounds[0].min_probability: expected a number",
+            "config.queries.branches[0].weight: unknown key",
+            "config.queries.branches[0].ssets[1]: time 7 out of range 0..2",
+            "config.queries.branches[1].delta: expected number in (0, 1)",
+            "config.queries.delta: expected number in (0, 1)",
+            "config.queries.samples: expected integer >= 1",
+            "config.queries.seed: expected integer",
+        ]
+
+
 class TestLoadConfig:
     def test_json_error_has_location(self, tmp_path):
         path = tmp_path / "bad.json"
