@@ -23,6 +23,7 @@ from .credal import (
     format_number,
     lower_upper,
     measure_csv,
+    presolve,
 )
 from .events import And, Atom, TrajectorySpace, parse_event, parse_expr
 from .scenarios import (
@@ -51,7 +52,8 @@ class RunReport:
     command: str
     config_hash: str = ""
     constraints: dict[str, int] = field(
-        default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0, "lp_rows": 0}
+        default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0, "lp_rows": 0,
+                                 "implied": 0}
     )
     feasible: bool | None = None
     certificate_path: str | None = None
@@ -95,7 +97,12 @@ def _load(args: argparse.Namespace,
 
 
 def _seed(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
-    return cfg.seed if args.seed is None else args.seed
+    """The sampling seed, ``--seed`` over ``queries.seed``; a negative one is
+    refused here, since the config reader accepts any integer."""
+    source, seed = ("queries.seed", cfg.seed) if args.seed is None else ("--seed", args.seed)
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cmd_scenario(args: argparse.Namespace, report: RunReport) -> int:
@@ -133,9 +140,12 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     start = time.perf_counter()
     cs = build_constraints(cfg, system, space)
     report.timings["constraints"] = time.perf_counter() - start
-    # lp_rows: the presolved rows the queries solve, normalization included
+    # lp_rows: the presolved rows the queries solve, normalization included;
+    # implied: the rows the presolve dropped because the Born pins imply them
+    pre = presolve(cs)
     report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
-                          "filtered": cs.filtered, "lp_rows": len(cs.presolved().senses)}
+                          "filtered": cs.filtered, "lp_rows": len(pre.senses),
+                          "implied": pre.implied}
     return cs
 
 

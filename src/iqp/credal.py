@@ -5,8 +5,9 @@ cut out by event lower bounds.  Generators produce the Born family (marginal
 pins via inequality pairs) and the wave-packet typicality family (cross-time
 intersection lower bounds), plus relaxed/scaled variants.  Queries run on the
 embedded simplex solver over the presolved rows (one per distinct event, one
-'==' row per complementary pin) and return self-verified witnesses, Farkas
-certificates and attained lower/upper probabilities.
+'==' row per complementary pin, no pair row that the pins imply) and return
+self-verified witnesses, Farkas certificates and attained lower/upper
+probabilities.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class LinearConstraint:
     rhs: float
     tag: str  # born | qtr | qtr-min | qtr-eps | qtr-alpha | demand
     label: str  # expression text of the generating event / pair
+    # the sset a Born row pins (its event is S or S^c), or the pair (S1, S2)
+    # whose intersection is a pair row's event; empty for demands
     origin: tuple[SSet, ...] = ()
 
     def satisfied_by(self, probs: np.ndarray) -> float:
@@ -77,6 +80,7 @@ class Presolved(NamedTuple):
     senses: list[str]
     owners: list[int]  # per row after normalization: the constraint it keeps
     partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
+    implied: int  # '>=' rows dropped because the '==' pins imply them
 
 
 def admits(rhs: float, label: str) -> bool:
@@ -130,32 +134,82 @@ class ConstraintSet:
         ``P(A) = l``, owned by whichever event comes first: with
         normalization the pair pins ``P(A)`` to ``l`` up to that dust.  Pairs
         further from 1 stay two '>=' rows, so an over-pinned set stays
-        infeasible and a band stays a band.  Kept rows follow the first
-        appearance of their events.
+        infeasible and a band stays a band.
+
+        A kept '>=' row ``P(A & B) >= l`` of a pair ``(S1, S2)`` whose atom
+        events ``A`` and ``B`` '==' rows pin to ``w1`` and ``w2`` is then
+        dropped when the pins imply it, so the polytope stays the same:
+
+        1. when ``l <= w1 + w2 - 1`` (Frechet: ``P(A & B) >= P(A) + P(B) - 1``);
+        2. when the kept row on ``(S1^c, S2^c)``, ``P(A^c & B^c) >= l'``, is at
+           least as strong: ``1_{A&B} - 1_{A^c&B^c} = 1_A + 1_B - 1``, so it
+           reads ``P(A & B) >= l' + w1 + w2 - 1``.  Compared in the
+           orientation of the first of the two rows, the stronger stays, the
+           first on ties.
+
+        Kept rows follow the first appearance of their events; ``implied``
+        counts the rows the two rules dropped.
         """
         rows, rhs, _ = self.lp_rows()
         bounds = rhs[1:].tolist()
+        keys = [con.event.bits.tobytes() for con in self.constraints]
         kept: dict[bytes, int] = {}  # event bits -> constraint of its row
-        for i, con in enumerate(self.constraints):
-            key = con.event.bits.tobytes()
+        for i, key in enumerate(keys):
             if bounds[i] > bounds[kept.setdefault(key, i)]:
                 kept[key] = i
         owners: list[int] = []
         partners: list[int] = []
-        paired: set[int] = set()
+        pins: dict[bytes, float] = {}  # event bits -> P(event) under an '==' row
         for i in kept.values():
-            if i in paired:  # the complement's row already pins this event
+            if keys[i] in pins:  # the complement's row already pins this event
                 continue
             j = kept.get((~self.constraints[i].event.bits).tobytes(), -1)
             if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
-                paired.add(j)
+                pins[keys[i]] = bounds[i]
+                pins[keys[j]] = 1.0 - bounds[i]
             else:
                 j = -1
             owners.append(i)
             partners.append(j)
+        implied = self._implied(owners, partners, bounds, pins)
+        partners = [j for i, j in zip(owners, partners) if i not in implied]
+        owners = [i for i in owners if i not in implied]
         keep = [0] + [1 + i for i in owners]
         senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
-        return Presolved(rows[keep], rhs[keep], senses, owners, partners)
+        return Presolved(rows[keep], rhs[keep], senses, owners, partners, len(implied))
+
+    def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
+                 pins: dict[bytes, float]) -> set[int]:
+        """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
+        drop.  Each sset's pin is looked up once, through its atom event."""
+        weights: dict[SSet, float | None] = {}
+
+        def pinned(s: SSet) -> float | None:
+            if s not in weights:
+                weights[s] = pins.get(sset_event(self.space, s).bits.tobytes())
+            return weights[s]
+
+        implied: set[int] = set()
+        # each kept, pinned pair row not yet matched: its ssets -> (constraint, shift)
+        unmatched: dict[frozenset[SSet], tuple[int, float]] = {}
+        for i, j in zip(owners, partners):
+            origin = self.constraints[i].origin
+            if j >= 0 or len(origin) != 2:
+                continue
+            w1, w2 = pinned(origin[0]), pinned(origin[1])
+            if w1 is None or w2 is None:
+                continue
+            shift = w1 + w2 - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
+            if bounds[i] <= shift:  # rule 1
+                implied.add(i)
+                continue
+            first = unmatched.pop(frozenset(s.complement() for s in origin), None)
+            if first is None:
+                unmatched[frozenset(origin)] = (i, shift)
+            else:  # rule 2, in the first row's orientation
+                f, f_shift = first
+                implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
+        return implied
 
 
 def _check_space(system: QuantumSystem, space: TrajectorySpace) -> None:
@@ -385,16 +439,28 @@ def _lift_farkas(duals: np.ndarray, owners: list[int], partners: list[int],
 
 
 @functools.lru_cache(maxsize=1)
-def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
-    """The presolved rows of ``cs`` and their phase 1, for the polytope queries.
+def presolve(cs: ConstraintSet) -> Presolved:
+    """``cs.presolved()``, kept for the last set asked about.
 
     Keyed on the set's identity, which is sound because a set is frozen and
     the cache's reference to it keeps its id from being reused.  One entry,
-    so queries asked one after another about one set share a single presolve
-    and phase 1, while one start at most stays alive however many sets the
-    caller keeps.
+    so a caller that reads the presolve (the CLI's run report) and the
+    queries that solve it share one, while the rows of one set at most stay
+    alive however many sets the caller keeps.
     """
-    pre = cs.presolved()
+    return cs.presolved()
+
+
+@functools.lru_cache(maxsize=1)
+def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
+    """The presolved rows of ``cs`` and their phase 1, for the polytope queries.
+
+    Keyed on the set's identity like ``presolve``.  One entry, so queries
+    asked one after another about one set share a single presolve and phase
+    1, while one start at most stays alive however many sets the caller
+    keeps.
+    """
+    pre = presolve(cs)
     return pre, lp.feasible_start(pre.rows, pre.rhs, pre.senses)
 
 
@@ -405,7 +471,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     from.  It runs on the presolved rows, whose Farkas duals
     ``_lift_farkas`` maps back to one multiplier per constraint.
     """
-    (rows, rhs, senses, owners, partners), start = _prepared(cs)
+    (rows, rhs, senses, owners, partners, _), start = _prepared(cs)
     result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses, start=start)
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
@@ -460,7 +526,7 @@ def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
-    (rows, rhs, senses, _, _), start = _prepared(cs)
+    (rows, rhs, senses, *_), start = _prepared(cs)
     objective = a.bits.astype(float)
 
     low = lp.solve_lp(objective, rows, rhs, senses, start=start)
@@ -528,7 +594,7 @@ def sample_vertex_measures(
 
     Every sample is re-optimized from the phase 1 of ``cs`` (``_prepared``).
     """
-    (rows, rhs, senses, _, _), start = _prepared(cs)
+    (rows, rhs, senses, *_), start = _prepared(cs)
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):

@@ -357,8 +357,15 @@ def solve_lp(
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, **counters)
 
+    basic = cols[basis]
     x = np.zeros(start.n_cols)
-    x[cols[basis]] = tab[:-1, -1]
+    x[basic] = tab[:-1, -1]
     solution = x[:n_vars]
-    value = float(c_orig @ solution)
+    # c.x over the basic structural columns, in row order: every other entry
+    # of x is zero, and a dot product over all of them is a BLAS call that
+    # may spread over threads and cost milliseconds
+    structural = basic < n_vars
+    value = 0.0
+    for term in (c_orig[basic[structural]] * tab[:-1, -1][structural]).tolist():
+        value += term
     return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

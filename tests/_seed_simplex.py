@@ -5,7 +5,9 @@ rule (Dantzig, falling back to Bland after ``iqp.lp.STALL_CAP`` consecutive
 degenerate pivots) and the counters of ``LPResult``.  Phase 2 keeps the whole
 tableau but prices only the columns that phase 1 leaves free: a column of
 phase-1 reduced cost above ``FEASIBILITY_TOL`` is zero at every feasible point
-and never enters, unless the drive-out made it basic.  Tests require the
+and never enters, unless the drive-out made it basic.  The objective value
+sums ``c * x`` over the basic structural columns in row order, as
+``iqp.lp.solve_lp`` does.  Tests require the
 vectorized solver to reproduce its answers bit for bit and its pivot counts
 exactly.
 """
@@ -223,8 +225,11 @@ def solve_lp(
         return LPResult(status=UNBOUNDED, **counters)
 
     x = np.zeros(n_cols)
+    value = 0.0
     for i in range(n_rows):
         x[basis[i]] = tab[i, -1]
+        if basis[i] < n_vars:  # c.x over the basic structural columns, in row order
+            value += c_orig[basis[i]] * tab[i, -1]
     solution = x[:n_vars]
-    value = float(c_orig @ solution)
+    value = float(value)
     return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

@@ -8,6 +8,7 @@ import pytest
 
 import iqp
 from iqp.cli import build_parser, main
+from iqp.credal import ConstraintSet
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
 from iqp.system import QuantumSystem
 
@@ -277,6 +278,22 @@ class TestBranch:
         assert code == 1
         assert "declared" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_negative_seed_names_the_seed(self, scenario_file, tmp_path, capsys, flag):
+        config_path = Path(scenario_file("beam-splitter"))
+        argv = ["branch", "--config", str(config_path), "--outdir", str(tmp_path / "out")]
+        if flag:
+            argv += ["--seed", "-1"]
+        else:
+            config = json.loads(config_path.read_text())
+            config["queries"]["seed"] = -1
+            config_path.write_text(json.dumps(config))
+        assert main(argv) == 1
+        source = "--seed" if flag else "queries.seed"
+        assert capsys.readouterr().err == (
+            f"error [cli]: {source} must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "out" / "branch.csv").exists()
+
     def test_no_branches_declared(self, scenario_file, tmp_path):
         code = main([
             "branch", "--config", scenario_file("mach-zehnder"),
@@ -312,9 +329,19 @@ class TestReport:
         main(["bounds", "--config", scenario_file("beam-splitter"),
               "--outdir", str(tmp_path / "out"), "--report", str(report_path)])
         # 12 rows presolve to normalization, the basis-state pin at t=0,
-        # one '==' pin at each of t=1 and t=2, and the two typicality rows
+        # one '==' pin at each of t=1 and t=2, and one typicality row: with
+        # two labels the pins make the rows on ({0}, {0}) and ({1}, {1})
+        # parallel, and the one on ({0}, {0}) is implied by the other
         assert json.loads(report_path.read_text())["constraints"] == {
-            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 6}
+            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 5, "implied": 1}
+
+    def test_report_and_queries_share_one_presolve(self, scenario_file, tmp_path,
+                                                   count_calls):
+        presolves = count_calls(ConstraintSet, "presolved")
+        assert main(["bounds", "--config", scenario_file("drifting-branch"),
+                     "--outdir", str(tmp_path / "out"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert len(presolves) == 1
 
     def test_feasibility_builds_one_system(self, scenario_file, tmp_path, count_calls):
         config = scenario_file("drifting-branch")

@@ -19,6 +19,8 @@ from conftest import realize, scipy_bounds, scipy_feasible, seeded_config
 from iqp.credal import (
     FARKAS_MARGIN,
     VACUOUS_RHS,
+    ConstraintSet,
+    LinearConstraint,
     feasibility,
     lower_bound_constraints,
     lower_upper,
@@ -28,6 +30,7 @@ from iqp.credal import (
 )
 from iqp.events import Event, TrajectorySpace, parse_event, sset_event
 from iqp.scenarios import singleton_family
+from iqp.system import Region, SSet
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 BOUND_TOL = 1e-7
@@ -43,9 +46,22 @@ def row_violation(cs, probs) -> float:
     return max(worst, float(np.max(rhs[1:] - rows[1:] @ x, initial=0.0)))
 
 
+def pinned_weight(pre, bits):
+    """``P(event)`` under the presolve's '==' rows, or ``None`` when none pins it."""
+    row = bits.astype(float)
+    for k, sense in enumerate(pre.senses[1:], start=1):
+        if sense == "==" and np.array_equal(pre.rows[k], row):
+            return pre.rhs[k]
+        if sense == "==" and np.array_equal(pre.rows[k], 1.0 - row):
+            return 1.0 - pre.rhs[k]
+    return None
+
+
 def assert_presolve_keeps_rows(cs):
-    """Each kept row is its owner's row of ``lp_rows``, one per distinct event,
-    and an '==' row pins an event whose complement's bound sums with it to 1."""
+    """Each kept row is its owner's row of ``lp_rows``, and an '==' row pins an
+    event whose complement's bound sums with it to 1.  Every distinct event is
+    kept, paired, or dropped because the pins imply its largest bound: by
+    Frechet, or by the kept '>=' row on the complements of its two ssets."""
     rows, rhs, senses = cs.lp_rows()
     pre = cs.presolved()
     assert len(pre.senses) == len(pre.rows) == len(pre.rhs) == 1 + len(pre.owners)
@@ -66,7 +82,21 @@ def assert_presolve_keeps_rows(cs):
             assert pre.senses[k] == ">="
     distinct = {con.event.bits.tobytes() for con in cs.constraints}
     paired = {cs.constraints[j].event.bits.tobytes() for j in pre.partners if j >= 0}
-    assert events | paired == distinct and not events & paired
+    assert events | paired <= distinct and not events & paired
+    dropped = distinct - events - paired
+    assert len(dropped) == pre.implied
+    kept_bounds = {pre.rows[k].tobytes(): pre.rhs[k]
+                   for k, sense in enumerate(pre.senses) if sense == ">="}
+    for key in dropped:
+        first = max((i for i, con in enumerate(cs.constraints)
+                     if con.event.bits.tobytes() == key), key=lambda i: rhs[1 + i])
+        s1, s2 = cs.constraints[first].origin
+        a, b = sset_event(cs.space, s1).bits, sset_event(cs.space, s2).bits
+        assert (a & b).tobytes() == key
+        shift = pinned_weight(pre, a) + pinned_weight(pre, b) - 1.0
+        parallel = kept_bounds.get((~a & ~b).astype(float).tobytes(), -np.inf)
+        # rule 1, or rule 2 up to the rounding of the other row's orientation
+        assert rhs[1 + first] <= max(shift, parallel + shift + 1e-15)
 
 
 def assert_farkas_verifies(cs, cert):
@@ -187,3 +217,78 @@ class TestPairTolerance:
                                              (Event.all(space), 0.5, "all")])
         pre = cs.presolved()
         assert (pre.senses, pre.owners, pre.partners) == (["==", ">=", ">="], [1, 3], [-1, -1])
+
+
+class TestImpliedRows:
+    """A pair row is dropped exactly when the Born pins imply it, and the
+    answers and certificates stay those of the full rows."""
+
+    SPACE = TrajectorySpace(2, 2)
+    A = SSet(0, Region.from_labels([0], 2))
+    B = SSet(1, Region.from_labels([0], 2))
+
+    @classmethod
+    def pins(cls, wa, wb):
+        """Born rows pinning ``P(A) = wa`` and ``P(B) = wb`` (constraints 0-3)."""
+        return [LinearConstraint(sset_event(cls.SPACE, target), rhs, "born", target.text(), (s,))
+                for s, w in ((cls.A, wa), (cls.B, wb))
+                for target, rhs in ((s, w), (s.complement(), 1.0 - w))]
+
+    @classmethod
+    def pair(cls, complements, rhs):
+        """The typicality row on ``(A, B)``, or on ``(A^c, B^c)``."""
+        s1, s2 = (cls.A.complement(), cls.B.complement()) if complements else (cls.A, cls.B)
+        event = sset_event(cls.SPACE, s1) & sset_event(cls.SPACE, s2)
+        return LinearConstraint(event, rhs, "qtr", f"({s1.text()} & {s2.text()})", (s1, s2))
+
+    def assert_bounds_match_scipy(self, cs):
+        for s1, s2 in ((self.A, self.B), (self.A.complement(), self.B.complement())):
+            event = sset_event(self.SPACE, s1) & sset_event(self.SPACE, s2)
+            res = lower_upper(cs, event)
+            assert (res.lower, res.upper) == pytest.approx(scipy_bounds(cs, event), abs=1e-12)
+
+    @pytest.mark.parametrize("ulps, implied", [(0, 1), (1, 0)])
+    def test_frechet_boundary(self, ulps, implied):
+        floor = 0.7 + 0.6 - 1.0  # P(A & B) >= P(A) + P(B) - 1 under the pins
+        bound = floor if ulps == 0 else np.nextafter(floor, 1.0)
+        cs = ConstraintSet(self.SPACE, self.pins(0.7, 0.6) + [self.pair(False, bound)])
+        pre = cs.presolved()
+        assert (pre.implied, pre.owners) == (implied, [0, 2, 4][: 3 - implied])
+        assert_presolve_keeps_rows(cs)
+        self.assert_bounds_match_scipy(cs)
+
+    @pytest.mark.parametrize("complements_first", [False, True])
+    def test_parallel_tie_keeps_first(self, complements_first):
+        # with both pins at 1/2 the two rows bound one quantity with no shift
+        pairs = [self.pair(complements_first, 0.3), self.pair(not complements_first, 0.3)]
+        cs = ConstraintSet(self.SPACE, self.pins(0.5, 0.5) + pairs)
+        pre = cs.presolved()
+        assert (pre.implied, pre.owners, pre.partners) == (1, [0, 2, 4], [1, 3, -1])
+        assert_presolve_keeps_rows(cs)
+        self.assert_bounds_match_scipy(cs)
+
+    @pytest.mark.parametrize("complements_first", [False, True])
+    def test_parallel_keeps_stronger(self, complements_first):
+        # P(A^c & B^c) >= 0.1 reads P(A & B) >= 0.1 + 0.7 + 0.6 - 1 = 0.4 > 0.35
+        pairs = {False: self.pair(False, 0.35), True: self.pair(True, 0.1)}
+        cs = ConstraintSet(self.SPACE, self.pins(0.7, 0.6) + [
+            pairs[complements_first], pairs[not complements_first]])
+        pre = cs.presolved()
+        assert (pre.implied, pre.owners) == (1, [0, 2, 4 if complements_first else 5])
+        assert_presolve_keeps_rows(cs)
+        self.assert_bounds_match_scipy(cs)
+
+    def test_infeasible_demand_certificate_skips_dropped_row(self):
+        # P(A^c & B^c) >= 0.2 is dropped: the pins turn P(A & B) >= 0.3 into
+        # P(A^c & B^c) >= 0.3, and only that bound contradicts P(A^c & B) >= 0.3
+        demand = sset_event(self.SPACE, self.A.complement()) & sset_event(self.SPACE, self.B)
+        cs = ConstraintSet(self.SPACE, self.pins(0.5, 0.5) + [
+            self.pair(False, 0.3), self.pair(True, 0.2),
+            LinearConstraint(demand, 0.3, "demand", "(!(t=0,{0}) & (t=1,{0}))")])
+        pre = cs.presolved()
+        assert (pre.implied, pre.owners) == (1, [0, 2, 4, 6])
+        cert = feasibility(cs)
+        assert not cert.feasible and not scipy_feasible(cs)
+        assert cert.farkas.multipliers[5] == 0.0
+        assert cert.farkas.margin == pytest.approx(0.1, abs=1e-12)
+        assert_farkas_verifies(cs, cert.farkas)

@@ -3,8 +3,9 @@
 ``parse_config`` either returns a config or raises ``ConfigError``, whatever
 JSON-like value it is given; every config it accepts dumps as strict JSON
 (no NaN or infinity) and parses back to the same canonical form.  Inputs are
-arbitrary JSON-like values and single-path mutations of the built-in configs.
-The profile is derandomized, so every run draws the same examples.
+arbitrary JSON-like values, mixed with the built-in documents and their blocks
+so that some reach the round trip, and single-path mutations of the built-in
+configs.  The profile is derandomized, so every run draws the same examples.
 """
 
 import copy
@@ -87,21 +88,35 @@ def check_boundary(data) -> bool:
     return True
 
 
-@PROFILE
-@given(VALUES)
-def test_arbitrary_value(data):
-    check_boundary(data)
+def arbitrary_or_builtin(values):
+    """An arbitrary value, or a copy of one of ``values`` taken from the
+    built-in documents, so that some draws are valid and reach the round trip."""
+    return st.one_of(VALUES, st.sampled_from(values).map(copy.deepcopy))
 
 
-@PROFILE
-@given(st.fixed_dictionaries({
-    "schema": st.one_of(st.just(SCHEMA_VERSION), VALUES),
-    "system": VALUES,
-    "rules": VALUES,
-    "queries": VALUES,
-}))
-def test_arbitrary_blocks(data):
-    check_boundary(data)
+def accepted_draws(strategy) -> int:
+    """``check_boundary`` over the profile's derandomized batch of ``strategy``;
+    returns how many draws ``parse_config`` accepted."""
+    accepted = []
+
+    @PROFILE
+    @given(strategy)
+    def check(data):
+        accepted.append(check_boundary(data))
+
+    check()
+    return sum(accepted)
+
+
+def test_arbitrary_value():
+    assert accepted_draws(arbitrary_or_builtin(list(BASES.values()))) > 0
+
+
+def test_arbitrary_blocks():
+    blocks = {key: arbitrary_or_builtin([doc[key] for doc in BASES.values()])
+              for key in ("system", "rules", "queries")}
+    assert accepted_draws(st.fixed_dictionaries({
+        "schema": st.one_of(st.just(SCHEMA_VERSION), VALUES), **blocks})) > 0
 
 
 @PROFILE
