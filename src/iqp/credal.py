@@ -16,7 +16,7 @@ import csv
 import functools
 import io
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,13 +117,17 @@ class ConstraintSet:
 
     def lp_rows(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Normalization row followed by one row per constraint."""
-        size = self.space.size
-        rows = np.ones((1 + len(self.constraints), size))
-        rhs = np.ones(1 + len(self.constraints))
-        for i, con in enumerate(self.constraints):
-            rows[1 + i] = con.event.bits.astype(float)
-            rhs[1 + i] = con.rhs
+        rows, rhs = self._rows(self.constraints)
         return rows, rhs, ["=="] + [">="] * len(self.constraints)
+
+    def _rows(self, constraints: Sequence[LinearConstraint]) -> tuple[np.ndarray, np.ndarray]:
+        """Normalization row and right side, then one of each per given constraint."""
+        rows = np.ones((1 + len(constraints), self.space.size))
+        rhs = np.ones(1 + len(constraints))
+        for i, con in enumerate(constraints, start=1):
+            rows[i] = con.event.bits
+            rhs[i] = con.rhs
+        return rows, rhs
 
     def presolved(self) -> Presolved:
         """The rows of ``lp_rows`` that the polytope queries solve.
@@ -148,10 +152,11 @@ class ConstraintSet:
            first on ties.
 
         Kept rows follow the first appearance of their events; ``implied``
-        counts the rows the two rules dropped.
+        counts the rows the two rules dropped.  Only the kept rows are built,
+        from their constraints' event bits, each one bit for bit the row
+        ``lp_rows`` gives that constraint.
         """
-        rows, rhs, _ = self.lp_rows()
-        bounds = rhs[1:].tolist()
+        bounds = [float(con.rhs) for con in self.constraints]
         keys = [con.event.bits.tobytes() for con in self.constraints]
         kept: dict[bytes, int] = {}  # event bits -> constraint of its row
         for i, key in enumerate(keys):
@@ -174,9 +179,9 @@ class ConstraintSet:
         implied = self._implied(owners, partners, bounds, pins)
         partners = [j for i, j in zip(owners, partners) if i not in implied]
         owners = [i for i in owners if i not in implied]
-        keep = [0] + [1 + i for i in owners]
+        rows, rhs = self._rows([self.constraints[i] for i in owners])
         senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
-        return Presolved(rows[keep], rhs[keep], senses, owners, partners, len(implied))
+        return Presolved(rows, rhs, senses, owners, partners, len(implied))
 
     def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
                  pins: dict[bytes, float]) -> set[int]:
@@ -421,14 +426,13 @@ def _lift_farkas(duals: np.ndarray, owners: list[int], partners: list[int],
     Every other constraint gets 0.  Values are assigned, not added, so a
     -0.0 keeps its sign bit.
     """
-    for y, owner, partner in zip(duals[1:], owners, partners):
+    mult = np.zeros(count)
+    normalization = float(duals[0])
+    for y, owner, partner in zip(duals[1:].tolist(), owners, partners):
         if partner < 0 and y < -1e-8:
             raise lp.SimplexFailure(
                 f"negative multiplier {y:.3e} on inequality row {owner}"
             )
-    mult = np.zeros(count)
-    normalization = float(duals[0])
-    for y, owner, partner in zip(duals[1:].tolist(), owners, partners):
         if partner < 0 or y >= 0.0:
             mult[owner] = y
         else:
@@ -464,6 +468,16 @@ def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
     return pre, lp.feasible_start(pre.rows, pre.rhs, pre.senses)
 
 
+def _solve(cs: ConstraintSet, objective: np.ndarray, maximize: bool = False) -> lp.LPResult:
+    """``objective`` over the presolved rows of ``cs``, from their phase 1
+    (``_prepared``); any status but optimal or infeasible is a failure."""
+    (rows, rhs, senses, *_), start = _prepared(cs)
+    result = lp.solve_lp(objective, rows, rhs, senses, maximize=maximize, start=start)
+    if result.status not in (lp.OPTIMAL, lp.INFEASIBLE):
+        raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
+    return result
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Phase-1 feasibility with a self-verified witness or Farkas certificate.
 
@@ -471,8 +485,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     from.  It runs on the presolved rows, whose Farkas duals
     ``_lift_farkas`` maps back to one multiplier per constraint.
     """
-    (rows, rhs, senses, owners, partners, _), start = _prepared(cs)
-    result = lp.solve_lp(np.zeros(cs.space.size), rows, rhs, senses, start=start)
+    result = _solve(cs, np.zeros(cs.space.size))
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
         worst = verify_witness(cs, witness.probs)
@@ -481,10 +494,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
                 f"witness verification failed: max violation {worst:.3e}"
             )
         return FeasibilityCertificate(witness=witness)
-    if result.status != lp.INFEASIBLE:
-        raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
 
-    mult, normalization = _lift_farkas(result.farkas_duals, owners, partners, len(cs))
+    pre, _ = _prepared(cs)
+    mult, normalization = _lift_farkas(result.farkas_duals, pre.owners, pre.partners, len(cs))
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=0.0)
     slack, margin = verify_farkas(cs, cert)
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)
@@ -526,17 +538,11 @@ def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
-    (rows, rhs, senses, *_), start = _prepared(cs)
     objective = a.bits.astype(float)
-
-    low = lp.solve_lp(objective, rows, rhs, senses, start=start)
+    low = _solve(cs, objective)
     if low.status == lp.INFEASIBLE:
         return BoundsResult(status="infeasible")
-    if low.status != lp.OPTIMAL:
-        raise lp.SimplexFailure(f"unexpected LP status {low.status!r}")
-    high = lp.solve_lp(objective, rows, rhs, senses, maximize=True, start=start)
-    if high.status != lp.OPTIMAL:
-        raise lp.SimplexFailure(f"unexpected LP status {high.status!r}")
+    high = _solve(cs, objective, maximize=True)
 
     return BoundsResult(
         status="both-solved",
@@ -594,16 +600,12 @@ def sample_vertex_measures(
 
     Every sample is re-optimized from the phase 1 of ``cs`` (``_prepared``).
     """
-    (rows, rhs, senses, *_), start = _prepared(cs)
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):
-        objective = rng.standard_normal(cs.space.size)
-        result = lp.solve_lp(objective, rows, rhs, senses, start=start)
+        result = _solve(cs, rng.standard_normal(cs.space.size))
         if result.status == lp.INFEASIBLE:
             raise ValueError("constraint set is infeasible")
-        if result.status != lp.OPTIMAL:
-            raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
         out.append(TrajectoryMeasure(result.x))
     return out
 

@@ -38,7 +38,6 @@ was passed in.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,11 +170,6 @@ def _budget(pivot_cap: int | None, n_rows: int, n_cols: int) -> int:
     return pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
 
 
-def _mapped(n_floats: int) -> np.ndarray:
-    """Float storage in its own anonymous memory map, outside the malloc heap."""
-    return np.frombuffer(mmap.mmap(-1, 8 * n_floats), count=n_floats)
-
-
 def _as_rows(rows: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(rows, dtype=float))
 
@@ -235,14 +229,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                              dropped_rows=0, fixed_cols=0, tab=tab, basis=tuple(basis),
                              cols=np.arange(n_cols))
 
-    # The update scratch gets its own map, which then holds the trimmed start.
-    # A start can outlive its query in its caller's keeping (credal keeps the
-    # last set's); on the malloc heap it would sit above the tableaux freed
-    # after it, so that the heap could neither reuse their memory for the
-    # next one nor return it.
-    scratch = _mapped(tab.size)
-    state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols),
-                     scratch.reshape(tab.shape))
+    state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols), np.empty_like(tab))
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
     if -tab[z1, -1] > FEASIBILITY_TOL:
@@ -276,7 +263,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     basis = [basis[i] for i in keep[:-1]]
     fixed[basis] = False  # a drive-out pivot may enter a fixed column, at zero
     cols = np.flatnonzero(~fixed)
-    start_tab = scratch[: len(keep) * (cols.size + 1)].reshape(len(keep), cols.size + 1)
+    start_tab = np.empty((len(keep), cols.size + 1))
     # with nothing fixed a slice copies without a full-width temporary
     start_tab[:, :-1] = tab[:, cols] if cols.size < first_art else tab[:, :first_art]
     start_tab[:, -1] = tab[:, -1]

@@ -461,6 +461,17 @@ class TestFixedColumns:
             assert start.tab[:, -1].tobytes() == full.tab[:, -1].tobytes()
             assert start.cols[list(start.basis)].tolist() == list(full.basis)
 
+    @pytest.mark.parametrize("name, fixes", [("DFT", True), ("CHAIN", False)])
+    def test_start_owns_only_its_tableau(self, name, fixes):
+        """A start that outlives its phase 1 keeps no larger buffer alive."""
+        _, cs = realize(getattr(self, name))
+        start = feasible_start(*cs.presolved()[:3])
+        assert (start.fixed_cols > 0) == fixes
+        owner = start.tab
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.nbytes == start.tab.nbytes
+
     def test_sound_against_highs(self):
         space, cs = realize(self.DFT)
         rng = np.random.default_rng(8)

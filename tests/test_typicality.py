@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import sset
+from conftest import SQRT_HALF, scipy_bounds, sset
 from iqp.credal import (
+    CERTIFICATE_TOL,
     born_constraints,
     born_product_witness,
+    feasibility,
     lower_upper,
     merge_constraint_sets,
     qtr_constraints,
     sample_vertex_measures,
+    verify_witness,
 )
-from iqp.events import Event, TrajectorySpace, sset_event
+from iqp.events import Event, TrajectorySpace, parse_event, sset_event
 from iqp.scenarios import (
+    ScenarioConfig,
     build_constraints,
     build_drifting_branch,
     build_spreading_packet,
@@ -325,3 +331,71 @@ class TestVerifyW11:
         branch = make_branch(system, [sset(1, [0]), sset(2, [0])])
         with pytest.raises(ValueError, match="delta"):
             verify_w11(system, space, cs, branch, delta=0.0, samples=2, seed=1)
+
+
+class TestEdgeClasses:
+    """Weight gaps exactly at ``tau_norm``, and a drift too slow to see per step."""
+
+    @staticmethod
+    def rotation(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, 1j * s], [1j * s, c]])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("below, kept", [(False, True), (True, False)])
+    def test_weight_gap_at_tau_norm(self, reverse, below, kept):
+        # weights 1 and cos(0.3)^2: a gap that no short decimal spells
+        system = QuantumSystem(["x0", "x1"], [self.rotation(0.3)], [1.0, 0.0])
+        space = TrajectorySpace.for_system(system)
+        s1, s2 = (sset(1, [0]), sset(0, [0])) if reverse else (sset(0, [0]), sset(1, [0]))
+        w1 = system.weight(s1)
+        gap = abs(w1 - system.weight(s2))
+        tau = np.nextafter(gap, 0.0) if below else gap
+        assert 0.0 < tau <= gap
+
+        cs = qtr_constraints(system, space, [(s1, s2)], tau_norm=tau)
+        assert (cs.emitted, cs.filtered) == ((1, 0) if kept else (0, 1))
+        # the rule fires at eps = the relative distance; under the uniform
+        # measure the ratio is 1/2, so the pair passes only when it is filtered
+        uniform = np.full(space.size, 1.0 / space.size)
+        rel = system.sset_distance(s1, s2) / w1
+        rep = typicality_report(system, space, uniform, s1, s2, rel, tau_norm=tau)
+        assert rep.qtr_fires and rep.measured_ratio == pytest.approx(0.5, abs=1e-12)
+        assert rep.passes == (not kept)
+        if kept:
+            assert make_branch(system, [s1, s2], tau).epsilon == pytest.approx(rel, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="differs from base beyond"):
+                make_branch(system, [s1, s2], tau)
+
+    def test_slow_drift_chain(self):
+        # an eigenvector of every step: weights stay 1/2 while the pullbacks
+        # drift by about 2e-8 per step, so each typicality row sits 2e-8 below its pin
+        n = 6
+        cfg = ScenarioConfig(
+            labels=("inside", "outside"),
+            steps=(self.rotation(1e-4),) * (n - 1),
+            psi0=(SQRT_HALF + 0j, SQRT_HALF + 0j),
+            ruleset=("born", "qtr"),
+            time_pairs=tuple((t, t + 1) for t in range(n - 1)),
+        )
+        system = build_system(cfg)
+        space = TrajectorySpace.for_system(system)
+        cs = build_constraints(cfg, system, space)
+        assert cs.filtered == 0 and any(con.tag == "qtr" for con in cs.constraints)
+
+        witness = feasibility(cs).witness
+        assert verify_witness(cs, witness.probs) <= CERTIFICATE_TOL
+        for expr in (f"(t=0,{{0}}) & (t={n - 1},{{0}})", "(t=1,{1}) | (t=3,{0})",
+                     "(t=2,{0}) & (t=4,{1})"):
+            event = parse_event(expr, space)
+            bounds = lower_upper(cs, event)
+            low, high = scipy_bounds(cs, event)
+            assert bounds.lower == pytest.approx(low, abs=1e-9)
+            assert bounds.upper == pytest.approx(high, abs=1e-9)
+
+        branch = make_branch(system, [sset(t, [0]) for t in range(n)], cfg.tau_norm)
+        assert 0.0 < branch.epsilon < 1e-6
+        report = verify_w11(system, space, cs, branch, cfg.delta, cfg.samples, cfg.seed)
+        assert not (report.expectation_vacuous or report.tail_vacuous)
+        assert report.passes is True
