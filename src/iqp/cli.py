@@ -53,7 +53,7 @@ class RunReport:
     config_hash: str = ""
     constraints: dict[str, int] = field(
         default_factory=lambda: {"emitted": 0, "skipped": 0, "filtered": 0, "lp_rows": 0,
-                                 "implied": 0}
+                                 "implied": 0, "forced_cols": 0}
     )
     feasible: bool | None = None
     certificate_path: str | None = None
@@ -141,11 +141,12 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     cs = build_constraints(cfg, system, space)
     report.timings["constraints"] = time.perf_counter() - start
     # lp_rows: the presolved rows the queries solve, normalization included;
-    # implied: the rows the presolve dropped because the Born pins imply them
+    # implied: the rows the presolve dropped because the Born pins imply them;
+    # forced_cols: the trajectories the presolve's forcing rows fixed at zero
     pre = presolve(cs)
     report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
                           "filtered": cs.filtered, "lp_rows": len(pre.senses),
-                          "implied": pre.implied}
+                          "implied": pre.implied, "forced_cols": space.size - pre.live.size}
     return cs
 
 

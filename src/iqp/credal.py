@@ -7,7 +7,11 @@ intersection lower bounds), plus relaxed/scaled variants.  Queries run on the
 embedded simplex solver over the presolved rows (one per distinct event, one
 '==' row per complementary pin, no pair row that the pins imply) and return
 self-verified witnesses, Farkas certificates and attained lower/upper
-probabilities.
+probabilities.  The presolve also fixes at zero the trajectories that forcing
+rows rule out (a zero-drift typicality row reaching a Born pin, a certain
+event), by exact deductions, and solves over the other columns only; answers
+are padded back to every trajectory and certificates lifted to every
+constraint.
 """
 
 from __future__ import annotations
@@ -72,8 +76,28 @@ class LinearConstraint:
         return max(self.rhs - event_probability(probs, self.event), 0.0)
 
 
+# a combination of rows, as (row, coefficient) pairs
+Terms = tuple[tuple[int, float], ...]
+
+
+class Forcing(NamedTuple):
+    """A deduction of the presolve: every trajectory in ``cols`` is zero.
+
+    ``terms`` combine presolved rows, as ``(row, coefficient)`` with row 0 the
+    normalization and rows ``1, 2, ...`` those of ``owners`` then
+    ``collapsed``, into ``1_F - 1_E``: a row ``P(F) >= l`` minus an upper
+    bound ``P(E) <= u``, with ``F`` inside ``E`` and ``l >= u``.  The
+    combination is -1 on ``cols``, the trajectories of ``E`` outside ``F``,
+    and 0 elsewhere, and its right side ``l - u`` is at least 0.
+    """
+
+    terms: Terms
+    cols: np.ndarray  # bool mask over all trajectories
+
+
 class Presolved(NamedTuple):
-    """A presolved LP: normalization row first, then one row per kept event."""
+    """A presolved LP over the live columns: normalization row first, then
+    one row per kept event."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -81,6 +105,30 @@ class Presolved(NamedTuple):
     owners: list[int]  # per row after normalization: the constraint it keeps
     partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
     implied: int  # '>=' rows dropped because the '==' pins imply them
+    live: np.ndarray  # the columns of ``rows``, in order; every other one is zero
+    collapsed: list[int]  # '>=' rows (by constraint) a kept row implies on ``live``
+    forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns
+
+
+class _Pin(NamedTuple):
+    """``P(event) = weight`` under an '==' row of the presolve."""
+
+    weight: float  # as rounded, for the implied-row rules
+    reach: float  # the least float l with l >= P(event) in real arithmetic
+    upper: Terms  # 1_event over '==' rows, by constraint
+
+
+def _pins(row: int, rhs: float) -> tuple[_Pin, _Pin]:
+    """The pins of ``A`` and ``A^c`` under the '==' row ``P(A) = rhs`` owned by
+    constraint ``row``, terms being '==' rows by constraint and -1 standing
+    for normalization.
+
+    ``1 - rhs`` may round down; the sign of the exactly rounded
+    ``w + rhs - 1`` tells, and the reach is then the next float up.
+    """
+    w = 1.0 - rhs
+    reach = w if math.fsum((w, rhs, -1.0)) >= 0.0 else math.nextafter(w, math.inf)
+    return _Pin(rhs, rhs, ((row, 1.0),)), _Pin(w, reach, ((-1, 1.0), (row, -1.0)))
 
 
 def admits(rhs: float, label: str) -> bool:
@@ -120,17 +168,20 @@ class ConstraintSet:
         rows, rhs = self._rows(self.constraints)
         return rows, rhs, ["=="] + [">="] * len(self.constraints)
 
-    def _rows(self, constraints: Sequence[LinearConstraint]) -> tuple[np.ndarray, np.ndarray]:
-        """Normalization row and right side, then one of each per given constraint."""
-        rows = np.ones((1 + len(constraints), self.space.size))
+    def _rows(self, constraints: Sequence[LinearConstraint],
+              live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Normalization row and right side, then one of each per given
+        constraint, over the ``live`` columns (all when ``None``)."""
+        rows = np.ones((1 + len(constraints), self.space.size if live is None else live.size))
         rhs = np.ones(1 + len(constraints))
         for i, con in enumerate(constraints, start=1):
-            rows[i] = con.event.bits
+            rows[i] = con.event.bits if live is None else con.event.bits[live]
             rhs[i] = con.rhs
         return rows, rhs
 
     def presolved(self) -> Presolved:
-        """The rows of ``lp_rows`` that the polytope queries solve.
+        """The rows of ``lp_rows`` that the polytope queries solve, over the
+        columns that can be non-zero.
 
         Rows on one event collapse to the one with the largest bound (the
         first on ties).  A kept pair ``P(A) >= l``, ``P(A^c) >= l'`` with
@@ -152,9 +203,29 @@ class ConstraintSet:
            first on ties.
 
         Kept rows follow the first appearance of their events; ``implied``
-        counts the rows the two rules dropped.  Only the kept rows are built,
-        from their constraints' event bits, each one bit for bit the row
-        ``lp_rows`` gives that constraint.
+        counts the rows the two rules dropped.
+
+        Forcing rows then fix columns at zero (Andersen and Andersen,
+        "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
+        ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
+        ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
+        zero.  Two kinds are recognized from the rows' origins:
+
+        - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
+          (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
+          pin of ``S2`` fixes ``S1^c & S2``;
+        - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
+          being the upper bound.
+
+        A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
+        when the exactly rounded ``l + r - 1`` is at least 0, so every fix
+        holds in real arithmetic and needs no tolerance.  The rows are built
+        over the ``live`` columns only, each one bit for bit its owner's row
+        of ``lp_rows`` on them, and rows equal there collapse: the largest
+        '>=' bound wins, the first on ties, and a '>=' row is dropped
+        (``collapsed``) when an '==' row, normalization included, on the same
+        columns has at least its bound.  ``forcings`` keep each deduction,
+        for lifting Farkas certificates back to every constraint.
         """
         bounds = [float(con.rhs) for con in self.constraints]
         keys = [con.event.bits.tobytes() for con in self.constraints]
@@ -164,57 +235,106 @@ class ConstraintSet:
                 kept[key] = i
         owners: list[int] = []
         partners: list[int] = []
-        pins: dict[bytes, float] = {}  # event bits -> P(event) under an '==' row
+        pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
         for i in kept.values():
             if keys[i] in pins:  # the complement's row already pins this event
                 continue
             j = kept.get((~self.constraints[i].event.bits).tobytes(), -1)
             if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
-                pins[keys[i]] = bounds[i]
-                pins[keys[j]] = 1.0 - bounds[i]
+                pins[keys[i]], pins[keys[j]] = _pins(i, bounds[i])
             else:
                 j = -1
             owners.append(i)
             partners.append(j)
-        implied = self._implied(owners, partners, bounds, pins)
+        implied, fixes = self._implied(owners, partners, bounds, pins)
         partners = [j for i, j in zip(owners, partners) if i not in implied]
         owners = [i for i in owners if i not in implied]
-        rows, rhs = self._rows([self.constraints[i] for i in owners])
+        fixes = [fix for fix in fixes if fix[0] not in implied and fix[2].any()]
+        live = np.arange(self.space.size)
+        collapsed: list[int] = []
+        forcings: tuple[Forcing, ...] = ()
+        if not fixes:
+            rows, rhs = self._rows([self.constraints[i] for i in owners])
+        else:
+            fixed = np.zeros(self.space.size, dtype=bool)
+            for *_, cols in fixes:
+                fixed |= cols
+            live = np.flatnonzero(~fixed)
+            rows, rhs = self._rows([self.constraints[i] for i in owners], live)
+            keep = _collapse(rows, rhs.tolist(), partners)
+            collapsed = [i for i, kept in zip(owners, keep) if not kept]
+            owners = [i for i, kept in zip(owners, keep) if kept]
+            partners = [j for j, kept in zip(partners, keep) if kept]
+            position = {i: k for k, i in enumerate(owners + collapsed, start=1)}
+            position[-1] = 0
+            forcings = tuple(
+                Forcing(((position[f], 1.0),) + tuple((position[r], -c) for r, c in upper), cols)
+                for f, upper, cols in fixes)
+            rows, rhs = rows[[True] + keep], rhs[[True] + keep]
         senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
-        return Presolved(rows, rhs, senses, owners, partners, len(implied))
+        return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
+                         forcings)
 
     def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
-                 pins: dict[bytes, float]) -> set[int]:
+                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[tuple[int, Terms, np.ndarray]]]:
         """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
-        drop.  Each sset's pin is looked up once, through its atom event."""
-        weights: dict[SSet, float | None] = {}
+        drop, and the forcing rows' deductions, each as its row's constraint,
+        the upper bound's terms (``_Pin.upper``) and the fixed columns.  Each
+        sset's pin is looked up once, through its atom event."""
+        pinned: dict[SSet, _Pin | None] = {}
 
-        def pinned(s: SSet) -> float | None:
-            if s not in weights:
-                weights[s] = pins.get(sset_event(self.space, s).bits.tobytes())
-            return weights[s]
+        def pin(s: SSet) -> _Pin | None:
+            if s not in pinned:
+                pinned[s] = pins.get(sset_event(self.space, s).bits.tobytes())
+            return pinned[s]
 
         implied: set[int] = set()
+        fixes: list[tuple[int, Terms, np.ndarray]] = []
         # each kept, pinned pair row not yet matched: its ssets -> (constraint, shift)
         unmatched: dict[frozenset[SSet], tuple[int, float]] = {}
         for i, j in zip(owners, partners):
-            origin = self.constraints[i].origin
-            if j >= 0 or len(origin) != 2:
+            con = self.constraints[i]
+            if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
+                fixes.append((i, ((-1, 1.0),), ~con.event.bits))
+            if j >= 0 or len(con.origin) != 2:
                 continue
-            w1, w2 = pinned(origin[0]), pinned(origin[1])
-            if w1 is None or w2 is None:
+            s1, s2 = con.origin
+            pin1, pin2 = pin(s1), pin(s2)
+            # a row reaching a pin fixes the rest of that sset (zero drift)
+            if pin1 is not None and bounds[i] >= pin1.reach:
+                fixes.append((i, pin1.upper, sset_event(self.space, s1).bits & ~con.event.bits))
+            if pin2 is not None and bounds[i] >= pin2.reach:
+                fixes.append((i, pin2.upper, sset_event(self.space, s2).bits & ~con.event.bits))
+            if pin1 is None or pin2 is None:
                 continue
-            shift = w1 + w2 - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
+            shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
             if bounds[i] <= shift:  # rule 1
                 implied.add(i)
                 continue
-            first = unmatched.pop(frozenset(s.complement() for s in origin), None)
+            first = unmatched.pop(frozenset(s.complement() for s in con.origin), None)
             if first is None:
-                unmatched[frozenset(origin)] = (i, shift)
+                unmatched[frozenset(con.origin)] = (i, shift)
             else:  # rule 2, in the first row's orientation
                 f, f_shift = first
                 implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
-        return implied
+        return implied, fixes
+
+
+def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
+    """Per row after normalization, whether it stays: every '==' row does,
+    and a '>=' row unless an equal row implies it, a stronger '>=' row (the
+    first on ties) or an '==' row with at least its bound, normalization
+    included."""
+    keys = [row.tobytes() for row in rows]
+    caps = {keys[0]: 1.0}  # row -> the largest right side of an '==' row equal to it
+    best: dict[bytes, int] = {}  # row -> its strongest '>=' row
+    for k, j in enumerate(partners, start=1):
+        if j >= 0:
+            caps[keys[k]] = max(caps.get(keys[k], -math.inf), rhs[k])
+        elif rhs[k] > rhs[best.setdefault(keys[k], k)]:
+            best[keys[k]] = k
+    return [j >= 0 or (best[keys[k]] == k and caps.get(keys[k], -math.inf) < rhs[k])
+            for k, j in enumerate(partners, start=1)]
 
 
 def _check_space(system: QuantumSystem, space: TrajectorySpace) -> None:
@@ -470,12 +590,48 @@ def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
 
 def _solve(cs: ConstraintSet, objective: np.ndarray, maximize: bool = False) -> lp.LPResult:
     """``objective`` over the presolved rows of ``cs``, from their phase 1
-    (``_prepared``); any status but optimal or infeasible is a failure."""
-    (rows, rhs, senses, *_), start = _prepared(cs)
-    result = lp.solve_lp(objective, rows, rhs, senses, maximize=maximize, start=start)
+    (``_prepared``); any status but optimal or infeasible is a failure.
+
+    The objective is taken on the live columns, and ``x`` is padded back to
+    every trajectory with the fixed ones at zero.
+    """
+    pre, start = _prepared(cs)
+    result = lp.solve_lp(np.asarray(objective)[pre.live], pre.rows, pre.rhs, pre.senses,
+                         maximize=maximize, start=start)
     if result.status not in (lp.OPTIMAL, lp.INFEASIBLE):
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
+    if result.x is not None:
+        x = np.zeros(cs.space.size)
+        x[pre.live] = result.x
+        result.x = x
     return result
+
+
+def _unforce(cs: ConstraintSet, pre: Presolved, duals: np.ndarray) -> np.ndarray:
+    """Farkas duals of the LP rows as duals of the presolved rows before the
+    collapse (normalization, ``owners``, then ``collapsed``), with no
+    positive coefficient left on a fixed column.
+
+    The LP's combination is at most 0 on the live columns only.  In reverse
+    order, each deduction's ``1_F - 1_E`` (-1 on its columns, right side at
+    least 0) is added ``lam`` times, ``lam`` the largest positive coefficient
+    left on those columns, which keeps the margin.
+    """
+    y = np.zeros(1 + len(pre.owners) + len(pre.collapsed))
+    y[:duals.size] = duals
+    if not pre.forcings:
+        return y
+    combo = np.full(cs.space.size, y[0])
+    for k, i in enumerate(pre.owners + pre.collapsed, start=1):
+        if y[k] != 0.0:
+            combo += y[k] * cs.constraints[i].event.bits
+    for forcing in reversed(pre.forcings):
+        lam = float(combo[forcing.cols].max())
+        if lam > 0.0:
+            for row, coef in forcing.terms:
+                y[row] += lam * coef
+            combo[forcing.cols] -= lam
+    return y
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
@@ -496,7 +652,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
         return FeasibilityCertificate(witness=witness)
 
     pre, _ = _prepared(cs)
-    mult, normalization = _lift_farkas(result.farkas_duals, pre.owners, pre.partners, len(cs))
+    mult, normalization = _lift_farkas(_unforce(cs, pre, result.farkas_duals),
+                                       pre.owners + pre.collapsed,
+                                       pre.partners + [-1] * len(pre.collapsed), len(cs))
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=0.0)
     slack, margin = verify_farkas(cs, cert)
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)

@@ -328,12 +328,16 @@ class TestReport:
         report_path = tmp_path / "report.json"
         main(["bounds", "--config", scenario_file("beam-splitter"),
               "--outdir", str(tmp_path / "out"), "--report", str(report_path)])
-        # 12 rows presolve to normalization, the basis-state pin at t=0,
-        # one '==' pin at each of t=1 and t=2, and one typicality row: with
-        # two labels the pins make the rows on ({0}, {0}) and ({1}, {1})
-        # parallel, and the one on ({0}, {0}) is implied by the other
+        # 12 rows presolve to normalization, one '==' pin at each of t=1 and
+        # t=2, and one typicality row: with two labels the pins make the rows
+        # on ({0}, {0}) and ({1}, {1}) parallel, and the one on ({0}, {0}) is
+        # implied by the other.  The basis-state pin at t=0 is a certain
+        # event, which fixes the 4 trajectories starting at 1 and then equals
+        # normalization; the kept typicality row reaches both pins, which
+        # fixes the 2 trajectories that switch packets between t=1 and t=2
         assert json.loads(report_path.read_text())["constraints"] == {
-            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 5, "implied": 1}
+            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 4, "implied": 1,
+            "forced_cols": 6}
 
     def test_report_and_queries_share_one_presolve(self, scenario_file, tmp_path,
                                                    count_calls):

@@ -409,8 +409,8 @@ class TestFeasibility:
         event = a & b if third == "a&b" else ~a & b
         cs = lower_bound_constraints(space, [(a, 0.3, "a"), (~a, 0.7, "!a"),
                                              (event, bound, third)])
-        _, _, senses, owners, partners, _ = cs.presolved()
-        assert (senses, owners, partners) == (["==", "==", ">="], [0, 2], [1, -1])
+        pre = cs.presolved()
+        assert (pre.senses, pre.owners, pre.partners) == (["==", "==", ">="], [0, 2], [1, -1])
         solved = feasibility(cs).farkas
         assert solved.margin == pytest.approx(margin, abs=1e-9)
         assert np.all(solved.multipliers >= 0.0)

@@ -10,8 +10,13 @@ from scipy.optimize import linprog
 from _seed_simplex import solve_lp as seed_solve_lp
 from conftest import realize, seeded_config
 from iqp import lp
-from iqp.credal import sample_vertex_measures
-from iqp.events import parse_event
+from iqp.credal import (
+    lower_bound_constraints,
+    lower_upper,
+    merge_constraint_sets,
+    sample_vertex_measures,
+)
+from iqp.events import Event, parse_event
 from iqp.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -223,7 +228,8 @@ class TestSeedEquivalence:
         objectives += [parse_event(e, space).bits.astype(float) for e in cfg.events]
         objectives += [rng.standard_normal(space.size) for _ in range(3)]
         assert_matches_seed(objectives, *cs.lp_rows())
-        assert_matches_seed(objectives, *cs.presolved()[:3])  # '==' pins
+        pre = cs.presolved()  # '==' pins, over the columns the presolve leaves live
+        assert_matches_seed([c[pre.live] for c in objectives], *pre[:3])
 
     @pytest.mark.parametrize("m, n, kind, ruleset, chain", [
         (2, 8, "random", "born+qtr-min", True),
@@ -236,10 +242,10 @@ class TestSeedEquivalence:
         event = (rng.random(space.size) < 0.3).astype(float)
         objectives = [np.zeros(space.size), event, rng.standard_normal(space.size)]
         assert_matches_seed(objectives, *cs.lp_rows())
-        presolved = cs.presolved()[:3]
+        pre = cs.presolved()
         # m=4: the four pins of each time sum to normalization, so rows drop
-        assert (feasible_start(*presolved).dropped_rows > 0) == (m == 4)
-        assert_matches_seed(objectives, *presolved)
+        assert (feasible_start(*pre[:3]).dropped_rows > 0) == (m == 4)
+        assert_matches_seed([c[pre.live] for c in objectives], *pre[:3])
 
 
 class TestAntiCycling:
@@ -429,10 +435,23 @@ def assert_sound_against_highs(rows, rhs, senses, objectives):
 
 
 class TestFixedColumns:
-    """Phase 1 drops the columns it proves zero, and phase 2 never prices them."""
+    """Phase 1 drops the columns it proves zero, and phase 2 never prices them.
 
-    DFT = seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4])
+    The presolve's forcing rows already fix the DFT set's trajectories that
+    jump between packets, so ``DFT`` carries one more demand, at its event's
+    maximum, whose columns only phase 1 finds at zero.
+    """
+
     CHAIN = seeded_config(2, 8, "random", "born+qtr-min", True, seed=[11, 2, 8])
+
+    @staticmethod
+    def realize(name):
+        if name == "CHAIN":
+            return realize(TestFixedColumns.CHAIN)
+        space, cs = realize(seeded_config(4, 4, "dft", "born+qtr", False, seed=[11, 4, 4]))
+        a = Event(np.random.default_rng(5).random(space.size) < 0.3)
+        tight = lower_bound_constraints(space, [(a, lower_upper(cs, a).upper, "a")])
+        return space, merge_constraint_sets([cs, tight])
 
     @staticmethod
     def untrimmed(monkeypatch, rows, rhs, senses):
@@ -442,7 +461,7 @@ class TestFixedColumns:
             return feasible_start(rows, rhs, senses)
 
     def test_nothing_fixed_keeps_the_untrimmed_start(self, monkeypatch):
-        _, cs = realize(self.CHAIN)
+        _, cs = self.realize("CHAIN")
         rows, rhs, senses = cs.presolved()[:3]
         start = feasible_start(rows, rhs, senses)
         full = self.untrimmed(monkeypatch, rows, rhs, senses)
@@ -452,7 +471,7 @@ class TestFixedColumns:
         assert start.cols.tolist() == list(range(start.tab.shape[1] - 1))
 
     def test_kept_columns_keep_their_bits(self, monkeypatch):
-        _, cs = realize(self.DFT)
+        _, cs = self.realize("DFT")
         for rows, rhs, senses in (cs.presolved()[:3], cs.lp_rows()):
             start = feasible_start(rows, rhs, senses)
             full = self.untrimmed(monkeypatch, rows, rhs, senses)
@@ -464,7 +483,7 @@ class TestFixedColumns:
     @pytest.mark.parametrize("name, fixes", [("DFT", True), ("CHAIN", False)])
     def test_start_owns_only_its_tableau(self, name, fixes):
         """A start that outlives its phase 1 keeps no larger buffer alive."""
-        _, cs = realize(getattr(self, name))
+        _, cs = self.realize(name)
         start = feasible_start(*cs.presolved()[:3])
         assert (start.fixed_cols > 0) == fixes
         owner = start.tab
@@ -473,17 +492,22 @@ class TestFixedColumns:
         assert owner.nbytes == start.tab.nbytes
 
     def test_sound_against_highs(self):
-        space, cs = realize(self.DFT)
+        space, cs = self.realize("DFT")
+        pre = cs.presolved()
         rng = np.random.default_rng(8)
         events = [(rng.random(space.size) < rng.uniform(0.1, 0.6)).astype(float)
                   for _ in range(10)]
-        presolved = assert_sound_against_highs(*cs.presolved()[:3], events)
+        presolved = assert_sound_against_highs(*pre[:3], [e[pre.live] for e in events])
         full = assert_sound_against_highs(*cs.lp_rows(), events)
-        # both fix the trajectories that jump between packets; the full rows
-        # also fix the surplus of each Born pin pair, P(A) >= w and P(A^c) >= 1 - w
-        n_vars = space.size
-        assert (presolved < n_vars).sum() == (full < n_vars).sum() > 0
-        assert (full >= n_vars).sum() > (presolved >= n_vars).sum()
+        # every trajectory phase 1 fixes on the full rows is fixed by the
+        # forcing rows or by phase 1 on the live columns; the full rows also
+        # fix the surplus of each Born pin pair, P(A) >= w and P(A^c) >= 1 - w
+        n_live = pre.live.size
+        by_presolve = set(np.setdiff1d(np.arange(space.size), pre.live).tolist())
+        by_presolve |= set(pre.live[presolved[presolved < n_live]].tolist())
+        assert presolved[presolved < n_live].size > 0
+        assert 0 < (full < space.size).sum() and set(full[full < space.size].tolist()) <= by_presolve
+        assert (full >= space.size).sum() > (presolved >= n_live).sum()
 
 
 MAX_N = {2: 5, 3: 4, 4: 3}  # at most 81 trajectories
@@ -503,6 +527,8 @@ def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
     space, cs = realize(seeded_config(m, n, "dft", ruleset, chain, seed))
     rng = np.random.default_rng(seed)
     events = [(rng.random(space.size) < 0.4).astype(float) for _ in range(2)]
-    for rows, rhs, senses in (cs.presolved()[:3], cs.lp_rows()):
-        assert_matches_seed(events, rows, rhs, senses)
-        assert_sound_against_highs(rows, rhs, senses, events)
+    pre = cs.presolved()
+    for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
+        on_live = [event[live] for event in events]
+        assert_matches_seed(on_live, rows, rhs, senses)
+        assert_sound_against_highs(rows, rhs, senses, on_live)

@@ -58,17 +58,18 @@ def pinned_weight(pre, bits):
 
 
 def assert_presolve_keeps_rows(cs):
-    """Each kept row is its owner's row of ``lp_rows``, and an '==' row pins an
-    event whose complement's bound sums with it to 1.  Every distinct event is
-    kept, paired, or dropped because the pins imply its largest bound: by
-    Frechet, or by the kept '>=' row on the complements of its two ssets."""
+    """Each kept row is its owner's row of ``lp_rows`` on the live columns, and
+    an '==' row pins an event whose complement's bound sums with it to 1.
+    Every distinct event is kept, paired, collapsed on the live columns, or
+    dropped because the pins imply its largest bound: by Frechet, or by the
+    kept '>=' row on the complements of its two ssets."""
     rows, rhs, senses = cs.lp_rows()
     pre = cs.presolved()
     assert len(pre.senses) == len(pre.rows) == len(pre.rhs) == 1 + len(pre.owners)
-    assert pre.rows[0].tobytes() == rows[0].tobytes() and pre.senses[0] == "=="
+    assert pre.rows[0].tobytes() == rows[0][pre.live].tobytes() and pre.senses[0] == "=="
     events = set()
     for k, (owner, partner) in enumerate(zip(pre.owners, pre.partners), start=1):
-        assert pre.rows[k].tobytes() == rows[1 + owner].tobytes()
+        assert pre.rows[k].tobytes() == rows[1 + owner][pre.live].tobytes()
         assert pre.rhs[k] == rhs[1 + owner]
         bits = cs.constraints[owner].event.bits
         assert cs.constraints[owner].rhs == max(
@@ -83,7 +84,9 @@ def assert_presolve_keeps_rows(cs):
     distinct = {con.event.bits.tobytes() for con in cs.constraints}
     paired = {cs.constraints[j].event.bits.tobytes() for j in pre.partners if j >= 0}
     assert events | paired <= distinct and not events & paired
-    dropped = distinct - events - paired
+    collapsed = {cs.constraints[i].event.bits.tobytes() for i in pre.collapsed}
+    assert collapsed <= distinct - events - paired
+    dropped = distinct - events - paired - collapsed
     assert len(dropped) == pre.implied
     kept_bounds = {pre.rows[k].tobytes(): pre.rhs[k]
                    for k, sense in enumerate(pre.senses) if sense == ">="}
