@@ -22,13 +22,10 @@ Phase 1 depends only on the constraints, so it runs once per constraint set:
 ``feasible_start`` returns the post-phase-1 tableau and basis, and a caller
 that asks several questions about one set passes that start to every
 ``solve_lp`` call; without one, ``solve_lp`` runs its own phase 1.  The solver
-keeps no state between calls.  The start holds only the columns that can be
-non-zero.  It drops the artificials and every column whose phase-1 reduced
-cost at the optimum exceeds ``FEASIBILITY_TOL``: on the feasible set the
-phase-1 objective is zero and equals the reduced costs times x, so every
-feasible point has such a column at zero (Dantzig, 1963, end of phase I), and
-phase 2 never prices it.  Kept columns stay in order, so phase 2 makes the
-pivots of the full tableau with the dropped columns barred from entering.
+keeps no state between calls.  The start drops the artificial columns and
+keeps every structural and slack column, all of which phase 2 prices, also
+those that every feasible point holds at zero (``ConstraintSet.presolved``
+removes the ones its forcing rows name before the rows reach the solver).
 Pricing and the ratio test are numpy scans that pick the same entering column
 and leaving row as a scalar loop with the same rule (ties in the ratio test
 within ``PIVOT_TOL`` go to the smallest basic index, applied row by row in
@@ -68,7 +65,6 @@ class LPResult:
     phase2_pivots: int = 0
     degenerate_pivots: int = 0  # both phases; see _Tableau.degenerate
     dropped_rows: int = 0  # redundant equality rows removed after phase 1
-    fixed_cols: int = 0  # columns phase 1 proved zero, never priced in phase 2
 
 
 @dataclass(frozen=True)
@@ -76,23 +72,18 @@ class FeasibleStart:
     """Outcome of phase 1 for one constraint set; read-only, so shareable.
 
     ``tab`` holds the constraint rows after phase 1 followed by one spare cost
-    row, over the structural and slack columns that can be non-zero and the
-    right-hand side.  The artificial columns are never read again, and
-    ``fixed_cols`` columns that every feasible point has at zero are never
-    priced, so both are trimmed.  ``cols`` holds the original index of each
-    kept column, in order, and ``basis`` the position in ``tab`` of each kept
-    row's basic column.  All three are ``None`` for an infeasible set, which
-    carries ``farkas_duals`` instead.
+    row, over the structural and slack columns and the right-hand side (the
+    artificial columns are never read again and are trimmed), and ``basis``
+    the basic column of each kept row.  Both are ``None`` for an infeasible
+    set, which carries ``farkas_duals`` instead.
     """
 
     n_cols: int  # phase-1 tableau columns before the right-hand side; sets the pivot budget
     phase1_pivots: int
     degenerate_pivots: int
     dropped_rows: int
-    fixed_cols: int
     tab: np.ndarray | None = None
     basis: tuple[int, ...] | None = None
-    cols: np.ndarray | None = None
     farkas_duals: np.ndarray | None = None
 
 
@@ -226,8 +217,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
 
     if not art_cols:
         return FeasibleStart(n_cols=n_cols, phase1_pivots=0, degenerate_pivots=0,
-                             dropped_rows=0, fixed_cols=0, tab=tab, basis=tuple(basis),
-                             cols=np.arange(n_cols))
+                             dropped_rows=0, tab=tab, basis=tuple(basis))
 
     state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols), np.empty_like(tab))
     if state.run_phase() == UNBOUNDED:
@@ -241,10 +231,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                 duals[i] = -tab[z1, slack_cols[i]]
         return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                              degenerate_pivots=state.degenerate, dropped_rows=0,
-                             fixed_cols=0, farkas_duals=sign * duals)
+                             farkas_duals=sign * duals)
 
-    # columns of positive phase-1 reduced cost are zero at every feasible point
-    fixed = tab[z1, :first_art] > FEASIBILITY_TOL
     # drive leftover basic artificials out (or drop redundant rows)
     drop: list[int] = []
     for i in range(n_rows):
@@ -254,23 +242,14 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                 state.pivot(i, int(nonzero.argmax()))
             else:
                 drop.append(i)
-    # no artificial is basic now, so its column is never read again; a pivot
-    # updates each column from itself and the pivot column only, so the kept
-    # columns hold the same bits as in the untrimmed tableau
+    # no artificial is basic now, so its column is never read again
     keep = [i for i in range(n_rows + 1) if i not in drop]
     if drop:
         tab = tab[keep]
-    basis = [basis[i] for i in keep[:-1]]
-    fixed[basis] = False  # a drive-out pivot may enter a fixed column, at zero
-    cols = np.flatnonzero(~fixed)
-    start_tab = np.empty((len(keep), cols.size + 1))
-    # with nothing fixed a slice copies without a full-width temporary
-    start_tab[:, :-1] = tab[:, cols] if cols.size < first_art else tab[:, :first_art]
-    start_tab[:, -1] = tab[:, -1]
     return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                          degenerate_pivots=state.degenerate, dropped_rows=len(drop),
-                         fixed_cols=first_art - cols.size, tab=start_tab,
-                         basis=tuple(np.searchsorted(cols, basis).tolist()), cols=cols)
+                         tab=np.hstack((tab[:, :first_art], tab[:, -1:])),
+                         basis=tuple(basis[i] for i in keep[:-1]))
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
@@ -281,7 +260,7 @@ def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> Feas
     """
     start = _phase1(np.ascontiguousarray(_as_rows(rows)),
                     np.ascontiguousarray(rhs, dtype=float), senses)
-    for arr in (start.tab, start.cols, start.farkas_duals):
+    for arr in (start.tab, start.farkas_duals):
         if arr is not None:
             arr.flags.writeable = False
     return start
@@ -315,22 +294,18 @@ def solve_lp(
     if start.phase1_pivots > budget:
         raise SimplexFailure(f"pivot limit {budget} exceeded")
     counters = dict(phase1_pivots=start.phase1_pivots,
-                    degenerate_pivots=start.degenerate_pivots, dropped_rows=start.dropped_rows,
-                    fixed_cols=start.fixed_cols)
+                    degenerate_pivots=start.degenerate_pivots, dropped_rows=start.dropped_rows)
     if start.farkas_duals is not None:
         return LPResult(status=INFEASIBLE, farkas_duals=start.farkas_duals.copy(), **counters)
 
-    # phase-2 reduced costs c - c_B.T over the kept columns, with the basic
-    # columns exactly zero
-    tab, cols = start.tab, start.cols
-    c = np.zeros(start.n_cols)
-    c[:n_vars] = -c_orig if maximize else c_orig
-    c = c[cols]
+    # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
+    tab = start.tab
+    c = -c_orig if maximize else c_orig
     basis = list(start.basis)
     cost = np.zeros(tab.shape[1])
-    cost[:-1] = c
+    cost[:n_vars] = c
     for i, j in enumerate(basis):
-        if c[j] != 0.0:
+        if j < n_vars and c[j] != 0.0:
             cost -= c[j] * tab[i]
     cost[basis] = 0.0
 
@@ -344,8 +319,8 @@ def solve_lp(
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, **counters)
 
-    basic = cols[basis]
-    x = np.zeros(start.n_cols)
+    basic = np.array(basis, dtype=int)
+    x = np.zeros(tab.shape[1] - 1)
     x[basic] = tab[:-1, -1]
     solution = x[:n_vars]
     # c.x over the basic structural columns, in row order: every other entry

@@ -197,7 +197,10 @@ def branch_stats(
     if p_base <= 0.0:
         raise ValueError("base event has zero probability")
     expectation = float((vec * base.bits * counts).sum()) / (k * p_base)
-    in_tail = counts <= k * (1.0 - delta) + 1e-9
+    # Y <= 1 - delta is a shortfall k - counts of at least k * delta; the
+    # relative slack keeps delta = j / k in the tail, and an absolute one
+    # would put Y = 1 there once k * delta is below it
+    in_tail = k - counts >= k * delta * (1.0 - 1e-9)
     tail = float((vec * base.bits * in_tail).sum()) / p_base
     return BranchStats(expectation=expectation, tail=tail, delta=delta, n_times=k)
 

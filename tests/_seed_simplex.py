@@ -2,14 +2,11 @@
 
 This is the loop-by-loop solver that ``iqp.lp`` replaced, with its pricing
 rule (Dantzig, falling back to Bland after ``iqp.lp.STALL_CAP`` consecutive
-degenerate pivots) and the counters of ``LPResult``.  Phase 2 keeps the whole
-tableau but prices only the columns that phase 1 leaves free: a column of
-phase-1 reduced cost above ``FEASIBILITY_TOL`` is zero at every feasible point
-and never enters, unless the drive-out made it basic.  The objective value
-sums ``c * x`` over the basic structural columns in row order, as
-``iqp.lp.solve_lp`` does.  Tests require the
-vectorized solver to reproduce its answers bit for bit and its pivot counts
-exactly.
+degenerate pivots) and the counters of ``LPResult``.  Phase 2 prices every
+structural and slack column.  The objective value sums ``c * x`` over the
+basic structural columns in row order, as ``iqp.lp.solve_lp`` does.  Tests
+require the vectorized solver to reproduce its answers bit for bit and its
+pivot counts exactly.
 """
 
 from __future__ import annotations
@@ -125,19 +122,19 @@ def solve_lp(
         tab[row, col_] = 1.0
         basis[row] = col_
 
-    def run_phase(cost_row: int, allowed: list[int]) -> str:
+    def run_phase(cost_row: int, allowed_upto: int) -> str:
         nonlocal degenerate
         stalled = 0
         while True:
             entering = -1
             if stalled < lp.STALL_CAP:  # Dantzig: most negative, smallest index on ties
                 best_cost = -PIVOT_TOL
-                for j in allowed:
+                for j in range(allowed_upto):
                     if tab[cost_row, j] < best_cost:
                         best_cost = tab[cost_row, j]
                         entering = j
             else:
-                for j in allowed:  # Bland: smallest eligible index
+                for j in range(allowed_upto):  # Bland: smallest eligible index
                     if tab[cost_row, j] < -PIVOT_TOL:
                         entering = j
                         break
@@ -164,9 +161,8 @@ def solve_lp(
                 stalled = 0
             pivot(leaving, entering)
 
-    fixed = np.zeros(first_art, dtype=bool)
     if art_cols:
-        if run_phase(z1, list(range(n_cols))) == UNBOUNDED:
+        if run_phase(z1, n_cols) == UNBOUNDED:
             raise SimplexFailure("phase-1 objective reported unbounded")
         phase1_obj = -tab[z1, -1]
         if phase1_obj > FEASIBILITY_TOL:
@@ -179,8 +175,6 @@ def solve_lp(
             return LPResult(status=INFEASIBLE, farkas_duals=sign * duals,
                             phase1_pivots=pivots, degenerate_pivots=degenerate)
 
-        for j in range(first_art):
-            fixed[j] = tab[z1, j] > FEASIBILITY_TOL
         # drive leftover basic artificials out (or drop redundant rows)
         drop: list[int] = []
         for i in range(n_rows):
@@ -200,8 +194,6 @@ def solve_lp(
             basis = basis[keep]
             n_rows = len(keep)
             z1 = n_rows + 1
-        for j in basis:
-            fixed[j] = False
 
     # phase-2 reduced costs recomputed from the post-phase-1 rows, in the
     # order and with the skips of iqp.lp.solve_lp, so that equal costs compare
@@ -217,10 +209,9 @@ def solve_lp(
 
     phase1 = pivots
     dropped = len(sign) - n_rows
-    status = run_phase(n_rows, [j for j in range(first_art) if not fixed[j]])
+    status = run_phase(n_rows, first_art)
     counters = dict(phase1_pivots=phase1, phase2_pivots=pivots - phase1,
-                    degenerate_pivots=degenerate, dropped_rows=dropped,
-                    fixed_cols=int(fixed.sum()))
+                    degenerate_pivots=degenerate, dropped_rows=dropped)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, **counters)
 

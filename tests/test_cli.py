@@ -120,6 +120,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag, value, csv", [
         ("branch", "--delta", "0.5", "branch.csv"),
+        ("branch", "--delta", "1e-10", "branch.csv"),  # zero-drift arms: tail 0, exit 0
         ("typicality", "--epsilon", "0", "typicality.csv"),
     ])
     def test_override_inside_config_range_runs(self, scenario_file, tmp_path,

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from iqp.lp import (
     feasible_start,
     solve_lp,
 )
-from iqp.scenarios import BUILTIN_SCENARIOS
+from iqp.scenarios import BUILTIN_SCENARIOS, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import Rung, make_config  # noqa: E402
 
 
 def scipy_reference(c, rows, rhs, senses, maximize=False):
@@ -61,8 +67,7 @@ def assert_identical(new, old):
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
     assert new.objective == old.objective
-    counters = ("phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows",
-                "fixed_cols")
+    counters = ("phase1_pivots", "phase2_pivots", "degenerate_pivots", "dropped_rows")
     assert [getattr(new, k) for k in counters] == [getattr(old, k) for k in counters]
 
 
@@ -401,45 +406,24 @@ class TestStartMemo:
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
 
 
-def assert_sound_against_highs(rows, rhs, senses, objectives):
-    """Fixed columns are zero at HiGHS's maximum; optima agree with HiGHS within 1e-9.
-
-    Each fixed column is a trajectory ``x_j`` or the surplus ``A_i.x - b_i`` of
-    a ``>=`` row ``i`` (no right side is negative, so no row is flipped).  Every
-    one is non-negative on the polytope, so a zero maximum of their sum fixes
-    each.  Returns the fixed columns' original indices.
-    """
-    n_vars = rows.shape[1]
-    surplus_rows = [i for i, sense in enumerate(senses) if sense != "=="]
-    assert all(senses[i] == ">=" for i in surplus_rows) and (rhs >= 0).all()
+def assert_agrees_with_highs(rows, rhs, senses, objectives):
+    """Each objective's minimum and maximum, from one start, match HiGHS within 1e-9."""
     start = feasible_start(rows, rhs, senses)
-    fixed = np.setdiff1d(np.arange(n_vars + len(surplus_rows)), start.cols)
-    assert fixed.size == start.fixed_cols
-    if fixed.size:
-        c, offset = np.zeros(n_vars), 0.0
-        for j in fixed.tolist():
-            if j < n_vars:
-                c[j] += 1.0
-            else:
-                c += rows[surplus_rows[j - n_vars]]
-                offset += rhs[surplus_rows[j - n_vars]]
-        ref = scipy_reference(c, rows, rhs, senses, maximize=True)
-        assert ref.status == 0 and -ref.fun - offset <= 1e-9
     for obj in objectives:
         for maximize in (False, True):
             mine = solve_lp(obj, rows, rhs, senses, maximize=maximize, start=start)
             ref = scipy_reference(obj, rows, rhs, senses, maximize=maximize)
             assert mine.status == OPTIMAL and ref.status == 0
             assert mine.objective == pytest.approx(-ref.fun if maximize else ref.fun, abs=1e-9)
-    return fixed
 
 
 class TestFixedColumns:
-    """Phase 1 drops the columns it proves zero, and phase 2 never prices them.
+    """Sets with columns that every feasible point holds at zero.
 
-    The presolve's forcing rows already fix the DFT set's trajectories that
-    jump between packets, so ``DFT`` carries one more demand, at its event's
-    maximum, whose columns only phase 1 finds at zero.
+    The presolve's forcing rows fix the DFT set's trajectories that jump
+    between packets, so ``DFT`` carries one more demand, at its event's
+    maximum, whose columns are zero on the polytope but still live.  Phase 2
+    prices them like any other column.
     """
 
     CHAIN = seeded_config(2, 8, "random", "born+qtr-min", True, seed=[11, 2, 8])
@@ -453,39 +437,16 @@ class TestFixedColumns:
         tight = lower_bound_constraints(space, [(a, lower_upper(cs, a).upper, "a")])
         return space, merge_constraint_sets([cs, tight])
 
-    @staticmethod
-    def untrimmed(monkeypatch, rows, rhs, senses):
-        """The start of a feasible set when no column counts as fixed."""
-        with monkeypatch.context() as patch:
-            patch.setattr(lp, "FEASIBILITY_TOL", np.inf)
-            return feasible_start(rows, rhs, senses)
-
-    def test_nothing_fixed_keeps_the_untrimmed_start(self, monkeypatch):
-        _, cs = self.realize("CHAIN")
-        rows, rhs, senses = cs.presolved()[:3]
-        start = feasible_start(rows, rhs, senses)
-        full = self.untrimmed(monkeypatch, rows, rhs, senses)
-        assert start.fixed_cols == 0
-        assert start.tab.tobytes() == full.tab.tobytes()
-        assert start.basis == full.basis
-        assert start.cols.tolist() == list(range(start.tab.shape[1] - 1))
-
-    def test_kept_columns_keep_their_bits(self, monkeypatch):
-        _, cs = self.realize("DFT")
-        for rows, rhs, senses in (cs.presolved()[:3], cs.lp_rows()):
-            start = feasible_start(rows, rhs, senses)
-            full = self.untrimmed(monkeypatch, rows, rhs, senses)
-            assert start.fixed_cols > 0 and full.fixed_cols == 0
-            assert start.tab[:, :-1].tobytes() == full.tab[:, start.cols].tobytes()
-            assert start.tab[:, -1].tobytes() == full.tab[:, -1].tobytes()
-            assert start.cols[list(start.basis)].tolist() == list(full.basis)
-
     @pytest.mark.parametrize("name, fixes", [("DFT", True), ("CHAIN", False)])
     def test_start_owns_only_its_tableau(self, name, fixes):
-        """A start that outlives its phase 1 keeps no larger buffer alive."""
-        _, cs = self.realize(name)
-        start = feasible_start(*cs.presolved()[:3])
-        assert (start.fixed_cols > 0) == fixes
+        """A start keeps every structural and slack column, and no larger buffer alive."""
+        space, cs = self.realize(name)
+        pre = cs.presolved()
+        rows, rhs, senses = pre[:3]
+        assert (pre.live.size < space.size) == fixes  # the forcing rows fixed columns
+        start = feasible_start(rows, rhs, senses)
+        slacks = sum(sense != "==" for sense in senses)
+        assert start.tab.shape[1] == rows.shape[1] + slacks + 1
         owner = start.tab
         while isinstance(owner.base, np.ndarray):
             owner = owner.base
@@ -497,17 +458,30 @@ class TestFixedColumns:
         rng = np.random.default_rng(8)
         events = [(rng.random(space.size) < rng.uniform(0.1, 0.6)).astype(float)
                   for _ in range(10)]
-        presolved = assert_sound_against_highs(*pre[:3], [e[pre.live] for e in events])
-        full = assert_sound_against_highs(*cs.lp_rows(), events)
-        # every trajectory phase 1 fixes on the full rows is fixed by the
-        # forcing rows or by phase 1 on the live columns; the full rows also
-        # fix the surplus of each Born pin pair, P(A) >= w and P(A^c) >= 1 - w
-        n_live = pre.live.size
-        by_presolve = set(np.setdiff1d(np.arange(space.size), pre.live).tolist())
-        by_presolve |= set(pre.live[presolved[presolved < n_live]].tolist())
-        assert presolved[presolved < n_live].size > 0
-        assert 0 < (full < space.size).sum() and set(full[full < space.size].tolist()) <= by_presolve
-        assert (full >= space.size).sum() > (presolved >= n_live).sum()
+        assert_agrees_with_highs(*pre[:3], [e[pre.live] for e in events])
+        assert_agrees_with_highs(*cs.lp_rows(), events)
+
+    @pytest.mark.parametrize("m, n, k", [(2, 6, 3), (3, 4, 0), (4, 3, 4), (4, 4, 5), (4, 5, 3)])
+    def test_zero_columns_the_forcing_rows_leave(self, m, n, k):
+        """DFT all-pairs systems whose live columns include some zero on the polytope.
+
+        The oracle must make the same pivots, and the bounds of the config's
+        events and of random objectives must match HiGHS within 1e-9.
+        """
+        cfg = parse_config(make_config(Rung(m, n, "dft", "born+qtr-min", "all", 1, E=3), 401, 0, k))
+        space, cs = realize(cfg)
+        pre = cs.presolved()
+        rows, rhs, senses = pre[:3]
+        n_live = rows.shape[1]
+        zero = [j for j in range(n_live)
+                if -scipy_reference(np.eye(n_live)[j], rows, rhs, senses, maximize=True).fun
+                <= 1e-12]
+        assert zero
+        rng = np.random.default_rng(k)
+        objectives = [parse_event(e, space).bits[pre.live].astype(float) for e in cfg.events]
+        objectives += [rng.standard_normal(n_live) for _ in range(2)]
+        assert_matches_seed(objectives, rows, rhs, senses)
+        assert_agrees_with_highs(rows, rhs, senses, objectives)
 
 
 MAX_N = {2: 5, 3: 4, 4: 3}  # at most 81 trajectories
@@ -520,8 +494,8 @@ MAX_N = {2: 5, 3: 4, 4: 3}  # at most 81 trajectories
 def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
     """DFT steps make many weights equal: degenerate vertices with many ties.
 
-    The oracle must make the same pivots, the columns phase 1 fixes must be
-    zero at HiGHS's maximum, and the bounds must match HiGHS within 1e-9.
+    The oracle must make the same pivots, and the bounds must match HiGHS
+    within 1e-9.
     """
     n = data.draw(st.integers(2, MAX_N[m]), label="n")
     space, cs = realize(seeded_config(m, n, "dft", ruleset, chain, seed))
@@ -531,4 +505,4 @@ def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
     for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
         on_live = [event[live] for event in events]
         assert_matches_seed(on_live, rows, rhs, senses)
-        assert_sound_against_highs(rows, rhs, senses, on_live)
+        assert_agrees_with_highs(rows, rhs, senses, on_live)

@@ -213,10 +213,27 @@ class TestBranchStats:
         space = TrajectorySpace.for_system(system)
         witness = born_product_witness(system, space)  # point mass on (0,0,0)
         branch = make_branch(system, [sset(0, [0]), sset(1, [0]), sset(2, [0])])
-        stats = branch_stats(space, witness.probs, branch, delta=1e-3)
-        assert stats.expectation == pytest.approx(1.0, abs=1e-12)
-        assert stats.tail == pytest.approx(0.0, abs=1e-12)
-        assert stats.n_times == 3
+        # Y = 1 stays out of the tail P(Y <= 1 - delta) however small delta is
+        for delta in (1e-3, 4e-10, 1e-10, 1e-300):
+            stats = branch_stats(space, witness.probs, branch, delta)
+            assert stats.expectation == pytest.approx(1.0, abs=1e-12)
+            assert stats.tail == 0.0
+            assert stats.n_times == 3
+
+    def test_delta_on_the_grid_keeps_y_in_the_tail(self):
+        """A point mass with Y = 1 - j/k is in the tail at delta = j/k, not above it."""
+        for k in range(2, 11):
+            system = QuantumSystem(["x0", "x1"], [identity_matrix(2)] * (k - 1), [1.0, 0.0])
+            space = TrajectorySpace.for_system(system)
+            witness = born_product_witness(system, space)  # point mass on (0,...,0)
+            for j in range(1, k):
+                # the point mass's trajectory is in the branch at the first k - j times
+                ssets = tuple(sset(t, [0] if t < k - j else [1]) for t in range(k))
+                branch = Branch(ssets=ssets, base=sset(0, [0]), epsilon=0.0)
+                on_grid = branch_stats(space, witness.probs, branch, j / k)
+                assert on_grid.expectation == pytest.approx(1.0 - j / k, abs=1e-12)
+                assert on_grid.tail == 1.0
+                assert branch_stats(space, witness.probs, branch, j / k + 1e-6).tail == 0.0
 
     def test_full_space_base_equals_unconditioned(self, hti):
         system, space = hti
