@@ -76,19 +76,19 @@ class LinearConstraint:
         return max(self.rhs - event_probability(probs, self.event), 0.0)
 
 
-# a combination of rows, as (row, coefficient) pairs
+# a combination of constraints' rows, as (constraint, coefficient) pairs,
+# with -1 standing for normalization
 Terms = tuple[tuple[int, float], ...]
 
 
 class Forcing(NamedTuple):
     """A deduction of the presolve: every trajectory in ``cols`` is zero.
 
-    ``terms`` combine presolved rows, as ``(row, coefficient)`` with row 0 the
-    normalization and rows ``1, 2, ...`` those of ``owners`` then
-    ``collapsed``, into ``1_F - 1_E``: a row ``P(F) >= l`` minus an upper
-    bound ``P(E) <= u``, with ``F`` inside ``E`` and ``l >= u``.  The
-    combination is -1 on ``cols``, the trajectories of ``E`` outside ``F``,
-    and 0 elsewhere, and its right side ``l - u`` is at least 0.
+    ``terms`` combine the rows of constraints (-1 for normalization) into
+    ``1_F - 1_E``: a row ``P(F) >= l`` minus an upper bound ``P(E) <= u``,
+    with ``F`` inside ``E`` and ``l >= u``.  The combination is -1 on
+    ``cols``, the trajectories of ``E`` outside ``F``, and 0 elsewhere, and
+    its right side ``l - u`` is at least 0.
     """
 
     terms: Terms
@@ -97,7 +97,8 @@ class Forcing(NamedTuple):
 
 class Presolved(NamedTuple):
     """A presolved LP over the live columns: normalization row first, then
-    one row per kept event."""
+    one row per kept event, row ``k + 1`` being that of ``owners[k]``.  The
+    other fields name constraints by index, as ``Forcing.terms`` do."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -107,7 +108,7 @@ class Presolved(NamedTuple):
     implied: int  # '>=' rows dropped because the '==' pins imply them
     live: np.ndarray  # the columns of ``rows``, in order; every other one is zero
     collapsed: list[int]  # '>=' rows (by constraint) a kept row implies on ``live``
-    forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns
+    forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns, in order
 
 
 class _Pin(NamedTuple):
@@ -224,8 +225,9 @@ class ConstraintSet:
         of ``lp_rows`` on them, and rows equal there collapse: the largest
         '>=' bound wins, the first on ties, and a '>=' row is dropped
         (``collapsed``) when an '==' row, normalization included, on the same
-        columns has at least its bound.  ``forcings`` keep each deduction,
-        for lifting Farkas certificates back to every constraint.
+        columns has at least its bound.  ``forcings`` keep each deduction in
+        constraint indices, for lifting Farkas certificates back to every
+        constraint.
         """
         bounds = [float(con.rhs) for con in self.constraints]
         keys = [con.event.bits.tobytes() for con in self.constraints]
@@ -249,38 +251,32 @@ class ConstraintSet:
         implied, fixes = self._implied(owners, partners, bounds, pins)
         partners = [j for i, j in zip(owners, partners) if i not in implied]
         owners = [i for i in owners if i not in implied]
-        fixes = [fix for fix in fixes if fix[0] not in implied and fix[2].any()]
+        forcings = tuple(fix for fix in fixes if fix.terms[0][0] not in implied and fix.cols.any())
         live = np.arange(self.space.size)
         collapsed: list[int] = []
-        forcings: tuple[Forcing, ...] = ()
-        if not fixes:
+        if not forcings:
             rows, rhs = self._rows([self.constraints[i] for i in owners])
         else:
             fixed = np.zeros(self.space.size, dtype=bool)
-            for *_, cols in fixes:
-                fixed |= cols
+            for fix in forcings:
+                fixed |= fix.cols
             live = np.flatnonzero(~fixed)
             rows, rhs = self._rows([self.constraints[i] for i in owners], live)
             keep = _collapse(rows, rhs.tolist(), partners)
             collapsed = [i for i, kept in zip(owners, keep) if not kept]
             owners = [i for i, kept in zip(owners, keep) if kept]
             partners = [j for j, kept in zip(partners, keep) if kept]
-            position = {i: k for k, i in enumerate(owners + collapsed, start=1)}
-            position[-1] = 0
-            forcings = tuple(
-                Forcing(((position[f], 1.0),) + tuple((position[r], -c) for r, c in upper), cols)
-                for f, upper, cols in fixes)
             rows, rhs = rows[[True] + keep], rhs[[True] + keep]
         senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
         return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
                          forcings)
 
     def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
-                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[tuple[int, Terms, np.ndarray]]]:
+                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing]]:
         """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
-        drop, and the forcing rows' deductions, each as its row's constraint,
-        the upper bound's terms (``_Pin.upper``) and the fixed columns.  Each
-        sset's pin is looked up once, through its atom event."""
+        drop, and the forcing rows' deductions, each one's first term the
+        forcing row's constraint.  Each sset's pin is looked up once, through
+        its atom event."""
         pinned: dict[SSet, _Pin | None] = {}
 
         def pin(s: SSet) -> _Pin | None:
@@ -289,22 +285,27 @@ class ConstraintSet:
             return pinned[s]
 
         implied: set[int] = set()
-        fixes: list[tuple[int, Terms, np.ndarray]] = []
+        fixes: list[Forcing] = []
+
+        def fix(row: int, upper: Terms, cols: np.ndarray) -> None:
+            """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes ``cols``."""
+            fixes.append(Forcing(((row, 1.0),) + tuple((r, -c) for r, c in upper), cols))
+
         # each kept, pinned pair row not yet matched: its ssets -> (constraint, shift)
         unmatched: dict[frozenset[SSet], tuple[int, float]] = {}
         for i, j in zip(owners, partners):
             con = self.constraints[i]
             if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
-                fixes.append((i, ((-1, 1.0),), ~con.event.bits))
+                fix(i, ((-1, 1.0),), ~con.event.bits)
             if j >= 0 or len(con.origin) != 2:
                 continue
             s1, s2 = con.origin
             pin1, pin2 = pin(s1), pin(s2)
             # a row reaching a pin fixes the rest of that sset (zero drift)
             if pin1 is not None and bounds[i] >= pin1.reach:
-                fixes.append((i, pin1.upper, sset_event(self.space, s1).bits & ~con.event.bits))
+                fix(i, pin1.upper, sset_event(self.space, s1).bits & ~con.event.bits)
             if pin2 is not None and bounds[i] >= pin2.reach:
-                fixes.append((i, pin2.upper, sset_event(self.space, s2).bits & ~con.event.bits))
+                fix(i, pin2.upper, sset_event(self.space, s2).bits & ~con.event.bits)
             if pin1 is None or pin2 is None:
                 continue
             shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
@@ -535,33 +536,6 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
     return float(combo.max()), float(total)
 
 
-def _lift_farkas(duals: np.ndarray, owners: list[int], partners: list[int],
-                 count: int) -> tuple[np.ndarray, float]:
-    """Multipliers of the ``count`` constraints and the normalization's, from
-    the Farkas duals of presolved rows.
-
-    A '>=' row's dual goes to its owner.  An '==' row ``P(A) = l`` with dual
-    ``y >= 0`` does too; with ``y < 0``, ``y * 1_A = y - y * 1_{A^c}``, so
-    ``-y`` goes to the complement's constraint and ``y`` to normalization.
-    Every other constraint gets 0.  Values are assigned, not added, so a
-    -0.0 keeps its sign bit.
-    """
-    mult = np.zeros(count)
-    normalization = float(duals[0])
-    for y, owner, partner in zip(duals[1:].tolist(), owners, partners):
-        if partner < 0 and y < -1e-8:
-            raise lp.SimplexFailure(
-                f"negative multiplier {y:.3e} on inequality row {owner}"
-            )
-        if partner < 0 or y >= 0.0:
-            mult[owner] = y
-        else:
-            mult[partner] = -y
-            normalization += y
-    mult[mult < 0.0] = 0.0  # -0.0 is not below zero and keeps its sign bit
-    return mult, normalization
-
-
 @functools.lru_cache(maxsize=1)
 def presolve(cs: ConstraintSet) -> Presolved:
     """``cs.presolved()``, kept for the last set asked about.
@@ -607,39 +581,55 @@ def _solve(cs: ConstraintSet, objective: np.ndarray, maximize: bool = False) -> 
     return result
 
 
-def _unforce(cs: ConstraintSet, pre: Presolved, duals: np.ndarray) -> np.ndarray:
-    """Farkas duals of the LP rows as duals of the presolved rows before the
-    collapse (normalization, ``owners``, then ``collapsed``), with no
-    positive coefficient left on a fixed column.
+def _lift_farkas(cs: ConstraintSet, pre: Presolved,
+                 duals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Multipliers of the constraints and the normalization's, from the
+    Farkas duals of the LP rows (normalization, then those of ``pre.owners``).
 
-    The LP's combination is at most 0 on the live columns only.  In reverse
-    order, each deduction's ``1_F - 1_E`` (-1 on its columns, right side at
+    The duals are scattered onto one entry per constraint and one for
+    normalization, at index -1, the index space of ``Forcing.terms``.  The
+    LP's combination is at most 0 on the live columns only, so in reverse
+    order each deduction's ``1_F - 1_E`` (-1 on its columns, right side at
     least 0) is added ``lam`` times, ``lam`` the largest positive coefficient
-    left on those columns, which keeps the margin.
+    left on those columns, which keeps the margin.  Last, an '==' row
+    ``P(A) = l`` with dual ``y < 0`` is rewritten by
+    ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
+    and ``y`` to normalization.  Every other dual stays with its constraint,
+    which keeps the sign bit of a -0.0.
     """
-    y = np.zeros(1 + len(pre.owners) + len(pre.collapsed))
-    y[:duals.size] = duals
-    if not pre.forcings:
-        return y
-    combo = np.full(cs.space.size, y[0])
-    for k, i in enumerate(pre.owners + pre.collapsed, start=1):
-        if y[k] != 0.0:
-            combo += y[k] * cs.constraints[i].event.bits
-    for forcing in reversed(pre.forcings):
-        lam = float(combo[forcing.cols].max())
-        if lam > 0.0:
-            for row, coef in forcing.terms:
-                y[row] += lam * coef
-            combo[forcing.cols] -= lam
-    return y
+    y = np.zeros(len(cs) + 1)
+    y[-1] = duals[0]
+    y[pre.owners] = duals[1:]
+    if pre.forcings:
+        combo = np.full(cs.space.size, y[-1])
+        for i in pre.owners:
+            if y[i] != 0.0:
+                combo += y[i] * cs.constraints[i].event.bits
+        for forcing in reversed(pre.forcings):
+            lam = float(combo[forcing.cols].max())
+            if lam > 0.0:
+                for i, coef in forcing.terms:
+                    y[i] += lam * coef
+                combo[forcing.cols] -= lam
+    normalization = float(y[-1])
+    mult = y[:-1]
+    for i, j in zip(pre.owners + pre.collapsed, pre.partners + [-1] * len(pre.collapsed)):
+        dual = float(mult[i])
+        if j < 0 and dual < -1e-8:
+            raise lp.SimplexFailure(f"negative multiplier {dual:.3e} on inequality row {i}")
+        if j >= 0 and dual < 0.0:
+            mult[i], mult[j] = 0.0, -dual
+            normalization += dual
+    mult[mult < 0.0] = 0.0  # -0.0 is not below zero and keeps its sign bit
+    return mult, normalization
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Phase-1 feasibility with a self-verified witness or Farkas certificate.
 
     The phase 1 is the one later bounds and vertex samples of ``cs`` start
-    from.  It runs on the presolved rows, whose Farkas duals
-    ``_lift_farkas`` maps back to one multiplier per constraint.
+    from.  It runs on the presolved rows, whose Farkas duals ``_lift_farkas``
+    maps back, in one pass, to one multiplier per constraint.
     """
     result = _solve(cs, np.zeros(cs.space.size))
     if result.status == lp.OPTIMAL:
@@ -651,10 +641,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
             )
         return FeasibilityCertificate(witness=witness)
 
-    pre, _ = _prepared(cs)
-    mult, normalization = _lift_farkas(_unforce(cs, pre, result.farkas_duals),
-                                       pre.owners + pre.collapsed,
-                                       pre.partners + [-1] * len(pre.collapsed), len(cs))
+    mult, normalization = _lift_farkas(cs, _prepared(cs)[0], result.farkas_duals)
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=0.0)
     slack, margin = verify_farkas(cs, cert)
     cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)

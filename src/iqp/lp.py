@@ -43,7 +43,7 @@ PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 # Consecutive degenerate pivots after which pricing falls back to Bland's rule,
 # chosen by measurement (the table is in CHANGES.md).  It stays below the
-# smallest default pivot budget (1000), so a cycling LP reaches the fallback.
+# smallest pivot budget (1000, ``_budget``), so a cycling LP reaches the fallback.
 STALL_CAP = 500
 
 OPTIMAL = "optimal"
@@ -157,8 +157,9 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
-def _budget(pivot_cap: int | None, n_rows: int, n_cols: int) -> int:
-    return pivot_cap if pivot_cap is not None else 1000 + 50 * (n_rows + n_cols)
+def _budget(n_rows: int, n_cols: int) -> int:
+    """Pivots allowed to one solve, both phases together."""
+    return 1000 + 50 * (n_rows + n_cols)
 
 
 def _as_rows(rows: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
         return FeasibleStart(n_cols=n_cols, phase1_pivots=0, degenerate_pivots=0,
                              dropped_rows=0, tab=tab, basis=tuple(basis))
 
-    state = _Tableau(tab, basis, 0, _budget(None, n_rows, n_cols), np.empty_like(tab))
+    state = _Tableau(tab, basis, 0, _budget(n_rows, n_cols), np.empty_like(tab))
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
     if -tab[z1, -1] > FEASIBILITY_TOL:
@@ -273,15 +274,14 @@ def solve_lp(
     senses: list[str],
     *,
     maximize: bool = False,
-    pivot_cap: int | None = None,
     start: FeasibleStart | None = None,
 ) -> LPResult:
     """Optimize ``objective`` over the rows, from their ``feasible_start``.
 
     ``start`` must be ``feasible_start`` of these rows, right-hand sides and
     senses; without it the phase 1 runs here.  The start is copied only when
-    the objective needs a pivot.  The pivot cap counts the start's phase-1
-    pivots as well.
+    the objective needs a pivot.  The pivot budget (``_budget``) counts the
+    start's phase-1 pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
@@ -290,9 +290,6 @@ def solve_lp(
         raise ValueError(f"objective length {c_orig.shape} != variable count {n_vars}")
     if start is None:
         start = feasible_start(a, rhs, senses)
-    budget = _budget(pivot_cap, len(senses), start.n_cols)
-    if start.phase1_pivots > budget:
-        raise SimplexFailure(f"pivot limit {budget} exceeded")
     counters = dict(phase1_pivots=start.phase1_pivots,
                     degenerate_pivots=start.degenerate_pivots, dropped_rows=start.dropped_rows)
     if start.farkas_duals is not None:
@@ -312,7 +309,8 @@ def solve_lp(
     if (cost[:-1] < -PIVOT_TOL).any():
         tab = tab.copy()
         tab[-1] = cost
-        state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
+        state = _Tableau(tab, basis, start.phase1_pivots, _budget(len(senses), start.n_cols),
+                         np.empty_like(tab))
         status = state.run_phase()
         counters["phase2_pivots"] = state.pivots - start.phase1_pivots
         counters["degenerate_pivots"] += state.degenerate

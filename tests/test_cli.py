@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,22 @@ class TestReport:
                      "--outdir", str(tmp_path / "out"),
                      "--report", str(tmp_path / "report.json")]) == 0
         assert len(presolves) == 1
+
+    def test_constraints_timing_covers_the_presolve(self, scenario_file, tmp_path,
+                                                    monkeypatch):
+        """The queries reuse the report's presolve, so only ``constraints`` can time it."""
+        delay = 0.05
+        presolved = ConstraintSet.presolved
+
+        def slow(cs):
+            time.sleep(delay)
+            return presolved(cs)
+
+        monkeypatch.setattr(ConstraintSet, "presolved", slow)
+        report_path = tmp_path / "report.json"
+        assert main(["feasibility", "--config", scenario_file("drifting-branch"),
+                     "--outdir", str(tmp_path / "out"), "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["timings"]["constraints"] >= delay
 
     def test_feasibility_builds_one_system(self, scenario_file, tmp_path, count_calls):
         config = scenario_file("drifting-branch")

@@ -48,6 +48,13 @@ def realize_doc(doc):
     return cfg, space, build_constraints(cfg, system, space)
 
 
+def realize_builtin(name):
+    cfg = BUILTIN_SCENARIOS[name]()
+    system = build_system(cfg)
+    space = TrajectorySpace.for_system(system)
+    return space, build_constraints(cfg, system, space)
+
+
 def unforced(cs, objective, maximize=False):
     """``objective`` over the full rows of ``lp_rows``, with its own phase 1."""
     return lp.solve_lp(objective, *cs.lp_rows(), maximize=maximize)
@@ -114,14 +121,37 @@ def test_ladder_dft_rungs_keep_m_squared_columns(r):
         assert cs.presolved().live.size == rung.m**2 < space.size
 
 
+@pytest.mark.parametrize("source", [(rung, bad) for rung in SHAPES[:2] for bad in (False, True)]
+                         + ["beam-splitter", "mach-zehnder"],
+                         ids=["dft-m3-n5", "dft-m3-n5-infeasible", "dft-m4-n4",
+                              "dft-m4-n4-infeasible", "beam-splitter", "mach-zehnder"])
+def test_forcing_terms_name_constraints(source):
+    """Each deduction's terms, by constraint with -1 for normalization, sum
+    to -1 on its columns and 0 elsewhere, with a right side of at least 0."""
+    if isinstance(source, str):
+        space, cs = realize_builtin(source)
+    else:
+        rung, infeasible = source
+        _, space, cs = realize_doc(make_config(rung, 3, 0, 0, infeasible))
+    forcings = cs.presolved().forcings
+    assert forcings
+    for fix in forcings:
+        combo = np.zeros(space.size)
+        products = []
+        for i, coef in fix.terms:
+            con = cs.constraints[i] if i >= 0 else None
+            bits, rhs = (1.0, 1.0) if con is None else (con.event.bits, con.rhs)
+            combo += coef * bits
+            products.append(coef * rhs)
+        assert combo.tolist() == np.where(fix.cols, -1.0, 0.0).tolist()
+        assert math.fsum(products) >= 0.0
+
+
 def test_mach_zehnder_certain_events_collapse():
     """``P((t=0,{0})) >= 1`` and ``P((t=2,{0})) >= 1`` fix every trajectory
     outside both; the intersection row and the two certain rows then equal
     normalization, so normalization and the t=1 pin are the whole LP."""
-    cfg = BUILTIN_SCENARIOS["mach-zehnder"]()
-    system = build_system(cfg)
-    space = TrajectorySpace.for_system(system)
-    cs = build_constraints(cfg, system, space)
+    space, cs = realize_builtin("mach-zehnder")
     pre = cs.presolved()
     assert pre.senses == ["==", "=="]
     assert pre.live.tolist() == [0, 2]  # (0, 0, 0) and (0, 1, 0)

@@ -148,11 +148,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="length"):
             solve_lp(np.zeros(2), np.array([[1.0]]), np.array([1.0]), ["<="])
 
-    def test_pivot_cap_raises_failure(self):
+    def test_pivot_cap_raises_failure(self, monkeypatch):
         rows = np.array([[1, 1, 1, 1.0], [1, 1, 0, 0.0]])
         rhs = np.array([1.0, 0.5])
-        with pytest.raises(SimplexFailure, match="pivot limit"):
-            solve_lp(np.array([1.0, 0, 0, 0]), rows, rhs, ["==", ">="], pivot_cap=1)
+        monkeypatch.setattr(lp, "_budget", lambda n_rows, n_cols: 1)
+        with pytest.raises(SimplexFailure, match="pivot limit 1 exceeded"):
+            solve_lp(np.array([1.0, 0, 0, 0]), rows, rhs, ["==", ">="])
 
 
 class TestDeterminism:
@@ -264,7 +265,7 @@ class TestAntiCycling:
     def test_pure_dantzig_cycles(self, monkeypatch):
         monkeypatch.setattr(lp, "STALL_CAP", 10**9)
         with pytest.raises(SimplexFailure, match="pivot limit"):
-            solve_lp(self.C, self.ROWS, self.RHS, self.SENSES, pivot_cap=200)
+            solve_lp(self.C, self.ROWS, self.RHS, self.SENSES)
 
     @pytest.mark.parametrize("cap", [lp.STALL_CAP, 2])
     def test_bland_fallback_terminates(self, monkeypatch, cap):
@@ -330,19 +331,25 @@ class TestStartReuse:
         first.farkas_duals[:] = 0.0
         assert second.farkas_duals @ rhs == pytest.approx(0.6, abs=1e-9)
 
-    def test_pivot_cap_counts_phase1(self, phase1_calls):
+    def test_pivot_cap_counts_phase1(self, phase1_calls, monkeypatch):
+        """The budget of a solve from a start covers the start's phase-1 pivots too."""
         start = self.start()
         assert start.phase1_pivots >= 2
-        with pytest.raises(SimplexFailure, match="pivot limit"):
-            self.solve(np.zeros(4), pivot_cap=1, start=start)
-        res = self.solve(np.zeros(4), pivot_cap=start.phase1_pivots, start=start)
-        assert res.status == OPTIMAL and res.phase2_pivots == 0
         c = np.array([0.3, -1.0, 0.5, 2.0])
         needed = self.solve(c, start=start).phase2_pivots
         assert needed > 0
+
+        def budget(pivots):
+            monkeypatch.setattr(lp, "_budget", lambda n_rows, n_cols: pivots)
+
+        budget(start.phase1_pivots)
+        res = self.solve(np.zeros(4), start=start)
+        assert res.status == OPTIMAL and res.phase2_pivots == 0
+        budget(start.phase1_pivots + needed - 1)
         with pytest.raises(SimplexFailure, match="pivot limit"):
-            self.solve(c, pivot_cap=start.phase1_pivots + needed - 1, start=start)
-        assert self.solve(c, pivot_cap=start.phase1_pivots + needed, start=start).status == OPTIMAL
+            self.solve(c, start=start)
+        budget(start.phase1_pivots + needed)
+        assert self.solve(c, start=start).status == OPTIMAL
         assert len(phase1_calls) == 1
 
     def test_redundant_rows_dropped_once(self, phase1_calls):
