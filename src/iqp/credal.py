@@ -8,10 +8,11 @@ embedded simplex solver over the presolved rows (one per distinct event, one
 '==' row per complementary pin, no pair row that the pins imply) and return
 self-verified witnesses, Farkas certificates and attained lower/upper
 probabilities.  The presolve also fixes at zero the trajectories that forcing
-rows rule out (a zero-drift typicality row reaching a Born pin, a certain
-event), by exact deductions, and solves over the other columns only; answers
-are padded back to every trajectory and certificates lifted to every
-constraint.
+rows rule out (a zero-drift typicality row or a demand reaching a Born pin, a
+certain event), by exact deductions, and solves over the other columns only;
+answers are padded back to every trajectory and certificates lifted to every
+constraint.  A deduction that exceeds its pin by ``FARKAS_MARGIN`` is itself
+the certificate, and feasibility then runs no phase 1.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class Forcing(NamedTuple):
     ``1_F - 1_E``: a row ``P(F) >= l`` minus an upper bound ``P(E) <= u``,
     with ``F`` inside ``E`` and ``l >= u``.  The combination is -1 on
     ``cols``, the trajectories of ``E`` outside ``F``, and 0 elsewhere, and
-    its right side ``l - u`` is at least 0.
+    its right side ``l - u`` is at least 0 and below ``FARKAS_MARGIN``: a
+    larger one proves the set empty (``Presolved.empty``) instead.
     """
 
     terms: Terms
@@ -109,6 +111,7 @@ class Presolved(NamedTuple):
     live: np.ndarray  # the columns of ``rows``, in order; every other one is zero
     collapsed: list[int]  # '>=' rows (by constraint) a kept row implies on ``live``
     forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns, in order
+    empty: Terms  # a deduction proving the set empty (right side >= FARKAS_MARGIN), or ()
 
 
 class _Pin(NamedTuple):
@@ -130,6 +133,17 @@ def _pins(row: int, rhs: float) -> tuple[_Pin, _Pin]:
     w = 1.0 - rhs
     reach = w if math.fsum((w, rhs, -1.0)) >= 0.0 else math.nextafter(w, math.inf)
     return _Pin(rhs, rhs, ((row, 1.0),)), _Pin(w, reach, ((-1, 1.0), (row, -1.0)))
+
+
+def _strongest(constraints: Sequence[LinearConstraint]) -> dict[bytes, int]:
+    """Per distinct event, keyed by its bits, the constraint with the largest
+    bound (the first on ties), in the order the events first appear."""
+    kept: dict[bytes, int] = {}
+    for i, con in enumerate(constraints):
+        key = con.event.bits.tobytes()
+        if con.rhs > constraints[kept.setdefault(key, i)].rhs:
+            kept[key] = i
+    return kept
 
 
 def admits(rhs: float, label: str) -> bool:
@@ -210,17 +224,23 @@ class ConstraintSet:
         "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
         ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
         ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
-        zero.  Two kinds are recognized from the rows' origins:
+        zero.  Three kinds are recognized:
 
         - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
           (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
           pin of ``S2`` fixes ``S1^c & S2``;
+        - a kept '>=' demand (a row without origin) reaching the pin of an
+          event that contains its own fixes the rest of that event, each
+          pinned event being tested against the demand's bits;
         - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
           being the upper bound.
 
         A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
         when the exactly rounded ``l + r - 1`` is at least 0, so every fix
-        holds in real arithmetic and needs no tolerance.  The rows are built
+        holds in real arithmetic and needs no tolerance.  A deduction whose
+        exactly summed right side ``l - u`` is at least ``FARKAS_MARGIN``
+        fixes nothing: ``1_F - 1_E <= 0`` with that right side is a Farkas
+        certificate, and the first such is kept as ``empty``.  The rows are built
         over the ``live`` columns only, each one bit for bit its owner's row
         of ``lp_rows`` on them, and rows equal there collapse: the largest
         '>=' bound wins, the first on ties, and a '>=' row is dropped
@@ -230,25 +250,22 @@ class ConstraintSet:
         constraint.
         """
         bounds = [float(con.rhs) for con in self.constraints]
-        keys = [con.event.bits.tobytes() for con in self.constraints]
-        kept: dict[bytes, int] = {}  # event bits -> constraint of its row
-        for i, key in enumerate(keys):
-            if bounds[i] > bounds[kept.setdefault(key, i)]:
-                kept[key] = i
+        kept = _strongest(self.constraints)  # event bits -> constraint of its row
         owners: list[int] = []
         partners: list[int] = []
         pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
-        for i in kept.values():
-            if keys[i] in pins:  # the complement's row already pins this event
+        for key, i in kept.items():
+            if key in pins:  # the complement's row already pins this event
                 continue
-            j = kept.get((~self.constraints[i].event.bits).tobytes(), -1)
+            complement = (~self.constraints[i].event.bits).tobytes()
+            j = kept.get(complement, -1)
             if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
-                pins[keys[i]], pins[keys[j]] = _pins(i, bounds[i])
+                pins[key], pins[complement] = _pins(i, bounds[i])
             else:
                 j = -1
             owners.append(i)
             partners.append(j)
-        implied, fixes = self._implied(owners, partners, bounds, pins)
+        implied, fixes, empty = self._implied(owners, partners, bounds, pins)
         partners = [j for i, j in zip(owners, partners) if i not in implied]
         owners = [i for i in owners if i not in implied]
         forcings = tuple(fix for fix in fixes if fix.terms[0][0] not in implied and fix.cols.any())
@@ -269,45 +286,66 @@ class ConstraintSet:
             rows, rhs = rows[[True] + keep], rhs[[True] + keep]
         senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
         return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
-                         forcings)
+                         forcings, empty)
 
     def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
-                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing]]:
+                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing], Terms]:
         """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
-        drop, and the forcing rows' deductions, each one's first term the
-        forcing row's constraint.  Each sset's pin is looked up once, through
-        its atom event."""
-        pinned: dict[SSet, _Pin | None] = {}
+        drop, the forcing rows' deductions, each one's first term the forcing
+        row's constraint, and the first deduction whose right side is at
+        least ``FARKAS_MARGIN`` (empty when none).  Each sset's pin is looked
+        up once, through its atom event."""
+        pinned: dict[SSet, tuple[_Pin, np.ndarray] | None] = {}
 
-        def pin(s: SSet) -> _Pin | None:
+        def pin(s: SSet) -> tuple[_Pin, np.ndarray] | None:
+            """The pin of ``s`` and its event's bits, ``None`` when unpinned."""
             if s not in pinned:
-                pinned[s] = pins.get(sset_event(self.space, s).bits.tobytes())
+                bits = sset_event(self.space, s).bits
+                found = pins.get(bits.tobytes())
+                pinned[s] = None if found is None else (found, bits)
             return pinned[s]
 
         implied: set[int] = set()
         fixes: list[Forcing] = []
+        empty: Terms = ()
 
         def fix(row: int, upper: Terms, cols: np.ndarray) -> None:
-            """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes ``cols``."""
-            fixes.append(Forcing(((row, 1.0),) + tuple((r, -c) for r, c in upper), cols))
+            """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes
+            ``cols``, unless its exact right side is at least the margin: then
+            it proves the set empty instead."""
+            nonlocal empty
+            terms = ((row, 1.0),) + tuple((r, -c) for r, c in upper)
+            if math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) < FARKAS_MARGIN:
+                fixes.append(Forcing(terms, cols))
+            elif not empty:
+                empty = terms
 
+        pinned_events: np.ndarray | None = None  # built for the first demand
         # each kept, pinned pair row not yet matched: its ssets -> (constraint, shift)
         unmatched: dict[frozenset[SSet], tuple[int, float]] = {}
         for i, j in zip(owners, partners):
             con = self.constraints[i]
             if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
                 fix(i, ((-1, 1.0),), ~con.event.bits)
-            if j >= 0 or len(con.origin) != 2:
+            if j >= 0 or len(con.origin) == 1:
                 continue
-            s1, s2 = con.origin
-            pin1, pin2 = pin(s1), pin(s2)
-            # a row reaching a pin fixes the rest of that sset (zero drift)
-            if pin1 is not None and bounds[i] >= pin1.reach:
-                fix(i, pin1.upper, sset_event(self.space, s1).bits & ~con.event.bits)
-            if pin2 is not None and bounds[i] >= pin2.reach:
-                fix(i, pin2.upper, sset_event(self.space, s2).bits & ~con.event.bits)
-            if pin1 is None or pin2 is None:
+            # the pinned events that contain the row's, each with its pin
+            if con.origin:  # a pair row: its two ssets, when pinned
+                supersets = [pin(s) for s in con.origin]
+            else:  # a demand: every pinned event, tested against its bits
+                if pinned_events is None:  # one row per pinned event, in order
+                    pinned_events = np.frombuffer(b"".join(pins), dtype=bool).reshape(
+                        len(pins), self.space.size)
+                outside = (con.event.bits & ~pinned_events).any(axis=1)
+                supersets = [(found, bits) for found, bits, out
+                             in zip(pins.values(), pinned_events, outside) if not out]
+            # a row reaching a pin fixes the rest of the pinned event (zero drift)
+            for sup in supersets:
+                if sup is not None and bounds[i] >= sup[0].reach:
+                    fix(i, sup[0].upper, sup[1] & ~con.event.bits)
+            if not con.origin or supersets[0] is None or supersets[1] is None:
                 continue
+            pin1, pin2 = supersets[0][0], supersets[1][0]
             shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
             if bounds[i] <= shift:  # rule 1
                 implied.add(i)
@@ -318,7 +356,7 @@ class ConstraintSet:
             else:  # rule 2, in the first row's orientation
                 f, f_shift = first
                 implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
-        return implied, fixes
+        return implied, fixes, empty
 
 
 def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
@@ -518,11 +556,16 @@ class FeasibilityCertificate:
 
 
 def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
-    """Max violation of the constraint rows and simplex rows, by direct sums."""
+    """Max violation of the constraint rows and simplex rows, by direct sums.
+
+    Only the strongest row on each distinct event is summed: on one event
+    ``l - P(event)`` rounds monotonically in ``l``, so the weaker rows'
+    violations are at most its own and the maximum is the same float.
+    """
     vec = np.asarray(probs, dtype=float)
     worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
-    for con in cs.constraints:
-        worst = max(worst, con.satisfied_by(vec))
+    for i in _strongest(cs.constraints).values():
+        worst = max(worst, cs.constraints[i].satisfied_by(vec))
     return worst
 
 
@@ -591,11 +634,8 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     LP's combination is at most 0 on the live columns only, so in reverse
     order each deduction's ``1_F - 1_E`` (-1 on its columns, right side at
     least 0) is added ``lam`` times, ``lam`` the largest positive coefficient
-    left on those columns, which keeps the margin.  Last, an '==' row
-    ``P(A) = l`` with dual ``y < 0`` is rewritten by
-    ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
-    and ``y`` to normalization.  Every other dual stays with its constraint,
-    which keeps the sign bit of a -0.0.
+    left on those columns, which keeps the margin.  ``_multipliers`` then
+    rewrites the '==' rows.
     """
     y = np.zeros(len(cs) + 1)
     y[-1] = duals[0]
@@ -611,6 +651,19 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
                 for i, coef in forcing.terms:
                     y[i] += lam * coef
                 combo[forcing.cols] -= lam
+    return _multipliers(pre, y)
+
+
+def _multipliers(pre: Presolved, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Multipliers of the constraints and the normalization's, from a
+    combination ``y`` of constraint rows in which only '==' rows of ``pre``
+    may be negative (normalization at index -1).
+
+    An '==' row ``P(A) = l`` with ``y < 0`` is rewritten by
+    ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
+    and ``y`` to normalization.  Every other entry stays with its constraint,
+    which keeps the sign bit of a -0.0.
+    """
     normalization = float(y[-1])
     mult = y[:-1]
     for i, j in zip(pre.owners + pre.collapsed, pre.partners + [-1] * len(pre.collapsed)):
@@ -624,13 +677,36 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     return mult, normalization
 
 
+def _checked(cs: ConstraintSet, mult: np.ndarray,
+             normalization: float) -> tuple[FarkasCertificate, str | None]:
+    """The certificate with its margin summed directly, and why
+    ``verify_farkas`` rejects it (``None`` when it accepts)."""
+    slack, margin = verify_farkas(cs, FarkasCertificate(mult, normalization, 0.0))
+    cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)
+    if slack > CERTIFICATE_TOL or margin < FARKAS_MARGIN:
+        return cert, f"slack {slack:.3e}, margin {margin:.3e}"
+    return cert, None
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Phase-1 feasibility with a self-verified witness or Farkas certificate.
 
-    The phase 1 is the one later bounds and vertex samples of ``cs`` start
-    from.  It runs on the presolved rows, whose Farkas duals ``_lift_farkas``
-    maps back, in one pass, to one multiplier per constraint.
+    When the presolve found a deduction that proves the set empty
+    (``Presolved.empty``) and ``verify_farkas`` accepts it as a certificate,
+    that is the answer and no phase 1 runs.  Otherwise the phase 1 is the
+    one later bounds and vertex samples of ``cs`` start from.  It runs on the
+    presolved rows, whose Farkas duals ``_lift_farkas`` maps back, in one
+    pass, to one multiplier per constraint.
     """
+    pre = presolve(cs)
+    if pre.empty:
+        y = np.zeros(len(cs) + 1)
+        for i, coef in pre.empty:
+            y[i] += coef
+        cert, problem = _checked(cs, *_multipliers(pre, y))
+        if problem is None:
+            return FeasibilityCertificate(farkas=cert)
+
     result = _solve(cs, np.zeros(cs.space.size))
     if result.status == lp.OPTIMAL:
         witness = TrajectoryMeasure(result.x)
@@ -641,14 +717,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
             )
         return FeasibilityCertificate(witness=witness)
 
-    mult, normalization = _lift_farkas(cs, _prepared(cs)[0], result.farkas_duals)
-    cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=0.0)
-    slack, margin = verify_farkas(cs, cert)
-    cert = FarkasCertificate(multipliers=mult, normalization=normalization, margin=margin)
-    if slack > CERTIFICATE_TOL or margin < FARKAS_MARGIN:
-        raise lp.SimplexFailure(
-            f"Farkas verification failed: slack {slack:.3e}, margin {margin:.3e}"
-        )
+    cert, problem = _checked(cs, *_lift_farkas(cs, pre, result.farkas_duals))
+    if problem is not None:
+        raise lp.SimplexFailure(f"Farkas verification failed: {problem}")
     return FeasibilityCertificate(farkas=cert)
 
 
@@ -718,10 +789,17 @@ def huber_check(cs: ConstraintSet) -> float:
     is non-empty exactly when the optimum is <= 1.  By LP duality the optimum
     equals the maximum of ``sum_i a_i * rhs_i`` over non-negative ``a`` with
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
-    form has one row per constraint rather than one per trajectory.  The
-    rows are not presolved: without normalization a complementary pair does
-    not collapse to one row.  Its phase 1 is its own and leaves the set's
-    (``_prepared``) in place.
+    form has one row per event rather than one per trajectory.
+
+    The LP keeps the strongest row on each distinct event, as the presolve
+    does, and drops each row whose event contains another kept row's event
+    with at least its bound: ``mu(E) >= mu(F) >= l' >= l`` for ``F`` inside
+    ``E``, so the feasible region and the optimum stay the same.  Subsets are
+    read from exact intersection counts (the 0/1 rows times their
+    transpose), with no k x k x N temporary.  The rows are not otherwise
+    presolved: without normalization a complementary pair does not collapse
+    to one row.  Its phase 1 is its own and leaves the set's (``_prepared``)
+    in place.
     """
     for con in cs.constraints:
         if con.event.is_empty and con.rhs > 0:
@@ -730,9 +808,19 @@ def huber_check(cs: ConstraintSet) -> float:
             )
     if not cs.constraints:
         return 0.0
-    rows, rhs, senses = cs.lp_rows()
-    # without the normalization row: the total mass is what is minimized
-    result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], senses[1:])
+    rows, rhs = cs._rows([cs.constraints[i] for i in _strongest(cs.constraints).values()])
+    rows, rhs = rows[1:], rhs[1:]  # the total mass is what is minimized, not normalized
+    # |E_a & E_b|, exact in floating point; einsum's own loop, where
+    # ``rows @ rows.T`` would go through BLAS, whose first level-3 call
+    # grows the process by its buffer
+    common = np.einsum("ij,kj->ik", rows, rows)
+    # dominated[a, b]: E_a inside E_b (and not equal, the events being
+    # distinct) with at least b's bound, so row a implies row b
+    dominated = (common == np.diag(common)[:, None]) & (rhs[:, None] >= rhs[None, :])
+    np.fill_diagonal(dominated, False)
+    keep = ~dominated.any(axis=0)
+    result = lp.solve_lp(np.ones(cs.space.size), rows[keep], rhs[keep],
+                         [">="] * int(keep.sum()))
     if result.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
     return float(result.objective)

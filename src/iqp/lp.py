@@ -30,7 +30,9 @@ Pricing and the ratio test are numpy scans that pick the same entering column
 and leaving row as a scalar loop with the same rule (ties in the ratio test
 within ``PIVOT_TOL`` go to the smallest basic index, applied row by row in
 order), so a solve makes the same pivots whether its phase 1 ran fresh or
-was passed in.
+was passed in.  The ratio test computes every ratio in one vector pass and
+takes the least; only when another ratio lies near it does the row-by-row
+tie scan run.
 """
 
 from __future__ import annotations
@@ -125,6 +127,10 @@ class _Tableau:
         """
         tab, basis = self.tab, self.basis
         n_rows = tab.shape[0] - 1
+        # per row max(b, 0) / a where a > PIVOT_TOL, inf elsewhere and in a
+        # last entry that is always there, so an empty tableau has a minimum
+        ratios = np.full(n_rows + 1, np.inf)
+        rows_ratios = ratios[:n_rows]
         stalled = 0
         while True:
             costs = tab[-1, :-1]
@@ -135,20 +141,33 @@ class _Tableau:
             if not costs[entering] < -PIVOT_TOL:
                 return OPTIMAL
             col_vals = tab[:n_rows, entering]
-            eligible = np.flatnonzero(col_vals > PIVOT_TOL)
-            if not eligible.size:
-                return UNBOUNDED
-            ratios = np.maximum(tab[eligible, -1], 0.0) / col_vals[eligible]
-            # the tie rule is not transitive, so apply it in row order
-            best_ratio = np.inf
-            leaving = -1
-            for i, ratio in zip(eligible.tolist(), ratios.tolist()):
-                if ratio < best_ratio - PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+            eligible = col_vals > PIVOT_TOL
+            rows_ratios.fill(np.inf)
+            np.divide(tab[:n_rows, -1], col_vals, out=rows_ratios, where=eligible)
+            np.maximum(rows_ratios, 0.0, out=rows_ratios)
+            leaving = int(ratios.argmin())
+            best_ratio = float(ratios[leaving])
+            ratios[leaving] = np.inf
+            runner_up = float(ratios.min())
+            ratios[leaving] = best_ratio
+            # The tie rule is not transitive, so ties are settled by a scan in
+            # row order.  A ratio above this window is more than PIVOT_TOL
+            # above the least even after rounding, so when every other ratio
+            # is, the scan would pick the least's row.  The scan passes over
+            # the inf of every ineligible row, as it passes over a larger ratio.
+            window = (best_ratio + 2.0 * PIVOT_TOL) * (1.0 + 1e-15)
+            if best_ratio == np.inf or not runner_up > window:  # a NaN scans too
+                best_ratio = np.inf
+                leaving = -1
+                for i, ratio in enumerate(rows_ratios.tolist()):
+                    if ratio < best_ratio - PIVOT_TOL or (
+                        abs(ratio - best_ratio) <= PIVOT_TOL
+                        and (leaving < 0 or basis[i] < basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+                if leaving < 0:
+                    return UNBOUNDED
             if best_ratio <= PIVOT_TOL:
                 self.degenerate += 1
                 stalled += 1

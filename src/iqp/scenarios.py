@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -499,13 +500,18 @@ def enumerate_pairs(
     max_region_size: int,
     time_pairs: tuple[tuple[int, int], ...] | None = None,
 ) -> list[tuple[SSet, SSet]]:
-    """Deterministic cross-time pair family: all region pairs up to a size cap."""
+    """Deterministic cross-time pair family: all region pairs up to a size cap.
+
+    Regions come by size, then by mask.  Only those within the cap are
+    built, so the work grows with the regions kept rather than with 2^m.
+    """
     m = system.m
-    regions = sorted(
-        (Region(mask, m) for mask in range(1, 1 << m)),
-        key=lambda r: (r.size(), r.mask),
-    )
-    regions = [r for r in regions if r.size() <= max_region_size]
+    regions = [
+        Region(mask, m)
+        for size in range(1, min(max_region_size, m) + 1)
+        for mask in sorted(sum(1 << x for x in labels)
+                           for labels in itertools.combinations(range(m), size))
+    ]
     if time_pairs is None:
         time_pairs = tuple(
             (t1, t2) for t1 in range(system.n) for t2 in range(t1 + 1, system.n)

@@ -2,9 +2,12 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SQRT_HALF,
@@ -60,10 +63,16 @@ from iqp.scenarios import (
     build_constraints,
     build_system,
     enumerate_pairs,
+    parse_config,
     singleton_family,
 )
 from iqp.system import QuantumSystem, Region, SSet, identity_matrix
 from iqp.typicality import qtr_predicate
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import LADDER, VERDICTS, make_config  # noqa: E402
 
 
 @pytest.fixture
@@ -81,6 +90,30 @@ def adversarial_cs(space: TrajectorySpace) -> ConstraintSet:
     return lower_bound_constraints(
         space, [(a, 0.8, "(t=1,{0})"), (~a, 0.8, "!(t=1,{0})")]
     )
+
+
+def undominated_rows(cs: ConstraintSet) -> list[tuple[np.ndarray, float]]:
+    """The (event bits, bound) rows the Huber LP keeps, by set inclusion: the
+    largest bound per event, then only events that hold no other kept event
+    with at least their bound."""
+    best: dict[bytes, tuple[np.ndarray, float]] = {}
+    for con in cs.constraints:
+        key = con.event.bits.tobytes()
+        if key not in best or con.rhs > best[key][1]:
+            best[key] = (con.event.bits, con.rhs)
+    rows = list(best.values())
+    return [(a, rhs) for i, (a, rhs) in enumerate(rows)
+            if not any(j != i and not (b & ~a).any() and other >= rhs
+                       for j, (b, other) in enumerate(rows))]
+
+
+def per_constraint_violation(cs: ConstraintSet, probs: np.ndarray) -> float:
+    """``verify_witness`` summing every constraint's row, one by one."""
+    vec = np.asarray(probs, dtype=float)
+    worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
+    for con in cs.constraints:
+        worst = max(worst, con.satisfied_by(vec))
+    return worst
 
 
 class TestTrajectoryMeasure:
@@ -574,6 +607,122 @@ class TestHuberCheck:
         assert verdicts == [True, False]
 
 
+def verdicts_huber_sets(systems: int = 3):
+    """Sets of the benchmark's verdicts rungs that run the Huber check."""
+    out = []
+    for r, rung in enumerate(VERDICTS):
+        if rung.huber:
+            for k in range(0, 2 * systems, 2):  # even systems are the feasible ones
+                out.append(realize(parse_config(make_config(rung, 7, r, k)))[1])
+    return out
+
+
+@st.composite
+def planted_sets(draw):
+    """Random rows with planted duplicate events and events nested in others."""
+    space = TrajectorySpace(2, draw(st.integers(2, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        event = Event(rng.random(space.size) < rng.uniform(0.2, 0.9))
+        if event.is_empty:
+            continue
+        base = float(event.cardinality / space.size * rng.uniform(0.1, 1.5))
+        rows.append(LinearConstraint(event, base, "demand", f"r{i}"))
+        for j in range(draw(st.integers(0, 3))):
+            plant = draw(st.sampled_from(["duplicate", "subset", "superset"]))
+            bits = event.bits.copy()
+            if plant == "subset":
+                bits &= rng.random(space.size) < 0.7
+            elif plant == "superset":
+                bits |= rng.random(space.size) < 0.3
+            if bits.any():  # a bound below, at or above the event's own
+                rhs = base * rng.choice([0.5, 1.0, 1.2])
+                rows.append(LinearConstraint(Event(bits), float(rhs), "demand", f"r{i}.{j}"))
+    return ConstraintSet(space, tuple(rows))
+
+
+class TestHuberReducedRows:
+    """The Huber LP keeps one row per event and drops the rows a smaller event
+    implies; its optimum stays the one over every row of ``lp_rows``."""
+
+    @staticmethod
+    def assert_same_optimum(cs):
+        """The optimum against the full rows and HiGHS, and the rows its LP gets."""
+        calls = []
+        original = lp.solve_lp
+
+        def recorded(objective, rows, rhs, senses, **kwargs):
+            calls.append((rows, rhs))
+            return original(objective, rows, rhs, senses, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "solve_lp", recorded)
+            value = huber_check(cs)
+        (rows, rhs), = calls
+        rows_all, rhs_all, senses_all = cs.lp_rows()
+        full = lp.solve_lp(np.ones(cs.space.size), rows_all[1:], rhs_all[1:], senses_all[1:])
+        assert value == pytest.approx(full.objective, abs=1e-9)
+        assert value == pytest.approx(TestHuberCheck.primal_highs(cs), abs=1e-9)
+        expected = undominated_rows(cs)
+        assert sorted((a.astype(float).tobytes(), b) for a, b in expected) == sorted(
+            (row.tobytes(), b) for row, b in zip(rows, rhs.tolist()))
+        # every row, dropped or not, holds a kept row with at least its bound
+        for con in cs.constraints:
+            assert any(not (a & ~con.event.bits).any() and b >= con.rhs for a, b in expected)
+        return len(rows)
+
+    def test_verdicts_rungs(self):
+        for cs in verdicts_huber_sets():
+            assert self.assert_same_optimum(cs) < len(cs)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins(self, name):
+        self.assert_same_optimum(realize(BUILTIN_SCENARIOS[name]())[1])
+
+    def test_adversarial(self, balanced):
+        cs = adversarial_cs(balanced[1])
+        self.assert_same_optimum(cs)
+        assert huber_check(cs) == pytest.approx(1.6, abs=1e-9)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(planted_sets())
+    def test_planted_duplicates_and_nested_events(self, cs):
+        if cs.constraints:
+            self.assert_same_optimum(cs)
+
+
+class TestVerifyWitnessStrongestRows:
+    """Summing the strongest row per event gives the per-constraint maximum bit for bit."""
+
+    @staticmethod
+    def measures(cs, rng):
+        cert = feasibility(cs)
+        assert cert.feasible
+        out = [cert.witness.probs]
+        for _ in range(2):
+            bounds = lower_upper(cs, Event(rng.random(cs.space.size) < 0.4))
+            out += [bounds.argmin.probs, bounds.argmax.probs]
+        for base in list(out):
+            for scale in (1e-12, 1e-9, 1e-3, 0.1):
+                out.append(base + scale * rng.standard_normal(base.size))
+        return out
+
+    @pytest.mark.parametrize("workload", ["ladder", "verdicts"])
+    def test_benchmark_sets(self, workload):
+        rungs = LADDER if workload == "ladder" else VERDICTS
+        rng = np.random.default_rng(3)
+        checked = 0
+        for r, rung in enumerate(rungs[:2]):
+            for k in range(0, 4, 2):
+                _, cs = realize(parse_config(make_config(rung, 7, r, k)))
+                for probs in self.measures(cs, rng):
+                    assert verify_witness(cs, probs).hex() == per_constraint_violation(
+                        cs, probs).hex()
+                    checked += 1
+        assert checked > 0
+
+
 class TestImprecisionAxioms:
     def test_conjugacy_superadd_subadd_monotone(self):
         rng = np.random.default_rng(47)
@@ -715,9 +864,10 @@ class TestPhase1Memo:
         assert feasibility(cs).feasible
         assert huber_check(cs) == pytest.approx(1.0, abs=1e-9)
         assert self.fingerprint(lower_upper(cs, events[0])) == alone
-        # the Huber LP (one row per constraint) runs its own phase 1 and
-        # leaves the set's start in the slot
-        assert phase1_calls == [cs.presolved().rows.shape, (len(cs), cs.space.size)]
+        # the Huber LP (one row per undominated event) runs its own phase 1
+        # and leaves the set's start in the slot
+        assert phase1_calls == [cs.presolved().rows.shape,
+                                (len(undominated_rows(cs)), cs.space.size)]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
         cs, events = n256

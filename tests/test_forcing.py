@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import scipy_bounds, scipy_feasible
-from iqp import lp
+from iqp import credal, lp
 from iqp.credal import (
     CERTIFICATE_TOL,
     FARKAS_MARGIN,
@@ -121,30 +121,165 @@ def test_ladder_dft_rungs_keep_m_squared_columns(r):
         assert cs.presolved().live.size == rung.m**2 < space.size
 
 
+def combination(cs, terms):
+    """``terms`` over the constraints' rows (-1 for normalization): the
+    combination per trajectory and its right side, summed exactly."""
+    combo = np.zeros(cs.space.size)
+    products = []
+    for i, coef in terms:
+        con = cs.constraints[i] if i >= 0 else None
+        bits, rhs = (1.0, 1.0) if con is None else (con.event.bits, con.rhs)
+        combo += coef * bits
+        products.append(coef * rhs)
+    return combo, math.fsum(products)
+
+
 @pytest.mark.parametrize("source", [(rung, bad) for rung in SHAPES[:2] for bad in (False, True)]
                          + ["beam-splitter", "mach-zehnder"],
                          ids=["dft-m3-n5", "dft-m3-n5-infeasible", "dft-m4-n4",
                               "dft-m4-n4-infeasible", "beam-splitter", "mach-zehnder"])
 def test_forcing_terms_name_constraints(source):
     """Each deduction's terms, by constraint with -1 for normalization, sum
-    to -1 on its columns and 0 elsewhere, with a right side of at least 0."""
+    to -1 on its columns and 0 elsewhere, with a right side of at least 0
+    and below the margin; the one that proves the infeasible sets empty is
+    -1 on some columns and 0 elsewhere, with a right side of at least it."""
+    infeasible = False
     if isinstance(source, str):
         space, cs = realize_builtin(source)
     else:
         rung, infeasible = source
         _, space, cs = realize_doc(make_config(rung, 3, 0, 0, infeasible))
-    forcings = cs.presolved().forcings
-    assert forcings
-    for fix in forcings:
-        combo = np.zeros(space.size)
-        products = []
-        for i, coef in fix.terms:
-            con = cs.constraints[i] if i >= 0 else None
-            bits, rhs = (1.0, 1.0) if con is None else (con.event.bits, con.rhs)
-            combo += coef * bits
-            products.append(coef * rhs)
+    pre = cs.presolved()
+    assert pre.forcings
+    for fix in pre.forcings:
+        combo, right = combination(cs, fix.terms)
         assert combo.tolist() == np.where(fix.cols, -1.0, 0.0).tolist()
-        assert math.fsum(products) >= 0.0
+        assert 0.0 <= right < FARKAS_MARGIN
+    assert bool(pre.empty) == infeasible
+    if pre.empty:
+        combo, right = combination(cs, pre.empty)
+        assert set(combo.tolist()) == {-1.0, 0.0} and right >= FARKAS_MARGIN
+
+
+INFEASIBLE_SHAPES = [
+    Rung(2, 8, "random", "born+qtr-min", "chain", 1),
+    Rung(4, 4, "dft", "born+qtr", "all", 1),
+    Rung(3, 6, "dft", "born+qtr", "all", 1),
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("rung", INFEASIBLE_SHAPES, ids=lambda r: f"{r.kind}-m{r.m}-n{r.n}")
+def test_demand_above_its_pin_needs_no_phase1(rung, k, phase1_calls):
+    """The benchmark's contradictory demand asks more of ``S1 & S2`` than the
+    pin of ``S1`` or ``S2`` allows: one deduction is the whole certificate."""
+    _, space, cs = realize_doc(make_config(rung, 7, 0, k, infeasible=True))
+    pre = cs.presolved()
+    combo, right = combination(cs, pre.empty)
+    # -1 on the pinned event outside the demand's, 0 elsewhere
+    assert set(combo.tolist()) <= {-1.0, 0.0} and combo.min() == -1.0
+    assert right >= FARKAS_MARGIN
+    assert pre.empty[0] == (len(cs) - 1, 1.0)  # the demand is the last row
+    assert not any(fix.terms[0][0] == len(cs) - 1 for fix in pre.forcings)
+
+    cert = feasibility(cs)
+    assert phase1_calls == []
+    assert not cert.feasible and not scipy_feasible(cs)
+    assert_certificate(cs, cert.farkas)
+    assert np.count_nonzero(cert.farkas.multipliers) == 2
+    assert cert.farkas.margin == pytest.approx(right, abs=1e-12)
+    # the other queries still run phase 1 on the rows, which is infeasible too
+    assert lower_upper(cs, Event.all(space)).status == "infeasible"
+    assert len(phase1_calls) == 1
+
+
+def test_rejected_deduction_falls_back_to_phase1(phase1_calls, monkeypatch):
+    """When ``verify_farkas`` rejects the deduction's certificate, phase 1
+    runs as it does for any other set and its lifted certificate answers."""
+    _, _, cs = realize_doc(make_config(INFEASIBLE_SHAPES[0], 7, 0, 1, infeasible=True))
+    assert cs.presolved().empty
+    checked = []
+
+    def reject_first(cs_, cert):
+        checked.append(cert)
+        slack, margin = verify_farkas(cs_, cert)
+        return (slack, 0.0) if len(checked) == 1 else (slack, margin)
+
+    monkeypatch.setattr(credal, "verify_farkas", reject_first)
+    cert = feasibility(cs)
+    assert len(checked) == 2 and len(phase1_calls) == 1
+    assert not cert.feasible
+    assert_certificate(cs, cert.farkas)
+
+
+class TestDemandAtItsPin:
+    """A demand inside a pinned event reaches the pin like a pair row: at the
+    pin it fixes the rest of the event, and only a bound past the pin by at
+    least ``FARKAS_MARGIN`` decides the set without phase 1."""
+
+    SPACE = TrajectorySpace(2, 2)
+    A = SSet(0, Region.from_labels([0], 2))
+    B = SSet(1, Region.from_labels([0], 2))
+    W = 0.3
+
+    def demand_set(self, complement, above):
+        a = sset_event(self.SPACE, self.A)
+        rows = [LinearConstraint(a, self.W, "born", "a", (self.A,)),
+                LinearConstraint(~a, 1.0 - self.W, "born", "!a", (self.A,))]
+        target = ~a if complement else a
+        pin = self.W
+        if complement:  # the least float at or above 1 - W in real arithmetic
+            pin = 1.0 - self.W
+            if Fraction(pin) < 1 - Fraction(self.W):
+                pin = math.nextafter(pin, 1.0)
+        demand = target & sset_event(self.SPACE, self.B)
+        rows.append(LinearConstraint(demand, pin + above, "demand", "d"))
+        return ConstraintSet(self.SPACE, rows), target & ~demand
+
+    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("above", [0.0, 0.5 * FARKAS_MARGIN])
+    def test_below_the_margin_runs_phase1(self, complement, above, phase1_calls):
+        cs, rest = self.demand_set(complement, above)
+        pre = cs.presolved()
+        assert pre.empty == ()
+        fix, = [fix for fix in pre.forcings if fix.terms[0][0] == 2]
+        assert fix.cols.tolist() == rest.bits.tolist()
+        combo, right = combination(cs, fix.terms)
+        assert combo.tolist() == np.where(fix.cols, -1.0, 0.0).tolist()
+        assert 0.0 <= right < FARKAS_MARGIN
+        assert feasibility(cs).feasible == scipy_feasible(cs)
+        assert len(phase1_calls) == 1
+
+    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("above", [FARKAS_MARGIN, 0.02])
+    def test_past_the_margin_needs_no_phase1(self, complement, above, phase1_calls):
+        cs, rest = self.demand_set(complement, above + 1e-15)  # past the pin's rounding
+        pre = cs.presolved()
+        assert pre.empty and pre.empty[0] == (2, 1.0)
+        combo, right = combination(cs, pre.empty)
+        assert combo.tolist() == np.where(rest.bits, -1.0, 0.0).tolist()
+        assert right >= FARKAS_MARGIN
+        cert = feasibility(cs)
+        assert phase1_calls == [] and not cert.feasible
+        if above > 1e-6:  # HiGHS's own tolerance is 1e-7
+            assert not scipy_feasible(cs)
+        assert_certificate(cs, cert.farkas)
+        # the demand, the row on the complement of the pinned event, and
+        # normalization: 1_D + 1_{E^c} - 1 <= 0 for D inside E
+        assert cert.farkas.multipliers.tolist() == [1.0 if complement else 0.0,
+                                                    0.0 if complement else 1.0, 1.0]
+        assert cert.farkas.normalization == -1.0
+
+
+def test_certain_event_past_one_needs_no_phase1(phase1_calls):
+    """``P(A) >= 1.5``: the row minus normalization has right side 0.5."""
+    space = TrajectorySpace(2, 2)
+    cs = ConstraintSet(space, [LinearConstraint(parse_event("(t=1,{0})", space), 1.5,
+                                                "demand", "a")])
+    cert = feasibility(cs)
+    assert phase1_calls == [] and not cert.feasible
+    assert cert.farkas.multipliers.tolist() == [1.0] and cert.farkas.normalization == -1.0
+    assert cert.farkas.margin == 0.5
 
 
 def test_mach_zehnder_certain_events_collapse():

@@ -293,6 +293,76 @@ class TestAntiCycling:
         assert phase1_degenerate > 2 * 30
 
 
+class _Pivoted(Exception):
+    pass
+
+
+class TestRatioTest:
+    """The leaving row is the least ratio, unless another lies within
+    PIVOT_TOL: then the scalar rule runs row by row, ties going to the smaller
+    basic index, which is not transitive."""
+
+    @staticmethod
+    def leaving(rhs, col, basis):
+        """The first pivot row of ``run_phase`` with column 0 entering, or UNBOUNDED."""
+        n = len(rhs)
+        tab = np.zeros((n + 1, 2))
+        tab[:n, 0], tab[:n, 1], tab[n, 0] = col, rhs, -1.0
+        state = lp._Tableau(tab, list(basis), 0, 10, np.empty_like(tab))
+        rows = []
+
+        def pivot(row, col):
+            rows.append(row)
+            raise _Pivoted
+
+        state.pivot = pivot
+        try:
+            return state.run_phase()
+        except _Pivoted:
+            return rows[0]
+
+    @staticmethod
+    def scan(rhs, col, basis):
+        """The scalar rule of ``_seed_simplex``."""
+        best, leaving = np.inf, -1
+        for i in range(len(rhs)):
+            if col[i] > lp.PIVOT_TOL:
+                ratio = max(rhs[i], 0.0) / col[i]
+                if ratio < best - lp.PIVOT_TOL or (
+                    abs(ratio - best) <= lp.PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best, leaving = ratio, i
+        return leaving if leaving >= 0 else UNBOUNDED
+
+    def test_non_transitive_tie(self):
+        # 0 ties 0.6e-10 and 0.6e-10 ties 1.2e-10, but 0 does not tie 1.2e-10:
+        # row by row the smaller basic index takes each tie, so the last row
+        # leaves, not the least ratio's
+        rhs, col, basis = [0.0, 0.6e-10, 1.2e-10], [1.0, 1.0, 1.0], [5, 1, 0]
+        assert self.leaving(rhs, col, basis) == self.scan(rhs, col, basis) == 2
+        assert int(np.argmin(rhs)) == 0
+
+    def test_matches_scalar_rule(self):
+        """Planted ties at the edge of PIVOT_TOL, also where it is below one ulp."""
+        big = 1e6
+        values = [0.0, -0.1, 0.4e-10, 0.6e-10, 1e-10, 1.2e-10, 2e-10, 0.3, 0.3 + 1e-10,
+                  big, np.nextafter(big, np.inf), big + 2e-10, big + 3e-10]
+        cols = [1.0, 1.0, 1.0, 2.0, 0.5, 1e-10, 0.0, -1.0]
+        rng = np.random.default_rng(12)
+        scanned = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            rhs = rng.choice(values, n)
+            col = rng.choice(cols, n)
+            basis = rng.permutation(10)[:n].tolist()
+            want = self.scan(rhs, col, basis)
+            assert self.leaving(rhs, col, basis) == want
+            scanned += want != UNBOUNDED and want != int(np.argmin(
+                np.where(col > lp.PIVOT_TOL, np.maximum(rhs, 0.0) / np.where(col > 0, col, 1.0),
+                         np.inf)))
+        assert scanned > 0  # some ties pick another row than the least ratio
+
+
 class TestStartReuse:
     ROWS = np.array([[1, 1, 1, 1.0], [1, 1, 0, 0.0], [0, 0, 1, 1.0], [1, 0, 1, 0.0]])
     RHS = np.array([1.0, 0.4, 0.3, 0.5])

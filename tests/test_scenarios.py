@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from iqp.scenarios import (
     load_config,
     parse_config,
 )
-from iqp.system import QuantumSystem, SSet
+from iqp.system import QuantumSystem, Region, SSet
 
 
 def minimal_config() -> dict:
@@ -303,6 +304,38 @@ class TestEnumeratePairs:
     def test_explicit_time_pairs(self, hti_system):
         pairs = enumerate_pairs(hti_system, 1, ((1, 2),))
         assert {(s1.time, s2.time) for s1, s2 in pairs} == {(1, 2)}
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_same_list_as_sorting_every_region(self, m):
+        """Every region of 2^m - 1, sorted by (size, mask), then cut at the cap."""
+        system = QuantumSystem([f"x{i}" for i in range(m)], [np.eye(m)], np.eye(m)[0])
+        every = sorted((Region(mask, m) for mask in range(1, 1 << m)),
+                       key=lambda r: (r.size(), r.mask))
+        for cap in range(1, m + 1):
+            kept = [r for r in every if r.size() <= cap]
+            pairs = enumerate_pairs(system, cap)
+            assert len(pairs) == len(kept) ** 2
+            assert [s1.region for s1, _ in pairs[::len(kept)]] == kept
+            assert all(s2.region == kept[k % len(kept)] for k, (_, s2) in enumerate(pairs))
+            assert {(s1.time, s2.time) for s1, s2 in pairs} == {(0, 1)}
+
+    def test_many_labels_build_only_the_kept_regions(self):
+        """m = 30 has 2^30 - 1 regions, of which size 1 keeps 30."""
+        m = 30
+        psi = np.random.default_rng(30).standard_normal(m)
+        doc = {
+            "schema": "iqp-config/1",
+            "system": {"labels": [f"x{i}" for i in range(m)], "steps": ["dft"],
+                       "initial_state": [[float(v), 0.0] for v in psi / np.linalg.norm(psi)]},
+            "rules": {"ruleset": "born+qtr", "pairs": {"max_region_size": 1}},
+            "queries": {},
+        }
+        start = time.perf_counter()
+        cfg = parse_config(doc)
+        system = build_system(cfg)
+        cs = build_constraints(cfg, system, TrajectorySpace.for_system(system))
+        assert time.perf_counter() - start < 1.0
+        assert len(enumerate_pairs(system, 1)) == m * m and len(cs) >= 2 * m
 
 
 class TestBuilders:
