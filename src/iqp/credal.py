@@ -293,17 +293,13 @@ class ConstraintSet:
         """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
         drop, the forcing rows' deductions, each one's first term the forcing
         row's constraint, and the first deduction whose right side is at
-        least ``FARKAS_MARGIN`` (empty when none).  Each sset's pin is looked
-        up once, through its atom event."""
-        pinned: dict[SSet, tuple[_Pin, np.ndarray] | None] = {}
+        least ``FARKAS_MARGIN`` (empty when none)."""
 
         def pin(s: SSet) -> tuple[_Pin, np.ndarray] | None:
-            """The pin of ``s`` and its event's bits, ``None`` when unpinned."""
-            if s not in pinned:
-                bits = sset_event(self.space, s).bits
-                found = pins.get(bits.tobytes())
-                pinned[s] = None if found is None else (found, bits)
-            return pinned[s]
+            """The pin of ``s`` and its atom event's bits, ``None`` when unpinned."""
+            bits = sset_event(self.space, s).bits
+            found = pins.get(bits.tobytes())
+            return None if found is None else (found, bits)
 
         implied: set[int] = set()
         fixes: list[Forcing] = []

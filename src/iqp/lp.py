@@ -1,10 +1,14 @@
 """Dense two-phase simplex solver with Dantzig pricing and a Bland fallback.
 
 Each pivot enters the column of most negative reduced cost (Dantzig; ties go
-to the smallest column).  After ``STALL_CAP`` consecutive degenerate pivots a
-phase enters the smallest column of negative reduced cost (Bland's rule)
-until a pivot moves the vertex, then returns to Dantzig; staying on Bland
-until the objective strictly improves is what keeps every phase finite.
+to the smallest column).  The leaving row is Bland's: among the rows whose
+ratio lies within ``PIVOT_TOL`` of the least, the one of smallest basic index
+(R. G. Bland, "New finite pivoting rules for the simplex method", Math. Oper.
+Res. 2, 1977).  After ``STALL_CAP`` consecutive degenerate pivots a phase
+enters the smallest column of negative reduced cost until a pivot moves the
+vertex, then returns to Dantzig; that fallback is Bland's rule in both
+halves, and staying on it until the objective strictly improves is what
+keeps every phase finite.
 
 Small, self-contained and deterministic: identical inputs produce identical
 pivot sequences, so witnesses, infeasibility certificates and every output
@@ -26,13 +30,9 @@ keeps no state between calls.  The start drops the artificial columns and
 keeps every structural and slack column, all of which phase 2 prices, also
 those that every feasible point holds at zero (``ConstraintSet.presolved``
 removes the ones its forcing rows name before the rows reach the solver).
-Pricing and the ratio test are numpy scans that pick the same entering column
-and leaving row as a scalar loop with the same rule (ties in the ratio test
-within ``PIVOT_TOL`` go to the smallest basic index, applied row by row in
-order), so a solve makes the same pivots whether its phase 1 ran fresh or
-was passed in.  The ratio test computes every ratio in one vector pass and
-takes the least; only when another ratio lies near it does the row-by-row
-tie scan run.
+Pricing and the ratio test are numpy passes that pick the same entering column
+and leaving row as a scalar loop with the same rule, so a solve makes the
+same pivots whether its phase 1 ran fresh or was passed in.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class FeasibleStart:
 class _Tableau:
     """Pivoting state of one solve; ``buf`` is the rank-1 update's scratch."""
 
-    def __init__(self, tab: np.ndarray, basis: list[int], pivots: int, budget: int,
+    def __init__(self, tab: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
                  buf: np.ndarray) -> None:
         self.tab = tab
         self.basis = basis
@@ -120,10 +120,14 @@ class _Tableau:
         """Pivot on the last row's reduced costs until none is negative.
 
         Dantzig pricing enters the most negative reduced cost, ties going to
-        the smallest column.  After ``STALL_CAP`` consecutive degenerate
-        pivots (step length at most ``PIVOT_TOL``) it enters the smallest
-        negative column instead (Bland's rule) until a pivot moves the vertex,
-        so that no basis repeats and the phase ends.
+        the smallest column.  The leaving row is Bland's: the smallest basic
+        index among the rows whose ratio is at most the least plus
+        ``PIVOT_TOL``; a NaN ratio never leaves, and with no eligible row the
+        phase is unbounded.  After ``STALL_CAP`` consecutive degenerate pivots
+        (step length at most ``PIVOT_TOL``) it enters the smallest negative
+        column instead, which makes both halves Bland's rule, until a pivot
+        moves the vertex, so that no basis repeats and the phase ends.  The
+        window's rows are gathered only when the second-least ratio lies in it.
         """
         tab, basis = self.tab, self.basis
         n_rows = tab.shape[0] - 1
@@ -145,29 +149,19 @@ class _Tableau:
             rows_ratios.fill(np.inf)
             np.divide(tab[:n_rows, -1], col_vals, out=rows_ratios, where=eligible)
             np.maximum(rows_ratios, 0.0, out=rows_ratios)
-            leaving = int(ratios.argmin())
+            leaving = int(ratios.argmin())  # a NaN ratio's row, when there is one
             best_ratio = float(ratios[leaving])
             ratios[leaving] = np.inf
             runner_up = float(ratios.min())
             ratios[leaving] = best_ratio
-            # The tie rule is not transitive, so ties are settled by a scan in
-            # row order.  A ratio above this window is more than PIVOT_TOL
-            # above the least even after rounding, so when every other ratio
-            # is, the scan would pick the least's row.  The scan passes over
-            # the inf of every ineligible row, as it passes over a larger ratio.
-            window = (best_ratio + 2.0 * PIVOT_TOL) * (1.0 + 1e-15)
-            if best_ratio == np.inf or not runner_up > window:  # a NaN scans too
-                best_ratio = np.inf
-                leaving = -1
-                for i, ratio in enumerate(rows_ratios.tolist()):
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
-                if leaving < 0:
+            if not runner_up > best_ratio + PIVOT_TOL:  # a tie, an inf or a NaN least
+                if best_ratio != best_ratio:  # argmin's NaN, which never leaves
+                    best_ratio = float(np.nanmin(ratios))
+                if best_ratio == np.inf:
                     return UNBOUNDED
+                tied = np.flatnonzero(rows_ratios <= best_ratio + PIVOT_TOL)
+                leaving = int(tied[basis[tied].argmin()])
+                best_ratio = float(rows_ratios[leaving])
             if best_ratio <= PIVOT_TOL:
                 self.degenerate += 1
                 stalled += 1
@@ -228,16 +222,12 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
         tab[i, j] = entry
     tab[:n_rows, -1] = b
 
-    basis = [art_cols.get(i, slack_cols.get(i, -1)) for i in range(n_rows)]
+    basis = np.array([art_cols.get(i, slack_cols.get(i, -1)) for i in range(n_rows)], dtype=int)
     z1 = n_rows
     for j in art_cols.values():
         tab[z1, j] = 1.0
     for i in art_cols:
         tab[z1] -= tab[i]
-
-    if not art_cols:
-        return FeasibleStart(n_cols=n_cols, phase1_pivots=0, degenerate_pivots=0,
-                             dropped_rows=0, tab=tab, basis=tuple(basis))
 
     state = _Tableau(tab, basis, 0, _budget(n_rows, n_cols), np.empty_like(tab))
     if state.run_phase() == UNBOUNDED:
@@ -269,7 +259,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                          degenerate_pivots=state.degenerate, dropped_rows=len(drop),
                          tab=np.hstack((tab[:, :first_art], tab[:, -1:])),
-                         basis=tuple(basis[i] for i in keep[:-1]))
+                         basis=tuple(basis[keep[:-1]].tolist()))
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
@@ -317,10 +307,10 @@ def solve_lp(
     # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
     tab = start.tab
     c = -c_orig if maximize else c_orig
-    basis = list(start.basis)
+    basis = np.array(start.basis, dtype=int)
     cost = np.zeros(tab.shape[1])
     cost[:n_vars] = c
-    for i, j in enumerate(basis):
+    for i, j in enumerate(start.basis):
         if j < n_vars and c[j] != 0.0:
             cost -= c[j] * tab[i]
     cost[basis] = 0.0
@@ -336,15 +326,14 @@ def solve_lp(
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, **counters)
 
-    basic = np.array(basis, dtype=int)
     x = np.zeros(tab.shape[1] - 1)
-    x[basic] = tab[:-1, -1]
+    x[basis] = tab[:-1, -1]
     solution = x[:n_vars]
     # c.x over the basic structural columns, in row order: every other entry
     # of x is zero, and a dot product over all of them is a BLAS call that
     # may spread over threads and cost milliseconds
-    structural = basic < n_vars
+    structural = basis < n_vars
     value = 0.0
-    for term in (c_orig[basic[structural]] * tab[:-1, -1][structural]).tolist():
+    for term in (c_orig[basis[structural]] * tab[:-1, -1][structural]).tolist():
         value += term
     return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

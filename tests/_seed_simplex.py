@@ -25,6 +25,16 @@ from iqp.lp import (
 )
 
 
+def leaving_row(rhs, col, basis) -> tuple[int, float]:
+    """Bland's leaving row (-1 for none) and its ratio ``max(rhs, 0) / col``: of rows with
+    ``col > PIVOT_TOL``, the smallest basic index within ``PIVOT_TOL`` of the least non-NaN ratio."""
+    ratios = {i: max(rhs[i], 0.0) / col[i] for i in range(len(rhs)) if col[i] > PIVOT_TOL}
+    least = min((r for r in ratios.values() if r == r), default=np.inf)
+    tied = [i for i, r in ratios.items() if r <= least + PIVOT_TOL < np.inf]
+    leaving = min(tied, key=basis.__getitem__, default=-1)
+    return leaving, ratios.get(leaving, np.inf)
+
+
 def solve_lp(
     objective: np.ndarray,
     rows: np.ndarray,
@@ -140,18 +150,7 @@ def solve_lp(
                         break
             if entering < 0:
                 return OPTIMAL
-            col_vals = tab[:n_rows, entering]
-            best_ratio = np.inf
-            leaving = -1
-            for i in range(n_rows):
-                if col_vals[i] > PIVOT_TOL:
-                    ratio = max(tab[i, -1], 0.0) / col_vals[i]
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+            leaving, best_ratio = leaving_row(tab[:n_rows, -1], tab[:n_rows, entering], basis)
             if leaving < 0:
                 return UNBOUNDED
             if best_ratio <= PIVOT_TOL:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from _seed_simplex import leaving_row
 from _seed_simplex import solve_lp as seed_solve_lp
 from conftest import realize, seeded_config
 from iqp import lp
@@ -298,9 +299,9 @@ class _Pivoted(Exception):
 
 
 class TestRatioTest:
-    """The leaving row is the least ratio, unless another lies within
-    PIVOT_TOL: then the scalar rule runs row by row, ties going to the smaller
-    basic index, which is not transitive."""
+    """Bland's leaving rule: of the rows whose ratio is at most the least plus
+    PIVOT_TOL, the one of smallest basic index leaves, as in the oracle's
+    ``leaving_row``."""
 
     @staticmethod
     def leaving(rhs, col, basis):
@@ -308,7 +309,7 @@ class TestRatioTest:
         n = len(rhs)
         tab = np.zeros((n + 1, 2))
         tab[:n, 0], tab[:n, 1], tab[n, 0] = col, rhs, -1.0
-        state = lp._Tableau(tab, list(basis), 0, 10, np.empty_like(tab))
+        state = lp._Tableau(tab, np.array(basis), 0, 10, np.empty_like(tab))
         rows = []
 
         def pivot(row, col):
@@ -322,24 +323,17 @@ class TestRatioTest:
             return rows[0]
 
     @staticmethod
-    def scan(rhs, col, basis):
-        """The scalar rule of ``_seed_simplex``."""
-        best, leaving = np.inf, -1
-        for i in range(len(rhs)):
-            if col[i] > lp.PIVOT_TOL:
-                ratio = max(rhs[i], 0.0) / col[i]
-                if ratio < best - lp.PIVOT_TOL or (
-                    abs(ratio - best) <= lp.PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best, leaving = ratio, i
+    def oracle(rhs, col, basis):
+        """The leaving row of ``_seed_simplex``, or UNBOUNDED."""
+        leaving = leaving_row(rhs, col, basis)[0]
         return leaving if leaving >= 0 else UNBOUNDED
 
     def test_non_transitive_tie(self):
         # 0 ties 0.6e-10 and 0.6e-10 ties 1.2e-10, but 0 does not tie 1.2e-10:
-        # row by row the smaller basic index takes each tie, so the last row
-        # leaves, not the least ratio's
+        # the window starts at the least ratio, so it holds rows 0 and 1, and
+        # row 1 has the smaller basic index
         rhs, col, basis = [0.0, 0.6e-10, 1.2e-10], [1.0, 1.0, 1.0], [5, 1, 0]
-        assert self.leaving(rhs, col, basis) == self.scan(rhs, col, basis) == 2
+        assert self.leaving(rhs, col, basis) == self.oracle(rhs, col, basis) == 1
         assert int(np.argmin(rhs)) == 0
 
     def test_matches_scalar_rule(self):
@@ -349,18 +343,28 @@ class TestRatioTest:
                   big, np.nextafter(big, np.inf), big + 2e-10, big + 3e-10]
         cols = [1.0, 1.0, 1.0, 2.0, 0.5, 1e-10, 0.0, -1.0]
         rng = np.random.default_rng(12)
-        scanned = 0
+        tied = 0
         for _ in range(3000):
             n = int(rng.integers(1, 7))
             rhs = rng.choice(values, n)
             col = rng.choice(cols, n)
             basis = rng.permutation(10)[:n].tolist()
-            want = self.scan(rhs, col, basis)
+            want = self.oracle(rhs, col, basis)
             assert self.leaving(rhs, col, basis) == want
-            scanned += want != UNBOUNDED and want != int(np.argmin(
+            tied += want != UNBOUNDED and want != int(np.argmin(
                 np.where(col > lp.PIVOT_TOL, np.maximum(rhs, 0.0) / np.where(col > 0, col, 1.0),
                          np.inf)))
-        assert scanned > 0  # some ties pick another row than the least ratio
+        assert tied > 0  # some ties pick another row than the least ratio
+
+    @pytest.mark.parametrize("rhs, col, basis, want", [
+        ([np.nan, 0.5], [1.0, 1.0], [0, 1], 1),  # argmin would take the NaN
+        ([0.0, np.nan, 0.5e-10], [1.0, 1.0, 1.0], [3, 0, 1], 2),  # nor joins a tie
+        ([np.nan, np.nan], [1.0, 1.0], [0, 1], UNBOUNDED),
+        ([np.nan, 0.3], [1.0, 0.0], [1, 0], UNBOUNDED),
+        ([0.3, 0.2], [-1.0, np.nan], [0, 1], UNBOUNDED),  # a NaN column entry is ineligible
+    ])
+    def test_nan_never_leaves(self, rhs, col, basis, want):
+        assert self.leaving(rhs, col, basis) == self.oracle(rhs, col, basis) == want
 
 
 class TestStartReuse:
