@@ -317,8 +317,10 @@ class ConstraintSet:
                 empty = terms
 
         pinned_events: np.ndarray | None = None  # built for the first demand
-        # each kept, pinned pair row not yet matched: its ssets -> (constraint, shift)
-        unmatched: dict[frozenset[SSet], tuple[int, float]] = {}
+        # each kept, pinned pair row not yet matched: its ssets, as (time, region
+        # mask) pairs, which are cheaper to build than SSets -> (constraint, shift)
+        unmatched: dict[frozenset[tuple[int, int]], tuple[int, float]] = {}
+        full = (1 << self.space.m) - 1
         for i, j in zip(owners, partners):
             con = self.constraints[i]
             if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
@@ -346,9 +348,10 @@ class ConstraintSet:
             if bounds[i] <= shift:  # rule 1
                 implied.add(i)
                 continue
-            first = unmatched.pop(frozenset(s.complement() for s in con.origin), None)
+            key = [(s.time, s.region.mask) for s in con.origin]
+            first = unmatched.pop(frozenset((t, mask ^ full) for t, mask in key), None)
             if first is None:
-                unmatched[frozenset(con.origin)] = (i, shift)
+                unmatched[frozenset(key)] = (i, shift)
             else:  # rule 2, in the first row's orientation
                 f, f_shift = first
                 implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
@@ -566,12 +569,19 @@ def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
 
 
 def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, float]:
-    """Recompute the certificate's componentwise slack and margin directly."""
+    """Recompute the certificate's componentwise slack and margin directly.
+
+    Only constraints with a nonzero multiplier are summed.  Adding a zero
+    changes no float but -0.0, and a sum holds -0.0 only if it started from
+    it, so the zero terms are added as well when the normalization is -0.0.
+    """
     combo = np.full(cs.space.size, cert.normalization)
     total = cert.normalization
+    from_negative_zero = cert.normalization == 0.0 and math.copysign(1.0, cert.normalization) < 0
     for mult, con in zip(cert.multipliers, cs.constraints):
-        combo += mult * con.event.bits
-        total += mult * con.rhs
+        if mult != 0.0 or from_negative_zero:
+            combo += mult * con.event.bits
+            total += mult * con.rhs
     return float(combo.max()), float(total)
 
 

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver with Dantzig pricing and a Bland fallback.
+"""Two-phase simplex solver with Dantzig pricing and a Bland fallback.
 
 Each pivot enters the column of most negative reduced cost (Dantzig; ties go
 to the smallest column).  The leaving row is Bland's: among the rows whose
@@ -22,17 +22,34 @@ returns row multipliers ``y`` (the phase-1 duals) satisfying, up to pivot
 tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
+The rule runs in one of two forms, and the LP's shape picks it.  An LP with
+at least ``REVISED_RATIO`` structural columns per row takes the revised form
+(G. B. Dantzig and W. Orchard-Hays, "The product form for the inverse in the
+simplex method", 1954; V. Chvatal, *Linear Programming*, 1983, ch. 7): it
+keeps the basis, an explicit inverse of the basis matrix and the basic values
+x_B, and prices ``c - y.A`` straight from the rows with ``y = c_B.B^-1``, so
+a pivot reads the rows once and updates k x k numbers.  Every narrower LP
+keeps the dense tableau, whose pivots update all (k + 1) x (columns + 1)
+cells; with few columns per row that is the cheaper form.  Both forms make
+the same pivots in exact arithmetic.  In floats they can break a near-tie
+differently, so a wide LP may end on another optimal vertex of the same
+value than the tableau would reach.  No sum goes through BLAS or LAPACK,
+whose order varies by build: every sum over rows or basis positions is an
+``np.einsum("i,ij->j", ...)`` over a C-contiguous matrix, which adds its
+terms in index order, as a scalar loop does.
+
 Phase 1 depends only on the constraints, so it runs once per constraint set:
-``feasible_start`` returns the post-phase-1 tableau and basis, and a caller
-that asks several questions about one set passes that start to every
-``solve_lp`` call; without one, ``solve_lp`` runs its own phase 1.  The solver
-keeps no state between calls.  The start drops the artificial columns and
-keeps every structural and slack column, all of which phase 2 prices, also
-those that every feasible point holds at zero (``ConstraintSet.presolved``
-removes the ones its forcing rows name before the rows reach the solver).
-Pricing and the ratio test are numpy passes that pick the same entering column
-and leaving row as a scalar loop with the same rule, so a solve makes the
-same pivots whether its phase 1 ran fresh or was passed in.
+``feasible_start`` returns the basis after phase 1 with its tableau or its
+inverse, and a caller that asks several questions about one set passes that
+start to every ``solve_lp`` call; without one, ``solve_lp`` runs its own
+phase 1.  The solver keeps no state between calls.  The start drops the
+artificial columns and keeps every structural and slack column, all of which
+phase 2 prices, also those that every feasible point holds at zero
+(``ConstraintSet.presolved`` removes the ones its forcing rows name before
+the rows reach the solver).  Pricing and the ratio test are numpy passes
+that pick the same entering column and leaving row as a scalar loop with the
+same rule, so a solve makes the same pivots whether its phase 1 ran fresh or
+was passed in.
 """
 
 from __future__ import annotations
@@ -47,6 +64,11 @@ FEASIBILITY_TOL = 1e-9
 # chosen by measurement (the table is in CHANGES.md).  It stays below the
 # smallest pivot budget (1000, ``_budget``), so a cycling LP reaches the fallback.
 STALL_CAP = 500
+# Structural columns per row from which an LP takes the revised form, chosen
+# by measurement (the table is in CHANGES.md): on the benchmark's sets the
+# revised form is 3-14% slower at 32-51 columns per row and 17-57% faster
+# from 64 on.
+REVISED_RATIO = 64
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -65,7 +87,7 @@ class LPResult:
     farkas_duals: np.ndarray | None = None
     phase1_pivots: int = 0  # including pivots that drive artificials out
     phase2_pivots: int = 0
-    degenerate_pivots: int = 0  # both phases; see _Tableau.degenerate
+    degenerate_pivots: int = 0  # both phases; see _Pivoting.degenerate
     dropped_rows: int = 0  # redundant equality rows removed after phase 1
 
 
@@ -73,51 +95,61 @@ class LPResult:
 class FeasibleStart:
     """Outcome of phase 1 for one constraint set; read-only, so shareable.
 
-    ``tab`` holds the constraint rows after phase 1 followed by one spare cost
-    row, over the structural and slack columns and the right-hand side (the
-    artificial columns are never read again and are trimmed), and ``basis``
-    the basic column of each kept row.  Both are ``None`` for an infeasible
-    set, which carries ``farkas_duals`` instead.
+    ``basis`` holds the basic column of each kept row.  A tableau start
+    holds in ``tab`` the constraint rows after phase 1 followed by one spare
+    cost row, over the structural and slack columns and the right-hand side
+    (the artificial columns are never read again and are trimmed).  A
+    revised start holds instead ``inverse``, the basis inverse with x_B as a
+    last column; ``rows``, the kept rows in standard form (each flipped
+    where its right side was negative); and ``slacks``, each kept row's
+    slack entry in standard form (1 for '<=', -1 for '>=', 0 for '=='), so
+    that its slack columns are the nonzero entries in row order.  The forms'
+    fields are ``None`` on the other form and on an infeasible set, which
+    carries ``farkas_duals`` instead.
     """
 
-    n_cols: int  # phase-1 tableau columns before the right-hand side; sets the pivot budget
+    n_cols: int  # phase-1 columns; sets the pivot budget
     phase1_pivots: int
     degenerate_pivots: int
     dropped_rows: int
     tab: np.ndarray | None = None
     basis: tuple[int, ...] | None = None
     farkas_duals: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    slacks: np.ndarray | None = None
 
 
-class _Tableau:
-    """Pivoting state of one solve; ``buf`` is the rank-1 update's scratch."""
+class _Pivoting:
+    """The pivot rule, over a form's ``costs``, ``column``, ``values`` and ``pivot``.
 
-    def __init__(self, tab: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
-                 buf: np.ndarray) -> None:
-        self.tab = tab
-        self.basis = basis
-        self.pivots = pivots
-        self.degenerate = 0  # ratio-test pivots of step length at most PIVOT_TOL
-        self.budget = budget
-        self.buf = buf
+    ``costs()`` returns the reduced cost of every priced column, and
+    ``column(j)`` column ``j`` in the current basis, one entry per row; the
+    ratio test reads that column and ``values``, the basic values.
+    """
+
+    basis: np.ndarray
+    values: np.ndarray
+    pivots: int
+    degenerate: int  # ratio-test pivots of step length at most PIVOT_TOL
+    budget: int
+
+    def costs(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def column(self, col: int) -> np.ndarray:
+        raise NotImplementedError
 
     def pivot(self, row: int, col: int) -> None:
+        raise NotImplementedError
+
+    def count_pivot(self) -> None:
         self.pivots += 1
         if self.pivots > self.budget:
             raise SimplexFailure(f"pivot limit {self.budget} exceeded")
-        tab = self.tab
-        tab[row] /= tab[row, col]
-        factors = tab[:, col].copy()
-        factors[row] = 0.0
-        # same products and differences as tab -= np.outer(factors, tab[row])
-        np.multiply(factors[:, None], tab[row], out=self.buf)
-        tab -= self.buf
-        tab[:, col] = 0.0
-        tab[row, col] = 1.0
-        self.basis[row] = col
 
     def run_phase(self) -> str:
-        """Pivot on the last row's reduced costs until none is negative.
+        """Pivot on the reduced costs until none is negative.
 
         Dantzig pricing enters the most negative reduced cost, ties going to
         the smallest column.  The leaving row is Bland's: the smallest basic
@@ -129,25 +161,25 @@ class _Tableau:
         moves the vertex, so that no basis repeats and the phase ends.  The
         window's rows are gathered only when the second-least ratio lies in it.
         """
-        tab, basis = self.tab, self.basis
-        n_rows = tab.shape[0] - 1
+        basis = self.basis
+        n_rows = len(basis)
         # per row max(b, 0) / a where a > PIVOT_TOL, inf elsewhere and in a
-        # last entry that is always there, so an empty tableau has a minimum
+        # last entry that is always there, so an empty basis has a minimum
         ratios = np.full(n_rows + 1, np.inf)
         rows_ratios = ratios[:n_rows]
         stalled = 0
         while True:
-            costs = tab[-1, :-1]
+            costs = self.costs()
             if stalled < STALL_CAP:
                 entering = int(costs.argmin())
             else:
                 entering = int((costs < -PIVOT_TOL).argmax())
             if not costs[entering] < -PIVOT_TOL:
                 return OPTIMAL
-            col_vals = tab[:n_rows, entering]
+            col_vals = self.column(entering)
             eligible = col_vals > PIVOT_TOL
             rows_ratios.fill(np.inf)
-            np.divide(tab[:n_rows, -1], col_vals, out=rows_ratios, where=eligible)
+            np.divide(self.values, col_vals, out=rows_ratios, where=eligible)
             np.maximum(rows_ratios, 0.0, out=rows_ratios)
             leaving = int(ratios.argmin())  # a NaN ratio's row, when there is one
             best_ratio = float(ratios[leaving])
@@ -168,6 +200,113 @@ class _Tableau:
             else:
                 stalled = 0
             self.pivot(leaving, entering)
+
+
+class _Tableau(_Pivoting):
+    """Dense-tableau state of one solve: the constraint rows, then the
+    reduced-cost row; ``buf`` is the rank-1 update's scratch."""
+
+    def __init__(self, tab: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
+                 buf: np.ndarray) -> None:
+        self.tab = tab
+        self.basis = basis
+        self.values = tab[:-1, -1]
+        self.pivots = pivots
+        self.degenerate = 0
+        self.budget = budget
+        self.buf = buf
+
+    def costs(self) -> np.ndarray:
+        return self.tab[-1, :-1]
+
+    def column(self, col: int) -> np.ndarray:
+        return self.tab[:-1, col]
+
+    def pivot(self, row: int, col: int) -> None:
+        self.count_pivot()
+        tab = self.tab
+        tab[row] /= tab[row, col]
+        factors = tab[:, col].copy()
+        factors[row] = 0.0
+        # same products and differences as tab -= np.outer(factors, tab[row])
+        np.multiply(factors[:, None], tab[row], out=self.buf)
+        tab -= self.buf
+        tab[:, col] = 0.0
+        tab[row, col] = 1.0
+        self.basis[row] = col
+
+
+class _Revised(_Pivoting):
+    """Revised-form state of one solve.
+
+    ``table`` is the tableau cut down to the columns of the first basis, an
+    identity, and the right-hand side, with the multipliers for its cost
+    row: ``table[:k, :k]`` is B^-1, ``table[:k, k]`` x_B, ``table[k, :k]``
+    y = c_B.B^-1 and ``table[k, k]`` c_B.x_B.  A pivot is the tableau's
+    rank-1 step on it; the cost row moves by the entering column's reduced
+    cost times the pivot row, which keeps y = c_B.B^-1.  ``rows`` are the
+    standard-form structural rows (C-contiguous), and each priced column
+    past them is a logical column, the unit vector of row
+    ``logical_rows[j]`` times ``logical_signs[j]``; ``cost`` holds every
+    priced column's cost.  ``pivot`` pivots on the column that ``column``
+    last returned.
+    """
+
+    def __init__(self, rows: np.ndarray, logical_rows: np.ndarray, logical_signs: np.ndarray,
+                 inverse: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
+                 cost: np.ndarray) -> None:
+        """``inverse`` is B^-1 with x_B as a last column; the cost row is
+        summed from it over the basis positions in order."""
+        k = len(basis)
+        self.table = table = np.empty((k + 1, k + 1))
+        table[:k] = inverse
+        table[k] = np.einsum("i,ij->j", cost[basis], inverse)
+        self.values = table[:k, k]
+        self.y = table[k, :k]
+        self.rows = rows
+        self.logical_rows = logical_rows
+        self.logical_signs = logical_signs
+        self.basis = basis
+        self.pivots = pivots
+        self.degenerate = 0
+        self.budget = budget
+        self.cost = cost
+        self.reduced = np.empty_like(cost)
+        n_vars = rows.shape[1]
+        self.structural = (cost[:n_vars], self.reduced[:n_vars])  # costs, reduced costs
+        self.logical = (cost[n_vars:], self.reduced[n_vars:])
+        self.buf = np.empty_like(table)
+        self.alpha = np.zeros(k + 1)  # the column last returned, and its cost-row factor
+
+    def costs(self) -> np.ndarray:
+        cost, reduced = self.structural
+        np.einsum("i,ij->j", self.y, self.rows, out=reduced)
+        np.subtract(cost, reduced, out=reduced)
+        cost, reduced = self.logical
+        np.subtract(cost, self.y[self.logical_rows] * self.logical_signs, out=reduced)
+        return self.reduced
+
+    def column(self, col: int) -> np.ndarray:
+        n_vars, k = self.rows.shape[1], len(self.basis)
+        if col < n_vars:  # B^-1 a, summed over the rows with the table transposed
+            self.alpha = np.einsum("i,ij->j", self.rows[:, col],
+                                   np.ascontiguousarray(self.table[:, :k].T))
+        else:
+            j = col - n_vars
+            self.alpha = self.table[:, self.logical_rows[j]] * self.logical_signs[j]
+        self.alpha[k] = -self.reduced[col]
+        return self.alpha[:k]
+
+    def pivot(self, row: int, col: int) -> None:
+        self.count_pivot()
+        table = self.table
+        table[row] /= self.alpha[row]
+        factors = self.alpha.copy()
+        factors[row] = 0.0
+        # same products and differences as the tableau's update
+        np.multiply(factors[:, None], table[row], out=self.buf)
+        table -= self.buf
+        self.basis[row] = col
 
 
 def _budget(n_rows: int, n_cols: int) -> int:
@@ -194,6 +333,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     flip = {"==": "==", ">=": "<=", "<=": ">="}
     std_senses = [flip[s] if b[i] < 0 else s for i, s in enumerate(senses)]
     b *= sign
+    if n_rows and n_vars >= REVISED_RATIO * n_rows:
+        return _revised_phase1(a, b, sign, std_senses)
     slack_cols: dict[int, int] = {}
     art_cols: dict[int, int] = {}
     extra: list[tuple[int, float]] = []  # (row, entry) of each added column
@@ -262,15 +403,82 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                          basis=tuple(basis[keep[:-1]].tolist()))
 
 
+def _revised_phase1(a: np.ndarray, b: np.ndarray, sign: np.ndarray,
+                    std_senses: list[str]) -> FeasibleStart:
+    """Phase 1 in the revised form, on the standard form ``_phase1`` made.
+
+    The columns are numbered as in the tableau: structural, then one slack
+    or surplus per inequality row, then one artificial per '==' or '>=' row.
+    """
+    n_rows, n_vars = a.shape
+    rows = a * sign[:, None] if (sign < 0).any() else a
+    slacks = np.array([{"<=": 1.0, ">=": -1.0, "==": 0.0}[s] for s in std_senses])
+    slack_rows = np.flatnonzero(slacks)
+    art_rows = np.array([i for i, s in enumerate(std_senses) if s != "<="], dtype=int)
+    first_art = n_vars + len(slack_rows)
+    n_cols = first_art + len(art_rows)
+    cost = np.zeros(n_cols)
+    cost[first_art:] = 1.0
+    # the first basis, B = I: a '<=' row's slack, every other row's artificial
+    basis = np.empty(n_rows, dtype=int)
+    basis[slack_rows] = np.arange(n_vars, first_art)
+    basis[art_rows] = np.arange(first_art, n_cols)  # over a '>=' row's surplus
+    state = _Revised(rows, np.concatenate((slack_rows, art_rows)),
+                     np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
+                     np.hstack((np.eye(n_rows), b[:, None])), basis, 0,
+                     _budget(n_rows, n_cols), cost)
+    if state.run_phase() == UNBOUNDED:
+        raise SimplexFailure("phase-1 objective reported unbounded")
+    if state.table[-1, -1] > FEASIBILITY_TOL:
+        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+                             degenerate_pivots=state.degenerate, dropped_rows=0,
+                             farkas_duals=sign * state.y)
+
+    # drive leftover basic artificials out (or drop redundant rows), reading
+    # each one's tableau row B^-1[i].A over the structural and slack columns;
+    # the cost row is not read again, since phase 2 sums its own
+    drop: list[int] = []
+    for i in range(n_rows):
+        if state.basis[i] >= first_art:
+            inverse_row = state.table[i, :n_rows]
+            entries = np.concatenate((np.einsum("i,ij->j", inverse_row, rows),
+                                      inverse_row[slack_rows] * slacks[slack_rows]))
+            nonzero = np.abs(entries) > PIVOT_TOL
+            if nonzero.any():
+                col = int(nonzero.argmax())
+                state.column(col)
+                state.pivot(i, col)
+            else:
+                drop.append(i)
+    inverse, basis = state.table[:n_rows].copy(), state.basis
+    if drop:
+        # a dropped position's basic column is its artificial, the unit vector
+        # of that artificial's row, so B^-1 is 0 in that row's column but at
+        # the position: deleting the position's row and the row's column
+        # leaves exactly the inverse of the kept basis
+        gone = {int(art_rows[basis[i] - first_art]) for i in drop}
+        kept = [i for i in range(n_rows) if i not in drop]
+        kept_rows = [r for r in range(n_rows) if r not in gone]
+        inverse = inverse[np.ix_(kept, kept_rows + [n_rows])]
+        basis = basis[kept]
+        rows, slacks = rows[kept_rows], slacks[kept_rows]
+    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+                         degenerate_pivots=state.degenerate, dropped_rows=len(drop),
+                         basis=tuple(basis.tolist()), inverse=inverse, rows=rows.view(),
+                         slacks=slacks)
+
+
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     """Phase 1 of the rows, as a start for any number of ``solve_lp`` calls.
 
     The start is read-only: every solve from it that must pivot works on its
-    own copy, so threads may share one start.
+    own copy, so threads may share one start.  A revised start refers to
+    ``rows`` through a read-only view unless a flip or a dropped row made it
+    copy them.
     """
     start = _phase1(np.ascontiguousarray(_as_rows(rows)),
                     np.ascontiguousarray(rhs, dtype=float), senses)
-    for arr in (start.tab, start.farkas_duals):
+    for arr in (start.tab, start.farkas_duals, start.inverse, start.rows, start.slacks):
         if arr is not None:
             arr.flags.writeable = False
     return start
@@ -288,9 +496,9 @@ def solve_lp(
     """Optimize ``objective`` over the rows, from their ``feasible_start``.
 
     ``start`` must be ``feasible_start`` of these rows, right-hand sides and
-    senses; without it the phase 1 runs here.  The start is copied only when
-    the objective needs a pivot.  The pivot budget (``_budget``) counts the
-    start's phase-1 pivots as well.
+    senses; without it the phase 1 runs here.  A tableau start is copied
+    only when the objective needs a pivot.  The pivot budget (``_budget``)
+    counts the start's phase-1 pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
@@ -303,37 +511,51 @@ def solve_lp(
                     degenerate_pivots=start.degenerate_pivots, dropped_rows=start.dropped_rows)
     if start.farkas_duals is not None:
         return LPResult(status=INFEASIBLE, farkas_duals=start.farkas_duals.copy(), **counters)
-
-    # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
-    tab = start.tab
     c = -c_orig if maximize else c_orig
-    basis = np.array(start.basis, dtype=int)
-    cost = np.zeros(tab.shape[1])
-    cost[:n_vars] = c
-    for i, j in enumerate(start.basis):
-        if j < n_vars and c[j] != 0.0:
-            cost -= c[j] * tab[i]
-    cost[basis] = 0.0
+    budget = _budget(len(senses), start.n_cols)
 
-    if (cost[:-1] < -PIVOT_TOL).any():
-        tab = tab.copy()
-        tab[-1] = cost
-        state = _Tableau(tab, basis, start.phase1_pivots, _budget(len(senses), start.n_cols),
-                         np.empty_like(tab))
+    if start.inverse is not None:  # the revised form
+        slack_rows = np.flatnonzero(start.slacks)
+        cost = np.zeros(n_vars + len(slack_rows))
+        cost[:n_vars] = c
+        state = _Revised(start.rows, slack_rows, start.slacks[slack_rows], start.inverse,
+                         np.array(start.basis, dtype=int), start.phase1_pivots, budget, cost)
         status = state.run_phase()
         counters["phase2_pivots"] = state.pivots - start.phase1_pivots
         counters["degenerate_pivots"] += state.degenerate
         if status == UNBOUNDED:
             return LPResult(status=UNBOUNDED, **counters)
+        basis, values, n_priced = state.basis, state.values, len(cost)
+    else:
+        # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
+        tab = start.tab
+        basis = np.array(start.basis, dtype=int)
+        cost = np.zeros(tab.shape[1])
+        cost[:n_vars] = c
+        for i, j in enumerate(start.basis):
+            if j < n_vars and c[j] != 0.0:
+                cost -= c[j] * tab[i]
+        cost[basis] = 0.0
 
-    x = np.zeros(tab.shape[1] - 1)
-    x[basis] = tab[:-1, -1]
+        if (cost[:-1] < -PIVOT_TOL).any():
+            tab = tab.copy()
+            tab[-1] = cost
+            state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
+            status = state.run_phase()
+            counters["phase2_pivots"] = state.pivots - start.phase1_pivots
+            counters["degenerate_pivots"] += state.degenerate
+            if status == UNBOUNDED:
+                return LPResult(status=UNBOUNDED, **counters)
+        values, n_priced = tab[:-1, -1], tab.shape[1] - 1
+
+    x = np.zeros(n_priced)
+    x[basis] = values
     solution = x[:n_vars]
     # c.x over the basic structural columns, in row order: every other entry
     # of x is zero, and a dot product over all of them is a BLAS call that
     # may spread over threads and cost milliseconds
     structural = basis < n_vars
     value = 0.0
-    for term in (c_orig[basis[structural]] * tab[:-1, -1][structural]).tolist():
+    for term in (c_orig[basis[structural]] * values[structural]).tolist():
         value += term
     return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

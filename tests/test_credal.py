@@ -1065,3 +1065,40 @@ class TestGenerationEquivalence:
         assert {cfg.time_pairs is None for cfg in seeded} == {True, False}
         assert {(cfg.m, cfg.max_region_size) for cfg in seeded} == {
             (m, k) for m in (2, 3, 4) for k in range(1, m + 1)}
+
+
+class TestVerifyFarkasSkipsZeros:
+    """``verify_farkas`` sums only the constraints with a nonzero multiplier,
+    and returns the bits that summing every constraint gives."""
+
+    @staticmethod
+    def every_constraint(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, float]:
+        combo = np.full(cs.space.size, cert.normalization)
+        total = cert.normalization
+        for mult, con in zip(cert.multipliers, cs.constraints):
+            combo += mult * con.event.bits
+            total += mult * con.rhs
+        return float(combo.max()), float(total)
+
+    def test_verdicts_certificates(self):
+        """The 38 infeasible sets of one ``verdicts`` pass at seed 7."""
+        certified = 0
+        for r, rung in enumerate(VERDICTS):
+            for k in range(1, rung.systems, 2):  # odd systems are the infeasible ones
+                cs = realize(parse_config(make_config(rung, 7, r, k, infeasible=True)))[1]
+                cert = feasibility(cs).farkas
+                assert np.count_nonzero(cert.multipliers) < len(cert.multipliers)
+                want = self.every_constraint(cs, cert)
+                assert [v.hex() for v in verify_farkas(cs, cert)] == [v.hex() for v in want]
+                certified += 1
+        assert certified == 38
+
+    @pytest.mark.parametrize("normalization", [-0.0, 0.0, -1.0])
+    def test_signed_zero(self, balanced, normalization):
+        """A -0.0 normalization stays -0.0 only while no +0.0 term is added."""
+        _, space = balanced
+        cs = adversarial_cs(space)
+        for mult in ([0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 0.5]):
+            cert = FarkasCertificate(np.array(mult), normalization, 0.0)
+            want = self.every_constraint(cs, cert)
+            assert [v.hex() for v in verify_farkas(cs, cert)] == [v.hex() for v in want]

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from _seed_simplex import leaving_row
 from _seed_simplex import solve_lp as seed_solve_lp
+from _seed_simplex import solve_lp_revised
 from conftest import realize, seeded_config
 from iqp import lp
 from iqp.credal import (
@@ -32,7 +33,7 @@ from iqp.scenarios import BUILTIN_SCENARIOS, parse_config
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
-from perfbench.workloads import Rung, make_config  # noqa: E402
+from perfbench.workloads import LADDER, Rung, make_config  # noqa: E402
 
 
 def scipy_reference(c, rows, rhs, senses, maximize=False):
@@ -587,3 +588,234 @@ def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
         on_live = [event[live] for event in events]
         assert_matches_seed(on_live, rows, rhs, senses)
         assert_agrees_with_highs(rows, rhs, senses, on_live)
+
+
+def assert_matches_revised(objectives, rows, rhs, senses):
+    """Every objective, minimized and maximized from one start, against the
+    revised-form oracle; the LP is wide enough for the revised form."""
+    assert rows.shape[1] >= lp.REVISED_RATIO * rows.shape[0]
+    start = feasible_start(rows, rhs, senses)
+    assert start.tab is None
+    for c in objectives:
+        for maximize in (False, True):
+            old = solve_lp_revised(c, rows, rhs, senses, maximize=maximize)
+            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
+
+
+def assert_status_like_highs(objectives, rows, rhs, senses):
+    """Statuses, and objectives within 1e-9, as HiGHS reports them."""
+    for c in objectives:
+        for maximize in (False, True):
+            mine = solve_lp(c, rows, rhs, senses, maximize=maximize)
+            ref = scipy_reference(c, rows, rhs, senses, maximize=maximize)
+            assert mine.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+            if ref.status == 0:
+                assert mine.objective == pytest.approx(-ref.fun if maximize else ref.fun,
+                                                       abs=1e-9)
+
+
+def wide_polytope(rng, k, extra=0):
+    """Normalization and k - 1 random 0/1 '>=' rows over REVISED_RATIO * k + extra
+    columns, each met with room by one random probability vector."""
+    n = lp.REVISED_RATIO * k + extra
+    p = rng.dirichlet(np.ones(n))
+    rows = np.vstack([np.ones(n), (rng.random((k - 1, n)) < rng.uniform(0.2, 0.6)).astype(float)])
+    rhs = np.concatenate([[1.0], rows[1:] @ p * rng.uniform(0.5, 1.0, k - 1)])
+    return rows, rhs, ["=="] + [">="] * (k - 1)
+
+
+def wide_objectives(rng, n):
+    return [(rng.random(n) < 0.3).astype(float), rng.standard_normal(n), np.zeros(n)]
+
+
+class TestRevisedForm:
+    """LPs with at least REVISED_RATIO columns per row take the revised form,
+    which must make the revised-form oracle's pivots bit for bit and agree
+    with HiGHS."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_feasible(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        rows, rhs, senses = wide_polytope(rng, int(rng.integers(1, 13)), int(rng.integers(0, 50)))
+        objectives = wide_objectives(rng, rows.shape[1])
+        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_status_like_highs(objectives, rows, rhs, senses)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infeasible(self, seed):
+        """A demand past what its event's complement leaves: Farkas duals bit for bit."""
+        rng = np.random.default_rng(310 + seed)
+        rows, rhs, senses = wide_polytope(rng, int(rng.integers(2, 6)))
+        event = rows[-1]
+        rows = np.vstack([rows, 1.0 - event])
+        rhs = np.append(rhs, 1.0 - rhs[-1] + 0.01)
+        senses = senses + [">="]
+        # a '<=' row too, flipped by its negative right side
+        rows = np.vstack([rows, -np.ones(rows.shape[1])])
+        rhs = np.append(rhs, -0.5)
+        senses = senses + ["<="]
+        rows = np.hstack([rows, np.zeros((rows.shape[0], lp.REVISED_RATIO * 2))])
+        start = feasible_start(rows, rhs, senses)
+        assert start.farkas_duals is not None
+        objectives = wide_objectives(rng, rows.shape[1])
+        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_status_like_highs(objectives, rows, rhs, senses)
+        y = start.farkas_duals
+        assert y @ rhs > 1e-10 and np.all(y @ rows <= 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicated_pins_dropped(self, seed):
+        """Repeated '==' rows are redundant: phase 1 drops them, wherever their
+        artificial sits in the basis."""
+        rng = np.random.default_rng(320 + seed)
+        k = int(rng.integers(2, 5))
+        rows, rhs, senses = wide_polytope(rng, k, 40)
+        p = rng.dirichlet(np.ones(rows.shape[1]))
+        pin = (rng.random(rows.shape[1]) < 0.5).astype(float)
+        copies = int(rng.integers(1, 4))
+        rows = np.vstack([pin, rows[:1], np.tile(pin, (copies, 1)), rows[1:]])
+        rhs = np.concatenate([[pin @ p], rhs[:1], np.full(copies, pin @ p), rhs[1:]])
+        senses = ["==", "=="] + ["=="] * copies + senses[1:]
+        rows = np.hstack([rows, np.zeros((rows.shape[0], lp.REVISED_RATIO * (copies + 1)))])
+        start = feasible_start(rows, rhs, senses)
+        if start.farkas_duals is None:  # pin @ p rounds alike on every copy
+            assert start.dropped_rows == copies
+            assert start.inverse.shape == (len(senses) - copies, len(senses) - copies + 1)
+        objectives = wide_objectives(rng, rows.shape[1])
+        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_status_like_highs(objectives, rows, rhs, senses)
+
+    @pytest.mark.parametrize("seed", [878, 1363, 1387, 1422, 1516, 1966])
+    def test_dependent_rows(self, seed):
+        """Rows that sum to others, in a random order: seeds where phase 1 ends
+        with a redundant row's artificial basic away from its own row, so the
+        drop must delete the position's row and the artificial row's column."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        base = rng.integers(0, 2, size=(k, 6)).astype(float)
+        dependent = rng.integers(-1, 2, size=(int(rng.integers(1, 3)), k)).astype(float) @ base
+        rows = np.vstack([base, dependent])
+        rhs = rows @ (rng.integers(0, 2, 6) * rng.random(6))
+        senses = [["==", ">=", "<="][int(rng.integers(3))] for _ in range(k)]
+        senses += ["=="] * len(dependent)
+        order = rng.permutation(len(senses))
+        rows, rhs, senses = rows[order], rhs[order], [senses[i] for i in order]
+        rows = np.hstack([rows, np.zeros((len(senses), lp.REVISED_RATIO * len(senses)))])
+        assert feasible_start(rows, rhs, senses).dropped_rows > 0
+        objectives = wide_objectives(rng, rows.shape[1])
+        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_status_like_highs(objectives, rows, rhs, senses)
+
+    def test_redundant_rows_dropped_once(self, phase1_calls):
+        rows = np.hstack([np.array([[1.0, 1.0], [2.0, 2.0]]), np.zeros((2, 2 * lp.REVISED_RATIO))])
+        rhs = np.array([1.0, 2.0])
+        start = feasible_start(rows, rhs, ["==", "=="])
+        assert start.dropped_rows == 1 and start.tab is None
+        c = np.zeros(rows.shape[1])
+        c[0] = 1.0
+        low = solve_lp(c, rows, rhs, ["==", "=="], start=start)
+        high = solve_lp(c, rows, rhs, ["==", "=="], maximize=True, start=start)
+        assert (low.objective, high.objective) == (0.0, 1.0)
+        assert_matches_revised([c], rows, rhs, ["==", "=="])
+
+    @pytest.mark.parametrize("cap", [lp.STALL_CAP, 2])
+    def test_degenerate_fallback(self, monkeypatch, cap):
+        """Mostly zero right-hand sides: under cap 2 both phases take the Bland branch."""
+        monkeypatch.setattr(lp, "STALL_CAP", cap)
+        rng = np.random.default_rng(6)
+        degenerate = 0
+        for i in range(12):
+            rows = rng.integers(-2, 3, size=(4, 4 * lp.REVISED_RATIO)).astype(float)
+            rhs = np.where(rng.random(4) < 0.6, 0.0, 1.0)
+            senses = [["==", ">=", "<="][int(rng.integers(3))] for _ in range(4)]
+            if i % 2:  # bounded by sum(x) <= 2, so that phase 2 ends optimal
+                rows[0], rhs[0], senses[0] = 1.0, 2.0, "<="
+            objectives = [rng.standard_normal(rows.shape[1])]
+            assert_matches_revised(objectives, rows, rhs, senses)
+            assert_status_like_highs(objectives, rows, rhs, senses)
+            degenerate += solve_lp(objectives[0], rows, rhs, senses).degenerate_pivots
+        assert degenerate > 2 * 12
+
+    def test_beale_cycles_without_fallback(self, monkeypatch):
+        """Beale's LP padded with zero columns: pure Dantzig cycles, the fallback ends it."""
+        pad = np.zeros((3, 3 * lp.REVISED_RATIO))
+        rows = np.hstack([TestAntiCycling.ROWS, pad])
+        c = np.concatenate([TestAntiCycling.C, np.zeros(pad.shape[1])])
+        monkeypatch.setattr(lp, "STALL_CAP", 10**9)
+        with pytest.raises(SimplexFailure, match="pivot limit"):
+            solve_lp(c, rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
+        monkeypatch.setattr(lp, "STALL_CAP", 2)
+        res = solve_lp(c, rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
+        assert res.status == OPTIMAL and res.objective == pytest.approx(-1.25, abs=1e-12)
+        assert_matches_revised([c], rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
+
+    @pytest.mark.parametrize("rung", [2, 4])
+    def test_ladder_rung(self, rung):
+        """A ladder system of rung 2 (N = 1024) and of rung 4 (N = 2048)."""
+        cfg = parse_config(make_config(LADDER[rung], 1, rung, 0))
+        space, cs = realize(cfg)
+        pre = cs.presolved()
+        rows, rhs, senses = pre[:3]
+        assert rows.shape[1] >= lp.REVISED_RATIO * rows.shape[0]
+        rng = np.random.default_rng(rung)
+        objectives = [(rng.random(space.size) < 0.3).astype(float)[pre.live],
+                      rng.standard_normal(rows.shape[1])]
+        objectives += [parse_event(e, space).bits[pre.live].astype(float) for e in cfg.events]
+        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_agrees_with_highs(rows, rhs, senses, objectives)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boundary(self, seed):
+        """One LP padded with zero columns to just below and just at the ratio
+        solves on each form, with equal statuses and objectives within 1e-12."""
+        rng = np.random.default_rng(330 + seed)
+        k = 3 + seed
+        rows, rhs, senses = wide_polytope(rng, k, -lp.REVISED_RATIO * k + 40)
+        results = []
+        for n in (lp.REVISED_RATIO * k - 1, lp.REVISED_RATIO * k):
+            padded = np.hstack([rows, np.zeros((k, n - rows.shape[1]))])
+            start = feasible_start(padded, rhs, senses)
+            assert (start.tab is None) == (n == lp.REVISED_RATIO * k)
+            objectives = [np.concatenate([c, np.zeros(n - rows.shape[1])])
+                          for c in wide_objectives(np.random.default_rng(seed), rows.shape[1])]
+            results.append([solve_lp(c, padded, rhs, senses, maximize=mx, start=start)
+                            for c in objectives for mx in (False, True)])
+        for narrow, wide in zip(*results):
+            assert narrow.status == wide.status == OPTIMAL
+            assert wide.objective == pytest.approx(narrow.objective, abs=1e-12)
+
+    def test_start_read_only_and_shared(self):
+        rng = np.random.default_rng(340)
+        rows, rhs, senses = wide_polytope(rng, 5, 7)
+        start = feasible_start(rows, rhs, senses)
+        arrays = (start.inverse, start.rows, start.slacks)
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert rows.flags.writeable  # the caller's rows are left as they were
+        saved = [arr.tobytes() for arr in arrays]
+        c = rng.standard_normal(rows.shape[1])
+        first = solve_lp(c, rows, rhs, senses, start=start)
+        second = solve_lp(c, rows, rhs, senses, start=start)
+        assert first.phase2_pivots > 0
+        assert_identical(first, second)
+        assert_identical(first, solve_lp(c, rows, rhs, senses))
+        assert [arr.tobytes() for arr in arrays] == saved
+
+    def test_threads_share_one_start(self):
+        rng = np.random.default_rng(341)
+        rows, rhs, senses = wide_polytope(rng, 6, 11)
+        start = feasible_start(rows, rhs, senses)
+        assert start.inverse is not None
+        objectives = rng.standard_normal((16, rows.shape[1]))
+
+        def solve(c):
+            return solve_lp(c, rows, rhs, senses, start=start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(solve, objectives, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for c, res in zip(objectives, parallel):
+            assert_identical(res, solve_lp(c, rows, rhs, senses))
