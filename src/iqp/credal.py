@@ -50,10 +50,10 @@ class TrajectoryMeasure:
         if vec.ndim != 1:
             raise ValueError("measure must be a vector")
         low = float(vec.min(initial=0.0))
-        if low < -MEASURE_TOL:
-            raise ValueError(f"measure has negative entry {low}")
+        if not low >= -MEASURE_TOL:  # NaN fails too
+            raise ValueError(f"measure has negative or NaN entry {low}")
         total = float(vec.sum())
-        if abs(total - 1.0) > MEASURE_TOL:
+        if not abs(total - 1.0) <= MEASURE_TOL:  # NaN and inf fail too
             raise ValueError(f"measure sums to {total!r}, not 1")
 
     def probability(self, a: Event) -> float:
@@ -418,6 +418,8 @@ def _pair_rows(
     (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
     rows with non-positive right side are skipped as vacuous.
     """
+    if not tau_norm >= 0:  # NaN fails too
+        raise ValueError("tau_norm must be >= 0")
     rows: list[LinearConstraint] = []
     filtered = 0
     # each sset's weight once, in first-use order, however many pairs share it
@@ -452,8 +454,6 @@ def qtr_constraints(
     row; rows with non-positive right side are skipped as vacuous.
     """
     _check_space(system, space)
-    if not tau_norm >= 0:  # NaN fails too
-        raise ValueError("tau_norm must be >= 0")
     return _pair_rows(system, space, pairs, tau_norm, "qtr", True,
                       lambda w1, w2, dist: w1 - dist)
 

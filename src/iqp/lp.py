@@ -22,10 +22,21 @@ returns row multipliers ``y`` (the phase-1 duals) satisfying, up to pivot
 tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
+Both forms below solve one standard form (V. Chvatal, *Linear Programming*,
+1983, ch. 7-8).  A row with a negative right side is flipped, sense and all.
+The columns are numbered structural first, then one slack (entry 1, a '<='
+row) or surplus (entry -1, a '>=' row) per inequality row in row order, then
+one artificial (entry 1) per '==' or '>=' row in row order.  Phase 1 starts
+from the identity basis of each '<=' row's slack and every other row's
+artificial, and minimizes the sum of the artificials; its multipliers are
+the Farkas duals above.  An artificial left basic at zero is pivoted out on
+the first structural or slack column nonzero in its row, and a row with none
+is redundant and dropped (``dropped_rows``).
+
 The rule runs in one of two forms, and the LP's shape picks it.  An LP with
 at least ``REVISED_RATIO`` structural columns per row takes the revised form
 (G. B. Dantzig and W. Orchard-Hays, "The product form for the inverse in the
-simplex method", 1954; V. Chvatal, *Linear Programming*, 1983, ch. 7): it
+simplex method", 1954; Chvatal, ch. 7): it
 keeps the basis, an explicit inverse of the basis matrix and the basic values
 x_B, and prices ``c - y.A`` straight from the rows with ``y = c_B.B^-1``, so
 a pivot reads the rows once and updates k x k numbers.  Every narrower LP
@@ -95,17 +106,16 @@ class LPResult:
 class FeasibleStart:
     """Outcome of phase 1 for one constraint set; read-only, so shareable.
 
-    ``basis`` holds the basic column of each kept row.  A tableau start
-    holds in ``tab`` the constraint rows after phase 1 followed by one spare
-    cost row, over the structural and slack columns and the right-hand side
-    (the artificial columns are never read again and are trimmed).  A
-    revised start holds instead ``inverse``, the basis inverse with x_B as a
-    last column; ``rows``, the kept rows in standard form (each flipped
-    where its right side was negative); and ``slacks``, each kept row's
-    slack entry in standard form (1 for '<=', -1 for '>=', 0 for '=='), so
-    that its slack columns are the nonzero entries in row order.  The forms'
-    fields are ``None`` on the other form and on an infeasible set, which
-    carries ``farkas_duals`` instead.
+    Columns are numbered as the module docstring says.  ``basis`` holds the
+    basic column of each kept row.  A tableau start holds in ``tab`` the
+    constraint rows after phase 1 followed by one spare cost row, over the
+    structural and slack columns and the right-hand side (the artificial
+    columns are never read again and are trimmed).  A revised start holds
+    instead ``inverse``, the basis inverse with x_B as a last column;
+    ``rows``, the kept rows in standard form; and ``slacks``, each kept
+    row's slack entry (0 on an '==' row), whose nonzero entries are the
+    slack columns in order.  The forms' fields are ``None`` on the other
+    form and on an infeasible set, which carries ``farkas_duals`` instead.
     """
 
     n_cols: int  # phase-1 columns; sets the pivot budget
@@ -125,7 +135,9 @@ class _Pivoting:
 
     ``costs()`` returns the reduced cost of every priced column, and
     ``column(j)`` column ``j`` in the current basis, one entry per row; the
-    ratio test reads that column and ``values``, the basic values.
+    ratio test reads that column and ``values``, the basic values.  ``row(i)``
+    returns row ``i`` of the current tableau over every priced column, which
+    phase 1's drive-out reads.
     """
 
     basis: np.ndarray
@@ -141,6 +153,9 @@ class _Pivoting:
         raise NotImplementedError
 
     def pivot(self, row: int, col: int) -> None:
+        raise NotImplementedError
+
+    def row(self, i: int) -> np.ndarray:
         raise NotImplementedError
 
     def count_pivot(self) -> None:
@@ -201,6 +216,24 @@ class _Pivoting:
                 stalled = 0
             self.pivot(leaving, entering)
 
+    def drive_out(self, first_art: int) -> list[int]:
+        """After phase 1, pivot each basic artificial (a column from
+        ``first_art`` on) out on the first structural or slack column that is
+        nonzero in its row; return the positions of the rows with none, which
+        are redundant."""
+        drop = []
+        # a pivot at one position changes no other position's basic column
+        for i, basic in enumerate(self.basis.tolist()):
+            if basic >= first_art:
+                nonzero = np.abs(self.row(i)[:first_art]) > PIVOT_TOL
+                if nonzero.any():
+                    col = int(nonzero.argmax())
+                    self.column(col)  # the revised form pivots on the column last returned
+                    self.pivot(i, col)
+                else:
+                    drop.append(i)
+        return drop
+
 
 class _Tableau(_Pivoting):
     """Dense-tableau state of one solve: the constraint rows, then the
@@ -221,6 +254,9 @@ class _Tableau(_Pivoting):
 
     def column(self, col: int) -> np.ndarray:
         return self.tab[:-1, col]
+
+    def row(self, i: int) -> np.ndarray:
+        return self.tab[i, :-1]
 
     def pivot(self, row: int, col: int) -> None:
         self.count_pivot()
@@ -308,6 +344,12 @@ class _Revised(_Pivoting):
         table -= self.buf
         self.basis[row] = col
 
+    def row(self, i: int) -> np.ndarray:
+        """B^-1[i] times the structural rows, then times each logical column."""
+        inverse_row = self.table[i, :len(self.basis)]
+        return np.concatenate((np.einsum("i,ij->j", inverse_row, self.rows),
+                               inverse_row[self.logical_rows] * self.logical_signs))
+
 
 def _budget(n_rows: int, n_cols: int) -> int:
     """Pivots allowed to one solve, both phases together."""
@@ -323,149 +365,79 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     n_rows, n_vars = a.shape
     if b.shape != (n_rows,) or len(senses) != n_rows:
         raise ValueError("rows, rhs and senses must have matching lengths")
+    # each sense's slack entry in standard form, on a row kept and on a row flipped
+    entries = {"<=": (1.0, -1.0), ">=": (-1.0, 1.0), "==": (0.0, 0.0)}
     for sense in senses:
-        if sense not in ("==", ">=", "<="):
+        if sense not in entries:
             raise ValueError(f"unknown sense {sense!r}")
 
-    # standard form: flip rows with negative rhs, then add slack/surplus and
-    # artificial columns; record each row's sign and initial identity column
-    sign = np.where(b < 0, -1.0, 1.0)
-    flip = {"==": "==", ">=": "<=", "<=": ">="}
-    std_senses = [flip[s] if b[i] < 0 else s for i, s in enumerate(senses)]
+    # the standard form, its columns numbered as the module docstring says
+    slacks = np.array([entries[s][v < 0] for s, v in zip(senses, b.tolist())])
+    flip = b < 0
+    sign = np.where(flip, -1.0, 1.0)
     b *= sign
-    if n_rows and n_vars >= REVISED_RATIO * n_rows:
-        return _revised_phase1(a, b, sign, std_senses)
-    slack_cols: dict[int, int] = {}
-    art_cols: dict[int, int] = {}
-    extra: list[tuple[int, float]] = []  # (row, entry) of each added column
-    col = n_vars
-    for i, sense in enumerate(std_senses):
-        if sense == "<=":
-            extra.append((i, 1.0))
-            slack_cols[i] = col
-            col += 1
-        elif sense == ">=":
-            extra.append((i, -1.0))
-            col += 1
-    first_art = col
-    for i, sense in enumerate(std_senses):
-        if sense != "<=":
-            extra.append((i, 1.0))
-            art_cols[i] = col
-            col += 1
-    n_cols = col
+    rows = a * sign[:, None] if flip.any() else a
+    slack_rows = slacks.nonzero()[0]
+    art_rows = (slacks <= 0.0).nonzero()[0]
+    first_art = n_vars + len(slack_rows)
+    n_cols = first_art + len(art_rows)
+    # the first basis, an identity
+    first = np.empty(n_rows, dtype=int)
+    first[slack_rows] = np.arange(n_vars, first_art)
+    first[art_rows] = np.arange(first_art, n_cols)  # over a '>=' row's surplus
+    budget = _budget(n_rows, n_cols)
 
-    # tableau: constraint rows, then the phase-1 reduced-cost row
-    tab = np.zeros((n_rows + 1, n_cols + 1))
-    tab[:n_rows, :n_vars] = a
-    tab[:n_rows, :n_vars] *= sign[:, None]
-    for j, (i, entry) in enumerate(extra, start=n_vars):
-        tab[i, j] = entry
-    tab[:n_rows, -1] = b
-
-    basis = np.array([art_cols.get(i, slack_cols.get(i, -1)) for i in range(n_rows)], dtype=int)
-    z1 = n_rows
-    for j in art_cols.values():
-        tab[z1, j] = 1.0
-    for i in art_cols:
-        tab[z1] -= tab[i]
-
-    state = _Tableau(tab, basis, 0, _budget(n_rows, n_cols), np.empty_like(tab))
+    revised = n_rows > 0 and n_vars >= REVISED_RATIO * n_rows
+    if revised:
+        cost = np.zeros(n_cols)
+        cost[first_art:] = 1.0
+        state = _Revised(rows, np.concatenate((slack_rows, art_rows)),
+                         np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
+                         np.hstack((np.eye(n_rows), b[:, None])), first.copy(), 0, budget, cost)
+    else:  # the constraint rows, then the phase-1 reduced-cost row
+        tab = np.zeros((n_rows + 1, n_cols + 1))
+        tab[:n_rows, :n_vars] = rows
+        tab[slack_rows, np.arange(n_vars, first_art)] = slacks[slack_rows]
+        tab[art_rows, np.arange(first_art, n_cols)] = 1.0
+        tab[:n_rows, -1] = b
+        tab[-1, first_art:-1] = 1.0
+        for i in art_rows.tolist():
+            tab[-1] -= tab[i]
+        state = _Tableau(tab, first.copy(), 0, budget, np.empty_like(tab))
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
-    if -tab[z1, -1] > FEASIBILITY_TOL:
-        duals = np.zeros(n_rows)
-        for i in range(n_rows):
-            if i in art_cols:
-                duals[i] = 1.0 - tab[z1, art_cols[i]]
-            else:
-                duals[i] = -tab[z1, slack_cols[i]]
+
+    if (state.table[-1, -1] if revised else -state.tab[-1, -1]) > FEASIBILITY_TOL:
+        # the multipliers y; the tableau's cost row holds c - y.A, so there y
+        # is 1 - z on a first-basis artificial and -z on a slack
+        if revised:
+            duals = state.y
+        else:
+            z = state.tab[-1, first]
+            duals = np.where(first >= first_art, 1.0 - z, -z)
         return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                              degenerate_pivots=state.degenerate, dropped_rows=0,
                              farkas_duals=sign * duals)
 
-    # drive leftover basic artificials out (or drop redundant rows)
-    drop: list[int] = []
-    for i in range(n_rows):
-        if basis[i] >= first_art:
-            nonzero = np.abs(tab[i, :first_art]) > PIVOT_TOL
-            if nonzero.any():
-                state.pivot(i, int(nonzero.argmax()))
-            else:
-                drop.append(i)
-    # no artificial is basic now, so its column is never read again
-    keep = [i for i in range(n_rows + 1) if i not in drop]
-    if drop:
-        tab = tab[keep]
-    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
-                         degenerate_pivots=state.degenerate, dropped_rows=len(drop),
-                         tab=np.hstack((tab[:, :first_art], tab[:, -1:])),
-                         basis=tuple(basis[keep[:-1]].tolist()))
-
-
-def _revised_phase1(a: np.ndarray, b: np.ndarray, sign: np.ndarray,
-                    std_senses: list[str]) -> FeasibleStart:
-    """Phase 1 in the revised form, on the standard form ``_phase1`` made.
-
-    The columns are numbered as in the tableau: structural, then one slack
-    or surplus per inequality row, then one artificial per '==' or '>=' row.
-    """
-    n_rows, n_vars = a.shape
-    rows = a * sign[:, None] if (sign < 0).any() else a
-    slacks = np.array([{"<=": 1.0, ">=": -1.0, "==": 0.0}[s] for s in std_senses])
-    slack_rows = np.flatnonzero(slacks)
-    art_rows = np.array([i for i, s in enumerate(std_senses) if s != "<="], dtype=int)
-    first_art = n_vars + len(slack_rows)
-    n_cols = first_art + len(art_rows)
-    cost = np.zeros(n_cols)
-    cost[first_art:] = 1.0
-    # the first basis, B = I: a '<=' row's slack, every other row's artificial
-    basis = np.empty(n_rows, dtype=int)
-    basis[slack_rows] = np.arange(n_vars, first_art)
-    basis[art_rows] = np.arange(first_art, n_cols)  # over a '>=' row's surplus
-    state = _Revised(rows, np.concatenate((slack_rows, art_rows)),
-                     np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
-                     np.hstack((np.eye(n_rows), b[:, None])), basis, 0,
-                     _budget(n_rows, n_cols), cost)
-    if state.run_phase() == UNBOUNDED:
-        raise SimplexFailure("phase-1 objective reported unbounded")
-    if state.table[-1, -1] > FEASIBILITY_TOL:
-        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
-                             degenerate_pivots=state.degenerate, dropped_rows=0,
-                             farkas_duals=sign * state.y)
-
-    # drive leftover basic artificials out (or drop redundant rows), reading
-    # each one's tableau row B^-1[i].A over the structural and slack columns;
-    # the cost row is not read again, since phase 2 sums its own
-    drop: list[int] = []
-    for i in range(n_rows):
-        if state.basis[i] >= first_art:
-            inverse_row = state.table[i, :n_rows]
-            entries = np.concatenate((np.einsum("i,ij->j", inverse_row, rows),
-                                      inverse_row[slack_rows] * slacks[slack_rows]))
-            nonzero = np.abs(entries) > PIVOT_TOL
-            if nonzero.any():
-                col = int(nonzero.argmax())
-                state.column(col)
-                state.pivot(i, col)
-            else:
-                drop.append(i)
-    inverse, basis = state.table[:n_rows].copy(), state.basis
+    drop = state.drive_out(first_art)
+    kept = [i for i in range(n_rows) if i not in drop]
+    counters = dict(n_cols=n_cols, phase1_pivots=state.pivots, degenerate_pivots=state.degenerate,
+                    dropped_rows=len(drop), basis=tuple(state.basis[kept].tolist()))
+    if not revised:
+        # no artificial is basic now, so its column is never read again
+        tab = state.tab[kept + [n_rows]] if drop else state.tab
+        return FeasibleStart(tab=np.hstack((tab[:, :first_art], tab[:, -1:])), **counters)
+    inverse = state.table[:n_rows].copy()
     if drop:
         # a dropped position's basic column is its artificial, the unit vector
         # of that artificial's row, so B^-1 is 0 in that row's column but at
         # the position: deleting the position's row and the row's column
         # leaves exactly the inverse of the kept basis
-        gone = {int(art_rows[basis[i] - first_art]) for i in drop}
-        kept = [i for i in range(n_rows) if i not in drop]
+        gone = art_rows[state.basis[drop] - first_art].tolist()
         kept_rows = [r for r in range(n_rows) if r not in gone]
         inverse = inverse[np.ix_(kept, kept_rows + [n_rows])]
-        basis = basis[kept]
         rows, slacks = rows[kept_rows], slacks[kept_rows]
-    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
-                         degenerate_pivots=state.degenerate, dropped_rows=len(drop),
-                         basis=tuple(basis.tolist()), inverse=inverse, rows=rows.view(),
-                         slacks=slacks)
+    return FeasibleStart(inverse=inverse, rows=rows.view(), slacks=slacks, **counters)
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:

@@ -239,7 +239,7 @@ def verify_w11(
     nothing (1 - eps <= 0 or eps/delta >= 1) are flagged vacuous rather than
     passed or failed.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be positive")
     eps = branch.epsilon
     exp_bound = 1.0 - eps

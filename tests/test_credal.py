@@ -125,6 +125,11 @@ class TestTrajectoryMeasure:
         with pytest.raises(ValueError, match="sums to"):
             TrajectoryMeasure(np.array([0.4, 0.4]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0]])
+    def test_rejects_nan_and_inf(self, probs):
+        with pytest.raises(ValueError, match="NaN|sums to"):
+            TrajectoryMeasure(np.array(probs))
+
     def test_tiny_lp_noise_tolerated(self):
         m = TrajectoryMeasure(np.array([1.0 + 4e-10, -4e-10]))
         assert m.probs[1] == -4e-10  # raw values kept, no clamping
@@ -345,6 +350,25 @@ class TestNonFiniteRows:
         # a zero-distance pair gives w1 - inf * 0 = NaN
         with pytest.raises(ValueError, match="NaN or"):
             qtr_variant_constraints(system, space, enumerate_pairs(system, 1), "alpha", math.inf)
+
+    @pytest.mark.parametrize("tau_norm", [math.nan, -1.0])
+    @pytest.mark.parametrize("generate", [
+        lambda system, space, pairs, tau: qtr_constraints(system, space, pairs, tau),
+        lambda system, space, pairs, tau: qtr_variant_constraints(
+            system, space, pairs, "alpha", 1.0, tau_norm=tau),
+        lambda system, space, pairs, tau: qtr_variant_constraints(
+            system, space, pairs, "eps", 0.5, tau_norm=tau),
+    ], ids=["qtr", "qtr-alpha", "qtr-eps"])
+    def test_bad_tau_norm_rejected_by_every_generator(self, generate, tau_norm):
+        """A NaN tau_norm once let every pair through a variant, and a negative
+        one filtered every pair: both generators reject them."""
+        cfg = BUILTIN_SCENARIOS["drifting-branch"]()
+        system = build_system(cfg)
+        space = TrajectorySpace.for_system(system)
+        pairs = enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
+        assert len(pairs) == 12
+        with pytest.raises(ValueError, match="tau_norm"):
+            generate(system, space, pairs, tau_norm)
 
     def test_nan_parameters_rejected(self, hti):
         system, space = hti

@@ -1,3 +1,4 @@
+import ast
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -784,6 +785,39 @@ class TestRevisedForm:
             assert narrow.status == wide.status == OPTIMAL
             assert wide.objective == pytest.approx(narrow.objective, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["infeasible", "redundant"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boundary_infeasible_and_redundant(self, kind, seed, count_calls):
+        """An infeasible LP and one with a repeated '==' row, padded to just
+        below and just at the ratio: both forms report the same status and
+        dropped rows, and Farkas duals that certify the padded rows."""
+        rng = np.random.default_rng(350 + seed)
+        rows, rhs, senses = wide_polytope(rng, 3 + seed, -lp.REVISED_RATIO * (3 + seed) + 40)
+        if kind == "infeasible":  # the event's complement past what the event leaves
+            rows = np.vstack([rows, 1.0 - rows[-1]])
+            rhs = np.append(rhs, 1.0 - rhs[-1] + 0.01)
+        else:  # the normalization row twice
+            rows = np.vstack([rows, rows[0]])
+            rhs = np.append(rhs, rhs[0])
+        senses = senses + [">=" if kind == "infeasible" else "=="]
+        k = len(senses)
+        revised = count_calls(lp._Revised, "__init__")
+        results = []
+        for n in (lp.REVISED_RATIO * k - 1, lp.REVISED_RATIO * k):
+            padded = np.hstack([rows, np.zeros((k, n - rows.shape[1]))])
+            start = feasible_start(padded, rhs, senses)
+            assert len(revised) == (n == lp.REVISED_RATIO * k)  # an infeasible start has no form
+            res = solve_lp(np.zeros(n), padded, rhs, senses, start=start)
+            if kind == "infeasible":
+                y = res.farkas_duals
+                assert res.status == INFEASIBLE
+                assert y @ rhs > 0 and np.all(y @ padded <= 1e-9)
+            else:
+                assert res.status == OPTIMAL and res.dropped_rows == 1
+            results.append(res)
+        narrow, wide = results
+        assert (narrow.status, narrow.dropped_rows) == (wide.status, wide.dropped_rows)
+
     def test_start_read_only_and_shared(self):
         rng = np.random.default_rng(340)
         rows, rhs, senses = wide_polytope(rng, 5, 7)
@@ -819,3 +853,41 @@ class TestRevisedForm:
             sys.setswitchinterval(interval)
         for c, res in zip(objectives, parallel):
             assert_identical(res, solve_lp(c, rows, rhs, senses))
+
+
+BLAS_NAMES = {"dot", "matmul", "inner", "linalg"}
+
+
+def blas_calls(source):
+    """Where ``source`` multiplies matrices through BLAS or LAPACK: every ``@``
+    and every ``dot``, ``matmul``, ``inner`` or ``linalg`` it names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_NAMES:
+            found.append((node.lineno, node.name))
+    return found
+
+
+class TestNoBlas:
+    """The module promises that no sum goes through BLAS or LAPACK, whose
+    summation order varies by build."""
+
+    def test_lp_source_has_no_blas_call(self):
+        assert blas_calls(Path(lp.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("line", [
+        "y = a @ b", "a @= b", "y = np.dot(a, b)", "y = a.dot(b)", "y = np.matmul(a, b)",
+        "y = np.inner(a, b)", "y = np.linalg.solve(a, b)", "from numpy.linalg import inv",
+        "from numpy import dot", "import numpy.linalg",
+    ])
+    def test_planted_call_found(self, line):
+        source = Path(lp.__file__).read_text() + f"\n\ndef planted(np, a, b):\n    {line}\n"
+        assert blas_calls(source)

@@ -349,6 +349,14 @@ class TestVerifyW11:
         with pytest.raises(ValueError, match="delta"):
             verify_w11(system, space, cs, branch, delta=0.0, samples=2, seed=1)
 
+    def test_nan_delta(self, hti):
+        """A NaN delta once passed with a NaN tail bound."""
+        system, space = hti
+        cs = beam_splitter_cs(system, space)
+        branch = make_branch(system, [sset(1, [0]), sset(2, [0])])
+        with pytest.raises(ValueError, match="delta"):
+            verify_w11(system, space, cs, branch, delta=math.nan, samples=2, seed=1)
+
 
 class TestEdgeClasses:
     """Weight gaps exactly at ``tau_norm``, and a drift too slow to see per step."""
