@@ -29,7 +29,7 @@ import numpy as np
 
 from . import lp
 from .events import Event, TrajectorySpace, event_probability, sset_event
-from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet
+from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet, check_tau_norm
 
 MEASURE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-9
@@ -418,8 +418,7 @@ def _pair_rows(
     (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
     rows with non-positive right side are skipped as vacuous.
     """
-    if not tau_norm >= 0:  # NaN fails too
-        raise ValueError("tau_norm must be >= 0")
+    check_tau_norm(tau_norm)
     rows: list[LinearConstraint] = []
     filtered = 0
     # each sset's weight once, in first-use order, however many pairs share it
@@ -839,6 +838,10 @@ def sample_vertex_measures(
 
     Every sample is re-optimized from the phase 1 of ``cs`` (``_prepared``).
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out: list[TrajectoryMeasure] = []
     for _ in range(count):

@@ -44,10 +44,18 @@ keeps the dense tableau, whose pivots update all (k + 1) x (columns + 1)
 cells; with few columns per row that is the cheaper form.  Both forms make
 the same pivots in exact arithmetic.  In floats they can break a near-tie
 differently, so a wide LP may end on another optimal vertex of the same
-value than the tableau would reach.  No sum goes through BLAS or LAPACK,
-whose order varies by build: every sum over rows or basis positions is an
-``np.einsum("i,ij->j", ...)`` over a C-contiguous matrix, which adds its
-terms in index order, as a scalar loop does.
+value than the tableau would reach.
+
+The forms share everything but their storage and pricing: the solver state
+and the rule (``_Pivoting``), one rank-1 pivot on a table whose last row
+prices and whose last column holds the basic values, phase 1 and the
+phase-2 run.  Each form supplies only its reduced costs, its entering
+column, a row of its tableau, its first state, its trim after dropped rows
+and its phase-2 cost row.  Every entry of the input must be finite.  No sum
+goes through BLAS or LAPACK, whose order varies by build: every sum over
+rows or basis positions is an ``np.einsum("i,ij->j", ...)`` over a
+C-contiguous matrix, which adds its terms in index order, as a scalar loop
+does.
 
 Phase 1 depends only on the constraints, so it runs once per constraint set:
 ``feasible_start`` returns the basis after phase 1 with its tableau or its
@@ -131,20 +139,34 @@ class FeasibleStart:
 
 
 class _Pivoting:
-    """The pivot rule, over a form's ``costs``, ``column``, ``values`` and ``pivot``.
+    """The solver state both forms share, its pivot and the rule over it.
 
-    ``costs()`` returns the reduced cost of every priced column, and
-    ``column(j)`` column ``j`` in the current basis, one entry per row; the
-    ratio test reads that column and ``values``, the basic values.  ``row(i)``
-    returns row ``i`` of the current tableau over every priced column, which
-    phase 1's drive-out reads.
+    ``table`` holds one row per constraint row and then a pricing row (the
+    reduced costs, or the multipliers of the revised form), with the basic
+    values ``values`` in its last column.  ``basis`` holds each row's basic
+    column, ``pivots`` counts against ``budget`` over both phases,
+    ``degenerate`` counts the ratio-test pivots of step length at most
+    ``PIVOT_TOL``, and ``buf`` is the rank-1 step's scratch.  A form
+    supplies only its pricing: ``costs()`` returns the reduced cost of every
+    priced column; ``column(j)`` sets ``alpha`` to column ``j`` as the pivot
+    sees it, one entry per row of ``table``, and returns its entries over
+    the constraint rows, which the ratio test reads; ``row(i)`` returns row
+    ``i`` of the current tableau over every priced column, which phase 1's
+    drive-out reads.  ``pivot`` steps on the ``alpha`` that ``column`` last
+    set.
     """
 
-    basis: np.ndarray
-    values: np.ndarray
-    pivots: int
-    degenerate: int  # ratio-test pivots of step length at most PIVOT_TOL
-    budget: int
+    alpha: np.ndarray
+
+    def __init__(self, table: np.ndarray, basis: np.ndarray, values: np.ndarray, pivots: int,
+                 budget: int, buf: np.ndarray) -> None:
+        self.table = table
+        self.basis = basis
+        self.values = values
+        self.pivots = pivots
+        self.degenerate = 0
+        self.budget = budget
+        self.buf = buf
 
     def costs(self) -> np.ndarray:
         raise NotImplementedError
@@ -152,16 +174,24 @@ class _Pivoting:
     def column(self, col: int) -> np.ndarray:
         raise NotImplementedError
 
-    def pivot(self, row: int, col: int) -> None:
-        raise NotImplementedError
-
     def row(self, i: int) -> np.ndarray:
         raise NotImplementedError
 
-    def count_pivot(self) -> None:
+    def pivot(self, row: int, col: int) -> None:
+        """The rank-1 step on ``table`` that makes ``alpha`` the unit vector
+        of ``row``; with ``alpha`` finite, the tableau's entering column comes
+        out exactly 1 at ``row`` (a / a) and +0.0 elsewhere (x - x * 1)."""
         self.pivots += 1
         if self.pivots > self.budget:
             raise SimplexFailure(f"pivot limit {self.budget} exceeded")
+        table = self.table
+        table[row] /= self.alpha[row]
+        factors = self.alpha.copy()
+        factors[row] = 0.0
+        # same products and differences as table -= np.outer(factors, table[row])
+        np.multiply(factors[:, None], table[row], out=self.buf)
+        table -= self.buf
+        self.basis[row] = col
 
     def run_phase(self) -> str:
         """Pivot on the reduced costs until none is negative.
@@ -228,7 +258,7 @@ class _Pivoting:
                 nonzero = np.abs(self.row(i)[:first_art]) > PIVOT_TOL
                 if nonzero.any():
                     col = int(nonzero.argmax())
-                    self.column(col)  # the revised form pivots on the column last returned
+                    self.column(col)  # the pivot is on the column last returned
                     self.pivot(i, col)
                 else:
                     drop.append(i)
@@ -236,40 +266,22 @@ class _Pivoting:
 
 
 class _Tableau(_Pivoting):
-    """Dense-tableau state of one solve: the constraint rows, then the
-    reduced-cost row; ``buf`` is the rank-1 update's scratch."""
+    """Dense-tableau state of one solve: ``table`` holds the constraint rows,
+    then the reduced-cost row."""
 
-    def __init__(self, tab: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
+    def __init__(self, table: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
                  buf: np.ndarray) -> None:
-        self.tab = tab
-        self.basis = basis
-        self.values = tab[:-1, -1]
-        self.pivots = pivots
-        self.degenerate = 0
-        self.budget = budget
-        self.buf = buf
+        super().__init__(table, basis, table[:-1, -1], pivots, budget, buf)
 
     def costs(self) -> np.ndarray:
-        return self.tab[-1, :-1]
+        return self.table[-1, :-1]
 
     def column(self, col: int) -> np.ndarray:
-        return self.tab[:-1, col]
+        self.alpha = self.table[:, col]
+        return self.alpha[:-1]
 
     def row(self, i: int) -> np.ndarray:
-        return self.tab[i, :-1]
-
-    def pivot(self, row: int, col: int) -> None:
-        self.count_pivot()
-        tab = self.tab
-        tab[row] /= tab[row, col]
-        factors = tab[:, col].copy()
-        factors[row] = 0.0
-        # same products and differences as tab -= np.outer(factors, tab[row])
-        np.multiply(factors[:, None], tab[row], out=self.buf)
-        tab -= self.buf
-        tab[:, col] = 0.0
-        tab[row, col] = 1.0
-        self.basis[row] = col
+        return self.table[i, :-1]
 
 
 class _Revised(_Pivoting):
@@ -284,8 +296,9 @@ class _Revised(_Pivoting):
     standard-form structural rows (C-contiguous), and each priced column
     past them is a logical column, the unit vector of row
     ``logical_rows[j]`` times ``logical_signs[j]``; ``cost`` holds every
-    priced column's cost.  ``pivot`` pivots on the column that ``column``
-    last returned.
+    priced column's cost.  ``column`` sets a new ``alpha`` on each call,
+    whose last entry, the cost row's factor, is minus the entering column's
+    reduced cost.
     """
 
     def __init__(self, rows: np.ndarray, logical_rows: np.ndarray, logical_signs: np.ndarray,
@@ -294,25 +307,19 @@ class _Revised(_Pivoting):
         """``inverse`` is B^-1 with x_B as a last column; the cost row is
         summed from it over the basis positions in order."""
         k = len(basis)
-        self.table = table = np.empty((k + 1, k + 1))
+        table = np.empty((k + 1, k + 1))
         table[:k] = inverse
         table[k] = np.einsum("i,ij->j", cost[basis], inverse)
-        self.values = table[:k, k]
+        super().__init__(table, basis, table[:k, k], pivots, budget, np.empty_like(table))
         self.y = table[k, :k]
         self.rows = rows
         self.logical_rows = logical_rows
         self.logical_signs = logical_signs
-        self.basis = basis
-        self.pivots = pivots
-        self.degenerate = 0
-        self.budget = budget
         self.cost = cost
         self.reduced = np.empty_like(cost)
         n_vars = rows.shape[1]
         self.structural = (cost[:n_vars], self.reduced[:n_vars])  # costs, reduced costs
         self.logical = (cost[n_vars:], self.reduced[n_vars:])
-        self.buf = np.empty_like(table)
-        self.alpha = np.zeros(k + 1)  # the column last returned, and its cost-row factor
 
     def costs(self) -> np.ndarray:
         cost, reduced = self.structural
@@ -332,17 +339,6 @@ class _Revised(_Pivoting):
             self.alpha = self.table[:, self.logical_rows[j]] * self.logical_signs[j]
         self.alpha[k] = -self.reduced[col]
         return self.alpha[:k]
-
-    def pivot(self, row: int, col: int) -> None:
-        self.count_pivot()
-        table = self.table
-        table[row] /= self.alpha[row]
-        factors = self.alpha.copy()
-        factors[row] = 0.0
-        # same products and differences as the tableau's update
-        np.multiply(factors[:, None], table[row], out=self.buf)
-        table -= self.buf
-        self.basis[row] = col
 
     def row(self, i: int) -> np.ndarray:
         """B^-1[i] times the structural rows, then times each logical column."""
@@ -365,6 +361,8 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     n_rows, n_vars = a.shape
     if b.shape != (n_rows,) or len(senses) != n_rows:
         raise ValueError("rows, rhs and senses must have matching lengths")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("rows and rhs must be finite")
     # each sense's slack entry in standard form, on a row kept and on a row flipped
     entries = {"<=": (1.0, -1.0), ">=": (-1.0, 1.0), "==": (0.0, 0.0)}
     for sense in senses:
@@ -407,13 +405,13 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
 
-    if (state.table[-1, -1] if revised else -state.tab[-1, -1]) > FEASIBILITY_TOL:
+    if (state.table[-1, -1] if revised else -state.table[-1, -1]) > FEASIBILITY_TOL:
         # the multipliers y; the tableau's cost row holds c - y.A, so there y
         # is 1 - z on a first-basis artificial and -z on a slack
         if revised:
             duals = state.y
         else:
-            z = state.tab[-1, first]
+            z = state.table[-1, first]
             duals = np.where(first >= first_art, 1.0 - z, -z)
         return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                              degenerate_pivots=state.degenerate, dropped_rows=0,
@@ -425,7 +423,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
                     dropped_rows=len(drop), basis=tuple(state.basis[kept].tolist()))
     if not revised:
         # no artificial is basic now, so its column is never read again
-        tab = state.tab[kept + [n_rows]] if drop else state.tab
+        tab = state.table[kept + [n_rows]] if drop else state.table
         return FeasibleStart(tab=np.hstack((tab[:, :first_art], tab[:, -1:])), **counters)
     inverse = state.table[:n_rows].copy()
     if drop:
@@ -477,6 +475,8 @@ def solve_lp(
     n_vars = a.shape[1]
     if c_orig.shape != (n_vars,):
         raise ValueError(f"objective length {c_orig.shape} != variable count {n_vars}")
+    if not np.isfinite(c_orig).all():
+        raise ValueError("objective must be finite")
     if start is None:
         start = feasible_start(a, rhs, senses)
     counters = dict(phase1_pivots=start.phase1_pivots,
@@ -486,48 +486,44 @@ def solve_lp(
     c = -c_orig if maximize else c_orig
     budget = _budget(len(senses), start.n_cols)
 
+    basis = np.array(start.basis, dtype=int)
+    state: _Pivoting | None = None
     if start.inverse is not None:  # the revised form
         slack_rows = np.flatnonzero(start.slacks)
         cost = np.zeros(n_vars + len(slack_rows))
         cost[:n_vars] = c
         state = _Revised(start.rows, slack_rows, start.slacks[slack_rows], start.inverse,
-                         np.array(start.basis, dtype=int), start.phase1_pivots, budget, cost)
-        status = state.run_phase()
-        counters["phase2_pivots"] = state.pivots - start.phase1_pivots
-        counters["degenerate_pivots"] += state.degenerate
-        if status == UNBOUNDED:
-            return LPResult(status=UNBOUNDED, **counters)
-        basis, values, n_priced = state.basis, state.values, len(cost)
+                         basis, start.phase1_pivots, budget, cost)
     else:
         # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
         tab = start.tab
-        basis = np.array(start.basis, dtype=int)
         cost = np.zeros(tab.shape[1])
         cost[:n_vars] = c
         for i, j in enumerate(start.basis):
             if j < n_vars and c[j] != 0.0:
                 cost -= c[j] * tab[i]
         cost[basis] = 0.0
-
+        values = tab[:-1, -1]
         if (cost[:-1] < -PIVOT_TOL).any():
             tab = tab.copy()
             tab[-1] = cost
             state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
-            status = state.run_phase()
-            counters["phase2_pivots"] = state.pivots - start.phase1_pivots
-            counters["degenerate_pivots"] += state.degenerate
-            if status == UNBOUNDED:
-                return LPResult(status=UNBOUNDED, **counters)
-        values, n_priced = tab[:-1, -1], tab.shape[1] - 1
+    if state is not None:
+        status = state.run_phase()
+        counters["phase2_pivots"] = state.pivots - start.phase1_pivots
+        counters["degenerate_pivots"] += state.degenerate
+        if status == UNBOUNDED:
+            return LPResult(status=UNBOUNDED, **counters)
+        values = state.values
 
-    x = np.zeros(n_priced)
-    x[basis] = values
-    solution = x[:n_vars]
     # c.x over the basic structural columns, in row order: every other entry
     # of x is zero, and a dot product over all of them is a BLAS call that
     # may spread over threads and cost milliseconds
     structural = basis < n_vars
+    columns, values = basis[structural], values[structural]
+    solution = np.zeros(n_vars)
+    solution[columns] = values
     value = 0.0
-    for term in (c_orig[basis[structural]] * values[structural]).tolist():
+    for term in (c_orig[columns] * values).tolist():
         value += term
     return LPResult(status=OPTIMAL, x=solution, objective=value, **counters)

@@ -20,6 +20,12 @@ NORM_TOL = 1e-9
 DEFAULT_TAU_NORM = 1e-9
 
 
+def check_tau_norm(tau_norm: float) -> None:
+    """Refuse a negative or NaN tolerance on equal weights."""
+    if not tau_norm >= 0:  # NaN fails too
+        raise ValueError("tau_norm must be >= 0")
+
+
 @dataclass(frozen=True)
 class Region:
     """A subset of the configuration labels, stored as an integer bitmask."""

@@ -21,15 +21,21 @@ from .credal import (
     verify_witness,
 )
 from .events import Event, TrajectorySpace, event_probability, sset_event
-from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet
+from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet, check_tau_norm
 
 CHECK_TOL = 1e-8
+
+
+def _check_eps(eps: float) -> None:
+    if not eps >= 0:  # NaN fails too
+        raise ValueError("eps must be >= 0")
 
 
 def mutual_typicality(
     probs: np.ndarray, a: Event, b: Event, eps: float
 ) -> tuple[bool, float]:
     """Ratio P(A and B) / max(P(A), P(B)) and whether it reaches 1 - eps."""
+    _check_eps(eps)
     pa = event_probability(probs, a)
     pb = event_probability(probs, b)
     denom = max(pa, pb)
@@ -52,6 +58,8 @@ def qtr_predicate(
     relative pullback distance is at most eps.  The base weight must be
     positive for the relative distance to make sense.
     """
+    _check_eps(eps)
+    check_tau_norm(tau_norm)
     w1 = system.weight(s1)
     if w1 <= 0.0:
         raise ValueError("base sset has zero weight")
@@ -88,6 +96,7 @@ def typicality_report(
     the measured mutual-typicality ratio must reach 1 - eps (up to check
     tolerance).
     """
+    check_tau_norm(tau_norm)
     w1 = system.weight(s1)
     if w1 <= 0.0:
         raise ValueError("base sset has zero weight")
@@ -124,6 +133,7 @@ def cross_time_bound(
     sset) and S1, S2 to have equal weights within tau_norm.  Returns
     ``w(S2 and S2') -/+ dist(S1, S2)``, unclamped.
     """
+    check_tau_norm(tau_norm)
     if s2.time != s2p.time:
         raise ValueError(f"companion times differ: {s2.time} vs {s2p.time}")
     w1 = system.weight(s1)
@@ -151,6 +161,7 @@ def make_branch(
     tau_norm: float = DEFAULT_TAU_NORM,
 ) -> Branch:
     """Validate equal weights and compute the branch's worst relative distance."""
+    check_tau_norm(tau_norm)
     if not ssets:
         raise ValueError("branch needs at least one sset")
     base = ssets[0]
@@ -241,6 +252,8 @@ def verify_w11(
     """
     if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     eps = branch.epsilon
     exp_bound = 1.0 - eps
     tail_bound = eps / delta

@@ -860,6 +860,21 @@ class TestVertexSampling:
         with pytest.raises(ValueError, match="infeasible"):
             sample_vertex_measures(adversarial_cs(space), 2, seed=1)
 
+    @pytest.mark.parametrize("count, seed, message", [
+        (-3, 1, "count must be >= 0, got -3"),  # once returned [] without a word
+        (2, -1, "seed must be >= 0, got -1"),  # once numpy's "expected non-negative integer"
+    ])
+    def test_negative_count_or_seed(self, hti, count, seed, message):
+        system, space = hti
+        cs = born_constraints(system, space, singleton_family(system))
+        with pytest.raises(ValueError, match=message):
+            sample_vertex_measures(cs, count, seed)
+
+    def test_zero_count(self, hti):
+        system, space = hti
+        assert sample_vertex_measures(born_constraints(system, space, singleton_family(system)),
+                                      0, seed=0) == []
+
 
 class TestPhase1Memo:
     """Queries on one constraint set start from the phase 1 in ``credal``'s slot."""

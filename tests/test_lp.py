@@ -159,6 +159,52 @@ class TestValidation:
             solve_lp(np.array([1.0, 0, 0, 0]), rows, rhs, ["==", ">="])
 
 
+def small_lp(wide):
+    """A feasible 2-row LP, or the same LP padded with zero columns to the
+    revised form's ratio."""
+    rows = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    if wide:
+        rows = np.hstack([rows, np.zeros((2, 2 * lp.REVISED_RATIO - 3))])
+    c = np.zeros(rows.shape[1])
+    c[:3] = [1.0, 2.0, 3.0]
+    return c, rows, np.array([1.0, 0.5]), ["==", ">="]
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity in the rows, the right sides or the objective is
+    refused with a ValueError on both forms, before any pivot."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_finite_lp_solves(self, wide):
+        c, rows, rhs, senses = small_lp(wide)
+        assert (feasible_start(rows, rhs, senses).tab is None) == wide
+        assert solve_lp(c, rows, rhs, senses).objective == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["rows", "rhs"])
+    def test_constraints(self, where, value, wide):
+        c, rows, rhs, senses = small_lp(wide)
+        if where == "rows":
+            rows[1, 1] = value
+        else:
+            rhs[1] = value
+        with pytest.raises(ValueError, match="rows and rhs must be finite"):
+            feasible_start(rows, rhs, senses)
+        with pytest.raises(ValueError, match="rows and rhs must be finite"):
+            solve_lp(c, rows, rhs, senses)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_objective(self, value, wide):
+        c, rows, rhs, senses = small_lp(wide)
+        start = feasible_start(rows, rhs, senses)
+        c[1] = value
+        for given in (None, start):
+            with pytest.raises(ValueError, match="objective must be finite"):
+                solve_lp(c, rows, rhs, senses, start=given)
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         rng = np.random.default_rng(0)
@@ -853,6 +899,72 @@ class TestRevisedForm:
             sys.setswitchinterval(interval)
         for c, res in zip(objectives, parallel):
             assert_identical(res, solve_lp(c, rows, rhs, senses))
+
+
+class TestSharedPivot:
+    """Checks after every pivot of whole solves: the tableau's entering
+    column is exactly the unit vector of the pivot row, bit for bit, which
+    is why the pivot writes no unit column; the revised form's multipliers
+    stay y = c_B.B^-1."""
+
+    @staticmethod
+    def check_pivots(monkeypatch, form, check):
+        """Wrap ``form``'s pivot to run ``check(state, row, col)`` after each
+        one; returns the list of checked pivots."""
+        pivot = form.pivot
+        checked = []
+
+        def wrapped(state, row, col):
+            pivot(state, row, col)
+            check(state, row, col)
+            checked.append((row, col))
+
+        monkeypatch.setattr(form, "pivot", wrapped)
+        return checked
+
+    def test_tableau_entering_column_is_unit(self, monkeypatch):
+        def check(state, row, col):
+            entering = np.append(state.column(col), state.costs()[col])  # cost row last
+            unit = np.zeros(len(entering))
+            unit[row] = 1.0
+            assert entering.tobytes() == unit.tobytes()
+
+        checked = self.check_pivots(monkeypatch, lp._Tableau, check)
+        rng = np.random.default_rng(360)
+        for _ in range(60):
+            k, n = int(rng.integers(1, 7)), int(rng.integers(2, 12))
+            if rng.random() < 0.5:
+                rows = (rng.random((k, n)) < 0.5).astype(float)
+            else:
+                rows = rng.normal(size=(k, n)).round(int(rng.integers(0, 4)))
+            rhs = rng.normal(size=k).round(2)
+            senses = [["==", ">=", "<="][int(rng.integers(3))] for _ in range(k)]
+            for c in (rng.normal(size=n), rng.integers(-2, 3, n).astype(float)):
+                for maximize in (False, True):
+                    solve_lp(c, rows, rhs, senses, maximize=maximize)
+        assert len(checked) > 400
+
+    def test_revised_multipliers_follow_the_basis(self, monkeypatch):
+        def check(state, row, col):
+            k = len(state.basis)
+            y = np.einsum("i,ij->j", state.cost[state.basis], state.table[:k, :k])
+            np.testing.assert_allclose(state.y, y, rtol=0, atol=1e-12)
+
+        checked = self.check_pivots(monkeypatch, lp._Revised, check)
+        rng = np.random.default_rng(361)
+        for seed in range(12):
+            k = 2 + seed % 5
+            rows, rhs, senses = wide_polytope(rng, k, int(rng.integers(0, 40)))
+            if seed % 3 == 1:  # the normalization row again, dropped after phase 1
+                rows, rhs, senses = np.vstack([rows, rows[0]]), np.append(rhs, 1.0), senses + ["=="]
+            elif seed % 3 == 2:  # a '<=' row, whose slack starts basic
+                rows = np.vstack([rows, (rng.random(rows.shape[1]) < 0.5).astype(float)])
+                rhs, senses = np.append(rhs, 0.7), senses + ["<="]
+                rows = np.hstack([rows, np.zeros((len(rhs), lp.REVISED_RATIO))])
+            for c in wide_objectives(rng, rows.shape[1]):
+                for maximize in (False, True):
+                    solve_lp(c, rows, rhs, senses, maximize=maximize)
+        assert len(checked) > 200
 
 
 BLAS_NAMES = {"dot", "matmul", "inner", "linalg"}

@@ -357,6 +357,16 @@ class TestVerifyW11:
         with pytest.raises(ValueError, match="delta"):
             verify_w11(system, space, cs, branch, delta=math.nan, samples=2, seed=1)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples(self, hti, samples):
+        """Without the product witness, which this set excludes, no sample
+        once ended in ``min() arg is an empty sequence``."""
+        system, space = hti
+        cs = beam_splitter_cs(system, space)
+        branch = make_branch(system, [sset(1, [0]), sset(2, [0])])
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            verify_w11(system, space, cs, branch, delta=1e-3, samples=samples, seed=1)
+
 
 class TestEdgeClasses:
     """Weight gaps exactly at ``tau_norm``, and a drift too slow to see per step."""
@@ -424,3 +434,55 @@ class TestEdgeClasses:
         report = verify_w11(system, space, cs, branch, cfg.delta, cfg.samples, cfg.seed)
         assert not (report.expectation_vacuous or report.tail_vacuous)
         assert report.passes is True
+
+
+S1, S2 = sset(0, [0]), sset(1, [0])  # weights 1 and 1/2 on the splitter
+
+TAU_NORM_CALLS = {
+    "make_branch": lambda system, space, tau: make_branch(system, [S1, S2], tau),
+    "qtr_predicate": lambda system, space, tau: qtr_predicate(system, S1, S2, 1.0, tau),
+    "typicality_report": lambda system, space, tau: typicality_report(
+        system, space, born_product_witness(system, space).probs, S1, S2, 1.0, tau),
+    "cross_time_bound": lambda system, space, tau: cross_time_bound(system, S1, S2, S2, tau),
+}
+
+EPS_CALLS = {
+    "qtr_predicate": lambda system, space, eps: qtr_predicate(system, S1, S2, eps),
+    "typicality_report": lambda system, space, eps: typicality_report(
+        system, space, born_product_witness(system, space).probs, S1, S2, eps),
+    "mutual_typicality": lambda system, space, eps: mutual_typicality(
+        born_product_witness(system, space).probs, sset_event(space, S1),
+        sset_event(space, S2), eps),
+}
+
+
+class TestBadTolerances:
+    """A NaN or negative ``tau_norm`` or ``eps`` is refused where it is
+    taken.  A NaN ``tau_norm`` once made the pair of weights 1 and 1/2 equal
+    (a branch with epsilon 0.5, a firing rule, an interval from
+    ``cross_time_bound``), and a negative one made every pair unequal without
+    a word; a NaN or negative ``eps`` kept the rule from firing, so a
+    report passed vacuously."""
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("name", sorted(TAU_NORM_CALLS))
+    def test_tau_norm(self, hti, name, value):
+        with pytest.raises(ValueError, match="tau_norm must be >= 0"):
+            TAU_NORM_CALLS[name](*hti, value)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("name", sorted(EPS_CALLS))
+    def test_eps(self, hti, name, value):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            EPS_CALLS[name](*hti, value)
+
+    def test_valid_values_pass_the_checks(self, hti):
+        """The same calls at tau_norm 0 and eps 0 reach the functions' own answers."""
+        with pytest.raises(ValueError, match="differs from base beyond"):
+            TAU_NORM_CALLS["make_branch"](*hti, 0.0)
+        with pytest.raises(ValueError, match="weights differ beyond tolerance"):
+            TAU_NORM_CALLS["cross_time_bound"](*hti, 0.0)
+        assert TAU_NORM_CALLS["qtr_predicate"](*hti, 0.0) is False
+        assert TAU_NORM_CALLS["typicality_report"](*hti, 0.0).passes
+        assert EPS_CALLS["qtr_predicate"](*hti, 0.0) is False
+        assert EPS_CALLS["mutual_typicality"](*hti, 0.0)[0] is False
