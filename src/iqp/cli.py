@@ -270,7 +270,9 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
         raise ValueError(f"no matching branch (declared: {declared})")
     cs = _constraints(cfg, system, space, report)
     seed = _seed(args, cfg)
-    # the vertex samples of every branch start from this phase 1
+    # the vertex samples of every branch start from one phase 1: this
+    # verdict's, or on a pinned chain set, decided without one, the first
+    # sample's
     if not _feasibility(cs, report).feasible:
         print("infeasible constraint set; no measure to sample", file=sys.stderr)
         return EXIT_INFEASIBLE

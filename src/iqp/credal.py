@@ -13,6 +13,15 @@ certain event), by exact deductions, and solves over the other columns only;
 answers are padded back to every trajectory and certificates lifted to every
 constraint.  A deduction that exceeds its pin by ``FARKAS_MARGIN`` is itself
 the certificate, and feasibility then runs no phase 1.
+
+A pinned chain set, whose rows are Born pins fixing every single-time
+marginal and pair rows on consecutive times, gets its feasibility verdict
+without the LP: a measure meets its rows exactly when its consecutive pair
+marginals do, and the pair problems decouple into one closed-form coupling
+per time step, which glue into a Markov-chain witness (Lauritzen, *Graphical
+Models*, 1996).  A chain set that this test finds infeasible, and every
+other set, goes to the presolve and the LP, which give the Farkas
+certificate.
 """
 
 from __future__ import annotations
@@ -693,8 +702,126 @@ def _checked(cs: ConstraintSet, mult: np.ndarray,
     return cert, None
 
 
+def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """The marginals ``mu[t, a]`` and the pair bounds ``bounds[t, a, b]`` of a
+    pinned chain set, ``None`` when ``cs`` is not one.
+
+    A pinned chain set has an origin on every row and one label in every
+    origin sset's region.  Each one-sset row lies on its sset's atom or on
+    the atom's complement.  Each two-sset row joins consecutive times, in
+    either order, so it bounds the cell ``(t, a), (t + 1, b)``, and
+    ``bounds`` keeps the largest right side per cell (0 on a cell without
+    rows).  At every time, each label ``a`` must be pinned by the presolve's
+    rule: its largest atom bound ``l`` and largest complement bound ``l'``
+    (0 without a row) have ``l + l'`` within ``VACUOUS_RHS`` of 1.  The pin
+    is ``mu[t, a] = l``.
+
+    A row's orientation is read from one bit: trajectory ``a * m**(n-1-t)``
+    has label ``a`` at time ``t``.  A row on any other event is read as one
+    of the two, and ``verify_witness`` then rejects the witness if that
+    matters.  The rows are scanned last to first,
+    because generated sets put their demand and pair rows after the Born
+    rows, and the scan builds no array before every row has passed.  A NaN
+    bound is stored and then fails the pin or residual test.
+    """
+    m, n = cs.space.m, cs.space.n
+    atoms: dict[tuple[int, int], float] = {}  # (t, a) -> largest bound on the atom
+    complements: dict[tuple[int, int], float] = {}  # (t, a) -> on its complement
+    cells: dict[tuple[int, int, int], float] = {}  # (t, a, b) -> largest pair bound
+    for con in reversed(cs.constraints):
+        labels = []
+        for s in con.origin:
+            mask = s.region.mask
+            if mask & (mask - 1) or not 0 < mask < 1 << m or not 0 <= s.time < n:
+                return None
+            labels.append(mask.bit_length() - 1)
+        if len(labels) == 1:
+            t, a = con.origin[0].time, labels[0]
+            table = atoms if con.event.bits[a * m ** (n - 1 - t)] else complements
+            key = (t, a)
+        elif len(labels) == 2:
+            (s1, s2), (a, b) = con.origin, labels
+            if s2.time - s1.time == 1:
+                key = (s1.time, a, b)
+            elif s1.time - s2.time == 1:
+                key = (s2.time, b, a)
+            else:
+                return None
+            table = cells
+        else:
+            return None
+        if not con.rhs <= table.get(key, 0.0):
+            table[key] = con.rhs
+    for t in range(n):
+        for a in range(m):
+            if not abs(atoms.get((t, a), 0.0) + complements.get((t, a), 0.0) - 1.0) <= VACUOUS_RHS:
+                return None
+    mu = np.array([[atoms.get((t, a), 0.0) for a in range(m)] for t in range(n)])
+    bounds = np.zeros((n - 1, m, m))
+    for (t, a, b), rhs in cells.items():
+        bounds[t, a, b] = rhs
+    return mu, bounds
+
+
+def _label_sums(table: np.ndarray) -> np.ndarray:
+    """``table`` summed over its last axis, the labels added in index order."""
+    total = table[..., 0].copy()
+    for a in range(1, table.shape[-1]):
+        total += table[..., a]
+    return total
+
+
+def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """The marginals ``mu`` and consecutive couplings ``pi[t]`` of a pinned
+    chain set (``_pinned_chain``) that is feasible, else ``None``.
+
+    A measure meets every row of the set exactly when each pair marginal
+    ``pi[t]`` has row sums ``mu[t]``, column sums ``mu[t + 1]`` and
+    ``pi[t] >= bounds[t]``; any such family glues into a Markov chain
+    (``_markov_chain``).  With the residuals ``r = mu[t] - bounds[t].1`` and
+    ``c = mu[t + 1] - 1.bounds[t]`` both non-negative, the residual problem
+    has no upper bounds and equal totals, so ``bounds[t] + r c^T / sum(r)``
+    (``bounds[t]`` when ``sum(r) = 0``) is such a coupling.  A negative
+    residual makes the pair problem, and so the set, infeasible, and
+    ``None`` leaves that verdict to the LP.
+    """
+    chain = _pinned_chain(cs)
+    if chain is None:
+        return None
+    mu, bounds = chain
+    rows = mu[:-1] - _label_sums(bounds)
+    cols = mu[1:] - _label_sums(bounds.transpose(0, 2, 1))
+    if not ((rows >= 0.0).all() and (cols >= 0.0).all()):  # NaN fails too
+        return None
+    total = _label_sums(rows)[:, None, None]
+    spread = rows[:, :, None] * cols[:, None, :]
+    return mu, bounds + np.divide(spread, total, out=np.zeros_like(spread), where=total > 0.0)
+
+
+def _markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """``P(w) = pi[0][w0, w1] * prod over t >= 1 of pi[t][wt, wt+1] / mu[t][wt]``
+    (0 where ``mu[t][wt] = 0``) over every trajectory, time 0 the most
+    significant digit as in ``events``."""
+    if not len(couplings):
+        return mu[0].copy()
+    starts = mu[:-1, :, None]
+    steps = np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
+    probs = couplings[0]
+    for step in steps[1:]:  # one new last axis per time
+        probs = probs[..., None] * step
+    return probs.reshape(-1)
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
-    """Phase-1 feasibility with a self-verified witness or Farkas certificate.
+    """Feasibility with a self-verified witness or Farkas certificate.
+
+    A pinned chain set (``_pinned_chain``) with non-negative coupling
+    residuals is decided without the LP: its witness is the Markov chain of
+    the couplings (``_chain_couplings``), checked by ``verify_witness``.
+    Neither the presolve nor phase 1 runs then; later bounds and vertex
+    samples of ``cs`` build both in ``_prepared``.  Every other set, and a
+    chain set whose residual is negative or whose witness fails the check,
+    runs the LP path below.
 
     When the presolve found a deduction that proves the set empty
     (``Presolved.empty``) and ``verify_farkas`` accepts it as a certificate,
@@ -703,6 +830,12 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     presolved rows, whose Farkas duals ``_lift_farkas`` maps back, in one
     pass, to one multiplier per constraint.
     """
+    chain = _chain_couplings(cs)
+    if chain is not None:
+        probs = _markov_chain(*chain)
+        if verify_witness(cs, probs) <= CERTIFICATE_TOL:
+            return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
+
     pre = presolve(cs)
     if pre.empty:
         y = np.zeros(len(cs) + 1)

@@ -198,6 +198,8 @@ def branch_stats(
     branch regions, normalized by the number of times; expectation and the
     tail P(Y <= 1 - delta) are conditioned on the base event.
     """
+    if not delta > 0.0:  # NaN fails too
+        raise ValueError("delta must be positive")
     k = len(branch.ssets)
     counts = np.zeros(space.size)
     for s in branch.ssets:

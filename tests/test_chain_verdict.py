@@ -1,0 +1,238 @@
+"""Pinned chain sets get their verdict from consecutive-pair couplings.
+
+``credal.feasibility`` decides a set whose rows are Born pins and pair rows
+on consecutive times without the presolve or phase 1: the couplings of
+``credal._chain_couplings`` glue into a Markov-chain witness.  Every other
+set, and a chain set with a negative coupling residual, takes the LP path
+unchanged, which the fallback cases compare byte for byte.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from conftest import realize, scipy_feasible, seeded_config, sset
+from iqp import credal
+from iqp.credal import (
+    CERTIFICATE_TOL,
+    ConstraintSet,
+    LinearConstraint,
+    born_constraints,
+    feasibility,
+    lower_bound_constraints,
+    merge_constraint_sets,
+    verify_witness,
+)
+from iqp.events import TrajectorySpace, parse_event, sset_event
+from iqp.scenarios import BUILTIN_SCENARIOS, singleton_family
+from iqp.system import QuantumSystem, hadamard_matrix, identity_matrix
+
+# every pair ruleset, with a tau_norm wide enough that the equal-weight rules
+# keep some rows, and alpha and epsilon that keep them live
+RULESETS = {
+    "born": {},
+    "born+qtr": {"tau_norm": 0.2},
+    "born+qtr-min": {},
+    "born+qtr-eps": {"epsilon": 2.0, "tau_norm": 0.2},
+    "born+qtr-alpha": {"alpha": 0.3, "tau_norm": 0.2},
+}
+SHAPES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+
+
+@pytest.fixture
+def lp_calls(count_calls, phase1_calls):
+    """The presolves and phase 1s run from here on, by the shapes they saw."""
+    credal.presolve.cache_clear()
+    presolves = count_calls(ConstraintSet, "presolved", lambda cs: len(cs))
+    return lambda: (list(presolves), list(phase1_calls))
+
+
+def pair_marginals(probs: np.ndarray, m: int, n: int) -> list[np.ndarray]:
+    """The measure's marginal on times (t, t + 1), for each t."""
+    table = probs.reshape([m] * n)
+    return [table.sum(axis=tuple(s for s in range(n) if s not in (t, t + 1)))
+            for t in range(n - 1)]
+
+
+@pytest.mark.parametrize("ruleset", sorted(RULESETS))
+@pytest.mark.parametrize("kind", ["random", "dft"])
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_seeded_chain_sets(m, n, kind, ruleset, lp_calls):
+    live_pairs = 0
+    for seed in range(3):
+        cfg = dataclasses.replace(seeded_config(m, n, kind, ruleset, True, [seed, m, n]),
+                                  **RULESETS[ruleset])
+        space, cs = realize(cfg)
+        live_pairs += sum(len(con.origin) == 2 for con in cs.constraints)
+        before = lp_calls()
+        cert = feasibility(cs)
+        assert cert.feasible == scipy_feasible(cs)
+        if not cert.feasible:  # a negative residual: the LP proves it
+            assert credal._pinned_chain(cs) is not None
+            assert credal._chain_couplings(cs) is None
+            continue
+        # every feasible chain set of this family is decided without the LP
+        assert lp_calls() == before
+        mu, couplings = credal._chain_couplings(cs)
+        probs = cert.witness.probs
+        assert probs.tobytes() == credal._markov_chain(mu, couplings).tobytes()
+        assert verify_witness(cs, probs) <= CERTIFICATE_TOL
+        for t, (marginal, coupling) in enumerate(zip(pair_marginals(probs, m, n), couplings)):
+            np.testing.assert_allclose(marginal, coupling, rtol=0.0, atol=1e-12)
+            assert (coupling >= 0.0).all()
+            np.testing.assert_allclose(coupling.sum(axis=1), mu[t], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(coupling.sum(axis=0), mu[t + 1], rtol=0.0, atol=1e-12)
+    if ruleset != "born" and kind == "random":  # DFT steps seldom leave one live
+        assert live_pairs > 0
+
+
+def test_one_time_witness_is_the_born_marginal(lp_calls):
+    system = QuantumSystem(["x0", "x1", "x2"], [], [0.6, 0.8j, 0.0])
+    space = TrajectorySpace.for_system(system)
+    cs = born_constraints(system, space, singleton_family(system))
+    cert = feasibility(cs)
+    assert cert.witness.probs.tolist() == [system.weight(sset(0, [a], 3)) for a in range(3)]
+    assert lp_calls() == ([], [])
+
+
+# --- fallbacks ------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hti():
+    """Hadamard then identity: the two-path splitter, P(t, a) = 1/2 at t = 1, 2."""
+    system = QuantumSystem(["x0", "x1"], [hadamard_matrix(), identity_matrix(2)], [1.0, 0.0])
+    return system, TrajectorySpace.for_system(system)
+
+
+def chain_pair_row(space, s1, s2, rhs):
+    return LinearConstraint(sset_event(space, s1) & sset_event(space, s2), rhs, "qtr",
+                            f"({s1.text()} & {s2.text()})", (s1, s2))
+
+
+def hti_chain(system, space, *extra):
+    """Born pins and one consecutive pair row, plus ``extra`` rows."""
+    born = born_constraints(system, space, singleton_family(system))
+    pair = chain_pair_row(space, sset(1, [0]), sset(2, [0]), 0.4)
+    return ConstraintSet(space, born.constraints + (pair,) + tuple(extra))
+
+
+def demand_set(system, space):
+    demand = lower_bound_constraints(space, [(parse_event("(t=0,{0}) & (t=2,{1})", space),
+                                              0.3, "demand")])
+    return merge_constraint_sets([hti_chain(system, space), demand])
+
+
+def non_consecutive_set(system, space):
+    return hti_chain(system, space, chain_pair_row(space, sset(0, [0]), sset(2, [1]), 0.2))
+
+
+def pair_row_alone_set(_system, space):
+    return ConstraintSet(space, (chain_pair_row(space, sset(1, [0]), sset(2, [0]), 0.4),))
+
+
+def band_set(system, space):
+    """The pin of (t=1,{0}) loosened by 1e-6 on its complement's row."""
+    rows = list(hti_chain(system, space).constraints)
+    k = next(i for i, con in enumerate(rows)
+             if con.origin == (sset(1, [0]),) and con.label == sset(1, [1]).text())
+    rows[k] = dataclasses.replace(rows[k], rhs=rows[k].rhs - 1e-6)
+    return ConstraintSet(space, rows)
+
+
+def negative_residual_set(system, space):
+    """P((t=1,{0}) & (t=2,{0})) >= 0.4 and P((t=1,{0}) & (t=2,{1})) >= 0.2 ask
+    0.6 of the label pinned to 1/2."""
+    return hti_chain(system, space, chain_pair_row(space, sset(1, [0]), sset(2, [1]), 0.2))
+
+
+def misread_row_set(system, space):
+    """A row with a Born origin whose event is neither the atom nor its
+    complement: the probe reads it as the atom, and the witness, which
+    breaks it, fails verification."""
+    event = sset_event(space, sset(1, [0])) & sset_event(space, sset(2, [0]))
+    return hti_chain(system, space, LinearConstraint(event, 0.45, "born", "odd", (sset(1, [0]),)))
+
+
+def region_size_two_set(_system, _space):
+    cfg = dataclasses.replace(seeded_config(3, 3, "random", "born+qtr-min", True, [0, 3, 3]),
+                              max_region_size=2)
+    return realize(cfg)[1]
+
+
+def no_born_ruleset_set(_system, _space):
+    return realize(seeded_config(2, 4, "random", "qtr-min", True, [0, 2, 4]))[1]
+
+
+def drifting_branch_set(_system, _space):
+    return realize(BUILTIN_SCENARIOS["drifting-branch"]())[1]
+
+
+FALLBACKS = {
+    "demand row": (demand_set, True, False),
+    "live non-consecutive row": (non_consecutive_set, True, False),
+    "live (t=0, t=2) rows of drifting-branch": (drifting_branch_set, True, False),
+    "max_region_size 2": (region_size_two_set, True, False),
+    "ruleset without born": (no_born_ruleset_set, True, False),
+    "pair row alone": (pair_row_alone_set, True, False),
+    "pin band": (band_set, True, False),
+    "negative residual": (negative_residual_set, False, True),
+    "row misread as an atom": (misread_row_set, True, True),
+}
+
+
+def answer_bytes(cert):
+    if cert.feasible:
+        return True, cert.witness.probs.tobytes()
+    farkas = cert.farkas
+    return False, farkas.multipliers.tobytes(), farkas.normalization, farkas.margin
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_fallback_is_the_lp_path(case, hti, lp_calls, monkeypatch):
+    build, feasible, pinned = FALLBACKS[case]
+    cs = build(*hti)
+    assert (credal._pinned_chain(cs) is not None) == pinned
+    if pinned:
+        chain = credal._chain_couplings(cs)
+        assert chain is None or verify_witness(cs, credal._markov_chain(*chain)) > CERTIFICATE_TOL
+    cert = feasibility(cs)
+    calls = lp_calls()
+    assert cert.feasible == scipy_feasible(cs) == feasible
+    assert calls[0] == [len(cs)]  # one presolve
+
+    # the LP path alone, in a fresh slot, gives the same bytes and the same calls
+    monkeypatch.setattr(credal, "_chain_couplings", lambda _cs: None)
+    credal.presolve.cache_clear()
+    credal._prepared.cache_clear()
+    assert answer_bytes(feasibility(cs)) == answer_bytes(cert)
+    again = lp_calls()
+    assert (again[0][len(calls[0]):], again[1][len(calls[1]):]) == calls
+
+
+class Unbuilt:
+    """Stands for numpy while a scan runs: any array it would build fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the scan passed")
+
+
+@pytest.mark.parametrize("build", [demand_set, non_consecutive_set, pair_row_alone_set, band_set,
+                                   region_size_two_set, no_born_ruleset_set, drifting_branch_set])
+def test_rejecting_scan_builds_no_array(build, hti, monkeypatch):
+    cs = build(*hti)
+    monkeypatch.setattr(credal, "np", Unbuilt())
+    assert credal._pinned_chain(cs) is None
+
+
+def test_pair_in_reverse_time_order_bounds_the_same_cell(hti):
+    """A pair (t+1, t) bounds the same cell as (t, t+1)."""
+    system, space = hti
+    born = born_constraints(system, space, singleton_family(system))
+    forward = chain_pair_row(space, sset(1, [0]), sset(2, [1]), 0.3)
+    backward = chain_pair_row(space, sset(2, [1]), sset(1, [0]), 0.3)
+    one = credal._pinned_chain(ConstraintSet(space, born.constraints + (forward,)))
+    other = credal._pinned_chain(ConstraintSet(space, born.constraints + (backward,)))
+    assert one[1].tobytes() == other[1].tobytes()
+    assert one[1][1].tolist() == [[0.0, 0.3], [0.0, 0.0]]

@@ -13,7 +13,7 @@ from _seed_simplex import leaving_row
 from _seed_simplex import solve_lp as seed_solve_lp
 from _seed_simplex import solve_lp_revised
 from conftest import realize, seeded_config
-from iqp import lp
+from iqp import credal, lp
 from iqp.credal import (
     lower_bound_constraints,
     lower_upper,
@@ -989,11 +989,14 @@ def blas_calls(source):
 
 
 class TestNoBlas:
-    """The module promises that no sum goes through BLAS or LAPACK, whose
-    summation order varies by build."""
+    """The solver and the chain verdict promise that no sum goes through BLAS
+    or LAPACK, whose summation order varies by build."""
 
     def test_lp_source_has_no_blas_call(self):
         assert blas_calls(Path(lp.__file__).read_text()) == []
+
+    def test_credal_source_has_no_blas_call(self):
+        assert blas_calls(Path(credal.__file__).read_text()) == []
 
     @pytest.mark.parametrize("line", [
         "y = a @ b", "a @= b", "y = np.dot(a, b)", "y = a.dot(b)", "y = np.matmul(a, b)",

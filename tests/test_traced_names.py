@@ -51,7 +51,8 @@ def test_every_wrapped_name_resolves():
 
 
 def test_traced_queries_count_every_lp():
-    cfg = BUILTIN_SCENARIOS["beam-splitter"]()
+    # its live (t=0, t=2) pair rows keep its verdict on the LP path
+    cfg = BUILTIN_SCENARIOS["drifting-branch"]()
     space, cs = realize(cfg)
     event = parse_event(cfg.events[0], space)
     tracer = tracing_module().Tracer()

@@ -258,6 +258,17 @@ class TestBranchStats:
         with pytest.raises(ValueError, match="zero probability"):
             branch_stats(space, witness.probs, branch, delta=0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, -1.0, 0.0, -math.inf])
+    def test_bad_delta_rejected(self, hti, delta):
+        """A NaN delta once gave tail 0.0 and a negative one 1.0, where
+        delta = 1e-3 gives 0.5 on this branch."""
+        system, space = hti
+        witness = born_product_witness(system, space)
+        branch = make_branch(system, [sset(1, [0]), sset(2, [0])])
+        assert branch_stats(space, witness.probs, branch, 1e-3).tail == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="delta"):
+            branch_stats(space, witness.probs, branch, delta)
+
     def test_y_range_and_markov_soundness(self, hti):
         system, space = hti
         cs = beam_splitter_cs(system, space)
