@@ -62,6 +62,7 @@ from .typicality import (
     qtr_predicate,
     typicality_report,
     verify_w11,
+    w11_measures,
 )
 
 __version__ = "0.1.0"

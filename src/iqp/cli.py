@@ -40,7 +40,7 @@ from .scenarios import (
     load_config,
 )
 from .system import QuantumSystem, Region, SSet
-from .typicality import make_branch, typicality_report, verify_w11
+from .typicality import make_branch, typicality_report, verify_w11, w11_measures
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -279,6 +279,7 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
 
     rows = []
     exit_code = EXIT_OK
+    measures = None  # sampled for the first branch, then shared by the others
     for decl in decls:
         ssets = [SSet(t, Region.from_labels(labels, system.m)) for t, labels in decl.ssets]
         branch = make_branch(system, ssets, cfg.tau_norm)
@@ -286,7 +287,9 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
             decl.delta if decl.delta is not None else cfg.delta
         )
         start = time.perf_counter()
-        w11 = verify_w11(system, space, cs, branch, delta, cfg.samples, seed)
+        if measures is None:
+            measures = w11_measures(system, space, cs, cfg.samples, seed)
+        w11 = verify_w11(system, space, cs, branch, delta, cfg.samples, seed, measures)
         report.timings["solve"] += time.perf_counter() - start
         if w11.passes is None:
             verdict = "vacuous"

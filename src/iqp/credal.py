@@ -38,7 +38,7 @@ import numpy as np
 
 from . import lp
 from .events import Event, TrajectorySpace, event_probability, sset_event
-from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet, check_tau_norm
+from .system import DEFAULT_TAU_NORM, QuantumSystem, Region, SSet, check_tau_norm
 
 MEASURE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-9
@@ -391,6 +391,21 @@ def _check_space(system: QuantumSystem, space: TrajectorySpace) -> None:
         )
 
 
+def _keys(system: QuantumSystem, ssets: Iterable[SSet]) -> list[tuple[int, int]]:
+    """Each sset's ``(time, region mask)``; ``QuantumSystem.sset_key`` refuses
+    the first that is not an sset of ``system``."""
+    m, n = system.m, system.n
+    return [(s.time, s.region.mask) if s.region.m == m and 0 <= s.time < n
+            else system.sset_key(s) for s in ssets]
+
+
+def _labels(m: int) -> Callable[[int, int], str]:
+    """``SSet.text`` of ``(time, region mask)`` over ``m`` labels, each
+    region's text formatted once for the generator call that holds it."""
+    region = functools.cache(lambda mask: Region(mask, m).text())
+    return lambda t, mask: f"(t={t},{region(mask)})"
+
+
 def born_constraints(
     system: QuantumSystem, space: TrajectorySpace, family: list[SSet]
 ) -> ConstraintSet:
@@ -398,17 +413,22 @@ def born_constraints(
 
     Together with normalization the pair forces P(S) = w(S); rows with
     non-positive right side are implied by non-negativity and skipped.
+    Weights and atoms are read per ``(time, region mask)`` from the system's
+    and the space's memos.
     """
     _check_space(system, space)
     if not family:
         raise ValueError("born family must be non-empty")
+    keys = _keys(system, family)
+    weights = [system.region_state(t, mask).weight for t, mask in keys]
+    full = (1 << system.m) - 1
+    text = _labels(system.m)
     rows: list[LinearConstraint] = []
-    for s in family:
-        weight = system.weight(s)
-        for target, rhs in ((s, weight), (s.complement(), 1.0 - weight)):
-            label = target.text()
+    for s, (t, mask), weight in zip(family, keys, weights):
+        for target, rhs in ((mask, weight), (mask ^ full, 1.0 - weight)):
+            label = text(t, target)
             if admits(rhs, label):
-                rows.append(LinearConstraint(sset_event(space, target), rhs, "born", label, (s,)))
+                rows.append(LinearConstraint(space.atom(t, target), rhs, "born", label, (s,)))
     return ConstraintSet(space, rows, skipped=2 * len(family) - len(rows))
 
 
@@ -425,28 +445,30 @@ def _pair_rows(
 
     Same-time pairs, pairs whose weights differ by more than ``tau_norm``
     (when ``equal_weights``) and pairs whose bound is ``None`` are filtered;
-    rows with non-positive right side are skipped as vacuous.
+    rows with non-positive right side are skipped as vacuous.  The pairs are
+    read as ``(time, region mask)`` keys, and each key's state is fetched
+    once, in first-use order.  Only a pair that passes the filters formats
+    its label, and only an emitted row builds its event.
     """
     check_tau_norm(tau_norm)
+    keys = _keys(system, (s for pair in pairs for s in pair))
+    states = {k: system.region_state(*k) for k in dict.fromkeys(keys)}
+    text = _labels(system.m)
     rows: list[LinearConstraint] = []
     filtered = 0
-    # each sset's weight once, in first-use order, however many pairs share it
-    ssets = dict.fromkeys(s for pair in pairs for s in pair)
-    weights = {s: system.weight(s) for s in ssets}
-    for s1, s2 in pairs:
-        w1 = weights[s1]
-        w2 = weights[s2]
-        if s1.time == s2.time or (equal_weights and abs(w1 - w2) > tau_norm):
+    for k1, k2, origin in zip(keys[::2], keys[1::2], pairs):
+        a, b = states[k1], states[k2]
+        if k1[0] == k2[0] or (equal_weights and abs(a.weight - b.weight) > tau_norm):
             filtered += 1
             continue
-        rhs = bound(w1, w2, system.sset_distance(s1, s2))
+        rhs = bound(a.weight, b.weight, a.distance(b))
         if rhs is None:
             filtered += 1
             continue
-        label = f"({s1.text()} & {s2.text()})"
+        label = f"({text(*k1)} & {text(*k2)})"
         if admits(rhs, label):  # before the intersection is built
-            event = sset_event(space, s1) & sset_event(space, s2)
-            rows.append(LinearConstraint(event, rhs, tag, label, (s1, s2)))
+            rows.append(LinearConstraint(space.atom(*k1) & space.atom(*k2), rhs, tag, label,
+                                         origin))
     return ConstraintSet(space, rows, len(pairs) - filtered - len(rows), filtered)
 
 

@@ -37,8 +37,9 @@ def resolve_trajectory_cap() -> int:
 class TrajectorySpace:
     """The set of all label sequences over the time grid.
 
-    Each atom event built by ``sset_event`` is kept on the space, keyed on
-    ``(time, region mask)``; equal spaces compare equal but never share atoms.
+    Each atom event ``{w : w(t) in R}`` is built once, by ``atom``, and kept
+    on the space, keyed on ``(time, region mask)``; equal spaces compare equal
+    but never share atoms.
     """
 
     m: int
@@ -69,6 +70,34 @@ class TrajectorySpace:
         if not 0 <= t < self.n:
             raise ValueError(f"time index {t} out of range 0..{self.n - 1}")
         return (np.arange(self.size) // self.m ** (self.n - 1 - t)) % self.m
+
+    def atom_bits(self, t: int, mask: int) -> np.ndarray:
+        """Membership of every trajectory in ``{w : w(t) in mask}``, built afresh.
+
+        With time 0 the most significant digit, the label at time ``t`` runs
+        through ``0..m-1`` in blocks of ``m**(n-1-t)`` trajectories, and that
+        run repeats for each of the ``m**t`` labellings of the earlier times:
+        the region's 0/1 pattern over the labels, each entry repeated for its
+        block, then the whole run repeated.
+        """
+        if not 0 <= t < self.n:
+            raise ValueError(f"time index {t} out of range 0..{self.n - 1}")
+        if not 0 <= mask < 1 << self.m:
+            raise ValueError(f"bitmask {mask:#x} out of range for m={self.m}")
+        member = np.array([bool(mask >> x & 1) for x in range(self.m)])
+        run = member.repeat(self.m ** (self.n - 1 - t))
+        return run.reshape(1, -1).repeat(self.m**t, axis=0).flatten()  # owns its bits
+
+    def atom(self, t: int, mask: int) -> Event:
+        """The atom event of the labels in bitmask ``mask`` at time ``t``.
+
+        Built once per ``(t, mask)`` and kept; the event's bits are read-only,
+        so every caller can hold the same one.
+        """
+        event = self._atoms.get((t, mask))
+        if event is None:  # atom_bits checks the key, so a bad one is never kept
+            event = self._atoms[t, mask] = Event(self.atom_bits(t, mask))
+        return event
 
     def index_of(self, trajectory: tuple[int, ...]) -> int:
         if len(trajectory) != self.n:
@@ -147,19 +176,11 @@ class Event:
 
 
 def sset_event(space: TrajectorySpace, s: SSet) -> Event:
-    """Trajectories whose label at ``s.time`` lies in ``s.region``.
-
-    Built once per ``(time, region mask)`` and kept on ``space``; the event's
-    bits are read-only, so every caller can hold the same one.
-    """
+    """Trajectories whose label at ``s.time`` lies in ``s.region``: the
+    space's kept atom ``space.atom(s.time, s.region.mask)``."""
     if s.region.m != space.m:
         raise ValueError(f"region defined over {s.region.m} labels, space has {space.m}")
-    key = (s.time, s.region.mask)  # an out-of-range time raises in digits, never cached
-    event = space._atoms.get(key)
-    if event is None:
-        member = np.array([bool(s.region.mask >> x & 1) for x in range(space.m)])
-        event = space._atoms[key] = Event(member[space.digits(s.time)])
-    return event
+    return space.atom(s.time, s.region.mask)
 
 
 def event_probability(probs: np.ndarray, a: Event) -> float:

@@ -504,6 +504,7 @@ def enumerate_pairs(
 
     Regions come by size, then by mask.  Only those within the cap are
     built, so the work grows with the regions kept rather than with 2^m.
+    Each (time, region) is one ``SSet`` that every pair at that time shares.
     """
     m = system.m
     regions = [
@@ -516,21 +517,15 @@ def enumerate_pairs(
         time_pairs = tuple(
             (t1, t2) for t1 in range(system.n) for t2 in range(t1 + 1, system.n)
         )
-    out = []
-    for t1, t2 in time_pairs:
-        for r1 in regions:
-            for r2 in regions:
-                out.append((SSet(t1, r1), SSet(t2, r2)))
-    return out
+    at = {t: [SSet(t, r) for r in regions] for pair in time_pairs for t in pair}
+    return [(s1, s2) for t1, t2 in time_pairs for s1 in at[t1] for s2 in at[t2]]
 
 
 def singleton_family(system: QuantumSystem) -> list[SSet]:
-    """All single-label ssets at all times, in (time, label) order."""
-    return [
-        SSet(t, Region.from_labels([x], system.m))
-        for t in range(system.n)
-        for x in range(system.m)
-    ]
+    """All single-label ssets at all times, in (time, label) order; each
+    label's region is one ``Region`` that every time shares."""
+    regions = [Region(1 << x, system.m) for x in range(system.m)]
+    return [SSet(t, r) for t in range(system.n) for r in regions]
 
 
 def build_constraints(

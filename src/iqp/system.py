@@ -26,6 +26,10 @@ def check_tau_norm(tau_norm: float) -> None:
         raise ValueError("tau_norm must be >= 0")
 
 
+def _indicator(mask: int, m: int) -> np.ndarray:
+    return np.array([float(mask >> x & 1) for x in range(m)])
+
+
 @dataclass(frozen=True)
 class Region:
     """A subset of the configuration labels, stored as an integer bitmask."""
@@ -85,7 +89,7 @@ class Region:
 
     def indicator(self) -> np.ndarray:
         """0/1 vector over the m labels (the diagonal of the projection)."""
-        return np.array([float(self.mask >> x & 1) for x in range(self.m)])
+        return _indicator(self.mask, self.m)
 
     def text(self) -> str:
         return "{" + ",".join(str(x) for x in self.labels()) + "}"
@@ -121,6 +125,11 @@ class SSetState:
         if not -1e-12 <= self.weight <= 1.0 + 1e-9:
             raise ValueError(f"weight {self.weight!r} outside [0, 1]")
 
+    def distance(self, other: "SSetState") -> float:
+        """Squared norm of the difference of the two pullback states."""
+        diff = self.amplitudes - other.amplitudes
+        return float(np.vdot(diff, diff).real)
+
 
 def _as_complex_matrix(value: object, m: int, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
@@ -132,12 +141,13 @@ def _as_complex_matrix(value: object, m: int, what: str) -> np.ndarray:
 class QuantumSystem:
     """Immutable system definition: labels, time grid, step unitaries, initial state.
 
-    Cumulative propagators are cached at construction, and each sset's pullback
-    state is computed on first use and kept, keyed on ``(time, region mask)``.
-    Query methods are pure and safe for concurrent readers: a memo entry is
-    only ever added, whole, by one dict assignment, so two threads that miss
-    the same key each compute an equal state and the later write replaces an
-    equal one.
+    At construction each time ``t`` gets its cumulative propagator ``U_t``,
+    its adjoint ``U_t^H`` and its propagated state ``U_t psi0``; every region's
+    pullback state at ``t`` reuses the last two.  Each pullback state is
+    computed on first use and kept, keyed on ``(time, region mask)``, so a
+    region that many rows share costs one matrix-vector product.  Query
+    methods are pure: a kept state is the one a fresh computation gives, and
+    a memo entry is only ever added, whole, by one dict assignment.
     """
 
     def __init__(
@@ -183,6 +193,10 @@ class QuantumSystem:
         for u in cum:
             u.setflags(write=False)
         self._u = tuple(cum)
+        # per time: U_t^H and U_t psi0, shared by every region's pullback state;
+        # _adjoints[t] is laid out as u.conj().T is, so the products keep their bits
+        self._adjoints = np.array(cum).conj().transpose(0, 2, 1)
+        self._evolved = np.array([u @ psi for u in cum])
         self._states: dict[tuple[int, int], SSetState] = {}
 
     @property
@@ -197,10 +211,13 @@ class QuantumSystem:
         if not 0 <= t < self.n:
             raise ValueError(f"time index {t} out of range 0..{self.n - 1}")
 
-    def _check_sset(self, s: SSet) -> None:
+    def sset_key(self, s: SSet) -> tuple[int, int]:
+        """``(time, region mask)`` of an sset of this system; a time out of
+        range or a region over another label count is a ``ValueError``."""
         self._check_time(s.time)
         if s.region.m != self.m:
             raise ValueError(f"region defined over {s.region.m} labels, system has {self.m}")
+        return s.time, s.region.mask
 
     def propagator(self, t: int) -> np.ndarray:
         """Cumulative propagator from time 0 to time t."""
@@ -212,32 +229,35 @@ class QuantumSystem:
         self._check_time(t)
         return self._u[t] @ self.psi0
 
-    def sset_state(self, s: SSet) -> SSetState:
-        """Pullback state of an sset and its weight (the Born probability).
+    def region_state(self, t: int, mask: int) -> SSetState:
+        """Pullback state ``U_t^H E U_t psi0`` of the labels in bitmask ``mask``
+        at time ``t``, and its weight (the Born probability).
 
-        Computed once per ``(time, region mask)`` and kept on the system.
+        Computed once per ``(t, mask)`` and kept on the system.  Each region
+        takes its own matrix-vector product, never a sum of other regions'
+        states, so the floats do not depend on which regions were asked for.
         """
-        self._check_sset(s)
-        key = (s.time, s.region.mask)
-        state = self._states.get(key)
-        if state is None:
-            u = self._u[s.time]
-            projected = s.region.indicator() * (u @ self.psi0)
-            amplitudes = u.conj().T @ projected
+        state = self._states.get((t, mask))
+        if state is None:  # checked here, so a bad key is never kept
+            self._check_time(t)
+            if not 0 <= mask < 1 << self.m:
+                raise ValueError(f"bitmask {mask:#x} out of range for m={self.m}")
+            amplitudes = self._adjoints[t] @ (_indicator(mask, self.m) * self._evolved[t])
             weight = float(np.vdot(amplitudes, amplitudes).real)
             amplitudes.setflags(write=False)
-            state = self._states[key] = SSetState(amplitudes, weight)
+            state = self._states[t, mask] = SSetState(amplitudes, weight)
         return state
+
+    def sset_state(self, s: SSet) -> SSetState:
+        """Pullback state of an sset and its weight, as ``region_state``."""
+        return self.region_state(*self.sset_key(s))
 
     def weight(self, s: SSet) -> float:
         return self.sset_state(s).weight
 
     def sset_distance(self, s1: SSet, s2: SSet) -> float:
         """Squared norm of the difference of the two pullback states."""
-        a = self.sset_state(s1).amplitudes
-        b = self.sset_state(s2).amplitudes
-        diff = a - b
-        return float(np.vdot(diff, diff).real)
+        return self.sset_state(s1).distance(self.sset_state(s2))
 
     def sequential_probability(self, ssets: Sequence[SSet]) -> float:
         """Projection-then-propagation probability for a time-ordered chain.
@@ -248,7 +268,7 @@ class QuantumSystem:
         if not ssets:
             raise ValueError("need at least one sset")
         for s in ssets:
-            self._check_sset(s)
+            self.sset_key(s)
         times = [s.time for s in ssets]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"time indices must be non-decreasing, got {times}")

@@ -16,6 +16,7 @@ import numpy as np
 from .credal import (
     CERTIFICATE_TOL,
     ConstraintSet,
+    TrajectoryMeasure,
     born_product_witness,
     sample_vertex_measures,
     verify_witness,
@@ -236,6 +237,25 @@ class W11Report:
     passes: bool | None  # None when both bounds are vacuous
 
 
+def w11_measures(
+    system: QuantumSystem,
+    space: TrajectorySpace,
+    cs: ConstraintSet,
+    samples: int,
+    seed: int,
+) -> list[TrajectoryMeasure]:
+    """The measures ``verify_w11`` checks: ``samples`` polytope vertices from
+    seeded random objectives, then the independent-coupling witness when it
+    satisfies the constraint set."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    measures = sample_vertex_measures(cs, samples, seed)
+    product = born_product_witness(system, space)
+    if verify_witness(cs, product.probs) <= CERTIFICATE_TOL:
+        measures.append(product)
+    return measures
+
+
 def verify_w11(
     system: QuantumSystem,
     space: TrajectorySpace,
@@ -244,29 +264,26 @@ def verify_w11(
     delta: float,
     samples: int,
     seed: int,
+    measures: list[TrajectoryMeasure] | None = None,
 ) -> W11Report:
     """Check the branch bounds on sampled polytope vertices.
 
-    Vertices come from seeded random objectives; the independent-coupling
-    witness is added when it satisfies the constraint set.  Bounds that say
-    nothing (1 - eps <= 0 or eps/delta >= 1) are flagged vacuous rather than
-    passed or failed.
+    The measures are ``w11_measures(system, space, cs, samples, seed)``,
+    sampled here unless given: several branches of one set can share one
+    sample.  Bounds that say nothing (1 - eps <= 0 or eps/delta >= 1) are
+    flagged vacuous rather than passed or failed.
     """
     if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be positive")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     eps = branch.epsilon
     exp_bound = 1.0 - eps
     tail_bound = eps / delta
     exp_vacuous = exp_bound <= 0.0
     tail_vacuous = tail_bound >= 1.0
 
-    measures = sample_vertex_measures(cs, samples, seed)
-    product = born_product_witness(system, space)
-    product_included = verify_witness(cs, product.probs) <= CERTIFICATE_TOL
-    if product_included:
-        measures.append(product)
+    if measures is None:
+        measures = w11_measures(system, space, cs, samples, seed)
+    product_included = len(measures) > samples
 
     stats = tuple(branch_stats(space, m.probs, branch, delta) for m in measures)
     worst_exp = min(s.expectation for s in stats)

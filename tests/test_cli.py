@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import iqp
+from iqp import credal, typicality
 from iqp.cli import build_parser, main
 from iqp.credal import ConstraintSet
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
@@ -239,6 +240,20 @@ class TestBranch:
         ])
         assert code == 0
         assert (tmp_path / "branch.csv").read_text().count("\n") == 3
+
+    def test_branches_share_one_vertex_sample(self, scenario_file, tmp_path, count_calls):
+        """Both declared branches are checked on one sample of 20 vertices."""
+        sampled = count_calls(typicality, "sample_vertex_measures")
+        solves = count_calls(credal, "_solve")
+        cfg = BUILTIN_SCENARIOS["beam-splitter"]()
+        assert (len(cfg.branches), cfg.samples) == (2, 20)
+        code = main([
+            "branch", "--config", scenario_file("beam-splitter"),
+            "--outdir", str(tmp_path),
+        ])
+        assert code == 0
+        assert (tmp_path / "branch.csv").read_text().count("\n") == 3
+        assert (len(sampled), len(solves)) == (1, 20)
 
     def test_report_times_solve(self, scenario_file, tmp_path):
         report_path = tmp_path / "report.json"

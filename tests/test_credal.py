@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _seed_generation as seed_generation
+from _seed_generation import rows_of
 from conftest import (
     SQRT_HALF,
     frechet_intersection,
@@ -48,16 +50,7 @@ from iqp.credal import (
     verify_witness,
 )
 from iqp.credal import VACUOUS_RHS
-from iqp.events import (
-    And,
-    Atom,
-    Event,
-    Not,
-    TrajectorySpace,
-    parse_event,
-    parse_expr,
-    sset_event,
-)
+from iqp.events import Event, TrajectorySpace, parse_event, sset_event
 from iqp.scenarios import (
     BUILTIN_SCENARIOS,
     build_constraints,
@@ -66,7 +59,7 @@ from iqp.scenarios import (
     parse_config,
     singleton_family,
 )
-from iqp.system import QuantumSystem, Region, SSet, identity_matrix
+from iqp.system import QuantumSystem, Region, SSet, SSetState, identity_matrix
 from iqp.typicality import qtr_predicate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -305,10 +298,17 @@ ABOVE_VACUOUS = float(np.nextafter(VACUOUS_RHS, 1.0))
 class TestVacuousRule:
     """Every generator skips and counts rows with rhs <= VACUOUS_RHS, and only those."""
 
+    @staticmethod
+    def fix_weights(system, monkeypatch, weight):
+        """Every region of ``system`` gets one state of the given weight, so
+        every distance between two of them is 0."""
+        state = SSetState(np.array([math.sqrt(weight), 0.0]), weight)
+        monkeypatch.setattr(system, "region_state", lambda t, mask: state)
+
     @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])
     def test_born_rows(self, hti, monkeypatch, rhs, kept):
         system, space = hti
-        monkeypatch.setattr(system, "weight", lambda s: rhs)
+        self.fix_weights(system, monkeypatch, rhs)
         cs = born_constraints(system, space, [sset(1, [0])])
         # the complement row, 1 - rhs, is always kept
         assert (cs.emitted, cs.skipped) == (1 + kept, 1 - kept)
@@ -317,8 +317,7 @@ class TestVacuousRule:
     @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])
     def test_pair_rows(self, hti, monkeypatch, rhs, kept):
         system, space = hti
-        monkeypatch.setattr(system, "weight", lambda s: rhs)
-        monkeypatch.setattr(system, "sset_distance", lambda s1, s2: 0.0)
+        self.fix_weights(system, monkeypatch, rhs)
         cs = qtr_constraints(system, space, [(sset(1, [0]), sset(2, [0]))])
         assert (cs.emitted, cs.skipped, cs.filtered) == (kept, 1 - kept, 0)
         assert [c.rhs for c in cs.constraints] == [rhs] * kept
@@ -988,79 +987,6 @@ class TestCsvExport:
         assert format_number(-0.0) == "0.000000000"
 
 
-def reference_rows(cfg):
-    """``build_constraints`` of ``cfg`` recomputed with no memo at all.
-
-    Every use of a pullback state or an atom event computes it afresh, from the
-    propagator and the trajectory digits; returns ``(rows, skipped, filtered)``
-    with one ``(bits, rhs, tag, label, origin)`` tuple per emitted row.
-    """
-    system = build_system(cfg)
-    space = TrajectorySpace(cfg.m, cfg.n)
-
-    def pullback(s):
-        u = system.propagator(s.time)
-        return u.conj().T @ (s.region.indicator() * (u @ system.psi0))
-
-    def weight(s):
-        a = pullback(s)
-        return float(np.vdot(a, a).real)
-
-    def distance(s1, s2):
-        diff = pullback(s1) - pullback(s2)
-        return float(np.vdot(diff, diff).real)
-
-    def atom(s):
-        member = np.array([bool(s.region.mask >> x & 1) for x in range(cfg.m)])
-        return member[space.digits(s.time)]
-
-    def evaluate(expr):
-        if isinstance(expr, Atom):
-            return atom(SSet(expr.time, Region.from_labels(expr.labels, cfg.m)))
-        if isinstance(expr, Not):
-            return ~evaluate(expr.child)
-        if isinstance(expr, And):
-            return evaluate(expr.left) & evaluate(expr.right)
-        return evaluate(expr.left) | evaluate(expr.right)
-
-    rows, skipped, filtered = [], 0, 0
-
-    def emit(bits, rhs, tag, label, origin):
-        nonlocal skipped
-        if rhs <= VACUOUS_RHS:
-            skipped += 1
-        else:
-            rows.append((bits, rhs, tag, label, origin))
-
-    pairs = enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
-    for token in cfg.ruleset:
-        if token == "born":
-            for s in singleton_family(system):
-                w = weight(s)
-                for target, rhs in ((s, w), (s.complement(), 1.0 - w)):
-                    emit(atom(target), rhs, token, target.text(), (s,))
-            continue
-        for s1, s2 in pairs:
-            w1, w2 = weight(s1), weight(s2)
-            if s1.time == s2.time or (token != "qtr-min" and abs(w1 - w2) > cfg.tau_norm):
-                filtered += 1
-                continue
-            dist = distance(s1, s2)
-            if token == "qtr-eps" and (w1 <= 0.0 or dist > cfg.epsilon * w1):
-                filtered += 1
-                continue
-            if token == "qtr-min":
-                rhs = min(w1, w2) - dist
-            elif token == "qtr-alpha":
-                rhs = w1 - cfg.alpha * dist
-            else:
-                rhs = w1 - dist
-            emit(atom(s1) & atom(s2), rhs, token, f"({s1.text()} & {s2.text()})", (s1, s2))
-    for expr, bound in cfg.extra_lower_bounds:
-        emit(evaluate(parse_expr(expr, space)), bound, "demand", expr, ())
-    return rows, skipped, filtered
-
-
 RULESETS = ("born", "born+qtr", "born+qtr-min", "born+qtr-eps", "born+qtr-alpha",
             "qtr+qtr-min+qtr-eps+qtr-alpha")
 
@@ -1076,7 +1002,8 @@ def seeded_family(i):
 
 
 class TestGenerationEquivalence:
-    """Memoized states and atoms give the rows a memo-free generator gives, bit for bit."""
+    """Memoized states and atoms give the rows of the memo-free per-sset
+    generators (``_seed_generation``), bit for bit."""
 
     CONFIGS = [builder() for builder in BUILTIN_SCENARIOS.values()] + [
         seeded_family(i) for i in range(24)
@@ -1085,17 +1012,12 @@ class TestGenerationEquivalence:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=list(BUILTIN_SCENARIOS) + [
         f"seeded-{i}" for i in range(24)])
     def test_rows_bit_equal(self, cfg):
-        rows, skipped, filtered = reference_rows(cfg)
+        want = seed_generation.build_constraints(cfg)
         system = build_system(cfg)
         space = TrajectorySpace.for_system(system)
         # the second build finds every state and atom in the memos of the first
         for _ in range(2):
-            cs = build_constraints(cfg, system, space)
-            assert (cs.skipped, cs.filtered) == (skipped, filtered)
-            assert [(c.event.bits.tobytes(), c.rhs.hex(), c.tag, c.label, c.origin)
-                    for c in cs.constraints] == [
-                (bits.tobytes(), float(rhs).hex(), tag, label, origin)
-                for bits, rhs, tag, label, origin in rows]
+            assert rows_of(build_constraints(cfg, system, space)) == rows_of(want)
 
     def test_family_spans_rules_pairs_and_region_sizes(self):
         seeded = self.CONFIGS[len(BUILTIN_SCENARIOS):]

@@ -88,7 +88,7 @@ class TestAtomCache:
     """Each atom event is built once per space and kept on it."""
 
     def test_each_key_built_once(self, count_calls):
-        built = count_calls(TrajectorySpace, "digits")
+        built = count_calls(TrajectorySpace, "atom_bits")
         space = TrajectorySpace(3, 3)
         ssets = [SSet(t, Region(mask, 3)) for t in range(3) for mask in range(8)]
         first = [sset_event(space, s) for s in ssets]
@@ -106,7 +106,7 @@ class TestAtomCache:
                 sset_event(space22, SSet(t, Region(0b1, 2)))
 
     def test_spaces_do_not_share(self, space22, count_calls):
-        built = count_calls(TrajectorySpace, "digits")
+        built = count_calls(TrajectorySpace, "atom_bits")
         twin = TrajectorySpace(2, 2)
         longer = TrajectorySpace(2, 3)
         s = sset(0, [0])
