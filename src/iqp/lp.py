@@ -22,7 +22,7 @@ returns row multipliers ``y`` (the phase-1 duals) satisfying, up to pivot
 tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
-Both forms below solve one standard form (V. Chvatal, *Linear Programming*,
+The solver works on one standard form (V. Chvatal, *Linear Programming*,
 1983, ch. 7-8).  A row with a negative right side is flipped, sense and all.
 The columns are numbered structural first, then one slack (entry 1, a '<='
 row) or surplus (entry -1, a '>=' row) per inequality row in row order, then
@@ -33,37 +33,25 @@ the Farkas duals above.  An artificial left basic at zero is pivoted out on
 the first structural or slack column nonzero in its row, and a row with none
 is redundant and dropped (``dropped_rows``).
 
-The rule runs in one of two forms, and the LP's shape picks it.  An LP with
-at least ``REVISED_RATIO`` structural columns per row takes the revised form
-(G. B. Dantzig and W. Orchard-Hays, "The product form for the inverse in the
-simplex method", 1954; Chvatal, ch. 7): it
-keeps the basis, an explicit inverse of the basis matrix and the basic values
-x_B, and prices ``c - y.A`` straight from the rows with ``y = c_B.B^-1``, so
-a pivot reads the rows once and updates k x k numbers.  Every narrower LP
-keeps the dense tableau, whose pivots update all (k + 1) x (columns + 1)
-cells; with few columns per row that is the cheaper form.  Both forms make
-the same pivots in exact arithmetic.  In floats they can break a near-tie
-differently, so a wide LP may end on another optimal vertex of the same
-value than the tableau would reach.
-
-The forms share everything but their storage and pricing: the solver state
-and the rule (``_Pivoting``), one rank-1 pivot on a table whose last row
-prices and whose last column holds the basic values, phase 1 and the
-phase-2 run.  Each form supplies only its reduced costs, its entering
-column, a row of its tableau, its first state, its trim after dropped rows
-and its phase-2 cost row.  Every entry of the input must be finite.  No sum
-goes through BLAS or LAPACK, whose order varies by build: every sum over
-rows or basis positions is an ``np.einsum("i,ij->j", ...)`` over a
-C-contiguous matrix, which adds its terms in index order, as a scalar loop
-does.
+Every LP, of any shape and also one with no rows, runs the rule on the
+revised form (G. B. Dantzig and W. Orchard-Hays, "The product form for the
+inverse in the simplex method", 1954; Chvatal, ch. 7).  The solver state
+(``_Simplex``) keeps the basis, an explicit inverse of the basis matrix, the
+basic values x_B and the multipliers ``y = c_B.B^-1``, and prices
+``c - y.A`` straight from the rows, so a pivot reads the rows once and
+updates (k + 1) x (k + 1) numbers with one rank-1 step.  The inverse is
+never refactorized.  Every entry of the input must be finite.  No sum goes
+through BLAS or LAPACK, whose order varies by build: every sum over rows or
+basis positions is an ``np.einsum("i,ij->j", ...)`` over a C-contiguous
+matrix, which adds its terms in index order, as a scalar loop does.
 
 Phase 1 depends only on the constraints, so it runs once per constraint set:
-``feasible_start`` returns the basis after phase 1 with its tableau or its
-inverse, and a caller that asks several questions about one set passes that
-start to every ``solve_lp`` call; without one, ``solve_lp`` runs its own
-phase 1.  The solver keeps no state between calls.  The start drops the
-artificial columns and keeps every structural and slack column, all of which
-phase 2 prices, also those that every feasible point holds at zero
+``feasible_start`` returns the basis after phase 1 with its inverse, and a
+caller that asks several questions about one set passes that start to every
+``solve_lp`` call; without one, ``solve_lp`` runs its own phase 1.  The
+solver keeps no state between calls.  The start drops the artificial
+columns and keeps every structural and slack column, all of which phase 2
+prices, also those that every feasible point holds at zero
 (``ConstraintSet.presolved`` removes the ones its forcing rows name before
 the rows reach the solver).  Pricing and the ratio test are numpy passes
 that pick the same entering column and leaving row as a scalar loop with the
@@ -83,11 +71,6 @@ FEASIBILITY_TOL = 1e-9
 # chosen by measurement (the table is in CHANGES.md).  It stays below the
 # smallest pivot budget (1000, ``_budget``), so a cycling LP reaches the fallback.
 STALL_CAP = 500
-# Structural columns per row from which an LP takes the revised form, chosen
-# by measurement (the table is in CHANGES.md): on the benchmark's sets the
-# revised form is 3-14% slower at 32-51 columns per row and 17-57% faster
-# from 64 on.
-REVISED_RATIO = 64
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -106,7 +89,7 @@ class LPResult:
     farkas_duals: np.ndarray | None = None
     phase1_pivots: int = 0  # including pivots that drive artificials out
     phase2_pivots: int = 0
-    degenerate_pivots: int = 0  # both phases; see _Pivoting.degenerate
+    degenerate_pivots: int = 0  # both phases; see _Simplex.degenerate
     dropped_rows: int = 0  # redundant equality rows removed after phase 1
 
 
@@ -114,23 +97,19 @@ class LPResult:
 class FeasibleStart:
     """Outcome of phase 1 for one constraint set; read-only, so shareable.
 
-    Columns are numbered as the module docstring says.  ``basis`` holds the
-    basic column of each kept row.  A tableau start holds in ``tab`` the
-    constraint rows after phase 1 followed by one spare cost row, over the
-    structural and slack columns and the right-hand side (the artificial
-    columns are never read again and are trimmed).  A revised start holds
-    instead ``inverse``, the basis inverse with x_B as a last column;
-    ``rows``, the kept rows in standard form; and ``slacks``, each kept
-    row's slack entry (0 on an '==' row), whose nonzero entries are the
-    slack columns in order.  The forms' fields are ``None`` on the other
-    form and on an infeasible set, which carries ``farkas_duals`` instead.
+    Columns are numbered as the module docstring says.  On a feasible set
+    ``basis`` holds the basic column of each kept row; ``inverse`` the basis
+    inverse with x_B as a last column; ``rows`` the kept rows in standard
+    form; and ``slacks`` each kept row's slack entry (0 on an '==' row),
+    whose nonzero entries are the slack columns in order.  The artificial
+    columns are never read again and are not kept.  An infeasible set
+    carries ``farkas_duals`` instead, and those four fields are ``None``.
     """
 
     n_cols: int  # phase-1 columns; sets the pivot budget
     phase1_pivots: int
     degenerate_pivots: int
     dropped_rows: int
-    tab: np.ndarray | None = None
     basis: tuple[int, ...] | None = None
     farkas_duals: np.ndarray | None = None
     inverse: np.ndarray | None = None
@@ -138,49 +117,85 @@ class FeasibleStart:
     slacks: np.ndarray | None = None
 
 
-class _Pivoting:
-    """The solver state both forms share, its pivot and the rule over it.
+class _Simplex:
+    """The solver state of one solve, its pivot and the rule over it.
 
-    ``table`` holds one row per constraint row and then a pricing row (the
-    reduced costs, or the multipliers of the revised form), with the basic
-    values ``values`` in its last column.  ``basis`` holds each row's basic
-    column, ``pivots`` counts against ``budget`` over both phases,
-    ``degenerate`` counts the ratio-test pivots of step length at most
-    ``PIVOT_TOL``, and ``buf`` is the rank-1 step's scratch.  A form
-    supplies only its pricing: ``costs()`` returns the reduced cost of every
-    priced column; ``column(j)`` sets ``alpha`` to column ``j`` as the pivot
-    sees it, one entry per row of ``table``, and returns its entries over
-    the constraint rows, which the ratio test reads; ``row(i)`` returns row
-    ``i`` of the current tableau over every priced column, which phase 1's
-    drive-out reads.  ``pivot`` steps on the ``alpha`` that ``column`` last
-    set.
+    ``table`` is the tableau cut down to the columns of the first basis, an
+    identity, and the right-hand side, with the multipliers for its cost
+    row: ``table[:k, :k]`` is B^-1, ``table[:k, k]`` the basic values
+    ``values`` (x_B), ``table[k, :k]`` the multipliers ``y = c_B.B^-1`` and
+    ``table[k, k]`` c_B.x_B.  ``basis`` holds each row's basic column,
+    ``pivots`` counts against ``budget`` over both phases, ``degenerate``
+    counts the ratio-test pivots of step length at most ``PIVOT_TOL``, and
+    ``buf`` is the rank-1 step's scratch.  ``rows`` are the standard-form
+    structural rows (C-contiguous), and each priced column past them is a
+    logical column, the unit vector of row ``logical_rows[j]`` times
+    ``logical_signs[j]``; ``cost`` holds every priced column's cost.
+    ``costs()`` returns every priced column's reduced cost ``c - y.A``;
+    ``column(j)`` sets ``alpha`` to B^-1 times column ``j``, with minus its
+    reduced cost as the cost row's factor, and returns its entries over the
+    constraint rows, which the ratio test reads; ``row(i)`` returns row ``i``
+    of B^-1 times every priced column, which phase 1's drive-out reads.
+    ``pivot`` steps on the ``alpha`` that ``column`` last set.
     """
 
     alpha: np.ndarray
 
-    def __init__(self, table: np.ndarray, basis: np.ndarray, values: np.ndarray, pivots: int,
-                 budget: int, buf: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, logical_rows: np.ndarray, logical_signs: np.ndarray,
+                 inverse: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
+                 cost: np.ndarray) -> None:
+        """``inverse`` is B^-1 with x_B as a last column; the cost row is
+        summed from it over the basis positions in order."""
+        k = len(basis)
+        table = np.empty((k + 1, k + 1))
+        table[:k] = inverse
+        table[k] = np.einsum("i,ij->j", cost[basis], inverse)
         self.table = table
+        self.values = table[:k, k]
+        self.y = table[k, :k]
         self.basis = basis
-        self.values = values
         self.pivots = pivots
         self.degenerate = 0
         self.budget = budget
-        self.buf = buf
+        self.buf = np.empty_like(table)
+        self.rows = rows
+        self.logical_rows = logical_rows
+        self.logical_signs = logical_signs
+        self.cost = cost
+        self.reduced = np.empty_like(cost)
+        n_vars = rows.shape[1]
+        self.structural = (cost[:n_vars], self.reduced[:n_vars])  # costs, reduced costs
+        self.logical = (cost[n_vars:], self.reduced[n_vars:])
 
     def costs(self) -> np.ndarray:
-        raise NotImplementedError
+        cost, reduced = self.structural
+        np.einsum("i,ij->j", self.y, self.rows, out=reduced)
+        np.subtract(cost, reduced, out=reduced)
+        cost, reduced = self.logical
+        np.subtract(cost, self.y[self.logical_rows] * self.logical_signs, out=reduced)
+        return self.reduced
 
     def column(self, col: int) -> np.ndarray:
-        raise NotImplementedError
+        n_vars, k = self.rows.shape[1], len(self.basis)
+        if col < n_vars:  # B^-1 a, summed over the rows with the table transposed
+            self.alpha = np.einsum("i,ij->j", self.rows[:, col],
+                                   np.ascontiguousarray(self.table[:, :k].T))
+        else:
+            j = col - n_vars
+            self.alpha = self.table[:, self.logical_rows[j]] * self.logical_signs[j]
+        self.alpha[k] = -self.reduced[col]
+        return self.alpha[:k]
 
     def row(self, i: int) -> np.ndarray:
-        raise NotImplementedError
+        """B^-1[i] times the structural rows, then times each logical column."""
+        inverse_row = self.table[i, :len(self.basis)]
+        return np.concatenate((np.einsum("i,ij->j", inverse_row, self.rows),
+                               inverse_row[self.logical_rows] * self.logical_signs))
 
     def pivot(self, row: int, col: int) -> None:
         """The rank-1 step on ``table`` that makes ``alpha`` the unit vector
-        of ``row``; with ``alpha`` finite, the tableau's entering column comes
-        out exactly 1 at ``row`` (a / a) and +0.0 elsewhere (x - x * 1)."""
+        of ``row``; the cost row moves by the entering column's reduced cost
+        times the pivot row, which keeps y = c_B.B^-1."""
         self.pivots += 1
         if self.pivots > self.budget:
             raise SimplexFailure(f"pivot limit {self.budget} exceeded")
@@ -265,88 +280,6 @@ class _Pivoting:
         return drop
 
 
-class _Tableau(_Pivoting):
-    """Dense-tableau state of one solve: ``table`` holds the constraint rows,
-    then the reduced-cost row."""
-
-    def __init__(self, table: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
-                 buf: np.ndarray) -> None:
-        super().__init__(table, basis, table[:-1, -1], pivots, budget, buf)
-
-    def costs(self) -> np.ndarray:
-        return self.table[-1, :-1]
-
-    def column(self, col: int) -> np.ndarray:
-        self.alpha = self.table[:, col]
-        return self.alpha[:-1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.table[i, :-1]
-
-
-class _Revised(_Pivoting):
-    """Revised-form state of one solve.
-
-    ``table`` is the tableau cut down to the columns of the first basis, an
-    identity, and the right-hand side, with the multipliers for its cost
-    row: ``table[:k, :k]`` is B^-1, ``table[:k, k]`` x_B, ``table[k, :k]``
-    y = c_B.B^-1 and ``table[k, k]`` c_B.x_B.  A pivot is the tableau's
-    rank-1 step on it; the cost row moves by the entering column's reduced
-    cost times the pivot row, which keeps y = c_B.B^-1.  ``rows`` are the
-    standard-form structural rows (C-contiguous), and each priced column
-    past them is a logical column, the unit vector of row
-    ``logical_rows[j]`` times ``logical_signs[j]``; ``cost`` holds every
-    priced column's cost.  ``column`` sets a new ``alpha`` on each call,
-    whose last entry, the cost row's factor, is minus the entering column's
-    reduced cost.
-    """
-
-    def __init__(self, rows: np.ndarray, logical_rows: np.ndarray, logical_signs: np.ndarray,
-                 inverse: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
-                 cost: np.ndarray) -> None:
-        """``inverse`` is B^-1 with x_B as a last column; the cost row is
-        summed from it over the basis positions in order."""
-        k = len(basis)
-        table = np.empty((k + 1, k + 1))
-        table[:k] = inverse
-        table[k] = np.einsum("i,ij->j", cost[basis], inverse)
-        super().__init__(table, basis, table[:k, k], pivots, budget, np.empty_like(table))
-        self.y = table[k, :k]
-        self.rows = rows
-        self.logical_rows = logical_rows
-        self.logical_signs = logical_signs
-        self.cost = cost
-        self.reduced = np.empty_like(cost)
-        n_vars = rows.shape[1]
-        self.structural = (cost[:n_vars], self.reduced[:n_vars])  # costs, reduced costs
-        self.logical = (cost[n_vars:], self.reduced[n_vars:])
-
-    def costs(self) -> np.ndarray:
-        cost, reduced = self.structural
-        np.einsum("i,ij->j", self.y, self.rows, out=reduced)
-        np.subtract(cost, reduced, out=reduced)
-        cost, reduced = self.logical
-        np.subtract(cost, self.y[self.logical_rows] * self.logical_signs, out=reduced)
-        return self.reduced
-
-    def column(self, col: int) -> np.ndarray:
-        n_vars, k = self.rows.shape[1], len(self.basis)
-        if col < n_vars:  # B^-1 a, summed over the rows with the table transposed
-            self.alpha = np.einsum("i,ij->j", self.rows[:, col],
-                                   np.ascontiguousarray(self.table[:, :k].T))
-        else:
-            j = col - n_vars
-            self.alpha = self.table[:, self.logical_rows[j]] * self.logical_signs[j]
-        self.alpha[k] = -self.reduced[col]
-        return self.alpha[:k]
-
-    def row(self, i: int) -> np.ndarray:
-        """B^-1[i] times the structural rows, then times each logical column."""
-        inverse_row = self.table[i, :len(self.basis)]
-        return np.concatenate((np.einsum("i,ij->j", inverse_row, self.rows),
-                               inverse_row[self.logical_rows] * self.logical_signs))
-
-
 def _budget(n_rows: int, n_cols: int) -> int:
     """Pivots allowed to one solve, both phases together."""
     return 1000 + 50 * (n_rows + n_cols)
@@ -384,47 +317,20 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     first[slack_rows] = np.arange(n_vars, first_art)
     first[art_rows] = np.arange(first_art, n_cols)  # over a '>=' row's surplus
     budget = _budget(n_rows, n_cols)
-
-    revised = n_rows > 0 and n_vars >= REVISED_RATIO * n_rows
-    if revised:
-        cost = np.zeros(n_cols)
-        cost[first_art:] = 1.0
-        state = _Revised(rows, np.concatenate((slack_rows, art_rows)),
-                         np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
-                         np.hstack((np.eye(n_rows), b[:, None])), first.copy(), 0, budget, cost)
-    else:  # the constraint rows, then the phase-1 reduced-cost row
-        tab = np.zeros((n_rows + 1, n_cols + 1))
-        tab[:n_rows, :n_vars] = rows
-        tab[slack_rows, np.arange(n_vars, first_art)] = slacks[slack_rows]
-        tab[art_rows, np.arange(first_art, n_cols)] = 1.0
-        tab[:n_rows, -1] = b
-        tab[-1, first_art:-1] = 1.0
-        for i in art_rows.tolist():
-            tab[-1] -= tab[i]
-        state = _Tableau(tab, first.copy(), 0, budget, np.empty_like(tab))
+    cost = np.zeros(n_cols)
+    cost[first_art:] = 1.0
+    state = _Simplex(rows, np.concatenate((slack_rows, art_rows)),
+                     np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
+                     np.hstack((np.eye(n_rows), b[:, None])), first, 0, budget, cost)
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
-
-    if (state.table[-1, -1] if revised else -state.table[-1, -1]) > FEASIBILITY_TOL:
-        # the multipliers y; the tableau's cost row holds c - y.A, so there y
-        # is 1 - z on a first-basis artificial and -z on a slack
-        if revised:
-            duals = state.y
-        else:
-            z = state.table[-1, first]
-            duals = np.where(first >= first_art, 1.0 - z, -z)
+    if state.table[-1, -1] > FEASIBILITY_TOL:  # the multipliers y are the Farkas duals
         return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                              degenerate_pivots=state.degenerate, dropped_rows=0,
-                             farkas_duals=sign * duals)
+                             farkas_duals=sign * state.y)
 
     drop = state.drive_out(first_art)
     kept = [i for i in range(n_rows) if i not in drop]
-    counters = dict(n_cols=n_cols, phase1_pivots=state.pivots, degenerate_pivots=state.degenerate,
-                    dropped_rows=len(drop), basis=tuple(state.basis[kept].tolist()))
-    if not revised:
-        # no artificial is basic now, so its column is never read again
-        tab = state.table[kept + [n_rows]] if drop else state.table
-        return FeasibleStart(tab=np.hstack((tab[:, :first_art], tab[:, -1:])), **counters)
     inverse = state.table[:n_rows].copy()
     if drop:
         # a dropped position's basic column is its artificial, the unit vector
@@ -435,20 +341,23 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
         kept_rows = [r for r in range(n_rows) if r not in gone]
         inverse = inverse[np.ix_(kept, kept_rows + [n_rows])]
         rows, slacks = rows[kept_rows], slacks[kept_rows]
-    return FeasibleStart(inverse=inverse, rows=rows.view(), slacks=slacks, **counters)
+    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+                         degenerate_pivots=state.degenerate, dropped_rows=len(drop),
+                         basis=tuple(state.basis[kept].tolist()), inverse=inverse,
+                         rows=rows.view(), slacks=slacks)
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     """Phase 1 of the rows, as a start for any number of ``solve_lp`` calls.
 
     The start is read-only: every solve from it that must pivot works on its
-    own copy, so threads may share one start.  A revised start refers to
-    ``rows`` through a read-only view unless a flip or a dropped row made it
-    copy them.
+    own copy, so threads may share one start.  The start refers to ``rows``
+    through a read-only view unless a flip or a dropped row made it copy
+    them.
     """
     start = _phase1(np.ascontiguousarray(_as_rows(rows)),
                     np.ascontiguousarray(rhs, dtype=float), senses)
-    for arr in (start.tab, start.farkas_duals, start.inverse, start.rows, start.slacks):
+    for arr in (start.farkas_duals, start.inverse, start.rows, start.slacks):
         if arr is not None:
             arr.flags.writeable = False
     return start
@@ -466,9 +375,9 @@ def solve_lp(
     """Optimize ``objective`` over the rows, from their ``feasible_start``.
 
     ``start`` must be ``feasible_start`` of these rows, right-hand sides and
-    senses; without it the phase 1 runs here.  A tableau start is copied
-    only when the objective needs a pivot.  The pivot budget (``_budget``)
-    counts the start's phase-1 pivots as well.
+    senses; without it the phase 1 runs here.  The solve pivots on its own
+    copy of the start's inverse.  The pivot budget (``_budget``) counts the
+    start's phase-1 pivots as well.
     """
     c_orig = np.asarray(objective, dtype=float)
     a = _as_rows(rows)
@@ -487,40 +396,22 @@ def solve_lp(
     budget = _budget(len(senses), start.n_cols)
 
     basis = np.array(start.basis, dtype=int)
-    state: _Pivoting | None = None
-    if start.inverse is not None:  # the revised form
-        slack_rows = np.flatnonzero(start.slacks)
-        cost = np.zeros(n_vars + len(slack_rows))
-        cost[:n_vars] = c
-        state = _Revised(start.rows, slack_rows, start.slacks[slack_rows], start.inverse,
-                         basis, start.phase1_pivots, budget, cost)
-    else:
-        # phase-2 reduced costs c - c_B.T, with the basic columns exactly zero
-        tab = start.tab
-        cost = np.zeros(tab.shape[1])
-        cost[:n_vars] = c
-        for i, j in enumerate(start.basis):
-            if j < n_vars and c[j] != 0.0:
-                cost -= c[j] * tab[i]
-        cost[basis] = 0.0
-        values = tab[:-1, -1]
-        if (cost[:-1] < -PIVOT_TOL).any():
-            tab = tab.copy()
-            tab[-1] = cost
-            state = _Tableau(tab, basis, start.phase1_pivots, budget, np.empty_like(tab))
-    if state is not None:
-        status = state.run_phase()
-        counters["phase2_pivots"] = state.pivots - start.phase1_pivots
-        counters["degenerate_pivots"] += state.degenerate
-        if status == UNBOUNDED:
-            return LPResult(status=UNBOUNDED, **counters)
-        values = state.values
+    slack_rows = np.flatnonzero(start.slacks)
+    cost = np.zeros(n_vars + len(slack_rows))
+    cost[:n_vars] = c
+    state = _Simplex(start.rows, slack_rows, start.slacks[slack_rows], start.inverse, basis,
+                     start.phase1_pivots, budget, cost)
+    status = state.run_phase()
+    counters["phase2_pivots"] = state.pivots - start.phase1_pivots
+    counters["degenerate_pivots"] += state.degenerate
+    if status == UNBOUNDED:
+        return LPResult(status=UNBOUNDED, **counters)
 
     # c.x over the basic structural columns, in row order: every other entry
     # of x is zero, and a dot product over all of them is a BLAS call that
     # may spread over threads and cost milliseconds
     structural = basis < n_vars
-    columns, values = basis[structural], values[structural]
+    columns, values = basis[structural], state.values[structural]
     solution = np.zeros(n_vars)
     solution[columns] = values
     value = 0.0

@@ -10,7 +10,7 @@ norm is the region's weight at time ``t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,19 +111,17 @@ class SSet:
 
 @dataclass(frozen=True)
 class SSetState:
-    """Pullback state of a single-time region constraint and its weight."""
+    """Pullback state of a single-time region constraint and its weight, the
+    squared norm of the amplitudes, computed here once."""
 
     amplitudes: np.ndarray
-    weight: float
+    weight: float = field(init=False)
 
     def __post_init__(self) -> None:
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(norm_sq - self.weight) > 1e-12:
-            raise ValueError(
-                f"weight {self.weight!r} does not match squared norm {norm_sq!r}"
-            )
-        if not -1e-12 <= self.weight <= 1.0 + 1e-9:
-            raise ValueError(f"weight {self.weight!r} outside [0, 1]")
+        weight = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not -1e-12 <= weight <= 1.0 + 1e-9:
+            raise ValueError(f"weight {weight!r} outside [0, 1]")
+        object.__setattr__(self, "weight", weight)
 
     def distance(self, other: "SSetState") -> float:
         """Squared norm of the difference of the two pullback states."""
@@ -243,9 +241,8 @@ class QuantumSystem:
             if not 0 <= mask < 1 << self.m:
                 raise ValueError(f"bitmask {mask:#x} out of range for m={self.m}")
             amplitudes = self._adjoints[t] @ (_indicator(mask, self.m) * self._evolved[t])
-            weight = float(np.vdot(amplitudes, amplitudes).real)
             amplitudes.setflags(write=False)
-            state = self._states[t, mask] = SSetState(amplitudes, weight)
+            state = self._states[t, mask] = SSetState(amplitudes)
         return state
 
     def sset_state(self, s: SSet) -> SSetState:

@@ -3,6 +3,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ from iqp.scenarios import (
     parse_config,
     singleton_family,
 )
-from iqp.system import QuantumSystem, Region, SSet, SSetState, identity_matrix
+from iqp.system import QuantumSystem, Region, SSet, identity_matrix
 from iqp.typicality import qtr_predicate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,8 +302,10 @@ class TestVacuousRule:
     @staticmethod
     def fix_weights(system, monkeypatch, weight):
         """Every region of ``system`` gets one state of the given weight, so
-        every distance between two of them is 0."""
-        state = SSetState(np.array([math.sqrt(weight), 0.0]), weight)
+        every distance between two of them is 0.  It stands in for an
+        ``SSetState``, whose weight is its amplitudes' squared norm and so
+        cannot be every float."""
+        state = SimpleNamespace(weight=weight, distance=lambda other: 0.0)
         monkeypatch.setattr(system, "region_state", lambda t, mask: state)
 
     @pytest.mark.parametrize("rhs, kept", [(VACUOUS_RHS, False), (ABOVE_VACUOUS, True)])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -9,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from _seed_simplex import leaving_row
-from _seed_simplex import solve_lp as seed_solve_lp
-from _seed_simplex import solve_lp_revised
+from _seed_simplex import leaving_row, solve_lp_revised
 from conftest import realize, seeded_config
 from iqp import credal, lp
 from iqp.credal import (
@@ -34,7 +33,7 @@ from iqp.scenarios import BUILTIN_SCENARIOS, parse_config
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
-from perfbench.workloads import LADDER, Rung, make_config  # noqa: E402
+from perfbench.workloads import LADDER, VERDICTS, Rung, make_config  # noqa: E402
 
 
 def scipy_reference(c, rows, rhs, senses, maximize=False):
@@ -79,8 +78,13 @@ def assert_matches_seed(objectives, rows, rhs, senses):
     start = feasible_start(rows, rhs, senses)
     for c in objectives:
         for maximize in (False, True):
-            old = seed_solve_lp(c, rows, rhs, senses, maximize=maximize)
+            old = solve_lp_revised(c, rows, rhs, senses, maximize=maximize)
             assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
+
+
+# structural columns per row of the wide test LPs; a random chain's presolved
+# set has 16 rows over 2,048 trajectories
+WIDE = 64
 
 
 class TestKnownCases:
@@ -160,11 +164,11 @@ class TestValidation:
 
 
 def small_lp(wide):
-    """A feasible 2-row LP, or the same LP padded with zero columns to the
-    revised form's ratio."""
+    """A feasible 2-row LP, or the same LP padded with zero columns to
+    ``WIDE`` columns per row."""
     rows = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
     if wide:
-        rows = np.hstack([rows, np.zeros((2, 2 * lp.REVISED_RATIO - 3))])
+        rows = np.hstack([rows, np.zeros((2, 2 * WIDE - 3))])
     c = np.zeros(rows.shape[1])
     c[:3] = [1.0, 2.0, 3.0]
     return c, rows, np.array([1.0, 0.5]), ["==", ">="]
@@ -172,12 +176,12 @@ def small_lp(wide):
 
 class TestNonFiniteInput:
     """A NaN or an infinity in the rows, the right sides or the objective is
-    refused with a ValueError on both forms, before any pivot."""
+    refused with a ValueError on a narrow and a wide LP, before any pivot."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
     def test_finite_lp_solves(self, wide):
         c, rows, rhs, senses = small_lp(wide)
-        assert (feasible_start(rows, rhs, senses).tab is None) == wide
+        assert feasible_start(rows, rhs, senses).inverse.shape == (2, 3)
         assert solve_lp(c, rows, rhs, senses).objective == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
@@ -353,11 +357,19 @@ class TestRatioTest:
 
     @staticmethod
     def leaving(rhs, col, basis):
-        """The first pivot row of ``run_phase`` with column 0 entering, or UNBOUNDED."""
+        """The first pivot row of ``run_phase`` with ``col`` entering, or UNBOUNDED.
+
+        The state has no structural column and one logical column, the unit
+        vector of row 0 at cost -1.  With the multipliers set to zero and
+        ``col`` written into B^-1's column 0, that column prices at -1 and
+        enters as ``col``; ``rhs`` is written into x_B and ``basis`` into the
+        basis."""
         n = len(rhs)
-        tab = np.zeros((n + 1, 2))
-        tab[:n, 0], tab[:n, 1], tab[n, 0] = col, rhs, -1.0
-        state = lp._Tableau(tab, np.array(basis), 0, 10, np.empty_like(tab))
+        inverse = np.hstack([np.eye(n), np.zeros((n, 1))])
+        state = lp._Simplex(np.zeros((n, 0)), np.array([0]), np.array([1.0]), inverse,
+                            np.zeros(n, dtype=int), 0, 10, np.array([-1.0]))
+        state.table[:n, 0], state.table[:n, n], state.table[n] = col, rhs, 0.0
+        state.basis[:] = basis
         rows = []
 
         def pivot(row, col):
@@ -436,13 +448,15 @@ class TestStartReuse:
 
     def test_start_not_mutated(self):
         start = self.start()
-        tab, basis = start.tab.tobytes(), start.basis
+        arrays = (start.inverse, start.rows, start.slacks)
+        assert not any(arr.flags.writeable for arr in arrays)
+        saved, basis = [arr.tobytes() for arr in arrays], start.basis
         c = np.array([0.3, -1.0, 0.5, 2.0])
         first = self.solve(c, start=start)
         second = self.solve(c, start=start)
         assert first.phase2_pivots > 0
         assert_identical(first, second)
-        assert start.tab.tobytes() == tab and start.basis == basis
+        assert [arr.tobytes() for arr in arrays] == saved and start.basis == basis
 
     def test_infeasible_start(self):
         rows, rhs = self.ROWS[:3], np.array([1.0, 0.8, 0.8])
@@ -518,10 +532,13 @@ class TestStartMemo:
     SENSES = TestStartReuse.SENSES
 
     def test_artificial_columns_trimmed(self):
-        # 4 variables, 3 surplus/slack and 3 artificial columns, then the rhs
+        # 4 variables, 3 surplus/slack and 3 artificial columns; the start
+        # keeps the 4 rows over the 4 variables, the 3 slack entries and the
+        # 4 x 4 inverse with x_B beside it, and no basic artificial
         start = feasible_start(self.ROWS, self.RHS, self.SENSES)
         assert start.n_cols == 10
-        assert start.tab.shape == (len(self.SENSES) + 1, 7 + 1)
+        assert start.rows.shape == (4, 4) and np.count_nonzero(start.slacks) == 3
+        assert start.inverse.shape == (len(self.SENSES), len(self.SENSES) + 1)
         assert max(start.basis) < 7
 
     def test_memoized_infeasible_farkas_independent(self, phase1_calls):
@@ -567,19 +584,28 @@ class TestFixedColumns:
         return space, merge_constraint_sets([cs, tight])
 
     @pytest.mark.parametrize("name, fixes", [("DFT", True), ("CHAIN", False)])
-    def test_start_owns_only_its_tableau(self, name, fixes):
-        """A start keeps every structural and slack column, and no larger buffer alive."""
+    def test_start_owns_only_its_inverse(self, name, fixes):
+        """A start keeps every structural and slack column, and no larger
+        buffer alive than its k x (k + 1) inverse, beside rows that are
+        either the caller's or its own."""
         space, cs = self.realize(name)
         pre = cs.presolved()
         rows, rhs, senses = pre[:3]
         assert (pre.live.size < space.size) == fixes  # the forcing rows fixed columns
         start = feasible_start(rows, rhs, senses)
-        slacks = sum(sense != "==" for sense in senses)
-        assert start.tab.shape[1] == rows.shape[1] + slacks + 1
-        owner = start.tab
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        assert owner.nbytes == start.tab.nbytes
+        k = len(start.basis)
+        assert start.rows.shape == (k, rows.shape[1])
+        assert np.count_nonzero(start.slacks) == sum(sense != "==" for sense in senses)
+        assert start.inverse.shape == (k, k + 1)
+
+        def owner(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        assert owner(start.inverse).nbytes == start.inverse.nbytes
+        assert (owner(start.rows) is owner(rows)
+                or owner(start.rows).nbytes == start.rows.nbytes)
 
     def test_sound_against_highs(self):
         space, cs = self.realize("DFT")
@@ -637,18 +663,6 @@ def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
         assert_agrees_with_highs(rows, rhs, senses, on_live)
 
 
-def assert_matches_revised(objectives, rows, rhs, senses):
-    """Every objective, minimized and maximized from one start, against the
-    revised-form oracle; the LP is wide enough for the revised form."""
-    assert rows.shape[1] >= lp.REVISED_RATIO * rows.shape[0]
-    start = feasible_start(rows, rhs, senses)
-    assert start.tab is None
-    for c in objectives:
-        for maximize in (False, True):
-            old = solve_lp_revised(c, rows, rhs, senses, maximize=maximize)
-            assert_identical(solve_lp(c, rows, rhs, senses, maximize=maximize, start=start), old)
-
-
 def assert_status_like_highs(objectives, rows, rhs, senses):
     """Statuses, and objectives within 1e-9, as HiGHS reports them."""
     for c in objectives:
@@ -662,9 +676,9 @@ def assert_status_like_highs(objectives, rows, rhs, senses):
 
 
 def wide_polytope(rng, k, extra=0):
-    """Normalization and k - 1 random 0/1 '>=' rows over REVISED_RATIO * k + extra
+    """Normalization and k - 1 random 0/1 '>=' rows over WIDE * k + extra
     columns, each met with room by one random probability vector."""
-    n = lp.REVISED_RATIO * k + extra
+    n = WIDE * k + extra
     p = rng.dirichlet(np.ones(n))
     rows = np.vstack([np.ones(n), (rng.random((k - 1, n)) < rng.uniform(0.2, 0.6)).astype(float)])
     rhs = np.concatenate([[1.0], rows[1:] @ p * rng.uniform(0.5, 1.0, k - 1)])
@@ -676,16 +690,16 @@ def wide_objectives(rng, n):
 
 
 class TestRevisedForm:
-    """LPs with at least REVISED_RATIO columns per row take the revised form,
-    which must make the revised-form oracle's pivots bit for bit and agree
-    with HiGHS."""
+    """Wide LPs, with ``WIDE`` or more columns per row, as the random chains'
+    presolved sets have: the solver must make the oracle's pivots bit for
+    bit and agree with HiGHS."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasible(self, seed):
         rng = np.random.default_rng(300 + seed)
         rows, rhs, senses = wide_polytope(rng, int(rng.integers(1, 13)), int(rng.integers(0, 50)))
         objectives = wide_objectives(rng, rows.shape[1])
-        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_matches_seed(objectives, rows, rhs, senses)
         assert_status_like_highs(objectives, rows, rhs, senses)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -701,11 +715,11 @@ class TestRevisedForm:
         rows = np.vstack([rows, -np.ones(rows.shape[1])])
         rhs = np.append(rhs, -0.5)
         senses = senses + ["<="]
-        rows = np.hstack([rows, np.zeros((rows.shape[0], lp.REVISED_RATIO * 2))])
+        rows = np.hstack([rows, np.zeros((rows.shape[0], WIDE * 2))])
         start = feasible_start(rows, rhs, senses)
         assert start.farkas_duals is not None
         objectives = wide_objectives(rng, rows.shape[1])
-        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_matches_seed(objectives, rows, rhs, senses)
         assert_status_like_highs(objectives, rows, rhs, senses)
         y = start.farkas_duals
         assert y @ rhs > 1e-10 and np.all(y @ rows <= 1e-9)
@@ -723,13 +737,13 @@ class TestRevisedForm:
         rows = np.vstack([pin, rows[:1], np.tile(pin, (copies, 1)), rows[1:]])
         rhs = np.concatenate([[pin @ p], rhs[:1], np.full(copies, pin @ p), rhs[1:]])
         senses = ["==", "=="] + ["=="] * copies + senses[1:]
-        rows = np.hstack([rows, np.zeros((rows.shape[0], lp.REVISED_RATIO * (copies + 1)))])
+        rows = np.hstack([rows, np.zeros((rows.shape[0], WIDE * (copies + 1)))])
         start = feasible_start(rows, rhs, senses)
         if start.farkas_duals is None:  # pin @ p rounds alike on every copy
             assert start.dropped_rows == copies
             assert start.inverse.shape == (len(senses) - copies, len(senses) - copies + 1)
         objectives = wide_objectives(rng, rows.shape[1])
-        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_matches_seed(objectives, rows, rhs, senses)
         assert_status_like_highs(objectives, rows, rhs, senses)
 
     @pytest.mark.parametrize("seed", [878, 1363, 1387, 1422, 1516, 1966])
@@ -747,23 +761,23 @@ class TestRevisedForm:
         senses += ["=="] * len(dependent)
         order = rng.permutation(len(senses))
         rows, rhs, senses = rows[order], rhs[order], [senses[i] for i in order]
-        rows = np.hstack([rows, np.zeros((len(senses), lp.REVISED_RATIO * len(senses)))])
+        rows = np.hstack([rows, np.zeros((len(senses), WIDE * len(senses)))])
         assert feasible_start(rows, rhs, senses).dropped_rows > 0
         objectives = wide_objectives(rng, rows.shape[1])
-        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_matches_seed(objectives, rows, rhs, senses)
         assert_status_like_highs(objectives, rows, rhs, senses)
 
     def test_redundant_rows_dropped_once(self, phase1_calls):
-        rows = np.hstack([np.array([[1.0, 1.0], [2.0, 2.0]]), np.zeros((2, 2 * lp.REVISED_RATIO))])
+        rows = np.hstack([np.array([[1.0, 1.0], [2.0, 2.0]]), np.zeros((2, 2 * WIDE))])
         rhs = np.array([1.0, 2.0])
         start = feasible_start(rows, rhs, ["==", "=="])
-        assert start.dropped_rows == 1 and start.tab is None
+        assert start.dropped_rows == 1 and start.inverse.shape == (1, 2)
         c = np.zeros(rows.shape[1])
         c[0] = 1.0
         low = solve_lp(c, rows, rhs, ["==", "=="], start=start)
         high = solve_lp(c, rows, rhs, ["==", "=="], maximize=True, start=start)
         assert (low.objective, high.objective) == (0.0, 1.0)
-        assert_matches_revised([c], rows, rhs, ["==", "=="])
+        assert_matches_seed([c], rows, rhs, ["==", "=="])
 
     @pytest.mark.parametrize("cap", [lp.STALL_CAP, 2])
     def test_degenerate_fallback(self, monkeypatch, cap):
@@ -772,20 +786,20 @@ class TestRevisedForm:
         rng = np.random.default_rng(6)
         degenerate = 0
         for i in range(12):
-            rows = rng.integers(-2, 3, size=(4, 4 * lp.REVISED_RATIO)).astype(float)
+            rows = rng.integers(-2, 3, size=(4, 4 * WIDE)).astype(float)
             rhs = np.where(rng.random(4) < 0.6, 0.0, 1.0)
             senses = [["==", ">=", "<="][int(rng.integers(3))] for _ in range(4)]
             if i % 2:  # bounded by sum(x) <= 2, so that phase 2 ends optimal
                 rows[0], rhs[0], senses[0] = 1.0, 2.0, "<="
             objectives = [rng.standard_normal(rows.shape[1])]
-            assert_matches_revised(objectives, rows, rhs, senses)
+            assert_matches_seed(objectives, rows, rhs, senses)
             assert_status_like_highs(objectives, rows, rhs, senses)
             degenerate += solve_lp(objectives[0], rows, rhs, senses).degenerate_pivots
         assert degenerate > 2 * 12
 
     def test_beale_cycles_without_fallback(self, monkeypatch):
         """Beale's LP padded with zero columns: pure Dantzig cycles, the fallback ends it."""
-        pad = np.zeros((3, 3 * lp.REVISED_RATIO))
+        pad = np.zeros((3, 3 * WIDE))
         rows = np.hstack([TestAntiCycling.ROWS, pad])
         c = np.concatenate([TestAntiCycling.C, np.zeros(pad.shape[1])])
         monkeypatch.setattr(lp, "STALL_CAP", 10**9)
@@ -794,7 +808,7 @@ class TestRevisedForm:
         monkeypatch.setattr(lp, "STALL_CAP", 2)
         res = solve_lp(c, rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
         assert res.status == OPTIMAL and res.objective == pytest.approx(-1.25, abs=1e-12)
-        assert_matches_revised([c], rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
+        assert_matches_seed([c], rows, TestAntiCycling.RHS, TestAntiCycling.SENSES)
 
     @pytest.mark.parametrize("rung", [2, 4])
     def test_ladder_rung(self, rung):
@@ -803,42 +817,57 @@ class TestRevisedForm:
         space, cs = realize(cfg)
         pre = cs.presolved()
         rows, rhs, senses = pre[:3]
-        assert rows.shape[1] >= lp.REVISED_RATIO * rows.shape[0]
+        assert rows.shape[1] >= WIDE * rows.shape[0]  # a wide LP
         rng = np.random.default_rng(rung)
         objectives = [(rng.random(space.size) < 0.3).astype(float)[pre.live],
                       rng.standard_normal(rows.shape[1])]
         objectives += [parse_event(e, space).bits[pre.live].astype(float) for e in cfg.events]
-        assert_matches_revised(objectives, rows, rhs, senses)
+        assert_matches_seed(objectives, rows, rhs, senses)
         assert_agrees_with_highs(rows, rhs, senses, objectives)
+
+    @staticmethod
+    def padded(rows, n):
+        return np.hstack([rows, np.zeros((rows.shape[0], n - rows.shape[1]))])
+
+    @staticmethod
+    def assert_same_pivots(narrow, wide):
+        """One solve of an LP and one of it padded with zero columns: the
+        same pivots, so the same answers bit for bit, with x zero on the pad."""
+        if narrow.x is not None:
+            n = len(narrow.x)
+            assert not wide.x[n:].any()
+            wide = dataclasses.replace(wide, x=wide.x[:n])
+        assert_identical(wide, narrow)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_boundary(self, seed):
-        """One LP padded with zero columns to just below and just at the ratio
-        solves on each form, with equal statuses and objectives within 1e-12."""
+        """A narrow LP of 40 columns, and the same LP padded with zero columns
+        to ``WIDE`` columns per row, which never price negative and so never
+        enter: bit-identical answers and pivot counts."""
         rng = np.random.default_rng(330 + seed)
         k = 3 + seed
-        rows, rhs, senses = wide_polytope(rng, k, -lp.REVISED_RATIO * k + 40)
+        rows, rhs, senses = wide_polytope(rng, k, -WIDE * k + 40)
         results = []
-        for n in (lp.REVISED_RATIO * k - 1, lp.REVISED_RATIO * k):
-            padded = np.hstack([rows, np.zeros((k, n - rows.shape[1]))])
+        for n in (rows.shape[1], WIDE * k):
+            padded = self.padded(rows, n)
             start = feasible_start(padded, rhs, senses)
-            assert (start.tab is None) == (n == lp.REVISED_RATIO * k)
             objectives = [np.concatenate([c, np.zeros(n - rows.shape[1])])
                           for c in wide_objectives(np.random.default_rng(seed), rows.shape[1])]
             results.append([solve_lp(c, padded, rhs, senses, maximize=mx, start=start)
                             for c in objectives for mx in (False, True)])
         for narrow, wide in zip(*results):
-            assert narrow.status == wide.status == OPTIMAL
-            assert wide.objective == pytest.approx(narrow.objective, abs=1e-12)
+            assert narrow.status == OPTIMAL
+            self.assert_same_pivots(narrow, wide)
 
     @pytest.mark.parametrize("kind", ["infeasible", "redundant"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_boundary_infeasible_and_redundant(self, kind, seed, count_calls):
-        """An infeasible LP and one with a repeated '==' row, padded to just
-        below and just at the ratio: both forms report the same status and
-        dropped rows, and Farkas duals that certify the padded rows."""
+    def test_boundary_infeasible_and_redundant(self, kind, seed):
+        """An infeasible LP of 40 columns and one with a repeated '==' row,
+        and each padded with zero columns to ``WIDE`` columns per row: both
+        widths give the same answers bit for bit, dropped rows and Farkas
+        duals included, and the duals certify the padded rows."""
         rng = np.random.default_rng(350 + seed)
-        rows, rhs, senses = wide_polytope(rng, 3 + seed, -lp.REVISED_RATIO * (3 + seed) + 40)
+        rows, rhs, senses = wide_polytope(rng, 3 + seed, -WIDE * (3 + seed) + 40)
         if kind == "infeasible":  # the event's complement past what the event leaves
             rows = np.vstack([rows, 1.0 - rows[-1]])
             rhs = np.append(rhs, 1.0 - rhs[-1] + 0.01)
@@ -847,13 +876,10 @@ class TestRevisedForm:
             rhs = np.append(rhs, rhs[0])
         senses = senses + [">=" if kind == "infeasible" else "=="]
         k = len(senses)
-        revised = count_calls(lp._Revised, "__init__")
         results = []
-        for n in (lp.REVISED_RATIO * k - 1, lp.REVISED_RATIO * k):
-            padded = np.hstack([rows, np.zeros((k, n - rows.shape[1]))])
-            start = feasible_start(padded, rhs, senses)
-            assert len(revised) == (n == lp.REVISED_RATIO * k)  # an infeasible start has no form
-            res = solve_lp(np.zeros(n), padded, rhs, senses, start=start)
+        for n in (rows.shape[1], WIDE * k):
+            padded = self.padded(rows, n)
+            res = solve_lp(np.zeros(n), padded, rhs, senses)
             if kind == "infeasible":
                 y = res.farkas_duals
                 assert res.status == INFEASIBLE
@@ -861,8 +887,7 @@ class TestRevisedForm:
             else:
                 assert res.status == OPTIMAL and res.dropped_rows == 1
             results.append(res)
-        narrow, wide = results
-        assert (narrow.status, narrow.dropped_rows) == (wide.status, wide.dropped_rows)
+        self.assert_same_pivots(*results)
 
     def test_start_read_only_and_shared(self):
         rng = np.random.default_rng(340)
@@ -902,16 +927,15 @@ class TestRevisedForm:
 
 
 class TestSharedPivot:
-    """Checks after every pivot of whole solves: the tableau's entering
-    column is exactly the unit vector of the pivot row, bit for bit, which
-    is why the pivot writes no unit column; the revised form's multipliers
-    stay y = c_B.B^-1."""
+    """Checks after every pivot of whole solves: the entering column, priced
+    again from the updated inverse, is the unit vector of the pivot row at
+    reduced cost zero, and the multipliers stay y = c_B.B^-1."""
 
     @staticmethod
-    def check_pivots(monkeypatch, form, check):
-        """Wrap ``form``'s pivot to run ``check(state, row, col)`` after each
-        one; returns the list of checked pivots."""
-        pivot = form.pivot
+    def check_pivots(monkeypatch, check):
+        """Wrap the solver's pivot to run ``check(state, row, col)`` after
+        each one; returns the list of checked pivots."""
+        pivot = lp._Simplex.pivot
         checked = []
 
         def wrapped(state, row, col):
@@ -919,17 +943,18 @@ class TestSharedPivot:
             check(state, row, col)
             checked.append((row, col))
 
-        monkeypatch.setattr(form, "pivot", wrapped)
+        monkeypatch.setattr(lp._Simplex, "pivot", wrapped)
         return checked
 
-    def test_tableau_entering_column_is_unit(self, monkeypatch):
+    def test_entering_column_becomes_unit(self, monkeypatch):
         def check(state, row, col):
-            entering = np.append(state.column(col), state.costs()[col])  # cost row last
-            unit = np.zeros(len(entering))
+            reduced = state.costs()[col]  # read by column(col), so first
+            unit = np.zeros(len(state.basis))
             unit[row] = 1.0
-            assert entering.tobytes() == unit.tobytes()
+            np.testing.assert_allclose(state.column(col), unit, rtol=0, atol=1e-12)
+            assert abs(reduced) <= 1e-12
 
-        checked = self.check_pivots(monkeypatch, lp._Tableau, check)
+        checked = self.check_pivots(monkeypatch, check)
         rng = np.random.default_rng(360)
         for _ in range(60):
             k, n = int(rng.integers(1, 7)), int(rng.integers(2, 12))
@@ -950,7 +975,7 @@ class TestSharedPivot:
             y = np.einsum("i,ij->j", state.cost[state.basis], state.table[:k, :k])
             np.testing.assert_allclose(state.y, y, rtol=0, atol=1e-12)
 
-        checked = self.check_pivots(monkeypatch, lp._Revised, check)
+        checked = self.check_pivots(monkeypatch, check)
         rng = np.random.default_rng(361)
         for seed in range(12):
             k = 2 + seed % 5
@@ -960,11 +985,102 @@ class TestSharedPivot:
             elif seed % 3 == 2:  # a '<=' row, whose slack starts basic
                 rows = np.vstack([rows, (rng.random(rows.shape[1]) < 0.5).astype(float)])
                 rhs, senses = np.append(rhs, 0.7), senses + ["<="]
-                rows = np.hstack([rows, np.zeros((len(rhs), lp.REVISED_RATIO))])
+                rows = np.hstack([rows, np.zeros((len(rhs), WIDE))])
             for c in wide_objectives(rng, rows.shape[1]):
                 for maximize in (False, True):
                     solve_lp(c, rows, rhs, senses, maximize=maximize)
         assert len(checked) > 200
+
+
+class TestZeroRows:
+    """An LP with no rows: x = 0 is its one basic solution, optimal when no
+    cost is negative, and a negative cost is an unbounded ray."""
+
+    N = 4
+
+    def empty(self):
+        return np.zeros((0, self.N)), np.zeros(0), []
+
+    def test_start(self):
+        start = feasible_start(*self.empty())
+        assert (start.n_cols, start.phase1_pivots, start.degenerate_pivots,
+                start.dropped_rows) == (self.N, 0, 0, 0)
+        assert start.basis == () and start.farkas_duals is None
+        assert start.inverse.shape == (0, 1) and start.rows.shape == (0, self.N)
+        assert start.slacks.shape == (0,)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 3.0],
+                                   [1.0, -1.0, 0.0, 2.0], [-1.0, -2.0, 0.0, -3.0]])
+    def test_solve(self, c, maximize):
+        c = np.array(c)
+        bounded = ((-c if maximize else c) >= 0.0).all()
+        for start in (None, feasible_start(*self.empty())):
+            res = solve_lp(c, *self.empty(), maximize=maximize, start=start)
+            counters = (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots,
+                        res.dropped_rows)
+            assert counters == (0, 0, 0, 0) and all(type(n) is int for n in counters)
+            assert res.farkas_duals is None
+            if bounded:
+                assert res.status == OPTIMAL and res.objective == 0.0
+                assert res.x.tobytes() == np.zeros(self.N).tobytes()
+            else:
+                assert res.status == UNBOUNDED and res.x is None and res.objective is None
+        assert_matches_seed([c], *self.empty())
+
+
+def basis_residual(rows, logical_rows, logical_signs, basis, inverse):
+    """max |B^-1 B - I| over a basis of structural columns of ``rows`` and
+    logical columns, ``logical_signs[j]`` times the unit vector of row
+    ``logical_rows[j]``; ``inverse`` holds B^-1 in its first k columns."""
+    n_vars, k = rows.shape[1], len(basis)
+    b = np.zeros((k, k))
+    for pos, j in enumerate(basis):
+        if j < n_vars:
+            b[:, pos] = rows[:, j]
+        else:
+            b[logical_rows[j - n_vars], pos] = logical_signs[j - n_vars]
+    return np.abs(inverse[:, :k] @ b - np.eye(k)).max(initial=0.0)
+
+
+class TestBasisInverse:
+    """The basis inverse is never refactorized, so each pivot's rounding stays
+    in it.  After every phase, and in every start after its drive-out, on the
+    seeded DFT all-pairs and random-chain sets of both LP workloads up to
+    N = 1,024, presolved and full: max |B^-1 B - I| <= 1e-12."""
+
+    @pytest.mark.parametrize("rungs, r", [(LADDER, r) for r in range(4)]
+                             + [(VERDICTS, r) for r in range(5)],
+                             ids=[f"ladder-r{r}" for r in range(4)]
+                             + [f"verdicts-r{r}" for r in range(5)])
+    def test_inverse_stays_accurate(self, monkeypatch, rungs, r):
+        residuals = []
+        run_phase = lp._Simplex.run_phase
+
+        def checked(state):
+            status = run_phase(state)
+            residuals.append(basis_residual(state.rows, state.logical_rows, state.logical_signs,
+                                            state.basis.tolist(), state.table[:-1]))
+            return status
+
+        monkeypatch.setattr(lp._Simplex, "run_phase", checked)
+        for seed in (1, 7, 401):
+            cfg = parse_config(make_config(rungs[r], seed, r, 0))
+            space, cs = realize(cfg)
+            rng = np.random.default_rng(seed)
+            objectives = [parse_event(e, space).bits.astype(float) for e in cfg.events]
+            objectives.append(rng.standard_normal(space.size))
+            pre = cs.presolved()
+            for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
+                start = feasible_start(rows, rhs, senses)
+                slack_rows = np.flatnonzero(start.slacks)
+                residuals.append(basis_residual(start.rows, slack_rows, start.slacks[slack_rows],
+                                                start.basis, start.inverse))
+                for c in objectives:
+                    for maximize in (False, True):
+                        solve_lp(c[live], rows, rhs, senses, maximize=maximize, start=start)
+        assert len(residuals) >= 3 * 2 * (1 + 1 + 2 * len(objectives))
+        assert max(residuals) <= 1e-12
 
 
 BLAS_NAMES = {"dot", "matmul", "inner", "linalg"}

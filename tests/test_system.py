@@ -154,8 +154,24 @@ class TestSSetState:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_weight_consistency_validated(self):
-        with pytest.raises(ValueError, match="does not match"):
+        """The weight is no argument, so it cannot disagree with the
+        amplitudes; a squared norm outside [0, 1] is refused."""
+        with pytest.raises(TypeError):
             SSetState(np.array([1.0, 0.0]), 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            SSetState(np.array([1.0, 0.5j]))
+        assert SSetState(np.array([0.6, 0.8j])).weight == pytest.approx(1.0, abs=1e-15)
+
+    def test_weight_is_squared_norm(self):
+        """Every region's weight is its amplitudes' squared norm, bit for bit."""
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            system = random_system(rng)
+            for t in range(system.n):
+                for mask in range(1 << system.m):
+                    state = system.region_state(t, mask)
+                    norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
+                    assert state.weight.hex() == norm_sq.hex()
 
 
 class TestSSetStateMemo:
