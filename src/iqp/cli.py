@@ -225,7 +225,7 @@ def _cmd_typicality(args: argparse.Namespace, report: RunReport) -> int:
     if args.pair:
         pairs = [_parse_pair(expr, space) for expr in args.pair]
     else:
-        pairs = [con.origin for con in cs.constraints if len(con.origin) == 2]
+        pairs = list(dict.fromkeys(con.origin for con in cs.constraints if len(con.origin) == 2))
     if not pairs:
         raise ValueError("no pairs: give --pair or a ruleset that generates pairs")
     eps = args.epsilon if args.epsilon is not None else (

@@ -14,14 +14,16 @@ answers are padded back to every trajectory and certificates lifted to every
 constraint.  A deduction that exceeds its pin by ``FARKAS_MARGIN`` is itself
 the certificate, and feasibility then runs no phase 1.
 
-A pinned chain set, whose rows are Born pins fixing every single-time
-marginal and pair rows on consecutive times, gets its feasibility verdict
-without the LP: a measure meets its rows exactly when its consecutive pair
-marginals do, and the pair problems decouple into one closed-form coupling
-per time step, which glue into a Markov-chain witness (Lauritzen, *Graphical
-Models*, 1996).  A chain set that this test finds infeasible, and every
-other set, goes to the presolve and the LP, which give the Farkas
-certificate.
+Every generated row names its event by its origin, the ssets whose atoms
+intersect to it, and every reader of a set takes the strongest row on each
+event.  A pinned chain set, whose rows are Born pins fixing every
+single-time marginal and pair rows on consecutive times, gets its
+feasibility verdict without the LP: a measure meets its rows exactly when
+its consecutive pair marginals do, and the pair problems decouple into one
+closed-form coupling per time step, which glue into a Markov-chain witness
+(Lauritzen, *Graphical Models*, 1996).  A chain set that this test finds
+infeasible, and every other set, goes to the presolve and the LP, which give
+the Farkas certificate.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class LinearConstraint:
     rhs: float
     tag: str  # born | qtr | qtr-min | qtr-eps | qtr-alpha | demand
     label: str  # expression text of the generating event / pair
-    # the sset a Born row pins (its event is S or S^c), or the pair (S1, S2)
-    # whose intersection is a pair row's event; empty for demands
+    # the ssets whose atoms intersect to the row's event: one for a Born row
+    # (S for the row on S, S^c for the row on its complement), the pair
+    # (S1, S2) for a pair row; empty for demands
     origin: tuple[SSet, ...] = ()
 
     def satisfied_by(self, probs: np.ndarray) -> float:
@@ -412,7 +415,8 @@ def born_constraints(
     """Marginal pins for each sset: P(S) >= w(S) and P(S^c) >= 1 - w(S).
 
     Together with normalization the pair forces P(S) = w(S); rows with
-    non-positive right side are implied by non-negativity and skipped.
+    non-positive right side are implied by non-negativity and skipped.  Each
+    row's origin is the sset whose atom is its event, S or S^c.
     Weights and atoms are read per ``(time, region mask)`` from the system's
     and the space's memos.
     """
@@ -425,10 +429,10 @@ def born_constraints(
     text = _labels(system.m)
     rows: list[LinearConstraint] = []
     for s, (t, mask), weight in zip(family, keys, weights):
-        for target, rhs in ((mask, weight), (mask ^ full, 1.0 - weight)):
+        for target, rhs, origin in ((mask, weight, s), (mask ^ full, 1.0 - weight, s.complement())):
             label = text(t, target)
             if admits(rhs, label):
-                rows.append(LinearConstraint(space.atom(t, target), rhs, "born", label, (s,)))
+                rows.append(LinearConstraint(space.atom(t, target), rhs, "born", label, (origin,)))
     return ConstraintSet(space, rows, skipped=2 * len(family) - len(rows))
 
 
@@ -728,57 +732,48 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
     """The marginals ``mu[t, a]`` and the pair bounds ``bounds[t, a, b]`` of a
     pinned chain set, ``None`` when ``cs`` is not one.
 
-    A pinned chain set has an origin on every row and one label in every
-    origin sset's region.  Each one-sset row lies on its sset's atom or on
-    the atom's complement.  Each two-sset row joins consecutive times, in
-    either order, so it bounds the cell ``(t, a), (t + 1, b)``, and
-    ``bounds`` keeps the largest right side per cell (0 on a cell without
-    rows).  At every time, each label ``a`` must be pinned by the presolve's
-    rule: its largest atom bound ``l`` and largest complement bound ``l'``
-    (0 without a row) have ``l + l'`` within ``VACUOUS_RHS`` of 1.  The pin
-    is ``mu[t, a] = l``.
+    A pinned chain set has an origin on every row, each naming the row's
+    event (``LinearConstraint.origin``).  A one-sset row bounds its sset's
+    atom, and ``events`` keeps the largest bound per ``(time, region mask)``,
+    as ``_strongest`` keeps the strongest row per event.  Each two-sset row
+    joins single labels at consecutive times, in either order, so it bounds
+    the cell ``(t, a), (t + 1, b)``, and ``bounds`` keeps the largest right
+    side per cell (0 on a cell without rows).  At every time, each label
+    ``a`` must be pinned by the presolve's rule: the bounds ``l`` on
+    ``{a}`` and ``l'`` on its complement (0 without a row) have ``l + l'``
+    within ``VACUOUS_RHS`` of 1.  The pin is ``mu[t, a] = l``.
 
-    A row's orientation is read from one bit: trajectory ``a * m**(n-1-t)``
-    has label ``a`` at time ``t``.  A row on any other event is read as one
-    of the two, and ``verify_witness`` then rejects the witness if that
-    matters.  The rows are scanned last to first,
-    because generated sets put their demand and pair rows after the Born
-    rows, and the scan builds no array before every row has passed.  A NaN
-    bound is stored and then fails the pin or residual test.
+    The rows are scanned last to first, because generated sets put their
+    demand and pair rows after the Born rows, and the scan builds no array
+    before every row has passed.  A NaN bound is stored and then fails the
+    pin or residual test.
     """
     m, n = cs.space.m, cs.space.n
-    atoms: dict[tuple[int, int], float] = {}  # (t, a) -> largest bound on the atom
-    complements: dict[tuple[int, int], float] = {}  # (t, a) -> on its complement
+    full = (1 << m) - 1
+    events: dict[tuple[int, int], float] = {}  # (t, mask) -> largest bound on the atom
     cells: dict[tuple[int, int, int], float] = {}  # (t, a, b) -> largest pair bound
     for con in reversed(cs.constraints):
-        labels = []
         for s in con.origin:
-            mask = s.region.mask
-            if mask & (mask - 1) or not 0 < mask < 1 << m or not 0 <= s.time < n:
+            if not 0 <= s.time < n or not 0 < s.region.mask <= full:
                 return None
-            labels.append(mask.bit_length() - 1)
-        if len(labels) == 1:
-            t, a = con.origin[0].time, labels[0]
-            table = atoms if con.event.bits[a * m ** (n - 1 - t)] else complements
-            key = (t, a)
-        elif len(labels) == 2:
-            (s1, s2), (a, b) = con.origin, labels
-            if s2.time - s1.time == 1:
-                key = (s1.time, a, b)
-            elif s1.time - s2.time == 1:
-                key = (s2.time, b, a)
-            else:
+        if len(con.origin) == 1:
+            (s,) = con.origin
+            table, key = events, (s.time, s.region.mask)
+        elif len(con.origin) == 2:
+            (t, a), (u, b) = sorted((s.time, s.region.mask) for s in con.origin)
+            if u - t != 1 or a & (a - 1) or b & (b - 1):
                 return None
-            table = cells
-        else:
+            table, key = cells, (t, a.bit_length() - 1, b.bit_length() - 1)
+        else:  # a demand (no origin), or three or more ssets
             return None
         if not con.rhs <= table.get(key, 0.0):
             table[key] = con.rhs
     for t in range(n):
         for a in range(m):
-            if not abs(atoms.get((t, a), 0.0) + complements.get((t, a), 0.0) - 1.0) <= VACUOUS_RHS:
+            pinned = events.get((t, 1 << a), 0.0) + events.get((t, full ^ (1 << a)), 0.0)
+            if not abs(pinned - 1.0) <= VACUOUS_RHS:
                 return None
-    mu = np.array([[atoms.get((t, a), 0.0) for a in range(m)] for t in range(n)])
+    mu = np.array([[events.get((t, 1 << a), 0.0) for a in range(m)] for t in range(n)])
     bounds = np.zeros((n - 1, m, m))
     for (t, a, b), rhs in cells.items():
         bounds[t, a, b] = rhs
@@ -837,11 +832,13 @@ def _markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Feasibility with a self-verified witness or Farkas certificate.
 
-    A pinned chain set (``_pinned_chain``) with non-negative coupling
-    residuals is decided without the LP: its witness is the Markov chain of
-    the couplings (``_chain_couplings``), checked by ``verify_witness``.
-    Neither the presolve nor phase 1 runs then; later bounds and vertex
-    samples of ``cs`` build both in ``_prepared``.  Every other set, and a
+    A pinned chain set (``_pinned_chain``), whose pins are those the
+    presolve finds, with non-negative coupling residuals is decided without
+    the LP: its witness is the Markov chain of the couplings
+    (``_chain_couplings``), checked by ``verify_witness``, which also sums
+    the one-sset rows on regions the pins do not read.  Neither the
+    presolve nor phase 1 runs then; later bounds and vertex samples of
+    ``cs`` build both in ``_prepared``.  Every other set, and a
     chain set whose residual is negative or whose witness fails the check,
     runs the LP path below.
 
@@ -951,36 +948,20 @@ def huber_check(cs: ConstraintSet) -> float:
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
     form has one row per event rather than one per trajectory.
 
-    The LP keeps the strongest row on each distinct event, as the presolve
-    does, and drops each row whose event contains another kept row's event
-    with at least its bound: ``mu(E) >= mu(F) >= l' >= l`` for ``F`` inside
-    ``E``, so the feasible region and the optimum stay the same.  Subsets are
-    read from exact intersection counts (the 0/1 rows times their
-    transpose), with no k x k x N temporary.  The rows are not otherwise
-    presolved: without normalization a complementary pair does not collapse
-    to one row.  Its phase 1 is its own and leaves the set's (``_prepared``)
-    in place.
+    The LP keeps the strongest row on each distinct event (``_strongest``),
+    as the presolve does, and is not otherwise presolved: without
+    normalization a complementary pair does not collapse to one row.  A set
+    without rows is an LP without rows, optimal at 0.  Its phase 1 is its own
+    and leaves the set's (``_prepared``) in place.
     """
     for con in cs.constraints:
         if con.event.is_empty and con.rhs > 0:
             raise ValueError(
                 f"malformed row: empty event with positive bound {con.rhs!r}"
             )
-    if not cs.constraints:
-        return 0.0
     rows, rhs = cs._rows([cs.constraints[i] for i in _strongest(cs.constraints).values()])
-    rows, rhs = rows[1:], rhs[1:]  # the total mass is what is minimized, not normalized
-    # |E_a & E_b|, exact in floating point; einsum's own loop, where
-    # ``rows @ rows.T`` would go through BLAS, whose first level-3 call
-    # grows the process by its buffer
-    common = np.einsum("ij,kj->ik", rows, rows)
-    # dominated[a, b]: E_a inside E_b (and not equal, the events being
-    # distinct) with at least b's bound, so row a implies row b
-    dominated = (common == np.diag(common)[:, None]) & (rhs[:, None] >= rhs[None, :])
-    np.fill_diagonal(dominated, False)
-    keep = ~dominated.any(axis=0)
-    result = lp.solve_lp(np.ones(cs.space.size), rows[keep], rhs[keep],
-                         [">="] * int(keep.sum()))
+    # the total mass is what is minimized, not normalized
+    result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], [">="] * (len(rhs) - 1))
     if result.status != lp.OPTIMAL:
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
     return float(result.objective)

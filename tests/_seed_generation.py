@@ -61,7 +61,7 @@ def born_constraints(system: QuantumSystem, space: TrajectorySpace,
         for target, rhs in ((s, w), (s.complement(), 1.0 - w)):
             label = target.text()
             if admits(rhs, label):
-                rows.append(LinearConstraint(atom(space, target), rhs, "born", label, (s,)))
+                rows.append(LinearConstraint(atom(space, target), rhs, "born", label, (target,)))
     return ConstraintSet(space, rows, skipped=2 * len(family) - len(rows))
 
 

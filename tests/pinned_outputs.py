@@ -3,8 +3,10 @@
 Run ``PYTHONPATH=src python tests/pinned_outputs.py`` from the repository root
 to rewrite ``tests/pinned_outputs.json`` from the code in ``src``;
 ``tests/test_pinned_outputs.py`` requires the code to reproduce that file
-exactly.  A change that moves an output on purpose regenerates the file and
-names each moved output in CHANGES.md.
+exactly.  With ``--check`` the file is left as it is: each moved key (a
+``cli`` entry or an ``lp`` digest) is printed, and the exit code is 1 when
+any moved.  A change that moves an output on purpose regenerates the file
+and names each moved output in CHANGES.md.
 
 The reference holds two parts:
 
@@ -20,6 +22,7 @@ The reference holds two parts:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -127,8 +130,25 @@ def collect(tmp: Path) -> dict[str, object]:
     return {"cli": cli_outputs(tmp), "lp": lp_digests()}
 
 
+def moved(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """Each ``part key`` whose output differs between ``old`` and ``new``, or is
+    in only one of them."""
+    return [f"{part} {key}" for part in ("cli", "lp")
+            for key in sorted(old[part].keys() | new[part].keys())
+            if old[part].get(key) != new[part].get(key)]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print each moved key and exit 1 if any moved, writing nothing")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         pinned = collect(Path(tmp).resolve())
+    if args.check:
+        keys = moved(json.loads(REFERENCE.read_text(encoding="utf-8")), pinned)
+        for key in keys:
+            print(f"moved: {key}")
+        sys.exit(1 if keys else 0)
     REFERENCE.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {REFERENCE}")

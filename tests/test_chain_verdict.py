@@ -8,6 +8,8 @@ unchanged, which the fallback cases compare byte for byte.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from iqp.credal import (
 from iqp.events import TrajectorySpace, parse_event, sset_event
 from iqp.scenarios import BUILTIN_SCENARIOS, singleton_family
 from iqp.system import QuantumSystem, hadamard_matrix, identity_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import LADDER, VERDICTS, LPWorkload  # noqa: E402
 
 # every pair ruleset, with a tau_norm wide enough that the equal-weight rules
 # keep some rows, and alpha and epsilon that keep them live
@@ -132,13 +139,26 @@ def pair_row_alone_set(_system, space):
     return ConstraintSet(space, (chain_pair_row(space, sset(1, [0]), sset(2, [0]), 0.4),))
 
 
-def band_set(system, space):
-    """The pin of (t=1,{0}) loosened by 1e-6 on its complement's row."""
+def lowered(system, space, pick):
+    """``hti_chain`` with ``pick`` of its rows on the event of (t=1,{1}) (the
+    complement row of (t=1,{0}) first, then the Born row of (t=1,{1}))
+    lowered by 1e-6."""
     rows = list(hti_chain(system, space).constraints)
-    k = next(i for i, con in enumerate(rows)
-             if con.origin == (sset(1, [0]),) and con.label == sset(1, [1]).text())
-    rows[k] = dataclasses.replace(rows[k], rhs=rows[k].rhs - 1e-6)
+    for k in pick([k for k, con in enumerate(rows) if con.origin == (sset(1, [1]),)]):
+        rows[k] = dataclasses.replace(rows[k], rhs=rows[k].rhs - 1e-6)
     return ConstraintSet(space, rows)
+
+
+def band_set(system, space):
+    """Both rows on the event of (t=1,{1}) lowered by 1e-6: 1/2 - 1e-6 <=
+    P(t=1,{1}) <= 1/2, a band that pins neither label."""
+    return lowered(system, space, lambda both: both)
+
+
+def lowered_complement_set(system, space):
+    """The complement row of (t=1,{0}) lowered by 1e-6: the Born row of
+    (t=1,{1}) still bounds that event at 1/2, so both labels stay pinned."""
+    return lowered(system, space, lambda both: both[:1])
 
 
 def negative_residual_set(system, space):
@@ -148,9 +168,9 @@ def negative_residual_set(system, space):
 
 
 def misread_row_set(system, space):
-    """A row with a Born origin whose event is neither the atom nor its
-    complement: the probe reads it as the atom, and the witness, which
-    breaks it, fails verification."""
+    """A row whose origin does not name its event: the scan reads it as a
+    row on the atom of its origin, and the witness, which breaks it, fails
+    verification."""
     event = sset_event(space, sset(1, [0])) & sset_event(space, sset(2, [0]))
     return hti_chain(system, space, LinearConstraint(event, 0.45, "born", "odd", (sset(1, [0]),)))
 
@@ -236,3 +256,62 @@ def test_pair_in_reverse_time_order_bounds_the_same_cell(hti):
     other = credal._pinned_chain(ConstraintSet(space, born.constraints + (backward,)))
     assert one[1].tobytes() == other[1].tobytes()
     assert one[1][1].tolist() == [[0.0, 0.3], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("build, pinned", [(lowered_complement_set, True), (band_set, False)])
+def test_scan_pins_what_the_presolve_pins(build, pinned, hti, lp_calls):
+    """Two rows on one event pin it at the larger bound, in the scan as in the presolve."""
+    system, space = hti
+    cs = build(system, space)
+    cert = feasibility(cs)
+    assert cert.feasible
+    assert (lp_calls() == ([], [])) == pinned  # the chain path, or the LP's
+    pre = cs.presolved()
+    pins = {cs.constraints[k].event.bits.tobytes(): cs.constraints[k].rhs
+            for i, j in zip(pre.owners, pre.partners) if j >= 0 for k in (i, j)}
+    atoms = [space.atom(1, 1 << a).bits.tobytes() for a in range(2)]
+    chain = credal._pinned_chain(cs)
+    assert (chain is not None) == pinned == all(atom in pins for atom in atoms)
+    if pinned:
+        assert chain[0][1].tolist() == [pins[atom] for atom in atoms]
+
+
+# the sets of each pass, by index, that take the chain path, the same at every
+# seed: the feasible chain sets, which are Born pins and consecutive pair rows
+CHAIN_SETS = {
+    "ladder-queries": [*range(12), *range(18, 25), *range(29, 34)],
+    "verdicts": [*range(0, 24, 2), *range(40, 56, 2), *range(64, 76, 2)],
+}
+
+
+def scanned_as_strongest(cs) -> bool:
+    """Whether ``cs`` is a pinned chain set; if so, its ``mu[t, a]`` must be
+    bit for bit the bound of ``_strongest``'s row on the atom of ``(t, {a})``,
+    0.0 without one."""
+    chain = credal._pinned_chain(cs)
+    if chain is None:
+        return False
+    kept = credal._strongest(cs.constraints)
+    space = cs.space
+    want = np.zeros((space.n, space.m))
+    for t in range(space.n):
+        for a in range(space.m):
+            i = kept.get(space.atom(t, 1 << a).bits.tobytes())
+            if i is not None:
+                want[t, a] = cs.constraints[i].rhs
+    assert chain[0].tobytes() == want.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("seed", [1, 7, 401])
+@pytest.mark.parametrize("name", sorted(CHAIN_SETS))
+def test_workload_scan_pins_are_the_strongest_rows(name, seed):
+    workload = LPWorkload(name, LADDER if name == "ladder-queries" else VERDICTS, seed)
+    sets = [p.cs for p in workload.setup(workload.configs())]
+    assert [i for i, cs in enumerate(sets) if scanned_as_strongest(cs)] == CHAIN_SETS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_scan_pins_are_the_strongest_rows(name):
+    cs = realize(BUILTIN_SCENARIOS[name]())[1]
+    assert scanned_as_strongest(cs) == (name in ("beam-splitter", "spreading-packet"))

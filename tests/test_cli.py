@@ -221,6 +221,28 @@ class TestTypicality:
         lines = (tmp_path / "typicality.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # header + the two emitted arm pairs
 
+    def test_overlapping_rules_list_each_pair_once(self, scenario_file, tmp_path, capsys):
+        """qtr and qtr-min both emit a row on each arm pair; each pair is
+        reported once, where it first appears, as under qtr alone."""
+        config = json.loads(Path(scenario_file("beam-splitter")).read_text())
+        capsys.readouterr()
+        outputs = {}
+        for ruleset in ("born+qtr", "born+qtr+qtr-min"):
+            config["rules"]["ruleset"] = ruleset
+            path = tmp_path / f"{ruleset}.json"
+            path.write_text(json.dumps(config))
+            outdir, report_path = tmp_path / ruleset, tmp_path / f"{ruleset}-report.json"
+            code = main(["typicality", "--config", str(path), "--outdir", str(outdir),
+                         "--report", str(report_path)])
+            assert code == 0
+            report = json.loads(report_path.read_text())
+            outputs[ruleset] = (capsys.readouterr().out,
+                                (outdir / "typicality.csv").read_text(),
+                                report["typicality_rows"])
+        assert outputs["born+qtr+qtr-min"] == outputs["born+qtr"]
+        assert outputs["born+qtr"][1].count("\n") == 3  # header + two pairs
+        assert outputs["born+qtr"][2] == 2
+
 
 class TestBranch:
     def test_named_branch(self, scenario_file, tmp_path, capsys):

@@ -6,7 +6,8 @@ objects and compute each pullback state afresh.  The generators of
 as the same floats, tags, labels and origins, and the same skipped and
 filtered counts.  The cases span seeded random and DFT systems at m = 2-4
 and n = 2-5, every ruleset token, every region-size cap from 1 to m, default,
-explicit and reversed time pairs, and the five built-in scenarios.
+explicit and reversed time pairs, and the five built-in scenarios.  Every
+generated row's origin names its event: the intersection of its ssets' atoms.
 """
 
 import dataclasses
@@ -104,3 +105,38 @@ def test_public_generators_on_mixed_families(i):
         got = qtr_variant_constraints(system, space, pairs, variant, value, tau)
         want = seed.qtr_variant_constraints(system, space, pairs, f"qtr-{variant}", value, tau)
         assert rows_of(got) == rows_of(want)
+
+
+ORIGIN_CASES = [
+    dataclasses.replace(seeded_config(m, 3, "random", "+".join(TOKENS), chain, seed=[61, m, cap]),
+                        max_region_size=cap, tau_norm=1.0, epsilon=1.0, alpha=0.5,
+                        extra_lower_bounds=(("(t=0,{0}) | (t=2,{1})", 0.2),))
+    for m in (2, 3, 4) for cap in range(1, m + 1) for chain in (True, False)]
+
+
+ORIGIN_IDS = [f"m{cfg.m}-cap{cfg.max_region_size}-{'chain' if cfg.time_pairs else 'all-pairs'}"
+              for cfg in ORIGIN_CASES]
+
+
+@pytest.mark.parametrize("cfg", ORIGIN_CASES + [build() for build in BUILTIN_SCENARIOS.values()],
+                         ids=ORIGIN_IDS + list(BUILTIN_SCENARIOS))
+def test_origins_name_their_events(cfg):
+    """Every generated row's event is the intersection of its origin ssets'
+    atoms, and a demand's origin is empty."""
+    system = build_system(cfg)
+    space = TrajectorySpace.for_system(system)
+    cs = build_constraints(cfg, system, space)
+    for con in cs.constraints:
+        assert (con.tag == "demand") == (not con.origin)
+        if con.origin:
+            want = np.logical_and.reduce([seed.atom(space, s).bits for s in con.origin])
+            assert con.event.bits.tobytes() == want.tobytes(), con.label
+
+
+def test_origin_cases_emit_every_tag():
+    tags = set()
+    for cfg in ORIGIN_CASES:
+        system = build_system(cfg)
+        cs = build_constraints(cfg, system, TrajectorySpace.for_system(system))
+        tags |= {con.tag for con in cs.constraints}
+    assert tags == {"born", "demand", *TOKENS[1:]}
