@@ -142,7 +142,7 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
     # lp_rows: the presolved rows the queries solve, normalization included;
     # implied: the rows the presolve dropped because the Born pins imply them;
     # forced_cols: the trajectories the presolve's forcing rows fixed at zero
-    pre = presolve(cs)  # the queries then reuse it, so it is timed here
+    pre = presolve(cs)  # the LP queries then reuse it, so it is timed here
     report.timings["constraints"] = time.perf_counter() - start
     report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
                           "filtered": cs.filtered, "lp_rows": len(pre.senses),
@@ -202,7 +202,8 @@ def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
             return EXIT_INFEASIBLE
         print(f"{_fmt6(res.lower)}, {_fmt6(res.upper)}")
         rows.append([expr, format_number(res.lower), format_number(res.upper)])
-        report.bounds.append({"event": expr, "lower": res.lower, "upper": res.upper})
+        report.bounds.append({"event": expr, "lower": res.lower, "upper": res.upper,
+                              "path": res.path})
     _write(Path(args.outdir) / "bounds.csv", csv_text(["event", "lower", "upper"], rows))
     return EXIT_OK
 

@@ -23,7 +23,10 @@ its consecutive pair marginals do, and the pair problems decouple into one
 closed-form coupling per time step, which glue into a Markov-chain witness
 (Lauritzen, *Graphical Models*, 1996).  A chain set that this test finds
 infeasible, and every other set, goes to the presolve and the LP, which give
-the Farkas certificate.
+the Farkas certificate.  On a feasible chain set over two labels, the bounds
+of an event on one or two times come from a forward pass over the times
+between them, one closed-form interval per step, with an attaining Markov
+chain for each bound; every other bound is an LP.
 """
 
 from __future__ import annotations
@@ -588,17 +591,39 @@ class FeasibilityCertificate:
         return self.witness is not None
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_rows(cs: ConstraintSet) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The strongest row on each distinct event (``_strongest``), grouped by
+    the event's trajectory count: per group, one row of trajectory indices
+    per event and the events' bounds.  Kept for the last set asked about,
+    keyed on its identity like ``presolve``."""
+    groups: dict[int, tuple[list[np.ndarray], list[float]]] = {}
+    for i in _strongest(cs.constraints).values():
+        con = cs.constraints[i]
+        cols = np.flatnonzero(con.event.bits)
+        group = groups.setdefault(cols.size, ([], []))
+        group[0].append(cols)
+        group[1].append(con.rhs)
+    return tuple((np.array(cols).reshape(len(cols), size), np.array(bounds))
+                 for size, (cols, bounds) in groups.items())
+
+
 def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
     """Max violation of the constraint rows and simplex rows, by direct sums.
 
-    Only the strongest row on each distinct event is summed: on one event
-    ``l - P(event)`` rounds monotonically in ``l``, so the weaker rows'
-    violations are at most its own and the maximum is the same float.
+    Only the strongest row on each distinct event is summed (``_kept_rows``):
+    on one event ``l - P(event)`` rounds monotonically in ``l``, so the
+    weaker rows' violations are at most its own and the maximum is the same
+    float.  Each row sums its trajectories' entries in index order along
+    the last axis, which is the pairwise sum ``event_probability`` takes,
+    and ``fmax`` passes over a NaN violation as ``max`` does.
     """
     vec = np.asarray(probs, dtype=float)
+    if vec.shape != (cs.space.size,):
+        raise ValueError(f"measure has length {vec.shape}, space has {cs.space.size}")
     worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
-    for i in _strongest(cs.constraints).values():
-        worst = max(worst, cs.constraints[i].satisfied_by(vec))
+    for cols, bounds in _kept_rows(cs):
+        worst = max(worst, float(np.fmax.reduce(bounds - np.add.reduce(vec.take(cols), axis=1))))
     return worst
 
 
@@ -788,9 +813,12 @@ def _label_sums(table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """The marginals ``mu`` and consecutive couplings ``pi[t]`` of a pinned
-    chain set (``_pinned_chain``) that is feasible, else ``None``.
+@functools.lru_cache(maxsize=1)
+def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The marginals ``mu``, pair bounds ``bounds`` and consecutive couplings
+    ``pi[t]`` of a pinned chain set (``_pinned_chain``) that is feasible,
+    else ``None``; kept for the last set asked about, keyed on its identity
+    like ``presolve``, so that its verdict and its bounds share one scan.
 
     A measure meets every row of the set exactly when each pair marginal
     ``pi[t]`` has row sums ``mu[t]``, column sums ``mu[t + 1]`` and
@@ -812,7 +840,15 @@ def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     total = _label_sums(rows)[:, None, None]
     spread = rows[:, :, None] * cols[:, None, :]
-    return mu, bounds + np.divide(spread, total, out=np.zeros_like(spread), where=total > 0.0)
+    couplings = bounds + np.divide(spread, total, out=np.zeros_like(spread), where=total > 0.0)
+    return mu, bounds, couplings
+
+
+def _kernels(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """``pi[t][a, b] / mu[t][a]`` (0 where ``mu[t][a] = 0``): the chain's
+    step from time ``t`` to ``t + 1``."""
+    starts = mu[:-1, :, None]
+    return np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
 
 
 def _markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
@@ -821,10 +857,8 @@ def _markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     significant digit as in ``events``."""
     if not len(couplings):
         return mu[0].copy()
-    starts = mu[:-1, :, None]
-    steps = np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
     probs = couplings[0]
-    for step in steps[1:]:  # one new last axis per time
+    for step in _kernels(mu, couplings)[1:]:  # one new last axis per time
         probs = probs[..., None] * step
     return probs.reshape(-1)
 
@@ -837,8 +871,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     the LP: its witness is the Markov chain of the couplings
     (``_chain_couplings``), checked by ``verify_witness``, which also sums
     the one-sset rows on regions the pins do not read.  Neither the
-    presolve nor phase 1 runs then; later bounds and vertex samples of
-    ``cs`` build both in ``_prepared``.  Every other set, and a
+    presolve nor phase 1 runs then; vertex samples of ``cs``, and bounds
+    the forward pass does not answer (``_chain_bounds``), build both in
+    ``_prepared``.  Every other set, and a
     chain set whose residual is negative or whose witness fails the check,
     runs the LP path below.
 
@@ -851,7 +886,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """
     chain = _chain_couplings(cs)
     if chain is not None:
-        probs = _markov_chain(*chain)
+        probs = _markov_chain(chain[0], chain[2])
         if verify_witness(cs, probs) <= CERTIFICATE_TOL:
             return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
 
@@ -890,6 +925,7 @@ class BoundsResult:
     upper: float | None = None
     argmin: TrajectoryMeasure | None = None
     argmax: TrajectoryMeasure | None = None
+    path: str = "lp"  # "chain" (the forward pass of ``_chain_bounds``) | "lp"
 
     def __post_init__(self) -> None:
         if self.status == "infeasible":
@@ -904,13 +940,201 @@ class BoundsResult:
             raise ValueError(f"upper bound {self.upper} exceeds 1")
 
 
-def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
-    """LP min/max of the event's probability over the credal polytope.
+def _trajectory_word(bits: np.ndarray) -> int:
+    """An indicator over trajectories as one integer, trajectory 0 the most
+    significant bit, padded with zeros to whole bytes."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big")
 
-    Both solves start from the phase 1 of ``cs`` (``_prepared``).
+
+@functools.cache
+def _label_one_words(n: int) -> tuple[int, ...]:
+    """Per time ``t`` of ``n`` times over two labels, the trajectories with
+    label 1 at ``t``, as a ``_trajectory_word``."""
+    index = np.arange(1 << n)
+    return tuple(_trajectory_word((index >> (n - 1 - t)) & 1 == 1) for t in range(n))
+
+
+def _dependent_times(bits: np.ndarray, n: int) -> list[int] | None:
+    """The times whose label an event over two labels reads, ``None`` past two.
+
+    A trajectory with label 1 at ``t`` and the one ``2**(n - 1 - t)`` before
+    it differ only in that label, and shifting the event's word by that
+    block lines each such pair up: the event reads ``t`` exactly when a pair
+    differs, which is the two label halves of ``bits.reshape(2**t, 2, -1)``
+    compared.
+    """
+    word = _trajectory_word(bits)
+    times = [t for t, ones in enumerate(_label_one_words(n))
+             if (word ^ (word >> (1 << (n - 1 - t)))) & ones]
+    return times if len(times) <= 2 else None
+
+
+# a point of one step of the forward pass: P(w_t1 = 0, w_t = 0), the coupling
+# entry f[0, 0] at t, and P(w_t1 = 0, w_t = a, w_t+1 = 0) for a = 0, 1
+_Point = tuple[float, float, float, float]
+
+
+def _forward_pass(mu: list[list[float]], bounds: list[list[list[float]]], t1: int,
+                  t2: int) -> list[tuple[float, float, _Point, _Point]] | None:
+    """Per step ``t`` from ``t1`` to ``t2 - 1``, the interval ``[lo, hi]`` of
+    ``u = P(w_t1 = 0, w_t+1 = 0)`` over the measures of a feasible binary
+    chain set, and a point of the step attaining each end; ``None`` when a
+    coupling interval is empty in floats.
+
+    With ``q = mu[t1][0]``, the state at ``t`` is the table ``g[x, a] =
+    P(w_t1 = x, w_t = a)``, whose one free entry is ``u``.  A coupling ``f >=
+    bounds[t]`` of ``(mu[t], mu[t + 1])`` has one free entry ``s = f[0, 0]``,
+    and a step splits each ``g[x, a]`` over ``b`` within ``f[a, b]``.  So the
+    next ``u`` ranges over ``[max(0, u + s - mu[t][0]) + max(0, c - u - s),
+    min(q, mu[t+1][0], mu[t+1][0] + u - s, q - u + s)]``, ``c = q - mu[t][1]
+    + mu[t+1][0]``: its low end is convex in ``u + s``, least on
+    ``[min(mu[t][0], c), max(mu[t][0], c)]``, and its high end concave in ``u
+    - s``, largest at ``(q - mu[t+1][0]) / 2``, so each end is the clipped
+    extremum.  ``u`` starts at ``q``, and every set of reachable ``u`` is an
+    interval, the projection of a polytope.
+    """
+    q = mu[t1][0]
+    lo = hi = q
+    steps = []
+    for t in range(t1, t2):
+        (a0, a1), (b0, _) = mu[t], mu[t + 1]
+        (l00, l01), (l10, l11) = bounds[t]
+        s_lo, s_hi = max(l00, l11 - a1 + b0), min(a0 - l01, b0 - l10)
+        if not s_lo <= s_hi:
+            return None
+        c = q - a1 + b0
+        z = min(max(lo + s_lo, min(a0, c)), hi + s_hi)  # u + s at the low end
+        u = min(max(lo, z - s_hi), hi)
+        s = min(max(z - u, s_lo), s_hi)
+        low = (u, s, max(0.0, u + s - a0), max(0.0, c - u - s))
+        z = min(max(lo - s_hi, (q - b0) / 2), hi - s_lo)  # u - s at the high end
+        u = min(max(lo, z + s_lo), hi)
+        s = min(max(u - z, s_lo), s_hi)
+        high = (u, s, min(s, u), min(b0 - s, q - u))
+        lo, hi = low[2] + low[3], high[2] + high[3]
+        steps.append((lo, hi, low, high))
+    return steps
+
+
+def _window_measures(mu: list[list[float]], kernels: np.ndarray, t1: int,
+                     steps: list[tuple[float, float, _Point, _Point]],
+                     targets: tuple[float, ...]) -> np.ndarray:
+    """Per target ``v`` in the last interval of ``steps`` (``_forward_pass``),
+    a measure of the chain set with ``P(w_t1 = 0, w_t2 = 0) = v`` over every
+    trajectory, one row each.
+
+    Walking back from ``t2``, each step's point interpolates its two ends
+    as ``v`` does its interval, which the step's convexity allows, and sets
+    ``v`` for the step before.  On ``[t1, t2]`` a measure is the Markov
+    chain of ``(w_t1, w_t)`` through those points, its step ``h[x, a, b] /
+    g[x, a]`` (0 where ``g[x, a] = 0``); elsewhere it takes the couplings'
+    ``kernels`` (``_kernels``), time 0 the most significant digit.  The
+    measures share their steps before ``t1`` and are built side by side
+    from there, on a leading axis.
+    """
+    walks = []
+    for v in targets:
+        points = []
+        for lo, hi, low, high in reversed(steps):
+            lam = min(max((v - lo) / (hi - lo), 0.0), 1.0) if hi > lo else 0.0
+            points.append([x + lam * (y - x) for x, y in zip(low, high)])
+            v = points[-1][0]
+        walks.append(points[::-1])
+    q = mu[t1][0]
+    probs = np.array(mu[0])
+    for t, kernel in enumerate(kernels):
+        if not t1 <= t < t1 + len(steps):
+            probs = probs[..., None] * kernel
+            continue
+        (a0, a1), (b0, _) = mu[t], mu[t + 1]
+        rows = []
+        for u, s, h0, h1 in (points[t - t1] for points in walks):
+            # h[x, a, b] = P(w_t1 = x, w_t = a, w_t+1 = b) over g[x, a] = P(w_t1 = x, w_t = a)
+            h = ((h0, u - h0), (h1, q - u - h1), (s - h0, a0 - s - u + h0),
+                 (b0 - s - h1, a1 - b0 + s - q + u + h1))
+            g = (u, q - u, a0 - u, a1 - q + u)
+            rows.append([(hb[0] / ga, hb[1] / ga) if ga > 0.0 else (0.0, 0.0)
+                         for hb, ga in zip(h, g)])
+        step = np.array(rows).reshape(len(walks), 2, 2, 2)
+        if t == t1:  # the tag is the current label
+            probs = probs[..., None] * step[:, [0, 1], [0, 1]].reshape(
+                (len(walks),) + (1,) * t1 + (2, 2))
+        else:
+            shape = [len(walks)] + [1] * (t + 2)
+            shape[1 + t1] = shape[1 + t] = shape[2 + t] = 2
+            probs = probs[..., None] * step.reshape(shape)
+    return probs.reshape(len(walks), -1)
+
+
+def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
+    """Bounds of an event on one or two times over a feasible pinned chain
+    set on two labels, with an attaining measure for each; ``None`` for any
+    other set or event, or when a measure fails ``verify_witness``.
+
+    An event on one time is pinned: both bounds are its label's marginal,
+    attained by the chain verdict's Markov chain.  With both marginals of
+    times ``t1 < t2`` pinned, ``P00 = P(w_t1 = 0, w_t2 = 0)`` is the one free
+    entry of their joint table: ``P01 = mu[t1][0] - P00``, ``P10 = mu[t2][0]
+    - P00`` and ``P11 = mu[t1][1] - mu[t2][0] + P00``.  An event on both
+    times has probability ``alpha + beta * P00`` with ``beta`` in -2..2, and
+    its bounds are its value at the ends of the interval of ``P00``, which
+    ``_forward_pass`` computes.  Rows outside ``[t1, t2]`` do not narrow that
+    interval: a measure on the window meeting its rows extends by the
+    couplings' kernels, which meet theirs.
+    """
+    if cs.space.m != 2:
+        return None
+    chain = _chain_couplings(cs)
+    if chain is None:
+        return None
+    times = _dependent_times(a.bits, cs.space.n)
+    if not times:  # a third time, or none
+        return None
+    mu, bounds, couplings = chain
+    if len(times) == 1:
+        (t,) = times
+        value = float(mu[t][a.bits.reshape(1 << t, 2, -1)[0, :, 0]][0])
+        probs = _markov_chain(mu, couplings)
+        if verify_witness(cs, probs) > CERTIFICATE_TOL:
+            return None
+        witness = TrajectoryMeasure(probs)
+        return BoundsResult("both-solved", value, value, witness, witness, path="chain")
+    t1, t2 = times
+    marginals = mu.tolist()
+    steps = _forward_pass(marginals, bounds.tolist(), t1, t2)
+    if steps is None:
+        return None
+    kernels = _kernels(mu, couplings)
+    cells = a.bits.reshape(1 << t1, 2, 1 << (t2 - t1 - 1), 2, -1)[0, :, 0, :, 0].reshape(-1)
+    (p0, p1), q0 = marginals[t1], marginals[t2][0]
+    beta = int(cells[0]) - int(cells[1]) - int(cells[2]) + int(cells[3])
+    lo, hi = steps[-1][:2]
+    targets = (lo, hi) if beta > 0 else (hi, lo)
+    found = []
+    for v, probs in zip(targets, _window_measures(marginals, kernels, t1, steps, targets)):
+        if verify_witness(cs, probs) > CERTIFICATE_TOL:
+            return None
+        table = (v, p0 - v, q0 - v, p1 - q0 + v)
+        found.append((sum(p for p, inside in zip(table, cells) if inside),
+                      TrajectoryMeasure(probs)))
+    (lower, argmin), (upper, argmax) = found
+    return BoundsResult("both-solved", lower, upper, argmin, argmax, path="chain")
+
+
+def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
+    """Min/max of the event's probability over the credal polytope.
+
+    An event on one or two times over a feasible pinned chain set on two
+    labels takes the forward pass of ``_chain_bounds``, with no presolve,
+    phase 1 or LP.  Every other query, and one whose measure fails its
+    check, runs the LP: both solves start from the phase 1 of ``cs``
+    (``_prepared``).
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
+    chained = _chain_bounds(cs, a)
+    if chained is not None:
+        return chained
     objective = a.bits.astype(float)
     low = _solve(cs, objective)
     if low.status == lp.INFEASIBLE:

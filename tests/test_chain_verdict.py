@@ -81,7 +81,8 @@ def test_seeded_chain_sets(m, n, kind, ruleset, lp_calls):
             continue
         # every feasible chain set of this family is decided without the LP
         assert lp_calls() == before
-        mu, couplings = credal._chain_couplings(cs)
+        mu, bounds, couplings = credal._chain_couplings(cs)
+        assert bounds.tobytes() == credal._pinned_chain(cs)[1].tobytes()
         probs = cert.witness.probs
         assert probs.tobytes() == credal._markov_chain(mu, couplings).tobytes()
         assert verify_witness(cs, probs) <= CERTIFICATE_TOL
@@ -216,7 +217,8 @@ def test_fallback_is_the_lp_path(case, hti, lp_calls, monkeypatch):
     assert (credal._pinned_chain(cs) is not None) == pinned
     if pinned:
         chain = credal._chain_couplings(cs)
-        assert chain is None or verify_witness(cs, credal._markov_chain(*chain)) > CERTIFICATE_TOL
+        assert chain is None or verify_witness(
+            cs, credal._markov_chain(chain[0], chain[2])) > CERTIFICATE_TOL
     cert = feasibility(cs)
     calls = lp_calls()
     assert cert.feasible == scipy_feasible(cs) == feasible

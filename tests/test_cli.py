@@ -178,6 +178,16 @@ class TestBounds:
         assert "solve" in report["timings"]
 
 
+    @pytest.mark.parametrize("name, path", [("beam-splitter", "chain"), ("mach-zehnder", "lp")])
+    def test_report_names_the_path(self, scenario_file, tmp_path, name, path):
+        """A binary chain set's bounds come from the forward pass, others from the LP."""
+        report_path = tmp_path / "report.json"
+        assert main(["bounds", "--config", scenario_file(name), "--outdir", str(tmp_path / "out"),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert [entry["path"] for entry in report["bounds"]] == [path]
+
+
 class TestTypicality:
     def test_explicit_pair(self, scenario_file, tmp_path, capsys):
         code = main([

@@ -763,6 +763,12 @@ class TestVerifyWitnessStrongestRows:
         assert checked > 0
 
 
+    def test_measure_of_another_length_is_refused(self):
+        _, cs = realize(parse_config(make_config(LADDER[0], 7, 0, 0)))
+        with pytest.raises(ValueError, match="length"):
+            verify_witness(cs, np.full(cs.space.size // 2, 2.0 / cs.space.size))
+
+
 class TestImprecisionAxioms:
     def test_conjugacy_superadd_subadd_monotone(self):
         rng = np.random.default_rng(47)
