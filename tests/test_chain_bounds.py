@@ -236,11 +236,14 @@ def test_fallback_is_the_lp_path(case, monkeypatch):
     assert result_bytes(lower_upper(cs, event)) == result_bytes(res)
 
 
-def test_failed_witness_check_takes_the_lp_path(monkeypatch):
+@pytest.mark.parametrize("name, stub", [("verify_witness", lambda _cs, _probs: 1.0),
+                                        ("_forward_pass", lambda *_args: None)])
+def test_failed_check_or_empty_coupling_interval_takes_the_lp_path(name, stub, monkeypatch):
+    """A measure that fails its check, or a coupling interval empty in floats."""
     space, cs = realize(seeded_config(2, 4, "random", "born+qtr-min", True, [4, 9]))
     event = parse_event("(t=0,{1}) & (t=3,{1})", space)
     chained = lower_upper(cs, event)
-    monkeypatch.setattr(credal, "verify_witness", lambda _cs, _probs: 1.0)
+    monkeypatch.setattr(credal, name, stub)
     res = lower_upper(cs, event)
     assert (chained.path, res.path) == ("chain", "lp")
     assert abs(res.lower - chained.lower) <= TOL and abs(res.upper - chained.upper) <= TOL
