@@ -24,9 +24,11 @@ closed-form coupling per time step, which glue into a Markov-chain witness
 (Lauritzen, *Graphical Models*, 1996).  A chain set that this test finds
 infeasible, and every other set, goes to the presolve and the LP, which give
 the Farkas certificate.  On a feasible chain set over two labels, the bounds
-of an event on one or two times come from a forward pass over the times
-between them, one closed-form interval per step, with an attaining Markov
-chain for each bound; every other bound is an LP.
+of an event on two times come from a forward pass over the times between
+them, one closed-form interval per step, with an attaining measure for each
+bound; every other bound is an LP.  One routine, ``_window_measures``, glues
+every measure of the chain path from the couplings' kernels, the verdict's
+witness being the one with an empty window.
 """
 
 from __future__ import annotations
@@ -727,11 +729,13 @@ def _multipliers(pre: Presolved, y: np.ndarray) -> tuple[np.ndarray, float]:
     An '==' row ``P(A) = l`` with ``y < 0`` is rewritten by
     ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
     and ``y`` to normalization.  Every other entry stays with its constraint,
-    which keeps the sign bit of a -0.0.
+    which keeps the sign bit of a -0.0.  A kept '>=' row with a clearly
+    negative entry is a failure; a collapsed row needs no such check, since
+    it enters a deduction only as its forcing row, with coefficient +1.
     """
     normalization = float(y[-1])
     mult = y[:-1]
-    for i, j in zip(pre.owners + pre.collapsed, pre.partners + [-1] * len(pre.collapsed)):
+    for i, j in zip(pre.owners, pre.partners):
         dual = float(mult[i])
         if j < 0 and dual < -1e-8:
             raise lp.SimplexFailure(f"negative multiplier {dual:.3e} on inequality row {i}")
@@ -813,17 +817,34 @@ def _label_sums(table: np.ndarray) -> np.ndarray:
     return total
 
 
+def _kernels(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """``pi[t][a, b] / mu[t][a]`` (0 where ``mu[t][a] = 0``): the chain's
+    step from time ``t`` to ``t + 1``."""
+    starts = mu[:-1, :, None]
+    return np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
+
+
+class _Chain(NamedTuple):
+    """A feasible pinned chain set, read once (``_chain_couplings``)."""
+
+    mu: np.ndarray  # mu[t, a]: the pinned marginals
+    bounds: np.ndarray  # bounds[t, a, b]: the largest pair bound per cell
+    couplings: np.ndarray  # pi[t][a, b]: a coupling of (mu[t], mu[t + 1]) above bounds[t]
+    kernels: np.ndarray  # the chain's steps, pi[t] over mu[t] (``_kernels``)
+
+
 @functools.lru_cache(maxsize=1)
-def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The marginals ``mu``, pair bounds ``bounds`` and consecutive couplings
-    ``pi[t]`` of a pinned chain set (``_pinned_chain``) that is feasible,
-    else ``None``; kept for the last set asked about, keyed on its identity
-    like ``presolve``, so that its verdict and its bounds share one scan.
+def _chain_couplings(cs: ConstraintSet) -> _Chain | None:
+    """The marginals, pair bounds, consecutive couplings ``pi[t]`` and their
+    kernels of a pinned chain set (``_pinned_chain``) that is feasible, else
+    ``None``; kept for the last set asked about, keyed on its identity like
+    ``presolve``, so that its verdict and its bounds share one scan and one
+    set of kernels.
 
     A measure meets every row of the set exactly when each pair marginal
     ``pi[t]`` has row sums ``mu[t]``, column sums ``mu[t + 1]`` and
     ``pi[t] >= bounds[t]``; any such family glues into a Markov chain
-    (``_markov_chain``).  With the residuals ``r = mu[t] - bounds[t].1`` and
+    (``_window_measures``).  With the residuals ``r = mu[t] - bounds[t].1`` and
     ``c = mu[t + 1] - 1.bounds[t]`` both non-negative, the residual problem
     has no upper bounds and equal totals, so ``bounds[t] + r c^T / sum(r)``
     (``bounds[t]`` when ``sum(r) = 0``) is such a coupling.  A negative
@@ -841,26 +862,7 @@ def _chain_couplings(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     total = _label_sums(rows)[:, None, None]
     spread = rows[:, :, None] * cols[:, None, :]
     couplings = bounds + np.divide(spread, total, out=np.zeros_like(spread), where=total > 0.0)
-    return mu, bounds, couplings
-
-
-def _kernels(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """``pi[t][a, b] / mu[t][a]`` (0 where ``mu[t][a] = 0``): the chain's
-    step from time ``t`` to ``t + 1``."""
-    starts = mu[:-1, :, None]
-    return np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
-
-
-def _markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """``P(w) = pi[0][w0, w1] * prod over t >= 1 of pi[t][wt, wt+1] / mu[t][wt]``
-    (0 where ``mu[t][wt] = 0``) over every trajectory, time 0 the most
-    significant digit as in ``events``."""
-    if not len(couplings):
-        return mu[0].copy()
-    probs = couplings[0]
-    for step in _kernels(mu, couplings)[1:]:  # one new last axis per time
-        probs = probs[..., None] * step
-    return probs.reshape(-1)
+    return _Chain(mu, bounds, couplings, _kernels(mu, couplings))
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
@@ -868,14 +870,15 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
 
     A pinned chain set (``_pinned_chain``), whose pins are those the
     presolve finds, with non-negative coupling residuals is decided without
-    the LP: its witness is the Markov chain of the couplings
-    (``_chain_couplings``), checked by ``verify_witness``, which also sums
-    the one-sset rows on regions the pins do not read.  Neither the
-    presolve nor phase 1 runs then; vertex samples of ``cs``, and bounds
-    the forward pass does not answer (``_chain_bounds``), build both in
-    ``_prepared``.  Every other set, and a
-    chain set whose residual is negative or whose witness fails the check,
-    runs the LP path below.
+    the LP: its witness is the Markov chain ``mu[0][w0] * prod over t of
+    kernels[t][wt, wt+1]`` of the couplings (``_chain_couplings``), glued by
+    ``_window_measures`` with an empty window and checked by
+    ``verify_witness``, which also sums the one-sset rows on regions the
+    pins do not read.  Neither the presolve nor phase 1 runs then; vertex
+    samples of ``cs``, and bounds the forward pass does not answer
+    (``_chain_bounds``), build both in ``_prepared``.  Every other set, and
+    a chain set whose residual is negative or whose witness fails the
+    check, runs the LP path below.
 
     When the presolve found a deduction that proves the set empty
     (``Presolved.empty``) and ``verify_farkas`` accepts it as a certificate,
@@ -886,7 +889,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """
     chain = _chain_couplings(cs)
     if chain is not None:
-        probs = _markov_chain(chain[0], chain[2])
+        probs = _window_measures(chain.mu, chain.kernels, 0, [], ())
         if verify_witness(cs, probs) <= CERTIFICATE_TOL:
             return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
 
@@ -1016,12 +1019,13 @@ def _forward_pass(mu: list[list[float]], bounds: list[list[list[float]]], t1: in
     return steps
 
 
-def _window_measures(mu: list[list[float]], kernels: np.ndarray, t1: int,
+def _window_measures(mu: list[list[float]] | np.ndarray, kernels: np.ndarray, t1: int,
                      steps: list[tuple[float, float, _Point, _Point]],
                      targets: tuple[float, ...]) -> np.ndarray:
     """Per target ``v`` in the last interval of ``steps`` (``_forward_pass``),
     a measure of the chain set with ``P(w_t1 = 0, w_t2 = 0) = v`` over every
-    trajectory, one row each.
+    trajectory, one row each; with no steps and no targets, the one measure
+    ``mu[0][w0] * prod over t of kernels[t][wt, wt+1]``, as a vector.
 
     Walking back from ``t2``, each step's point interpolates its two ends
     as ``v`` does its interval, which the step's convexity allows, and sets
@@ -1030,7 +1034,7 @@ def _window_measures(mu: list[list[float]], kernels: np.ndarray, t1: int,
     g[x, a]`` (0 where ``g[x, a] = 0``); elsewhere it takes the couplings'
     ``kernels`` (``_kernels``), time 0 the most significant digit.  The
     measures share their steps before ``t1`` and are built side by side
-    from there, on a leading axis.
+    from there, on a leading axis, which an empty window never adds.
     """
     walks = []
     for v in targets:
@@ -1063,18 +1067,17 @@ def _window_measures(mu: list[list[float]], kernels: np.ndarray, t1: int,
             shape = [len(walks)] + [1] * (t + 2)
             shape[1 + t1] = shape[1 + t] = shape[2 + t] = 2
             probs = probs[..., None] * step.reshape(shape)
-    return probs.reshape(len(walks), -1)
+    return probs.reshape(*probs.shape[:-len(mu)], -1)  # one axis per time flattened
 
 
 def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
-    """Bounds of an event on one or two times over a feasible pinned chain
-    set on two labels, with an attaining measure for each; ``None`` for any
-    other set or event, or when a measure fails ``verify_witness``.
+    """Bounds of an event on two times over a feasible pinned chain set on
+    two labels, with an attaining measure for each; ``None`` for any other
+    set or event, or when a measure fails ``verify_witness``.  An event on
+    one time is left to the LP, which returns its pinned marginal.
 
-    An event on one time is pinned: both bounds are its label's marginal,
-    attained by the chain verdict's Markov chain.  With both marginals of
-    times ``t1 < t2`` pinned, ``P00 = P(w_t1 = 0, w_t2 = 0)`` is the one free
-    entry of their joint table: ``P01 = mu[t1][0] - P00``, ``P10 = mu[t2][0]
+    With both marginals of times ``t1 < t2`` pinned, ``P00 = P(w_t1 = 0,
+    w_t2 = 0)`` is the one free entry of their joint table: ``P01 = mu[t1][0] - P00``, ``P10 = mu[t2][0]
     - P00`` and ``P11 = mu[t1][1] - mu[t2][0] + P00``.  An event on both
     times has probability ``alpha + beta * P00`` with ``beta`` in -2..2, and
     its bounds are its value at the ends of the interval of ``P00``, which
@@ -1088,30 +1091,20 @@ def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
     if chain is None:
         return None
     times = _dependent_times(a.bits, cs.space.n)
-    if not times:  # a third time, or none
+    if times is None or len(times) != 2:  # three times or more, one, or none
         return None
-    mu, bounds, couplings = chain
-    if len(times) == 1:
-        (t,) = times
-        value = float(mu[t][a.bits.reshape(1 << t, 2, -1)[0, :, 0]][0])
-        probs = _markov_chain(mu, couplings)
-        if verify_witness(cs, probs) > CERTIFICATE_TOL:
-            return None
-        witness = TrajectoryMeasure(probs)
-        return BoundsResult("both-solved", value, value, witness, witness, path="chain")
     t1, t2 = times
-    marginals = mu.tolist()
-    steps = _forward_pass(marginals, bounds.tolist(), t1, t2)
+    marginals = chain.mu.tolist()
+    steps = _forward_pass(marginals, chain.bounds.tolist(), t1, t2)
     if steps is None:
         return None
-    kernels = _kernels(mu, couplings)
     cells = a.bits.reshape(1 << t1, 2, 1 << (t2 - t1 - 1), 2, -1)[0, :, 0, :, 0].reshape(-1)
     (p0, p1), q0 = marginals[t1], marginals[t2][0]
     beta = int(cells[0]) - int(cells[1]) - int(cells[2]) + int(cells[3])
     lo, hi = steps[-1][:2]
     targets = (lo, hi) if beta > 0 else (hi, lo)
     found = []
-    for v, probs in zip(targets, _window_measures(marginals, kernels, t1, steps, targets)):
+    for v, probs in zip(targets, _window_measures(marginals, chain.kernels, t1, steps, targets)):
         if verify_witness(cs, probs) > CERTIFICATE_TOL:
             return None
         table = (v, p0 - v, q0 - v, p1 - q0 + v)
@@ -1124,11 +1117,10 @@ def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
 def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     """Min/max of the event's probability over the credal polytope.
 
-    An event on one or two times over a feasible pinned chain set on two
-    labels takes the forward pass of ``_chain_bounds``, with no presolve,
-    phase 1 or LP.  Every other query, and one whose measure fails its
-    check, runs the LP: both solves start from the phase 1 of ``cs``
-    (``_prepared``).
+    An event on two times over a feasible pinned chain set on two labels
+    takes the forward pass of ``_chain_bounds``, with no presolve, phase 1
+    or LP.  Every other query, and one whose measure fails its check, runs
+    the LP: both solves start from the phase 1 of ``cs`` (``_prepared``).
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")

@@ -195,6 +195,7 @@ class QuantumSystem:
         # _adjoints[t] is laid out as u.conj().T is, so the products keep their bits
         self._adjoints = np.array(cum).conj().transpose(0, 2, 1)
         self._evolved = np.array([u @ psi for u in cum])
+        self._evolved.setflags(write=False)
         self._states: dict[tuple[int, int], SSetState] = {}
 
     @property
@@ -223,9 +224,10 @@ class QuantumSystem:
         return self._u[t]
 
     def evolve(self, t: int) -> np.ndarray:
-        """State at time t: the composed step unitaries applied to the initial state."""
+        """State at time t: the composed step unitaries applied to the initial
+        state, computed once per system (read-only)."""
         self._check_time(t)
-        return self._u[t] @ self.psi0
+        return self._evolved[t]
 
     def region_state(self, t: int, mask: int) -> SSetState:
         """Pullback state ``U_t^H E U_t psi0`` of the labels in bitmask ``mask``

@@ -8,6 +8,12 @@ exactly.  With ``--check`` the file is left as it is: each moved key (a
 any moved.  A change that moves an output on purpose regenerates the file
 and names each moved output in CHANGES.md.
 
+To count which ops a change moves, write one SHA-256 per LP-workload op with
+``--ops PATH`` from the old code, then run ``--ops-against PATH`` on the new:
+it prints, per workload and seed, the moved ops by kind, writes nothing, and
+exits 1 when any moved.  Each op's hash is over the same ``_answers`` the
+digests hash.
+
 The reference holds two parts:
 
 - ``cli``: the five built-in scenarios through all six subcommands at
@@ -81,17 +87,46 @@ def _answers(op) -> tuple:
     return _plain((op.kind, op.rung, fingerprint(op), extra))
 
 
-def lp_digests() -> dict[str, dict[str, object]]:
-    digests = {}
+def _lp_passes():
+    """Per LP workload and seed, its name, the seed and the ops of one pass."""
     for name, rungs in LP_WORKLOADS.items():
         for seed in LP_SEEDS:
             workload = LPWorkload(name, rungs, seed)
-            ops = workload.run_pass(workload.setup(workload.configs()))
-            h = hashlib.sha256()
-            for op in ops:
-                h.update(repr(_answers(op)).encode())
-            digests[f"{name} seed {seed}"] = {"ops": len(ops), "sha256": h.hexdigest()}
+            yield name, seed, workload.run_pass(workload.setup(workload.configs()))
+
+
+def lp_digests() -> dict[str, dict[str, object]]:
+    digests = {}
+    for name, seed, ops in _lp_passes():
+        h = hashlib.sha256()
+        for op in ops:
+            h.update(repr(_answers(op)).encode())
+        digests[f"{name} seed {seed}"] = {"ops": len(ops), "sha256": h.hexdigest()}
     return digests
+
+
+def lp_ops() -> list[dict[str, object]]:
+    """One record per LP-workload op: its workload, seed, index, kind and
+    rung, and the SHA-256 of its ``_answers``."""
+    return [{"workload": name, "seed": seed, "index": i, "kind": op.kind, "rung": op.rung,
+             "sha256": hashlib.sha256(repr(_answers(op)).encode()).hexdigest()}
+            for name, seed, ops in _lp_passes() for i, op in enumerate(ops)]
+
+
+def moved_ops(old: list[dict], new: list[dict]) -> dict[str, dict[str, int]]:
+    """Per ``workload seed``, in the order of ``old`` then ``new``, the number
+    of moved ops by kind: an op moves when its hash, kind or rung differs or
+    it is in only one list.  Passes with no moved op are left out."""
+    keyed = [{(r["workload"], r["seed"], r["index"]): r for r in records}
+             for records in (old, new)]
+    counts: dict[str, dict[str, int]] = {}
+    for key in dict.fromkeys([*keyed[0], *keyed[1]]):
+        a, b = (records.get(key) for records in keyed)
+        if a != b:
+            kinds = counts.setdefault(f"{key[0]} seed {key[1]}", {})
+            kind = (a or b)["kind"]
+            kinds[kind] = kinds.get(kind, 0) + 1
+    return counts
 
 
 def cli_outputs(tmp: Path) -> dict[str, dict[str, object]]:
@@ -142,7 +177,23 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="print each moved key and exit 1 if any moved, writing nothing")
+    parser.add_argument("--ops", metavar="PATH",
+                        help="write one SHA-256 per LP-workload op to PATH and exit")
+    parser.add_argument("--ops-against", metavar="PATH",
+                        help="print the ops that moved since PATH, by kind, and exit 1 if any "
+                             "moved, writing nothing")
     args = parser.parse_args()
+    if args.ops:
+        Path(args.ops).write_text(json.dumps(lp_ops(), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {args.ops}")
+        sys.exit(0)
+    if args.ops_against:
+        counts = moved_ops(json.loads(Path(args.ops_against).read_text(encoding="utf-8")),
+                           lp_ops())
+        for key, kinds in counts.items():
+            listed = ", ".join(f"{kind} {count}" for kind, count in kinds.items())
+            print(f"moved: {key}: {sum(kinds.values())} ops ({listed})")
+        sys.exit(1 if counts else 0)
     with tempfile.TemporaryDirectory() as tmp:
         pinned = collect(Path(tmp).resolve())
     if args.check:

@@ -1,12 +1,13 @@
 """Bounds on binary pinned chain sets come from a forward pass, not the LP.
 
-``credal.lower_upper`` answers an event on one or two times over a feasible
-pinned chain set on two labels by ``credal._chain_bounds``: the forward pass
-over the window between the event's times, and one attaining measure per
-bound.  Every other set or event takes the LP path unchanged, which the
-fallback cases compare byte for byte.  The horizon tests pin what ROADMAP
-item 11 says of appending times: a chain set's bounds on earlier events do
-not move, and an all-pairs set's intervals never widen.
+``credal.lower_upper`` answers an event on two times over a feasible pinned
+chain set on two labels by ``credal._chain_bounds``: the forward pass over
+the window between the event's times, and one attaining measure per bound.
+Every other set or event takes the LP path unchanged, which the fallback
+cases compare byte for byte; an event on one time is among them, and the LP
+returns its pinned marginal.  The horizon tests pin what ROADMAP item 11
+says of appending times: a chain set's bounds on earlier events do not move,
+and an all-pairs set's intervals never widen.
 """
 
 import dataclasses
@@ -58,18 +59,40 @@ def cell_event(space: TrajectorySpace, t1: int, t2: int, cells) -> Event:
     return Event(bits)
 
 
-def shaped_events(space: TrajectorySpace, rng: np.random.Generator) -> list[Event]:
+def shaped_events(space: TrajectorySpace,
+                  rng: np.random.Generator) -> tuple[list[Event], list[Event]]:
     """Every two-time shape on a seeded pair of times, and both atoms of a
     seeded time."""
     t1, t2 = sorted(rng.choice(space.n, 2, replace=False).tolist())
     t = int(rng.integers(space.n))
-    return ([cell_event(space, t1, t2, cells) for cells in CELLS]
-            + [space.atom(t, 1 << a) for a in range(2)])
+    return ([cell_event(space, t1, t2, cells) for cells in CELLS],
+            [space.atom(t, 1 << a) for a in range(2)])
+
+
+def check_attained(cs: ConstraintSet, event: Event, res, highs: bool) -> None:
+    """Each bound of ``res`` attained by a measure that passes
+    ``verify_witness``, and, when ``highs``, HiGHS's bounds within 1e-7."""
+    for value, measure in ((res.lower, res.argmin), (res.upper, res.argmax)):
+        assert verify_witness(cs, measure.probs) <= CERTIFICATE_TOL
+        assert abs(measure.probability(event) - value) <= TOL
+    if highs:
+        lower, upper = scipy_bounds(cs, event)
+        assert abs(res.lower - lower) <= 1e-7 and abs(res.upper - upper) <= 1e-7
+
+
+def check_pinned_by_the_lp(cs: ConstraintSet, event: Event, highs: bool = False) -> None:
+    """An atom of one time takes the LP, whose bounds are both its pin
+    within ``TOL``."""
+    res = lower_upper(cs, event)
+    assert (res.status, res.path) == ("both-solved", "lp")
+    (t,) = credal._dependent_times(event.bits, cs.space.n)
+    pin = credal._chain_couplings(cs).mu[t, int(event.bits[0] == 0)]
+    assert abs(res.lower - pin) <= TOL and abs(res.upper - pin) <= TOL
+    check_attained(cs, event, res, highs)
 
 
 def check_chain_bounds(cs: ConstraintSet, event: Event, highs: bool = False) -> None:
-    """The forward pass answers, within ``TOL`` of the LP path's min and max,
-    each bound attained by a measure that passes ``verify_witness``."""
+    """The forward pass answers, within ``TOL`` of the LP path's min and max."""
     res = lower_upper(cs, event)
     assert (res.status, res.path) == ("both-solved", "chain")
     objective = event.bits.astype(float)
@@ -77,12 +100,7 @@ def check_chain_bounds(cs: ConstraintSet, event: Event, highs: bool = False) -> 
     high = credal._solve(cs, objective, maximize=True)
     assert abs(res.lower - low.objective) <= TOL
     assert abs(res.upper - high.objective) <= TOL
-    for value, measure in ((res.lower, res.argmin), (res.upper, res.argmax)):
-        assert verify_witness(cs, measure.probs) <= CERTIFICATE_TOL
-        assert abs(measure.probability(event) - value) <= TOL
-    if highs:
-        lower, upper = scipy_bounds(cs, event)
-        assert abs(res.lower - lower) <= 1e-7 and abs(res.upper - upper) <= 1e-7
+    check_attained(cs, event, res, highs)
 
 
 def halves_differ(bits: np.ndarray, n: int) -> list[int] | None:
@@ -120,8 +138,11 @@ def test_workload_chain_sets_match_the_lp(name, rungs, count, seed):
         if credal._chain_couplings(p.cs) is None:
             continue
         chains += 1
-        for event in [e for _, e in p.events] + shaped_events(p.space, rng):
+        shaped, atoms = shaped_events(p.space, rng)
+        for event in [e for _, e in p.events] + shaped:
             check_chain_bounds(p.cs, event)
+        for event in atoms:
+            check_pinned_by_the_lp(p.cs, event)
     assert chains == count
 
 
@@ -137,8 +158,11 @@ def test_seeded_binary_chain_sets_match_the_lp_and_highs(ruleset, n):
             break
     else:
         pytest.fail("no feasible chain set")
-    for event in shaped_events(space, np.random.default_rng([n, 31])):
+    shaped, atoms = shaped_events(space, np.random.default_rng([n, 31]))
+    for event in shaped:
         check_chain_bounds(cs, event, highs=True)
+    for event in atoms:
+        check_pinned_by_the_lp(cs, event, highs=True)
 
 
 def test_every_pair_of_times_on_a_chain_with_live_rows():
@@ -151,14 +175,22 @@ def test_every_pair_of_times_on_a_chain_with_live_rows():
 
 
 def test_one_time_event_is_pinned():
-    cfg = seeded_config(2, 4, "random", "born+qtr-min", True, [4, 1])
-    space, cs = realize(cfg)
-    mu = credal._chain_couplings(cs)[0]
+    """Every atom of every time, through the LP."""
+    space, cs = realize(seeded_config(2, 4, "random", "born+qtr-min", True, [4, 1]))
     for t in range(space.n):
         for a in range(2):
-            res = lower_upper(cs, space.atom(t, 1 << a))
-            assert res.lower == res.upper == mu[t, a]
-            assert res.argmin.probs.tobytes() == credal.feasibility(cs).witness.probs.tobytes()
+            check_pinned_by_the_lp(cs, space.atom(t, 1 << a))
+
+
+def test_one_time_event_runs_the_lp_and_no_forward_pass(count_calls):
+    space, cs = realize(seeded_config(2, 6, "random", "born+qtr-min", True, [6, 3]))
+    assert credal._chain_couplings(cs) is not None
+    passes = count_calls(credal, "_forward_pass")
+    measures = count_calls(credal, "_window_measures")
+    solves = count_calls(lp, "solve_lp")
+    res = lower_upper(cs, parse_event("(t=2,{1})", space))
+    assert res.path == "lp"
+    assert (passes, measures, len(solves)) == ([], [], 2)
 
 
 def test_chain_bounds_run_no_presolve_and_no_phase1(count_calls):
@@ -287,8 +319,10 @@ def test_appending_steps_to_a_chain_moves_no_bound(seed):
         exprs = earlier_events(rng, n, 6)
         short = horizon_bounds(cfg, n, exprs)
         for longer in (n + 1, 8):
-            for (lo, hi, path), (lo2, hi2, path2) in zip(short, horizon_bounds(cfg, longer, exprs)):
-                assert path == path2 == "chain"
+            for expr, (lo, hi, path), (lo2, hi2, path2) in zip(
+                    exprs, short, horizon_bounds(cfg, longer, exprs)):
+                # a two-time event through the forward pass, a one-time event through the LP
+                assert path == path2 == ("chain" if "&" in expr else "lp")
                 assert abs(lo - lo2) <= 1e-9 and abs(hi - hi2) <= 1e-9
 
 

@@ -2,7 +2,8 @@
 
 ``credal.feasibility`` decides a set whose rows are Born pins and pair rows
 on consecutive times without the presolve or phase 1: the couplings of
-``credal._chain_couplings`` glue into a Markov-chain witness.  Every other
+``credal._chain_couplings`` glue into a Markov-chain witness, which
+``markov_chain`` below recomputes from its formula.  Every other
 set, and a chain set with a negative coupling residual, takes the LP path
 unchanged, which the fallback cases compare byte for byte.
 """
@@ -55,6 +56,21 @@ def lp_calls(count_calls, phase1_calls):
     return lambda: (list(presolves), list(phase1_calls))
 
 
+def markov_chain(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """``P(w) = pi[0][w0, w1] * prod over t >= 1 of pi[t][wt, wt+1] / mu[t][wt]``
+    (0 where ``mu[t][wt] = 0``) over every trajectory, time 0 the most
+    significant digit: the chain of the couplings, by its formula."""
+    if not len(couplings):
+        return mu[0].copy()
+    probs = couplings[0]
+    for t in range(1, len(couplings)):
+        starts = mu[t][:, None]
+        step = np.divide(couplings[t], starts, out=np.zeros_like(couplings[t]),
+                         where=starts > 0.0)
+        probs = probs[..., None] * step
+    return probs.reshape(-1)
+
+
 def pair_marginals(probs: np.ndarray, m: int, n: int) -> list[np.ndarray]:
     """The measure's marginal on times (t, t + 1), for each t."""
     table = probs.reshape([m] * n)
@@ -81,10 +97,11 @@ def test_seeded_chain_sets(m, n, kind, ruleset, lp_calls):
             continue
         # every feasible chain set of this family is decided without the LP
         assert lp_calls() == before
-        mu, bounds, couplings = credal._chain_couplings(cs)
-        assert bounds.tobytes() == credal._pinned_chain(cs)[1].tobytes()
+        chain = credal._chain_couplings(cs)
+        mu, couplings = chain.mu, chain.couplings
+        assert chain.bounds.tobytes() == credal._pinned_chain(cs)[1].tobytes()
         probs = cert.witness.probs
-        assert probs.tobytes() == credal._markov_chain(mu, couplings).tobytes()
+        np.testing.assert_allclose(probs, markov_chain(mu, couplings), rtol=0.0, atol=1e-15)
         assert verify_witness(cs, probs) <= CERTIFICATE_TOL
         for t, (marginal, coupling) in enumerate(zip(pair_marginals(probs, m, n), couplings)):
             np.testing.assert_allclose(marginal, coupling, rtol=0.0, atol=1e-12)
@@ -218,7 +235,7 @@ def test_fallback_is_the_lp_path(case, hti, lp_calls, monkeypatch):
     if pinned:
         chain = credal._chain_couplings(cs)
         assert chain is None or verify_witness(
-            cs, credal._markov_chain(chain[0], chain[2])) > CERTIFICATE_TOL
+            cs, credal._window_measures(chain.mu, chain.kernels, 0, [], ())) > CERTIFICATE_TOL
     cert = feasibility(cs)
     calls = lp_calls()
     assert cert.feasible == scipy_feasible(cs) == feasible

@@ -390,3 +390,45 @@ def test_contradictory_certain_events_leave_no_column():
     assert not cert.feasible
     assert_certificate(cs, cert.farkas)
     assert cert.farkas.margin == pytest.approx(1.0, abs=1e-12)
+
+
+def certain_events_set():
+    """``test_contradictory_certain_events_leave_no_column``'s set."""
+    space = TrajectorySpace(2, 2)
+    a = parse_event("(t=1,{0})", space)
+    return ConstraintSet(space, [LinearConstraint(a, 1.0, "demand", "a"),
+                                 LinearConstraint(~a, 1.0, "demand", "!a")])
+
+
+FORCED = [(rung, seed, k) for rung in SHAPES[:2] + INFEASIBLE_SHAPES[1:]
+          for seed, k in ((3, 0), (7, 1), (29, 2))]
+
+
+@pytest.mark.parametrize("source", FORCED + ["certain"],
+                         ids=lambda s: s if isinstance(s, str) else f"m{s[0].m}-n{s[0].n}-{s[1]}")
+def test_collapsed_rows_lift_to_non_negative_multipliers(source, monkeypatch):
+    """Every collapsed row's multiplier is at least 0 before ``_multipliers``
+    rewrites the '==' rows, from the presolve's deduction and from phase 1's
+    lifted Farkas duals alike, so ``_multipliers`` checks only kept rows."""
+    if source == "certain":
+        cs = certain_events_set()
+    else:
+        rung, seed, k = source
+        cs = realize_doc(make_config(rung, seed, 0, k, infeasible=True))[2]
+    pre = cs.presolved()
+    assert pre.collapsed and pre.forcings
+    seen = []
+    spied = credal._multipliers
+
+    def spy(pre_, y):
+        seen.append(y[pre_.collapsed].copy())
+        return spied(pre_, y)
+
+    monkeypatch.setattr(credal, "_multipliers", spy)
+    assert not feasibility(cs).feasible
+    result = credal._solve(cs, np.zeros(cs.space.size))
+    assert result.status == lp.INFEASIBLE
+    cert, _ = credal._checked(cs, *credal._lift_farkas(cs, pre, result.farkas_duals))
+    assert_certificate(cs, cert)
+    assert len(seen) == 2
+    assert all((y >= 0.0).all() for y in seen)

@@ -110,6 +110,16 @@ class TestEvolve:
         with pytest.raises(ValueError, match="time index"):
             mz_system.evolve(3)
 
+    def test_state_is_the_propagated_initial_state_and_read_only(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            system = random_system(rng)
+            for t in range(system.n):
+                state = system.evolve(t)
+                assert state.tobytes() == (system.propagator(t) @ system.psi0).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    state[0] = 0.0
+
     def test_unitarity_preserved_random(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
