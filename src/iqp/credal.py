@@ -29,6 +29,10 @@ them, one closed-form interval per step, with an attaining measure for each
 bound; every other bound is an LP.  One routine, ``_window_measures``, glues
 every measure of the chain path from the couplings' kernels, the verdict's
 witness being the one with an empty window.
+
+Everything the queries read of a set, its strongest row per event, presolve,
+phase 1 and chain record, is one reading (``_reading``), each part computed
+on first use and kept for the last set asked about.
 """
 
 from __future__ import annotations
@@ -177,7 +181,8 @@ class ConstraintSet:
     """Linear rows over the trajectory simplex (simplex rows are implicit).
 
     Frozen once built (``constraints`` is held as a tuple) and equal only to
-    itself, so the queries key its presolve and phase 1 on its identity.
+    itself, so the queries key their reading of it (``_reading``) on its
+    identity.
     """
 
     space: TrajectorySpace
@@ -267,7 +272,7 @@ class ConstraintSet:
         constraint.
         """
         bounds = [float(con.rhs) for con in self.constraints]
-        kept = _strongest(self.constraints)  # event bits -> constraint of its row
+        kept = _reading(self).strongest  # event bits -> constraint of its row
         owners: list[int] = []
         partners: list[int] = []
         pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
@@ -593,38 +598,81 @@ class FeasibilityCertificate:
         return self.witness is not None
 
 
+class _Reading:
+    """Everything the queries read of one constraint set, each part computed
+    on first use; the set is frozen, so no part goes stale."""
+
+    def __init__(self, cs: ConstraintSet) -> None:
+        self.cs = cs
+
+    @functools.cached_property
+    def strongest(self) -> dict[bytes, int]:
+        """The one scan of the set's rows (``_strongest``), which
+        ``ConstraintSet.presolved``, ``verify_witness`` and ``huber_check``
+        read."""
+        return _strongest(self.cs.constraints)
+
+    @functools.cached_property
+    def kept(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The rows of ``strongest`` grouped by the event's trajectory count:
+        per group, one row of trajectory indices per event and the events'
+        bounds."""
+        groups: dict[int, tuple[list[np.ndarray], list[float]]] = {}
+        for i in self.strongest.values():
+            con = self.cs.constraints[i]
+            cols = np.flatnonzero(con.event.bits)
+            group = groups.setdefault(cols.size, ([], []))
+            group[0].append(cols)
+            group[1].append(con.rhs)
+        return tuple((np.array(cols).reshape(len(cols), size), np.array(bounds))
+                     for size, (cols, bounds) in groups.items())
+
+    @functools.cached_property
+    def presolved(self) -> Presolved:
+        """``cs.presolved()``, the rows the LP queries solve."""
+        return self.cs.presolved()
+
+    @functools.cached_property
+    def start(self) -> lp.FeasibleStart:
+        """The phase 1 of ``presolved``, which every LP query of the set starts from."""
+        return lp.feasible_start(self.presolved.rows, self.presolved.rhs, self.presolved.senses)
+
+    @functools.cached_property
+    def chain(self) -> _Chain | None:
+        """The chain path's record (``_chain_couplings``), ``None`` off it."""
+        return _chain_couplings(self.cs)
+
+
 @functools.lru_cache(maxsize=1)
-def _kept_rows(cs: ConstraintSet) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The strongest row on each distinct event (``_strongest``), grouped by
-    the event's trajectory count: per group, one row of trajectory indices
-    per event and the events' bounds.  Kept for the last set asked about,
-    keyed on its identity like ``presolve``."""
-    groups: dict[int, tuple[list[np.ndarray], list[float]]] = {}
-    for i in _strongest(cs.constraints).values():
-        con = cs.constraints[i]
-        cols = np.flatnonzero(con.event.bits)
-        group = groups.setdefault(cols.size, ([], []))
-        group[0].append(cols)
-        group[1].append(con.rhs)
-    return tuple((np.array(cols).reshape(len(cols), size), np.array(bounds))
-                 for size, (cols, bounds) in groups.items())
+def _reading(cs: ConstraintSet) -> _Reading:
+    """The reading of ``cs``, kept for the last set asked about.
+
+    Keyed on the set's identity, which is sound because a set is frozen and
+    the cache's reference to it keeps its id from being reused.  One entry,
+    so the queries asked one after another about one set, and a caller that
+    reads its presolve (the CLI's run report), share one scan, presolve,
+    phase 1 and chain record, while one set at most stays alive however
+    many sets the caller keeps.
+    """
+    return _Reading(cs)
 
 
 def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
     """Max violation of the constraint rows and simplex rows, by direct sums.
 
-    Only the strongest row on each distinct event is summed (``_kept_rows``):
-    on one event ``l - P(event)`` rounds monotonically in ``l``, so the
-    weaker rows' violations are at most its own and the maximum is the same
-    float.  Each row sums its trajectories' entries in index order along
-    the last axis, which is the pairwise sum ``event_probability`` takes,
-    and ``fmax`` passes over a NaN violation as ``max`` does.
+    Only the strongest row on each distinct event is summed, as grouped by
+    the set's reading (``_Reading.kept``): on one event ``l - P(event)``
+    rounds monotonically in ``l``, so the weaker rows' violations are at
+    most its own and the maximum is the same float.  Each row sums its
+    trajectories' entries in index order along the last axis, which is the
+    pairwise sum ``event_probability`` takes, and ``fmax`` passes over a NaN
+    violation as ``max`` does.
     """
     vec = np.asarray(probs, dtype=float)
     if vec.shape != (cs.space.size,):
         raise ValueError(f"measure has length {vec.shape}, space has {cs.space.size}")
     worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
-    for cols, bounds in _kept_rows(cs):
+    for cols, bounds in _reading(cs).kept:
         worst = max(worst, float(np.fmax.reduce(bounds - np.add.reduce(vec.take(cols), axis=1))))
     return worst
 
@@ -646,42 +694,24 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
     return float(combo.max()), float(total)
 
 
-@functools.lru_cache(maxsize=1)
 def presolve(cs: ConstraintSet) -> Presolved:
-    """``cs.presolved()``, kept for the last set asked about.
-
-    Keyed on the set's identity, which is sound because a set is frozen and
-    the cache's reference to it keeps its id from being reused.  One entry,
-    so a caller that reads the presolve (the CLI's run report) and the
-    queries that solve it share one, while the rows of one set at most stay
-    alive however many sets the caller keeps.
-    """
-    return cs.presolved()
-
-
-@functools.lru_cache(maxsize=1)
-def _prepared(cs: ConstraintSet) -> tuple[Presolved, lp.FeasibleStart]:
-    """The presolved rows of ``cs`` and their phase 1, for the polytope queries.
-
-    Keyed on the set's identity like ``presolve``.  One entry, so queries
-    asked one after another about one set share a single presolve and phase
-    1, while one start at most stays alive however many sets the caller
-    keeps.
-    """
-    pre = presolve(cs)
-    return pre, lp.feasible_start(pre.rows, pre.rhs, pre.senses)
+    """``cs.presolved()``, as held by the reading of ``cs`` (``_reading``), so
+    a caller that reads the presolve (the CLI's run report) and the queries
+    that solve it share one."""
+    return _reading(cs).presolved
 
 
 def _solve(cs: ConstraintSet, objective: np.ndarray, maximize: bool = False) -> lp.LPResult:
     """``objective`` over the presolved rows of ``cs``, from their phase 1
-    (``_prepared``); any status but optimal or infeasible is a failure.
+    (``_Reading.start``); any status but optimal or infeasible is a failure.
 
     The objective is taken on the live columns, and ``x`` is padded back to
     every trajectory with the fixed ones at zero.
     """
-    pre, start = _prepared(cs)
+    reading = _reading(cs)
+    pre = reading.presolved
     result = lp.solve_lp(np.asarray(objective)[pre.live], pre.rows, pre.rhs, pre.senses,
-                         maximize=maximize, start=start)
+                         maximize=maximize, start=reading.start)
     if result.status not in (lp.OPTIMAL, lp.INFEASIBLE):
         raise lp.SimplexFailure(f"unexpected LP status {result.status!r}")
     if result.x is not None:
@@ -817,29 +847,20 @@ def _label_sums(table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _kernels(mu: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """``pi[t][a, b] / mu[t][a]`` (0 where ``mu[t][a] = 0``): the chain's
-    step from time ``t`` to ``t + 1``."""
-    starts = mu[:-1, :, None]
-    return np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
-
-
 class _Chain(NamedTuple):
-    """A feasible pinned chain set, read once (``_chain_couplings``)."""
+    """A feasible pinned chain set, read once (``_Reading.chain``)."""
 
     mu: np.ndarray  # mu[t, a]: the pinned marginals
     bounds: np.ndarray  # bounds[t, a, b]: the largest pair bound per cell
     couplings: np.ndarray  # pi[t][a, b]: a coupling of (mu[t], mu[t + 1]) above bounds[t]
-    kernels: np.ndarray  # the chain's steps, pi[t] over mu[t] (``_kernels``)
+    kernels: np.ndarray  # the chain's steps, pi[t][a, b] / mu[t][a] (0 where mu[t][a] = 0)
 
 
-@functools.lru_cache(maxsize=1)
 def _chain_couplings(cs: ConstraintSet) -> _Chain | None:
     """The marginals, pair bounds, consecutive couplings ``pi[t]`` and their
     kernels of a pinned chain set (``_pinned_chain``) that is feasible, else
-    ``None``; kept for the last set asked about, keyed on its identity like
-    ``presolve``, so that its verdict and its bounds share one scan and one
-    set of kernels.
+    ``None``.  The set's reading holds it (``_Reading.chain``), so that its
+    verdict and its bounds share one scan and one set of kernels.
 
     A measure meets every row of the set exactly when each pair marginal
     ``pi[t]`` has row sums ``mu[t]``, column sums ``mu[t + 1]`` and
@@ -862,7 +883,9 @@ def _chain_couplings(cs: ConstraintSet) -> _Chain | None:
     total = _label_sums(rows)[:, None, None]
     spread = rows[:, :, None] * cols[:, None, :]
     couplings = bounds + np.divide(spread, total, out=np.zeros_like(spread), where=total > 0.0)
-    return _Chain(mu, bounds, couplings, _kernels(mu, couplings))
+    starts = mu[:-1, :, None]
+    kernels = np.divide(couplings, starts, out=np.zeros_like(couplings), where=starts > 0.0)
+    return _Chain(mu, bounds, couplings, kernels)
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
@@ -876,9 +899,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     ``verify_witness``, which also sums the one-sset rows on regions the
     pins do not read.  Neither the presolve nor phase 1 runs then; vertex
     samples of ``cs``, and bounds the forward pass does not answer
-    (``_chain_bounds``), build both in ``_prepared``.  Every other set, and
-    a chain set whose residual is negative or whose witness fails the
-    check, runs the LP path below.
+    (``_chain_bounds``), build both in the set's reading (``_reading``).
+    Every other set, and a chain set whose residual is negative or whose
+    witness fails the check, runs the LP path below.
 
     When the presolve found a deduction that proves the set empty
     (``Presolved.empty``) and ``verify_farkas`` accepts it as a certificate,
@@ -887,7 +910,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     presolved rows, whose Farkas duals ``_lift_farkas`` maps back, in one
     pass, to one multiplier per constraint.
     """
-    chain = _chain_couplings(cs)
+    chain = _reading(cs).chain
     if chain is not None:
         probs = _window_measures(chain.mu, chain.kernels, 0, [], ())
         if verify_witness(cs, probs) <= CERTIFICATE_TOL:
@@ -1032,7 +1055,7 @@ def _window_measures(mu: list[list[float]] | np.ndarray, kernels: np.ndarray, t1
     ``v`` for the step before.  On ``[t1, t2]`` a measure is the Markov
     chain of ``(w_t1, w_t)`` through those points, its step ``h[x, a, b] /
     g[x, a]`` (0 where ``g[x, a] = 0``); elsewhere it takes the couplings'
-    ``kernels`` (``_kernels``), time 0 the most significant digit.  The
+    ``kernels`` (``_Chain.kernels``), time 0 the most significant digit.  The
     measures share their steps before ``t1`` and are built side by side
     from there, on a leading axis, which an empty window never adds.
     """
@@ -1077,17 +1100,18 @@ def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
     one time is left to the LP, which returns its pinned marginal.
 
     With both marginals of times ``t1 < t2`` pinned, ``P00 = P(w_t1 = 0,
-    w_t2 = 0)`` is the one free entry of their joint table: ``P01 = mu[t1][0] - P00``, ``P10 = mu[t2][0]
-    - P00`` and ``P11 = mu[t1][1] - mu[t2][0] + P00``.  An event on both
-    times has probability ``alpha + beta * P00`` with ``beta`` in -2..2, and
-    its bounds are its value at the ends of the interval of ``P00``, which
-    ``_forward_pass`` computes.  Rows outside ``[t1, t2]`` do not narrow that
-    interval: a measure on the window meeting its rows extends by the
-    couplings' kernels, which meet theirs.
+    w_t2 = 0)`` is the one free entry of their joint table: ``P01 =
+    mu[t1][0] - P00``, ``P10 = mu[t2][0] - P00`` and ``P11 = mu[t1][1] -
+    mu[t2][0] + P00``.  An event on both times has probability ``alpha +
+    beta * P00`` with ``beta`` in -2..2, and its bounds are its value at the
+    ends of the interval of ``P00``, which ``_forward_pass`` computes.  Rows
+    outside ``[t1, t2]`` do not narrow that interval: a measure on the
+    window meeting its rows extends by the couplings' kernels, which meet
+    theirs.
     """
     if cs.space.m != 2:
         return None
-    chain = _chain_couplings(cs)
+    chain = _reading(cs).chain
     if chain is None:
         return None
     times = _dependent_times(a.bits, cs.space.n)
@@ -1120,7 +1144,7 @@ def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
     An event on two times over a feasible pinned chain set on two labels
     takes the forward pass of ``_chain_bounds``, with no presolve, phase 1
     or LP.  Every other query, and one whose measure fails its check, runs
-    the LP: both solves start from the phase 1 of ``cs`` (``_prepared``).
+    the LP: both solves start from the phase 1 of ``cs`` (``_Reading.start``).
     """
     if len(a) != cs.space.size:
         raise ValueError("event length does not match space")
@@ -1164,18 +1188,19 @@ def huber_check(cs: ConstraintSet) -> float:
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
     form has one row per event rather than one per trajectory.
 
-    The LP keeps the strongest row on each distinct event (``_strongest``),
-    as the presolve does, and is not otherwise presolved: without
-    normalization a complementary pair does not collapse to one row.  A set
-    without rows is an LP without rows, optimal at 0.  Its phase 1 is its own
-    and leaves the set's (``_prepared``) in place.
+    The LP keeps the strongest row on each distinct event, from the set's
+    reading (``_Reading.strongest``) as the presolve does, and is not
+    otherwise presolved: without normalization a complementary pair does not
+    collapse to one row.  A set without rows is an LP without rows, optimal
+    at 0.  Its phase 1 is its own and leaves the set's (``_Reading.start``)
+    in place.
     """
     for con in cs.constraints:
         if con.event.is_empty and con.rhs > 0:
             raise ValueError(
                 f"malformed row: empty event with positive bound {con.rhs!r}"
             )
-    rows, rhs = cs._rows([cs.constraints[i] for i in _strongest(cs.constraints).values()])
+    rows, rhs = cs._rows([cs.constraints[i] for i in _reading(cs).strongest.values()])
     # the total mass is what is minimized, not normalized
     result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], [">="] * (len(rhs) - 1))
     if result.status != lp.OPTIMAL:
@@ -1188,7 +1213,7 @@ def sample_vertex_measures(
 ) -> list[TrajectoryMeasure]:
     """Polytope vertices from seeded random linear objectives (reproducible).
 
-    Every sample is re-optimized from the phase 1 of ``cs`` (``_prepared``).
+    Every sample is re-optimized from the phase 1 of ``cs`` (``_Reading.start``).
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

@@ -1,0 +1,42 @@
+"""Code lines per Python file: the lines that hold a token other than a
+docstring or a comment.
+
+    python tests/code_lines.py PATH...
+
+prints one ``count path`` line per file.  A docstring is any string literal
+standing alone as a statement; a line that only continues one, holds only a
+comment or is blank does not count.  A statement or a string over several
+lines counts every line it spans.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+import tokenize
+
+_LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines: set[int] = set()
+    for k, tok in enumerate(tokens):
+        if tok.type in _LAYOUT:
+            continue
+        alone = ((k == 0 or tokens[k - 1].type in _LAYOUT)
+                 and tokens[k + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER))
+        if tok.type == tokenize.STRING and alone:
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: code_lines.py PATH...")
+    for path in sys.argv[1:]:
+        with open(path, encoding="utf-8") as f:
+            print(code_lines(f.read()), path)

@@ -140,8 +140,9 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def phase1_calls(count_calls):
-    """Empties the queries' phase-1 slot and records the shape of every phase 1 run after."""
-    credal._prepared.cache_clear()
+    """Empties the queries' one slot (``_reading``) and records the shape of
+    every phase 1 run after."""
+    credal._reading.cache_clear()
     return count_calls(lp, "_phase1", lambda a, *rest: a.shape)
 
 

@@ -196,8 +196,7 @@ def test_one_time_event_runs_the_lp_and_no_forward_pass(count_calls):
 def test_chain_bounds_run_no_presolve_and_no_phase1(count_calls):
     cfg = seeded_config(2, 6, "random", "born+qtr-min", True, [6, 3])
     space, cs = realize(cfg)
-    credal.presolve.cache_clear()
-    credal._prepared.cache_clear()
+    credal._reading.cache_clear()
     presolves = count_calls(credal, "presolve")
     presolved = count_calls(ConstraintSet, "presolved")
     starts = count_calls(lp, "feasible_start")
@@ -263,8 +262,7 @@ def test_fallback_is_the_lp_path(case, monkeypatch):
 
     # the LP path alone, from a fresh presolve and phase 1, gives the same bytes
     monkeypatch.setattr(credal, "_chain_bounds", lambda _cs, _a: None)
-    credal.presolve.cache_clear()
-    credal._prepared.cache_clear()
+    credal._reading.cache_clear()
     assert result_bytes(lower_upper(cs, event)) == result_bytes(res)
 
 

@@ -50,8 +50,8 @@ SHAPES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
 
 @pytest.fixture
 def lp_calls(count_calls, phase1_calls):
-    """The presolves and phase 1s run from here on, by the shapes they saw."""
-    credal.presolve.cache_clear()
+    """The presolves and phase 1s run from here on, by the shapes they saw;
+    ``phase1_calls`` empties the one slot they are kept in."""
     presolves = count_calls(ConstraintSet, "presolved", lambda cs: len(cs))
     return lambda: (list(presolves), list(phase1_calls))
 
@@ -243,8 +243,7 @@ def test_fallback_is_the_lp_path(case, hti, lp_calls, monkeypatch):
 
     # the LP path alone, in a fresh slot, gives the same bytes and the same calls
     monkeypatch.setattr(credal, "_chain_couplings", lambda _cs: None)
-    credal.presolve.cache_clear()
-    credal._prepared.cache_clear()
+    credal._reading.cache_clear()
     assert answer_bytes(feasibility(cs)) == answer_bytes(cert)
     again = lp_calls()
     assert (again[0][len(calls[0]):], again[1][len(calls[1]):]) == calls
@@ -305,12 +304,12 @@ CHAIN_SETS = {
 
 def scanned_as_strongest(cs) -> bool:
     """Whether ``cs`` is a pinned chain set; if so, its ``mu[t, a]`` must be
-    bit for bit the bound of ``_strongest``'s row on the atom of ``(t, {a})``,
-    0.0 without one."""
+    bit for bit the bound of the strongest row on the atom of ``(t, {a})`` in
+    the set's reading, 0.0 without one."""
     chain = credal._pinned_chain(cs)
     if chain is None:
         return False
-    kept = credal._strongest(cs.constraints)
+    kept = credal._reading(cs).strongest
     space = cs.space
     want = np.zeros((space.n, space.m))
     for t in range(space.n):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,7 +28,7 @@ from conftest import (
     sset,
     vertex_bounds,
 )
-from iqp import lp
+from iqp import credal, lp
 from iqp.credal import (
     ConstraintSet,
     FarkasCertificate,
@@ -980,6 +982,33 @@ class TestPhase1Memo:
             sys.setswitchinterval(interval)
         for job, res in zip(jobs, parallel):
             assert self.fingerprint(res) == self.fingerprint(lower_upper(*job))
+
+
+class TestOneReading:
+    """Queries read a set through one slot (``credal._reading``): one scan of
+    its rows, and one set at most kept alive."""
+
+    def test_at_most_one_set_alive(self):
+        _, first = realize(BUILTIN_SCENARIOS["drifting-branch"]())
+        assert feasibility(first).feasible  # the LP path: presolve and phase 1
+        alive = weakref.ref(first)
+        credal.presolve(realize(BUILTIN_SCENARIOS["mach-zehnder"]())[1])
+        del first
+        gc.collect()
+        assert alive() is None
+
+    @pytest.mark.parametrize("name, exprs, path", [
+        ("drifting-branch", ["(t=0,{0}) & (t=2,{0})", "(t=1,{1})"], "lp"),
+        ("beam-splitter", ["(t=1,{0}) & (t=2,{0})", "(t=0,{1}) & (t=2,{0})"], "chain"),
+    ])
+    def test_one_scan_per_set(self, name, exprs, path, count_calls):
+        space, cs = realize(BUILTIN_SCENARIOS[name]())
+        scans = count_calls(credal, "_strongest")
+        assert feasibility(cs).feasible
+        assert [lower_upper(cs, parse_event(e, space)).path for e in exprs] == [path] * 2
+        if path == "lp":
+            huber_check(cs)
+        assert len(scans) == 1
 
 
 class TestCsvExport:
