@@ -16,7 +16,7 @@ the certificate, and feasibility then runs no phase 1.
 
 Every generated row names its event by its origin, the ssets whose atoms
 intersect to it, and every reader of a set takes the strongest row on each
-event.  A pinned chain set, whose rows are Born pins fixing every
+event from one scan of its rows.  A pinned chain set, whose rows are Born pins fixing every
 single-time marginal and pair rows on consecutive times, gets its
 feasibility verdict without the LP: a measure meets its rows exactly when
 its consecutive pair marginals do, and the pair problems decouple into one
@@ -32,7 +32,9 @@ witness being the one with an empty window.
 
 Everything the queries read of a set, its strongest row per event, presolve,
 phase 1 and chain record, is one reading (``_reading``), each part computed
-on first use and kept for the last set asked about.
+on first use and kept for the last set asked about.  The presolve
+(``_presolve``) and the chain scan (``_pinned_chain``) both start from the
+strongest rows, so the set's rows are passed over once.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ class ConstraintSet:
 
     Frozen once built (``constraints`` is held as a tuple) and equal only to
     itself, so the queries key their reading of it (``_reading``) on its
-    identity.
+    identity.  A row whose event is not over ``space`` is refused.
     """
 
     space: TrajectorySpace
@@ -192,6 +194,9 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        for con in self.constraints:
+            if len(con.event) != self.space.size:
+                raise ValueError(f"row {con.label}: event length does not match space")
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -216,168 +221,170 @@ class ConstraintSet:
             rhs[i] = con.rhs
         return rows, rhs
 
-    def presolved(self) -> Presolved:
-        """The rows of ``lp_rows`` that the polytope queries solve, over the
-        columns that can be non-zero.
 
-        Rows on one event collapse to the one with the largest bound (the
-        first on ties).  A kept pair ``P(A) >= l``, ``P(A^c) >= l'`` with
-        ``l + l'`` within ``VACUOUS_RHS`` of 1 becomes the one row
-        ``P(A) = l``, owned by whichever event comes first: with
-        normalization the pair pins ``P(A)`` to ``l`` up to that dust.  Pairs
-        further from 1 stay two '>=' rows, so an over-pinned set stays
-        infeasible and a band stays a band.
+def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
+    """The rows of ``cs.lp_rows()`` that the polytope queries solve, over the
+    columns that can be non-zero, from ``kept``, the strongest row per event
+    (``_Reading.strongest``).
 
-        A kept '>=' row ``P(A & B) >= l`` of a pair ``(S1, S2)`` whose atom
-        events ``A`` and ``B`` '==' rows pin to ``w1`` and ``w2`` is then
-        dropped when the pins imply it, so the polytope stays the same:
+    Rows on one event collapse to the one with the largest bound (the first
+    on ties), the one ``kept`` names.  A kept pair ``P(A) >= l``,
+    ``P(A^c) >= l'`` with ``l + l'`` within ``VACUOUS_RHS`` of 1 becomes the
+    one row ``P(A) = l``, owned by whichever event comes first: with
+    normalization the pair pins ``P(A)`` to ``l`` up to that dust.  Pairs
+    further from 1 stay two '>=' rows, so an over-pinned set stays
+    infeasible and a band stays a band.
 
-        1. when ``l <= w1 + w2 - 1`` (Frechet: ``P(A & B) >= P(A) + P(B) - 1``);
-        2. when the kept row on ``(S1^c, S2^c)``, ``P(A^c & B^c) >= l'``, is at
-           least as strong: ``1_{A&B} - 1_{A^c&B^c} = 1_A + 1_B - 1``, so it
-           reads ``P(A & B) >= l' + w1 + w2 - 1``.  Compared in the
-           orientation of the first of the two rows, the stronger stays, the
-           first on ties.
+    A kept '>=' row ``P(A & B) >= l`` of a pair ``(S1, S2)`` whose atom
+    events ``A`` and ``B`` '==' rows pin to ``w1`` and ``w2`` is then
+    dropped when the pins imply it, so the polytope stays the same:
 
-        Kept rows follow the first appearance of their events; ``implied``
-        counts the rows the two rules dropped.
+    1. when ``l <= w1 + w2 - 1`` (Frechet: ``P(A & B) >= P(A) + P(B) - 1``);
+    2. when the kept row on ``(S1^c, S2^c)``, ``P(A^c & B^c) >= l'``, is at
+       least as strong: ``1_{A&B} - 1_{A^c&B^c} = 1_A + 1_B - 1``, so it
+       reads ``P(A & B) >= l' + w1 + w2 - 1``.  Compared in the
+       orientation of the first of the two rows, the stronger stays, the
+       first on ties.
 
-        Forcing rows then fix columns at zero (Andersen and Andersen,
-        "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
-        ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
-        ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
-        zero.  Three kinds are recognized:
+    Kept rows follow the first appearance of their events; ``implied``
+    counts the rows the two rules dropped.
 
-        - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
-          (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
-          pin of ``S2`` fixes ``S1^c & S2``;
-        - a kept '>=' demand (a row without origin) reaching the pin of an
-          event that contains its own fixes the rest of that event, each
-          pinned event being tested against the demand's bits;
-        - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
-          being the upper bound.
+    Forcing rows then fix columns at zero (Andersen and Andersen,
+    "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
+    ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
+    ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
+    zero.  Three kinds are recognized:
 
-        A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
-        when the exactly rounded ``l + r - 1`` is at least 0, so every fix
-        holds in real arithmetic and needs no tolerance.  A deduction whose
-        exactly summed right side ``l - u`` is at least ``FARKAS_MARGIN``
-        fixes nothing: ``1_F - 1_E <= 0`` with that right side is a Farkas
-        certificate, and the first such is kept as ``empty``.  The rows are built
-        over the ``live`` columns only, each one bit for bit its owner's row
-        of ``lp_rows`` on them, and rows equal there collapse: the largest
-        '>=' bound wins, the first on ties, and a '>=' row is dropped
-        (``collapsed``) when an '==' row, normalization included, on the same
-        columns has at least its bound.  ``forcings`` keep each deduction in
-        constraint indices, for lifting Farkas certificates back to every
-        constraint.
-        """
-        bounds = [float(con.rhs) for con in self.constraints]
-        kept = _reading(self).strongest  # event bits -> constraint of its row
-        owners: list[int] = []
-        partners: list[int] = []
-        pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
-        for key, i in kept.items():
-            if key in pins:  # the complement's row already pins this event
-                continue
-            complement = (~self.constraints[i].event.bits).tobytes()
-            j = kept.get(complement, -1)
-            if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
-                pins[key], pins[complement] = _pins(i, bounds[i])
-            else:
-                j = -1
-            owners.append(i)
-            partners.append(j)
-        implied, fixes, empty = self._implied(owners, partners, bounds, pins)
-        partners = [j for i, j in zip(owners, partners) if i not in implied]
-        owners = [i for i in owners if i not in implied]
-        forcings = tuple(fix for fix in fixes if fix.terms[0][0] not in implied and fix.cols.any())
-        live = np.arange(self.space.size)
-        collapsed: list[int] = []
-        if not forcings:
-            rows, rhs = self._rows([self.constraints[i] for i in owners])
+    - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
+      (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
+      pin of ``S2`` fixes ``S1^c & S2``;
+    - a kept '>=' demand (a row without origin) reaching the pin of an
+      event that contains its own fixes the rest of that event, each
+      pinned event being tested against the demand's bits;
+    - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
+      being the upper bound.
+
+    A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
+    when the exactly rounded ``l + r - 1`` is at least 0, so every fix
+    holds in real arithmetic and needs no tolerance.  A deduction whose
+    exactly summed right side ``l - u`` is at least ``FARKAS_MARGIN``
+    fixes nothing: ``1_F - 1_E <= 0`` with that right side is a Farkas
+    certificate, and the first such is kept as ``empty``.  The rows are built
+    over the ``live`` columns only, each one bit for bit its owner's row
+    of ``lp_rows`` on them, and rows equal there collapse: the largest
+    '>=' bound wins, the first on ties, and a '>=' row is dropped
+    (``collapsed``) when an '==' row, normalization included, on the same
+    columns has at least its bound.  ``forcings`` keep each deduction in
+    constraint indices, for lifting Farkas certificates back to every
+    constraint.
+    """
+    bounds = {i: float(cs.constraints[i].rhs) for i in kept.values()}
+    owners: list[int] = []
+    partners: list[int] = []
+    pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
+    for key, i in kept.items():
+        if key in pins:  # the complement's row already pins this event
+            continue
+        complement = (~cs.constraints[i].event.bits).tobytes()
+        j = kept.get(complement, -1)
+        if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
+            pins[key], pins[complement] = _pins(i, bounds[i])
         else:
-            fixed = np.zeros(self.space.size, dtype=bool)
-            for fix in forcings:
-                fixed |= fix.cols
-            live = np.flatnonzero(~fixed)
-            rows, rhs = self._rows([self.constraints[i] for i in owners], live)
-            keep = _collapse(rows, rhs.tolist(), partners)
-            collapsed = [i for i, kept in zip(owners, keep) if not kept]
-            owners = [i for i, kept in zip(owners, keep) if kept]
-            partners = [j for j, kept in zip(partners, keep) if kept]
-            rows, rhs = rows[[True] + keep], rhs[[True] + keep]
-        senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
-        return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
-                         forcings, empty)
+            j = -1
+        owners.append(i)
+        partners.append(j)
+    implied, fixes, empty = _implied(cs, owners, partners, bounds, pins)
+    partners = [j for i, j in zip(owners, partners) if i not in implied]
+    owners = [i for i in owners if i not in implied]
+    forcings = tuple(fix for fix in fixes if fix.terms[0][0] not in implied and fix.cols.any())
+    live = np.arange(cs.space.size)
+    collapsed: list[int] = []
+    if not forcings:
+        rows, rhs = cs._rows([cs.constraints[i] for i in owners])
+    else:
+        fixed = np.zeros(cs.space.size, dtype=bool)
+        for fix in forcings:
+            fixed |= fix.cols
+        live = np.flatnonzero(~fixed)
+        rows, rhs = cs._rows([cs.constraints[i] for i in owners], live)
+        keep = _collapse(rows, rhs.tolist(), partners)
+        collapsed = [i for i, kept in zip(owners, keep) if not kept]
+        owners = [i for i, kept in zip(owners, keep) if kept]
+        partners = [j for j, kept in zip(partners, keep) if kept]
+        rows, rhs = rows[[True] + keep], rhs[[True] + keep]
+    senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
+    return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
+                     forcings, empty)
 
-    def _implied(self, owners: list[int], partners: list[int], bounds: list[float],
-                 pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing], Terms]:
-        """The kept '>=' rows (by constraint) that rules 1 and 2 of ``presolved``
-        drop, the forcing rows' deductions, each one's first term the forcing
-        row's constraint, and the first deduction whose right side is at
-        least ``FARKAS_MARGIN`` (empty when none)."""
 
-        def pin(s: SSet) -> tuple[_Pin, np.ndarray] | None:
-            """The pin of ``s`` and its atom event's bits, ``None`` when unpinned."""
-            bits = sset_event(self.space, s).bits
-            found = pins.get(bits.tobytes())
-            return None if found is None else (found, bits)
+def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: dict[int, float],
+             pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing], Terms]:
+    """The kept '>=' rows (by constraint) that rules 1 and 2 of ``_presolve``
+    drop, the forcing rows' deductions, each one's first term the forcing
+    row's constraint, and the first deduction whose right side is at
+    least ``FARKAS_MARGIN`` (empty when none)."""
 
-        implied: set[int] = set()
-        fixes: list[Forcing] = []
-        empty: Terms = ()
+    def pin(s: SSet) -> tuple[_Pin, np.ndarray] | None:
+        """The pin of ``s`` and its atom event's bits, ``None`` when unpinned."""
+        bits = sset_event(cs.space, s).bits
+        found = pins.get(bits.tobytes())
+        return None if found is None else (found, bits)
 
-        def fix(row: int, upper: Terms, cols: np.ndarray) -> None:
-            """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes
-            ``cols``, unless its exact right side is at least the margin: then
-            it proves the set empty instead."""
-            nonlocal empty
-            terms = ((row, 1.0),) + tuple((r, -c) for r, c in upper)
-            if math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) < FARKAS_MARGIN:
-                fixes.append(Forcing(terms, cols))
-            elif not empty:
-                empty = terms
+    implied: set[int] = set()
+    fixes: list[Forcing] = []
+    empty: Terms = ()
 
-        pinned_events: np.ndarray | None = None  # built for the first demand
-        # each kept, pinned pair row not yet matched: its ssets, as (time, region
-        # mask) pairs, which are cheaper to build than SSets -> (constraint, shift)
-        unmatched: dict[frozenset[tuple[int, int]], tuple[int, float]] = {}
-        full = (1 << self.space.m) - 1
-        for i, j in zip(owners, partners):
-            con = self.constraints[i]
-            if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
-                fix(i, ((-1, 1.0),), ~con.event.bits)
-            if j >= 0 or len(con.origin) == 1:
-                continue
-            # the pinned events that contain the row's, each with its pin
-            if con.origin:  # a pair row: its two ssets, when pinned
-                supersets = [pin(s) for s in con.origin]
-            else:  # a demand: every pinned event, tested against its bits
-                if pinned_events is None:  # one row per pinned event, in order
-                    pinned_events = np.frombuffer(b"".join(pins), dtype=bool).reshape(
-                        len(pins), self.space.size)
-                outside = (con.event.bits & ~pinned_events).any(axis=1)
-                supersets = [(found, bits) for found, bits, out
-                             in zip(pins.values(), pinned_events, outside) if not out]
-            # a row reaching a pin fixes the rest of the pinned event (zero drift)
-            for sup in supersets:
-                if sup is not None and bounds[i] >= sup[0].reach:
-                    fix(i, sup[0].upper, sup[1] & ~con.event.bits)
-            if not con.origin or supersets[0] is None or supersets[1] is None:
-                continue
-            pin1, pin2 = supersets[0][0], supersets[1][0]
-            shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
-            if bounds[i] <= shift:  # rule 1
-                implied.add(i)
-                continue
-            key = [(s.time, s.region.mask) for s in con.origin]
-            first = unmatched.pop(frozenset((t, mask ^ full) for t, mask in key), None)
-            if first is None:
-                unmatched[frozenset(key)] = (i, shift)
-            else:  # rule 2, in the first row's orientation
-                f, f_shift = first
-                implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
-        return implied, fixes, empty
+    def fix(row: int, upper: Terms, cols: np.ndarray) -> None:
+        """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes
+        ``cols``, unless its exact right side is at least the margin: then
+        it proves the set empty instead."""
+        nonlocal empty
+        terms = ((row, 1.0),) + tuple((r, -c) for r, c in upper)
+        if math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) < FARKAS_MARGIN:
+            fixes.append(Forcing(terms, cols))
+        elif not empty:
+            empty = terms
+
+    pinned_events: np.ndarray | None = None  # built for the first demand
+    # each kept, pinned pair row not yet matched: its ssets, as (time, region
+    # mask) pairs, which are cheaper to build than SSets -> (constraint, shift)
+    unmatched: dict[frozenset[tuple[int, int]], tuple[int, float]] = {}
+    full = (1 << cs.space.m) - 1
+    for i, j in zip(owners, partners):
+        con = cs.constraints[i]
+        if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
+            fix(i, ((-1, 1.0),), ~con.event.bits)
+        if j >= 0 or len(con.origin) == 1:
+            continue
+        # the pinned events that contain the row's, each with its pin
+        if con.origin:  # a pair row: its two ssets, when pinned
+            supersets = [pin(s) for s in con.origin]
+        else:  # a demand: every pinned event, tested against its bits
+            if pinned_events is None:  # one row per pinned event, in order
+                pinned_events = np.frombuffer(b"".join(pins), dtype=bool).reshape(
+                    len(pins), cs.space.size)
+            outside = (con.event.bits & ~pinned_events).any(axis=1)
+            supersets = [(found, bits) for found, bits, out
+                         in zip(pins.values(), pinned_events, outside) if not out]
+        # a row reaching a pin fixes the rest of the pinned event (zero drift)
+        for sup in supersets:
+            if sup is not None and bounds[i] >= sup[0].reach:
+                fix(i, sup[0].upper, sup[1] & ~con.event.bits)
+        if not con.origin or supersets[0] is None or supersets[1] is None:
+            continue
+        pin1, pin2 = supersets[0][0], supersets[1][0]
+        shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
+        if bounds[i] <= shift:  # rule 1
+            implied.add(i)
+            continue
+        key = [(s.time, s.region.mask) for s in con.origin]
+        first = unmatched.pop(frozenset((t, mask ^ full) for t, mask in key), None)
+        if first is None:
+            unmatched[frozenset(key)] = (i, shift)
+        else:  # rule 2, in the first row's orientation
+            f, f_shift = first
+            implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
+    return implied, fixes, empty
 
 
 def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
@@ -545,8 +552,6 @@ def lower_bound_constraints(
     """Raw event lower bounds, e.g. user-declared demands from a scenario."""
     rows: list[LinearConstraint] = []
     for event, rhs, label in demands:
-        if len(event) != space.size:
-            raise ValueError("event length does not match space")
         if admits(rhs, label):
             rows.append(LinearConstraint(event, rhs, "demand", label))
     return ConstraintSet(space, rows, skipped=len(demands) - len(rows))
@@ -607,8 +612,8 @@ class _Reading:
 
     @functools.cached_property
     def strongest(self) -> dict[bytes, int]:
-        """The one scan of the set's rows (``_strongest``), which
-        ``ConstraintSet.presolved``, ``verify_witness`` and ``huber_check``
+        """The one scan of the set's rows (``_strongest``), which the
+        presolve, the chain scan, ``verify_witness`` and ``huber_check``
         read."""
         return _strongest(self.cs.constraints)
 
@@ -629,8 +634,8 @@ class _Reading:
 
     @functools.cached_property
     def presolved(self) -> Presolved:
-        """``cs.presolved()``, the rows the LP queries solve."""
-        return self.cs.presolved()
+        """The rows the LP queries solve (``_presolve``)."""
+        return _presolve(self.cs, self.strongest)
 
     @functools.cached_property
     def start(self) -> lp.FeasibleStart:
@@ -683,7 +688,11 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
     Only constraints with a nonzero multiplier are summed.  Adding a zero
     changes no float but -0.0, and a sum holds -0.0 only if it started from
     it, so the zero terms are added as well when the normalization is -0.0.
+    A certificate needs one multiplier per constraint.
     """
+    shape = np.shape(cert.multipliers)
+    if shape != (len(cs),):
+        raise ValueError(f"certificate has shape {shape}, set has {len(cs)} rows")
     combo = np.full(cs.space.size, cert.normalization)
     total = cert.normalization
     from_negative_zero = cert.normalization == 0.0 and math.copysign(1.0, cert.normalization) < 0
@@ -695,9 +704,9 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
 
 
 def presolve(cs: ConstraintSet) -> Presolved:
-    """``cs.presolved()``, as held by the reading of ``cs`` (``_reading``), so
-    a caller that reads the presolve (the CLI's run report) and the queries
-    that solve it share one."""
+    """The presolve of ``cs`` (``_presolve``), as held by its reading
+    (``_reading``), so a caller that reads it (the CLI's run report) and the
+    queries that solve it share one."""
     return _reading(cs).presolved
 
 
@@ -791,16 +800,18 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
     """The marginals ``mu[t, a]`` and the pair bounds ``bounds[t, a, b]`` of a
     pinned chain set, ``None`` when ``cs`` is not one.
 
-    A pinned chain set has an origin on every row, each naming the row's
-    event (``LinearConstraint.origin``).  A one-sset row bounds its sset's
-    atom, and ``events`` keeps the largest bound per ``(time, region mask)``,
-    as ``_strongest`` keeps the strongest row per event.  Each two-sset row
-    joins single labels at consecutive times, in either order, so it bounds
-    the cell ``(t, a), (t + 1, b)``, and ``bounds`` keeps the largest right
-    side per cell (0 on a cell without rows).  At every time, each label
-    ``a`` must be pinned by the presolve's rule: the bounds ``l`` on
-    ``{a}`` and ``l'`` on its complement (0 without a row) have ``l + l'``
-    within ``VACUOUS_RHS`` of 1.  The pin is ``mu[t, a] = l``.
+    The scan reads the strongest row per event of the set's reading
+    (``_Reading.strongest``), which the presolve and ``verify_witness`` read
+    too; a weaker row on the same event is implied by it.  A pinned chain set
+    has an origin on every such row, each naming the row's event
+    (``LinearConstraint.origin``).  A one-sset row bounds its sset's atom,
+    keyed by ``(time, region mask)``.  Each two-sset row joins single labels
+    at consecutive times, in either order, so it bounds the cell ``(t, a),
+    (t + 1, b)`` (0 on a cell without a row).  Two rows on one key are on two
+    events, so one origin misnames its event, and the set is refused.  At
+    every time, each label ``a`` must be pinned by the presolve's rule: the
+    bounds ``l`` on ``{a}`` and ``l'`` on its complement (0 without a row)
+    have ``l + l'`` within ``VACUOUS_RHS`` of 1.  The pin is ``mu[t, a] = l``.
 
     The rows are scanned last to first, because generated sets put their
     demand and pair rows after the Born rows, and the scan builds no array
@@ -809,9 +820,10 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
     """
     m, n = cs.space.m, cs.space.n
     full = (1 << m) - 1
-    events: dict[tuple[int, int], float] = {}  # (t, mask) -> largest bound on the atom
-    cells: dict[tuple[int, int, int], float] = {}  # (t, a, b) -> largest pair bound
-    for con in reversed(cs.constraints):
+    events: dict[tuple[int, int], float] = {}  # (t, mask) -> the bound on the atom
+    cells: dict[tuple[int, int, int], float] = {}  # (t, a, b) -> the pair bound
+    for i in reversed(_reading(cs).strongest.values()):
+        con = cs.constraints[i]
         for s in con.origin:
             if not 0 <= s.time < n or not 0 < s.region.mask <= full:
                 return None
@@ -825,8 +837,9 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
             table, key = cells, (t, a.bit_length() - 1, b.bit_length() - 1)
         else:  # a demand (no origin), or three or more ssets
             return None
-        if not con.rhs <= table.get(key, 0.0):
-            table[key] = con.rhs
+        if key in table:
+            return None
+        table[key] = con.rhs
     for t in range(n):
         for a in range(m):
             pinned = events.get((t, 1 << a), 0.0) + events.get((t, full ^ (1 << a)), 0.0)
@@ -851,7 +864,7 @@ class _Chain(NamedTuple):
     """A feasible pinned chain set, read once (``_Reading.chain``)."""
 
     mu: np.ndarray  # mu[t, a]: the pinned marginals
-    bounds: np.ndarray  # bounds[t, a, b]: the largest pair bound per cell
+    bounds: np.ndarray  # bounds[t, a, b]: the strongest pair bound per cell
     couplings: np.ndarray  # pi[t][a, b]: a coupling of (mu[t], mu[t + 1]) above bounds[t]
     kernels: np.ndarray  # the chain's steps, pi[t][a, b] / mu[t][a] (0 where mu[t][a] = 0)
 
@@ -1195,12 +1208,11 @@ def huber_check(cs: ConstraintSet) -> float:
     at 0.  Its phase 1 is its own and leaves the set's (``_Reading.start``)
     in place.
     """
-    for con in cs.constraints:
+    kept = [cs.constraints[i] for i in _reading(cs).strongest.values()]
+    for con in kept:  # the largest bound on the empty event, if it has rows
         if con.event.is_empty and con.rhs > 0:
-            raise ValueError(
-                f"malformed row: empty event with positive bound {con.rhs!r}"
-            )
-    rows, rhs = cs._rows([cs.constraints[i] for i in _reading(cs).strongest.values()])
+            raise ValueError(f"malformed row: empty event with positive bound {con.rhs!r}")
+    rows, rhs = cs._rows(kept)
     # the total mass is what is minimized, not normalized
     result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], [">="] * (len(rhs) - 1))
     if result.status != lp.OPTIMAL:

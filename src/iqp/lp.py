@@ -51,9 +51,9 @@ caller that asks several questions about one set passes that start to every
 ``solve_lp`` call; without one, ``solve_lp`` runs its own phase 1.  The
 solver keeps no state between calls.  The start drops the artificial
 columns and keeps every structural and slack column, all of which phase 2
-prices, also those that every feasible point holds at zero
-(``ConstraintSet.presolved`` removes the ones its forcing rows name before
-the rows reach the solver).  Pricing and the ratio test are numpy passes
+prices, also those that every feasible point holds at zero (the presolve,
+``credal.presolve``, removes the ones its forcing rows name before the rows
+reach the solver).  Pricing and the ratio test are numpy passes
 that pick the same entering column and leaving row as a scalar loop with the
 same rule, so a solve makes the same pivots whether its phase 1 ran fresh or
 was passed in.

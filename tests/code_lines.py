@@ -3,9 +3,11 @@ docstring or a comment.
 
     python tests/code_lines.py PATH...
 
-prints one ``count path`` line per file.  A docstring is any string literal
-standing alone as a statement; a line that only continues one, holds only a
-comment or is blank does not count.  A statement or a string over several
+prints one ``count path`` line per file, a directory standing for its
+``.py`` files at any depth, in sorted order.  Given several paths or a
+directory, it then prints a ``count total`` line.  A docstring is any
+string literal standing alone as a statement; a line that only continues
+one, holds only a comment or is blank does not count.  A statement or a string over several
 lines counts every line it spans.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -37,6 +40,12 @@ def code_lines(source: str) -> int:
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit("usage: code_lines.py PATH...")
-    for path in sys.argv[1:]:
-        with open(path, encoding="utf-8") as f:
-            print(code_lines(f.read()), path)
+    args = [Path(arg) for arg in sys.argv[1:]]
+    total = 0
+    for arg in args:
+        for path in sorted(arg.rglob("*.py")) if arg.is_dir() else [arg]:
+            count = code_lines(path.read_text(encoding="utf-8"))
+            print(count, path)
+            total += count
+    if len(args) > 1 or args[0].is_dir():
+        print(total, "total")

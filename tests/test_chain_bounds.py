@@ -198,7 +198,7 @@ def test_chain_bounds_run_no_presolve_and_no_phase1(count_calls):
     space, cs = realize(cfg)
     credal._reading.cache_clear()
     presolves = count_calls(credal, "presolve")
-    presolved = count_calls(ConstraintSet, "presolved")
+    presolved = count_calls(credal, "_presolve")
     starts = count_calls(lp, "feasible_start")
     solves = count_calls(lp, "solve_lp")
     res = lower_upper(cs, parse_event("(t=1,{0}) & (t=4,{1})", space))

@@ -25,6 +25,7 @@ from iqp.credal import (
     feasibility,
     lower_bound_constraints,
     merge_constraint_sets,
+    presolve,
     verify_witness,
 )
 from iqp.events import TrajectorySpace, parse_event, sset_event
@@ -52,7 +53,7 @@ SHAPES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
 def lp_calls(count_calls, phase1_calls):
     """The presolves and phase 1s run from here on, by the shapes they saw;
     ``phase1_calls`` empties the one slot they are kept in."""
-    presolves = count_calls(ConstraintSet, "presolved", lambda cs: len(cs))
+    presolves = count_calls(credal, "_presolve", lambda cs, kept: len(cs))
     return lambda: (list(presolves), list(phase1_calls))
 
 
@@ -186,9 +187,9 @@ def negative_residual_set(system, space):
 
 
 def misread_row_set(system, space):
-    """A row whose origin does not name its event: the scan reads it as a
-    row on the atom of its origin, and the witness, which breaks it, fails
-    verification."""
+    """A row whose origin does not name its event: it is the strongest row on
+    the pair row's event, and its origin names the atom of (t=1,{0}), the
+    key of that atom's Born row, so the scan refuses the set."""
     event = sset_event(space, sset(1, [0])) & sset_event(space, sset(2, [0]))
     return hti_chain(system, space, LinearConstraint(event, 0.45, "born", "odd", (sset(1, [0]),)))
 
@@ -216,7 +217,7 @@ FALLBACKS = {
     "pair row alone": (pair_row_alone_set, True, False),
     "pin band": (band_set, True, False),
     "negative residual": (negative_residual_set, False, True),
-    "row misread as an atom": (misread_row_set, True, True),
+    "row misread as an atom": (misread_row_set, True, False),
 }
 
 
@@ -247,6 +248,20 @@ def test_fallback_is_the_lp_path(case, hti, lp_calls, monkeypatch):
     assert answer_bytes(feasibility(cs)) == answer_bytes(cert)
     again = lp_calls()
     assert (again[0][len(calls[0]):], again[1][len(calls[1]):]) == calls
+
+
+def test_dominated_demand_takes_the_chain_path(hti, lp_calls):
+    """A demand weaker than the pair row on its event is not the strongest row
+    there, so the chain scan never reads it: the set takes the chain path,
+    and the witness meets the demand as it meets the pair row."""
+    system, space = hti
+    demand = lower_bound_constraints(
+        space, [(parse_event("(t=1,{0}) & (t=2,{0})", space), 0.3, "demand")])
+    cs = merge_constraint_sets([hti_chain(system, space), demand])
+    cert = feasibility(cs)
+    assert cert.feasible and lp_calls() == ([], [])
+    assert [con.satisfied_by(cert.witness.probs) for con in cs.constraints] == [0.0] * len(cs)
+    assert scipy_feasible(cs)
 
 
 class Unbuilt:
@@ -284,7 +299,7 @@ def test_scan_pins_what_the_presolve_pins(build, pinned, hti, lp_calls):
     cert = feasibility(cs)
     assert cert.feasible
     assert (lp_calls() == ([], [])) == pinned  # the chain path, or the LP's
-    pre = cs.presolved()
+    pre = presolve(cs)
     pins = {cs.constraints[k].event.bits.tobytes(): cs.constraints[k].rhs
             for i, j in zip(pre.owners, pre.partners) if j >= 0 for k in (i, j)}
     atoms = [space.atom(1, 1 << a).bits.tobytes() for a in range(2)]

@@ -10,7 +10,6 @@ import pytest
 import iqp
 from iqp import credal, typicality
 from iqp.cli import build_parser, main
-from iqp.credal import ConstraintSet
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
 from iqp.system import QuantumSystem
 
@@ -390,7 +389,7 @@ class TestReport:
 
     def test_report_and_queries_share_one_presolve(self, scenario_file, tmp_path,
                                                    count_calls):
-        presolves = count_calls(ConstraintSet, "presolved")
+        presolves = count_calls(credal, "_presolve")
         assert main(["bounds", "--config", scenario_file("drifting-branch"),
                      "--outdir", str(tmp_path / "out"),
                      "--report", str(tmp_path / "report.json")]) == 0
@@ -400,13 +399,13 @@ class TestReport:
                                                     monkeypatch):
         """The queries reuse the report's presolve, so only ``constraints`` can time it."""
         delay = 0.05
-        presolved = ConstraintSet.presolved
+        presolved = credal._presolve
 
-        def slow(cs):
+        def slow(cs, kept):
             time.sleep(delay)
-            return presolved(cs)
+            return presolved(cs, kept)
 
-        monkeypatch.setattr(ConstraintSet, "presolved", slow)
+        monkeypatch.setattr(credal, "_presolve", slow)
         report_path = tmp_path / "report.json"
         assert main(["feasibility", "--config", scenario_file("drifting-branch"),
                      "--outdir", str(tmp_path / "out"), "--report", str(report_path)]) == 0

@@ -46,6 +46,7 @@ from iqp.credal import (
     lower_upper,
     measure_csv,
     merge_constraint_sets,
+    presolve,
     qtr_constraints,
     qtr_variant_constraints,
     sample_vertex_measures,
@@ -291,6 +292,21 @@ class TestMerge:
             merge_constraint_sets([cs, adversarial_cs(TrajectorySpace(2, 2))])
 
 
+class TestRowsOverTheSpace:
+    """A set refuses a row whose event is over another space: the LP would
+    read ``Event([True])`` over four trajectories as ``P(everything) >= 0.5``,
+    and ``verify_witness`` as ``P(trajectory 0) >= 0.5``."""
+
+    def test_constraint_set_names_the_row(self):
+        row = LinearConstraint(Event([True]), 0.5, "demand", "bad")
+        with pytest.raises(ValueError, match="row bad: event length does not match space"):
+            ConstraintSet(TrajectorySpace(2, 2), [row])
+
+    def test_demands_keep_their_message(self):
+        with pytest.raises(ValueError, match="event length does not match space"):
+            lower_bound_constraints(TrajectorySpace(2, 2), [(Event([True]), 0.5, "bad")])
+
+
 ABOVE_VACUOUS = float(np.nextafter(VACUOUS_RHS, 1.0))
 
 
@@ -466,7 +482,7 @@ class TestFeasibility:
         event = a & b if third == "a&b" else ~a & b
         cs = lower_bound_constraints(space, [(a, 0.3, "a"), (~a, 0.7, "!a"),
                                              (event, bound, third)])
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.senses, pre.owners, pre.partners) == (["==", "==", ">="], [0, 2], [1, -1])
         solved = feasibility(cs).farkas
         assert solved.margin == pytest.approx(margin, abs=1e-9)
@@ -919,7 +935,7 @@ class TestPhase1Memo:
         lower_upper(cs, events[0])
         lower_upper(cs, events[1])
         assert len(sample_vertex_measures(cs, 3, seed=2)) == 3
-        assert phase1_calls == [cs.presolved().rows.shape]
+        assert phase1_calls == [presolve(cs).rows.shape]
 
     def test_huber_check_leaves_bounds_bit_identical(self, n256, phase1_calls):
         cs, events = n256
@@ -929,7 +945,7 @@ class TestPhase1Memo:
         assert self.fingerprint(lower_upper(cs, events[0])) == alone
         # the Huber LP (the strongest row per event) runs its own phase 1
         # and leaves the set's start in the slot
-        assert phase1_calls == [cs.presolved().rows.shape,
+        assert phase1_calls == [presolve(cs).rows.shape,
                                 (len(strongest_rows(cs)), cs.space.size)]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
@@ -953,7 +969,7 @@ class TestPhase1Memo:
         assert rebuilt.constraints == cs.constraints and rebuilt is not cs
         first, second = lower_upper(cs, events[0]), lower_upper(rebuilt, events[0])
         assert self.fingerprint(first) == self.fingerprint(second)
-        assert phase1_calls == [cs.presolved().rows.shape] * 2
+        assert phase1_calls == [presolve(cs).rows.shape] * 2
 
     def test_memoized_infeasible_farkas_independent(self, balanced, phase1_calls):
         _, space = balanced
@@ -984,6 +1000,23 @@ class TestPhase1Memo:
             assert self.fingerprint(res) == self.fingerprint(lower_upper(*job))
 
 
+class CountedRows(tuple):
+    """A set's rows, counting the passes made over them."""
+
+    def __new__(cls, rows):
+        counted = super().__new__(cls, rows)
+        counted.passes = 0
+        return counted
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.passes += 1
+        return iter(self[::-1])  # a slice is a plain tuple
+
+
 class TestOneReading:
     """Queries read a set through one slot (``credal._reading``): one scan of
     its rows, and one set at most kept alive."""
@@ -1001,14 +1034,18 @@ class TestOneReading:
         ("drifting-branch", ["(t=0,{0}) & (t=2,{0})", "(t=1,{1})"], "lp"),
         ("beam-splitter", ["(t=1,{0}) & (t=2,{0})", "(t=0,{1}) & (t=2,{0})"], "chain"),
     ])
-    def test_one_scan_per_set(self, name, exprs, path, count_calls):
-        space, cs = realize(BUILTIN_SCENARIOS[name]())
-        scans = count_calls(credal, "_strongest")
+    def test_one_scan_per_set(self, name, exprs, path):
+        """The presolve, the chain scan, ``verify_witness`` and the Huber check
+        all read the one strongest-row scan, so the rows are passed over once."""
+        space, built = realize(BUILTIN_SCENARIOS[name]())
+        cs = ConstraintSet(space, built.constraints)  # not yet read by any query
+        rows = CountedRows(cs.constraints)
+        object.__setattr__(cs, "constraints", rows)
         assert feasibility(cs).feasible
         assert [lower_upper(cs, parse_event(e, space)).path for e in exprs] == [path] * 2
         if path == "lp":
             huber_check(cs)
-        assert len(scans) == 1
+        assert rows.passes == 1
 
 
 class TestCsvExport:
@@ -1105,6 +1142,15 @@ class TestVerifyFarkasSkipsZeros:
                 assert [v.hex() for v in verify_farkas(cs, cert)] == [v.hex() for v in want]
                 certified += 1
         assert certified == 38
+
+    def test_certificate_of_another_length_is_refused(self):
+        """An extra or a missing multiplier would otherwise be zipped away."""
+        _, cs = realize(BUILTIN_SCENARIOS["adversarial-demo"]())
+        cert = feasibility(cs).farkas
+        assert len(cert.multipliers) == len(cs) == 10
+        for mult in (np.append(cert.multipliers, 1.0), cert.multipliers[:-1]):
+            with pytest.raises(ValueError, match="set has 10 rows"):
+                verify_farkas(cs, FarkasCertificate(mult, cert.normalization, cert.margin))
 
     @pytest.mark.parametrize("normalization", [-0.0, 0.0, -1.0])
     def test_signed_zero(self, balanced, normalization):

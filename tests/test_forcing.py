@@ -1,6 +1,6 @@
 """The presolve's forcing rows: exact fixes, live-column answers, lifted certificates.
 
-``ConstraintSet.presolved`` fixes the trajectories that a forcing row proves
+``credal.presolve`` fixes the trajectories that a forcing row proves
 zero (a zero-drift typicality row reaching a Born pin, or a certain event)
 and solves over the live columns only.  Here the forced presolve is checked
 against the unforced rows (``lp_rows`` through the simplex solver) and scipy's
@@ -26,6 +26,7 @@ from iqp.credal import (
     LinearConstraint,
     feasibility,
     lower_upper,
+    presolve,
     verify_farkas,
     verify_witness,
 )
@@ -79,7 +80,7 @@ SHAPES = [
 @pytest.mark.parametrize("rung", SHAPES, ids=lambda r: f"{r.kind}-m{r.m}-n{r.n}")
 def test_forced_matches_unforced_and_highs(rung, seed, infeasible):
     cfg, space, cs = realize_doc(make_config(rung, seed, 0, 0, infeasible))
-    pre = cs.presolved()
+    pre = presolve(cs)
     # DFT all-pairs sets keep one trajectory per packet pair; random ones fix nothing
     assert (pre.live.size == rung.m**2) == (rung.kind == "dft")
     if rung.kind != "dft":
@@ -118,7 +119,7 @@ def test_ladder_dft_rungs_keep_m_squared_columns(r):
     rung = LADDER[r]
     for k in range(rung.systems):
         _, space, cs = realize_doc(make_config(rung, 1, r, k))
-        assert cs.presolved().live.size == rung.m**2 < space.size
+        assert presolve(cs).live.size == rung.m**2 < space.size
 
 
 def combination(cs, terms):
@@ -149,7 +150,7 @@ def test_forcing_terms_name_constraints(source):
     else:
         rung, infeasible = source
         _, space, cs = realize_doc(make_config(rung, 3, 0, 0, infeasible))
-    pre = cs.presolved()
+    pre = presolve(cs)
     assert pre.forcings
     for fix in pre.forcings:
         combo, right = combination(cs, fix.terms)
@@ -174,7 +175,7 @@ def test_demand_above_its_pin_needs_no_phase1(rung, k, phase1_calls):
     """The benchmark's contradictory demand asks more of ``S1 & S2`` than the
     pin of ``S1`` or ``S2`` allows: one deduction is the whole certificate."""
     _, space, cs = realize_doc(make_config(rung, 7, 0, k, infeasible=True))
-    pre = cs.presolved()
+    pre = presolve(cs)
     combo, right = combination(cs, pre.empty)
     # -1 on the pinned event outside the demand's, 0 elsewhere
     assert set(combo.tolist()) <= {-1.0, 0.0} and combo.min() == -1.0
@@ -197,7 +198,7 @@ def test_rejected_deduction_falls_back_to_phase1(phase1_calls, monkeypatch):
     """When ``verify_farkas`` rejects the deduction's certificate, phase 1
     runs as it does for any other set and its lifted certificate answers."""
     _, _, cs = realize_doc(make_config(INFEASIBLE_SHAPES[0], 7, 0, 1, infeasible=True))
-    assert cs.presolved().empty
+    assert presolve(cs).empty
     checked = []
 
     def reject_first(cs_, cert):
@@ -240,7 +241,7 @@ class TestDemandAtItsPin:
     @pytest.mark.parametrize("above", [0.0, 0.5 * FARKAS_MARGIN])
     def test_below_the_margin_runs_phase1(self, complement, above, phase1_calls):
         cs, rest = self.demand_set(complement, above)
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert pre.empty == ()
         fix, = [fix for fix in pre.forcings if fix.terms[0][0] == 2]
         assert fix.cols.tolist() == rest.bits.tolist()
@@ -254,7 +255,7 @@ class TestDemandAtItsPin:
     @pytest.mark.parametrize("above", [FARKAS_MARGIN, 0.02])
     def test_past_the_margin_needs_no_phase1(self, complement, above, phase1_calls):
         cs, rest = self.demand_set(complement, above + 1e-15)  # past the pin's rounding
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert pre.empty and pre.empty[0] == (2, 1.0)
         combo, right = combination(cs, pre.empty)
         assert combo.tolist() == np.where(rest.bits, -1.0, 0.0).tolist()
@@ -287,7 +288,7 @@ def test_mach_zehnder_certain_events_collapse():
     outside both; the intersection row and the two certain rows then equal
     normalization, so normalization and the t=1 pin are the whole LP."""
     space, cs = realize_builtin("mach-zehnder")
-    pre = cs.presolved()
+    pre = presolve(cs)
     assert pre.senses == ["==", "=="]
     assert pre.live.tolist() == [0, 2]  # (0, 0, 0) and (0, 1, 0)
     assert sorted(cs.constraints[i].label for i in pre.collapsed) == [
@@ -333,7 +334,7 @@ class TestExactReach:
         bound = pin if ulps == 0 else math.nextafter(pin, 0.0)
         cs = ConstraintSet(self.SPACE, self.born(self.A, bounds) + self.born(
             self.B, [(self.B, 0.8), (self.B.complement(), 0.2)]) + [self.pair(bound)])
-        pre = cs.presolved()
+        pre = presolve(cs)
         # (0, 1) is A & B^c, the cylinder the row fixes when it reaches A's pin
         assert pre.live.tolist() == ([0, 2, 3] if ulps == 0 else [0, 1, 2, 3])
         assert feasibility(cs).feasible == scipy_feasible(cs)
@@ -363,7 +364,7 @@ def test_lift_needs_two_deductions_in_reverse_order():
     demand = atoms[0] & ~atoms[2]
     rows.append(LinearConstraint(demand, 0.1, "demand", "(t=0,{0}) & (t=2,{1})"))
     cs = ConstraintSet(space, rows)
-    pre = cs.presolved()
+    pre = presolve(cs)
     assert pre.live.tolist() == [0, 7] and len(pre.forcings) == 4
     # the LP sees the demand as 0 >= 0.1
     assert pre.rows[pre.owners.index(len(rows) - 1) + 1].tolist() == [0.0, 0.0]
@@ -383,7 +384,7 @@ def test_contradictory_certain_events_leave_no_column():
     a = parse_event("(t=1,{0})", space)
     cs = ConstraintSet(space, [LinearConstraint(a, 1.0, "demand", "a"),
                                LinearConstraint(~a, 1.0, "demand", "!a")])
-    pre = cs.presolved()
+    pre = presolve(cs)
     # both rows then equal normalization on no columns at all
     assert pre.live.size == 0 and pre.rows.shape == (1, 0) and pre.collapsed == [0, 1]
     cert = feasibility(cs)
@@ -415,7 +416,7 @@ def test_collapsed_rows_lift_to_non_negative_multipliers(source, monkeypatch):
     else:
         rung, seed, k = source
         cs = realize_doc(make_config(rung, seed, 0, k, infeasible=True))[2]
-    pre = cs.presolved()
+    pre = presolve(cs)
     assert pre.collapsed and pre.forcings
     seen = []
     spied = credal._multipliers

@@ -17,6 +17,7 @@ from iqp.credal import (
     lower_bound_constraints,
     lower_upper,
     merge_constraint_sets,
+    presolve,
     sample_vertex_measures,
 )
 from iqp.events import Event, parse_event
@@ -287,7 +288,7 @@ class TestSeedEquivalence:
         objectives += [parse_event(e, space).bits.astype(float) for e in cfg.events]
         objectives += [rng.standard_normal(space.size) for _ in range(3)]
         assert_matches_seed(objectives, *cs.lp_rows())
-        pre = cs.presolved()  # '==' pins, over the columns the presolve leaves live
+        pre = presolve(cs)  # '==' pins, over the columns the presolve leaves live
         assert_matches_seed([c[pre.live] for c in objectives], *pre[:3])
 
     @pytest.mark.parametrize("m, n, kind, ruleset, chain", [
@@ -301,7 +302,7 @@ class TestSeedEquivalence:
         event = (rng.random(space.size) < 0.3).astype(float)
         objectives = [np.zeros(space.size), event, rng.standard_normal(space.size)]
         assert_matches_seed(objectives, *cs.lp_rows())
-        pre = cs.presolved()
+        pre = presolve(cs)
         # m=4: the four pins of each time sum to normalization, so rows drop
         assert (feasible_start(*pre[:3]).dropped_rows > 0) == (m == 4)
         assert_matches_seed([c[pre.live] for c in objectives], *pre[:3])
@@ -521,7 +522,7 @@ class TestStartReuse:
     def test_vertex_samples_share_one_phase1(self, phase1_calls):
         space, cs = realize(BUILTIN_SCENARIOS["spreading-packet"]())
         measures = sample_vertex_measures(cs, 4, seed=9)
-        assert phase1_calls == [cs.presolved().rows.shape] and len(measures) == 4
+        assert phase1_calls == [presolve(cs).rows.shape] and len(measures) == 4
 
 
 class TestStartMemo:
@@ -589,7 +590,7 @@ class TestFixedColumns:
         buffer alive than its k x (k + 1) inverse, beside rows that are
         either the caller's or its own."""
         space, cs = self.realize(name)
-        pre = cs.presolved()
+        pre = presolve(cs)
         rows, rhs, senses = pre[:3]
         assert (pre.live.size < space.size) == fixes  # the forcing rows fixed columns
         start = feasible_start(rows, rhs, senses)
@@ -609,7 +610,7 @@ class TestFixedColumns:
 
     def test_sound_against_highs(self):
         space, cs = self.realize("DFT")
-        pre = cs.presolved()
+        pre = presolve(cs)
         rng = np.random.default_rng(8)
         events = [(rng.random(space.size) < rng.uniform(0.1, 0.6)).astype(float)
                   for _ in range(10)]
@@ -625,7 +626,7 @@ class TestFixedColumns:
         """
         cfg = parse_config(make_config(Rung(m, n, "dft", "born+qtr-min", "all", 1, E=3), 401, 0, k))
         space, cs = realize(cfg)
-        pre = cs.presolved()
+        pre = presolve(cs)
         rows, rhs, senses = pre[:3]
         n_live = rows.shape[1]
         zero = [j for j in range(n_live)
@@ -656,7 +657,7 @@ def test_degenerate_dft_vertices(m, data, ruleset, chain, seed):
     space, cs = realize(seeded_config(m, n, "dft", ruleset, chain, seed))
     rng = np.random.default_rng(seed)
     events = [(rng.random(space.size) < 0.4).astype(float) for _ in range(2)]
-    pre = cs.presolved()
+    pre = presolve(cs)
     for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
         on_live = [event[live] for event in events]
         assert_matches_seed(on_live, rows, rhs, senses)
@@ -815,7 +816,7 @@ class TestRevisedForm:
         """A ladder system of rung 2 (N = 1024) and of rung 4 (N = 2048)."""
         cfg = parse_config(make_config(LADDER[rung], 1, rung, 0))
         space, cs = realize(cfg)
-        pre = cs.presolved()
+        pre = presolve(cs)
         rows, rhs, senses = pre[:3]
         assert rows.shape[1] >= WIDE * rows.shape[0]  # a wide LP
         rng = np.random.default_rng(rung)
@@ -1070,7 +1071,7 @@ class TestBasisInverse:
             rng = np.random.default_rng(seed)
             objectives = [parse_event(e, space).bits.astype(float) for e in cfg.events]
             objectives.append(rng.standard_normal(space.size))
-            pre = cs.presolved()
+            pre = presolve(cs)
             for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
                 start = feasible_start(rows, rhs, senses)
                 slack_rows = np.flatnonzero(start.slacks)

@@ -1,6 +1,6 @@
 """Differential checks of the presolved LP against scipy on the full rows.
 
-``ConstraintSet.presolved`` keeps one row per distinct event and turns each
+``credal.presolve`` keeps one row per distinct event and turns each
 complementary pin into one '==' row; feasibility, bounds and vertex samples
 solve those rows.  Every answer here is compared with conftest's HiGHS
 oracles, which read each constraint as its own '>=' row, and witnesses and
@@ -25,6 +25,7 @@ from iqp.credal import (
     lower_bound_constraints,
     lower_upper,
     merge_constraint_sets,
+    presolve,
     sample_vertex_measures,
     verify_farkas,
 )
@@ -64,7 +65,7 @@ def assert_presolve_keeps_rows(cs):
     dropped because the pins imply its largest bound: by Frechet, or by the
     kept '>=' row on the complements of its two ssets."""
     rows, rhs, senses = cs.lp_rows()
-    pre = cs.presolved()
+    pre = presolve(cs)
     assert len(pre.senses) == len(pre.rows) == len(pre.rhs) == 1 + len(pre.owners)
     assert pre.rows[0].tobytes() == rows[0][pre.live].tobytes() and pre.senses[0] == "=="
     events = set()
@@ -192,7 +193,7 @@ class TestPairTolerance:
 
     def test_over_pinned_stays_infeasible(self):
         _, cs = self.pair(0.5 + 1e-6, 0.5)
-        assert cs.presolved().senses == ["==", ">=", ">="]
+        assert presolve(cs).senses == ["==", ">=", ">="]
         cert = feasibility(cs)
         assert not cert.feasible and not scipy_feasible(cs)
         assert cert.farkas.margin == pytest.approx(1e-6, abs=1e-12)
@@ -200,14 +201,14 @@ class TestPairTolerance:
 
     def test_band_stays_a_band(self):
         a, cs = self.pair(0.5 - 1e-6, 0.5)
-        assert cs.presolved().senses == ["==", ">=", ">="]
+        assert presolve(cs).senses == ["==", ">=", ">="]
         res = lower_upper(cs, a)
         assert (res.lower, res.upper) == pytest.approx((0.5 - 1e-6, 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("dust", [-VACUOUS_RHS, 0.0, VACUOUS_RHS / 2])
     def test_pin_within_dust_is_one_row(self, dust):
         a, cs = self.pair(0.25 + dust, 0.75)
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.senses, pre.owners, pre.partners) == (["==", "=="], [0], [1])
         assert feasibility(cs).feasible
         res = lower_upper(cs, a)
@@ -218,7 +219,7 @@ class TestPairTolerance:
         a = parse_event("(t=1,{0})", space)
         cs = lower_bound_constraints(space, [(a, 0.2, "a"), (a, 0.4, "a2"), (a, 0.4, "a3"),
                                              (Event.all(space), 0.5, "all")])
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.senses, pre.owners, pre.partners) == (["==", ">=", ">="], [1, 3], [-1, -1])
 
 
@@ -255,7 +256,7 @@ class TestImpliedRows:
         floor = 0.7 + 0.6 - 1.0  # P(A & B) >= P(A) + P(B) - 1 under the pins
         bound = floor if ulps == 0 else np.nextafter(floor, 1.0)
         cs = ConstraintSet(self.SPACE, self.pins(0.7, 0.6) + [self.pair(False, bound)])
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.implied, pre.owners) == (implied, [0, 2, 4][: 3 - implied])
         assert_presolve_keeps_rows(cs)
         self.assert_bounds_match_scipy(cs)
@@ -265,7 +266,7 @@ class TestImpliedRows:
         # with both pins at 1/2 the two rows bound one quantity with no shift
         pairs = [self.pair(complements_first, 0.3), self.pair(not complements_first, 0.3)]
         cs = ConstraintSet(self.SPACE, self.pins(0.5, 0.5) + pairs)
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.implied, pre.owners, pre.partners) == (1, [0, 2, 4], [1, 3, -1])
         assert_presolve_keeps_rows(cs)
         self.assert_bounds_match_scipy(cs)
@@ -276,7 +277,7 @@ class TestImpliedRows:
         pairs = {False: self.pair(False, 0.35), True: self.pair(True, 0.1)}
         cs = ConstraintSet(self.SPACE, self.pins(0.7, 0.6) + [
             pairs[complements_first], pairs[not complements_first]])
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.implied, pre.owners) == (1, [0, 2, 4 if complements_first else 5])
         assert_presolve_keeps_rows(cs)
         self.assert_bounds_match_scipy(cs)
@@ -288,7 +289,7 @@ class TestImpliedRows:
         cs = ConstraintSet(self.SPACE, self.pins(0.5, 0.5) + [
             self.pair(False, 0.3), self.pair(True, 0.2),
             LinearConstraint(demand, 0.3, "demand", "(!(t=0,{0}) & (t=1,{0}))")])
-        pre = cs.presolved()
+        pre = presolve(cs)
         assert (pre.implied, pre.owners) == (1, [0, 2, 4, 6])
         cert = feasibility(cs)
         assert not cert.feasible and not scipy_feasible(cs)
