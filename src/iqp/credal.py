@@ -805,7 +805,9 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
     too; a weaker row on the same event is implied by it.  A pinned chain set
     has an origin on every such row, each naming the row's event
     (``LinearConstraint.origin``).  A one-sset row bounds its sset's atom,
-    keyed by ``(time, region mask)``.  Each two-sset row joins single labels
+    keyed by ``(time, region mask)``, except that a row on the full label set
+    bounds the universal event, whose one strongest row stands for every
+    time, so its key is time-free (``-1``).  Each two-sset row joins single labels
     at consecutive times, in either order, so it bounds the cell ``(t, a),
     (t + 1, b)`` (0 on a cell without a row).  Two rows on one key are on two
     events, so one origin misnames its event, and the set is refused.  At
@@ -820,7 +822,11 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
     """
     m, n = cs.space.m, cs.space.n
     full = (1 << m) - 1
-    events: dict[tuple[int, int], float] = {}  # (t, mask) -> the bound on the atom
+
+    def atom(t: int, mask: int) -> tuple[int, int]:
+        return (-1 if mask == full else t, mask)
+
+    events: dict[tuple[int, int], float] = {}  # atom(t, mask) -> the bound on the atom
     cells: dict[tuple[int, int, int], float] = {}  # (t, a, b) -> the pair bound
     for i in reversed(_reading(cs).strongest.values()):
         con = cs.constraints[i]
@@ -829,7 +835,7 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
                 return None
         if len(con.origin) == 1:
             (s,) = con.origin
-            table, key = events, (s.time, s.region.mask)
+            table, key = events, atom(s.time, s.region.mask)
         elif len(con.origin) == 2:
             (t, a), (u, b) = sorted((s.time, s.region.mask) for s in con.origin)
             if u - t != 1 or a & (a - 1) or b & (b - 1):
@@ -842,10 +848,10 @@ def _pinned_chain(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray] | None:
         table[key] = con.rhs
     for t in range(n):
         for a in range(m):
-            pinned = events.get((t, 1 << a), 0.0) + events.get((t, full ^ (1 << a)), 0.0)
+            pinned = events.get(atom(t, 1 << a), 0.0) + events.get(atom(t, full ^ (1 << a)), 0.0)
             if not abs(pinned - 1.0) <= VACUOUS_RHS:
                 return None
-    mu = np.array([[events.get((t, 1 << a), 0.0) for a in range(m)] for t in range(n)])
+    mu = np.array([[events.get(atom(t, 1 << a), 0.0) for a in range(m)] for t in range(n)])
     bounds = np.zeros((n - 1, m, m))
     for (t, a, b), rhs in cells.items():
         bounds[t, a, b] = rhs

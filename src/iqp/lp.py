@@ -23,10 +23,12 @@ tolerance, ``y.A <= 0`` componentwise with ``y.b > 0``; the multipliers are
 sign-constrained by sense (>= rows give y >= 0, <= rows y <= 0, == rows free).
 
 The solver works on one standard form (V. Chvatal, *Linear Programming*,
-1983, ch. 7-8).  A row with a negative right side is flipped, sense and all.
-The columns are numbered structural first, then one slack (entry 1, a '<='
-row) or surplus (entry -1, a '>=' row) per inequality row in row order, then
-one artificial (entry 1) per '==' or '>=' row in row order.  Phase 1 starts
+1983, ch. 7-8), written out as one C-contiguous matrix.  A row with a
+negative right side is flipped, sense and all.  The columns are numbered
+structural first, then one slack (entry 1, a '<=' row) or surplus (entry -1,
+a '>=' row) per inequality row in row order, then one artificial (entry 1)
+per '==' or '>=' row in row order; every column, whatever its kind, is read
+from the matrix alike.  Phase 1 starts
 from the identity basis of each '<=' row's slack and every other row's
 artificial, and minimizes the sum of the artificials; its multipliers are
 the Farkas duals above.  An artificial left basic at zero is pivoted out on
@@ -38,7 +40,7 @@ revised form (G. B. Dantzig and W. Orchard-Hays, "The product form for the
 inverse in the simplex method", 1954; Chvatal, ch. 7).  The solver state
 (``_Simplex``) keeps the basis, an explicit inverse of the basis matrix, the
 basic values x_B and the multipliers ``y = c_B.B^-1``, and prices
-``c - y.A`` straight from the rows, so a pivot reads the rows once and
+``c - y.A`` straight from the matrix, so a pivot reads the matrix once and
 updates (k + 1) x (k + 1) numbers with one rank-1 step.  The inverse is
 never refactorized.  Every entry of the input must be finite.  No sum goes
 through BLAS or LAPACK, whose order varies by build: every sum over rows or
@@ -49,9 +51,10 @@ Phase 1 depends only on the constraints, so it runs once per constraint set:
 ``feasible_start`` returns the basis after phase 1 with its inverse, and a
 caller that asks several questions about one set passes that start to every
 ``solve_lp`` call; without one, ``solve_lp`` runs its own phase 1.  The
-solver keeps no state between calls.  The start drops the artificial
-columns and keeps every structural and slack column, all of which phase 2
-prices, also those that every feasible point holds at zero (the presolve,
+solver keeps no state between calls.  The start keeps its own copy of the
+kept rows over every structural and slack column, k x (n + s) floats, and
+drops the artificial columns.  Phase 2 prices every column it keeps, also
+those that every feasible point holds at zero (the presolve,
 ``credal.presolve``, removes the ones its forcing rows name before the rows
 reach the solver).  Pricing and the ratio test are numpy passes
 that pick the same entering column and leaving row as a scalar loop with the
@@ -99,11 +102,11 @@ class FeasibleStart:
 
     Columns are numbered as the module docstring says.  On a feasible set
     ``basis`` holds the basic column of each kept row; ``inverse`` the basis
-    inverse with x_B as a last column; ``rows`` the kept rows in standard
-    form; and ``slacks`` each kept row's slack entry (0 on an '==' row),
-    whose nonzero entries are the slack columns in order.  The artificial
-    columns are never read again and are not kept.  An infeasible set
-    carries ``farkas_duals`` instead, and those four fields are ``None``.
+    inverse with x_B as a last column; and ``rows`` the kept rows in
+    standard form over the structural and slack columns, a C-contiguous
+    array of the start's own.  The artificial columns are never read again
+    and are not kept.  An infeasible set carries ``farkas_duals`` instead,
+    and those three fields are ``None``.
     """
 
     n_cols: int  # phase-1 columns; sets the pivot budget
@@ -114,7 +117,6 @@ class FeasibleStart:
     farkas_duals: np.ndarray | None = None
     inverse: np.ndarray | None = None
     rows: np.ndarray | None = None
-    slacks: np.ndarray | None = None
 
 
 class _Simplex:
@@ -127,23 +129,21 @@ class _Simplex:
     ``table[k, k]`` c_B.x_B.  ``basis`` holds each row's basic column,
     ``pivots`` counts against ``budget`` over both phases, ``degenerate``
     counts the ratio-test pivots of step length at most ``PIVOT_TOL``, and
-    ``buf`` is the rank-1 step's scratch.  ``rows`` are the standard-form
-    structural rows (C-contiguous), and each priced column past them is a
-    logical column, the unit vector of row ``logical_rows[j]`` times
-    ``logical_signs[j]``; ``cost`` holds every priced column's cost.
-    ``costs()`` returns every priced column's reduced cost ``c - y.A``;
-    ``column(j)`` sets ``alpha`` to B^-1 times column ``j``, with minus its
-    reduced cost as the cost row's factor, and returns its entries over the
-    constraint rows, which the ratio test reads; ``row(i)`` returns row ``i``
-    of B^-1 times every priced column, which phase 1's drive-out reads.
-    ``pivot`` steps on the ``alpha`` that ``column`` last set.
+    ``buf`` is the rank-1 step's scratch.  ``rows`` hold every priced
+    column, slack and artificial columns written out (C-contiguous), and
+    ``cost`` every priced column's cost.  ``costs()`` returns every priced
+    column's reduced cost ``c - y.A``; ``column(j)`` sets ``alpha`` to
+    B^-1 times column ``j``, with minus its reduced cost as the cost row's
+    factor, and returns its entries over the constraint rows, which the
+    ratio test reads; ``row(i)`` returns row ``i`` of B^-1 times every
+    priced column, which phase 1's drive-out reads.  ``pivot`` steps on the
+    ``alpha`` that ``column`` last set.
     """
 
     alpha: np.ndarray
 
-    def __init__(self, rows: np.ndarray, logical_rows: np.ndarray, logical_signs: np.ndarray,
-                 inverse: np.ndarray, basis: np.ndarray, pivots: int, budget: int,
-                 cost: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, inverse: np.ndarray, basis: np.ndarray, pivots: int,
+                 budget: int, cost: np.ndarray) -> None:
         """``inverse`` is B^-1 with x_B as a last column; the cost row is
         summed from it over the basis positions in order."""
         k = len(basis)
@@ -159,38 +159,23 @@ class _Simplex:
         self.budget = budget
         self.buf = np.empty_like(table)
         self.rows = rows
-        self.logical_rows = logical_rows
-        self.logical_signs = logical_signs
         self.cost = cost
         self.reduced = np.empty_like(cost)
-        n_vars = rows.shape[1]
-        self.structural = (cost[:n_vars], self.reduced[:n_vars])  # costs, reduced costs
-        self.logical = (cost[n_vars:], self.reduced[n_vars:])
 
     def costs(self) -> np.ndarray:
-        cost, reduced = self.structural
-        np.einsum("i,ij->j", self.y, self.rows, out=reduced)
-        np.subtract(cost, reduced, out=reduced)
-        cost, reduced = self.logical
-        np.subtract(cost, self.y[self.logical_rows] * self.logical_signs, out=reduced)
-        return self.reduced
+        np.einsum("i,ij->j", self.y, self.rows, out=self.reduced)
+        return np.subtract(self.cost, self.reduced, out=self.reduced)
 
     def column(self, col: int) -> np.ndarray:
-        n_vars, k = self.rows.shape[1], len(self.basis)
-        if col < n_vars:  # B^-1 a, summed over the rows with the table transposed
-            self.alpha = np.einsum("i,ij->j", self.rows[:, col],
-                                   np.ascontiguousarray(self.table[:, :k].T))
-        else:
-            j = col - n_vars
-            self.alpha = self.table[:, self.logical_rows[j]] * self.logical_signs[j]
+        """B^-1 a, summed over the rows with the table transposed."""
+        k = len(self.basis)
+        self.alpha = np.einsum("i,ij->j", self.rows[:, col],
+                               np.ascontiguousarray(self.table[:, :k].T))
         self.alpha[k] = -self.reduced[col]
         return self.alpha[:k]
 
     def row(self, i: int) -> np.ndarray:
-        """B^-1[i] times the structural rows, then times each logical column."""
-        inverse_row = self.table[i, :len(self.basis)]
-        return np.concatenate((np.einsum("i,ij->j", inverse_row, self.rows),
-                               inverse_row[self.logical_rows] * self.logical_signs))
+        return np.einsum("i,ij->j", self.table[i, :len(self.basis)], self.rows)
 
     def pivot(self, row: int, col: int) -> None:
         """The rank-1 step on ``table`` that makes ``alpha`` the unit vector
@@ -304,24 +289,24 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
 
     # the standard form, its columns numbered as the module docstring says
     slacks = np.array([entries[s][v < 0] for s, v in zip(senses, b.tolist())])
-    flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
+    sign = np.where(b < 0, -1.0, 1.0)
     b *= sign
-    rows = a * sign[:, None] if flip.any() else a
     slack_rows = slacks.nonzero()[0]
     art_rows = (slacks <= 0.0).nonzero()[0]
     first_art = n_vars + len(slack_rows)
     n_cols = first_art + len(art_rows)
+    rows = np.zeros((n_rows, n_cols))
+    np.multiply(a, sign[:, None], out=rows[:, :n_vars])
+    rows[slack_rows, np.arange(n_vars, first_art)] = slacks[slack_rows]
+    rows[art_rows, np.arange(first_art, n_cols)] = 1.0
     # the first basis, an identity
     first = np.empty(n_rows, dtype=int)
     first[slack_rows] = np.arange(n_vars, first_art)
     first[art_rows] = np.arange(first_art, n_cols)  # over a '>=' row's surplus
-    budget = _budget(n_rows, n_cols)
     cost = np.zeros(n_cols)
     cost[first_art:] = 1.0
-    state = _Simplex(rows, np.concatenate((slack_rows, art_rows)),
-                     np.concatenate((slacks[slack_rows], np.ones(len(art_rows)))),
-                     np.hstack((np.eye(n_rows), b[:, None])), first, 0, budget, cost)
+    state = _Simplex(rows, np.hstack((np.eye(n_rows), b[:, None])), first, 0,
+                     _budget(n_rows, n_cols), cost)
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
     if state.table[-1, -1] > FEASIBILITY_TOL:  # the multipliers y are the Farkas duals
@@ -331,33 +316,29 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
 
     drop = state.drive_out(first_art)
     kept = [i for i in range(n_rows) if i not in drop]
-    inverse = state.table[:n_rows].copy()
-    if drop:
-        # a dropped position's basic column is its artificial, the unit vector
-        # of that artificial's row, so B^-1 is 0 in that row's column but at
-        # the position: deleting the position's row and the row's column
-        # leaves exactly the inverse of the kept basis
-        gone = art_rows[state.basis[drop] - first_art].tolist()
-        kept_rows = [r for r in range(n_rows) if r not in gone]
-        inverse = inverse[np.ix_(kept, kept_rows + [n_rows])]
-        rows, slacks = rows[kept_rows], slacks[kept_rows]
+    # a dropped position's basic column is its artificial, the unit vector of
+    # that artificial's row, so B^-1 is 0 in that row's column but at the
+    # position: deleting the position's row and the row's column leaves
+    # exactly the inverse of the kept basis
+    gone = art_rows[state.basis[drop] - first_art].tolist()
+    kept_rows = [r for r in range(n_rows) if r not in gone]
     return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
                          degenerate_pivots=state.degenerate, dropped_rows=len(drop),
-                         basis=tuple(state.basis[kept].tolist()), inverse=inverse,
-                         rows=rows.view(), slacks=slacks)
+                         basis=tuple(state.basis[kept].tolist()),
+                         inverse=state.table[np.ix_(kept, kept_rows + [n_rows])],
+                         rows=rows[kept_rows, :first_art])
 
 
 def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     """Phase 1 of the rows, as a start for any number of ``solve_lp`` calls.
 
     The start is read-only: every solve from it that must pivot works on its
-    own copy, so threads may share one start.  The start refers to ``rows``
-    through a read-only view unless a flip or a dropped row made it copy
-    them.
+    own copy, so threads may share one start.  The start keeps its own
+    read-only copy of the kept rows in standard form, k x (n + s) floats
+    for k kept rows and s slack columns, and no view of ``rows``.
     """
-    start = _phase1(np.ascontiguousarray(_as_rows(rows)),
-                    np.ascontiguousarray(rhs, dtype=float), senses)
-    for arr in (start.farkas_duals, start.inverse, start.rows, start.slacks):
+    start = _phase1(_as_rows(rows), np.ascontiguousarray(rhs, dtype=float), senses)
+    for arr in (start.farkas_duals, start.inverse, start.rows):
         if arr is not None:
             arr.flags.writeable = False
     return start
@@ -396,11 +377,9 @@ def solve_lp(
     budget = _budget(len(senses), start.n_cols)
 
     basis = np.array(start.basis, dtype=int)
-    slack_rows = np.flatnonzero(start.slacks)
-    cost = np.zeros(n_vars + len(slack_rows))
+    cost = np.zeros(start.rows.shape[1])
     cost[:n_vars] = c
-    state = _Simplex(start.rows, slack_rows, start.slacks[slack_rows], start.inverse, basis,
-                     start.phase1_pivots, budget, cost)
+    state = _Simplex(start.rows, start.inverse, basis, start.phase1_pivots, budget, cost)
     status = state.run_phase()
     counters["phase2_pivots"] = state.pivots - start.phase1_pivots
     counters["degenerate_pivots"] += state.degenerate

@@ -26,6 +26,7 @@ from iqp.credal import (
     lower_bound_constraints,
     merge_constraint_sets,
     presolve,
+    qtr_constraints,
     verify_witness,
 )
 from iqp.events import TrajectorySpace, parse_event, sset_event
@@ -119,6 +120,24 @@ def test_one_time_witness_is_the_born_marginal(lp_calls):
     cs = born_constraints(system, space, singleton_family(system))
     cert = feasibility(cs)
     assert cert.witness.probs.tolist() == [system.weight(sset(0, [a], 3)) for a in range(3)]
+    assert lp_calls() == ([], [])
+
+
+def test_one_label_set_takes_the_chain_path(lp_calls):
+    """Over one label every atom is the universal event, so the reading keeps
+    one strongest row for all of the set's Born and pair rows; the scan reads
+    a row on the full label set as the universal event's bound at every
+    time, so the set stays pinned."""
+    system = QuantumSystem(["x0"], [identity_matrix(1)] * 2, [1.0])
+    space = TrajectorySpace.for_system(system)
+    family = singleton_family(system)
+    pairs = [(s, u) for s, u in zip(family, family[1:])]
+    cs = merge_constraint_sets([born_constraints(system, space, family),
+                                qtr_constraints(system, space, pairs)])
+    assert [len(con.origin) for con in cs.constraints] == [1, 1, 1, 2, 2]
+    assert credal._pinned_chain(cs) is not None
+    cert = feasibility(cs)
+    assert cert.witness.probs.tolist() == [1.0]
     assert lp_calls() == ([], [])
 
 

@@ -360,15 +360,15 @@ class TestRatioTest:
     def leaving(rhs, col, basis):
         """The first pivot row of ``run_phase`` with ``col`` entering, or UNBOUNDED.
 
-        The state has no structural column and one logical column, the unit
-        vector of row 0 at cost -1.  With the multipliers set to zero and
-        ``col`` written into B^-1's column 0, that column prices at -1 and
-        enters as ``col``; ``rhs`` is written into x_B and ``basis`` into the
-        basis."""
+        The state has one column, the unit vector of row 0 at cost -1.  With
+        the multipliers set to zero and ``col`` written into B^-1's column 0,
+        that column prices at -1 and enters as ``col``; ``rhs`` is written
+        into x_B and ``basis`` into the basis."""
         n = len(rhs)
         inverse = np.hstack([np.eye(n), np.zeros((n, 1))])
-        state = lp._Simplex(np.zeros((n, 0)), np.array([0]), np.array([1.0]), inverse,
-                            np.zeros(n, dtype=int), 0, 10, np.array([-1.0]))
+        rows = np.zeros((n, 1))
+        rows[0, 0] = 1.0
+        state = lp._Simplex(rows, inverse, np.zeros(n, dtype=int), 0, 10, np.array([-1.0]))
         state.table[:n, 0], state.table[:n, n], state.table[n] = col, rhs, 0.0
         state.basis[:] = basis
         rows = []
@@ -449,7 +449,7 @@ class TestStartReuse:
 
     def test_start_not_mutated(self):
         start = self.start()
-        arrays = (start.inverse, start.rows, start.slacks)
+        arrays = (start.inverse, start.rows)
         assert not any(arr.flags.writeable for arr in arrays)
         saved, basis = [arr.tobytes() for arr in arrays], start.basis
         c = np.array([0.3, -1.0, 0.5, 2.0])
@@ -534,11 +534,15 @@ class TestStartMemo:
 
     def test_artificial_columns_trimmed(self):
         # 4 variables, 3 surplus/slack and 3 artificial columns; the start
-        # keeps the 4 rows over the 4 variables, the 3 slack entries and the
+        # keeps the 4 rows over the 4 variables and the 3 slack columns, the
         # 4 x 4 inverse with x_B beside it, and no basic artificial
         start = feasible_start(self.ROWS, self.RHS, self.SENSES)
         assert start.n_cols == 10
-        assert start.rows.shape == (4, 4) and np.count_nonzero(start.slacks) == 3
+        assert start.rows.shape == (4, 7)
+        slacks = start.rows[:, 4:]
+        assert np.count_nonzero(slacks) == 3
+        assert (np.count_nonzero(slacks, axis=0) == 1).all()  # unit vectors, up to sign
+        assert set(np.abs(slacks[slacks != 0.0]).tolist()) == {1.0}
         assert start.inverse.shape == (len(self.SENSES), len(self.SENSES) + 1)
         assert max(start.basis) < 7
 
@@ -587,16 +591,17 @@ class TestFixedColumns:
     @pytest.mark.parametrize("name, fixes", [("DFT", True), ("CHAIN", False)])
     def test_start_owns_only_its_inverse(self, name, fixes):
         """A start keeps every structural and slack column, and no larger
-        buffer alive than its k x (k + 1) inverse, beside rows that are
-        either the caller's or its own."""
+        buffer alive than its k x (k + 1) inverse and its own k x (n + s)
+        rows, s the slack columns."""
         space, cs = self.realize(name)
         pre = presolve(cs)
         rows, rhs, senses = pre[:3]
         assert (pre.live.size < space.size) == fixes  # the forcing rows fixed columns
         start = feasible_start(rows, rhs, senses)
         k = len(start.basis)
-        assert start.rows.shape == (k, rows.shape[1])
-        assert np.count_nonzero(start.slacks) == sum(sense != "==" for sense in senses)
+        n_slacks = sum(sense != "==" for sense in senses)
+        assert start.rows.shape == (k, rows.shape[1] + n_slacks)
+        assert np.count_nonzero(start.rows[:, rows.shape[1]:]) == n_slacks
         assert start.inverse.shape == (k, k + 1)
 
         def owner(arr):
@@ -605,8 +610,8 @@ class TestFixedColumns:
             return arr
 
         assert owner(start.inverse).nbytes == start.inverse.nbytes
-        assert (owner(start.rows) is owner(rows)
-                or owner(start.rows).nbytes == start.rows.nbytes)
+        assert owner(start.rows) is not owner(rows)
+        assert owner(start.rows).nbytes == start.rows.nbytes
 
     def test_sound_against_highs(self):
         space, cs = self.realize("DFT")
@@ -894,7 +899,7 @@ class TestRevisedForm:
         rng = np.random.default_rng(340)
         rows, rhs, senses = wide_polytope(rng, 5, 7)
         start = feasible_start(rows, rhs, senses)
-        arrays = (start.inverse, start.rows, start.slacks)
+        arrays = (start.inverse, start.rows)
         assert not any(arr.flags.writeable for arr in arrays)
         assert rows.flags.writeable  # the caller's rows are left as they were
         saved = [arr.tobytes() for arr in arrays]
@@ -1008,7 +1013,6 @@ class TestZeroRows:
                 start.dropped_rows) == (self.N, 0, 0, 0)
         assert start.basis == () and start.farkas_duals is None
         assert start.inverse.shape == (0, 1) and start.rows.shape == (0, self.N)
-        assert start.slacks.shape == (0,)
 
     @pytest.mark.parametrize("maximize", [False, True])
     @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 3.0],
@@ -1030,17 +1034,11 @@ class TestZeroRows:
         assert_matches_seed([c], *self.empty())
 
 
-def basis_residual(rows, logical_rows, logical_signs, basis, inverse):
-    """max |B^-1 B - I| over a basis of structural columns of ``rows`` and
-    logical columns, ``logical_signs[j]`` times the unit vector of row
-    ``logical_rows[j]``; ``inverse`` holds B^-1 in its first k columns."""
-    n_vars, k = rows.shape[1], len(basis)
-    b = np.zeros((k, k))
-    for pos, j in enumerate(basis):
-        if j < n_vars:
-            b[:, pos] = rows[:, j]
-        else:
-            b[logical_rows[j - n_vars], pos] = logical_signs[j - n_vars]
+def basis_residual(rows, basis, inverse):
+    """max |B^-1 B - I| with B the columns ``basis`` of ``rows``; ``inverse``
+    holds B^-1 in its first k columns."""
+    k = len(basis)
+    b = rows[:, list(basis)]
     return np.abs(inverse[:, :k] @ b - np.eye(k)).max(initial=0.0)
 
 
@@ -1060,8 +1058,7 @@ class TestBasisInverse:
 
         def checked(state):
             status = run_phase(state)
-            residuals.append(basis_residual(state.rows, state.logical_rows, state.logical_signs,
-                                            state.basis.tolist(), state.table[:-1]))
+            residuals.append(basis_residual(state.rows, state.basis.tolist(), state.table[:-1]))
             return status
 
         monkeypatch.setattr(lp._Simplex, "run_phase", checked)
@@ -1074,14 +1071,65 @@ class TestBasisInverse:
             pre = presolve(cs)
             for (rows, rhs, senses), live in ((pre[:3], pre.live), (cs.lp_rows(), slice(None))):
                 start = feasible_start(rows, rhs, senses)
-                slack_rows = np.flatnonzero(start.slacks)
-                residuals.append(basis_residual(start.rows, slack_rows, start.slacks[slack_rows],
-                                                start.basis, start.inverse))
+                residuals.append(basis_residual(start.rows, start.basis, start.inverse))
                 for c in objectives:
                     for maximize in (False, True):
                         solve_lp(c[live], rows, rhs, senses, maximize=maximize, start=start)
         assert len(residuals) >= 3 * 2 * (1 + 1 + 2 * len(objectives))
         assert max(residuals) <= 1e-12
+
+
+class TestContiguousSums:
+    """Every sum of the solver is an ``np.einsum("i,ij->j", ...)``, which adds
+    its terms in index order over a C-contiguous matrix; the pivots are
+    reproducible only while every matrix ``_Simplex`` sums over, its rows,
+    its first inverse and its table, is C-contiguous in both phases."""
+
+    def test_every_summed_matrix_is_c_contiguous(self, monkeypatch):
+        seen = []
+        phase = ["phase 2"]
+        init, phase1 = lp._Simplex.__init__, lp._phase1
+
+        def recorded(state, rows, inverse, *rest):
+            init(state, rows, inverse, *rest)
+            seen.append((phase[0], rows.flags.c_contiguous, inverse.flags.c_contiguous,
+                         state.table.flags.c_contiguous))
+
+        def first_phase(*args):
+            phase[0] = "phase 1"
+            try:
+                return phase1(*args)
+            finally:
+                phase[0] = "phase 2"
+
+        monkeypatch.setattr(lp._Simplex, "__init__", recorded)
+        monkeypatch.setattr(lp, "_phase1", first_phase)
+        rng = np.random.default_rng(370)
+        for seed in range(12):
+            # normalization, a '<=' row flipped by its negative right side, a
+            # '>=' row and, on two seeds in three, normalization again, which
+            # phase 1 drops
+            n = int(rng.integers(3, 9))
+            p = rng.dirichlet(np.ones(n))
+            pair = (rng.random((2, n)) < 0.5).astype(float)
+            pair[:, 0] = 1.0
+            copies = int(seed % 3 > 0)
+            rows = np.vstack([np.ones(n), -pair[0], pair[1], np.ones((copies, n))])
+            rhs = np.array([1.0, -0.5 * (pair[0] @ p), 0.5 * (pair[1] @ p)] + [1.0] * copies)
+            senses = ["==", "<=", ">="] + ["=="] * copies
+            if seed % 2:
+                rows = np.asfortranarray(rows)  # the caller's layout does not matter
+            start = feasible_start(rows, rhs, senses)
+            assert rhs[1] < 0.0 and start.dropped_rows == copies
+            for c in (rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)):
+                for maximize in (False, True):
+                    started = solve_lp(c, rows, rhs, senses, maximize=maximize, start=start)
+                    assert_identical(started, solve_lp(c, rows, rhs, senses, maximize=maximize))
+        # per seed: the start's phase 1, then per objective and sense one
+        # phase 2 from it and a fresh phase 1 and phase 2
+        assert [entry[0] for entry in seen].count("phase 1") == 12 * (1 + 4)
+        assert [entry[0] for entry in seen].count("phase 2") == 12 * 4 * 2
+        assert all(all(entry[1:]) for entry in seen)
 
 
 BLAS_NAMES = {"dot", "matmul", "inner", "linalg"}
