@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
-from .events import Event, TrajectorySpace, event_probability, sset_event
+from .events import Event, TrajectorySpace, event_probability, membership_rows, sset_event
 from .system import DEFAULT_TAU_NORM, QuantumSystem, Region, SSet, check_tau_norm
 
 MEASURE_TOL = 1e-9
@@ -106,18 +106,25 @@ Terms = tuple[tuple[int, float], ...]
 
 
 class Forcing(NamedTuple):
-    """A deduction of the presolve: every trajectory in ``cols`` is zero.
+    """A deduction of the presolve: every trajectory in ``rest`` is zero.
 
     ``terms`` combine the rows of constraints (-1 for normalization) into
     ``1_F - 1_E``: a row ``P(F) >= l`` minus an upper bound ``P(E) <= u``,
     with ``F`` inside ``E`` and ``l >= u``.  The combination is -1 on
-    ``cols``, the trajectories of ``E`` outside ``F``, and 0 elsewhere, and
+    ``rest``, the trajectories of ``E`` outside ``F``, and 0 elsewhere, and
     its right side ``l - u`` is at least 0 and below ``FARKAS_MARGIN``: a
-    larger one proves the set empty (``Presolved.empty``) instead.
+    larger one proves the set empty (``Presolved.empty``) instead.  ``rest``
+    is an event, one bit per trajectory, built from ``E`` and ``F`` on their
+    packed bits; ``cols`` unpacks it into a bool mask.
     """
 
     terms: Terms
-    cols: np.ndarray  # bool mask over all trajectories
+    rest: Event  # E outside F, the fixed trajectories
+
+    @property
+    def cols(self) -> np.ndarray:
+        """``rest`` as a bool mask over all trajectories."""
+        return self.rest.bits
 
 
 class Presolved(NamedTuple):
@@ -159,11 +166,12 @@ def _pins(row: int, rhs: float) -> tuple[_Pin, _Pin]:
 
 
 def _strongest(constraints: Sequence[LinearConstraint]) -> dict[bytes, int]:
-    """Per distinct event, keyed by its bits, the constraint with the largest
-    bound (the first on ties), in the order the events first appear."""
+    """Per distinct event, keyed by its packed bits (``Event.key``), the
+    constraint with the largest bound (the first on ties), in the order the
+    events first appear."""
     kept: dict[bytes, int] = {}
     for i, con in enumerate(constraints):
-        key = con.event.bits.tobytes()
+        key = con.event.key
         if con.rhs > constraints[kept.setdefault(key, i)].rhs:
             kept[key] = i
     return kept
@@ -213,12 +221,13 @@ class ConstraintSet:
     def _rows(self, constraints: Sequence[LinearConstraint],
               live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Normalization row and right side, then one of each per given
-        constraint, over the ``live`` columns (all when ``None``)."""
+        constraint, over the ``live`` columns (all when ``None``); the
+        events' bits are unpacked in one call."""
         rows = np.ones((1 + len(constraints), self.space.size if live is None else live.size))
         rhs = np.ones(1 + len(constraints))
-        for i, con in enumerate(constraints, start=1):
-            rows[i] = con.event.bits if live is None else con.event.bits[live]
-            rhs[i] = con.rhs
+        bits = membership_rows([con.event for con in constraints], self.space.size)
+        rows[1:] = bits if live is None else bits[:, live]
+        rhs[1:] = [con.rhs for con in constraints]
         return rows, rhs
 
 
@@ -260,7 +269,7 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
       pin of ``S2`` fixes ``S1^c & S2``;
     - a kept '>=' demand (a row without origin) reaching the pin of an
       event that contains its own fixes the rest of that event, each
-      pinned event being tested against the demand's bits;
+      pinned event being tested against the demand on their packed bits;
     - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
       being the upper bound.
 
@@ -277,18 +286,26 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
     columns has at least its bound.  ``forcings`` keep each deduction in
     constraint indices, for lifting Farkas certificates back to every
     constraint.
+
+    Events are matched on their packed bits: ``kept`` is keyed by
+    ``Event.key``, a pin's complement is looked up by
+    ``Event.complement_key``, and the forcing rows' fixed sets are combined
+    as events.  Only the kept rows are unpacked, all in one call
+    (``ConstraintSet._rows``).
     """
     bounds = {i: float(cs.constraints[i].rhs) for i in kept.values()}
     owners: list[int] = []
     partners: list[int] = []
-    pins: dict[bytes, _Pin] = {}  # event bits -> its pin under an '==' row
+    pins: dict[bytes, tuple[_Pin, Event]] = {}  # event key -> its pin under an '==' row, the event
     for key, i in kept.items():
         if key in pins:  # the complement's row already pins this event
             continue
-        complement = (~cs.constraints[i].event.bits).tobytes()
+        event = cs.constraints[i].event
+        complement = event.complement_key
         j = kept.get(complement, -1)
         if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
-            pins[key], pins[complement] = _pins(i, bounds[i])
+            pin, co_pin = _pins(i, bounds[i])
+            pins[key], pins[complement] = (pin, event), (co_pin, cs.constraints[j].event)
         else:
             j = -1
         owners.append(i)
@@ -296,16 +313,17 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
     implied, fixes, empty = _implied(cs, owners, partners, bounds, pins)
     partners = [j for i, j in zip(owners, partners) if i not in implied]
     owners = [i for i in owners if i not in implied]
-    forcings = tuple(fix for fix in fixes if fix.terms[0][0] not in implied and fix.cols.any())
+    forcings = tuple(fix for fix in fixes
+                     if fix.terms[0][0] not in implied and not fix.rest.is_empty)
     live = np.arange(cs.space.size)
     collapsed: list[int] = []
     if not forcings:
         rows, rhs = cs._rows([cs.constraints[i] for i in owners])
     else:
-        fixed = np.zeros(cs.space.size, dtype=bool)
+        fixed = Event.none(cs.space)
         for fix in forcings:
-            fixed |= fix.cols
-        live = np.flatnonzero(~fixed)
+            fixed |= fix.rest
+        live = (~fixed).indices()
         rows, rhs = cs._rows([cs.constraints[i] for i in owners], live)
         keep = _collapse(rows, rhs.tolist(), partners)
         collapsed = [i for i, kept in zip(owners, keep) if not kept]
@@ -318,34 +336,32 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
 
 
 def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: dict[int, float],
-             pins: dict[bytes, _Pin]) -> tuple[set[int], list[Forcing], Terms]:
+             pins: dict[bytes, tuple[_Pin, Event]]) -> tuple[set[int], list[Forcing], Terms]:
     """The kept '>=' rows (by constraint) that rules 1 and 2 of ``_presolve``
     drop, the forcing rows' deductions, each one's first term the forcing
     row's constraint, and the first deduction whose right side is at
-    least ``FARKAS_MARGIN`` (empty when none)."""
+    least ``FARKAS_MARGIN`` (empty when none).  ``pins`` holds each pinned
+    event's pin and the event, keyed by ``Event.key``."""
 
-    def pin(s: SSet) -> tuple[_Pin, np.ndarray] | None:
-        """The pin of ``s`` and its atom event's bits, ``None`` when unpinned."""
-        bits = sset_event(cs.space, s).bits
-        found = pins.get(bits.tobytes())
-        return None if found is None else (found, bits)
+    def pin(s: SSet) -> tuple[_Pin, Event] | None:
+        """The pin of ``s`` and its atom event, ``None`` when unpinned."""
+        return pins.get(sset_event(cs.space, s).key)
 
     implied: set[int] = set()
     fixes: list[Forcing] = []
     empty: Terms = ()
 
-    def fix(row: int, upper: Terms, cols: np.ndarray) -> None:
+    def fix(row: int, upper: Terms, rest: Event) -> None:
         """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes
-        ``cols``, unless its exact right side is at least the margin: then
+        ``rest``, unless its exact right side is at least the margin: then
         it proves the set empty instead."""
         nonlocal empty
         terms = ((row, 1.0),) + tuple((r, -c) for r, c in upper)
         if math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) < FARKAS_MARGIN:
-            fixes.append(Forcing(terms, cols))
+            fixes.append(Forcing(terms, rest))
         elif not empty:
             empty = terms
 
-    pinned_events: np.ndarray | None = None  # built for the first demand
     # each kept, pinned pair row not yet matched: its ssets, as (time, region
     # mask) pairs, which are cheaper to build than SSets -> (constraint, shift)
     unmatched: dict[frozenset[tuple[int, int]], tuple[int, float]] = {}
@@ -353,23 +369,18 @@ def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: 
     for i, j in zip(owners, partners):
         con = cs.constraints[i]
         if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
-            fix(i, ((-1, 1.0),), ~con.event.bits)
+            fix(i, ((-1, 1.0),), ~con.event)
         if j >= 0 or len(con.origin) == 1:
             continue
         # the pinned events that contain the row's, each with its pin
         if con.origin:  # a pair row: its two ssets, when pinned
             supersets = [pin(s) for s in con.origin]
-        else:  # a demand: every pinned event, tested against its bits
-            if pinned_events is None:  # one row per pinned event, in order
-                pinned_events = np.frombuffer(b"".join(pins), dtype=bool).reshape(
-                    len(pins), cs.space.size)
-            outside = (con.event.bits & ~pinned_events).any(axis=1)
-            supersets = [(found, bits) for found, bits, out
-                         in zip(pins.values(), pinned_events, outside) if not out]
+        else:  # a demand: every pinned event that contains it, in order
+            supersets = [sup for sup in pins.values() if con.event <= sup[1]]
         # a row reaching a pin fixes the rest of the pinned event (zero drift)
         for sup in supersets:
             if sup is not None and bounds[i] >= sup[0].reach:
-                fix(i, sup[0].upper, sup[1] & ~con.event.bits)
+                fix(i, sup[0].upper, sup[1] - con.event)
         if not con.origin or supersets[0] is None or supersets[1] is None:
             continue
         pin1, pin2 = supersets[0][0], supersets[1][0]
@@ -621,16 +632,21 @@ class _Reading:
     def kept(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The rows of ``strongest`` grouped by the event's trajectory count:
         per group, one row of trajectory indices per event and the events'
-        bounds."""
-        groups: dict[int, tuple[list[np.ndarray], list[float]]] = {}
-        for i in self.strongest.values():
-            con = self.cs.constraints[i]
-            cols = np.flatnonzero(con.event.bits)
-            group = groups.setdefault(cols.size, ([], []))
-            group[0].append(cols)
-            group[1].append(con.rhs)
-        return tuple((np.array(cols).reshape(len(cols), size), np.array(bounds))
-                     for size, (cols, bounds) in groups.items())
+        bounds.  The events are unpacked in one call (``membership_rows``)
+        and indexed per group, not per row."""
+        kept = [self.cs.constraints[i] for i in self.strongest.values()]
+        bits = membership_rows([con.event for con in kept], self.cs.space.size)
+        bounds = np.array([con.rhs for con in kept])
+        sizes = bits.sum(axis=1)
+        groups = []
+        for size in dict.fromkeys(sizes.tolist()):  # in first-appearance order
+            group = sizes == size
+            members = bits[group]
+            # flat indices into ``members``, less each row's offset
+            cols = np.flatnonzero(members).reshape(len(members), size)
+            cols -= np.arange(len(members))[:, None] * members.shape[1]
+            groups.append((cols, bounds[group]))
+        return tuple(groups)
 
     @functools.cached_property
     def presolved(self) -> Presolved:
@@ -666,7 +682,8 @@ def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
     """Max violation of the constraint rows and simplex rows, by direct sums.
 
     Only the strongest row on each distinct event is summed, as grouped by
-    the set's reading (``_Reading.kept``): on one event ``l - P(event)``
+    the set's reading (``_Reading.kept``, whose events are unpacked once, in
+    one call, into index rows): on one event ``l - P(event)``
     rounds monotonically in ``l``, so the weaker rows' violations are at
     most its own and the maximum is the same float.  Each row sums its
     trajectories' entries in index order along the last axis, which is the
@@ -696,10 +713,12 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
     combo = np.full(cs.space.size, cert.normalization)
     total = cert.normalization
     from_negative_zero = cert.normalization == 0.0 and math.copysign(1.0, cert.normalization) < 0
-    for mult, con in zip(cert.multipliers, cs.constraints):
-        if mult != 0.0 or from_negative_zero:
-            combo += mult * con.event.bits
-            total += mult * con.rhs
+    summed = [(mult, con) for mult, con in zip(cert.multipliers, cs.constraints)
+              if mult != 0.0 or from_negative_zero]
+    rows = membership_rows([con.event for _, con in summed], cs.space.size)
+    for (mult, con), bits in zip(summed, rows):
+        combo += mult * bits
+        total += mult * con.rhs
     return float(combo.max()), float(total)
 
 
@@ -748,15 +767,17 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     y[pre.owners] = duals[1:]
     if pre.forcings:
         combo = np.full(cs.space.size, y[-1])
-        for i in pre.owners:
-            if y[i] != 0.0:
-                combo += y[i] * cs.constraints[i].event.bits
+        summed = [i for i in pre.owners if y[i] != 0.0]
+        rows = membership_rows([cs.constraints[i].event for i in summed], cs.space.size)
+        for i, bits in zip(summed, rows):
+            combo += y[i] * bits
         for forcing in reversed(pre.forcings):
-            lam = float(combo[forcing.cols].max())
+            cols = forcing.cols
+            lam = float(combo[cols].max())
             if lam > 0.0:
                 for i, coef in forcing.terms:
                     y[i] += lam * coef
-                combo[forcing.cols] -= lam
+                combo[cols] -= lam
     return _multipliers(pre, y)
 
 
@@ -985,10 +1006,11 @@ class BoundsResult:
             raise ValueError(f"upper bound {self.upper} exceeds 1")
 
 
-def _trajectory_word(bits: np.ndarray) -> int:
-    """An indicator over trajectories as one integer, trajectory 0 the most
-    significant bit, padded with zeros to whole bytes."""
-    return int.from_bytes(np.packbits(bits).tobytes(), "big")
+def _trajectory_word(a: Event) -> int:
+    """An event as one integer, trajectory 0 the most significant bit,
+    padded with zeros to whole bytes: its packed bits (``Event.key``) read
+    big-endian."""
+    return int.from_bytes(a.key, "big")
 
 
 @functools.cache
@@ -996,19 +1018,19 @@ def _label_one_words(n: int) -> tuple[int, ...]:
     """Per time ``t`` of ``n`` times over two labels, the trajectories with
     label 1 at ``t``, as a ``_trajectory_word``."""
     index = np.arange(1 << n)
-    return tuple(_trajectory_word((index >> (n - 1 - t)) & 1 == 1) for t in range(n))
+    return tuple(_trajectory_word(Event((index >> (n - 1 - t)) & 1 == 1)) for t in range(n))
 
 
-def _dependent_times(bits: np.ndarray, n: int) -> list[int] | None:
+def _dependent_times(a: Event | np.ndarray, n: int) -> list[int] | None:
     """The times whose label an event over two labels reads, ``None`` past two.
 
     A trajectory with label 1 at ``t`` and the one ``2**(n - 1 - t)`` before
     it differ only in that label, and shifting the event's word by that
     block lines each such pair up: the event reads ``t`` exactly when a pair
     differs, which is the two label halves of ``bits.reshape(2**t, 2, -1)``
-    compared.
+    compared.  ``a`` is an event or its bits.
     """
-    word = _trajectory_word(bits)
+    word = _trajectory_word(a if isinstance(a, Event) else Event(a))
     times = [t for t, ones in enumerate(_label_one_words(n))
              if (word ^ (word >> (1 << (n - 1 - t)))) & ones]
     return times if len(times) <= 2 else None
@@ -1133,7 +1155,7 @@ def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
     chain = _reading(cs).chain
     if chain is None:
         return None
-    times = _dependent_times(a.bits, cs.space.n)
+    times = _dependent_times(a, cs.space.n)
     if times is None or len(times) != 2:  # three times or more, one, or none
         return None
     t1, t2 = times

@@ -7,11 +7,20 @@ time 0 as the most significant digit::
 
 This encoding is normative: constraint exports, certificates and the CLI all
 number trajectories this way.
+
+An event holds one bit per trajectory, packed as ``np.packbits`` packs its
+membership vector, so a row over N trajectories costs ``ceil(N / 8)`` bytes.
+Set operations, equality and hashing read the packed bytes (``Event.key``),
+which also key events wherever rows are grouped by event.  Code that needs
+the membership vectors of many events unpacks them in one call
+(``membership_rows``); ``Event.bits`` unpacks one.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +100,8 @@ class TrajectorySpace:
     def atom(self, t: int, mask: int) -> Event:
         """The atom event of the labels in bitmask ``mask`` at time ``t``.
 
-        Built once per ``(t, mask)`` and kept; the event's bits are read-only,
-        so every caller can hold the same one.
+        Built once per ``(t, mask)`` and kept; an event is immutable, so
+        every caller can hold the same one.
         """
         event = self._atoms.get((t, mask))
         if event is None:  # atom_bits checks the key, so a bad one is never kept
@@ -118,50 +127,102 @@ class TrajectorySpace:
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class Event:
-    """A set of trajectories, stored as a boolean membership vector."""
+    """A set of trajectories, one bit per trajectory.
 
-    bits: np.ndarray
+    The membership vector is held packed, as ``np.packbits`` lays it out:
+    trajectory 0 is the most significant bit of the first byte, and the
+    padding bits past the last trajectory are zero.  Those bytes, ``key``,
+    are what the set operations (``&``, ``|``, ``-``, ``~`` and the subset
+    test ``<=``), ``==`` and ``hash`` read, and they name the event wherever
+    events are keyed (``credal._strongest``); ``bits`` unpacks them,
+    read-only, on each access.  An event is immutable.
+    """
 
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=bool)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+    __slots__ = ("key", "_size")
+
+    def __init__(self, bits: np.ndarray | Sequence[bool]) -> None:
+        member = np.asarray(bits, dtype=bool)
+        if member.ndim != 1:
+            raise ValueError(f"membership must be a vector, got shape {member.shape}")
+        object.__setattr__(self, "key", np.packbits(member).tobytes())
+        object.__setattr__(self, "_size", member.size)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an event is immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[np.ndarray]]:
+        # copy and pickle rebuild the event from its bits, not by assignment
+        return Event, (self.bits,)
+
+    def __repr__(self) -> str:
+        return f"Event(size={self._size}, key={self.key.hex()})"
 
     def __len__(self) -> int:
-        return int(self.bits.shape[0])
+        return self._size
 
-    def _check_same_space(self, other: "Event") -> None:
-        if len(other) != len(self):
-            raise ValueError(f"event length mismatch: {len(self)} vs {len(other)}")
+    @property
+    def bits(self) -> np.ndarray:
+        """The membership vector, one read-only bool per trajectory."""
+        bits = np.unpackbits(np.frombuffer(self.key, np.uint8), count=self._size).view(bool)
+        bits.setflags(write=False)
+        return bits
+
+    def _of_word(self, word: int) -> "Event":
+        """The event over the same trajectories whose key, read as a
+        big-endian integer, is ``word``."""
+        event = object.__new__(Event)
+        object.__setattr__(event, "key", word.to_bytes(len(self.key), "big"))
+        object.__setattr__(event, "_size", self._size)
+        return event
+
+    def _words(self, other: "Event") -> tuple[int, int]:
+        """Both keys as integers, once the two events share a space."""
+        if other._size != self._size:
+            raise ValueError(f"event length mismatch: {self._size} vs {other._size}")
+        return int.from_bytes(self.key, "big"), int.from_bytes(other.key, "big")
 
     def __and__(self, other: "Event") -> "Event":
-        self._check_same_space(other)
-        return Event(self.bits & other.bits)
+        a, b = self._words(other)
+        return self._of_word(a & b)
 
     def __or__(self, other: "Event") -> "Event":
-        self._check_same_space(other)
-        return Event(self.bits | other.bits)
+        a, b = self._words(other)
+        return self._of_word(a | b)
+
+    def __sub__(self, other: "Event") -> "Event":
+        """The trajectories of this event outside ``other``."""
+        a, b = self._words(other)
+        return self._of_word(a & ~b)
+
+    def __le__(self, other: "Event") -> bool:
+        """Whether every trajectory of this event lies in ``other``."""
+        a, b = self._words(other)
+        return not a & ~b
 
     def __invert__(self) -> "Event":
-        return Event(~self.bits)
+        return self._of_word(int.from_bytes(self.key, "big") ^ _every(self._size))
+
+    @property
+    def complement_key(self) -> bytes:
+        """The key of ``~self``, without building that event."""
+        return (int.from_bytes(self.key, "big") ^ _every(self._size)).to_bytes(len(self.key), "big")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
+        return self._size == other._size and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
+        return hash(self.key)
 
     @property
     def cardinality(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return int.from_bytes(self.key, "big").bit_count()
 
     @property
     def is_empty(self) -> bool:
-        return self.cardinality == 0
+        return not int.from_bytes(self.key, "big")
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -173,6 +234,20 @@ class Event:
     @classmethod
     def all(cls, space: TrajectorySpace) -> "Event":
         return cls(np.ones(space.size, dtype=bool))
+
+
+@functools.cache
+def _every(size: int) -> int:
+    """The packed word of all ``size`` trajectories: ``size`` ones, then the
+    zero padding."""
+    return ((1 << size) - 1) << (-size % 8)
+
+
+def membership_rows(events: Sequence[Event], size: int) -> np.ndarray:
+    """The bits of each event over ``size`` trajectories, one row per event,
+    unpacked in one call."""
+    packed = np.frombuffer(b"".join(a.key for a in events), np.uint8)
+    return np.unpackbits(packed.reshape(len(events), -(-size // 8)), axis=1, count=size).view(bool)
 
 
 def sset_event(space: TrajectorySpace, s: SSet) -> Event:
@@ -393,5 +468,5 @@ def parse_expr(src: str, space: TrajectorySpace) -> EventExpr:
 
 
 def parse_event(src: str, space: TrajectorySpace) -> Event:
-    """Parse an event expression and evaluate it to a trajectory bitset."""
+    """Parse an event expression and evaluate it to an ``Event``."""
     return evaluate_expr(parse_expr(src, space), space)

@@ -9,6 +9,7 @@ the branch regions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .credal import (
     sample_vertex_measures,
     verify_witness,
 )
-from .events import Event, TrajectorySpace, event_probability, sset_event
+from .events import Event, TrajectorySpace, event_probability, membership_rows, sset_event
 from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet, check_tau_norm
 
 CHECK_TOL = 1e-8
@@ -187,6 +188,24 @@ class BranchStats:
     n_times: int
 
 
+@functools.lru_cache(maxsize=1)
+def _branch_rows(space: TrajectorySpace, branch: Branch) -> tuple[Event, np.ndarray, np.ndarray]:
+    """The branch's base event, its bits, and per trajectory the number of
+    branch times it spends inside the branch regions, read-only.
+
+    The atoms are unpacked in one call and kept for the last branch asked
+    about, so ``verify_w11``, which reads one branch under every sampled
+    measure, unpacks them once.
+    """
+    atoms = [sset_event(space, s) for s in branch.ssets]
+    base = sset_event(space, branch.base)
+    rows = membership_rows(atoms + [base], space.size)
+    counts = np.add.reduce(rows[:-1], axis=0, dtype=float)
+    rows.setflags(write=False)
+    counts.setflags(write=False)
+    return base, rows[-1], counts
+
+
 def branch_stats(
     space: TrajectorySpace,
     probs: np.ndarray,
@@ -202,20 +221,17 @@ def branch_stats(
     if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be positive")
     k = len(branch.ssets)
-    counts = np.zeros(space.size)
-    for s in branch.ssets:
-        counts += sset_event(space, s).bits
-    base = sset_event(space, branch.base)
+    base, member, counts = _branch_rows(space, branch)
     vec = np.asarray(probs, dtype=float)
     p_base = event_probability(vec, base)
     if p_base <= 0.0:
         raise ValueError("base event has zero probability")
-    expectation = float((vec * base.bits * counts).sum()) / (k * p_base)
+    expectation = float((vec * member * counts).sum()) / (k * p_base)
     # Y <= 1 - delta is a shortfall k - counts of at least k * delta; the
     # relative slack keeps delta = j / k in the tail, and an absolute one
     # would put Y = 1 there once k * delta is below it
     in_tail = k - counts >= k * delta * (1.0 - 1e-9)
-    tail = float((vec * base.bits * in_tail).sum()) / p_base
+    tail = float((vec * member * in_tail).sum()) / p_base
     return BranchStats(expectation=expectation, tail=tail, delta=delta, n_times=k)
 
 

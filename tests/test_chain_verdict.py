@@ -348,7 +348,7 @@ def scanned_as_strongest(cs) -> bool:
     want = np.zeros((space.n, space.m))
     for t in range(space.n):
         for a in range(space.m):
-            i = kept.get(space.atom(t, 1 << a).bits.tobytes())
+            i = kept.get(space.atom(t, 1 << a).key)
             if i is not None:
                 want[t, a] = cs.constraints[i].rhs
     assert chain[0].tobytes() == want.tobytes()
