@@ -140,6 +140,8 @@ POSITIVE = Kind("number > 0", lambda x: _is_number(x) and x > 0)
 FRACTION = Kind("number in (0, 1)", lambda x: _is_number(x) and 0 < x < 1)
 INTEGER = Kind("integer", _is_integer)
 COUNT = Kind("integer >= 1", lambda x: _is_integer(x) and x >= 1)
+# each vertex sample is one LP, so a sample count is bounded
+SAMPLES = Kind("integer in [1, 1000]", lambda x: _is_integer(x) and 1 <= x <= 1000)
 
 
 class _Reader:
@@ -351,7 +353,7 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     if len(set(names)) != len(names):
         r.fail(f"{path}.branches", "duplicate branch names")
     delta = r.number(queries.get("delta", ScenarioConfig.delta), f"{path}.delta", FRACTION)
-    samples = r.number(queries.get("samples", ScenarioConfig.samples), f"{path}.samples", COUNT)
+    samples = r.number(queries.get("samples", ScenarioConfig.samples), f"{path}.samples", SAMPLES)
     seed = r.number(queries.get("seed", ScenarioConfig.seed), f"{path}.seed", INTEGER)
 
     if r.errors:

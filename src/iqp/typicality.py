@@ -47,6 +47,22 @@ def mutual_typicality(
     return ratio >= 1.0 - eps, ratio
 
 
+def _read_pair(
+    system: QuantumSystem, s1: SSet, s2: SSet, tau_norm: float
+) -> tuple[float, float, bool]:
+    """The rule's reading of a pair: the base weight w(S1), the pullback
+    distance of S1 and S2, and whether the two weights agree within tau_norm.
+
+    The base weight must be positive for the relative distance to make sense.
+    """
+    check_tau_norm(tau_norm)
+    w1 = system.weight(s1)
+    if w1 <= 0.0:
+        raise ValueError("base sset has zero weight")
+    equal_weights = abs(w1 - system.weight(s2)) <= tau_norm
+    return w1, system.sset_distance(s1, s2), equal_weights
+
+
 def qtr_predicate(
     system: QuantumSystem,
     s1: SSet,
@@ -57,18 +73,12 @@ def qtr_predicate(
     """Trigger of the physical typicality rule.
 
     Fires when the two ssets have equal weights (within tau_norm) and the
-    relative pullback distance is at most eps.  The base weight must be
-    positive for the relative distance to make sense.
+    relative pullback distance is at most eps; a zero base weight is refused
+    (``_read_pair``).
     """
     _check_eps(eps)
-    check_tau_norm(tau_norm)
-    w1 = system.weight(s1)
-    if w1 <= 0.0:
-        raise ValueError("base sset has zero weight")
-    w2 = system.weight(s2)
-    if abs(w1 - w2) > tau_norm:
-        return False
-    return system.sset_distance(s1, s2) / w1 <= eps
+    w1, dist, equal_weights = _read_pair(system, s1, s2, tau_norm)
+    return equal_weights and dist / w1 <= eps
 
 
 @dataclass(frozen=True)
@@ -98,14 +108,9 @@ def typicality_report(
     the measured mutual-typicality ratio must reach 1 - eps (up to check
     tolerance).
     """
-    check_tau_norm(tau_norm)
-    w1 = system.weight(s1)
-    if w1 <= 0.0:
-        raise ValueError("base sset has zero weight")
-    dist = system.sset_distance(s1, s2)
+    w1, dist, equal_weights = _read_pair(system, s1, s2, tau_norm)
     rel = dist / w1
     fires = rel <= eps
-    equal_weights = abs(w1 - system.weight(s2)) <= tau_norm
     _, ratio = mutual_typicality(
         probs, sset_event(space, s1), sset_event(space, s2), eps
     )
@@ -132,19 +137,16 @@ def cross_time_bound(
     """Interval pinning P(S1 and S2') via a same-time companion of S2.
 
     Requires S2 and S2' to share a time (their intersection is again an
-    sset) and S1, S2 to have equal weights within tau_norm.  Returns
-    ``w(S2 and S2') -/+ dist(S1, S2)``, unclamped.
+    sset) and S1, S2 to have equal, positive weights within tau_norm.
+    Returns ``w(S2 and S2') -/+ dist(S1, S2)``, unclamped.
     """
-    check_tau_norm(tau_norm)
     if s2.time != s2p.time:
         raise ValueError(f"companion times differ: {s2.time} vs {s2p.time}")
-    w1 = system.weight(s1)
-    w2 = system.weight(s2)
-    if abs(w1 - w2) > tau_norm:
-        raise ValueError(f"weights differ beyond tolerance: {w1!r} vs {w2!r}")
+    w1, dist, equal_weights = _read_pair(system, s1, s2, tau_norm)
+    if not equal_weights:
+        raise ValueError(f"weights differ beyond tolerance: {w1!r} vs {system.weight(s2)!r}")
     inter = SSet(s2.time, s2.region.intersect(s2p.region))
     w_inter = system.weight(inter)
-    dist = system.sset_distance(s1, s2)
     return w_inter - dist, w_inter + dist
 
 
@@ -163,20 +165,17 @@ def make_branch(
     tau_norm: float = DEFAULT_TAU_NORM,
 ) -> Branch:
     """Validate equal weights and compute the branch's worst relative distance."""
-    check_tau_norm(tau_norm)
     if not ssets:
         raise ValueError("branch needs at least one sset")
     base = ssets[0]
-    w0 = system.weight(base)
-    if w0 <= 0.0:
-        raise ValueError("branch base has zero weight")
     eps = 0.0
-    for s in ssets[1:]:
-        if abs(system.weight(s) - w0) > tau_norm:
+    for s in ssets:  # the base reads as itself: equal weights, distance 0
+        w0, dist, equal_weights = _read_pair(system, base, s, tau_norm)
+        if not equal_weights:
             raise ValueError(
                 f"branch weight at {s.text()} differs from base beyond {tau_norm}"
             )
-        eps = max(eps, system.sset_distance(base, s) / w0)
+        eps = max(eps, dist / w0)
     return Branch(ssets=tuple(ssets), base=base, epsilon=eps)
 
 

@@ -342,6 +342,19 @@ class TestBranch:
             f"error [cli]: {source} must be a non-negative integer, got -1\n")
         assert not (tmp_path / "out" / "branch.csv").exists()
 
+    def test_samples_beyond_the_bound_is_a_config_error(self, scenario_file, tmp_path,
+                                                        capsys):
+        config_path = Path(scenario_file("beam-splitter"))
+        config = json.loads(config_path.read_text())
+        config["queries"]["samples"] = 1001
+        config_path.write_text(json.dumps(config))
+        argv = ["branch", "--config", str(config_path), "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error [scenarios]: {config_path}.queries.samples: "
+            "expected integer in [1, 1000]\n")
+        assert not (tmp_path / "out" / "branch.csv").exists()
+
     def test_no_branches_declared(self, scenario_file, tmp_path):
         code = main([
             "branch", "--config", scenario_file("mach-zehnder"),

@@ -49,6 +49,20 @@ def errors_of(data) -> list[str]:
 
 
 class TestParseConfig:
+    @pytest.mark.parametrize("samples", [1, 20, 1000])
+    def test_samples_within_the_bound(self, samples):
+        data = minimal_config()
+        data["queries"]["samples"] = samples
+        assert parse_config(data).samples == samples
+
+    @pytest.mark.parametrize("samples", [0, 1001, 10_000_000])
+    def test_samples_beyond_the_bound(self, samples):
+        """Each vertex sample is one LP, so an unbounded count would run
+        ``branch`` without end; the reader refuses it with the field's path."""
+        data = minimal_config()
+        data["queries"]["samples"] = samples
+        assert errors_of(data) == ["config.queries.samples: expected integer in [1, 1000]"]
+
     def test_minimal_valid(self):
         cfg = parse_config(minimal_config())
         assert cfg.m == 2 and cfg.n == 2
@@ -260,7 +274,7 @@ class TestParseConfig:
             "config.queries.branches[0].ssets[1]: time 7 out of range 0..2",
             "config.queries.branches[1].delta: expected number in (0, 1)",
             "config.queries.delta: expected number in (0, 1)",
-            "config.queries.samples: expected integer >= 1",
+            "config.queries.samples: expected integer in [1, 1000]",
             "config.queries.seed: expected integer",
         ]
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from iqp.scenarios import (
     ScenarioConfig,
     build_constraints,
     build_drifting_branch,
+    build_mach_zehnder,
     build_spreading_packet,
     build_system,
     enumerate_pairs,
+    parse_config,
     singleton_family,
 )
 from iqp.system import QuantumSystem, Region, SSet, identity_matrix
@@ -36,6 +40,11 @@ from iqp.typicality import (
     typicality_report,
     verify_w11,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import Rung, make_config  # noqa: E402
 
 
 @pytest.fixture
@@ -497,3 +506,72 @@ class TestBadTolerances:
         assert TAU_NORM_CALLS["typicality_report"](*hti, 0.0).passes
         assert EPS_CALLS["qtr_predicate"](*hti, 0.0) is False
         assert EPS_CALLS["mutual_typicality"](*hti, 0.0)[0] is False
+
+
+READING_RUNGS = (Rung(2, 4, "random", "born+qtr", "all", systems=1),
+                 Rung(3, 4, "dft", "born+qtr", "all", systems=1))
+
+
+class TestOneReadingOfAPair:
+    """``qtr_predicate``, ``typicality_report``, ``make_branch`` and
+    ``cross_time_bound`` read a pair alike: the rule fires exactly when the
+    report's relative-distance test passes and the weights agree within
+    ``tau_norm``, and a branch of the pair or an interval from it exists
+    exactly when the weights agree."""
+
+    @pytest.mark.parametrize("tau_scale", [None, 1.0], ids=["config-tau", "tau-1"])
+    @pytest.mark.parametrize("seed", [1, 7, 401])
+    @pytest.mark.parametrize("rung", READING_RUNGS, ids=lambda rung: rung.kind)
+    def test_readers_agree(self, rung, seed, tau_scale):
+        cfg = parse_config(make_config(rung, seed, 0, 0))
+        tau = cfg.tau_norm if tau_scale is None else tau_scale
+        system = build_system(cfg)
+        space = TrajectorySpace.for_system(system)
+        uniform = np.full(space.size, 1.0 / space.size)
+        pairs = enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
+        agreeing = 0
+        for s1, s2 in pairs + [(s2, s1) for s1, s2 in pairs]:
+            equal = abs(system.weight(s1) - system.weight(s2)) <= tau
+            agreeing += equal
+            for eps in (0.0, 0.05, 0.5, 2.0):
+                report = typicality_report(system, space, uniform, s1, s2, eps, tau)
+                assert report.qtr_fires == (report.relative_distance <= eps)
+                assert qtr_predicate(system, s1, s2, eps, tau) == (report.qtr_fires and equal)
+            if equal:
+                assert make_branch(system, [s1, s2], tau).epsilon == report.relative_distance
+                w2 = system.weight(s2)
+                assert cross_time_bound(system, s1, s2, s2, tau) == (
+                    w2 - report.distance, w2 + report.distance)
+            else:
+                with pytest.raises(ValueError, match="differs from base beyond"):
+                    make_branch(system, [s1, s2], tau)
+                with pytest.raises(ValueError, match="weights differ beyond tolerance"):
+                    cross_time_bound(system, s1, s2, s2, tau)
+        # both sides of the weight test are read: every pair agrees at tau 1,
+        # and the DFT's parity echo keeps some pairs equal at the config's tau
+        if tau_scale is not None:
+            assert agreeing == 2 * len(pairs)
+        elif rung.kind == "dft":
+            assert 0 < agreeing < 2 * len(pairs)
+
+    @pytest.mark.parametrize("reader", ["qtr_predicate", "typicality_report", "make_branch",
+                                        "cross_time_bound"])
+    def test_zero_base_weight_refused_by_every_reader(self, reader):
+        """Two empty packets: mach-zehnder's label 1 before the first splitter
+        (weight 0) and after the second (weight 5e-34, equal within
+        ``tau_norm``).  ``cross_time_bound`` once returned an interval here,
+        where the other three readers refused the pair."""
+        cfg = build_mach_zehnder()
+        system = build_system(cfg)
+        space = TrajectorySpace.for_system(system)
+        s1, s2 = sset(0, [1]), sset(2, [1])
+        assert system.weight(s1) == 0.0 and system.weight(s2) <= cfg.tau_norm
+        uniform = np.full(space.size, 1.0 / space.size)
+        calls = {
+            "qtr_predicate": lambda: qtr_predicate(system, s1, s2, 0.1),
+            "typicality_report": lambda: typicality_report(system, space, uniform, s1, s2, 0.1),
+            "make_branch": lambda: make_branch(system, [s1, s2]),
+            "cross_time_bound": lambda: cross_time_bound(system, s1, s2, s2),
+        }
+        with pytest.raises(ValueError, match="zero weight"):
+            calls[reader]()
