@@ -519,12 +519,13 @@ class TestOneReadingOfAPair:
     ``tau_norm``, and a branch of the pair or an interval from it exists
     exactly when the weights agree."""
 
-    @pytest.mark.parametrize("tau_scale", [None, 1.0], ids=["config-tau", "tau-1"])
+    @pytest.mark.parametrize("tau", [None, 1.0], ids=["config-tau", "tau-1"])
     @pytest.mark.parametrize("seed", [1, 7, 401])
     @pytest.mark.parametrize("rung", READING_RUNGS, ids=lambda rung: rung.kind)
-    def test_readers_agree(self, rung, seed, tau_scale):
+    def test_readers_agree(self, rung, seed, tau):
         cfg = parse_config(make_config(rung, seed, 0, 0))
-        tau = cfg.tau_norm if tau_scale is None else tau_scale
+        wide = tau is not None  # every pair agrees at tau 1
+        tau = cfg.tau_norm if tau is None else tau
         system = build_system(cfg)
         space = TrajectorySpace.for_system(system)
         uniform = np.full(space.size, 1.0 / space.size)
@@ -549,7 +550,7 @@ class TestOneReadingOfAPair:
                     cross_time_bound(system, s1, s2, s2, tau)
         # both sides of the weight test are read: every pair agrees at tau 1,
         # and the DFT's parity echo keeps some pairs equal at the config's tau
-        if tau_scale is not None:
+        if wide:
             assert agreeing == 2 * len(pairs)
         elif rung.kind == "dft":
             assert 0 < agreeing < 2 * len(pairs)
