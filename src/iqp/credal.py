@@ -115,16 +115,11 @@ class Forcing(NamedTuple):
     its right side ``l - u`` is at least 0 and below ``FARKAS_MARGIN``: a
     larger one proves the set empty (``Presolved.empty``) instead.  ``rest``
     is an event, one bit per trajectory, built from ``E`` and ``F`` on their
-    packed bits; ``cols`` unpacks it into a bool mask.
+    packed bits.
     """
 
     terms: Terms
     rest: Event  # E outside F, the fixed trajectories
-
-    @property
-    def cols(self) -> np.ndarray:
-        """``rest`` as a bool mask over all trajectories."""
-        return self.rest.bits
 
 
 class Presolved(NamedTuple):
@@ -315,15 +310,14 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
     owners = [i for i in owners if i not in implied]
     forcings = tuple(fix for fix in fixes
                      if fix.terms[0][0] not in implied and not fix.rest.is_empty)
-    live = np.arange(cs.space.size)
+    fixed = Event.none(cs.space)
+    for fix in forcings:
+        fixed |= fix.rest
+    live = (~fixed).indices()
     collapsed: list[int] = []
     if not forcings:
         rows, rhs = cs._rows([cs.constraints[i] for i in owners])
     else:
-        fixed = Event.none(cs.space)
-        for fix in forcings:
-            fixed |= fix.rest
-        live = (~fixed).indices()
         rows, rhs = cs._rows([cs.constraints[i] for i in owners], live)
         keep = _collapse(rows, rhs.tolist(), partners)
         collapsed = [i for i, kept in zip(owners, keep) if not kept]
@@ -699,26 +693,37 @@ def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
     return worst
 
 
-def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, float]:
-    """Recompute the certificate's componentwise slack and margin directly.
+def _combination(cs: ConstraintSet, mult: np.ndarray,
+                 normalization: float) -> tuple[np.ndarray, float]:
+    """The combination ``normalization + sum_i mult[i] * 1_i`` of the
+    constraints' rows on every trajectory, and its right side
+    ``normalization + sum_i mult[i] * rhs_i``, by direct sums in constraint
+    order.  ``verify_farkas`` checks a certificate with it and
+    ``_lift_farkas`` folds the deductions into one.
 
     Only constraints with a nonzero multiplier are summed.  Adding a zero
     changes no float but -0.0, and a sum holds -0.0 only if it started from
     it, so the zero terms are added as well when the normalization is -0.0.
-    A certificate needs one multiplier per constraint.
+    """
+    combo = np.full(cs.space.size, normalization)
+    total = normalization
+    from_negative_zero = normalization == 0.0 and math.copysign(1.0, normalization) < 0
+    summed = [(m, con) for m, con in zip(mult, cs.constraints) if m != 0.0 or from_negative_zero]
+    rows = membership_rows([con.event for _, con in summed], cs.space.size)
+    for (m, con), bits in zip(summed, rows):
+        combo += m * bits
+        total += m * con.rhs
+    return combo, total
+
+
+def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, float]:
+    """Recompute the certificate's componentwise slack and margin directly
+    (``_combination``).  A certificate needs one multiplier per constraint.
     """
     shape = np.shape(cert.multipliers)
     if shape != (len(cs),):
         raise ValueError(f"certificate has shape {shape}, set has {len(cs)} rows")
-    combo = np.full(cs.space.size, cert.normalization)
-    total = cert.normalization
-    from_negative_zero = cert.normalization == 0.0 and math.copysign(1.0, cert.normalization) < 0
-    summed = [(mult, con) for mult, con in zip(cert.multipliers, cs.constraints)
-              if mult != 0.0 or from_negative_zero]
-    rows = membership_rows([con.event for _, con in summed], cs.space.size)
-    for (mult, con), bits in zip(summed, rows):
-        combo += mult * bits
-        total += mult * con.rhs
+    combo, total = _combination(cs, cert.multipliers, cert.normalization)
     return float(combo.max()), float(total)
 
 
@@ -756,23 +761,20 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
 
     The duals are scattered onto one entry per constraint and one for
     normalization, at index -1, the index space of ``Forcing.terms``.  The
-    LP's combination is at most 0 on the live columns only, so in reverse
-    order each deduction's ``1_F - 1_E`` (-1 on its columns, right side at
-    least 0) is added ``lam`` times, ``lam`` the largest positive coefficient
-    left on those columns, which keeps the margin.  ``_multipliers`` then
-    rewrites the '==' rows.
+    LP's combination, summed as ``verify_farkas`` sums it
+    (``_combination``), is at most 0 on the live columns only, so in
+    reverse order each deduction's ``1_F - 1_E`` (-1 on its columns, right
+    side at least 0) is added ``lam`` times, ``lam`` the largest positive
+    coefficient left on those columns, which keeps the margin.
+    ``_multipliers`` then rewrites the '==' rows.
     """
     y = np.zeros(len(cs) + 1)
     y[-1] = duals[0]
     y[pre.owners] = duals[1:]
     if pre.forcings:
-        combo = np.full(cs.space.size, y[-1])
-        summed = [i for i in pre.owners if y[i] != 0.0]
-        rows = membership_rows([cs.constraints[i].event for i in summed], cs.space.size)
-        for i, bits in zip(summed, rows):
-            combo += y[i] * bits
+        combo, _ = _combination(cs, y[:-1], y[-1])
         for forcing in reversed(pre.forcings):
-            cols = forcing.cols
+            cols = forcing.rest.bits
             lam = float(combo[cols].max())
             if lam > 0.0:
                 for i, coef in forcing.terms:
@@ -1006,33 +1008,22 @@ class BoundsResult:
             raise ValueError(f"upper bound {self.upper} exceeds 1")
 
 
-def _trajectory_word(a: Event) -> int:
-    """An event as one integer, trajectory 0 the most significant bit,
-    padded with zeros to whole bytes: its packed bits (``Event.key``) read
-    big-endian."""
-    return int.from_bytes(a.key, "big")
+def _dependent_times(a: Event, space: TrajectorySpace) -> list[int] | None:
+    """The times whose label an event of ``space``, over two labels, reads,
+    ``None`` past two.
 
-
-@functools.cache
-def _label_one_words(n: int) -> tuple[int, ...]:
-    """Per time ``t`` of ``n`` times over two labels, the trajectories with
-    label 1 at ``t``, as a ``_trajectory_word``."""
-    index = np.arange(1 << n)
-    return tuple(_trajectory_word(Event((index >> (n - 1 - t)) & 1 == 1)) for t in range(n))
-
-
-def _dependent_times(a: Event | np.ndarray, n: int) -> list[int] | None:
-    """The times whose label an event over two labels reads, ``None`` past two.
-
-    A trajectory with label 1 at ``t`` and the one ``2**(n - 1 - t)`` before
-    it differ only in that label, and shifting the event's word by that
-    block lines each such pair up: the event reads ``t`` exactly when a pair
-    differs, which is the two label halves of ``bits.reshape(2**t, 2, -1)``
-    compared.  ``a`` is an event or its bits.
+    Events are read as words, their packed bits (``Event.key``) big-endian,
+    trajectory 0 the most significant bit.  A trajectory with label 1 at
+    ``t`` and the one ``2**(n - 1 - t)`` before it differ only in that
+    label, and shifting the event's word by that block lines each such pair
+    up: the event reads ``t`` exactly when the word and its shift differ on
+    the space's atom of label 1 at ``t`` (``space.atom(t, 0b10)``), which is
+    the two label halves of ``bits.reshape(2**t, 2, -1)`` compared.
     """
-    word = _trajectory_word(a if isinstance(a, Event) else Event(a))
-    times = [t for t, ones in enumerate(_label_one_words(n))
-             if (word ^ (word >> (1 << (n - 1 - t)))) & ones]
+    n = space.n
+    word = int.from_bytes(a.key, "big")
+    times = [t for t in range(n) if (word ^ (word >> (1 << (n - 1 - t))))
+             & int.from_bytes(space.atom(t, 0b10).key, "big")]
     return times if len(times) <= 2 else None
 
 
@@ -1155,7 +1146,7 @@ def _chain_bounds(cs: ConstraintSet, a: Event) -> BoundsResult | None:
     chain = _reading(cs).chain
     if chain is None:
         return None
-    times = _dependent_times(a, cs.space.n)
+    times = _dependent_times(a, cs.space)
     if times is None or len(times) != 2:  # three times or more, one, or none
         return None
     t1, t2 = times

@@ -533,25 +533,22 @@ def singleton_family(system: QuantumSystem) -> list[SSet]:
 def build_constraints(
     cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySpace
 ) -> ConstraintSet:
-    """Realize the config's rule block as one merged constraint set."""
+    """Realize the config's rule block as one merged constraint set.
+
+    The pair family is enumerated once, and only when a pair rule reads it.
+    """
     parts: list[ConstraintSet] = []
-    pairs: list[tuple[SSet, SSet]] | None = None
-
-    def pair_family() -> list[tuple[SSet, SSet]]:
-        nonlocal pairs
-        if pairs is None:
-            pairs = enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
-        return pairs
-
+    pairs = (enumerate_pairs(system, cfg.max_region_size, cfg.time_pairs)
+             if set(cfg.ruleset) - {"born"} else [])
     for token in cfg.ruleset:
         if token == "born":
             parts.append(born_constraints(system, space, singleton_family(system)))
         elif token == "qtr":
-            parts.append(qtr_constraints(system, space, pair_family(), cfg.tau_norm))
+            parts.append(qtr_constraints(system, space, pairs, cfg.tau_norm))
         else:  # qtr-min, qtr-eps or qtr-alpha; qtr_variant_constraints rejects others
             variant = token.removeprefix("qtr-")
             value = {"eps": cfg.epsilon, "alpha": cfg.alpha}.get(variant)
-            parts.append(qtr_variant_constraints(system, space, pair_family(), variant,
+            parts.append(qtr_variant_constraints(system, space, pairs, variant,
                                                  value, cfg.tau_norm))
     if cfg.extra_lower_bounds:
         demands = [

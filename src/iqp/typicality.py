@@ -23,7 +23,7 @@ from .credal import (
     verify_witness,
 )
 from .events import Event, TrajectorySpace, event_probability, membership_rows, sset_event
-from .system import DEFAULT_TAU_NORM, QuantumSystem, SSet, check_tau_norm
+from .system import DEFAULT_TAU_NORM, NORM_TOL, QuantumSystem, SSet, check_tau_norm
 
 CHECK_TOL = 1e-8
 
@@ -53,12 +53,16 @@ def _read_pair(
     """The rule's reading of a pair: the base weight w(S1), the pullback
     distance of S1 and S2, and whether the two weights agree within tau_norm.
 
-    The base weight must be positive for the relative distance to make sense.
+    The base weight must be positive for the relative distance to make
+    sense, and one at or below ``NORM_TOL``, the tolerance to which the
+    initial state's norm is accepted, is the rounding of an empty packet:
+    it is refused as a zero weight, so both orders of a pair with an empty
+    sset are refused alike.
     """
     check_tau_norm(tau_norm)
     w1 = system.weight(s1)
-    if w1 <= 0.0:
-        raise ValueError("base sset has zero weight")
+    if w1 <= NORM_TOL:
+        raise ValueError(f"base sset has zero weight ({w1!r} <= {NORM_TOL})")
     equal_weights = abs(w1 - system.weight(s2)) <= tau_norm
     return w1, system.sset_distance(s1, s2), equal_weights
 
@@ -104,17 +108,19 @@ def typicality_report(
 ) -> TypicalityReport:
     """Evaluate the rule's prediction for one sset pair under one measure.
 
+    ``qtr_fires`` is the rule's trigger, as ``qtr_predicate`` tests it:
+    equal weights within tau_norm and a relative distance of at most eps.
     ``passes`` is vacuously true when the rule does not fire; when it fires,
     the measured mutual-typicality ratio must reach 1 - eps (up to check
     tolerance).
     """
     w1, dist, equal_weights = _read_pair(system, s1, s2, tau_norm)
     rel = dist / w1
-    fires = rel <= eps
+    fires = equal_weights and rel <= eps
     _, ratio = mutual_typicality(
         probs, sset_event(space, s1), sset_event(space, s2), eps
     )
-    passes = (not (fires and equal_weights)) or ratio >= 1.0 - eps - CHECK_TOL
+    passes = not fires or ratio >= 1.0 - eps - CHECK_TOL
     return TypicalityReport(
         pair=(s1, s2),
         weight=w1,

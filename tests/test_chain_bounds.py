@@ -85,7 +85,7 @@ def check_pinned_by_the_lp(cs: ConstraintSet, event: Event, highs: bool = False)
     within ``TOL``."""
     res = lower_upper(cs, event)
     assert (res.status, res.path) == ("both-solved", "lp")
-    (t,) = credal._dependent_times(event.bits, cs.space.n)
+    (t,) = credal._dependent_times(event, cs.space)
     pin = credal._chain_couplings(cs).mu[t, int(event.bits[0] == 0)]
     assert abs(res.lower - pin) <= TOL and abs(res.upper - pin) <= TOL
     check_attained(cs, event, res, highs)
@@ -114,6 +114,7 @@ def halves_differ(bits: np.ndarray, n: int) -> list[int] | None:
 @pytest.mark.parametrize("n", range(1, 11))
 def test_dependent_times_are_the_differing_halves(n):
     rng = np.random.default_rng([n, 37])
+    space = TrajectorySpace(2, n)
     index = np.arange(1 << n)
     for _ in range(60):
         bits = np.full(1 << n, bool(rng.integers(2)))
@@ -121,7 +122,7 @@ def test_dependent_times_are_the_differing_halves(n):
             label = (index >> (n - 1 - t)) & 1 == rng.integers(2)
             bits = bits & label if rng.random() < 0.5 else bits | label
         for event in (bits, rng.random(1 << n) < 0.5):
-            assert credal._dependent_times(event, n) == halves_differ(event, n)
+            assert credal._dependent_times(Event(event), space) == halves_differ(event, n)
 
 
 # --- the forward pass against the LP ------------------------------------------------

@@ -154,7 +154,7 @@ def test_forcing_terms_name_constraints(source):
     assert pre.forcings
     for fix in pre.forcings:
         combo, right = combination(cs, fix.terms)
-        assert combo.tolist() == np.where(fix.cols, -1.0, 0.0).tolist()
+        assert combo.tolist() == np.where(fix.rest.bits, -1.0, 0.0).tolist()
         assert 0.0 <= right < FARKAS_MARGIN
     assert bool(pre.empty) == infeasible
     if pre.empty:
@@ -244,9 +244,9 @@ class TestDemandAtItsPin:
         pre = presolve(cs)
         assert pre.empty == ()
         fix, = [fix for fix in pre.forcings if fix.terms[0][0] == 2]
-        assert fix.cols.tolist() == rest.bits.tolist()
+        assert fix.rest.bits.tolist() == rest.bits.tolist()
         combo, right = combination(cs, fix.terms)
-        assert combo.tolist() == np.where(fix.cols, -1.0, 0.0).tolist()
+        assert combo.tolist() == np.where(fix.rest.bits, -1.0, 0.0).tolist()
         assert 0.0 <= right < FARKAS_MARGIN
         assert feasibility(cs).feasible == scipy_feasible(cs)
         assert len(phase1_calls) == 1

@@ -1171,3 +1171,34 @@ class TestNoBlas:
     def test_planted_call_found(self, line):
         source = Path(lp.__file__).read_text() + f"\n\ndef planted(np, a, b):\n    {line}\n"
         assert blas_calls(source)
+
+
+def trajectory_indices(source):
+    """Where ``source`` builds an index over the trajectories: every
+    ``arange`` call whose arguments read the trajectory count, as a size
+    (``space.size``) or a power (``1 << n``, ``m ** n``)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "arange"
+            and any(isinstance(part, ast.Attribute) and part.attr == "size"
+                    or isinstance(part, ast.BinOp) and isinstance(part.op, (ast.LShift, ast.Pow))
+                    for arg in node.args for part in ast.walk(arg))]
+
+
+class TestNoTrajectoryIndex:
+    """``credal.py`` builds no index over the trajectories: it reads the
+    encoding from the space's atoms (``TrajectorySpace.atom``) and the live
+    columns from an event, so the space stays the encoding's one owner.  An
+    index over rows, such as the row offsets of ``_Reading.kept``, is not
+    one."""
+
+    def test_credal_source_builds_no_index(self):
+        assert trajectory_indices(Path(credal.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("line", [
+        "index = np.arange(1 << n)", "live = np.arange(cs.space.size)",
+        "index = arange(m ** n)",
+    ])
+    def test_planted_index_found(self, line):
+        source = Path(credal.__file__).read_text() + f"\n\ndef planted(np, cs, m, n):\n    {line}\n"
+        assert trajectory_indices(source)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iqp import credal, events, scenarios
+from iqp import events, scenarios
 from iqp.events import Event, TrajectorySpace, membership_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,14 +106,15 @@ def test_membership_rows_unpack_in_one_call():
 
 @pytest.mark.parametrize("seed", [1, 7, 401])
 def test_trajectory_word_is_the_packed_bits(seed):
-    """``_trajectory_word`` reads the event's key as the integer the bool
-    vector's ``np.packbits`` gives, on every ladder query event."""
+    """An event's key read big-endian, the word ``credal._dependent_times``
+    reads, is the integer the bool vector's ``np.packbits`` gives, on every
+    ladder query event."""
     work = LPWorkload("ladder-queries", LADDER, seed)
     found = [event for p in work.setup(work.configs()) for _, event in p.events]
     assert found
     for event in found:
         word = int.from_bytes(np.packbits(event.bits).tobytes(), "big")
-        assert credal._trajectory_word(event) == word
+        assert int.from_bytes(event.key, "big") == word
 
 
 def test_row_events_hold_one_bit_per_trajectory():

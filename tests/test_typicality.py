@@ -415,7 +415,7 @@ class TestEdgeClasses:
         uniform = np.full(space.size, 1.0 / space.size)
         rel = system.sset_distance(s1, s2) / w1
         rep = typicality_report(system, space, uniform, s1, s2, rel, tau_norm=tau)
-        assert rep.qtr_fires and rep.measured_ratio == pytest.approx(0.5, abs=1e-12)
+        assert rep.qtr_fires == kept and rep.measured_ratio == pytest.approx(0.5, abs=1e-12)
         assert rep.passes == (not kept)
         if kept:
             assert make_branch(system, [s1, s2], tau).epsilon == pytest.approx(rel, abs=1e-15)
@@ -536,8 +536,8 @@ class TestOneReadingOfAPair:
             agreeing += equal
             for eps in (0.0, 0.05, 0.5, 2.0):
                 report = typicality_report(system, space, uniform, s1, s2, eps, tau)
-                assert report.qtr_fires == (report.relative_distance <= eps)
-                assert qtr_predicate(system, s1, s2, eps, tau) == (report.qtr_fires and equal)
+                assert report.qtr_fires == (equal and report.relative_distance <= eps)
+                assert qtr_predicate(system, s1, s2, eps, tau) == report.qtr_fires
             if equal:
                 assert make_branch(system, [s1, s2], tau).epsilon == report.relative_distance
                 w2 = system.weight(s2)
@@ -560,19 +560,25 @@ class TestOneReadingOfAPair:
     def test_zero_base_weight_refused_by_every_reader(self, reader):
         """Two empty packets: mach-zehnder's label 1 before the first splitter
         (weight 0) and after the second (weight 5e-34, equal within
-        ``tau_norm``).  ``cross_time_bound`` once returned an interval here,
-        where the other three readers refused the pair."""
+        ``tau_norm``), in both orders.  ``cross_time_bound`` once returned an
+        interval on the forward pair, where the other three readers refused
+        it.  The reversed pair's base weight is the rounding 5e-34, at or
+        below ``NORM_TOL``, and every reader once accepted it:
+        ``qtr_predicate`` fired at eps 1.0, ``make_branch`` returned epsilon
+        1.0 and ``cross_time_bound`` the interval (-5e-34, 5e-34)."""
         cfg = build_mach_zehnder()
         system = build_system(cfg)
         space = TrajectorySpace.for_system(system)
-        s1, s2 = sset(0, [1]), sset(2, [1])
-        assert system.weight(s1) == 0.0 and system.weight(s2) <= cfg.tau_norm
+        empty, rounded = sset(0, [1]), sset(2, [1])
+        assert system.weight(empty) == 0.0 and 0.0 < system.weight(rounded) <= cfg.tau_norm
         uniform = np.full(space.size, 1.0 / space.size)
         calls = {
-            "qtr_predicate": lambda: qtr_predicate(system, s1, s2, 0.1),
-            "typicality_report": lambda: typicality_report(system, space, uniform, s1, s2, 0.1),
-            "make_branch": lambda: make_branch(system, [s1, s2]),
-            "cross_time_bound": lambda: cross_time_bound(system, s1, s2, s2),
+            "qtr_predicate": lambda s1, s2: qtr_predicate(system, s1, s2, 1.0),
+            "typicality_report": lambda s1, s2: typicality_report(system, space, uniform, s1, s2,
+                                                                  1.0),
+            "make_branch": lambda s1, s2: make_branch(system, [s1, s2]),
+            "cross_time_bound": lambda s1, s2: cross_time_bound(system, s1, s2, s2),
         }
-        with pytest.raises(ValueError, match="zero weight"):
-            calls[reader]()
+        for s1, s2 in ((empty, rounded), (rounded, empty)):
+            with pytest.raises(ValueError, match="zero weight"):
+                calls[reader](s1, s2)
