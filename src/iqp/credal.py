@@ -30,6 +30,10 @@ bound; every other bound is an LP.  One routine, ``_window_measures``, glues
 every measure of the chain path from the couplings' kernels, the verdict's
 witness being the one with an empty window.
 
+Huber's check (``huber_check``) answers a feasible set with no LP, from the
+set's witness above and a row and its complement's certificate below; every
+other set solves Huber's LP.
+
 Everything the queries read of a set, its strongest row per event, presolve,
 phase 1 and chain record, is one reading (``_reading``), each part computed
 on first use and kept for the last set asked about.  The presolve
@@ -94,10 +98,6 @@ class LinearConstraint:
     # (S for the row on S, S^c for the row on its complement), the pair
     # (S1, S2) for a pair row; empty for demands
     origin: tuple[SSet, ...] = ()
-
-    def satisfied_by(self, probs: np.ndarray) -> float:
-        """Violation of this row under the given vector (0 when satisfied)."""
-        return max(self.rhs - event_probability(probs, self.event), 0.0)
 
 
 # a combination of constraints' rows, as (constraint, coefficient) pairs,
@@ -930,6 +930,43 @@ def _chain_couplings(cs: ConstraintSet) -> _Chain | None:
     return _Chain(mu, bounds, couplings, kernels)
 
 
+def _chain_witness(cs: ConstraintSet) -> np.ndarray | None:
+    """The chain path's witness of ``cs``, the Markov chain ``mu[0][w0] *
+    prod over t of kernels[t][wt, wt+1]`` of its couplings
+    (``_Reading.chain``), when ``verify_witness`` accepts it; ``None`` off
+    the chain path."""
+    chain = _reading(cs).chain
+    if chain is None:
+        return None
+    probs = _window_measures(chain.mu, chain.kernels, 0, [], ())
+    return probs if verify_witness(cs, probs) <= CERTIFICATE_TOL else None
+
+
+def _witness(cs: ConstraintSet) -> np.ndarray | None:
+    """A measure of ``cs`` that ``verify_witness`` accepts, read from the
+    set's reading with no LP call, else ``None``.
+
+    It is the witness ``feasibility`` returns: the chain path's
+    (``_chain_witness``), or else the basic solution of the set's phase 1
+    (``_Reading.start``), padded to every trajectory, which is where
+    ``feasibility``'s zero-objective solve stays.  A set that the presolve
+    proves empty (``Presolved.empty``) runs no phase 1 and has none; neither
+    has one that phase 1 finds infeasible.
+    """
+    probs = _chain_witness(cs)
+    if probs is not None:
+        return probs
+    reading = _reading(cs)
+    pre = reading.presolved
+    if pre.empty or reading.start.basis is None:
+        return None
+    basis = np.array(reading.start.basis)
+    structural = basis < pre.live.size
+    probs = np.zeros(cs.space.size)
+    probs[pre.live[basis[structural]]] = reading.start.inverse[structural, -1]
+    return probs if verify_witness(cs, probs) <= CERTIFICATE_TOL else None
+
+
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Feasibility with a self-verified witness or Farkas certificate.
 
@@ -952,11 +989,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     presolved rows, whose Farkas duals ``_lift_farkas`` maps back, in one
     pass, to one multiplier per constraint.
     """
-    chain = _reading(cs).chain
-    if chain is not None:
-        probs = _window_measures(chain.mu, chain.kernels, 0, [], ())
-        if verify_witness(cs, probs) <= CERTIFICATE_TOL:
-            return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
+    probs = _chain_witness(cs)
+    if probs is not None:
+        return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
 
     pre = presolve(cs)
     if pre.empty:
@@ -1213,24 +1248,71 @@ def born_product_witness(
 def huber_check(cs: ConstraintSet) -> float:
     """Huber-Strassen non-emptiness criterion for lower-bound rows.
 
-    Minimizes the total mass ``sum_w mu(w)`` of a non-negative ``mu`` that
-    meets every row, ``sum_w indicator_i(w) * mu(w) >= rhs_i``; the credal set
-    is non-empty exactly when the optimum is <= 1.  By LP duality the optimum
-    equals the maximum of ``sum_i a_i * rhs_i`` over non-negative ``a`` with
-    ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``, but this
-    form has one row per event rather than one per trajectory.
+    The value H is the least total mass ``sum_w mu(w)`` of a non-negative
+    ``mu`` that meets every row, ``sum_w indicator_i(w) * mu(w) >= rhs_i``;
+    the credal set is non-empty exactly when H <= 1.  By LP duality H is
+    also the largest ``sum_i a_i * rhs_i`` over non-negative ``a`` with
+    ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``.
 
-    The LP keeps the strongest row on each distinct event, from the set's
-    reading (``_Reading.strongest``) as the presolve does, and is not
-    otherwise presolved: without normalization a complementary pair does not
-    collapse to one row.  A set without rows is an LP without rows, optimal
-    at 0.  Its phase 1 is its own and leaves the set's (``_Reading.start``)
-    in place.
+    A feasible set needs no LP.  Its witness (``_witness``), a measure of
+    mass 1 within ``CERTIFICATE_TOL`` of each of its k strongest rows,
+    gives H <= 1 + (k + 1) * ``CERTIFICATE_TOL``, and a row or a
+    complementary pair of rows with multiplier 1 gives H >= L
+    (``_huber_lower``).  When L lies between 1 - ``VACUOUS_RHS`` and that
+    upper bound and the witness verifies, the value is L.  Every other set,
+    each empty one among them, gets Huber's LP (``_huber_lp``); an L above
+    the upper bound rules the witness out, so it is not looked for.  A row
+    on the empty event with a positive bound is refused either way.
     """
     kept = [cs.constraints[i] for i in _reading(cs).strongest.values()]
     for con in kept:  # the largest bound on the empty event, if it has rows
         if con.event.is_empty and con.rhs > 0:
             raise ValueError(f"malformed row: empty event with positive bound {con.rhs!r}")
+    lower = _huber_lower(cs)
+    upper = 1.0 + (len(kept) + 1) * CERTIFICATE_TOL  # a larger L rules out every witness
+    if 1.0 - VACUOUS_RHS <= lower <= upper and _witness(cs) is not None:
+        return lower
+    return _huber_lp(cs)
+
+
+def _huber_lower(cs: ConstraintSet) -> float:
+    """A lower bound on Huber's value from the strongest rows
+    (``_Reading.strongest``): the largest ``l``, or ``l + l'`` of a row and
+    the row on its complement (``Event.complement_key``), summed by
+    ``math.fsum``, the first on ties; ``-inf`` on a set without rows.
+
+    A multiplier of 1 on one row, or on a row and its complement, is dual
+    feasible for Huber's LP, since the indicators sum to at most 1 on every
+    trajectory.  ``_combination`` checks that sum on every trajectory for
+    the chosen rows, and the bound is ``-inf`` when it exceeds 1.
+    """
+    strongest = _reading(cs).strongest
+    best, chosen = -math.inf, ()
+    for i in strongest.values():
+        j = strongest.get(cs.constraints[i].event.complement_key)
+        for rows in ((i,),) if j is None else ((i,), (i, j)):
+            value = math.fsum(cs.constraints[r].rhs for r in rows)
+            if value > best:
+                best, chosen = value, rows
+    if chosen:
+        picked = ConstraintSet(cs.space, [cs.constraints[r] for r in chosen])
+        combo, _ = _combination(picked, np.ones(len(chosen)), 0.0)
+        if not combo.max() <= 1.0:
+            return -math.inf
+    return best
+
+
+def _huber_lp(cs: ConstraintSet) -> float:
+    """Huber's value by its LP: the least total mass of a non-negative
+    measure over every trajectory that meets the strongest row on each
+    distinct event (``_Reading.strongest``, as the presolve reads them).
+
+    The LP is not otherwise presolved: without normalization a
+    complementary pair does not collapse to one row.  A set without rows is
+    an LP without rows, optimal at 0.  Its phase 1 is its own and leaves
+    the set's (``_Reading.start``) in place.
+    """
+    kept = [cs.constraints[i] for i in _reading(cs).strongest.values()]
     rows, rhs = cs._rows(kept)
     # the total mass is what is minimized, not normalized
     result = lp.solve_lp(np.ones(cs.space.size), rows[1:], rhs[1:], [">="] * (len(rhs) - 1))

@@ -217,10 +217,6 @@ class Event:
         return hash(self.key)
 
     @property
-    def cardinality(self) -> int:
-        return int.from_bytes(self.key, "big").bit_count()
-
-    @property
     def is_empty(self) -> bool:
         return not int.from_bytes(self.key, "big")
 

@@ -83,10 +83,6 @@ class Region:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.m) - 1
-
     def indicator(self) -> np.ndarray:
         """0/1 vector over the m labels (the diagonal of the projection)."""
         return _indicator(self.mask, self.m)

@@ -14,7 +14,7 @@ import pytest
 
 from iqp import credal, lp
 from iqp.credal import ConstraintSet, LinearConstraint, born_constraints
-from iqp.events import Event, TrajectorySpace, sset_event
+from iqp.events import Event, TrajectorySpace, event_probability, sset_event
 from iqp.scenarios import ScenarioConfig, build_constraints, build_system
 from iqp.system import (
     QuantumSystem,
@@ -57,6 +57,16 @@ def balanced_identity_system() -> QuantumSystem:
 
 def sset(t: int, labels: list[int], m: int = 2) -> SSet:
     return SSet(t, Region.from_labels(labels, m))
+
+
+def cardinality(event: Event) -> int:
+    """The number of trajectories in ``event``."""
+    return int(event.bits.sum())
+
+
+def violation(con: LinearConstraint, probs: np.ndarray) -> float:
+    """How far ``probs`` falls short of the row ``con``, 0 when it meets it."""
+    return max(con.rhs - event_probability(probs, con.event), 0.0)
 
 
 # --- closed-form oracles ------------------------------------------------------
@@ -276,7 +286,7 @@ def random_lower_bound_cs(
         event = random_event(rng, space)
         if event.is_empty:
             continue
-        fraction = event.cardinality / space.size
+        fraction = cardinality(event) / space.size
         rhs = float(min(1.0, fraction * rng.uniform(0.2, 2.2)))
         if rhs <= 0.0:
             continue

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import realize, scipy_feasible, seeded_config, sset
+from conftest import realize, scipy_feasible, seeded_config, sset, violation
 from iqp import credal
 from iqp.credal import (
     CERTIFICATE_TOL,
@@ -279,7 +279,7 @@ def test_dominated_demand_takes_the_chain_path(hti, lp_calls):
     cs = merge_constraint_sets([hti_chain(system, space), demand])
     cert = feasibility(cs)
     assert cert.feasible and lp_calls() == ([], [])
-    assert [con.satisfied_by(cert.witness.probs) for con in cs.constraints] == [0.0] * len(cs)
+    assert [violation(con, cert.witness.probs) for con in cs.constraints] == [0.0] * len(cs)
     assert scipy_feasible(cs)
 
 

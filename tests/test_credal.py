@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import sys
 import weakref
@@ -16,6 +17,7 @@ import _seed_generation as seed_generation
 from _seed_generation import rows_of
 from conftest import (
     SQRT_HALF,
+    cardinality,
     frechet_intersection,
     random_event,
     random_feasible_cs,
@@ -27,6 +29,7 @@ from conftest import (
     seeded_config,
     sset,
     vertex_bounds,
+    violation,
 )
 from iqp import credal, lp
 from iqp.credal import (
@@ -69,7 +72,7 @@ from iqp.typicality import qtr_predicate
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
-from perfbench.workloads import LADDER, VERDICTS, make_config  # noqa: E402
+from perfbench.workloads import LADDER, VERDICTS, LPWorkload, make_config  # noqa: E402
 
 
 @pytest.fixture
@@ -89,6 +92,18 @@ def adversarial_cs(space: TrajectorySpace) -> ConstraintSet:
     )
 
 
+def empty_by_just_under_the_margin() -> ConstraintSet:
+    """A set empty by just under ``FARKAS_MARGIN``: the row on ``a & b``
+    exceeds the pin of ``a`` by 1.0001e-9, which the presolve takes as its
+    deduction (``Presolved.empty``), but the complementary pair sums to
+    1 - 5e-13, so the certificate's margin is 9.996e-10 and ``feasibility``
+    raises."""
+    space = TrajectorySpace(2, 2)
+    a, b = parse_event("(t=0,{0})", space), parse_event("(t=1,{0})", space)
+    return lower_bound_constraints(space, [(a, 0.3, "a"), (~a, 0.7 - 5e-13, "!a"),
+                                           (a & b, 0.3 + 1.0001e-9, "a&b")])
+
+
 def strongest_rows(cs: ConstraintSet) -> list[tuple[np.ndarray, float]]:
     """The (event bits, bound) rows the Huber LP keeps: the largest bound per
     event, in the order the events first appear."""
@@ -105,7 +120,7 @@ def per_constraint_violation(cs: ConstraintSet, probs: np.ndarray) -> float:
     vec = np.asarray(probs, dtype=float)
     worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
     for con in cs.constraints:
-        worst = max(worst, con.satisfied_by(vec))
+        worst = max(worst, violation(con, vec))
     return worst
 
 
@@ -505,10 +520,7 @@ class TestFeasibility:
     def test_empty_by_just_under_the_margin(self):
         """A set empty by about 1e-9 gets a certificate whose exact slack is
         at most 0 and exact margin above 0, which proves it empty."""
-        space = TrajectorySpace(2, 2)
-        a, b = parse_event("(t=0,{0})", space), parse_event("(t=1,{0})", space)
-        cs = lower_bound_constraints(space, [(a, 0.3, "a"), (~a, 0.7 - 5e-13, "!a"),
-                                             (a & b, 0.3 + 1.0001e-9, "a&b")])
+        cs = empty_by_just_under_the_margin()
         cert = feasibility(cs)
         assert not cert.feasible
         slack, margin = verify_farkas(cs, cert.farkas)
@@ -620,6 +632,17 @@ class TestHuberCheck:
         _, space = balanced
         assert huber_check(adversarial_cs(space)) == pytest.approx(1.6, abs=1e-9)
 
+    def test_empty_by_just_under_the_margin_runs_the_lp(self, count_calls, phase1_calls):
+        """``feasibility`` raises on this set (the strict xfail above); the
+        Huber check asks it nothing and answers by its LP, H - 1 being the
+        set's margin.  The presolve's deduction proves the set empty, so the
+        set's own phase 1 is not run: only the Huber LP's."""
+        cs = empty_by_just_under_the_margin()
+        calls = count_calls(lp, "solve_lp")
+        assert huber_check(cs) == 1.0000000009996
+        assert len(calls) == 1
+        assert phase1_calls == [(len(strongest_rows(cs)), cs.space.size)]
+
     def test_empty_event_with_positive_bound_malformed(self, balanced):
         _, space = balanced
         cs = ConstraintSet(space, (LinearConstraint(Event.none(space), 0.1, "demand", "empty"),))
@@ -657,10 +680,11 @@ class TestHuberCheck:
                     [cs, lower_bound_constraints(space, [(a, upper + 0.01, "a")])]))
         verdicts = []
         for case in sets:
-            value = huber_check(case)
+            value = credal._huber_lp(case)
             assert value == pytest.approx(self.primal_highs(case), abs=1e-9)
             verdicts.append(feasibility(case).feasible)
             assert (value <= 1.0 + 1e-9) == verdicts[-1]
+            assert (huber_check(case) <= 1.0 + 1e-9) == verdicts[-1]
         assert verdicts == [True, False]
 
 
@@ -684,7 +708,7 @@ def planted_sets(draw):
         event = Event(rng.random(space.size) < rng.uniform(0.2, 0.9))
         if event.is_empty:
             continue
-        base = float(event.cardinality / space.size * rng.uniform(0.1, 1.5))
+        base = float(cardinality(event) / space.size * rng.uniform(0.1, 1.5))
         rows.append(LinearConstraint(event, base, "demand", f"r{i}"))
         for j in range(draw(st.integers(0, 3))):
             plant = draw(st.sampled_from(["duplicate", "subset", "superset"]))
@@ -700,12 +724,13 @@ def planted_sets(draw):
 
 
 class TestHuberReducedRows:
-    """The Huber LP keeps the strongest row per event; its optimum stays the
-    one over every row of ``lp_rows``."""
+    """The Huber LP (``credal._huber_lp``) keeps the strongest row per event;
+    its optimum stays the one over every row of ``lp_rows``."""
 
     @staticmethod
     def assert_same_optimum(cs):
-        """The optimum against the full rows and HiGHS, and the rows its LP gets."""
+        """The optimum against the full rows and HiGHS, and the rows its LP
+        gets; ``huber_check`` reads the same value."""
         calls = []
         original = lp.solve_lp
 
@@ -715,12 +740,13 @@ class TestHuberReducedRows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "solve_lp", recorded)
-            value = huber_check(cs)
+            value = credal._huber_lp(cs)
         (rows, rhs), = calls
         rows_all, rhs_all, senses_all = cs.lp_rows()
         full = lp.solve_lp(np.ones(cs.space.size), rows_all[1:], rhs_all[1:], senses_all[1:])
         assert value == pytest.approx(full.objective, abs=1e-9)
         assert value == pytest.approx(TestHuberCheck.primal_highs(cs), abs=1e-9)
+        assert huber_check(cs) == pytest.approx(value, abs=1e-9)
         expected = strongest_rows(cs)
         assert [(a.astype(float).tobytes(), b) for a, b in expected] == [
             (row.tobytes(), b) for row, b in zip(rows, rhs.tolist())]
@@ -748,6 +774,89 @@ class TestHuberReducedRows:
     def test_planted_duplicates_and_nested_events(self, cs):
         if cs.constraints:
             self.assert_same_optimum(cs)
+
+
+def pair_certificate(cs: ConstraintSet) -> tuple[float, np.ndarray]:
+    """The largest ``l``, or ``fsum((l, l'))`` of a row and the row on its
+    complement, over the strongest rows (``strongest_rows``, the first on
+    ties), and multipliers putting 1 on the chosen rows' constraints."""
+    best: dict[bytes, int] = {}  # event bits -> its strongest constraint
+    for i, con in enumerate(cs.constraints):
+        key = con.event.bits.tobytes()
+        if key not in best or con.rhs > cs.constraints[best[key]].rhs:
+            best[key] = i
+    candidates = []
+    for key, i in best.items():
+        candidates.append((cs.constraints[i].rhs, [i]))
+        j = best.get((~np.frombuffer(key, dtype=bool)).tobytes())
+        if j is not None:
+            candidates.append((math.fsum((cs.constraints[i].rhs, cs.constraints[j].rhs)), [i, j]))
+    value, rows = max(candidates, key=lambda c: c[0])
+    mult = np.zeros(len(cs))
+    mult[rows] = 1.0
+    return value, mult
+
+
+def lp_workload_sets(name: str, seed: int):
+    """The prepared sets of one ``perfbench`` LP workload at one seed."""
+    workload = LPWorkload(name, LADDER if name == "ladder-queries" else VERDICTS, seed)
+    return workload.setup(workload.configs())
+
+
+class TestHuberWithoutLP:
+    """A feasible set's Huber value is the pair certificate's L, proven below
+    by ``_combination`` and above by the set's witness, with no LP; every
+    other set gets the LP's float as before."""
+
+    @staticmethod
+    def assert_enclosed(cs, calls):
+        """``calls`` records every ``lp.solve_lp`` call."""
+        before = len(calls)
+        value = huber_check(cs)
+        assert len(calls) == before
+        lower, mult = pair_certificate(cs)
+        assert value == lower
+        combo, total = credal._combination(cs, mult, 0.0)
+        assert combo.max() <= 1.0 and total == lower
+        assert abs(value - credal._huber_lp(cs)) <= 1e-12
+        assert abs(value - TestHuberCheck.primal_highs(cs)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 7, 401])
+    @pytest.mark.parametrize("name", ["ladder-queries", "verdicts"])
+    def test_feasible_workload_sets(self, name, seed, count_calls):
+        feasible = [p.cs for p in lp_workload_sets(name, seed) if not p.infeasible]
+        assert len(feasible) == (34 if name == "ladder-queries" else 38)
+        calls = count_calls(lp, "solve_lp")
+        for cs in feasible:
+            self.assert_enclosed(cs, calls)
+
+    @pytest.mark.parametrize("name", sorted(set(BUILTIN_SCENARIOS) - {"adversarial-demo"}))
+    def test_feasible_builtins(self, name, count_calls):
+        self.assert_enclosed(realize(BUILTIN_SCENARIOS[name]())[1], count_calls(lp, "solve_lp"))
+
+    def test_adversarial_demo_reads_the_lp(self, count_calls, phase1_calls):
+        """Its pair sums to 1.6, past any witness's upper bound, so the set's
+        own phase 1 is not run: only the Huber LP's."""
+        cs = realize(BUILTIN_SCENARIOS["adversarial-demo"]())[1]
+        calls = count_calls(lp, "solve_lp")
+        assert huber_check(cs) == 1.6
+        assert len(calls) == 1
+        assert phase1_calls == [(len(strongest_rows(cs)), cs.space.size)]
+
+    # sha256 of the Huber values' reprs, joined by spaces, over the
+    # infeasible verdicts sets in workload order, as the LP computed them
+    # before the witness path
+    INFEASIBLE_DIGESTS = {1: "93a7e787097270fc", 7: "20bac47d8275222d", 401: "a37a9f4270964eb8"}
+
+    @pytest.mark.parametrize("seed", [1, 7, 401])
+    def test_infeasible_verdicts_sets_keep_the_lp_value(self, seed, count_calls):
+        infeasible = [p.cs for p in lp_workload_sets("verdicts", seed) if p.infeasible]
+        calls = count_calls(lp, "solve_lp")
+        values = [huber_check(cs) for cs in infeasible]
+        assert len(calls) == len(values) == 38
+        assert values == [credal._huber_lp(cs) for cs in infeasible]
+        digest = hashlib.sha256(" ".join(map(repr, values)).encode()).hexdigest()
+        assert digest[:16] == self.INFEASIBLE_DIGESTS[seed]
 
 
 class TestVerifyWitnessStrongestRows:
@@ -943,10 +1052,9 @@ class TestPhase1Memo:
         assert feasibility(cs).feasible
         assert huber_check(cs) == pytest.approx(1.0, abs=1e-9)
         assert self.fingerprint(lower_upper(cs, events[0])) == alone
-        # the Huber LP (the strongest row per event) runs its own phase 1
-        # and leaves the set's start in the slot
-        assert phase1_calls == [presolve(cs).rows.shape,
-                                (len(strongest_rows(cs)), cs.space.size)]
+        # a feasible set's Huber check reads its witness from the set's
+        # phase 1 and runs no LP of its own
+        assert phase1_calls == [presolve(cs).rows.shape]
 
     def test_changed_set_runs_phase1_again(self, n256, phase1_calls):
         cs, events = n256

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_event, realize, sset
+from conftest import cardinality, random_event, realize, sset
 from iqp.cli import main
 from iqp.events import (
     MAX_EXPR_DEPTH,
@@ -62,11 +62,11 @@ class TestSSetEvent:
 
     def test_full_region_all_ones(self, space22):
         event = sset_event(space22, SSet(1, Region.full(2)))
-        assert event.cardinality == 4
+        assert cardinality(event) == 4
 
     def test_empty_region_all_zeros(self, space22):
         event = sset_event(space22, SSet(1, Region.empty(2)))
-        assert event.cardinality == 0
+        assert cardinality(event) == 0
 
     def test_cardinality_law(self):
         rng = np.random.default_rng(3)
@@ -77,7 +77,7 @@ class TestSSetEvent:
             t = int(rng.integers(n))
             region = Region(int(rng.integers(1 << m)), m)
             event = sset_event(space, SSet(t, region))
-            assert event.cardinality == region.size() * m ** (n - 1)
+            assert cardinality(event) == region.size() * m ** (n - 1)
 
     def test_dimension_mismatch(self, space22):
         with pytest.raises(ValueError, match="labels"):
@@ -123,7 +123,7 @@ class TestAtomCache:
         with pytest.raises(ValueError, match="read-only"):
             event.bits[0] = False
         combined = (~event | event) & sset_event(space22, sset(0, [1]))
-        assert combined.cardinality == 2
+        assert cardinality(combined) == 2
         assert sset_event(space22, sset(1, [0])).bits.tobytes() == before
 
 

@@ -30,11 +30,11 @@ class TestRegion:
         r = Region.from_labels([0], 2)
         assert r.complement().labels() == (1,)
         assert r.intersect(r.complement()).is_empty
-        assert r.union(r.complement()).is_full
+        assert r.union(r.complement()) == Region.full(2)
 
     def test_empty_and_full_permitted(self):
         assert Region.empty(3).is_empty
-        assert Region.full(3).is_full
+        assert Region.full(3).mask == 0b111
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="out of range"):
