@@ -56,6 +56,7 @@ class RunReport:
                                  "implied": 0, "forced_cols": 0}
     )
     feasible: bool | None = None
+    feasibility_path: str | None = None  # FeasibilityCertificate.path
     certificate_path: str | None = None
     bounds: list[dict] = field(default_factory=list)
     typicality_rows: int = 0
@@ -151,11 +152,12 @@ def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySp
 
 
 def _feasibility(cs: ConstraintSet, report: RunReport) -> FeasibilityCertificate:
-    """Decide the set, timing the solve and recording the verdict in the report."""
+    """Decide the set, timing the solve and recording the verdict and how it
+    was decided in the report."""
     start = time.perf_counter()
     cert = feasibility(cs)
     report.timings["solve"] = time.perf_counter() - start
-    report.feasible = cert.feasible
+    report.feasible, report.feasibility_path = cert.feasible, cert.path
     return cert
 
 

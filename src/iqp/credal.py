@@ -28,17 +28,20 @@ of an event on two times come from a forward pass over the times between
 them, one closed-form interval per step, with an attaining measure for each
 bound; every other bound is an LP.  One routine, ``_window_measures``, glues
 every measure of the chain path from the couplings' kernels, the verdict's
-witness being the one with an empty window.
+witness being the one with an empty window.  A set whose forcing rows leave
+a live support fixed by the labels of two consecutive times, as
+non-overlapping packets do, gets the product of those times' marginals as its
+witness, with no phase 1.
 
 Huber's check (``huber_check``) answers a feasible set with no LP, from the
 set's witness above and a row and its complement's certificate below; every
 other set solves Huber's LP.
 
 Everything the queries read of a set, its strongest row per event, presolve,
-phase 1 and chain record, is one reading (``_reading``), each part computed
-on first use and kept for the last set asked about.  The presolve
-(``_presolve``) and the chain scan (``_pinned_chain``) both start from the
-strongest rows, so the set's rows are passed over once.
+phase 1, chain record and verified witness, is one reading (``_reading``),
+each part computed on first use and kept for the last set asked about.  The
+presolve (``_presolve``) and the chain scan (``_pinned_chain``) both start
+from the strongest rows, so the set's rows are passed over once.
 """
 
 from __future__ import annotations
@@ -598,6 +601,9 @@ class FarkasCertificate:
 class FeasibilityCertificate:
     witness: TrajectoryMeasure | None = None
     farkas: FarkasCertificate | None = None
+    # how the set was decided: "chain" (the chain couplings), "support" (the
+    # product on the forced support), "presolve" (``Presolved.empty``) | "lp"
+    path: str = "lp"
 
     def __post_init__(self) -> None:
         if (self.witness is None) == (self.farkas is None):
@@ -606,6 +612,14 @@ class FeasibilityCertificate:
     @property
     def feasible(self) -> bool:
         return self.witness is not None
+
+
+class _Witness(NamedTuple):
+    """A measure of a set that ``verify_witness`` accepts, and the path that
+    found it (``FeasibilityCertificate.path``)."""
+
+    probs: np.ndarray
+    path: str  # "chain" | "support" | "lp"
 
 
 class _Reading:
@@ -657,6 +671,12 @@ class _Reading:
         """The chain path's record (``_chain_couplings``), ``None`` off it."""
         return _chain_couplings(self.cs)
 
+    @functools.cached_property
+    def witness(self) -> _Witness | None:
+        """The set's one verified witness (``_witness``), which
+        ``feasibility`` and ``huber_check`` read."""
+        return _witness(self.cs)
+
 
 @functools.lru_cache(maxsize=1)
 def _reading(cs: ConstraintSet) -> _Reading:
@@ -666,8 +686,8 @@ def _reading(cs: ConstraintSet) -> _Reading:
     the cache's reference to it keeps its id from being reused.  One entry,
     so the queries asked one after another about one set, and a caller that
     reads its presolve (the CLI's run report), share one scan, presolve,
-    phase 1 and chain record, while one set at most stays alive however
-    many sets the caller keeps.
+    phase 1, chain record and witness, while one set at most stays alive
+    however many sets the caller keeps.
     """
     return _Reading(cs)
 
@@ -931,80 +951,136 @@ def _chain_couplings(cs: ConstraintSet) -> _Chain | None:
 
 
 def _chain_witness(cs: ConstraintSet) -> np.ndarray | None:
-    """The chain path's witness of ``cs``, the Markov chain ``mu[0][w0] *
-    prod over t of kernels[t][wt, wt+1]`` of its couplings
-    (``_Reading.chain``), when ``verify_witness`` accepts it; ``None`` off
-    the chain path."""
+    """The Markov chain ``mu[0][w0] * prod over t of kernels[t][wt, wt+1]``
+    of the couplings of ``cs`` (``_Reading.chain``), ``None`` off the chain
+    path."""
     chain = _reading(cs).chain
-    if chain is None:
-        return None
-    probs = _window_measures(chain.mu, chain.kernels, 0, [], ())
-    return probs if verify_witness(cs, probs) <= CERTIFICATE_TOL else None
+    return None if chain is None else _window_measures(chain.mu, chain.kernels, 0, [], ())
 
 
-def _witness(cs: ConstraintSet) -> np.ndarray | None:
-    """A measure of ``cs`` that ``verify_witness`` accepts, read from the
-    set's reading with no LP call, else ``None``.
+def _support_witness(cs: ConstraintSet) -> np.ndarray | None:
+    """The product of two consecutive marginals on the live support of a
+    forced set, ``None`` when the support does not factor.
 
-    It is the witness ``feasibility`` returns: the chain path's
-    (``_chain_witness``), or else the basic solution of the set's phase 1
-    (``_Reading.start``), padded to every trajectory, which is where
-    ``feasibility``'s zero-objective solve stays.  A set that the presolve
-    proves empty (``Presolved.empty``) runs no phase 1 and has none; neither
-    has one that phase 1 finds infeasible.
+    The presolve (``_Reading.presolved``) must have forcings, no ``empty``
+    deduction and at most ``m**2`` live trajectories.  The first times ``t,
+    t + 1`` whose labels are one-to-one on the live trajectories then
+    determine each of them, and the measure is ``mu_t[w_t] * mu_t+1[w_t+1]``
+    there and 0 elsewhere, ``mu_u[a]`` the strongest bound on the atom of
+    label ``a`` at ``u`` (0 without a row).  Under non-overlapping packets
+    the typicality rows leave such a support, whose measures are the
+    couplings of the two Born marginals (Frechet, 1951), the product among
+    them.  Only the two times' digits are computed, and a ``set`` tells
+    whether their pairs repeat.
     """
-    probs = _chain_witness(cs)
-    if probs is not None:
-        return probs
     reading = _reading(cs)
     pre = reading.presolved
-    if pre.empty or reading.start.basis is None:
+    space = cs.space
+    m, n = space.m, space.n
+    if pre.empty or not pre.forcings or pre.live.size > m * m:
         return None
-    basis = np.array(reading.start.basis)
-    structural = basis < pre.live.size
+    strongest = reading.strongest
+
+    def marginal(u: int) -> np.ndarray:
+        keys = [space.atom(u, 1 << a).key for a in range(m)]
+        return np.array([cs.constraints[strongest[k]].rhs if k in strongest else 0.0
+                         for k in keys])
+
+    labels = pre.live // m ** (n - 1) % m
+    for t in range(n - 1):
+        after = pre.live // m ** (n - 2 - t) % m
+        if len(set((labels * m + after).tolist())) == pre.live.size:
+            probs = np.zeros(space.size)
+            probs[pre.live] = marginal(t)[labels] * marginal(t + 1)[after]
+            return probs
+        labels = after
+    return None
+
+
+def _start_witness(cs: ConstraintSet) -> np.ndarray | None:
+    """The basic point of the set's phase 1 (``lp.FeasibleStart.point``,
+    from ``_Reading.start``), padded to every trajectory, ``None`` when
+    phase 1 finds the set infeasible."""
+    reading = _reading(cs)
+    point = reading.start.point
+    if point is None:
+        return None
     probs = np.zeros(cs.space.size)
-    probs[pre.live[basis[structural]]] = reading.start.inverse[structural, -1]
-    return probs if verify_witness(cs, probs) <= CERTIFICATE_TOL else None
+    probs[reading.presolved.live] = point
+    return probs
+
+
+def _accepted(cs: ConstraintSet, probs: np.ndarray | None, path: str) -> _Witness | None:
+    """``probs`` as the witness ``path`` found, when ``verify_witness``
+    accepts it."""
+    if probs is None or verify_witness(cs, probs) > CERTIFICATE_TOL:
+        return None
+    return _Witness(probs, path)
+
+
+def _witness(cs: ConstraintSet) -> _Witness | None:
+    """The first measure of ``cs`` that ``verify_witness`` accepts, of the
+    chain path's (``_chain_witness``), the product on the forced support
+    (``_support_witness``) and the basic point of the set's phase 1
+    (``_start_witness``), in that order, which is also the order of their
+    cost; ``None`` when none is accepted.  Only the last runs an LP
+    routine, phase 1.  A set that the presolve proves empty
+    (``Presolved.empty``) runs no phase 1 and has none.  The set's reading
+    holds it (``_Reading.witness``).
+    """
+    chained = _accepted(cs, _chain_witness(cs), "chain")
+    if chained is not None or _reading(cs).presolved.empty:
+        return chained
+    return (_accepted(cs, _support_witness(cs), "support")
+            or _accepted(cs, _start_witness(cs), "lp"))
 
 
 def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
-    """Feasibility with a self-verified witness or Farkas certificate.
+    """Feasibility with a self-verified witness or Farkas certificate; its
+    ``path`` says which of the steps below decided it.
 
-    A pinned chain set (``_pinned_chain``), whose pins are those the
-    presolve finds, with non-negative coupling residuals is decided without
-    the LP: its witness is the Markov chain ``mu[0][w0] * prod over t of
-    kernels[t][wt, wt+1]`` of the couplings (``_chain_couplings``), glued by
-    ``_window_measures`` with an empty window and checked by
-    ``verify_witness``, which also sums the one-sset rows on regions the
-    pins do not read.  Neither the presolve nor phase 1 runs then; vertex
-    samples of ``cs``, and bounds the forward pass does not answer
-    (``_chain_bounds``), build both in the set's reading (``_reading``).
-    Every other set, and a chain set whose residual is negative or whose
-    witness fails the check, runs the LP path below.
+    The witness is the set's one verified witness (``_Reading.witness``,
+    found by ``_witness``), tried in this order:
+
+    1. a pinned chain set (``_pinned_chain``), whose pins are those the
+       presolve finds, with non-negative coupling residuals: the Markov
+       chain ``mu[0][w0] * prod over t of kernels[t][wt, wt+1]`` of the
+       couplings (``_chain_couplings``), glued by ``_window_measures`` with
+       an empty window, whose check also sums the one-sset rows on regions
+       the pins do not read.  Neither the presolve nor phase 1 runs then;
+       vertex samples of ``cs``, and bounds the forward pass does not answer
+       (``_chain_bounds``), build both in the set's reading (``_reading``);
+    2. a forced set whose live support factors through two consecutive
+       times: the product of their marginals there (``_support_witness``),
+       with no phase 1;
+    3. the basic point of the set's phase 1, the one later bounds and vertex
+       samples of ``cs`` start from.
 
     When the presolve found a deduction that proves the set empty
-    (``Presolved.empty``) and ``verify_farkas`` accepts it as a certificate,
-    that is the answer and no phase 1 runs.  Otherwise the phase 1 is the
-    one later bounds and vertex samples of ``cs`` start from.  It runs on the
-    presolved rows, whose Farkas duals ``_lift_farkas`` maps back, in one
-    pass, to one multiplier per constraint.
+    (``Presolved.empty``), no witness is looked for past the first, and when
+    ``verify_farkas`` accepts the deduction as a certificate, that is the
+    answer and no phase 1 runs.  Otherwise phase 1 decides: an infeasible
+    one's Farkas duals ``_lift_farkas`` maps back, in one pass, to one
+    multiplier per constraint, and a feasible one's point that fails the
+    check is a failure.
     """
-    probs = _chain_witness(cs)
-    if probs is not None:
-        return FeasibilityCertificate(witness=TrajectoryMeasure(probs))
+    reading = _reading(cs)
+    found = reading.witness
+    if found is not None:
+        return FeasibilityCertificate(witness=TrajectoryMeasure(found.probs), path=found.path)
 
-    pre = presolve(cs)
+    pre = reading.presolved
     if pre.empty:
         y = np.zeros(len(cs) + 1)
         for i, coef in pre.empty:
             y[i] += coef
         cert, problem = _checked(cs, *_multipliers(pre, y))
         if problem is None:
-            return FeasibilityCertificate(farkas=cert)
+            return FeasibilityCertificate(farkas=cert, path="presolve")
 
-    result = _solve(cs, np.zeros(cs.space.size))
-    if result.status == lp.OPTIMAL:
-        witness = TrajectoryMeasure(result.x)
+    probs = _start_witness(cs)
+    if probs is not None:
+        witness = TrajectoryMeasure(probs)
         worst = verify_witness(cs, witness.probs)
         if worst > CERTIFICATE_TOL:
             raise lp.SimplexFailure(
@@ -1012,7 +1088,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
             )
         return FeasibilityCertificate(witness=witness)
 
-    cert, problem = _checked(cs, *_lift_farkas(cs, pre, result.farkas_duals))
+    cert, problem = _checked(cs, *_lift_farkas(cs, pre, reading.start.farkas_duals))
     if problem is not None:
         raise lp.SimplexFailure(f"Farkas verification failed: {problem}")
     return FeasibilityCertificate(farkas=cert)
@@ -1254,9 +1330,9 @@ def huber_check(cs: ConstraintSet) -> float:
     also the largest ``sum_i a_i * rhs_i`` over non-negative ``a`` with
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``.
 
-    A feasible set needs no LP.  Its witness (``_witness``), a measure of
-    mass 1 within ``CERTIFICATE_TOL`` of each of its k strongest rows,
-    gives H <= 1 + (k + 1) * ``CERTIFICATE_TOL``, and a row or a
+    A feasible set needs no LP.  Its witness (``_Reading.witness``), a
+    measure of mass 1 within ``CERTIFICATE_TOL`` of each of its k strongest
+    rows, gives H <= 1 + (k + 1) * ``CERTIFICATE_TOL``, and a row or a
     complementary pair of rows with multiplier 1 gives H >= L
     (``_huber_lower``).  When L lies between 1 - ``VACUOUS_RHS`` and that
     upper bound and the witness verifies, the value is L.  Every other set,
@@ -1270,7 +1346,7 @@ def huber_check(cs: ConstraintSet) -> float:
             raise ValueError(f"malformed row: empty event with positive bound {con.rhs!r}")
     lower = _huber_lower(cs)
     upper = 1.0 + (len(kept) + 1) * CERTIFICATE_TOL  # a larger L rules out every witness
-    if 1.0 - VACUOUS_RHS <= lower <= upper and _witness(cs) is not None:
+    if 1.0 - VACUOUS_RHS <= lower <= upper and _reading(cs).witness is not None:
         return lower
     return _huber_lp(cs)
 

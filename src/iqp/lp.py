@@ -106,9 +106,11 @@ class FeasibleStart:
     standard form over the structural and slack columns, a C-contiguous
     array of the start's own.  The artificial columns are never read again
     and are not kept.  An infeasible set carries ``farkas_duals`` instead,
-    and those three fields are ``None``.
+    and those three fields are ``None``.  ``point`` reads the basic
+    solution off them.
     """
 
+    n_vars: int  # structural columns
     n_cols: int  # phase-1 columns; sets the pivot budget
     phase1_pivots: int
     degenerate_pivots: int
@@ -117,6 +119,19 @@ class FeasibleStart:
     farkas_duals: np.ndarray | None = None
     inverse: np.ndarray | None = None
     rows: np.ndarray | None = None
+
+    @property
+    def point(self) -> np.ndarray | None:
+        """The basic solution over the structural columns, x_B on the basic
+        ones and 0 on the rest, the point a zero objective's ``solve_lp``
+        from this start returns; ``None`` on an infeasible set."""
+        if self.basis is None:
+            return None
+        basis = np.array(self.basis, dtype=int)
+        structural = basis < self.n_vars
+        x = np.zeros(self.n_vars)
+        x[basis[structural]] = self.inverse[structural, -1]
+        return x
 
 
 class _Simplex:
@@ -310,7 +325,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     if state.run_phase() == UNBOUNDED:
         raise SimplexFailure("phase-1 objective reported unbounded")
     if state.table[-1, -1] > FEASIBILITY_TOL:  # the multipliers y are the Farkas duals
-        return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+        return FeasibleStart(n_vars=n_vars, n_cols=n_cols, phase1_pivots=state.pivots,
                              degenerate_pivots=state.degenerate, dropped_rows=0,
                              farkas_duals=sign * state.y)
 
@@ -322,7 +337,7 @@ def _phase1(a: np.ndarray, rhs: np.ndarray, senses: list[str]) -> FeasibleStart:
     # exactly the inverse of the kept basis
     gone = art_rows[state.basis[drop] - first_art].tolist()
     kept_rows = [r for r in range(n_rows) if r not in gone]
-    return FeasibleStart(n_cols=n_cols, phase1_pivots=state.pivots,
+    return FeasibleStart(n_vars=n_vars, n_cols=n_cols, phase1_pivots=state.pivots,
                          degenerate_pivots=state.degenerate, dropped_rows=len(drop),
                          basis=tuple(state.basis[kept].tolist()),
                          inverse=state.table[np.ix_(kept, kept_rows + [n_rows])],

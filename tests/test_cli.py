@@ -381,9 +381,19 @@ class TestReport:
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["feasible"] is True
+        assert report["feasibility_path"] == "chain"
         assert report["constraints"]["emitted"] == 12
         assert report["config_hash"]
         assert "solve" in report["timings"]
+
+    @pytest.mark.parametrize("name, path", [
+        ("beam-splitter", "chain"), ("mach-zehnder", "support"), ("spreading-packet", "chain"),
+        ("drifting-branch", "lp"), ("adversarial-demo", "lp")])
+    def test_report_names_how_feasibility_was_decided(self, scenario_file, tmp_path, name, path):
+        report_path = tmp_path / "report.json"
+        main(["feasibility", "--config", scenario_file(name), "--outdir", str(tmp_path / "out"),
+              "--report", str(report_path)])
+        assert json.loads(report_path.read_text())["feasibility_path"] == path
 
     def test_report_counts_presolved_rows(self, scenario_file, tmp_path):
         report_path = tmp_path / "report.json"

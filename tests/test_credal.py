@@ -452,7 +452,8 @@ class TestFeasibility:
     @staticmethod
     def farkas_reporting(space, monkeypatch, tail):
         """Feasibility of the adversarial rows plus one row per entry of ``tail``,
-        with the solver reporting ``tail`` as the duals of those rows.
+        with phase 1 (``lp.feasible_start``, whose Farkas duals ``feasibility``
+        lifts) reporting ``tail`` as the duals of those rows.
 
         The extra events are distinct and no two are complements, so each
         keeps its own '>=' row, in order, at the end of the presolved rows.
@@ -461,15 +462,15 @@ class TestFeasibility:
         extra = [(event, 0.1, f"extra{i}")
                  for i, event in enumerate([Event.all(space), a | b, ~a | b][:len(tail)])]
         cs = merge_constraint_sets([adversarial_cs(space), lower_bound_constraints(space, extra)])
-        solve = lp.solve_lp
+        start = lp.feasible_start
 
         def perturbed(*args, **kwargs):
-            result = solve(*args, **kwargs)
+            result = start(*args, **kwargs)
             duals = result.farkas_duals.copy()
             duals[-len(tail):] = tail
             return dataclasses.replace(result, farkas_duals=duals)
 
-        monkeypatch.setattr(lp, "solve_lp", perturbed)
+        monkeypatch.setattr(lp, "feasible_start", perturbed)
         return feasibility(cs)
 
     def test_clamp_keeps_negative_zero(self, balanced, monkeypatch):
