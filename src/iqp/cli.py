@@ -136,18 +136,20 @@ def _cmd_simulate(args: argparse.Namespace, report: RunReport) -> int:
     return EXIT_OK
 
 
-def _constraints(cfg: ScenarioConfig, system: QuantumSystem, space: TrajectorySpace,
-                 report: RunReport) -> ConstraintSet:
+def _constraints(args: argparse.Namespace, cfg: ScenarioConfig, system: QuantumSystem,
+                 space: TrajectorySpace, report: RunReport) -> ConstraintSet:
+    """Build the set, and with ``--report`` its presolve for the report's counts."""
     start = time.perf_counter()
     cs = build_constraints(cfg, system, space)
-    # lp_rows: the presolved rows the queries solve, normalization included;
-    # implied: the rows the presolve dropped because the Born pins imply them;
-    # forced_cols: the trajectories the presolve's forcing rows fixed at zero
-    pre = presolve(cs)  # the LP queries then reuse it, so it is timed here
+    report.constraints.update(emitted=cs.emitted, skipped=cs.skipped, filtered=cs.filtered)
+    if args.report:
+        # lp_rows: the presolved rows the queries solve, normalization included;
+        # implied: the rows the presolve dropped because the Born pins imply them;
+        # forced_cols: the trajectories the presolve's forcing rows fixed at zero
+        pre = presolve(cs)  # the LP queries then reuse it, so it is timed here
+        report.constraints.update(lp_rows=len(pre.senses), implied=pre.implied,
+                                  forced_cols=space.size - pre.live.size)
     report.timings["constraints"] = time.perf_counter() - start
-    report.constraints = {"emitted": cs.emitted, "skipped": cs.skipped,
-                          "filtered": cs.filtered, "lp_rows": len(pre.senses),
-                          "implied": pre.implied, "forced_cols": space.size - pre.live.size}
     return cs
 
 
@@ -164,7 +166,7 @@ def _feasibility(cs: ConstraintSet, report: RunReport) -> FeasibilityCertificate
 def _cmd_feasibility(args: argparse.Namespace, report: RunReport) -> int:
     cfg, system, space = _load(args, report)
     outdir = Path(args.outdir)
-    cs = _constraints(cfg, system, space, report)
+    cs = _constraints(args, cfg, system, space, report)
     _write(outdir / "constraints.csv", constraints_csv(cs))
 
     cert = _feasibility(cs, report)
@@ -186,7 +188,7 @@ def _cmd_feasibility(args: argparse.Namespace, report: RunReport) -> int:
 
 def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
     cfg, system, space = _load(args, report)
-    cs = _constraints(cfg, system, space, report)
+    cs = _constraints(args, cfg, system, space, report)
     exprs = args.event if args.event else list(cfg.events)
     if not exprs:
         raise ValueError("no events: give --event or declare queries.events")
@@ -224,7 +226,7 @@ def _parse_pair(expr: str, space: TrajectorySpace) -> tuple[SSet, SSet]:
 
 def _cmd_typicality(args: argparse.Namespace, report: RunReport) -> int:
     cfg, system, space = _load(args, report)
-    cs = _constraints(cfg, system, space, report)
+    cs = _constraints(args, cfg, system, space, report)
     if args.pair:
         pairs = [_parse_pair(expr, space) for expr in args.pair]
     else:
@@ -271,7 +273,7 @@ def _cmd_branch(args: argparse.Namespace, report: RunReport) -> int:
     if not decls:
         declared = ", ".join(br.name for br in cfg.branches) or "none"
         raise ValueError(f"no matching branch (declared: {declared})")
-    cs = _constraints(cfg, system, space, report)
+    cs = _constraints(args, cfg, system, space, report)
     seed = _seed(args, cfg)
     # the vertex samples of every branch start from one phase 1: this
     # verdict's, or on a pinned chain set, decided without one, the first

@@ -12,7 +12,12 @@ rows rule out (a zero-drift typicality row or a demand reaching a Born pin, a
 certain event), by exact deductions, and solves over the other columns only;
 answers are padded back to every trajectory and certificates lifted to every
 constraint.  A deduction that exceeds its pin by ``FARKAS_MARGIN`` is itself
-the certificate, and feasibility then runs no phase 1.
+the certificate, and feasibility then runs no phase 1.  The presolve is built
+in three stages, each on first use: the pins (``_pinned``), which also test
+each demand against the pins that contain it, the support (``_supported``:
+implied rows, forcings, live columns) and the LP rows (``_presolve``).  A set
+that a demand refutes is answered from the pins alone, and a forced set whose
+support factors from the support stage, so neither builds an LP row.
 
 Every generated row names its event by its origin, the ssets whose atoms
 intersect to it, and every reader of a set takes the strongest row on each
@@ -37,11 +42,12 @@ Huber's check (``huber_check``) answers a feasible set with no LP, from the
 set's witness above and a row and its complement's certificate below; every
 other set solves Huber's LP.
 
-Everything the queries read of a set, its strongest row per event, presolve,
-phase 1, chain record and verified witness, is one reading (``_reading``),
-each part computed on first use and kept for the last set asked about.  The
-presolve (``_presolve``) and the chain scan (``_pinned_chain``) both start
-from the strongest rows, so the set's rows are passed over once.
+Everything the queries read of a set, its strongest row per event, the
+presolve's three stages, phase 1, chain record and verified witness, is one
+reading (``_reading``), each part computed on first use and kept for the last
+set asked about.  The presolve's pins (``_pinned``) and the chain scan
+(``_pinned_chain``) both start from the strongest rows, so the set's rows are
+passed over once.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import csv
 import functools
 import io
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -229,72 +235,78 @@ class ConstraintSet:
         return rows, rhs
 
 
-def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
-    """The rows of ``cs.lp_rows()`` that the polytope queries solve, over the
-    columns that can be non-zero, from ``kept``, the strongest row per event
-    (``_Reading.strongest``).
+class _Pinned(NamedTuple):
+    """The presolve's first stage (``_pinned``): the kept rows paired into
+    '==' pins, and a demand's deduction that proves the set empty."""
 
-    Rows on one event collapse to the one with the largest bound (the first
-    on ties), the one ``kept`` names.  A kept pair ``P(A) >= l``,
-    ``P(A^c) >= l'`` with ``l + l'`` within ``VACUOUS_RHS`` of 1 becomes the
-    one row ``P(A) = l``, owned by whichever event comes first: with
-    normalization the pair pins ``P(A)`` to ``l`` up to that dust.  Pairs
-    further from 1 stay two '>=' rows, so an over-pinned set stays
-    infeasible and a band stays a band.
+    bounds: dict[int, float]  # per kept row, by constraint: its bound
+    owners: list[int]  # the kept rows, in the order their events first appear
+    partners: list[int]  # per kept row, as in ``Presolved``
+    pins: dict[bytes, tuple[_Pin, Event]]  # event key -> its pin under an '==' row, the event
+    refuted: Terms  # the first demand's deduction with right side >= FARKAS_MARGIN, or ()
 
-    A kept '>=' row ``P(A & B) >= l`` of a pair ``(S1, S2)`` whose atom
-    events ``A`` and ``B`` '==' rows pin to ``w1`` and ``w2`` is then
-    dropped when the pins imply it, so the polytope stays the same:
 
-    1. when ``l <= w1 + w2 - 1`` (Frechet: ``P(A & B) >= P(A) + P(B) - 1``);
-    2. when the kept row on ``(S1^c, S2^c)``, ``P(A^c & B^c) >= l'``, is at
-       least as strong: ``1_{A&B} - 1_{A^c&B^c} = 1_A + 1_B - 1``, so it
-       reads ``P(A & B) >= l' + w1 + w2 - 1``.  Compared in the
-       orientation of the first of the two rows, the stronger stays, the
-       first on ties.
+class _Support(NamedTuple):
+    """The presolve's second stage (``_supported``): the rows that rules 1
+    and 2 keep and the forcing rows' deductions, fields as in ``Presolved``."""
 
-    Kept rows follow the first appearance of their events; ``implied``
-    counts the rows the two rules dropped.
+    owners: list[int]
+    partners: list[int]
+    implied: int
+    forcings: tuple[Forcing, ...]
+    live: np.ndarray
+    empty: Terms
 
-    Forcing rows then fix columns at zero (Andersen and Andersen,
-    "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
-    ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
-    ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
-    zero.  Three kinds are recognized:
 
-    - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
-      (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
-      pin of ``S2`` fixes ``S1^c & S2``;
-    - a kept '>=' demand (a row without origin) reaching the pin of an
-      event that contains its own fixes the rest of that event, each
-      pinned event being tested against the demand on their packed bits;
-    - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
-      being the upper bound.
+_CERTAIN: Terms = ((-1, 1.0),)  # normalization as the upper bound P(E) <= 1
 
-    A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
-    when the exactly rounded ``l + r - 1`` is at least 0, so every fix
-    holds in real arithmetic and needs no tolerance.  A deduction whose
-    exactly summed right side ``l - u`` is at least ``FARKAS_MARGIN``
-    fixes nothing: ``1_F - 1_E <= 0`` with that right side is a Farkas
-    certificate, and the first such is kept as ``empty``.  The rows are built
-    over the ``live`` columns only, each one bit for bit its owner's row
-    of ``lp_rows`` on them, and rows equal there collapse: the largest
-    '>=' bound wins, the first on ties, and a '>=' row is dropped
-    (``collapsed``) when an '==' row, normalization included, on the same
-    columns has at least its bound.  ``forcings`` keep each deduction in
-    constraint indices, for lifting Farkas certificates back to every
-    constraint.
 
-    Events are matched on their packed bits: ``kept`` is keyed by
-    ``Event.key``, a pin's complement is looked up by
-    ``Event.complement_key``, and the forcing rows' fixed sets are combined
-    as events.  Only the kept rows are unpacked, all in one call
-    (``ConstraintSet._rows``).
+def _deduction(row: int, upper: Terms) -> Terms:
+    """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``)."""
+    return ((row, 1.0),) + tuple((r, -c) for r, c in upper)
+
+
+def _refutes(terms: Terms, bounds: dict[int, float]) -> bool:
+    """Whether the deduction's exactly summed right side is at least
+    ``FARKAS_MARGIN``, so that it proves the set empty."""
+    return math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) >= FARKAS_MARGIN
+
+
+def _demand_deductions(con: LinearConstraint, i: int, j: int, bounds: dict[int, float],
+                       pins: dict[bytes, tuple[_Pin, Event]]) -> Iterator[tuple[Terms, Event]]:
+    """The deductions of the demand ``con``, kept as constraint ``i`` with
+    partner ``j``, in order, each with the trajectories it fixes: a bound of
+    at least 1 reaches normalization, and then, unless the demand is an '=='
+    row, each pinned event that contains its own, in ``pins`` order, whose
+    pin it reaches.  Events are tested on their packed bits."""
+    if bounds[i] >= 1.0:  # a certain event
+        yield _deduction(i, _CERTAIN), ~con.event
+    if j < 0:
+        for pin, event in pins.values():
+            if bounds[i] >= pin.reach and con.event <= event:
+                yield _deduction(i, pin.upper), event - con.event
+
+
+def _pinned(cs: ConstraintSet, kept: dict[bytes, int]) -> _Pinned:
+    """The presolve's pins, from ``kept``, the strongest row per event
+    (``_Reading.strongest``), and the first deduction of a demand (a row
+    without origin), in row order, that proves the set empty.
+
+    A kept pair ``P(A) >= l``, ``P(A^c) >= l'`` with ``l + l'`` within
+    ``VACUOUS_RHS`` of 1 becomes the one row ``P(A) = l``, owned by
+    whichever event comes first: with normalization the pair pins ``P(A)``
+    to ``l`` up to that dust.  Pairs further from 1 stay two '>=' rows, so
+    an over-pinned set stays infeasible and a band stays a band.  Events are
+    matched on their packed bits: ``kept`` is keyed by ``Event.key`` and a
+    pin's complement is looked up by ``Event.complement_key``.
+
+    Each demand's deductions (``_demand_deductions``) are tested until one
+    has an exact right side of at least ``FARKAS_MARGIN``; no array is built.
     """
     bounds = {i: float(cs.constraints[i].rhs) for i in kept.values()}
     owners: list[int] = []
     partners: list[int] = []
-    pins: dict[bytes, tuple[_Pin, Event]] = {}  # event key -> its pin under an '==' row, the event
+    pins: dict[bytes, tuple[_Pin, Event]] = {}
     for key, i in kept.items():
         if key in pins:  # the complement's row already pins this event
             continue
@@ -308,37 +320,54 @@ def _presolve(cs: ConstraintSet, kept: dict[bytes, int]) -> Presolved:
             j = -1
         owners.append(i)
         partners.append(j)
-    implied, fixes, empty = _implied(cs, owners, partners, bounds, pins)
-    partners = [j for i, j in zip(owners, partners) if i not in implied]
-    owners = [i for i in owners if i not in implied]
-    forcings = tuple(fix for fix in fixes
-                     if fix.terms[0][0] not in implied and not fix.rest.is_empty)
-    fixed = Event.none(cs.space)
-    for fix in forcings:
-        fixed |= fix.rest
-    live = (~fixed).indices()
-    collapsed: list[int] = []
-    if not forcings:
-        rows, rhs = cs._rows([cs.constraints[i] for i in owners])
-    else:
-        rows, rhs = cs._rows([cs.constraints[i] for i in owners], live)
-        keep = _collapse(rows, rhs.tolist(), partners)
-        collapsed = [i for i, kept in zip(owners, keep) if not kept]
-        owners = [i for i, kept in zip(owners, keep) if kept]
-        partners = [j for j, kept in zip(partners, keep) if kept]
-        rows, rhs = rows[[True] + keep], rhs[[True] + keep]
-    senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
-    return Presolved(rows, rhs, senses, owners, partners, len(implied), live, collapsed,
-                     forcings, empty)
+    refuted = next((terms for i, j in zip(owners, partners) if not cs.constraints[i].origin
+                    for terms, _ in _demand_deductions(cs.constraints[i], i, j, bounds, pins)
+                    if _refutes(terms, bounds)), ())
+    return _Pinned(bounds, owners, partners, pins, refuted)
 
 
-def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: dict[int, float],
-             pins: dict[bytes, tuple[_Pin, Event]]) -> tuple[set[int], list[Forcing], Terms]:
-    """The kept '>=' rows (by constraint) that rules 1 and 2 of ``_presolve``
-    drop, the forcing rows' deductions, each one's first term the forcing
-    row's constraint, and the first deduction whose right side is at
-    least ``FARKAS_MARGIN`` (empty when none).  ``pins`` holds each pinned
-    event's pin and the event, keyed by ``Event.key``."""
+def _supported(cs: ConstraintSet, pinned: _Pinned) -> _Support:
+    """The rows of the pins stage (``_pinned``) that the pins do not imply,
+    the forcing rows' deductions and the columns they leave live.
+
+    A kept '>=' row ``P(A & B) >= l`` of a pair ``(S1, S2)`` whose atom
+    events ``A`` and ``B`` '==' rows pin to ``w1`` and ``w2`` is dropped
+    when the pins imply it, so the polytope stays the same:
+
+    1. when ``l <= w1 + w2 - 1`` (Frechet: ``P(A & B) >= P(A) + P(B) - 1``);
+    2. when the kept row on ``(S1^c, S2^c)``, ``P(A^c & B^c) >= l'``, is at
+       least as strong: ``1_{A&B} - 1_{A^c&B^c} = 1_A + 1_B - 1``, so it
+       reads ``P(A & B) >= l' + w1 + w2 - 1``.  Compared in the
+       orientation of the first of the two rows, the stronger stays, the
+       first on ties.
+
+    ``implied`` counts the rows the two rules dropped.
+
+    Forcing rows then fix columns at zero (Andersen and Andersen,
+    "Presolving in linear programming", Math. Prog. 71, 1995): a kept row
+    ``P(F) >= l`` and an upper bound ``P(E) <= u`` with ``F`` inside
+    ``E`` and ``l >= u`` force every trajectory of ``E`` outside ``F`` to
+    zero.  Three kinds are recognized, in row order:
+
+    - a row ``P(A) >= l`` with ``l >= 1`` fixes ``A^c``, normalization
+      being the upper bound;
+    - a kept '>=' row of a pair ``(S1, S2)`` reaching the pin of ``S1``
+      (zero drift: ``l >= w1``) fixes ``S1 & S2^c``, and one reaching the
+      pin of ``S2`` fixes ``S1^c & S2``;
+    - a kept '>=' demand reaching the pin of an event that contains its
+      own fixes the rest of that event (``_demand_deductions``).
+
+    A pin carried by the complement's '==' row ``P(A^c) = r`` is reached
+    when the exactly rounded ``l + r - 1`` is at least 0, so every fix
+    holds in real arithmetic and needs no tolerance.  A deduction whose
+    exactly summed right side ``l - u`` is at least ``FARKAS_MARGIN``
+    fixes nothing: ``1_F - 1_E <= 0`` with that right side is a Farkas
+    certificate.  ``empty`` is the pins stage's ``refuted``, else the first
+    such deduction of a row with an origin.  ``forcings`` keep each
+    deduction in constraint indices, for lifting Farkas certificates back
+    to every constraint; the fixed sets are combined as events.
+    """
+    bounds, owners, partners, pins = pinned.bounds, pinned.owners, pinned.partners, pinned.pins
 
     def pin(s: SSet) -> tuple[_Pin, Event] | None:
         """The pin of ``s`` and its atom event, ``None`` when unpinned."""
@@ -348,13 +377,11 @@ def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: 
     fixes: list[Forcing] = []
     empty: Terms = ()
 
-    def fix(row: int, upper: Terms, rest: Event) -> None:
-        """Row ``row`` minus the upper bound ``upper`` (``_Pin.upper``) fixes
-        ``rest``, unless its exact right side is at least the margin: then
-        it proves the set empty instead."""
+    def fix(terms: Terms, rest: Event) -> None:
+        """The deduction ``terms`` fixes ``rest``, unless it proves the set
+        empty instead."""
         nonlocal empty
-        terms = ((row, 1.0),) + tuple((r, -c) for r, c in upper)
-        if math.fsum(c * (1.0 if r < 0 else bounds[r]) for r, c in terms) < FARKAS_MARGIN:
+        if not _refutes(terms, bounds):
             fixes.append(Forcing(terms, rest))
         elif not empty:
             empty = terms
@@ -365,20 +392,20 @@ def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: 
     full = (1 << cs.space.m) - 1
     for i, j in zip(owners, partners):
         con = cs.constraints[i]
-        if bounds[i] >= 1.0:  # a certain event; normalization caps it at 1
-            fix(i, ((-1, 1.0),), ~con.event)
+        if not con.origin:  # a demand
+            for terms, rest in _demand_deductions(con, i, j, bounds, pins):
+                fix(terms, rest)
+            continue
+        if bounds[i] >= 1.0:  # a certain event
+            fix(_deduction(i, _CERTAIN), ~con.event)
         if j >= 0 or len(con.origin) == 1:
             continue
-        # the pinned events that contain the row's, each with its pin
-        if con.origin:  # a pair row: its two ssets, when pinned
-            supersets = [pin(s) for s in con.origin]
-        else:  # a demand: every pinned event that contains it, in order
-            supersets = [sup for sup in pins.values() if con.event <= sup[1]]
+        supersets = [pin(s) for s in con.origin]  # the pair's two ssets, when pinned
         # a row reaching a pin fixes the rest of the pinned event (zero drift)
         for sup in supersets:
             if sup is not None and bounds[i] >= sup[0].reach:
-                fix(i, sup[0].upper, sup[1] - con.event)
-        if not con.origin or supersets[0] is None or supersets[1] is None:
+                fix(_deduction(i, sup[0].upper), sup[1] - con.event)
+        if supersets[0] is None or supersets[1] is None:
             continue
         pin1, pin2 = supersets[0][0], supersets[1][0]
         shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
@@ -392,7 +419,51 @@ def _implied(cs: ConstraintSet, owners: list[int], partners: list[int], bounds: 
         else:  # rule 2, in the first row's orientation
             f, f_shift = first
             implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
-    return implied, fixes, empty
+    forcings = tuple(fix for fix in fixes
+                     if fix.terms[0][0] not in implied and not fix.rest.is_empty)
+    fixed = Event.none(cs.space)
+    for forcing in forcings:
+        fixed |= forcing.rest
+    return _Support([i for i in owners if i not in implied],
+                    [j for i, j in zip(owners, partners) if i not in implied],
+                    len(implied), forcings, (~fixed).indices(), pinned.refuted or empty)
+
+
+def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
+    """The rows of ``cs.lp_rows()`` that the polytope queries solve, over the
+    columns that can be non-zero: the last of the presolve's three stages,
+    each a field of the set's reading (``_Reading``) built on first use.
+
+    1. ``_pinned`` collapses the rows on one event to the strongest
+       (``_Reading.strongest``), pairs complementary rows into '==' pins
+       and finds a demand's deduction that proves the set empty;
+    2. ``_supported`` drops the rows the pins imply (rules 1 and 2) and
+       fixes at zero the columns that forcing rows rule out;
+    3. here, the kept rows are built over the ``live`` columns only, each
+       one bit for bit its owner's row of ``lp_rows`` on them, in one call
+       (``ConstraintSet._rows``), and rows equal there collapse: the
+       largest '>=' bound wins, the first on ties, and a '>=' row is dropped
+       (``collapsed``) when an '==' row, normalization included, on the same
+       columns has at least its bound.
+
+    Kept rows follow the first appearance of their events.  ``empty`` is
+    the first demand's deduction that proves the set empty, else the first
+    of another row, each in row order.
+    """
+    owners, partners = support.owners, support.partners
+    collapsed: list[int] = []
+    if not support.forcings:
+        rows, rhs = cs._rows([cs.constraints[i] for i in owners])
+    else:
+        rows, rhs = cs._rows([cs.constraints[i] for i in owners], support.live)
+        keep = _collapse(rows, rhs.tolist(), partners)
+        collapsed = [i for i, kept in zip(owners, keep) if not kept]
+        owners = [i for i, kept in zip(owners, keep) if kept]
+        partners = [j for j, kept in zip(partners, keep) if kept]
+        rows, rhs = rows[[True] + keep], rhs[[True] + keep]
+    senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
+    return Presolved(rows, rhs, senses, owners, partners, support.implied, support.live,
+                     collapsed, support.forcings, support.empty)
 
 
 def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
@@ -657,9 +728,19 @@ class _Reading:
         return tuple(groups)
 
     @functools.cached_property
+    def pinned(self) -> _Pinned:
+        """The presolve's pins and a demand's refutation (``_pinned``)."""
+        return _pinned(self.cs, self.strongest)
+
+    @functools.cached_property
+    def support(self) -> _Support:
+        """The presolve's implied rows, forcings and live columns (``_supported``)."""
+        return _supported(self.cs, self.pinned)
+
+    @functools.cached_property
     def presolved(self) -> Presolved:
         """The rows the LP queries solve (``_presolve``)."""
-        return _presolve(self.cs, self.strongest)
+        return _presolve(self.cs, self.support)
 
     @functools.cached_property
     def start(self) -> lp.FeasibleStart:
@@ -685,8 +766,8 @@ def _reading(cs: ConstraintSet) -> _Reading:
     Keyed on the set's identity, which is sound because a set is frozen and
     the cache's reference to it keeps its id from being reused.  One entry,
     so the queries asked one after another about one set, and a caller that
-    reads its presolve (the CLI's run report), share one scan, presolve,
-    phase 1, chain record and witness, while one set at most stays alive
+    reads its presolve (the CLI's run report), share one scan, presolve
+    stages, phase 1, chain record and witness, while one set at most stays alive
     however many sets the caller keeps.
     """
     return _Reading(cs)
@@ -750,7 +831,9 @@ def verify_farkas(cs: ConstraintSet, cert: FarkasCertificate) -> tuple[float, fl
 def presolve(cs: ConstraintSet) -> Presolved:
     """The presolve of ``cs`` (``_presolve``), as held by its reading
     (``_reading``), so a caller that reads it (the CLI's run report) and the
-    queries that solve it share one."""
+    queries that solve it share one.  It builds all three stages, the LP
+    rows included, which a refuted or forced-support set's verdict never
+    reads."""
     return _reading(cs).presolved
 
 
@@ -803,10 +886,12 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     return _multipliers(pre, y)
 
 
-def _multipliers(pre: Presolved, y: np.ndarray) -> tuple[np.ndarray, float]:
+def _multipliers(pre: Presolved | _Pinned, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Multipliers of the constraints and the normalization's, from a
     combination ``y`` of constraint rows in which only '==' rows of ``pre``
-    may be negative (normalization at index -1).
+    may be negative (normalization at index -1).  The presolve's later
+    stages drop no '==' row, so its pins stage (``_Pinned``) gives a
+    deduction the same multipliers as the LP rows.
 
     An '==' row ``P(A) = l`` with ``y < 0`` is rewritten by
     ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
@@ -962,8 +1047,9 @@ def _support_witness(cs: ConstraintSet) -> np.ndarray | None:
     """The product of two consecutive marginals on the live support of a
     forced set, ``None`` when the support does not factor.
 
-    The presolve (``_Reading.presolved``) must have forcings, no ``empty``
-    deduction and at most ``m**2`` live trajectories.  The first times ``t,
+    The presolve's support stage (``_Reading.support``), which builds no LP
+    row, must have forcings, no ``empty`` deduction and at most ``m**2``
+    live trajectories.  The first times ``t,
     t + 1`` whose labels are one-to-one on the live trajectories then
     determine each of them, and the measure is ``mu_t[w_t] * mu_t+1[w_t+1]``
     there and 0 elsewhere, ``mu_u[a]`` the strongest bound on the atom of
@@ -974,10 +1060,10 @@ def _support_witness(cs: ConstraintSet) -> np.ndarray | None:
     whether their pairs repeat.
     """
     reading = _reading(cs)
-    pre = reading.presolved
+    support = reading.support
     space = cs.space
     m, n = space.m, space.n
-    if pre.empty or not pre.forcings or pre.live.size > m * m:
+    if support.empty or not support.forcings or support.live.size > m * m:
         return None
     strongest = reading.strongest
 
@@ -986,12 +1072,13 @@ def _support_witness(cs: ConstraintSet) -> np.ndarray | None:
         return np.array([cs.constraints[strongest[k]].rhs if k in strongest else 0.0
                          for k in keys])
 
-    labels = pre.live // m ** (n - 1) % m
+    live = support.live
+    labels = live // m ** (n - 1) % m
     for t in range(n - 1):
-        after = pre.live // m ** (n - 2 - t) % m
-        if len(set((labels * m + after).tolist())) == pre.live.size:
+        after = live // m ** (n - 2 - t) % m
+        if len(set((labels * m + after).tolist())) == live.size:
             probs = np.zeros(space.size)
-            probs[pre.live] = marginal(t)[labels] * marginal(t + 1)[after]
+            probs[live] = marginal(t)[labels] * marginal(t + 1)[after]
             return probs
         labels = after
     return None
@@ -1025,11 +1112,13 @@ def _witness(cs: ConstraintSet) -> _Witness | None:
     (``_start_witness``), in that order, which is also the order of their
     cost; ``None`` when none is accepted.  Only the last runs an LP
     routine, phase 1.  A set that the presolve proves empty
-    (``Presolved.empty``) runs no phase 1 and has none.  The set's reading
-    holds it (``_Reading.witness``).
+    (``Presolved.empty``) runs no phase 1 and has none, and one that a
+    demand refutes (``_Reading.pinned``) builds no support stage either.
+    The set's reading holds it (``_Reading.witness``).
     """
     chained = _accepted(cs, _chain_witness(cs), "chain")
-    if chained is not None or _reading(cs).presolved.empty:
+    reading = _reading(cs)
+    if chained is not None or reading.pinned.refuted or reading.support.empty:
         return chained
     return (_accepted(cs, _support_witness(cs), "support")
             or _accepted(cs, _start_witness(cs), "lp"))
@@ -1052,14 +1141,18 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
        (``_chain_bounds``), build both in the set's reading (``_reading``);
     2. a forced set whose live support factors through two consecutive
        times: the product of their marginals there (``_support_witness``),
-       with no phase 1;
+       with no phase 1 and no LP row built (``_Reading.support``);
     3. the basic point of the set's phase 1, the one later bounds and vertex
        samples of ``cs`` start from.
 
-    When the presolve found a deduction that proves the set empty
-    (``Presolved.empty``), no witness is looked for past the first, and when
-    ``verify_farkas`` accepts the deduction as a certificate, that is the
-    answer and no phase 1 runs.  Otherwise phase 1 decides: an infeasible
+    When the presolve finds a deduction that proves the set empty, no
+    witness is looked for past the first.  A demand's, from the pins stage
+    (``_Pinned.refuted``), comes first and needs neither the support stage
+    nor the LP rows; any other row's is the support stage's ``empty``.  The
+    deduction's multipliers are read over the pins stage's rows
+    (``_multipliers``), and when ``verify_farkas`` accepts them as a
+    certificate, that is the answer and no phase 1 runs.  Otherwise phase 1
+    on the LP rows (``_Reading.presolved``) decides: an infeasible
     one's Farkas duals ``_lift_farkas`` maps back, in one pass, to one
     multiplier per constraint, and a feasible one's point that fails the
     check is a failure.
@@ -1069,12 +1162,13 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     if found is not None:
         return FeasibilityCertificate(witness=TrajectoryMeasure(found.probs), path=found.path)
 
-    pre = reading.presolved
-    if pre.empty:
+    pinned = reading.pinned
+    empty = pinned.refuted or reading.support.empty
+    if empty:
         y = np.zeros(len(cs) + 1)
-        for i, coef in pre.empty:
+        for i, coef in empty:
             y[i] += coef
-        cert, problem = _checked(cs, *_multipliers(pre, y))
+        cert, problem = _checked(cs, *_multipliers(pinned, y))
         if problem is None:
             return FeasibilityCertificate(farkas=cert, path="presolve")
 
@@ -1088,7 +1182,7 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
             )
         return FeasibilityCertificate(witness=witness)
 
-    cert, problem = _checked(cs, *_lift_farkas(cs, pre, reading.start.farkas_duals))
+    cert, problem = _checked(cs, *_lift_farkas(cs, reading.presolved, reading.start.farkas_duals))
     if problem is not None:
         raise lp.SimplexFailure(f"Farkas verification failed: {problem}")
     return FeasibilityCertificate(farkas=cert)

@@ -200,11 +200,12 @@ def test_chain_bounds_run_no_presolve_and_no_phase1(count_calls):
     credal._reading.cache_clear()
     presolves = count_calls(credal, "presolve")
     presolved = count_calls(credal, "_presolve")
+    pinned = count_calls(credal, "_pinned")
     starts = count_calls(lp, "feasible_start")
     solves = count_calls(lp, "solve_lp")
     res = lower_upper(cs, parse_event("(t=1,{0}) & (t=4,{1})", space))
     assert res.path == "chain"
-    assert (presolves, presolved, starts, solves) == ([], [], [], [])
+    assert (presolves, presolved, pinned, starts, solves) == ([], [], [], [], [])
 
 
 # --- fallbacks -------------------------------------------------------------------

@@ -54,7 +54,7 @@ SHAPES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
 def lp_calls(count_calls, phase1_calls):
     """The presolves and phase 1s run from here on, by the shapes they saw;
     ``phase1_calls`` empties the one slot they are kept in."""
-    presolves = count_calls(credal, "_presolve", lambda cs, kept: len(cs))
+    presolves = count_calls(credal, "_pinned", lambda cs, kept: len(cs))
     return lambda: (list(presolves), list(phase1_calls))
 
 

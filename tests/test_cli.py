@@ -418,6 +418,15 @@ class TestReport:
                      "--report", str(tmp_path / "report.json")]) == 0
         assert len(presolves) == 1
 
+    def test_no_presolve_without_a_report(self, scenario_file, tmp_path, count_calls):
+        """The presolve feeds only the report's counts on a chain set, so
+        without ``--report`` no stage of it is built."""
+        config = scenario_file("beam-splitter")
+        credal._reading.cache_clear()
+        stages = [count_calls(credal, name) for name in ("_pinned", "_supported", "_presolve")]
+        assert main(["feasibility", "--config", config, "--outdir", str(tmp_path / "out")]) == 0
+        assert stages == [[], [], []]
+
     def test_constraints_timing_covers_the_presolve(self, scenario_file, tmp_path,
                                                     monkeypatch):
         """The queries reuse the report's presolve, so only ``constraints`` can time it."""

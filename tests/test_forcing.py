@@ -422,7 +422,7 @@ def test_collapsed_rows_lift_to_non_negative_multipliers(source, monkeypatch):
     spied = credal._multipliers
 
     def spy(pre_, y):
-        seen.append(y[pre_.collapsed].copy())
+        seen.append(y[pre.collapsed].copy())
         return spied(pre_, y)
 
     monkeypatch.setattr(credal, "_multipliers", spy)
