@@ -42,12 +42,12 @@ Huber's check (``huber_check``) answers a feasible set with no LP, from the
 set's witness above and a row and its complement's certificate below; every
 other set solves Huber's LP.
 
-Everything the queries read of a set, its strongest row per event, the
-presolve's three stages, phase 1, chain record and verified witness, is one
-reading (``_reading``), each part computed on first use and kept for the last
-set asked about.  The presolve's pins (``_pinned``) and the chain scan
-(``_pinned_chain``) both start from the strongest rows, so the set's rows are
-passed over once.
+Everything the queries read of a set, its strongest row per event, those
+rows unpacked for ``verify_witness``, the presolve's three stages, phase 1,
+chain record and verified witness, is one reading (``_reading``), each part
+computed on first use and kept for the last set asked about.  The
+presolve's pins (``_pinned``) and the chain scan (``_pinned_chain``) both
+start from the strongest rows, so the set's rows are passed over once.
 """
 
 from __future__ import annotations
@@ -708,24 +708,13 @@ class _Reading:
         return _strongest(self.cs.constraints)
 
     @functools.cached_property
-    def kept(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The rows of ``strongest`` grouped by the event's trajectory count:
-        per group, one row of trajectory indices per event and the events'
-        bounds.  The events are unpacked in one call (``membership_rows``)
-        and indexed per group, not per row."""
+    def unpacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``strongest`` unpacked once, in one call
+        (``membership_rows``): one bool row per event over every trajectory,
+        and the events' bounds."""
         kept = [self.cs.constraints[i] for i in self.strongest.values()]
         bits = membership_rows([con.event for con in kept], self.cs.space.size)
-        bounds = np.array([con.rhs for con in kept])
-        sizes = bits.sum(axis=1)
-        groups = []
-        for size in dict.fromkeys(sizes.tolist()):  # in first-appearance order
-            group = sizes == size
-            members = bits[group]
-            # flat indices into ``members``, less each row's offset
-            cols = np.flatnonzero(members).reshape(len(members), size)
-            cols -= np.arange(len(members))[:, None] * members.shape[1]
-            groups.append((cols, bounds[group]))
-        return tuple(groups)
+        return bits, np.array([con.rhs for con in kept])
 
     @functools.cached_property
     def pinned(self) -> _Pinned:
@@ -766,32 +755,39 @@ def _reading(cs: ConstraintSet) -> _Reading:
     Keyed on the set's identity, which is sound because a set is frozen and
     the cache's reference to it keeps its id from being reused.  One entry,
     so the queries asked one after another about one set, and a caller that
-    reads its presolve (the CLI's run report), share one scan, presolve
-    stages, phase 1, chain record and witness, while one set at most stays alive
-    however many sets the caller keeps.
+    reads its presolve (the CLI's run report), share one scan, one unpacking
+    of its strongest rows, presolve stages, phase 1, chain record and
+    witness, while one set at most stays alive however many sets the caller
+    keeps.
     """
     return _Reading(cs)
 
 
 def verify_witness(cs: ConstraintSet, probs: np.ndarray) -> float:
-    """Max violation of the constraint rows and simplex rows, by direct sums.
+    """Max violation of the constraint rows and simplex rows, by direct sums;
+    ``math.inf`` when an entry of ``probs`` is NaN or infinite, so that no
+    caller's ``> CERTIFICATE_TOL`` test accepts it (a NaN would compare
+    false).
 
-    Only the strongest row on each distinct event is summed, as grouped by
-    the set's reading (``_Reading.kept``, whose events are unpacked once, in
-    one call, into index rows): on one event ``l - P(event)``
-    rounds monotonically in ``l``, so the weaker rows' violations are at
-    most its own and the maximum is the same float.  Each row sums its
-    trajectories' entries in index order along the last axis, which is the
-    pairwise sum ``event_probability`` takes, and ``fmax`` passes over a NaN
-    violation as ``max`` does.
+    Only the strongest row on each distinct event is summed, from the set's
+    reading (``_Reading.unpacked``, its events unpacked once into bool
+    rows): on one event ``l - P(event)`` rounds monotonically in ``l``, so
+    the weaker rows' violations are at most its own and the maximum is the
+    same float.  One ``einsum`` sums every row's members against the
+    measure; its order of addition differs from ``event_probability``'s
+    pairwise sum, so a row's sum can differ from it in the last bits, within
+    the bound of any summation order (Higham 2002, section 4.2).  A set with
+    no rows leaves the simplex rows' violation.
     """
     vec = np.asarray(probs, dtype=float)
     if vec.shape != (cs.space.size,):
         raise ValueError(f"measure has length {vec.shape}, space has {cs.space.size}")
-    worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
-    for cols, bounds in _reading(cs).kept:
-        worst = max(worst, float(np.fmax.reduce(bounds - np.add.reduce(vec.take(cols), axis=1))))
-    return worst
+    total = float(vec.sum())
+    if not math.isfinite(total):  # a NaN or infinite entry, or an overflowing sum
+        return math.inf
+    worst = max(abs(total - 1.0), max(0.0, -float(vec.min(initial=0.0))))
+    bits, bounds = _reading(cs).unpacked
+    return float(np.fmax.reduce(bounds - np.einsum("ij,j->i", bits, vec), initial=worst))
 
 
 def _combination(cs: ConstraintSet, mult: np.ndarray,

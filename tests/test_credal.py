@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,7 +30,6 @@ from conftest import (
     seeded_config,
     sset,
     vertex_bounds,
-    violation,
 )
 from iqp import credal, lp
 from iqp.credal import (
@@ -57,7 +57,7 @@ from iqp.credal import (
     verify_witness,
 )
 from iqp.credal import VACUOUS_RHS
-from iqp.events import Event, TrajectorySpace, parse_event, sset_event
+from iqp.events import Event, TrajectorySpace, membership_rows, parse_event, sset_event
 from iqp.scenarios import (
     BUILTIN_SCENARIOS,
     build_constraints,
@@ -72,7 +72,7 @@ from iqp.typicality import qtr_predicate
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
-from perfbench.workloads import LADDER, VERDICTS, LPWorkload, make_config  # noqa: E402
+from perfbench.workloads import LADDER, VERDICTS, LPWorkload, Rung, make_config  # noqa: E402
 
 
 @pytest.fixture
@@ -116,11 +116,13 @@ def strongest_rows(cs: ConstraintSet) -> list[tuple[np.ndarray, float]]:
 
 
 def per_constraint_violation(cs: ConstraintSet, probs: np.ndarray) -> float:
-    """``verify_witness`` summing every constraint's row, one by one."""
+    """``verify_witness`` summing every constraint's row, one by one, with
+    the einsum it sums its strongest rows with."""
     vec = np.asarray(probs, dtype=float)
     worst = max(abs(float(vec.sum()) - 1.0), max(0.0, -float(vec.min(initial=0.0))))
     for con in cs.constraints:
-        worst = max(worst, violation(con, vec))
+        total = float(np.einsum("ij,j->i", membership_rows([con.event], vec.size), vec)[0])
+        worst = max(worst, con.rhs - total)
     return worst
 
 
@@ -890,11 +892,97 @@ class TestVerifyWitnessStrongestRows:
                     checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("workload", ["ladder", "verdicts"])
+    def test_row_sums_within_the_summation_bound(self, workload):
+        """Each row's einsum sum is within ``gamma_{N-1} * sum |x|`` of the
+        exact sum of its members (``math.fsum``), with ``gamma_n = n u / (1 -
+        n u)`` and ``u = 2**-53``: the bound of any order of addition
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+        section 4.2)."""
+        rungs = LADDER if workload == "ladder" else VERDICTS
+        rng = np.random.default_rng(3)
+        checked = 0
+        for r, rung in enumerate(rungs[:2]):
+            for k in range(0, 4, 2):
+                _, cs = realize(parse_config(make_config(rung, 7, r, k)))
+                nu = (cs.space.size - 1) * 2.0 ** -53
+                gamma = nu / (1 - nu)
+                bits, _ = credal._reading(cs).unpacked
+                for probs in self.measures(cs, rng):
+                    sums = np.einsum("ij,j->i", bits, probs)
+                    for row, total in zip(bits, sums.tolist()):
+                        members = probs[row].tolist()
+                        exact = math.fsum(members)
+                        assert abs(total - exact) <= gamma * math.fsum(map(abs, members))
+                        checked += 1
+        assert checked > 0
+
+    def test_set_with_no_rows_reads_the_simplex_rows(self):
+        cs = lower_bound_constraints(TrajectorySpace(2, 2), [])
+        assert verify_witness(cs, np.full(4, 0.25)) == 0.0
+        assert verify_witness(cs, np.array([0.5, 0.5, 0.125, -0.125])) == 0.125
 
     def test_measure_of_another_length_is_refused(self):
         _, cs = realize(parse_config(make_config(LADDER[0], 7, 0, 0)))
         with pytest.raises(ValueError, match="length"):
             verify_witness(cs, np.full(cs.space.size // 2, 2.0 / cs.space.size))
+
+
+class TestVerifyWitnessNonFinite:
+    """A measure with a NaN or infinite entry violates the set by ``inf``,
+    so no path accepts it and ``feasibility`` moves on to the next one."""
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_reads_inf_and_is_refused(self, entry):
+        _, cs = realize(parse_config(make_config(LADDER[0], 7, 0, 0)))
+        probs = feasibility(cs).witness.probs.copy()
+        probs[1] = entry
+        assert verify_witness(cs, probs) == math.inf
+        assert credal._accepted(cs, probs, "chain") is None
+
+    def test_feasibility_moves_past_a_nan_witness(self, monkeypatch):
+        _, cs = realize(parse_config(make_config(LADDER[0], 7, 0, 0)))
+        size = cs.space.size
+        monkeypatch.setattr(credal, "_chain_witness", lambda _cs: np.full(size, math.nan))
+        cert = feasibility(cs)
+        assert cert.feasible and cert.path != "chain"
+        assert verify_witness(cs, cert.witness.probs) <= 1e-9
+
+
+class TestReadingMemory:
+    def test_first_feasibility_on_a_chain_set(self):
+        """A first ``feasibility`` on the N = 2,048 random chain set (k = 36
+        strongest rows) allocates at most 3 k N bytes at its peak, and its
+        reading holds no integer array.  The reading's strongest rows take k
+        N bytes, one bool per trajectory per row, and the check's einsum
+        casts them through a fixed buffer; with the witness this peaked at
+        about 2.2 k N (165 KB).  Rows held as int64 trajectory indices, 8
+        bytes per member, peaked at about 6 k N (444 KB)."""
+        _, cs = realize(parse_config(
+            make_config(Rung(2, 11, "random", "born+qtr-min", "chain", 1), 7, 4, 0)))
+        tracemalloc.start()
+        try:
+            cert = feasibility(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reading = credal._reading(cs)
+        k = len(reading.strongest)
+        assert cert.feasible and (k, cs.space.size) == (36, 2048)
+        assert peak <= 3 * k * cs.space.size
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+
+        held = list(arrays([v for name, v in vars(reading).items() if name != "cs"]))
+        assert held and not [a.dtype for a in held if np.issubdtype(a.dtype, np.integer)]
 
 
 class TestImprecisionAxioms:

@@ -1188,9 +1188,10 @@ def trajectory_indices(source):
 class TestNoTrajectoryIndex:
     """``credal.py`` builds no index over the trajectories: it reads the
     encoding from the space's atoms (``TrajectorySpace.atom``) and the live
-    columns from an event, so the space stays the encoding's one owner.  An
-    index over rows, such as the row offsets of ``_Reading.kept``, is not
-    one."""
+    columns from an event, so the space stays the encoding's one owner.  Its
+    strongest rows are held as bool rows over the trajectories
+    (``_Reading.unpacked``), not as index lists, and an index over rows is
+    not one."""
 
     def test_credal_source_builds_no_index(self):
         assert trajectory_indices(Path(credal.__file__).read_text()) == []
