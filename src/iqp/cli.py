@@ -76,8 +76,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Write ``text`` to ``path``, making its directory only when it is missing."""
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "w", encoding="utf-8", newline="")
+    with handle:
         handle.write(text)
 
 
@@ -85,12 +90,15 @@ def _fmt6(x: float) -> str:
     return f"{0.0 if abs(x) < 5e-10 else x:.6f}"
 
 
-def _load(args: argparse.Namespace,
-          report: RunReport) -> tuple[ScenarioConfig, QuantumSystem, TrajectorySpace]:
-    """Parse the config and take the system its validation built, timed as ``load``."""
+def _load(args: argparse.Namespace, report: RunReport,
+          digest: bool = False) -> tuple[ScenarioConfig, QuantumSystem, TrajectorySpace]:
+    """Parse the config and take the system its validation built, timed as
+    ``load``; the config's digest is computed for a run report, or when the
+    command prints it (``digest``)."""
     start = time.perf_counter()
     cfg = load_config(args.config)
-    report.config_hash = config_hash(cfg)
+    if digest or args.report:
+        report.config_hash = config_hash(cfg)
     system = build_system(cfg)
     space = TrajectorySpace.for_system(system)
     report.timings["load"] = time.perf_counter() - start
@@ -121,7 +129,7 @@ def _cmd_scenario(args: argparse.Namespace, report: RunReport) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, report: RunReport) -> int:
-    _, system, space = _load(args, report)
+    _, system, space = _load(args, report, digest=True)
     print(f"config {report.config_hash[:12]}  m={system.m}  n={system.n}  "
           f"trajectories={space.size}")
     print("time  state amplitudes" + " " * max(0, 22 * system.m - 18) + "singleton weights")
@@ -192,7 +200,9 @@ def _cmd_bounds(args: argparse.Namespace, report: RunReport) -> int:
     exprs = args.event if args.event else list(cfg.events)
     if not exprs:
         raise ValueError("no events: give --event or declare queries.events")
-    events = [parse_event(expr, space) for expr in exprs]
+    # an --event is parsed here; the config's events were parsed by its validation
+    events = [parse_event(expr, space) if args.event else cfg.event(expr, space)
+              for expr in exprs]
 
     start = time.perf_counter()
     results = [lower_upper(cs, a) for a in events]

@@ -287,35 +287,34 @@ def _demand_deductions(con: LinearConstraint, i: int, j: int, bounds: dict[int, 
                 yield _deduction(i, pin.upper), event - con.event
 
 
-def _pinned(cs: ConstraintSet, kept: dict[bytes, int]) -> _Pinned:
-    """The presolve's pins, from ``kept``, the strongest row per event
-    (``_Reading.strongest``), and the first deduction of a demand (a row
-    without origin), in row order, that proves the set empty.
+def _pinned(cs: ConstraintSet, paired: dict[int, int]) -> _Pinned:
+    """The presolve's pins, from ``paired``, the strongest row per event
+    paired with the strongest row on its complement (``_Reading.paired``),
+    and the first deduction of a demand (a row without origin), in row
+    order, that proves the set empty.
 
     A kept pair ``P(A) >= l``, ``P(A^c) >= l'`` with ``l + l'`` within
     ``VACUOUS_RHS`` of 1 becomes the one row ``P(A) = l``, owned by
     whichever event comes first: with normalization the pair pins ``P(A)``
     to ``l`` up to that dust.  Pairs further from 1 stay two '>=' rows, so
     an over-pinned set stays infeasible and a band stays a band.  Events are
-    matched on their packed bits: ``kept`` is keyed by ``Event.key`` and a
-    pin's complement is looked up by ``Event.complement_key``.
+    matched on their packed bits (``Event.key``).
 
     Each demand's deductions (``_demand_deductions``) are tested until one
     has an exact right side of at least ``FARKAS_MARGIN``; no array is built.
     """
-    bounds = {i: float(cs.constraints[i].rhs) for i in kept.values()}
+    bounds = {i: float(cs.constraints[i].rhs) for i in paired}
     owners: list[int] = []
     partners: list[int] = []
     pins: dict[bytes, tuple[_Pin, Event]] = {}
-    for key, i in kept.items():
-        if key in pins:  # the complement's row already pins this event
-            continue
+    for i, j in paired.items():
         event = cs.constraints[i].event
-        complement = event.complement_key
-        j = kept.get(complement, -1)
+        if event.key in pins:  # the complement's row already pins this event
+            continue
         if j >= 0 and abs(bounds[i] + bounds[j] - 1.0) <= VACUOUS_RHS:
             pin, co_pin = _pins(i, bounds[i])
-            pins[key], pins[complement] = (pin, event), (co_pin, cs.constraints[j].event)
+            co_event = cs.constraints[j].event
+            pins[event.key], pins[co_event.key] = (pin, event), (co_pin, co_event)
         else:
             j = -1
         owners.append(i)
@@ -717,9 +716,27 @@ class _Reading:
         return bits, np.array([con.rhs for con in kept])
 
     @functools.cached_property
+    def paired(self) -> dict[int, int]:
+        """Per row of ``strongest``, in its order, the row of ``strongest``
+        on the complement event, or -1, for the presolve's pins
+        (``_pinned``) and Huber's lower bound (``_huber_lower``).  A
+        complement's key (``Event.complement_key``) is computed once per set
+        and pair: a row found as another's complement is paired back."""
+        strongest, constraints = self.strongest, self.cs.constraints
+        paired: dict[int, int] = {}
+        later: dict[int, int] = {}  # a row found as an earlier row's complement -> that row
+        for i in strongest.values():
+            j = later.pop(i, None)
+            if j is None:
+                j = strongest.get(constraints[i].event.complement_key, -1)
+                later[j] = i
+            paired[i] = j
+        return paired
+
+    @functools.cached_property
     def pinned(self) -> _Pinned:
         """The presolve's pins and a demand's refutation (``_pinned``)."""
-        return _pinned(self.cs, self.strongest)
+        return _pinned(self.cs, self.paired)
 
     @functools.cached_property
     def support(self) -> _Support:
@@ -1427,14 +1444,17 @@ def huber_check(cs: ConstraintSet) -> float:
     (``_huber_lower``).  When L lies between 1 - ``VACUOUS_RHS`` and that
     upper bound and the witness verifies, the value is L.  Every other set,
     each empty one among them, gets Huber's LP (``_huber_lp``); an L above
-    the upper bound rules the witness out, so it is not looked for.  A row
-    on the empty event with a positive bound is refused either way.
+    the upper bound rules the witness out, so it is not looked for.  An L
+    of ``+inf`` (``l + l'`` past the float range) is the value, with no LP.
+    A row on the empty event with a positive bound is refused either way.
     """
     kept = [cs.constraints[i] for i in _reading(cs).strongest.values()]
     for con in kept:  # the largest bound on the empty event, if it has rows
         if con.event.is_empty and con.rhs > 0:
             raise ValueError(f"malformed row: empty event with positive bound {con.rhs!r}")
     lower = _huber_lower(cs)
+    if lower == math.inf:  # H is at least l + l', so it rounds to +inf as well
+        return math.inf
     upper = 1.0 + (len(kept) + 1) * CERTIFICATE_TOL  # a larger L rules out every witness
     if 1.0 - VACUOUS_RHS <= lower <= upper and _reading(cs).witness is not None:
         return lower
@@ -1444,26 +1464,28 @@ def huber_check(cs: ConstraintSet) -> float:
 def _huber_lower(cs: ConstraintSet) -> float:
     """A lower bound on Huber's value from the strongest rows
     (``_Reading.strongest``): the largest ``l``, or ``l + l'`` of a row and
-    the row on its complement (``Event.complement_key``), summed by
-    ``math.fsum``, the first on ties; ``-inf`` on a set without rows.
+    the row on its complement (``_Reading.paired``), the first on ties;
+    ``-inf`` on a set without rows.  The sum of two floats is correctly
+    rounded, as ``math.fsum`` would return it, and ``+inf`` where that
+    would overflow.
 
     A multiplier of 1 on one row, or on a row and its complement, is dual
     feasible for Huber's LP, since the indicators sum to at most 1 on every
-    trajectory.  ``_combination`` checks that sum on every trajectory for
-    the chosen rows, and the bound is ``-inf`` when it exceeds 1.
+    trajectory.  That sum is checked on every trajectory for the chosen
+    rows, and the bound is ``-inf`` when it exceeds 1.
     """
-    strongest = _reading(cs).strongest
     best, chosen = -math.inf, ()
-    for i in strongest.values():
-        j = strongest.get(cs.constraints[i].event.complement_key)
-        for rows in ((i,),) if j is None else ((i,), (i, j)):
-            value = math.fsum(cs.constraints[r].rhs for r in rows)
+    for i, j in _reading(cs).paired.items():
+        low = float(cs.constraints[i].rhs)
+        options = [((i,), low)]
+        if j >= 0:
+            options.append(((i, j), low + float(cs.constraints[j].rhs)))
+        for rows, value in options:
             if value > best:
                 best, chosen = value, rows
     if chosen:
-        picked = ConstraintSet(cs.space, [cs.constraints[r] for r in chosen])
-        combo, _ = _combination(picked, np.ones(len(chosen)), 0.0)
-        if not combo.max() <= 1.0:
+        rows = membership_rows([cs.constraints[r].event for r in chosen], cs.space.size)
+        if not rows.sum(axis=0).max() <= 1:
             return -math.inf
     return best
 

@@ -80,22 +80,33 @@ class TrajectorySpace:
             raise ValueError(f"time index {t} out of range 0..{self.n - 1}")
         return (np.arange(self.size) // self.m ** (self.n - 1 - t)) % self.m
 
-    def atom_bits(self, t: int, mask: int) -> np.ndarray:
-        """Membership of every trajectory in ``{w : w(t) in mask}``, built afresh.
+    def atom_word(self, t: int, mask: int) -> int:
+        """The packed key of ``{w : w(t) in mask}`` as a big-endian integer
+        (``Event.key``), built afresh from integers, with no N-long array.
 
         With time 0 the most significant digit, the label at time ``t`` runs
         through ``0..m-1`` in blocks of ``m**(n-1-t)`` trajectories, and that
         run repeats for each of the ``m**t`` labellings of the earlier times:
-        the region's 0/1 pattern over the labels, each entry repeated for its
-        block, then the whole run repeated.
+        one period holds a block of ones per label in the mask, and the word
+        doubles (``word |= word << length``) until it covers all N
+        trajectories.  Its low N bits, whole periods since the period divides
+        N, are then shifted past the padding.  Doubling costs time linear in
+        N; a repunit product's long division would be quadratic.
         """
         if not 0 <= t < self.n:
             raise ValueError(f"time index {t} out of range 0..{self.n - 1}")
         if not 0 <= mask < 1 << self.m:
             raise ValueError(f"bitmask {mask:#x} out of range for m={self.m}")
-        member = np.array([bool(mask >> x & 1) for x in range(self.m)])
-        run = member.repeat(self.m ** (self.n - 1 - t))
-        return run.reshape(1, -1).repeat(self.m**t, axis=0).flatten()  # owns its bits
+        size, block = self.size, self.m ** (self.n - 1 - t)
+        ones = (1 << block) - 1
+        word = 0
+        for x in range(self.m):
+            word = word << block | (ones if mask >> x & 1 else 0)
+        length = self.m * block
+        while length < size:
+            word |= word << length
+            length *= 2
+        return (word << -size % 8) & _every(size)
 
     def atom(self, t: int, mask: int) -> Event:
         """The atom event of the labels in bitmask ``mask`` at time ``t``.
@@ -104,8 +115,8 @@ class TrajectorySpace:
         every caller can hold the same one.
         """
         event = self._atoms.get((t, mask))
-        if event is None:  # atom_bits checks the key, so a bad one is never kept
-            event = self._atoms[t, mask] = Event(self.atom_bits(t, mask))
+        if event is None:  # atom_word checks the key, so a bad one is never kept
+            event = self._atoms[t, mask] = Event.of_word(self.atom_word(t, mask), self.size)
         return event
 
     def index_of(self, trajectory: tuple[int, ...]) -> int:
@@ -168,9 +179,17 @@ class Event:
         bits.setflags(write=False)
         return bits
 
+    @classmethod
+    def of_word(cls, word: int, size: int) -> "Event":
+        """The event over ``size`` trajectories whose key, read as a
+        big-endian integer, is ``word`` (its padding bits zero)."""
+        event = object.__new__(cls)
+        object.__setattr__(event, "key", word.to_bytes(-(-size // 8), "big"))
+        object.__setattr__(event, "_size", size)
+        return event
+
     def _of_word(self, word: int) -> "Event":
-        """The event over the same trajectories whose key, read as a
-        big-endian integer, is ``word``."""
+        """``Event.of_word(word, len(self))``, inlined for the set operations."""
         event = object.__new__(Event)
         object.__setattr__(event, "key", word.to_bytes(len(self.key), "big"))
         object.__setattr__(event, "_size", self._size)
@@ -205,8 +224,12 @@ class Event:
 
     @property
     def complement_key(self) -> bytes:
-        """The key of ``~self``, without building that event."""
-        return (int.from_bytes(self.key, "big") ^ _every(self._size)).to_bytes(len(self.key), "big")
+        """The key of ``~self``, without building that event: every byte
+        flipped by one table lookup, then the last byte's padding bits
+        cleared."""
+        flipped = self.key.translate(_FLIP)
+        pad = -self._size % 8
+        return flipped[:-1] + bytes((flipped[-1] & (0xFF << pad),)) if pad else flipped
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
@@ -225,11 +248,14 @@ class Event:
 
     @classmethod
     def none(cls, space: TrajectorySpace) -> "Event":
-        return cls(np.zeros(space.size, dtype=bool))
+        return cls.of_word(0, space.size)
 
     @classmethod
     def all(cls, space: TrajectorySpace) -> "Event":
-        return cls(np.ones(space.size, dtype=bool))
+        return cls.of_word(_every(space.size), space.size)
+
+
+_FLIP = bytes(range(255, -1, -1))  # byte -> its complement
 
 
 @functools.cache

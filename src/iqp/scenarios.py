@@ -29,7 +29,8 @@ from .credal import (
     qtr_constraints,
     qtr_variant_constraints,
 )
-from .events import TrajectorySpace, parse_event, parse_expr
+from .events import Event, EventExpr, TrajectorySpace, evaluate_expr, parse_expr
+from .events import parse_event  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .system import (
     DEFAULT_TAU_NORM,
     QuantumSystem,
@@ -107,6 +108,21 @@ class ScenarioConfig:
         a copy made with ``dataclasses.replace`` builds its own."""
         steps = [_step_matrix(step, self.m) for step in self.steps]
         return QuantumSystem(self.labels, steps, np.array(self.psi0, dtype=complex))
+
+    @functools.cached_property
+    def trees(self) -> dict[str, EventExpr]:
+        """The syntax tree of each event expression, ``events`` and the
+        demands' (``extra_lower_bounds``), by its text: parsed on first use
+        and kept, like ``system``; ``parse_config`` keeps the trees its
+        validation parsed."""
+        space = TrajectorySpace(self.m, self.n)
+        exprs = [*self.events, *(expr for expr, _ in self.extra_lower_bounds)]
+        return {expr: parse_expr(expr, space) for expr in exprs}
+
+    def event(self, expr: str, space: TrajectorySpace) -> Event:
+        """The event on ``space`` of the config expression ``expr``,
+        evaluated from its kept tree (``trees``), with no parse."""
+        return evaluate_expr(self.trees[expr], space)
 
 
 # --- parsing / validation ---------------------------------------------------
@@ -380,8 +396,9 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     # deep validation: the trajectory space (under the cap) and the system must
     # construct, and all expressions parse; the space goes first, so an over-cap
     # config never allocates its n propagators of m x m; the config keeps the
-    # system, so build_system never builds it twice; parse_expr checks syntax and
-    # ranges without building any atom on this validation-only space
+    # system, so build_system never builds it twice, and the syntax trees, so no
+    # expression is parsed twice; parse_expr checks syntax and ranges without
+    # building any atom on this validation-only space
     try:
         space = TrajectorySpace(cfg.m, cfg.n)
         build_system(cfg)
@@ -390,9 +407,10 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     exprs = [(f"{source}.queries.events[{i}]", expr) for i, expr in enumerate(cfg.events)]
     exprs += [(f"{source}.rules.extra_lower_bounds[{i}].event", expr)
               for i, (expr, _) in enumerate(cfg.extra_lower_bounds)]
+    trees = {}
     for expr_path, expr in exprs:
         try:
-            parse_expr(expr, space)
+            trees[expr] = parse_expr(expr, space)
         except ValueError as exc:
             r.fail(expr_path, str(exc))
     if cfg.max_region_size > cfg.m:
@@ -400,6 +418,7 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
                f"{cfg.max_region_size} exceeds label count {cfg.m}")
     if r.errors:
         raise ConfigError(r.errors)
+    vars(cfg)["trees"] = trees  # the cached property's value, as its first use would store it
     return cfg
 
 
@@ -551,10 +570,7 @@ def build_constraints(
             parts.append(qtr_variant_constraints(system, space, pairs, variant,
                                                  value, cfg.tau_norm))
     if cfg.extra_lower_bounds:
-        demands = [
-            (parse_event(expr, space), bound, expr)
-            for expr, bound in cfg.extra_lower_bounds
-        ]
+        demands = [(cfg.event(expr, space), bound, expr) for expr, bound in cfg.extra_lower_bounds]
         parts.append(lower_bound_constraints(space, demands))
     return merge_constraint_sets(parts)
 

@@ -7,8 +7,9 @@ process: the random chain (m=2 n=16, ``born+qtr-min``), the random all-pairs
 set (m=2 n=16, ``born+qtr-min``) and the DFT all-pairs set (m=4 n=8,
 ``born+qtr``), each with two cross-time events.  Per set it prints the
 resident set size after the build, the peak resident set size after
-``feasibility`` and both events' bounds, the seconds of ``feasibility`` and
-of the bounds, and every bound.  A fresh process per set keeps one set's
+``feasibility`` and both events' bounds, the seconds of the build (config
+validation, system, atoms and rows), of ``feasibility`` and of the bounds,
+and every bound.  A fresh process per set keeps one set's
 peak out of the next one's.
 """
 
@@ -47,10 +48,13 @@ def probe(name: str) -> None:
     from iqp import credal, events, scenarios
 
     m, n, kind, ruleset, pairs = CAP_SETS[name]
-    cfg = scenarios.parse_config(make_config(Rung(m, n, kind, ruleset, pairs, 1, E=2), 401, 7, 0))
+    doc = make_config(Rung(m, n, kind, ruleset, pairs, 1, E=2), 401, 7, 0)
+    start = time.perf_counter()
+    cfg = scenarios.parse_config(doc)
     system = scenarios.build_system(cfg)
     space = events.TrajectorySpace.for_system(system)
     cs = scenarios.build_constraints(cfg, system, space)
+    build_s = time.perf_counter() - start
     built = _rss_mb()
     start = time.perf_counter()
     verdict = credal.feasibility(cs)
@@ -60,7 +64,7 @@ def probe(name: str) -> None:
     bounds_s = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{name}: {len(cs)} rows, feasible {verdict.feasible}")
-    print(f"  rss after build {built:.1f} MB, peak rss {peak:.1f} MB")
+    print(f"  build {build_s:.3f} s, rss after build {built:.1f} MB, peak rss {peak:.1f} MB")
     print(f"  feasibility {feasibility_s:.3f} s, bounds {bounds_s:.3f} s")
     for text, b in zip(cfg.events, bounds):
         print(f"  {text}: {b.status} [{b.lower!r}, {b.upper!r}] ({b.path})")

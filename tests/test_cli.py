@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import iqp
-from iqp import credal, typicality
+from iqp import cli, credal, events, typicality
 from iqp.cli import build_parser, main
 from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
 from iqp.system import QuantumSystem
@@ -523,3 +523,78 @@ class TestDeterminism:
         assert outs[0].keys() == outs[1].keys()
         for name in outs[0]:
             assert outs[0][name] == outs[1][name], name
+
+
+class TestFixedWork:
+    """Work each invocation does before its query: one parse per config
+    expression, the config's digest only where something reads it, and no
+    directory made for an output that can be opened."""
+
+    def test_each_config_expression_parsed_once(self, scenario_file, tmp_path, count_calls):
+        # adversarial-demo holds three expressions: one query event and two
+        # demands; validation parses each, and the build and the bounds
+        # evaluate the kept trees
+        config = scenario_file("adversarial-demo")
+        cfg = BUILTIN_SCENARIOS["adversarial-demo"]()
+        parses = count_calls(events._Parser, "parse")
+        assert main(["bounds", "--config", config, "--outdir", str(tmp_path / "out")]) == 2
+        assert len(parses) == len(cfg.events) + len(cfg.extra_lower_bounds) == 3
+
+    def test_event_arguments_still_parse(self, scenario_file, tmp_path, count_calls, capsys):
+        config = scenario_file("spreading-packet")
+        capsys.readouterr()
+        parses = count_calls(events._Parser, "parse")
+        assert main(["bounds", "--config", config, "--outdir", str(tmp_path / "out"),
+                     "--event", "(t=0,{0}) & (t=1,{0})", "--event", "(t=1,{1})"]) == 0
+        assert len(parses) == 1 + 2  # the config's one event, then both arguments
+        assert capsys.readouterr().out.splitlines() == [
+            "0.000000, 0.500000", "0.500000, 0.500000"]
+
+    @pytest.mark.parametrize("command", ["feasibility", "bounds", "typicality", "branch"])
+    def test_digest_only_for_a_report(self, scenario_file, tmp_path, count_calls, command):
+        config = scenario_file("beam-splitter")
+        digests = count_calls(cli, "config_hash")
+        main([command, "--config", config, "--outdir", str(tmp_path / "out")])
+        assert digests == []
+        report_path = tmp_path / "report.json"
+        main([command, "--config", config, "--outdir", str(tmp_path / "out"),
+              "--report", str(report_path)])
+        assert len(digests) == 1
+        cfg = BUILTIN_SCENARIOS["beam-splitter"]()
+        assert json.loads(report_path.read_text())["config_hash"] == config_hash(cfg)
+
+    def test_simulate_prints_the_digest(self, scenario_file, count_calls, capsys):
+        config = scenario_file("beam-splitter")
+        capsys.readouterr()
+        digests = count_calls(cli, "config_hash")
+        assert main(["simulate", "--config", config]) == 0
+        assert len(digests) == 1
+        digest = config_hash(BUILTIN_SCENARIOS["beam-splitter"]())
+        assert capsys.readouterr().out.startswith(f"config {digest[:12]}  m=2")
+
+    def test_existing_outdir_makes_no_directory(self, scenario_file, tmp_path, count_calls):
+        config = scenario_file("beam-splitter")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        made = count_calls(Path, "mkdir")
+        assert main(["feasibility", "--config", config, "--outdir", str(outdir),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert made == []
+        assert sorted(p.name for p in outdir.iterdir()) == ["certificate.csv", "constraints.csv"]
+
+    def test_missing_nested_outdir_is_made(self, scenario_file, tmp_path):
+        outdir = tmp_path / "a" / "b" / "c"
+        report_path = tmp_path / "r" / "s" / "report.json"
+        assert main(["bounds", "--config", scenario_file("spreading-packet"),
+                     "--outdir", str(outdir), "--report", str(report_path)]) == 0
+        assert (outdir / "bounds.csv").is_file()
+        assert json.loads(report_path.read_text())["exit_code"] == 0
+
+    def test_outdir_that_is_a_file_is_one(self, scenario_file, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        code = main(["feasibility", "--config", scenario_file("beam-splitter"),
+                     "--outdir", str(outdir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: ") and "Traceback" not in err

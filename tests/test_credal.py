@@ -652,6 +652,20 @@ class TestHuberCheck:
         with pytest.raises(ValueError, match="malformed"):
             huber_check(cs)
 
+    def test_bound_near_the_float_limit(self, count_calls):
+        """One row with bound 1e308 reads 1e308 from the LP; that row and the
+        one on its complement add to +inf, which is Huber's value too, and
+        it is returned without an LP (whose phase 1 fails on that set)."""
+        space = TrajectorySpace(2, 2)
+        a = sset_event(space, sset(0, [0]))
+        one = ConstraintSet(space, (LinearConstraint(a, 1e308, "demand", "a"),))
+        both = ConstraintSet(space, (LinearConstraint(a, 1e308, "demand", "a"),
+                                     LinearConstraint(~a, 1e308, "demand", "!a")))
+        assert huber_check(one) == 1e308
+        calls = count_calls(lp, "solve_lp")
+        assert huber_check(both) == math.inf
+        assert calls == []
+
     @staticmethod
     def primal_highs(cs):
         """The tall form: max sum_i a_i rhs_i s.t. sum_i a_i 1_i(w) <= 1 for every w."""

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import cardinality, random_event, realize, sset
 from iqp.cli import main
 from iqp.events import (
+    CAP_ENV_VAR,
     MAX_EXPR_DEPTH,
     And,
     Atom,
@@ -88,7 +90,7 @@ class TestAtomCache:
     """Each atom event is built once per space and kept on it."""
 
     def test_each_key_built_once(self, count_calls):
-        built = count_calls(TrajectorySpace, "atom_bits")
+        built = count_calls(TrajectorySpace, "atom_word")
         space = TrajectorySpace(3, 3)
         ssets = [SSet(t, Region(mask, 3)) for t in range(3) for mask in range(8)]
         first = [sset_event(space, s) for s in ssets]
@@ -106,7 +108,7 @@ class TestAtomCache:
                 sset_event(space22, SSet(t, Region(0b1, 2)))
 
     def test_spaces_do_not_share(self, space22, count_calls):
-        built = count_calls(TrajectorySpace, "atom_bits")
+        built = count_calls(TrajectorySpace, "atom_word")
         twin = TrajectorySpace(2, 2)
         longer = TrajectorySpace(2, 3)
         s = sset(0, [0])
@@ -125,6 +127,70 @@ class TestAtomCache:
         combined = (~event | event) & sset_event(space22, sset(0, [1]))
         assert cardinality(combined) == 2
         assert sset_event(space22, sset(1, [0])).bits.tobytes() == before
+
+
+def atom_bits(space: TrajectorySpace, t: int, mask: int) -> np.ndarray:
+    """The oracle: membership of every trajectory in ``{w : w(t) in mask}``
+    as a bool array, the region's 0/1 label pattern with each entry repeated
+    for its block of ``m**(n-1-t)`` trajectories, the run repeated ``m**t``
+    times."""
+    member = np.array([bool(mask >> x & 1) for x in range(space.m)])
+    run = member.repeat(space.m ** (space.n - 1 - t))
+    return run.reshape(1, -1).repeat(space.m**t, axis=0).flatten()
+
+
+class TestAtomWord:
+    """Atoms are built from integer words and equal the bool construction."""
+
+    def test_every_small_atom(self):
+        checked = 0
+        for m in range(1, 9):
+            for n in range(1, 13):
+                if m**n > 4096:
+                    break
+                space = TrajectorySpace(m, n)
+                for t in range(n):
+                    for mask in range(1 << m):
+                        atom, oracle = space.atom(t, mask), Event(atom_bits(space, t, mask))
+                        assert (atom.key, len(atom)) == (oracle.key, len(oracle)), (m, n, t, mask)
+                        checked += 1
+        assert checked == 5988
+
+    @pytest.mark.parametrize("m, n", [(2, 16), (4, 8), (10, 5)])
+    def test_large_atoms(self, m, n, monkeypatch):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        space = TrajectorySpace(m, n)
+        for t in (0, n // 2, n - 1):
+            for mask in (1, 2**m - 2):
+                atom, oracle = space.atom(t, mask), Event(atom_bits(space, t, mask))
+                assert (atom.key, len(atom)) == (oracle.key, len(oracle)), (t, mask)
+
+    def test_no_array_per_trajectory(self, monkeypatch):
+        """At N = 100,000 an atom's build peaks under one byte per
+        trajectory: its key is N / 8 bytes, a bool array would be N."""
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        space = TrajectorySpace(10, 5)
+        for t, mask in ((0, 1), (2, 0b1010101010), (4, 2**10 - 2)):
+            tracemalloc.start()
+            try:
+                space.atom(t, mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < space.size, (t, mask, peak)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 2), (2, 3), (5, 3)])
+    def test_none_and_all(self, m, n):
+        space = TrajectorySpace(m, n)
+        assert Event.none(space).key == Event(np.zeros(space.size, dtype=bool)).key
+        assert Event.all(space).key == Event(np.ones(space.size, dtype=bool)).key
+        assert len(Event.none(space)) == len(Event.all(space)) == space.size
+
+    def test_bad_keys_refused(self, space22):
+        with pytest.raises(ValueError, match="time index 2 out of range"):
+            space22.atom_word(2, 1)
+        with pytest.raises(ValueError, match="bitmask 0x4 out of range"):
+            space22.atom_word(0, 4)
 
 
 class TestCombine:

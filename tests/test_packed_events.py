@@ -48,6 +48,14 @@ def test_laws_hold_with_padding(a):
     assert cardinality(~a) == 9 - cardinality(a)
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 2048])
+def test_complement_key_is_the_complement_of_the_bits(size):
+    """Each byte flipped and the padding bits cleared, at every padding width."""
+    rng = np.random.default_rng(size)
+    for bits in (np.zeros(size, bool), np.ones(size, bool), rng.random(size) < 0.5):
+        assert Event(bits).complement_key == Event(~bits).key
+
+
 def test_operators_match_the_bits():
     found = nine_events()
     for a in found:

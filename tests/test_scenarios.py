@@ -8,7 +8,7 @@ import pytest
 from conftest import seeded_config, sset
 from iqp.credal import feasibility, lower_upper
 from iqp import events
-from iqp.events import TrajectorySpace, parse_event
+from iqp.events import TrajectorySpace, parse_event, parse_expr
 from iqp.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -482,3 +482,47 @@ class TestKeptSystem:
             parse_config(data)
         assert exc.value.errors == ["config.system: trajectory count m^n = 8 exceeds cap 7"]
         assert built == []
+
+
+class TestKeptTrees:
+    """Every config expression is parsed once, by validation or on first
+    use, and the build evaluates the kept tree."""
+
+    def test_build_parses_no_expression(self, count_calls):
+        cfg = parse_config(config_to_dict(build_adversarial_demo()))
+        parses = count_calls(events._Parser, "parse")
+        space = TrajectorySpace.for_system(cfg.system)
+        cs = build_constraints(cfg, cfg.system, space)
+        assert parses == []
+        demands = [con for con in cs.constraints if con.tag == "demand"]
+        assert [con.event for con in demands] == [
+            parse_event(expr, space) for expr, _ in cfg.extra_lower_bounds]
+        assert cfg.event(cfg.events[0], space) == parse_event(cfg.events[0], space)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_kept_trees_are_not_content(self, name):
+        direct = BUILTIN_SCENARIOS[name]()
+        parsed = parse_config(config_to_dict(direct))
+        before = (config_to_dict(direct), config_hash(direct), hash(direct))
+        assert parsed.trees == direct.trees  # parsed by validation, and on first use
+        assert parsed == direct
+        assert (config_to_dict(direct), config_hash(direct), hash(direct)) == before
+        assert (config_to_dict(parsed), config_hash(parsed), hash(parsed)) == before
+
+    def test_direct_configs_parse_on_first_use(self, count_calls):
+        cfg = build_adversarial_demo()
+        parses = count_calls(events._Parser, "parse")
+        space = TrajectorySpace(cfg.m, cfg.n)
+        assert cfg.trees == {expr: parse_expr(expr, space)
+                             for expr in ("(t=1,{0})", "!(t=1,{0})")}
+        assert len(parses) == 3 + 2  # three expressions, then the two above
+        assert cfg.trees is cfg.trees
+        moved = dataclasses.replace(cfg, events=("(t=0,{1}) | (t=1,{1})",))
+        assert set(moved.trees) == {"(t=0,{1}) | (t=1,{1})", "(t=1,{0})", "!(t=1,{0})"}
+        assert moved.event(moved.events[0], space) == parse_event(moved.events[0], space)
+
+    def test_bad_expression_on_a_direct_config(self):
+        cfg = dataclasses.replace(build_beam_splitter(), events=("(t=9,{0})",))
+        space = TrajectorySpace(cfg.m, cfg.n)
+        with pytest.raises(ValueError, match="time index 9 out of range"):
+            cfg.event(cfg.events[0], space)
