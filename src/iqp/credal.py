@@ -33,7 +33,8 @@ of an event on two times come from a forward pass over the times between
 them, one closed-form interval per step, with an attaining measure for each
 bound; every other bound is an LP.  One routine, ``_window_measures``, glues
 every measure of the chain path from the couplings' kernels, the verdict's
-witness being the one with an empty window.  A set whose forcing rows leave
+witness being the one with an empty window, and the Born product
+(``born_product_witness``) is its product case.  A set whose forcing rows leave
 a live support fixed by the labels of two consecutive times, as
 non-overlapping packets do, gets the product of those times' marginals as its
 witness, with no phase 1.
@@ -684,14 +685,6 @@ class FeasibilityCertificate:
         return self.witness is not None
 
 
-class _Witness(NamedTuple):
-    """A measure of a set that ``verify_witness`` accepts, and the path that
-    found it (``FeasibilityCertificate.path``)."""
-
-    probs: np.ndarray
-    path: str  # "chain" | "support" | "lp"
-
-
 class _Reading:
     """Everything the queries read of one constraint set, each part computed
     on first use; the set is frozen, so no part goes stale."""
@@ -759,9 +752,9 @@ class _Reading:
         return _chain_couplings(self.cs)
 
     @functools.cached_property
-    def witness(self) -> _Witness | None:
-        """The set's one verified witness (``_witness``), which
-        ``feasibility`` and ``huber_check`` read."""
+    def witness(self) -> FeasibilityCertificate | None:
+        """The certificate of the set's one verified witness (``_witness``),
+        which ``feasibility`` returns and ``huber_check`` tests for ``None``."""
         return _witness(self.cs)
 
 
@@ -1110,21 +1103,22 @@ def _start_witness(cs: ConstraintSet) -> np.ndarray | None:
     return probs
 
 
-def _accepted(cs: ConstraintSet, probs: np.ndarray | None, path: str) -> _Witness | None:
-    """``probs`` as the witness ``path`` found, when ``verify_witness``
-    accepts it."""
+def _accepted(cs: ConstraintSet, probs: np.ndarray | None,
+              path: str) -> FeasibilityCertificate | None:
+    """The feasibility certificate of ``probs`` with the ``path`` that found
+    it, when ``verify_witness`` accepts ``probs``; ``None`` otherwise."""
     if probs is None or verify_witness(cs, probs) > CERTIFICATE_TOL:
         return None
-    return _Witness(probs, path)
+    return FeasibilityCertificate(witness=TrajectoryMeasure(probs), path=path)
 
 
-def _witness(cs: ConstraintSet) -> _Witness | None:
-    """The first measure of ``cs`` that ``verify_witness`` accepts, of the
-    chain path's (``_chain_witness``), the product on the forced support
-    (``_support_witness``) and the basic point of the set's phase 1
-    (``_start_witness``), in that order, which is also the order of their
-    cost; ``None`` when none is accepted.  Only the last runs an LP
-    routine, phase 1.  A set that the presolve proves empty
+def _witness(cs: ConstraintSet) -> FeasibilityCertificate | None:
+    """The certificate (``_accepted``) of the first measure of ``cs`` that
+    ``verify_witness`` accepts, of the chain path's (``_chain_witness``),
+    the product on the forced support (``_support_witness``) and the basic
+    point of the set's phase 1 (``_start_witness``), in that order, which is
+    also the order of their cost; ``None`` when none is accepted.  Only the
+    last runs an LP routine, phase 1.  A set that the presolve proves empty
     (``Presolved.empty``) runs no phase 1 and has none, and one that a
     demand refutes (``_Reading.pinned``) builds no support stage either.
     The set's reading holds it (``_Reading.witness``).
@@ -1141,8 +1135,9 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     """Feasibility with a self-verified witness or Farkas certificate; its
     ``path`` says which of the steps below decided it.
 
-    The witness is the set's one verified witness (``_Reading.witness``,
-    found by ``_witness``), tried in this order:
+    A feasible set's answer is the certificate its reading holds
+    (``_Reading.witness``, built by ``_witness``), whose witness is the
+    first of these that verifies:
 
     1. a pinned chain set (``_pinned_chain``), whose pins are those the
        presolve finds, with non-negative coupling residuals: the Markov
@@ -1171,9 +1166,8 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
     check is a failure.
     """
     reading = _reading(cs)
-    found = reading.witness
-    if found is not None:
-        return FeasibilityCertificate(witness=TrajectoryMeasure(found.probs), path=found.path)
+    if reading.witness is not None:
+        return reading.witness
 
     pinned = reading.pinned
     empty = pinned.refuted or reading.support.empty
@@ -1419,13 +1413,17 @@ def lower_upper(cs: ConstraintSet, a: Event) -> BoundsResult:
 def born_product_witness(
     system: QuantumSystem, space: TrajectorySpace
 ) -> TrajectoryMeasure:
-    """Independent coupling of the per-time marginals; satisfies every Born pin."""
+    """Independent coupling of the per-time marginals; satisfies every Born pin.
+
+    It is the Markov chain of ``_window_measures`` with an empty window,
+    ``mu[t] = |psi_t|**2`` and every step's kernel row the next marginal:
+    ``mu[0][w0] * mu[1][w1] * ...``, multiplied left to right in time order.
+    """
     _check_space(system, space)
-    vec = np.array([1.0])
-    for t in range(system.n):
-        marginal = np.abs(system.evolve(t)) ** 2
-        vec = np.kron(vec, marginal)
-    return TrajectoryMeasure(vec)
+    n, m = system.n, system.m
+    mu = np.array([np.abs(system.evolve(t)) ** 2 for t in range(n)])
+    kernels = np.broadcast_to(mu[1:, None, :], (n - 1, m, m))
+    return TrajectoryMeasure(_window_measures(mu, kernels, 0, [], ()))
 
 
 def huber_check(cs: ConstraintSet) -> float:
@@ -1437,9 +1435,10 @@ def huber_check(cs: ConstraintSet) -> float:
     also the largest ``sum_i a_i * rhs_i`` over non-negative ``a`` with
     ``sum_i a_i * indicator_i(w) <= 1`` for every trajectory ``w``.
 
-    A feasible set needs no LP.  Its witness (``_Reading.witness``), a
-    measure of mass 1 within ``CERTIFICATE_TOL`` of each of its k strongest
-    rows, gives H <= 1 + (k + 1) * ``CERTIFICATE_TOL``, and a row or a
+    A feasible set needs no LP.  Its witness (the certificate
+    ``_Reading.witness``, not ``None``), a measure of mass 1 within
+    ``CERTIFICATE_TOL`` of each of its k strongest rows, gives
+    H <= 1 + (k + 1) * ``CERTIFICATE_TOL``, and a row or a
     complementary pair of rows with multiplier 1 gives H >= L
     (``_huber_lower``).  When L lies between 1 - ``VACUOUS_RHS`` and that
     upper bound and the witness verifies, the value is L.  Every other set,

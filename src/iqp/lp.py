@@ -218,15 +218,10 @@ class _Simplex:
         phase is unbounded.  After ``STALL_CAP`` consecutive degenerate pivots
         (step length at most ``PIVOT_TOL``) it enters the smallest negative
         column instead, which makes both halves Bland's rule, until a pivot
-        moves the vertex, so that no basis repeats and the phase ends.  The
-        window's rows are gathered only when the second-least ratio lies in it.
+        moves the vertex, so that no basis repeats and the phase ends.
         """
         basis = self.basis
-        n_rows = len(basis)
-        # per row max(b, 0) / a where a > PIVOT_TOL, inf elsewhere and in a
-        # last entry that is always there, so an empty basis has a minimum
-        ratios = np.full(n_rows + 1, np.inf)
-        rows_ratios = ratios[:n_rows]
+        ratios = np.empty(len(basis))  # per row max(b, 0) / a where a > PIVOT_TOL, else inf
         stalled = 0
         while True:
             costs = self.costs()
@@ -237,24 +232,15 @@ class _Simplex:
             if not costs[entering] < -PIVOT_TOL:
                 return OPTIMAL
             col_vals = self.column(entering)
-            eligible = col_vals > PIVOT_TOL
-            rows_ratios.fill(np.inf)
-            np.divide(self.values, col_vals, out=rows_ratios, where=eligible)
-            np.maximum(rows_ratios, 0.0, out=rows_ratios)
-            leaving = int(ratios.argmin())  # a NaN ratio's row, when there is one
-            best_ratio = float(ratios[leaving])
-            ratios[leaving] = np.inf
-            runner_up = float(ratios.min())
-            ratios[leaving] = best_ratio
-            if not runner_up > best_ratio + PIVOT_TOL:  # a tie, an inf or a NaN least
-                if best_ratio != best_ratio:  # argmin's NaN, which never leaves
-                    best_ratio = float(np.nanmin(ratios))
-                if best_ratio == np.inf:
-                    return UNBOUNDED
-                tied = np.flatnonzero(rows_ratios <= best_ratio + PIVOT_TOL)
-                leaving = int(tied[basis[tied].argmin()])
-                best_ratio = float(rows_ratios[leaving])
-            if best_ratio <= PIVOT_TOL:
+            ratios.fill(np.inf)
+            np.divide(self.values, col_vals, out=ratios, where=col_vals > PIVOT_TOL)
+            np.maximum(ratios, 0.0, out=ratios)
+            least = float(np.fmin.reduce(ratios, initial=np.inf))  # skips NaN ratios
+            if least == np.inf:
+                return UNBOUNDED
+            tied = np.flatnonzero(ratios <= least + PIVOT_TOL)
+            leaving = int(tied[basis[tied].argmin()])
+            if ratios[leaving] <= PIVOT_TOL:
                 self.degenerate += 1
                 stalled += 1
             else:
@@ -348,9 +334,9 @@ def feasible_start(rows: np.ndarray, rhs: np.ndarray, senses: list[str]) -> Feas
     """Phase 1 of the rows, as a start for any number of ``solve_lp`` calls.
 
     The start is read-only: every solve from it that must pivot works on its
-    own copy, so threads may share one start.  The start keeps its own
-    read-only copy of the kept rows in standard form, k x (n + s) floats
-    for k kept rows and s slack columns, and no view of ``rows``.
+    own copy.  The start keeps its own read-only copy of the kept rows in
+    standard form, k x (n + s) floats for k kept rows and s slack columns,
+    and no view of ``rows``.
     """
     start = _phase1(_as_rows(rows), np.ascontiguousarray(rhs, dtype=float), senses)
     for arr in (start.farkas_duals, start.inverse, start.rows):

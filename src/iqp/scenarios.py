@@ -158,6 +158,11 @@ INTEGER = Kind("integer", _is_integer)
 COUNT = Kind("integer >= 1", lambda x: _is_integer(x) and x >= 1)
 # each vertex sample is one LP, so a sample count is bounded
 SAMPLES = Kind("integer in [1, 1000]", lambda x: _is_integer(x) and 1 <= x <= 1000)
+# a pair rule's family is bounded too: each pair takes its event's packed bits
+# plus PAIR_BYTES (tracemalloc, 8-9 labels: about 220 B for the pair's ssets
+# and keys, 320 more when it emits a row), and PAIR_MEMORY caps the total
+PAIR_BYTES = 540
+PAIR_MEMORY = 1 << 30
 
 
 class _Reader:
@@ -416,6 +421,13 @@ def parse_config(data: object, source: str = "config") -> ScenarioConfig:
     if cfg.max_region_size > cfg.m:
         r.fail(f"{source}.rules.pairs.max_region_size",
                f"{cfg.max_region_size} exceeds label count {cfg.m}")
+    if set(cfg.ruleset) - {"born"}:  # a pair rule, which enumerates the family
+        count = count_pairs(cfg.m, cfg.n, cfg.max_region_size, cfg.time_pairs)
+        need = count * (-(-space.size // 8) + PAIR_BYTES)
+        if need > PAIR_MEMORY:
+            r.fail(f"{source}.rules.pairs",
+                   f"{count:,} region pairs would take about {need >> 20:,} MiB, "
+                   f"past the bound of {PAIR_MEMORY >> 20:,} MiB")
     if r.errors:
         raise ConfigError(r.errors)
     vars(cfg)["trees"] = trees  # the cached property's value, as its first use would store it
@@ -540,6 +552,16 @@ def enumerate_pairs(
         )
     at = {t: [SSet(t, r) for r in regions] for pair in time_pairs for t in pair}
     return [(s1, s2) for t1, t2 in time_pairs for s1 in at[t1] for s2 in at[t2]]
+
+
+def count_pairs(m: int, n: int, max_region_size: int,
+                time_pairs: tuple[tuple[int, int], ...] | None = None) -> int:
+    """``len(enumerate_pairs(...))`` over ``m`` labels and ``n`` times,
+    counted without building a pair: the regions of at most
+    ``max_region_size`` labels, squared, once per time pair."""
+    regions = sum(math.comb(m, size) for size in range(1, min(max_region_size, m) + 1))
+    times = n * (n - 1) // 2 if time_pairs is None else len(time_pairs)
+    return times * regions * regions
 
 
 def singleton_family(system: QuantumSystem) -> list[SSet]:

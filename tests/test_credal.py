@@ -66,7 +66,7 @@ from iqp.scenarios import (
     parse_config,
     singleton_family,
 )
-from iqp.system import QuantumSystem, Region, SSet, identity_matrix
+from iqp.system import QuantumSystem, Region, SSet, dft_matrix, identity_matrix
 from iqp.typicality import qtr_predicate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -583,7 +583,34 @@ class TestLowerUpper:
         assert res.lower is None and res.argmin is None
 
 
+def kron_product(system: QuantumSystem) -> np.ndarray:
+    """The oracle: the marginals ``|psi_t|**2`` multiplied in time order by
+    ``np.kron``, as ``born_product_witness`` once built its product."""
+    vec = np.array([1.0])
+    for t in range(system.n):
+        vec = np.kron(vec, np.abs(system.evolve(t)) ** 2)
+    return vec
+
+
 class TestProductWitness:
+    def test_bytes_equal_the_kron_product(self):
+        """The product is the chain expansion's with each kernel row the next
+        marginal, and its bytes are the ``np.kron`` loop's, one and two
+        labels and one time included."""
+        rng = np.random.default_rng(49)
+        checked = 0
+        for m in range(1, 6):
+            for n in range(1, 7):
+                for k in range(6):
+                    system = random_system(rng, m, n)
+                    if k == 0:  # a DFT system, whose marginals are often equal
+                        system = QuantumSystem(list(system.labels), [dft_matrix(m)] * (n - 1),
+                                               system.psi0)
+                    witness = born_product_witness(system, TrajectorySpace(m, n))
+                    assert witness.probs.tobytes() == kron_product(system).tobytes(), (m, n, k)
+                    checked += 1
+        assert checked == 180
+
     def test_uniform_for_balanced_identity(self, balanced):
         system, space = balanced
         witness = born_product_witness(system, space)

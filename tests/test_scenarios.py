@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import seeded_config, sset
 from iqp.credal import feasibility, lower_upper
-from iqp import events
+from iqp import cli, events, scenarios
 from iqp.events import TrajectorySpace, parse_event, parse_expr
 from iqp.scenarios import (
     BUILTIN_SCENARIOS,
@@ -22,11 +24,17 @@ from iqp.scenarios import (
     config_hash,
     config_json,
     config_to_dict,
+    count_pairs,
     enumerate_pairs,
     load_config,
     parse_config,
 )
 from iqp.system import QuantumSystem, Region, SSet
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import LADDER, VERDICTS, make_config  # noqa: E402
 
 
 def minimal_config() -> dict:
@@ -526,3 +534,52 @@ class TestKeptTrees:
         space = TrajectorySpace(cfg.m, cfg.n)
         with pytest.raises(ValueError, match="time index 9 out of range"):
             cfg.event(cfg.events[0], space)
+
+
+def labels_config(m: int, ruleset: str = "born+qtr-min") -> dict:
+    """``m`` labels over two times, every region of a pair rule kept."""
+    psi = np.random.default_rng(m).standard_normal(m)
+    return {
+        "schema": "iqp-config/1",
+        "system": {"labels": [f"x{i}" for i in range(m)], "steps": ["dft"],
+                   "initial_state": [[float(v), 0.0] for v in psi / np.linalg.norm(psi)]},
+        "rules": {"ruleset": ruleset, "pairs": {"max_region_size": m}},
+    }
+
+
+class TestPairBound:
+    """A pair rule's family is counted before it is built, and a config
+    whose family would pass ``PAIR_MEMORY`` is refused."""
+
+    @pytest.mark.parametrize("time_pairs", [None, ((0, 1),), ((1, 0), (0, 2), (0, 1), (1, 0))])
+    def test_count_is_the_enumerated_length(self, time_pairs):
+        for m in range(1, 5):
+            system = QuantumSystem([f"x{i}" for i in range(m)], [np.eye(m)] * 2, np.eye(m)[0])
+            for cap in range(1, m + 2):  # one past the label count as well
+                assert count_pairs(m, 3, cap, time_pairs) == len(
+                    enumerate_pairs(system, cap, time_pairs)), (m, cap)
+
+    def test_twelve_labels_refused_before_any_pair(self, tmp_path, capsys, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("a pair was enumerated")
+
+        monkeypatch.setattr(scenarios, "enumerate_pairs", enumerate_nothing)
+        path, report = tmp_path / "twelve.json", tmp_path / "r.json"
+        path.write_text(json.dumps(labels_config(12)))
+        code = cli.main(["feasibility", "--config", str(path), "--outdir", str(tmp_path),
+                         "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error [scenarios]: {path}.rules.pairs: 16,769,025 region pairs "
+                       "would take about 8,923 MiB, past the bound of 1,024 MiB\n")
+        assert json.loads(report.read_text())["error"] == err.rstrip("\n")
+        assert not (tmp_path / "constraints.csv").exists()
+
+    def test_ten_labels_and_born_alone_load(self):
+        assert parse_config(labels_config(10)).m == 10  # 1,046,529 pairs, 579 MiB
+        assert parse_config(labels_config(12, "born")).m == 12  # no pair rule, no family
+
+    def test_benchmark_configs_load(self):
+        for rung in (*LADDER, *VERDICTS):
+            for infeasible in (False, True):
+                parse_config(make_config(rung, 7, 0, 0, infeasible))
