@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -76,14 +77,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory only when it is missing."""
+    """Write ``text`` to ``path`` as UTF-8, making its directory only when it
+    is missing.
+
+    An existing file is written over in place and then cut to the new
+    length, never truncated to zero first: ext4 with its default
+    ``auto_da_alloc`` makes the close of a file truncated to zero and
+    rewritten wait for its data to reach the disk, tens of milliseconds per
+    file, and a temporary file renamed over it waits as well.
+    """
+    data = text.encode("utf-8")
+    flags = os.O_WRONLY | os.O_CREAT
     try:
-        handle = open(path, "w", encoding="utf-8", newline="")
+        fd = os.open(path, flags, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8", newline="")
-    with handle:
-        handle.write(text)
+        fd = os.open(path, flags, 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(data)
+        handle.truncate()
 
 
 def _fmt6(x: float) -> str:

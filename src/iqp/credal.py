@@ -5,7 +5,8 @@ cut out by event lower bounds.  Generators produce the Born family (marginal
 pins via inequality pairs) and the wave-packet typicality family (cross-time
 intersection lower bounds), plus relaxed/scaled variants.  Queries run on the
 embedded simplex solver over the presolved rows (one per distinct event, one
-'==' row per complementary pin, no pair row that the pins imply) and return
+'==' row per complementary pin, once where pins repeat on the live columns,
+no pair row that the pins imply) and return
 self-verified witnesses, Farkas certificates and attained lower/upper
 probabilities.  The presolve also fixes at zero the trajectories that forcing
 rows rule out (a zero-drift typicality row or a demand reaching a Born pin, a
@@ -64,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lp
+# ``perfbench/tracing.py`` wraps ``sset_event`` by its name in this module
 from .events import Event, TrajectorySpace, event_probability, membership_rows, sset_event
 from .system import DEFAULT_TAU_NORM, QuantumSystem, Region, SSet, check_tau_norm
 
@@ -144,7 +146,9 @@ class Presolved(NamedTuple):
     partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
     implied: int  # '>=' rows dropped because the '==' pins imply them
     live: np.ndarray  # the columns of ``rows``, in order; every other one is zero
-    collapsed: list[int]  # '>=' rows (by constraint) a kept row implies on ``live``
+    # '>=' rows (by constraint) a kept row implies on ``live``; a repeated '=='
+    # pin left out of ``rows`` is in neither list (``_collapse``)
+    collapsed: list[int]
     forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns, in order
     empty: Terms  # a deduction proving the set empty (right side >= FARKAS_MARGIN), or ()
 
@@ -365,68 +369,89 @@ def _supported(cs: ConstraintSet, pinned: _Pinned) -> _Support:
     certificate.  ``empty`` is the pins stage's ``refuted``, else the first
     such deduction of a row with an origin.  ``forcings`` keep each
     deduction in constraint indices, for lifting Farkas certificates back
-    to every constraint; the fixed sets are combined as events.
+    to every constraint.
+
+    A pair row's atoms are read by ``(time, region mask)`` from the space
+    (``TrajectorySpace.atom``), and the deduction of a pin on its own row,
+    ``P(A) = w``, is built here with its exact right side ``l - w``.  The
+    fixed trajectories are held as words (``Event.key`` read as a big-endian
+    integer), and the kept forcings' words are joined into one, made into one
+    event at the end.
     """
     bounds, owners, partners, pins = pinned.bounds, pinned.owners, pinned.partners, pinned.pins
-
-    def pin(s: SSet) -> tuple[_Pin, Event] | None:
-        """The pin of ``s`` and its atom event, ``None`` when unpinned."""
-        return pins.get(sset_event(cs.space, s).key)
-
+    space, constraints = cs.space, cs.constraints
     implied: set[int] = set()
-    fixes: list[Forcing] = []
+    # each deduction that fixes, with the word (``Event.key`` as a big-endian
+    # integer) of the trajectories it fixes
+    fixes: list[tuple[Terms, int]] = []
     empty: Terms = ()
 
-    def fix(terms: Terms, rest: Event) -> None:
-        """The deduction ``terms`` fixes ``rest``, unless it proves the set
-        empty instead."""
+    def fix(terms: Terms, refutes: bool, word: int) -> None:
+        """The deduction ``terms`` fixes the trajectories of ``word``, unless
+        it proves the set empty instead."""
         nonlocal empty
-        if not _refutes(terms, bounds):
-            fixes.append(Forcing(terms, rest))
+        if not refutes:
+            fixes.append((terms, word))
         elif not empty:
             empty = terms
 
     # each kept, pinned pair row not yet matched: its ssets, as (time, region
     # mask) pairs, which are cheaper to build than SSets -> (constraint, shift)
     unmatched: dict[frozenset[tuple[int, int]], tuple[int, float]] = {}
-    full = (1 << cs.space.m) - 1
+    full = (1 << space.m) - 1
     for i, j in zip(owners, partners):
-        con = cs.constraints[i]
+        con = constraints[i]
         if not con.origin:  # a demand
             for terms, rest in _demand_deductions(con, i, j, bounds, pins):
-                fix(terms, rest)
+                fix(terms, _refutes(terms, bounds), int.from_bytes(rest.key, "big"))
             continue
-        if bounds[i] >= 1.0:  # a certain event
-            fix(_deduction(i, _CERTAIN), ~con.event)
+        bound = bounds[i]
+        if bound >= 1.0:  # a certain event
+            terms = _deduction(i, _CERTAIN)
+            fix(terms, _refutes(terms, bounds), int.from_bytes(con.event.complement_key, "big"))
         if j >= 0 or len(con.origin) == 1:
             continue
-        supersets = [pin(s) for s in con.origin]  # the pair's two ssets, when pinned
-        # a row reaching a pin fixes the rest of the pinned event (zero drift)
+        key = [(s.time, s.region.mask) for s in con.origin]
+        # the pair's two ssets' pins and atom events, when pinned
+        supersets = [pins.get(space.atom(t, mask).key) for t, mask in key]
+        outside = ~int.from_bytes(con.event.key, "big")  # the trajectories outside the row
         for sup in supersets:
-            if sup is not None and bounds[i] >= sup[0].reach:
-                fix(_deduction(i, sup[0].upper), sup[1] - con.event)
+            if sup is None or bound < sup[0].reach:
+                continue
+            # the row reaches the pin, so it fixes the rest of the pinned
+            # event (zero drift); a pin on its own row is 'P(A) = w', whose
+            # deduction's right side is l - w
+            pin, event = sup
+            if len(pin.upper) == 1:
+                terms = ((i, 1.0), (pin.upper[0][0], -1.0))
+                refutes = math.fsum((bound, -pin.weight)) >= FARKAS_MARGIN
+            else:
+                terms = _deduction(i, pin.upper)
+                refutes = _refutes(terms, bounds)
+            fix(terms, refutes, int.from_bytes(event.key, "big") & outside)
         if supersets[0] is None or supersets[1] is None:
             continue
-        pin1, pin2 = supersets[0][0], supersets[1][0]
-        shift = pin1.weight + pin2.weight - 1.0  # P(S1 & S2) - P(S1^c & S2^c) under the pins
-        if bounds[i] <= shift:  # rule 1
+        # P(S1 & S2) - P(S1^c & S2^c) under the pins
+        shift = supersets[0][0].weight + supersets[1][0].weight - 1.0
+        if bound <= shift:  # rule 1
             implied.add(i)
             continue
-        key = [(s.time, s.region.mask) for s in con.origin]
         first = unmatched.pop(frozenset((t, mask ^ full) for t, mask in key), None)
         if first is None:
             unmatched[frozenset(key)] = (i, shift)
         else:  # rule 2, in the first row's orientation
             f, f_shift = first
-            implied.add(i if bounds[f] >= bounds[i] + f_shift else f)
-    forcings = tuple(fix for fix in fixes
-                     if fix.terms[0][0] not in implied and not fix.rest.is_empty)
-    fixed = Event.none(cs.space)
-    for forcing in forcings:
-        fixed |= forcing.rest
+            implied.add(i if bounds[f] >= bound + f_shift else f)
+    forcings = []
+    fixed = 0
+    for terms, word in fixes:
+        if word and terms[0][0] not in implied:
+            forcings.append(Forcing(terms, Event.of_word(word, space.size)))
+            fixed |= word
     return _Support([i for i in owners if i not in implied],
                     [j for i, j in zip(owners, partners) if i not in implied],
-                    len(implied), forcings, (~fixed).indices(), pinned.refuted or empty)
+                    len(implied), tuple(forcings),
+                    (~Event.of_word(fixed, space.size)).indices(), pinned.refuted or empty)
 
 
 def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
@@ -441,10 +466,14 @@ def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
        fixes at zero the columns that forcing rows rule out;
     3. here, the kept rows are built over the ``live`` columns only, each
        one bit for bit its owner's row of ``lp_rows`` on them, in one call
-       (``ConstraintSet._rows``), and rows equal there collapse: the
-       largest '>=' bound wins, the first on ties, and a '>=' row is dropped
-       (``collapsed``) when an '==' row, normalization included, on the same
-       columns has at least its bound.
+       (``ConstraintSet._rows``), and rows equal there collapse
+       (``_collapse``): the largest '>=' bound wins, the first on ties, a
+       '>=' row is dropped (``collapsed``) when an '==' row, normalization
+       included, on the same columns has at least its bound, and an '=='
+       row that repeats an earlier '==' row there, right side within
+       ``VACUOUS_RHS``, is given to the LP once (Andersen and Andersen
+       1995).  The pins stage still holds every pin, so a Farkas certificate
+       lifts over it (``_lift_farkas``).
 
     Kept rows follow the first appearance of their events.  ``empty`` is
     the first demand's deduction that proves the set empty, else the first
@@ -457,7 +486,7 @@ def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
     else:
         rows, rhs = cs._rows([cs.constraints[i] for i in owners], support.live)
         keep = _collapse(rows, rhs.tolist(), partners)
-        collapsed = [i for i, kept in zip(owners, keep) if not kept]
+        collapsed = [i for i, j, kept in zip(owners, partners, keep) if not kept and j < 0]
         owners = [i for i, kept in zip(owners, keep) if kept]
         partners = [j for j, kept in zip(partners, keep) if kept]
         rows, rhs = rows[[True] + keep], rhs[[True] + keep]
@@ -467,19 +496,29 @@ def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
 
 
 def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
-    """Per row after normalization, whether it stays: every '==' row does,
-    and a '>=' row unless an equal row implies it, a stronger '>=' row (the
-    first on ties) or an '==' row with at least its bound, normalization
-    included."""
+    """Per row after normalization, whether it stays.  An '==' row does
+    unless it repeats an earlier one: equal to the first '==' row on its
+    columns, normalization included, with a right side within
+    ``VACUOUS_RHS`` of that row's.  A '>=' row stays unless an equal row
+    implies it, a stronger '>=' row (the first on ties) or an '==' row with
+    at least its bound, normalization and repeated pins included."""
     keys = [row.tobytes() for row in rows]
+    first = {keys[0]: 1.0}  # row -> the right side of the first '==' row equal to it
     caps = {keys[0]: 1.0}  # row -> the largest right side of an '==' row equal to it
+    repeats: set[int] = set()  # '==' rows that repeat the first equal to them
     best: dict[bytes, int] = {}  # row -> its strongest '>=' row
     for k, j in enumerate(partners, start=1):
+        key = keys[k]
         if j >= 0:
-            caps[keys[k]] = max(caps.get(keys[k], -math.inf), rhs[k])
-        elif rhs[k] > rhs[best.setdefault(keys[k], k)]:
-            best[keys[k]] = k
-    return [j >= 0 or (best[keys[k]] == k and caps.get(keys[k], -math.inf) < rhs[k])
+            caps[key] = max(caps.get(key, -math.inf), rhs[k])
+            if key not in first:
+                first[key] = rhs[k]
+            elif abs(rhs[k] - first[key]) <= VACUOUS_RHS:
+                repeats.add(k)
+        elif rhs[k] > rhs[best.setdefault(key, k)]:
+            best[key] = k
+    return [k not in repeats if j >= 0 else
+            best[keys[k]] == k and caps.get(keys[k], -math.inf) < rhs[k]
             for k, j in enumerate(partners, start=1)]
 
 
@@ -875,7 +914,9 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     reverse order each deduction's ``1_F - 1_E`` (-1 on its columns, right
     side at least 0) is added ``lam`` times, ``lam`` the largest positive
     coefficient left on those columns, which keeps the margin.
-    ``_multipliers`` then rewrites the '==' rows.
+    ``_multipliers`` then rewrites the '==' rows over the pins stage
+    (``_Reading.pinned``): a deduction can subtract a pin that the LP was
+    given only once (``_collapse``), and only that stage lists every pin.
     """
     y = np.zeros(len(cs) + 1)
     y[-1] = duals[0]
@@ -889,26 +930,27 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
                 for i, coef in forcing.terms:
                     y[i] += lam * coef
                 combo[cols] -= lam
-    return _multipliers(pre, y)
+    return _multipliers(_reading(cs).pinned, y)
 
 
-def _multipliers(pre: Presolved | _Pinned, y: np.ndarray) -> tuple[np.ndarray, float]:
+def _multipliers(pinned: _Pinned, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Multipliers of the constraints and the normalization's, from a
-    combination ``y`` of constraint rows in which only '==' rows of ``pre``
-    may be negative (normalization at index -1).  The presolve's later
-    stages drop no '==' row, so its pins stage (``_Pinned``) gives a
-    deduction the same multipliers as the LP rows.
+    combination ``y`` of constraint rows in which only the '==' rows of the
+    pins stage may be negative (normalization at index -1).  The pins stage
+    lists every pin, also one the LP rows give once for several
+    (``_collapse``), so a deduction and a lifted Farkas certificate
+    (``_lift_farkas``) are both rewritten over it.
 
     An '==' row ``P(A) = l`` with ``y < 0`` is rewritten by
     ``y * 1_A = y - y * 1_{A^c}``: ``-y`` goes to the complement's constraint
     and ``y`` to normalization.  Every other entry stays with its constraint,
-    which keeps the sign bit of a -0.0.  A kept '>=' row with a clearly
-    negative entry is a failure; a collapsed row needs no such check, since
-    it enters a deduction only as its forcing row, with coefficient +1.
+    which keeps the sign bit of a -0.0.  A '>=' row with a clearly negative
+    entry is a failure: only an LP dual can make one negative, since a
+    deduction adds its forcing row with coefficient +1.
     """
     normalization = float(y[-1])
     mult = y[:-1]
-    for i, j in zip(pre.owners, pre.partners):
+    for i, j in zip(pinned.owners, pinned.partners):
         dual = float(mult[i])
         if j < 0 and dual < -1e-8:
             raise lp.SimplexFailure(f"negative multiplier {dual:.3e} on inequality row {i}")

@@ -9,8 +9,10 @@ set (m=2 n=16, ``born+qtr-min``) and the DFT all-pairs set (m=4 n=8,
 resident set size after the build, the peak resident set size after
 ``feasibility`` and both events' bounds, the seconds of the build (config
 validation, system, atoms and rows), of ``feasibility`` and of the bounds,
-and every bound.  A fresh process per set keeps one set's
-peak out of the next one's.
+and every bound.  Last it prints the shape of the presolved LP, its rows
+(normalization included) by its live columns, built after the peak is read
+when no query built it.  A fresh process per set keeps one set's peak out of
+the next one's.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ def probe(name: str) -> None:
     bounds = [credal.lower_upper(cs, events.parse_event(e, space)) for e in cfg.events]
     bounds_s = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    rows, live = credal.presolve(cs).rows.shape
     print(f"{name}: {len(cs)} rows, feasible {verdict.feasible}")
     print(f"  build {build_s:.3f} s, rss after build {built:.1f} MB, peak rss {peak:.1f} MB")
     print(f"  feasibility {feasibility_s:.3f} s, bounds {bounds_s:.3f} s")
+    print(f"  presolved LP {rows} rows x {live} live columns")
     for text, b in zip(cfg.events, bounds):
         print(f"  {text}: {b.status} [{b.lower!r}, {b.upper!r}] ({b.path})")
 

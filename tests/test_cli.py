@@ -399,15 +399,16 @@ class TestReport:
         report_path = tmp_path / "report.json"
         main(["bounds", "--config", scenario_file("beam-splitter"),
               "--outdir", str(tmp_path / "out"), "--report", str(report_path)])
-        # 12 rows presolve to normalization, one '==' pin at each of t=1 and
-        # t=2, and one typicality row: with two labels the pins make the rows
-        # on ({0}, {0}) and ({1}, {1}) parallel, and the one on ({0}, {0}) is
-        # implied by the other.  The basis-state pin at t=0 is a certain
-        # event, which fixes the 4 trajectories starting at 1 and then equals
-        # normalization; the kept typicality row reaches both pins, which
-        # fixes the 2 trajectories that switch packets between t=1 and t=2
+        # 12 rows presolve to normalization, one '==' pin and one typicality
+        # row: with two labels the pins make the rows on ({0}, {0}) and
+        # ({1}, {1}) parallel, and the one on ({0}, {0}) is implied by the
+        # other.  The basis-state pin at t=0 is a certain event, which fixes
+        # the 4 trajectories starting at 1 and then equals normalization; the
+        # kept typicality row reaches both pins, which fixes the 2
+        # trajectories that switch packets between t=1 and t=2.  On the two
+        # live columns the pins at t=1 and t=2 are then one row, given once
         assert json.loads(report_path.read_text())["constraints"] == {
-            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 4, "implied": 1,
+            "emitted": 12, "skipped": 4, "filtered": 8, "lp_rows": 3, "implied": 1,
             "forced_cols": 6}
 
     def test_report_and_queries_share_one_presolve(self, scenario_file, tmp_path,
@@ -598,3 +599,46 @@ class TestFixedWork:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error [cli]: ") and "Traceback" not in err
+
+
+class TestWrite:
+    """``cli._write`` writes over an existing file in place and cuts it to
+    the new length, so no file is truncated to zero before its rewrite."""
+
+    def test_shorter_text_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("a,b\n1,2\n3,4\n")
+        cli._write(path, "a\n")
+        assert path.read_bytes() == b"a\n"
+
+    def test_longer_text_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("a\n")
+        cli._write(path, "p,ψ\n1,2\n")
+        assert path.read_bytes() == "p,ψ\n1,2\n".encode("utf-8")
+
+    def test_new_file_keeps_line_endings(self, tmp_path):
+        path = tmp_path / "new" / "out.csv"
+        cli._write(path, "a\r\nb\n")
+        assert path.read_bytes() == b"a\r\nb\n"
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old text, longer than the new\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        cli._write(link, "new\n")
+        assert link.is_symlink() and target.read_bytes() == b"new\n"
+
+    def test_report_is_rewritten_in_place(self, scenario_file, tmp_path):
+        config = scenario_file("beam-splitter")
+        report_path = tmp_path / "report.json"
+        argv = ["feasibility", "--config", config, "--outdir", str(tmp_path / "out"),
+                "--report", str(report_path)]
+        assert main(argv) == 0
+        inode = report_path.stat().st_ino
+        report_path.write_text(report_path.read_text() + " " * 4096)
+        assert main(argv) == 0
+        assert report_path.stat().st_ino == inode
+        assert json.loads(report_path.read_text())["exit_code"] == 0
+        assert not report_path.read_text().endswith(" ")

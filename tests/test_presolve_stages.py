@@ -48,12 +48,12 @@ def stage_calls(count_calls):
 
 
 def deduction_certificate(cs: ConstraintSet, terms) -> credal.FarkasCertificate:
-    """The certificate of a deduction over the full presolve, as ``feasibility``
-    built it from ``Presolved.empty`` before the pins stage."""
+    """The certificate of a deduction over the pins stage, which holds every
+    '==' pin, as ``feasibility`` builds it."""
     y = np.zeros(len(cs) + 1)
     for i, coef in terms:
         y[i] += coef
-    cert, problem = credal._checked(cs, *credal._multipliers(presolve(cs), y))
+    cert, problem = credal._checked(cs, *credal._multipliers(credal._reading(cs).pinned, y))
     assert problem is None
     return cert
 
