@@ -7,6 +7,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Callable
@@ -80,22 +81,35 @@ def _write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, making its directory only when it
     is missing.
 
-    An existing file is written over in place and then cut to the new
-    length, never truncated to zero first: ext4 with its default
+    An existing regular file is written over in place and then cut to the
+    new length, never truncated to zero first: ext4 with its default
     ``auto_da_alloc`` makes the close of a file truncated to zero and
     rewritten wait for its data to reach the disk, tens of milliseconds per
-    file, and a temporary file renamed over it waits as well.
+    file, and a temporary file renamed over it waits as well.  The price is
+    that flush: after a crash a rewritten file may hold old bytes or zeros
+    in place of new ones, where before it held the new text or none.  A
+    write that fails cuts the file to the bytes written, as a write after
+    truncation would leave it.  A pipe, FIFO or device (``/dev/stdout``,
+    ``/dev/null``) is only written, never cut.
     """
-    data = text.encode("utf-8")
+    data = memoryview(text.encode("utf-8"))
     flags = os.O_WRONLY | os.O_CREAT
     try:
         fd = os.open(path, flags, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, flags, 0o666)
-    with open(fd, "wb") as handle:
-        handle.write(data)
-        handle.truncate()
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        done = 0
+        try:
+            while done < len(data):
+                done += os.write(fd, data[done:])
+        finally:
+            if regular:
+                os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _fmt6(x: float) -> str:

@@ -146,9 +146,8 @@ class Presolved(NamedTuple):
     partners: list[int]  # per '==' row: the complement's constraint; -1 on '>='
     implied: int  # '>=' rows dropped because the '==' pins imply them
     live: np.ndarray  # the columns of ``rows``, in order; every other one is zero
-    # '>=' rows (by constraint) a kept row implies on ``live``; a repeated '=='
-    # pin left out of ``rows`` is in neither list (``_collapse``)
-    collapsed: list[int]
+    collapsed: list[int]  # '>=' rows (by constraint) a kept row implies on ``live``
+    repeated: list[int]  # '==' rows (by constraint) equal to a kept one on ``live``
     forcings: tuple[Forcing, ...]  # the deductions that fixed the other columns, in order
     empty: Terms  # a deduction proving the set empty (right side >= FARKAS_MARGIN), or ()
 
@@ -372,11 +371,9 @@ def _supported(cs: ConstraintSet, pinned: _Pinned) -> _Support:
     to every constraint.
 
     A pair row's atoms are read by ``(time, region mask)`` from the space
-    (``TrajectorySpace.atom``), and the deduction of a pin on its own row,
-    ``P(A) = w``, is built here with its exact right side ``l - w``.  The
-    fixed trajectories are held as words (``Event.key`` read as a big-endian
-    integer), and the kept forcings' words are joined into one, made into one
-    event at the end.
+    (``TrajectorySpace.atom``).  The fixed trajectories are held as words
+    (``Event.key`` read as a big-endian integer), and the kept forcings'
+    words are joined into one, made into one event at the end.
     """
     bounds, owners, partners, pins = pinned.bounds, pinned.owners, pinned.partners, pinned.pins
     space, constraints = cs.space, cs.constraints
@@ -386,11 +383,11 @@ def _supported(cs: ConstraintSet, pinned: _Pinned) -> _Support:
     fixes: list[tuple[Terms, int]] = []
     empty: Terms = ()
 
-    def fix(terms: Terms, refutes: bool, word: int) -> None:
+    def fix(terms: Terms, word: int) -> None:
         """The deduction ``terms`` fixes the trajectories of ``word``, unless
         it proves the set empty instead."""
         nonlocal empty
-        if not refutes:
+        if not _refutes(terms, bounds):
             fixes.append((terms, word))
         elif not empty:
             empty = terms
@@ -403,32 +400,21 @@ def _supported(cs: ConstraintSet, pinned: _Pinned) -> _Support:
         con = constraints[i]
         if not con.origin:  # a demand
             for terms, rest in _demand_deductions(con, i, j, bounds, pins):
-                fix(terms, _refutes(terms, bounds), int.from_bytes(rest.key, "big"))
+                fix(terms, int.from_bytes(rest.key, "big"))
             continue
         bound = bounds[i]
         if bound >= 1.0:  # a certain event
-            terms = _deduction(i, _CERTAIN)
-            fix(terms, _refutes(terms, bounds), int.from_bytes(con.event.complement_key, "big"))
+            fix(_deduction(i, _CERTAIN), int.from_bytes(con.event.complement_key, "big"))
         if j >= 0 or len(con.origin) == 1:
             continue
         key = [(s.time, s.region.mask) for s in con.origin]
         # the pair's two ssets' pins and atom events, when pinned
         supersets = [pins.get(space.atom(t, mask).key) for t, mask in key]
         outside = ~int.from_bytes(con.event.key, "big")  # the trajectories outside the row
+        # a row reaching a pin fixes the rest of the pinned event (zero drift)
         for sup in supersets:
-            if sup is None or bound < sup[0].reach:
-                continue
-            # the row reaches the pin, so it fixes the rest of the pinned
-            # event (zero drift); a pin on its own row is 'P(A) = w', whose
-            # deduction's right side is l - w
-            pin, event = sup
-            if len(pin.upper) == 1:
-                terms = ((i, 1.0), (pin.upper[0][0], -1.0))
-                refutes = math.fsum((bound, -pin.weight)) >= FARKAS_MARGIN
-            else:
-                terms = _deduction(i, pin.upper)
-                refutes = _refutes(terms, bounds)
-            fix(terms, refutes, int.from_bytes(event.key, "big") & outside)
+            if sup is not None and bound >= sup[0].reach:
+                fix(_deduction(i, sup[0].upper), int.from_bytes(sup[1].key, "big") & outside)
         if supersets[0] is None or supersets[1] is None:
             continue
         # P(S1 & S2) - P(S1^c & S2^c) under the pins
@@ -471,9 +457,9 @@ def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
        '>=' row is dropped (``collapsed``) when an '==' row, normalization
        included, on the same columns has at least its bound, and an '=='
        row that repeats an earlier '==' row there, right side within
-       ``VACUOUS_RHS``, is given to the LP once (Andersen and Andersen
-       1995).  The pins stage still holds every pin, so a Farkas certificate
-       lifts over it (``_lift_farkas``).
+       ``VACUOUS_RHS``, is given to the LP once and listed in ``repeated``
+       (Andersen and Andersen 1995).  The pins stage still holds every pin,
+       so a Farkas certificate lifts over it (``_lift_farkas``).
 
     Kept rows follow the first appearance of their events.  ``empty`` is
     the first demand's deduction that proves the set empty, else the first
@@ -481,18 +467,20 @@ def _presolve(cs: ConstraintSet, support: _Support) -> Presolved:
     """
     owners, partners = support.owners, support.partners
     collapsed: list[int] = []
+    repeated: list[int] = []
     if not support.forcings:
         rows, rhs = cs._rows([cs.constraints[i] for i in owners])
     else:
         rows, rhs = cs._rows([cs.constraints[i] for i in owners], support.live)
         keep = _collapse(rows, rhs.tolist(), partners)
         collapsed = [i for i, j, kept in zip(owners, partners, keep) if not kept and j < 0]
+        repeated = [i for i, j, kept in zip(owners, partners, keep) if not kept and j >= 0]
         owners = [i for i, kept in zip(owners, keep) if kept]
         partners = [j for j, kept in zip(partners, keep) if kept]
         rows, rhs = rows[[True] + keep], rhs[[True] + keep]
     senses = ["=="] + ["==" if j >= 0 else ">=" for j in partners]
     return Presolved(rows, rhs, senses, owners, partners, support.implied, support.live,
-                     collapsed, support.forcings, support.empty)
+                     collapsed, repeated, support.forcings, support.empty)
 
 
 def _collapse(rows: np.ndarray, rhs: list[float], partners: list[int]) -> list[bool]:
@@ -902,7 +890,7 @@ def _solve(cs: ConstraintSet, objective: np.ndarray, maximize: bool = False) -> 
     return result
 
 
-def _lift_farkas(cs: ConstraintSet, pre: Presolved,
+def _lift_farkas(cs: ConstraintSet, pinned: _Pinned, pre: Presolved,
                  duals: np.ndarray) -> tuple[np.ndarray, float]:
     """Multipliers of the constraints and the normalization's, from the
     Farkas duals of the LP rows (normalization, then those of ``pre.owners``).
@@ -914,9 +902,10 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
     reverse order each deduction's ``1_F - 1_E`` (-1 on its columns, right
     side at least 0) is added ``lam`` times, ``lam`` the largest positive
     coefficient left on those columns, which keeps the margin.
-    ``_multipliers`` then rewrites the '==' rows over the pins stage
-    (``_Reading.pinned``): a deduction can subtract a pin that the LP was
-    given only once (``_collapse``), and only that stage lists every pin.
+    ``_multipliers`` then rewrites the '==' rows over ``pinned``, the pins
+    stage ``pre`` was presolved from: a deduction can subtract a pin that the
+    LP was given only once (``_collapse``), and only that stage lists every
+    pin.
     """
     y = np.zeros(len(cs) + 1)
     y[-1] = duals[0]
@@ -930,7 +919,7 @@ def _lift_farkas(cs: ConstraintSet, pre: Presolved,
                 for i, coef in forcing.terms:
                     y[i] += lam * coef
                 combo[cols] -= lam
-    return _multipliers(_reading(cs).pinned, y)
+    return _multipliers(pinned, y)
 
 
 def _multipliers(pinned: _Pinned, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -1231,7 +1220,8 @@ def feasibility(cs: ConstraintSet) -> FeasibilityCertificate:
             )
         return FeasibilityCertificate(witness=witness)
 
-    cert, problem = _checked(cs, *_lift_farkas(cs, reading.presolved, reading.start.farkas_duals))
+    cert, problem = _checked(
+        cs, *_lift_farkas(cs, pinned, reading.presolved, reading.start.farkas_duals))
     if problem is not None:
         raise lp.SimplexFailure(f"Farkas verification failed: {problem}")
     return FeasibilityCertificate(farkas=cert)

@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 import iqp
 from iqp import cli, credal, events, typicality
 from iqp.cli import build_parser, main
-from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, parse_config
+from iqp.scenarios import BUILTIN_SCENARIOS, config_hash, config_json, parse_config
 from iqp.system import QuantumSystem
 
 
@@ -642,3 +644,51 @@ class TestWrite:
         assert report_path.stat().st_ino == inode
         assert json.loads(report_path.read_text())["exit_code"] == 0
         assert not report_path.read_text().endswith(" ")
+
+    def test_writes_to_the_null_device(self, scenario_file, tmp_path):
+        # a character device can be written but not cut
+        cli._write(Path(os.devnull), "a\n")
+        argv = ["feasibility", "--config", scenario_file("beam-splitter"),
+                "--outdir", str(tmp_path / "out"), "--report", os.devnull]
+        assert main(argv) == 0
+
+    def test_writes_into_a_fifo(self, tmp_path):
+        # a FIFO can be written but not cut
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        read: list[bytes] = []
+        reader = threading.Thread(target=lambda: read.append(path.read_bytes()))
+        reader.start()
+        cli._write(path, "p,ψ\n")
+        reader.join(timeout=60)
+        assert read == ["p,ψ\n".encode("utf-8")]
+
+    def test_scenario_to_a_pipe(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(iqp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqp.cli", "scenario", "beam-splitter",
+             "--out", "/dev/stdout"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == config_json(BUILTIN_SCENARIOS["beam-splitter"]()) + \
+            "wrote /dev/stdout\n"
+
+    def test_failed_write_keeps_no_old_tail(self, tmp_path, monkeypatch):
+        # the file holds what was written before the failure, as after a
+        # truncation to zero, and none of the old text behind it
+        path = tmp_path / "out.csv"
+        path.write_text("old text, longer than the new\n")
+        write, calls = os.write, []
+
+        def fail_after_three(fd, data):  # a short write, then a full disk
+            calls.append(fd)
+            if len(calls) == 1:
+                return write(fd, data[:3])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "write", fail_after_three)
+        with pytest.raises(OSError, match="No space"):
+            cli._write(path, "new text\n")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"new"

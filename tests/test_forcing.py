@@ -429,7 +429,8 @@ def test_collapsed_rows_lift_to_non_negative_multipliers(source, monkeypatch):
     assert not feasibility(cs).feasible
     result = credal._solve(cs, np.zeros(cs.space.size))
     assert result.status == lp.INFEASIBLE
-    cert, _ = credal._checked(cs, *credal._lift_farkas(cs, pre, result.farkas_duals))
+    cert, _ = credal._checked(
+        cs, *credal._lift_farkas(cs, credal._reading(cs).pinned, pre, result.farkas_duals))
     assert_certificate(cs, cert)
     assert len(seen) == 2
     assert all((y >= 0.0).all() for y in seen)

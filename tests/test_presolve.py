@@ -9,6 +9,9 @@ are seeded random unitaries (QR of a complex Gaussian); the hypothesis
 profile is derandomized, so every run draws the same bounded set of examples.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,13 @@ from iqp.credal import (
     verify_farkas,
 )
 from iqp.events import Event, TrajectorySpace, parse_event, sset_event
-from iqp.scenarios import singleton_family
+from iqp.scenarios import BUILTIN_SCENARIOS, singleton_family
 from iqp.system import Region, SSet
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import LADDER, LPWorkload  # noqa: E402
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 BOUND_TOL = 1e-7
@@ -47,23 +55,27 @@ def row_violation(cs, probs) -> float:
     return max(worst, float(np.max(rhs[1:] - rows[1:] @ x, initial=0.0)))
 
 
-def pinned_weight(pre, bits):
-    """``P(event)`` under the presolve's '==' rows, or ``None`` when none pins it."""
-    row = bits.astype(float)
-    for k, sense in enumerate(pre.senses[1:], start=1):
-        if sense == "==" and np.array_equal(pre.rows[k], row):
-            return pre.rhs[k]
-        if sense == "==" and np.array_equal(pre.rows[k], 1.0 - row):
-            return 1.0 - pre.rhs[k]
+def pinned_weight(cs, pre, bits):
+    """``P(event)`` under the presolve's '==' rows, a repeated pin included,
+    or ``None`` when none pins it."""
+    _, rhs, _ = cs.lp_rows()
+    pins = [i for i, j in zip(pre.owners, pre.partners) if j >= 0] + pre.repeated
+    for i in pins:
+        pinned = cs.constraints[i].event.bits
+        if np.array_equal(pinned, bits):
+            return rhs[1 + i]
+        if np.array_equal(pinned, ~bits):
+            return 1.0 - rhs[1 + i]
     return None
 
 
 def assert_presolve_keeps_rows(cs):
     """Each kept row is its owner's row of ``lp_rows`` on the live columns, and
     an '==' row pins an event whose complement's bound sums with it to 1.
-    Every distinct event is kept, paired, collapsed on the live columns, or
+    Every distinct event is kept, paired, collapsed on the live columns,
+    pinned again by a repeated '==' row (or that row's complement), or
     dropped because the pins imply its largest bound: by Frechet, or by the
-    kept '>=' row on the complements of its two ssets."""
+    kept or collapsed '>=' row on the complements of its two ssets."""
     rows, rhs, senses = cs.lp_rows()
     pre = presolve(cs)
     assert len(pre.senses) == len(pre.rows) == len(pre.rhs) == 1 + len(pre.owners)
@@ -87,18 +99,31 @@ def assert_presolve_keeps_rows(cs):
     assert events | paired <= distinct and not events & paired
     collapsed = {cs.constraints[i].event.bits.tobytes() for i in pre.collapsed}
     assert collapsed <= distinct - events - paired
-    dropped = distinct - events - paired - collapsed
+    # a repeated pin equals a kept '==' row (normalization included) on the
+    # live columns, right side within VACUOUS_RHS, and its complement is
+    # pinned with it
+    repeated = set()
+    for i in pre.repeated:
+        row = rows[1 + i][pre.live]
+        assert any(sense == "==" and np.array_equal(pre.rows[k], row)
+                   and abs(pre.rhs[k] - rhs[1 + i]) <= VACUOUS_RHS
+                   for k, sense in enumerate(pre.senses))
+        bits = cs.constraints[i].event.bits
+        repeated |= {bits.tobytes(), (~bits).tobytes()}
+    assert repeated <= distinct - events - paired - collapsed
+    dropped = distinct - events - paired - collapsed - repeated
     assert len(dropped) == pre.implied
-    kept_bounds = {pre.rows[k].tobytes(): pre.rhs[k]
-                   for k, sense in enumerate(pre.senses) if sense == ">="}
+    kept_bounds = {cs.constraints[i].event.bits.tobytes(): rhs[1 + i]
+                   for i in [i for i, j in zip(pre.owners, pre.partners) if j < 0]
+                   + pre.collapsed}
     for key in dropped:
         first = max((i for i, con in enumerate(cs.constraints)
                      if con.event.bits.tobytes() == key), key=lambda i: rhs[1 + i])
         s1, s2 = cs.constraints[first].origin
         a, b = sset_event(cs.space, s1).bits, sset_event(cs.space, s2).bits
         assert (a & b).tobytes() == key
-        shift = pinned_weight(pre, a) + pinned_weight(pre, b) - 1.0
-        parallel = kept_bounds.get((~a & ~b).astype(float).tobytes(), -np.inf)
+        shift = pinned_weight(cs, pre, a) + pinned_weight(cs, pre, b) - 1.0
+        parallel = kept_bounds.get((~a & ~b).tobytes(), -np.inf)
         # rule 1, or rule 2 up to the rounding of the other row's orientation
         assert rhs[1 + first] <= max(shift, parallel + shift + 1e-15)
 
@@ -296,3 +321,22 @@ class TestImpliedRows:
         assert cert.farkas.multipliers[5] == 0.0
         assert cert.farkas.margin == pytest.approx(0.1, abs=1e-12)
         assert_farkas_verifies(cs, cert.farkas)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_rows_are_accounted_for(name):
+    """beam-splitter and mach-zehnder are forced, and beam-splitter repeats
+    its t=1 pin at t=2 on the live columns."""
+    _, cs = realize(BUILTIN_SCENARIOS[name]())
+    pre = presolve(cs)
+    assert len(pre.repeated) == (name == "beam-splitter")
+    assert_presolve_keeps_rows(cs)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 401])
+def test_forced_ladder_rows_are_accounted_for(seed):
+    workload = LPWorkload("ladder-queries", LADDER, seed)
+    prepared = [p for p in workload.setup(workload.configs()) if LADDER[p.rung].kind == "dft"]
+    assert prepared and all(presolve(p.cs).forcings for p in prepared)
+    for p in prepared:
+        assert_presolve_keeps_rows(p.cs)

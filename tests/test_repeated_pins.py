@@ -3,9 +3,10 @@
 Once forcing rows fix columns, two '==' pins can be the same row on the
 columns left live; ``credal._collapse`` keeps the first and drops a later
 one whose right side is within ``VACUOUS_RHS`` of it, normalization
-included.  ``Presolved.collapsed`` still lists only '>=' rows, and a lifted
-Farkas certificate rewrites a dropped pin's negative multiplier over the
-pins stage, which holds every pin.
+included.  ``Presolved.collapsed`` still lists only '>=' rows, the dropped
+pins are listed in ``Presolved.repeated``, and a lifted Farkas certificate
+rewrites a dropped pin's negative multiplier over the pins stage, which
+holds every pin.
 """
 
 import sys
@@ -93,7 +94,7 @@ def test_repeated_pins_reach_the_lp_once():
     assert pre.live.tolist() == [0, 7]
     assert pre.senses == ["==", "==", ">="] and pre.owners == [0, 8]
     # the pair rows equal the pins there too, and are collapsed as before
-    assert pre.collapsed == [6, 7]
+    assert pre.collapsed == [6, 7] and pre.repeated == [2, 4]
     assert len(credal._reading(cs).pinned.owners) == 6
 
 
@@ -104,8 +105,7 @@ def test_dropped_pins_lift_over_the_pins_stage():
     cert = feasibility(cs)
     assert not cert.feasible and not scipy_feasible(cs)
     pre = presolve(cs)
-    dropped = [i for i in credal._reading(cs).pinned.owners
-               if i not in pre.owners and i not in pre.collapsed]
+    dropped = pre.repeated
     assert dropped == [2, 4]
     mult = cert.farkas.multipliers
     assert (mult >= 0.0).all() and mult[dropped].tolist() == [0.0, 0.0]
