@@ -657,7 +657,7 @@ class TestWrite:
         path = tmp_path / "fifo"
         os.mkfifo(path)
         read: list[bytes] = []
-        reader = threading.Thread(target=lambda: read.append(path.read_bytes()))
+        reader = threading.Thread(target=lambda: read.append(path.read_bytes()), daemon=True)
         reader.start()
         cli._write(path, "p,ψ\n")
         reader.join(timeout=60)
